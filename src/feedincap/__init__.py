@@ -5,7 +5,8 @@ can every candidate PV site be scaled before a voltage band or a line rating
 stops the expansion, when feed-in above a fraction FL of installed capacity
 (net of concurrent local demand) is curtailed. Two engines answer it
 independently: a MILP over a linearized power flow, and a closed-form rule
-evaluation with bisection. An AC sweep validates the linearization.
+evaluation with an exact tangent search on the expansion factor. An AC sweep
+validates the linearization.
 """
 
 from .analysis import (

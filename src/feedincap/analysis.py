@@ -10,6 +10,7 @@ deterministic byte for byte for identical inputs.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,10 +22,21 @@ from .formulation import (
     Scenario,
     build_problem,
     extract_solution,
+    node_aggregates,
 )
 from .grid import Grid
 from .milp import SolverConfig, solve_milp
-from .oracle import AnnualResult, annual_simulate, max_scal_bisection, oracle_plan
+from .oracle import (
+    AnnualResult,
+    annual_simulate,
+    flagged_rows,
+    headroom,
+    max_scal_bisection,
+    network_bounds,
+    oracle_plan,
+)
+
+log = logging.getLogger(__name__)
 
 
 class AnalysisError(ValueError):
@@ -45,7 +57,6 @@ class SweepSpec:
     demand_multipliers: tuple[float, ...] = (1.0, 1.1, 1.2)
     mode: str = "snapshot"
     engine: str = "oracle"              # oracle | milp | both
-    bisection_tol: float = 1e-4
     costs: Costs = field(default_factory=Costs)
 
     def __post_init__(self) -> None:
@@ -156,33 +167,21 @@ class BindingReport:
 
 def find_bottlenecks(plan: PlanResult, grid: Grid) -> BindingReport:
     """Which elements stop further expansion at the plan's operating point."""
-    s_max = np.array([ln.s_max for ln in grid.lines])
-    vmax2 = np.array([grid.bus(b).vmax**2 for b in plan.bus_order])
-    vmin2 = np.array([grid.bus(b).vmin**2 for b in plan.bus_order])
+    bounds = network_bounds(grid, plan.bus_order)
     flows = np.atleast_2d(plan.flows_mw)
     v2 = np.atleast_2d(plan.voltages_pu2)
-
-    t_head = s_max[None, :] - np.abs(flows)
-    hi_head = vmax2[None, :] - v2
-    lo_head = v2 - vmin2[None, :]
-
-    binding: list[BindingElement] = []
-    for k, h in enumerate(plan.hours):
-        for l in np.nonzero(np.abs(flows[k]) >= THERMAL_BINDING_FRAC * s_max)[0]:
-            binding.append(BindingElement("thermal", plan.line_order[l], h,
-                                          float(t_head[k, l])))
-        for i in np.nonzero(hi_head[k] <= VOLTAGE_BINDING_PU2)[0]:
-            binding.append(BindingElement("v_high", plan.bus_order[i], h,
-                                          float(hi_head[k, i])))
-        for i in np.nonzero(lo_head[k] <= VOLTAGE_BINDING_PU2)[0]:
-            binding.append(BindingElement("v_low", plan.bus_order[i], h,
-                                          float(lo_head[k, i])))
+    margins = t_head, hi_head, lo_head = headroom(bounds, flows, v2)
+    _, rows = flagged_rows(
+        margins,
+        (np.abs(flows) >= THERMAL_BINDING_FRAC * bounds[0],
+         hi_head <= VOLTAGE_BINDING_PU2, lo_head <= VOLTAGE_BINDING_PU2),
+        plan.hours, plan.line_order, plan.bus_order)
 
     worst_l = int(np.unravel_index(np.argmin(t_head), t_head.shape)[1])
     v_head = np.minimum(hi_head, lo_head)
     worst_b = int(np.unravel_index(np.argmin(v_head), v_head.shape)[1])
     return BindingReport(
-        binding=tuple(binding),
+        binding=tuple(BindingElement(*r) for r in rows),
         min_thermal_headroom_mw=float(t_head.min()),
         min_voltage_headroom_pu2=float(v_head.min()),
         worst_line=plan.line_order[worst_l],
@@ -230,9 +229,11 @@ def _run_cell(grid: Grid, scenario: Scenario, spec: SweepSpec,
     cell = CellResult(fl=scenario.fl, case=scenario.case,
                       demand_multiplier=scenario.demand_multiplier,
                       status="ok", engine=spec.engine)
+    agg = node_aggregates(grid, scenario)
     if spec.engine in ("oracle", "both"):
-        search = max_scal_bisection(grid, scenario, cfg, spec.bisection_tol,
-                                    model=model)
+        search = max_scal_bisection(grid, scenario, cfg, agg=agg, model=model)
+        log.debug("cell fl=%g case=%s x%g: %s", scenario.fl, scenario.case,
+                  scenario.demand_multiplier, search)
         if search.status != "ok":
             cell.status = "infeasible_at_zero"
             return cell
@@ -256,12 +257,11 @@ def _run_cell(grid: Grid, scenario: Scenario, spec: SweepSpec,
     # factor; for the pure milp engine that factor is the milp's own
     scal = cell.milp_scal if spec.engine == "milp" else cell.oracle_scal
     cell.scal_star = scal
+    plan = oracle_plan(grid, scenario, cfg, scal=scal, agg=agg, model=model)
     if scenario.mode == "annual":
-        sim = annual_simulate(grid, scenario, scal, cfg, model=model)
-        cell.account = annual_account(sim)
-        plan = oracle_plan(grid, scenario, cfg, scal=scal, model=model)
+        cell.account = annual_account(annual_simulate(grid, scenario, scal, cfg,
+                                                      model=model))
     else:
-        plan = oracle_plan(grid, scenario, cfg, scal=scal, model=model)
         cell.account = energy_account(plan)
     cell.added_capacity_mw = plan.added_capacity_mw
     cell.binding = find_bottlenecks(plan, grid)
@@ -289,15 +289,17 @@ def run_sweep(grid: Grid, spec: SweepSpec | None = None,
     return SweepResult(spec=spec, cells=cells)
 
 
-def check_monotonicity(result: SweepResult, slack: float | None = None) -> list[str]:
+# Both engines land on the hard bound, so only rounding can invert two cells.
+MONOTONICITY_SLACK = 1e-9
+
+
+def check_monotonicity(result: SweepResult, slack: float = MONOTONICITY_SLACK) -> list[str]:
     """Orderings every sweep must satisfy; returns human-readable violations.
 
     Larger feed-in limits can only shrink the answer, added demand can only
     grow it, and widening eligibility from case a to case b can only help.
     Infeasible-at-zero cells rank below every feasible value.
     """
-    if slack is None:
-        slack = 2.0 * result.spec.bisection_tol + 1e-9
     val: dict[tuple, float] = {}
     for c in result.cells:
         if c.status == "error":

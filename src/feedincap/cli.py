@@ -28,6 +28,7 @@ from .formulation import (
     Scenario,
     build_problem,
     extract_solution,
+    node_aggregates,
     scenario_from_json,
 )
 from .grid import GridFormatError, parse_grid, serialize_grid, validate_grid
@@ -122,9 +123,11 @@ def cmd_plan(args) -> int:
     cfg = SolverConfig()
     engine = args.engine
 
+    agg = node_aggregates(grid, scenario)
     oracle_scal = milp_scal = None
     if engine in ("oracle", "both"):
-        search = oracle.max_scal_bisection(grid, scenario, cfg)
+        search = oracle.max_scal_bisection(grid, scenario, cfg, agg=agg)
+        log.debug("oracle: %s", search)
         if search.status != "ok":
             print("infeasible at scal = 0: the existing build-out already "
                   "violates a network bound; nothing can be added")
@@ -150,7 +153,7 @@ def cmd_plan(args) -> int:
         milp_scal = plan_m.scal
 
     scal = milp_scal if engine == "milp" else oracle_scal
-    plan = oracle.oracle_plan(grid, scenario, cfg, scal=scal)
+    plan = oracle.oracle_plan(grid, scenario, cfg, scal=scal, agg=agg)
     account = analysis.energy_account(plan)
     report = analysis.find_bottlenecks(plan, grid)
 
@@ -369,9 +372,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    log.setLevel(logging.DEBUG if args.verbose else logging.WARNING)
     try:
         return args.func(args)
     except SystemExit as exc:

@@ -21,7 +21,7 @@ the model carries no flow or voltage variables.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -158,6 +158,13 @@ class NodeAggregates:
     residual: np.ndarray                 # (H, N)
     candidate_base_total: float          # sum of candidate base capacities, MW
 
+    def hour_block(self, lo: int, hi: int) -> "NodeAggregates":
+        """The same aggregates for hours[lo:hi]; the arrays are views."""
+        hourly = ("avail_const", "avail_coef", "nonelig_prod", "demand_p",
+                  "demand_q", "residual")
+        return replace(self, hours=self.hours[lo:hi],
+                       **{n: getattr(self, n)[lo:hi] for n in hourly})
+
 
 def worst_case_hour(grid: Grid, scenario: Scenario) -> int:
     """Hour maximizing total availability minus total demand (scal = 1)."""
@@ -185,6 +192,7 @@ def resolve_hours(grid: Grid, scenario: Scenario) -> tuple[int, ...]:
 def node_aggregates(grid: Grid, scenario: Scenario,
                     hours: tuple[int, ...] | None = None) -> NodeAggregates:
     hours = hours if hours is not None else resolve_hours(grid, scenario)
+    idx = np.asarray(hours, dtype=int)
     bus_order = tuple(b.id for b in grid.buses)
     pos = {bid: i for i, bid in enumerate(bus_order)}
     H, N = len(hours), len(bus_order)
@@ -198,7 +206,7 @@ def node_aggregates(grid: Grid, scenario: Scenario,
     cand_total = 0.0
     for g in grid.gens:
         i = pos[g.bus]
-        cf = np.array([g.profile[h] for h in hours])
+        cf = np.asarray(g.profile, dtype=float)[idx]
         if g.kind == "pv_candidate":
             avail_coef[:, i] += g.p_max * cf
             cap_coef[i] += g.p_max
@@ -210,8 +218,8 @@ def node_aggregates(grid: Grid, scenario: Scenario,
             nonelig[:, i] += g.p_max * cf
 
     mult = scenario.demand_multiplier
-    dp = np.array([[b.demand_p[h] for b in grid.buses] for h in hours]) * mult
-    dq = np.array([[b.demand_q[h] for b in grid.buses] for h in hours]) * mult
+    dp = np.array([b.demand_p for b in grid.buses], dtype=float).T[idx] * mult
+    dq = np.array([b.demand_q for b in grid.buses], dtype=float).T[idx] * mult
     residual = np.maximum(0.0, dp - nonelig)
     slack_pos = next(i for i, b in enumerate(grid.buses) if b.is_slack)
 

@@ -18,6 +18,8 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 GEN_KINDS = (
     "pv_candidate",
     "pv_existing_scalable",
@@ -349,6 +351,9 @@ def validate_grid(grid: Grid) -> list[ValidationIssue]:
     if not grid.buses:
         err("empty", "grid", "no buses")
         return issues
+    if not all(map(math.isfinite, (grid.base_mva, grid.base_kv, grid.hour_duration_h))):
+        err("non_finite", "grid", "base_mva, base_kv and hour_duration_h must be finite, "
+            f"got {grid.base_mva}/{grid.base_kv}/{grid.hour_duration_h}")
     if grid.base_mva <= 0 or grid.base_kv <= 0:
         err("bad_base", "grid", f"base_mva/base_kv must be > 0, got {grid.base_mva}/{grid.base_kv}")
     if grid.hour_duration_h <= 0:
@@ -370,7 +375,11 @@ def validate_grid(grid: Grid) -> list[ValidationIssue]:
         if len(b.demand_p) != hour_count or len(b.demand_q) != hour_count:
             err("series_length", b.id,
                 f"demand series length {len(b.demand_p)}/{len(b.demand_q)} != {hour_count}")
-        if any(v < 0 for v in b.demand_p):
+        demand_p = np.asarray(b.demand_p, dtype=float)
+        demand_q = np.asarray(b.demand_q, dtype=float)
+        if not (np.isfinite(demand_p).all() and np.isfinite(demand_q).all()):
+            err("non_finite", b.id, "demand series has NaN or infinite entries")
+        if (demand_p < 0).any():
             err("neg_demand", b.id, "demand_p has negative entries")
         if not (0 < b.vmin < b.vmax):
             err("bad_voltage_band", b.id,
@@ -387,6 +396,9 @@ def validate_grid(grid: Grid) -> list[ValidationIssue]:
         if pair in line_pairs:
             err("non_radial", ln.id, "parallel line forms a cycle")
         line_pairs.add(pair)
+        if not all(map(math.isfinite, (ln.r, ln.x, ln.s_max))):
+            err("non_finite", ln.id,
+                f"r, x and s_max must be finite, got {ln.r}/{ln.x}/{ln.s_max}")
         if ln.r < 0 or ln.x < 0:
             err("bad_line_param", ln.id, f"negative impedance r={ln.r} x={ln.x}")
         if not ln.s_max > 0:
@@ -412,11 +424,14 @@ def validate_grid(grid: Grid) -> list[ValidationIssue]:
             err("unknown_bus", g.id, f"generator references unknown bus {g.bus!r}")
         if g.kind not in GEN_KINDS:
             err("bad_kind", g.id, f"unknown kind {g.kind!r}")
+        if not math.isfinite(g.p_max):
+            err("non_finite", g.id, f"p_max must be finite, got {g.p_max}")
         if g.p_max < 0:
             err("bad_pmax", g.id, f"p_max must be >= 0, got {g.p_max}")
         if len(g.profile) != hour_count:
             err("series_length", g.id, f"profile length {len(g.profile)} != {hour_count}")
-        if any(not (0.0 <= v <= 1.0) for v in g.profile):
+        profile = np.asarray(g.profile, dtype=float)
+        if not ((profile >= 0.0) & (profile <= 1.0)).all():        # NaN fails both
             err("bad_profile", g.id, "profile out of [0, 1]")
 
     return issues

@@ -3,10 +3,10 @@
 The MILP in formulation.py prices its way to the answer; this module gets
 there directly. For a fixed expansion factor the feed-in cap has a closed
 form per node and hour (curtailment_rule), injections follow, and the
-linearized network mapping turns them into flows and voltages that are
-checked against their bounds. Because injections are nondecreasing in the
-expansion factor, feasibility is an interval whenever the unexpanded grid is
-feasible, and the maximum factor falls out of a bisection.
+linearized network mapping turns them into flows and voltages whose margins
+to their bounds come from one kernel, headroom. Every upper-bound row is
+concave and nondecreasing in the factor, so the maximum factor falls out of
+an exact tangent search (max_scal_bisection).
 
 Everything here is vectorized over hours, so full-year studies stay cheap.
 The module shares the node aggregation and the network model with the MILP
@@ -60,9 +60,14 @@ class FeasibilityReport:
 class ScalSearch:
     status: str                          # ok | infeasible_at_zero
     scal_star: float | None
-    evaluations: int
+    evaluations: int                     # passes: the check at zero, then tangent steps
     hit_domain_max: bool
     report_zero: FeasibilityReport
+    binding: tuple[str, str, int] | None = None   # (kind, element, hour) that stops it
+
+    def __str__(self) -> str:
+        return (f"{self.status}: scal* = {self.scal_star} after {self.evaluations} "
+                f"pass(es), binding {self.binding}")
 
 
 @dataclass
@@ -107,11 +112,47 @@ def rule_injections(grid: Grid, scenario: Scenario, scal: float,
 
 def _network_arrays(state: RuleState, model: LinearNetworkModel,
                     agg: NodeAggregates) -> tuple[np.ndarray, np.ndarray]:
-    pos = {bid: i for i, bid in enumerate(agg.bus_order)}
-    cols = [pos[bid] for bid in model.bus_order]
+    cols = _model_columns(agg, model)
     flows, v2 = evaluate_linear(model, state.injection_p[:, cols],
                                 state.injection_q[:, cols])
     return np.atleast_2d(flows), np.atleast_2d(v2)
+
+
+def _model_columns(agg: NodeAggregates, model: LinearNetworkModel) -> list[int]:
+    pos = {bid: i for i, bid in enumerate(agg.bus_order)}
+    return [pos[bid] for bid in model.bus_order]
+
+
+def network_bounds(grid: Grid, bus_order: tuple[str, ...]):
+    """(s_max over grid.lines, vmax^2 and vmin^2 over bus_order), built once."""
+    bus = {b.id: b for b in grid.buses}
+    return (np.array([ln.s_max for ln in grid.lines]),
+            np.array([bus[b].vmax**2 for b in bus_order]),
+            np.array([bus[b].vmin**2 for b in bus_order]))
+
+
+def headroom(bounds, flows: np.ndarray,
+             v2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Margins to every bound, negative where violated: thermal s_max - |flow|
+    (H, L), v_high vmax^2 - v^2 (H, N) and v_low v^2 - vmin^2 (H, N)."""
+    s_max, vmax2, vmin2 = bounds
+    return s_max - np.abs(flows), vmax2 - v2, v2 - vmin2
+
+
+def flagged_rows(values, masks, hours: tuple[int, ...],
+                 line_order: tuple[str, ...], bus_order: tuple[str, ...],
+                 limit: int | None = None) -> tuple[int, list[tuple]]:
+    """Count and first `limit` (kind, element, hour, value) rows where masks
+    hold, by hour, then thermal lines, v_high buses and v_low buses."""
+    names = ([("thermal", l, 0, j) for j, l in enumerate(line_order)]
+             + [(kind, b, blk, j) for blk, kind in ((1, "v_high"), (2, "v_low"))
+                for j, b in enumerate(bus_order)])
+    ks, cs = np.nonzero(np.concatenate(masks, axis=1))
+    rows = []
+    for k, c in zip(ks[:limit].tolist(), cs[:limit].tolist()):
+        kind, element, blk, j = names[c]
+        rows.append((kind, element, hours[k], float(values[blk][k, j])))
+    return int(ks.size), rows
 
 
 def feasible_at(grid: Grid, scenario: Scenario, scal: float,
@@ -121,83 +162,85 @@ def feasible_at(grid: Grid, scenario: Scenario, scal: float,
                 max_listed: int = 50) -> FeasibilityReport:
     """Check every thermal and voltage bound at a fixed expansion factor."""
     cfg = cfg or SolverConfig()
-    tol = cfg.feasibility_tol
     agg = agg if agg is not None else node_aggregates(grid, scenario)
     model = model or build_linear_model(grid)
-    state = _rule_state(agg, scenario.fl, scal)
-    flows, v2 = _network_arrays(state, model, agg)
-
-    s_max = np.array([ln.s_max for ln in grid.lines])
-    vmax2 = np.array([grid.bus(b).vmax**2 for b in model.bus_order])
-    vmin2 = np.array([grid.bus(b).vmin**2 for b in model.bus_order])
-
-    over_t = np.abs(flows) - s_max[None, :]
-    over_hi = v2 - vmax2[None, :]
-    over_lo = vmin2[None, :] - v2
-
-    listed: list[Violation] = []
-    n_total = 0
-    for k, h in enumerate(agg.hours):
-        for l in np.nonzero(over_t[k] > tol)[0]:
-            n_total += 1
-            if len(listed) < max_listed:
-                listed.append(Violation("thermal", model.line_order[l], h,
-                                        float(over_t[k, l])))
-        for i in np.nonzero(over_hi[k] > tol)[0]:
-            n_total += 1
-            if len(listed) < max_listed:
-                listed.append(Violation("v_high", model.bus_order[i], h,
-                                        float(over_hi[k, i])))
-        for i in np.nonzero(over_lo[k] > tol)[0]:
-            n_total += 1
-            if len(listed) < max_listed:
-                listed.append(Violation("v_low", model.bus_order[i], h,
-                                        float(over_lo[k, i])))
-
+    flows, v2 = _network_arrays(_rule_state(agg, scenario.fl, scal), model, agg)
+    margins = headroom(network_bounds(grid, model.bus_order), flows, v2)
+    n_total, rows = flagged_rows(margins,
+                                 tuple(m < -cfg.feasibility_tol for m in margins),
+                                 agg.hours, model.line_order, model.bus_order,
+                                 max_listed)
+    least = [float(np.min(m, initial=np.inf)) for m in margins]
     return FeasibilityReport(
         feasible=n_total == 0,
         scal=scal,
-        violations=tuple(listed),
+        violations=tuple(Violation(kind, el, h, -m) for kind, el, h, m in rows),
         n_violations=n_total,
-        worst_thermal_mw=float(np.max(over_t, initial=-np.inf)),
-        worst_voltage_pu2=float(max(np.max(over_hi, initial=-np.inf),
-                                    np.max(over_lo, initial=-np.inf))),
+        worst_thermal_mw=-least[0],
+        worst_voltage_pu2=-min(least[1], least[2]),
     )
 
 
+_BLOCK_HOURS = 512      # hours per batch of the search; bounds its memory on annual runs
+
+
 def max_scal_bisection(grid: Grid, scenario: Scenario,
-                       cfg: SolverConfig | None = None, tol: float = 1e-4, *,
+                       cfg: SolverConfig | None = None, *,
+                       agg: NodeAggregates | None = None,
                        model: LinearNetworkModel | None = None) -> ScalSearch:
     """Largest expansion factor whose whole prefix [0, s] stays feasible.
 
-    Feasibility is monotone once the unexpanded grid passes (injections only
-    grow with scal, and so do exports on every line and every voltage), so a
-    plain bisection is exact to tol. A grid already violating a bound with no
-    expansion at all gets the infeasible_at_zero marker instead of a number.
+    Eligible production min(avail, FL * cap + R) is concave, piecewise linear
+    and nondecreasing in s, and under LinDistFlow every upper-bound row (export
+    flow, squared voltage) is a nonnegative combination of it, so a tangent
+    step from the feasible side never overshoots. Each pass moves to the
+    nearest tangent root of the hard bounds over all rows and hours, capped at
+    scal_max, until the step falls below 1e-12 * (1 + s); that row binds.
+    Lower-bound rows only loosen as s grows and are checked at s = 0, where a
+    violation gives infeasible_at_zero instead of a number. The name is kept
+    from the bisection this search replaced.
     """
     cfg = cfg or SolverConfig()
-    agg = node_aggregates(grid, scenario)
+    agg = agg if agg is not None else node_aggregates(grid, scenario)
     model = model or build_linear_model(grid)
-    evals = 0
+    report_zero = feasible_at(grid, scenario, 0.0, cfg, agg=agg, model=model)
+    if not report_zero.feasible:
+        return ScalSearch("infeasible_at_zero", None, 1, False, report_zero)
+    upper = network_bounds(grid, model.bus_order)[:2]
+    blocks = [agg.hour_block(lo, lo + _BLOCK_HOURS)
+              for lo in range(0, len(agg.hours), _BLOCK_HOURS)]
+    s = 0.0
+    for passes in range(2, 102):        # a few passes settle it; 100 caps rounding noise
+        t, binding = min((_tangent_step(b, model, upper, scenario.fl, s) for b in blocks),
+                         key=lambda step: step[0])
+        if s + t >= cfg.scal_max:
+            return ScalSearch("ok", cfg.scal_max, passes, True, report_zero)
+        if t <= 1e-12 * (1.0 + s):
+            break
+        s += t
+    return ScalSearch("ok", s, passes, False, report_zero, binding)
 
-    def check(s: float) -> FeasibilityReport:
-        nonlocal evals
-        evals += 1
-        return feasible_at(grid, scenario, s, cfg, agg=agg, model=model)
 
-    at_zero = check(0.0)
-    if not at_zero.feasible:
-        return ScalSearch("infeasible_at_zero", None, evals, False, at_zero)
-    if check(cfg.scal_max).feasible:
-        return ScalSearch("ok", cfg.scal_max, evals, True, at_zero)
-    lo, hi = 0.0, cfg.scal_max
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if check(mid).feasible:
-            lo = mid
-        else:
-            hi = mid
-    return ScalSearch("ok", lo, evals, False, at_zero)
+def _tangent_step(agg: NodeAggregates, model: LinearNetworkModel, upper,
+                  fl: float, s: float) -> tuple[float, tuple[str, str, int] | None]:
+    """Shortest step to a hard upper bound along the tangents at s, and its row."""
+    state = _rule_state(agg, fl, s)
+    flows, v2 = _network_arrays(state, model, agg)
+    # right-derivative of min(avail, fl * cap + R): the smaller slope at a kink
+    over = state.available_mw - fl * (agg.cap_const + agg.cap_coef * s) - agg.residual
+    a, f = agg.avail_coef, np.broadcast_to(fl * agg.cap_coef, over.shape)
+    dp = np.minimum(np.where(over > 0, f, a), np.where(over < 0, a, f))
+    dp = dp[:, _model_columns(agg, model)]
+    gap = np.concatenate([upper[0] - flows, upper[1] - v2], axis=1)
+    rate = np.concatenate([dp @ model.flow_map.T, dp @ model.voltage_map_p.T], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = np.where(rate > 0, np.maximum(gap, 0.0) / rate, np.inf)
+    if not np.isfinite(step).any():
+        return np.inf, None
+    k, c = np.unravel_index(np.argmin(step), step.shape)
+    n = len(model.line_order)
+    row = ("thermal", model.line_order[c]) if c < n else ("v_high", model.bus_order[c - n])
+    return float(step[k, c]), row + (agg.hours[k],)
 
 
 @dataclass(frozen=True)
@@ -233,19 +276,21 @@ def enumerate_alpha(grid: Grid, scenario: Scenario,
     best_x = None
     n_feas = 0
     n_tried = 0
-    for bits in itertools.product((0.0, 1.0), repeat=len(free)):
-        n_tried += 1
-        for j, v in zip(free, bits):
-            lp.lb[j] = v
-            lp.ub[j] = v
-        sol = solve_lp(lp, inst.cfg)
-        if sol.status == "optimal":
-            n_feas += 1
-            if best_obj is None or sol.objective < best_obj - 1e-12:
-                best_obj = sol.objective
-                best_x = sol.x.copy()
-    lp.lb[:] = base_lb
-    lp.ub[:] = base_ub
+    try:
+        for bits in itertools.product((0.0, 1.0), repeat=len(free)):
+            n_tried += 1
+            for j, v in zip(free, bits):
+                lp.lb[j] = v
+                lp.ub[j] = v
+            sol = solve_lp(lp, inst.cfg)
+            if sol.status == "optimal":
+                n_feas += 1
+                if best_obj is None or sol.objective < best_obj - 1e-12:
+                    best_obj = sol.objective
+                    best_x = sol.x.copy()
+    finally:
+        lp.lb[:] = base_lb
+        lp.ub[:] = base_ub
     if best_obj is None:
         return EnumerationResult("infeasible", None, None, None, n_tried, 0)
     return EnumerationResult("optimal", float(best_x[inst.scal_idx]), best_obj,
@@ -257,26 +302,27 @@ def enumerate_alpha(grid: Grid, scenario: Scenario,
 
 
 def oracle_plan(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = None,
-                *, scal: float | None = None, tol: float = 1e-4,
+                *, scal: float | None = None,
+                agg: NodeAggregates | None = None,
                 model: LinearNetworkModel | None = None) -> PlanResult:
     """PlanResult-shaped answer from the closed-form path.
 
-    When scal is omitted it comes from the bisection. Unit-level production
-    splits node curtailment pro rata by availability; node totals, flows and
-    voltages are the quantities that are actually pinned down.
+    When scal is omitted it comes from max_scal_bisection. Unit-level
+    production splits node curtailment pro rata by availability; node totals,
+    flows and voltages are the quantities that are actually pinned down.
     """
     cfg = cfg or SolverConfig()
     model = model or build_linear_model(grid)
-    status = "optimal"
+    agg = agg if agg is not None else node_aggregates(grid, scenario)
     if scal is None:
-        search = max_scal_bisection(grid, scenario, cfg, tol, model=model)
+        search = max_scal_bisection(grid, scenario, cfg, agg=agg, model=model)
         if search.status != "ok":
             raise OracleError("no feasible expansion: grid violates bounds at scal=0")
         scal = search.scal_star
-    agg = node_aggregates(grid, scenario)
     state = _rule_state(agg, scenario.fl, scal)
     flows, v2 = _network_arrays(state, model, agg)
     hours = agg.hours
+    idx = np.asarray(hours)
     H = len(hours)
     pos = {bid: i for i, bid in enumerate(agg.bus_order)}
     elig_kinds = scenario.eligible_kinds() | {"pv_candidate"}
@@ -285,7 +331,7 @@ def oracle_plan(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = None,
     curtail: dict[str, np.ndarray] = {}
     avail: dict[str, np.ndarray] = {}
     for g in grid.gens:
-        cf = np.array([g.profile[h] for h in hours])
+        cf = np.asarray(g.profile, dtype=float)[idx]
         if g.kind in elig_kinds:
             base = g.p_max * scal if g.kind == "pv_candidate" else g.p_max
             a_g = base * cf
@@ -312,14 +358,13 @@ def oracle_plan(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = None,
                                    - c.export_eur_mwh * (exports + q_exp))))
 
     cols = [pos[bid] for bid in model.bus_order]
-    alpha = {}
-    for k in range(H):
-        for i, bid in enumerate(agg.bus_order):
-            if agg.cap_const[i] + agg.cap_coef[i] > 0.0:
-                alpha[(k, bid)] = float(state.alpha[k, i])
+    capped = np.flatnonzero(agg.cap_const + agg.cap_coef > 0.0)
+    flags = state.alpha[:, capped].ravel().tolist()       # values share two floats
+    alpha = dict(zip(itertools.product(range(H), [agg.bus_order[i] for i in capped]),
+                     map((0.0, 1.0).__getitem__, flags)))
 
     return PlanResult(
-        status=status,
+        status="optimal",
         engine="oracle",
         scal=float(scal),
         added_capacity_mw=float(scal) * agg.candidate_base_total,
@@ -384,13 +429,9 @@ def annual_simulate(grid: Grid, scenario: Scenario, scal: float,
     state = _rule_state(agg, scenario.fl, scal)
     flows, v2 = _network_arrays(state, model, agg)
 
-    s_max = np.array([ln.s_max for ln in grid.lines])
-    vmax2 = np.array([grid.bus(b).vmax**2 for b in model.bus_order])
-    vmin2 = np.array([grid.bus(b).vmin**2 for b in model.bus_order])
-    tol = cfg.feasibility_tol
-    bad_hour = ((np.abs(flows) - s_max[None, :] > tol).any(axis=1)
-                | (v2 - vmax2[None, :] > tol).any(axis=1)
-                | (vmin2[None, :] - v2 > tol).any(axis=1))
+    margins = headroom(network_bounds(grid, model.bus_order), flows, v2)
+    bad_hour = np.logical_or.reduce([(m < -cfg.feasibility_tol).any(axis=1)
+                                     for m in margins])
 
     avail_total = state.available_mw.sum(axis=1) + state.nonelig_mw.sum(axis=1)
     gen_total = state.produced_mw.sum(axis=1) + state.nonelig_mw.sum(axis=1)

@@ -77,7 +77,7 @@ def test_criterion_2_oracle_equivalence():
         count += 1
         search = max_scal_bisection(grid, scenario, cfg)
         plan = _milp_scal(grid, scenario, cfg)
-        limit = 1e-3 * (1.0 + search.scal_star)
+        limit = 1e-6 * (1.0 + search.scal_star)
         dev = abs(plan.scal - search.scal_star)
         worst_ratio = max(worst_ratio, dev / limit)
         slack_max = max(slack_max, plan.slack_activity)

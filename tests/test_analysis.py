@@ -127,10 +127,10 @@ def test_sweep_both_engines_on_toy():
 def test_sweep_cell_isolation(monkeypatch):
     real = analysis.max_scal_bisection
 
-    def flaky(grid, scenario, cfg=None, tol=1e-4, **kw):
+    def flaky(grid, scenario, cfg=None, **kw):
         if scenario.fl == 0.9:
             raise RuntimeError("boom")
-        return real(grid, scenario, cfg, tol, **kw)
+        return real(grid, scenario, cfg, **kw)
 
     monkeypatch.setattr(analysis, "max_scal_bisection", flaky)
     result = run_sweep(two_bus(), SweepSpec(cases=("a",),

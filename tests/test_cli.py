@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -83,6 +84,29 @@ def test_plan_both_engines_reports_deviation(toy_file, tmp_path):
     assert doc["deviation"] <= 1e-3
     assert doc["milp_scal"] == pytest.approx(5.0 / 0.7, abs=1e-4)
     assert doc["oracle_scal"] == pytest.approx(5.0 / 0.7, abs=1e-3)
+
+
+def test_verbose_logs_the_oracle_answer(toy_file, tmp_path, caplog):
+    caplog.set_level(logging.DEBUG, logger="feedincap")
+
+    def oracle_lines():
+        return [r.getMessage() for r in caplog.records
+                if r.levelno == logging.DEBUG and "scal*" in r.getMessage()]
+
+    plan = ["plan", toy_file, "--fl", "0.7", "--engine", "oracle",
+            "--outdir", str(tmp_path)]
+    assert cli.main(plan) == 0
+    assert oracle_lines() == []
+    assert cli.main(["-v"] + plan) == 0
+    (line,) = oracle_lines()
+    assert "7.14285714" in line and "pass(es)" in line
+    assert "('thermal', 'sub-n1', 0)" in line
+
+    caplog.clear()
+    assert cli.main(["-v", "sweep", toy_file, "--cases", "a", "--mults", "1.0",
+                     "--outdir", str(tmp_path), "--csv"]) == 0
+    cells = oracle_lines()
+    assert len(cells) == 4 and all("sub-n1" in m for m in cells)
 
 
 def test_plan_infeasible_at_zero_distinct_exit(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -98,6 +99,35 @@ def test_validate_degenerate_voltage_band():
     issues = validate_grid(grid)
     assert [i.code for i in issues] == ["bad_voltage_band", "bad_voltage_band"]
     assert "degenerate voltage band" in issues[0].message
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field", ["demand_p", "demand_q", "r", "x", "s_max",
+                                   "p_max", "base_mva", "base_kv",
+                                   "hour_duration_h"])
+def test_validate_rejects_non_finite(field, bad):
+    grid = two_bus()
+    if field in ("demand_p", "demand_q"):
+        grid = replace(grid, buses=(grid.buses[0],
+                                    replace(grid.buses[1], **{field: (bad,)})))
+    elif field in ("r", "x", "s_max"):
+        grid = replace(grid, lines=(replace(grid.lines[0], **{field: bad}),))
+    elif field == "p_max":
+        grid = replace(grid, gens=(replace(grid.gens[0], p_max=bad),))
+    else:
+        grid = replace(grid, **{field: bad})
+    assert "non_finite" in {i.code for i in validate_grid(grid)}
+
+
+def test_nan_demand_document_is_rejected():
+    # json accepts the NaN literal, and nan < 0 is False, so only the
+    # finiteness check stands between this document and the solvers
+    text = json.dumps(MINIMAL_DOC).replace("0.5", "NaN")
+    assert "NaN" in text
+    issues = validate_grid(parse_grid(text, validate=False))
+    assert [(i.code, i.location) for i in issues] == [("non_finite", "n1")]
+    with pytest.raises(GridFormatError, match="non_finite"):
+        parse_grid(text)
 
 
 def test_validate_profile_out_of_range():

@@ -1,23 +1,29 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from feedincap.formulation import Scenario
+from feedincap import oracle
+from feedincap.formulation import Scenario, build_problem
 from feedincap.fixtures import example_grid_7kwp
-from feedincap.grid import GenUnit, Grid
+from feedincap.grid import GenUnit, Grid, parse_grid
 from feedincap.milp import SolverConfig
 from feedincap.oracle import (
     OracleError,
     annual_simulate,
     enumerate_alpha,
     feasible_at,
+    headroom,
     max_scal_bisection,
+    network_bounds,
     oracle_plan,
     rule_injections,
 )
 
-from util import random_radial, two_bus
+from util import random_radial, reference_bisection, two_bus, valid_random_instances
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def test_rule_injection_is_negated_demand_without_generation():
@@ -94,7 +100,38 @@ def test_violation_listing_capped():
     assert len(report.violations) == 2
 
 
-# -- bisection ---------------------------------------------------------------
+def test_violation_listing_matches_hour_by_hour_loop():
+    rng = np.random.default_rng(7)
+    grid = random_radial(rng, n_bus=8, hours=4, vband=(0.9999, 1.0001))
+    scenario = Scenario(fl=1.0, case="b", hours=(0, 1, 2, 3))
+    cfg = SolverConfig()
+    plan = oracle_plan(grid, scenario, scal=40.0)
+    tol = cfg.feasibility_tol
+    vmax2 = {b.id: b.vmax**2 for b in grid.buses}
+    vmin2 = {b.id: b.vmin**2 for b in grid.buses}
+    expected = []
+    for k, h in enumerate(plan.hours):
+        for l, line in enumerate(grid.lines):
+            over = abs(plan.flows_mw[k, l]) - line.s_max
+            if over > tol:
+                expected.append(("thermal", line.id, h, over))
+        for kind, over_of in (("v_high", lambda v, b: v - vmax2[b]),
+                              ("v_low", lambda v, b: vmin2[b] - v)):
+            for i, bid in enumerate(plan.bus_order):
+                over = over_of(plan.voltages_pu2[k, i], bid)
+                if over > tol:
+                    expected.append((kind, bid, h, over))
+    assert {row[0] for row in expected} == {"thermal", "v_high", "v_low"}
+
+    report = feasible_at(grid, scenario, 40.0, cfg, max_listed=len(expected))
+    listed = [(v.kind, v.element, v.hour, v.amount) for v in report.violations]
+    assert listed == expected and report.n_violations == len(expected)
+    capped = feasible_at(grid, scenario, 40.0, cfg, max_listed=3)
+    assert capped.violations == report.violations[:3]
+    assert capped.n_violations == len(expected)
+
+
+# -- max_scal_bisection: the exact search ------------------------------------
 
 
 def test_bisection_saturates_without_limits():
@@ -107,9 +144,9 @@ def test_bisection_saturates_without_limits():
 
 
 def test_bisection_closed_form():
-    search = max_scal_bisection(two_bus(), Scenario(fl=0.7), tol=1e-6)
+    search = max_scal_bisection(two_bus(), Scenario(fl=0.7))
     assert search.status == "ok"
-    assert search.scal_star == pytest.approx(5.0 / 0.7, abs=1e-5)
+    assert search.scal_star == pytest.approx(5.0 / 0.7, abs=1e-9)
     assert not search.hit_domain_max
 
 
@@ -120,7 +157,7 @@ def test_interval_feasibility_sampled():
     while done < 6:
         grid = random_radial(rng, n_bus=6, hours=1)
         scenario = Scenario(fl=0.8, case="b")
-        search = max_scal_bisection(grid, scenario, cfg, tol=1e-5)
+        search = max_scal_bisection(grid, scenario, cfg)
         if search.status != "ok" or search.hit_domain_max:
             continue
         done += 1
@@ -128,6 +165,55 @@ def test_interval_feasibility_sampled():
         for frac in (0.25, 0.5, 0.9):
             assert feasible_at(grid, scenario, frac * star, cfg).feasible
         assert not feasible_at(grid, scenario, star + 1e-3, cfg).feasible
+
+
+def _binding_margin(grid, scenario, search) -> float:
+    """Distance left to the bound of the row the search reports as binding."""
+    plan = oracle_plan(grid, scenario, scal=search.scal_star)
+    thermal, v_high, _ = headroom(network_bounds(grid, plan.bus_order),
+                                  plan.flows_mw, plan.voltages_pu2)
+    kind, element, hour = search.binding
+    k = plan.hours.index(hour)
+    if kind == "thermal":
+        return float(thermal[k, plan.line_order.index(element)])
+    assert kind == "v_high"
+    return float(v_high[k, plan.bus_order.index(element)])
+
+
+def _differential_cases():
+    cfg = SolverConfig()
+    yield from valid_random_instances(41, 30, cfg, max_bus=10, max_hours=3)
+    for path in sorted(FIXTURES.glob("*.json")):
+        grid = parse_grid(path.read_text(encoding="utf-8"))
+        for fl in (1.0, 0.7):
+            for case in ("a", "b"):
+                yield grid, Scenario(fl=fl, case=case)
+
+
+def test_search_matches_reference_bisection():
+    cfg = SolverConfig()
+    count = 0
+    for grid, scenario in _differential_cases():
+        count += 1
+        search = max_scal_bisection(grid, scenario, cfg)
+        ref = reference_bisection(grid, scenario, cfg, tol=1e-9)
+        if ref is None:
+            assert search.status == "infeasible_at_zero"
+            continue
+        star = search.scal_star
+        assert search.status == "ok"
+        assert feasible_at(grid, scenario, star, cfg).feasible
+        assert abs(star - ref) <= 1e-5 * (1.0 + star), (star, ref)
+        assert search.evaluations <= 10
+        if not search.hit_domain_max:
+            assert _binding_margin(grid, scenario, search) <= 1e-9
+    assert count == 30 + 5 * 4
+
+
+def test_search_reports_binding_line():
+    search = max_scal_bisection(two_bus(), Scenario(fl=0.7))
+    assert search.binding == ("thermal", "sub-n1", 0)
+    assert "sub-n1" in str(search) and "pass" in str(search)
 
 
 # -- enumeration -------------------------------------------------------------
@@ -157,6 +243,24 @@ def test_enumerate_restores_bounds():
     inst = build_problem(grid, Scenario(fl=0.7), cfg)
     before = (list(inst.lp.lb), list(inst.lp.ub))
     enumerate_alpha(grid, Scenario(fl=0.7), cfg)
+    assert (list(inst.lp.lb), list(inst.lp.ub)) == before
+
+
+def test_enumerate_restores_bounds_when_a_solve_fails(monkeypatch):
+    rng = np.random.default_rng(2)
+    grid = random_radial(rng, n_bus=9, hours=3)
+    scenario = Scenario(fl=0.7, case="b", hours=(0, 1, 2))
+    inst = build_problem(grid, scenario)
+    assert any(inst.lp.lb[j] < inst.lp.ub[j] for j in inst.binaries)
+    before = (list(inst.lp.lb), list(inst.lp.ub))
+
+    def crash(lp, cfg):
+        raise RuntimeError("solver crashed")
+
+    monkeypatch.setattr(oracle, "build_problem", lambda *a, **kw: inst)
+    monkeypatch.setattr(oracle, "solve_lp", crash)
+    with pytest.raises(RuntimeError, match="solver crashed"):
+        enumerate_alpha(grid, scenario, max_free=64)
     assert (list(inst.lp.lb), list(inst.lp.ub)) == before
 
 

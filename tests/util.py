@@ -89,3 +89,20 @@ def valid_random_instances(seed: int, count: int, cfg: SolverConfig, *,
         if feasible_at(grid, scenario, 0.0, cfg).feasible:
             made += 1
             yield grid, scenario
+
+
+def reference_bisection(grid: Grid, scenario: Scenario, cfg: SolverConfig,
+                        tol: float = 1e-9) -> float | None:
+    """Plain bisection on feasible_at: the reference for the exact search."""
+    def ok(s: float) -> bool:
+        return feasible_at(grid, scenario, s, cfg).feasible
+
+    if not ok(0.0):
+        return None
+    if ok(cfg.scal_max):
+        return cfg.scal_max
+    lo, hi = 0.0, cfg.scal_max
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if ok(mid) else (lo, mid)
+    return lo
