@@ -26,7 +26,6 @@ from .formulation import (
     build_problem,
     curtailment_rule,
     extract_solution,
-    residual_demand,
     scenario_from_json,
     scenario_to_json,
 )
@@ -40,7 +39,6 @@ from .grid import (
     Line,
     add_candidates,
     parse_grid,
-    scale_demand,
     serialize_grid,
     validate_grid,
 )
@@ -66,8 +64,7 @@ __all__ = [
     "curtailment_rule", "emit_report", "energy_account", "enumerate_alpha",
     "example_grid_7kwp", "extract_solution", "feasible_at",
     "find_bottlenecks", "max_scal_bisection", "oracle_plan", "parse_grid",
-    "residual_demand", "rule_injections", "run_sweep", "scale_demand",
-    "scenario_from_json", "scenario_to_json", "serialize_grid", "solve_lp",
-    "solve_milp", "synth_grid", "synth_profiles", "validate_grid",
-    "__version__",
+    "rule_injections", "run_sweep", "scenario_from_json", "scenario_to_json",
+    "serialize_grid", "solve_lp", "solve_milp", "synth_grid", "synth_profiles",
+    "validate_grid", "__version__",
 ]

@@ -1,10 +1,10 @@
-"""Scenario sweeps, energy accounting, bottleneck ranking, report files.
+"""Scenario answers and sweeps, energy accounting, bottleneck ranking, reports.
 
-A sweep runs the expansion question over a grid of cells (feed-in limit x
-eligibility case x demand multiplier) and collects per-cell capacity and
-energy results plus the binding network element. Reports are written as a
-flat CSV, a full JSON document, and an SVG bar chart; all three are
-deterministic byte for byte for identical inputs.
+run_cell answers the expansion question for one scenario: capacity, energy
+results and the binding network elements. A plan is one such cell; a sweep
+runs it over a grid of cells (feed-in limit x eligibility case x demand
+multiplier). Reports are written as a flat CSV, a full JSON document, and an
+SVG bar chart; all three are deterministic byte for byte for identical inputs.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .grid import Grid
 from .milp import SolverConfig, solve_milp
 from .oracle import (
     AnnualResult,
-    annual_simulate,
     flagged_rows,
     headroom,
     max_scal_bisection,
@@ -208,6 +207,7 @@ class CellResult:
     milp_scal: float | None = None
     deviation: float | None = None
     error: str | None = None
+    hours: tuple[int, ...] | None = None    # planned hours; cell_doc leaves them out
 
     @property
     def key(self) -> tuple:
@@ -224,13 +224,18 @@ class SweepResult:
         return [c for c in self.cells if c.status == "error"]
 
 
-def _run_cell(grid: Grid, scenario: Scenario, spec: SweepSpec,
-              cfg: SolverConfig, model) -> CellResult:
+def run_cell(grid: Grid, scenario: Scenario, engine: str,
+             cfg: SolverConfig, model) -> CellResult:
+    """Answer one scenario with the engine: scal*, energy and binding elements.
+
+    The engines only fix scal*; the reported quantities come from the
+    closed-form plan at that factor, over every planned hour in either mode.
+    """
     cell = CellResult(fl=scenario.fl, case=scenario.case,
                       demand_multiplier=scenario.demand_multiplier,
-                      status="ok", engine=spec.engine)
+                      status="ok", engine=engine)
     agg = node_aggregates(grid, scenario)
-    if spec.engine in ("oracle", "both"):
+    if engine in ("oracle", "both"):
         search = max_scal_bisection(grid, scenario, cfg, agg=agg, model=model)
         log.debug("cell fl=%g case=%s x%g: %s", scenario.fl, scenario.case,
                   scenario.demand_multiplier, search)
@@ -238,7 +243,7 @@ def _run_cell(grid: Grid, scenario: Scenario, spec: SweepSpec,
             cell.status = "infeasible_at_zero"
             return cell
         cell.oracle_scal = search.scal_star
-    if spec.engine in ("milp", "both"):
+    if engine in ("milp", "both"):
         inst = build_problem(grid, scenario, cfg, model=model)
         sol = solve_milp(inst.mip, cfg)
         if sol.status != "optimal":
@@ -250,19 +255,15 @@ def _run_cell(grid: Grid, scenario: Scenario, spec: SweepSpec,
             cell.status = "infeasible_at_zero"
             return cell
         cell.milp_scal = plan_m.scal
-    if spec.engine == "both":
+    if engine == "both":
         cell.deviation = abs(cell.oracle_scal - cell.milp_scal)
 
-    # reporting quantities come from the closed-form path at the agreed
-    # factor; for the pure milp engine that factor is the milp's own
-    scal = cell.milp_scal if spec.engine == "milp" else cell.oracle_scal
+    # for the pure milp engine the agreed factor is the milp's own
+    scal = cell.milp_scal if engine == "milp" else cell.oracle_scal
     cell.scal_star = scal
     plan = oracle_plan(grid, scenario, cfg, scal=scal, agg=agg, model=model)
-    if scenario.mode == "annual":
-        cell.account = annual_account(annual_simulate(grid, scenario, scal, cfg,
-                                                      model=model))
-    else:
-        cell.account = energy_account(plan)
+    cell.hours = plan.hours
+    cell.account = energy_account(plan)
     cell.added_capacity_mw = plan.added_capacity_mw
     cell.binding = find_bottlenecks(plan, grid)
     return cell
@@ -279,7 +280,7 @@ def run_sweep(grid: Grid, spec: SweepSpec | None = None,
     cells = []
     for scenario in spec.scenarios():
         try:
-            cells.append(_run_cell(grid, scenario, spec, cfg, model))
+            cells.append(run_cell(grid, scenario, spec.engine, cfg, model))
         except Exception as exc:                      # cell isolation
             cells.append(CellResult(
                 fl=scenario.fl, case=scenario.case,
@@ -365,7 +366,7 @@ def emit_report(result: SweepResult, outdir, formats=("csv", "json", "svg"),
             "fl_values": list(result.spec.fl_values),
             "cases": list(result.spec.cases),
             "demand_multipliers": list(result.spec.demand_multipliers),
-            "cells": [_cell_doc(c) for c in result.cells],
+            "cells": [cell_doc(c) for c in result.cells],
         }
         p.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
                      encoding="utf-8")
@@ -377,7 +378,8 @@ def emit_report(result: SweepResult, outdir, formats=("csv", "json", "svg"),
     return written
 
 
-def _cell_doc(c: CellResult) -> dict:
+def cell_doc(c: CellResult) -> dict:
+    """The JSON form of one cell: a sweep.json cell, and the body of plan.json."""
     doc = {
         "fl": c.fl, "case": c.case, "demand_multiplier": c.demand_multiplier,
         "status": c.status, "engine": c.engine,

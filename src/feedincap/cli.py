@@ -23,16 +23,10 @@ import sys
 from pathlib import Path
 
 from . import analysis, fixtures, oracle
-from .formulation import (
-    FormulationError,
-    Scenario,
-    build_problem,
-    extract_solution,
-    node_aggregates,
-    scenario_from_json,
-)
+from .formulation import FormulationError, Scenario, scenario_from_json
 from .grid import GridFormatError, parse_grid, serialize_grid, validate_grid
-from .milp import SolverConfig, solve_milp
+from .milp import SolverConfig
+from .network import build_linear_model
 
 log = logging.getLogger("feedincap")
 
@@ -118,89 +112,52 @@ def cmd_validate(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    """One sweep cell: plan.json is its cell document plus schema and hours."""
     grid = _read_grid(args.grid)
     scenario = _scenario_from_args(args)
-    cfg = SolverConfig()
     engine = args.engine
+    if scenario.mode == "annual" and engine != "oracle":
+        print("error: the milp engine plans single snapshots; use "
+              "--engine oracle for annual runs", file=sys.stderr)
+        return EXIT_USAGE
+    cfg = SolverConfig()
+    model = build_linear_model(grid)
+    cell = analysis.run_cell(grid, scenario, engine, cfg, model)
 
-    agg = node_aggregates(grid, scenario)
-    oracle_scal = milp_scal = None
-    if engine in ("oracle", "both"):
-        search = oracle.max_scal_bisection(grid, scenario, cfg, agg=agg)
-        log.debug("oracle: %s", search)
-        if search.status != "ok":
-            print("infeasible at scal = 0: the existing build-out already "
-                  "violates a network bound; nothing can be added")
-            for v in search.report_zero.violations[:5]:
-                print(f"  {v.kind} {v.element} hour {v.hour}: +{v.amount:.6g}")
+    if cell.status == "error":
+        print(f"error: {cell.error}", file=sys.stderr)
+        return EXIT_DOMAIN
+    if cell.status != "ok":
+        if engine == "milp" or cell.oracle_scal is not None:     # the milp failed
+            print("infeasible at scal = 0: the optimum needs balance slack; "
+                  "nothing can be added")
             return EXIT_DOMAIN
-        oracle_scal = search.scal_star
-    if engine in ("milp", "both"):
-        if scenario.mode == "annual":
-            print("error: the milp engine plans single snapshots; use "
-                  "--engine oracle for annual runs", file=sys.stderr)
-            return EXIT_USAGE
-        inst = build_problem(grid, scenario, cfg)
-        sol = solve_milp(inst.mip, cfg)
-        if sol.status != "optimal":
-            print(f"error: optimization ended {sol.status}", file=sys.stderr)
-            return EXIT_DOMAIN
-        plan_m = extract_solution(inst, sol)
-        if plan_m.slack_activity > 1e-6:
-            print("infeasible at scal = 0: the optimum needs balance slack "
-                  f"({plan_m.slack_activity:.3e} MWh); nothing can be added")
-            return EXIT_DOMAIN
-        milp_scal = plan_m.scal
+        print("infeasible at scal = 0: the existing build-out already "
+              "violates a network bound; nothing can be added")
+        report = oracle.feasible_at(grid, scenario, 0.0, cfg, model=model)
+        for v in report.violations[:5]:
+            print(f"  {v.kind} {v.element} hour {v.hour}: +{v.amount:.6g}")
+        return EXIT_DOMAIN
 
-    scal = milp_scal if engine == "milp" else oracle_scal
-    plan = oracle.oracle_plan(grid, scenario, cfg, scal=scal, agg=agg)
-    account = analysis.energy_account(plan)
-    report = analysis.find_bottlenecks(plan, grid)
-
-    doc = {
-        "schema_version": analysis.SCHEMA_VERSION,
-        "engine": engine,
-        "status": "ok",
-        "fl": scenario.fl,
-        "case": scenario.case,
-        "demand_multiplier": scenario.demand_multiplier,
-        "hours": list(plan.hours),
-        "scal_star": scal,
-        "added_capacity_mw": plan.added_capacity_mw,
-        "oracle_scal": oracle_scal,
-        "milp_scal": milp_scal,
-        "deviation": (abs(oracle_scal - milp_scal)
-                      if engine == "both" else None),
-        "energy": {
-            "available_mwh": account.available_mwh,
-            "generated_mwh": account.generated_mwh,
-            "curtailed_mwh": account.curtailed_mwh,
-            "curtailed_share": account.curtailed_share,
-            "imports_mwh": account.imports_mwh,
-            "exports_mwh": account.exports_mwh,
-        },
-        "binding": {
-            "elements": [dataclasses.asdict(b) for b in report.binding],
-            "worst_line": report.worst_line,
-            "worst_bus": report.worst_bus,
-            "min_thermal_headroom_mw": report.min_thermal_headroom_mw,
-            "min_voltage_headroom_pu2": report.min_voltage_headroom_pu2,
-        },
-    }
+    doc = analysis.cell_doc(cell)
+    del doc["error"]
+    doc["schema_version"] = analysis.SCHEMA_VERSION
+    doc["hours"] = list(cell.hours)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     out = outdir / "plan.json"
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
                    encoding="utf-8")
 
-    print(f"scal* = {scal:.6f}  (+{plan.added_capacity_mw:.3f} MW of new capacity)")
+    account = cell.account
+    print(f"scal* = {cell.scal_star:.6f}  (+{cell.added_capacity_mw:.3f} MW of new capacity)")
     if engine == "both":
-        print(f"engines: oracle {oracle_scal:.6f}, milp {milp_scal:.6f}, "
-              f"deviation {abs(oracle_scal - milp_scal):.2e}")
-    print(f"energy over {len(plan.hours)} hour(s): generated "
+        print(f"engines: oracle {cell.oracle_scal:.6f}, milp {cell.milp_scal:.6f}, "
+              f"deviation {cell.deviation:.2e}")
+    print(f"energy over {len(cell.hours)} hour(s): generated "
           f"{account.generated_mwh:.4f} MWh, curtailed {account.curtailed_mwh:.4f} "
           f"MWh ({100 * account.curtailed_share:.2f}%)")
-    labels = report.labels()
+    labels = cell.binding.labels()
     print("binding: " + ("; ".join(labels) if labels else "none at threshold"))
     print(f"wrote {out}")
     return EXIT_OK

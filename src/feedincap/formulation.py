@@ -239,12 +239,6 @@ def node_aggregates(grid: Grid, scenario: Scenario,
     )
 
 
-def residual_demand(grid: Grid, scenario: Scenario, hour: int, bus_id: str) -> float:
-    """Demand at the bus left uncovered by its non-eligible generation, MW."""
-    agg = node_aggregates(grid, scenario, (hour,))
-    return float(agg.residual[0, agg.bus_order.index(bus_id)])
-
-
 def curtailment_rule(avail, cap, fl, residual):
     """Closed form of the per-node feed-in cap; numpy-broadcastable.
 
@@ -519,7 +513,7 @@ class PlanResult:
     production_mw: dict[str, np.ndarray]    # gen id -> (H,)
     curtailment_mw: dict[str, np.ndarray]
     available_mw: dict[str, np.ndarray]
-    alpha: dict[tuple[int, str], float]
+    alpha: dict[tuple[int, str], float]    # MILP triggers; empty for oracle plans
     injections_mw: np.ndarray           # (H, N) non-slack
     flows_mw: np.ndarray                # (H, L)
     voltages_pu2: np.ndarray            # (H, N) squared p.u.

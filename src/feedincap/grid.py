@@ -111,9 +111,6 @@ class Grid:
                 return b
         raise KeyError(bus_id)
 
-    def gens_at(self, bus_id: str) -> tuple[GenUnit, ...]:
-        return tuple(g for g in self.gens if g.bus == bus_id)
-
 
 @dataclass(frozen=True)
 class ValidationIssue:
@@ -439,21 +436,6 @@ def validate_grid(grid: Grid) -> list[ValidationIssue]:
 
 # ---------------------------------------------------------------------------
 # grid transforms
-
-
-def scale_demand(grid: Grid, multiplier: float) -> Grid:
-    """Return a copy with all bus demand (P and Q) scaled by multiplier."""
-    if multiplier < 0:
-        raise ValueError(f"demand multiplier must be >= 0, got {multiplier}")
-    buses = tuple(
-        replace(
-            b,
-            demand_p=tuple(v * multiplier for v in b.demand_p),
-            demand_q=tuple(v * multiplier for v in b.demand_q),
-        )
-        for b in grid.buses
-    )
-    return replace(grid, buses=buses)
 
 
 def _mean_profile(units: list[GenUnit], hour_count: int) -> tuple[float, ...]:

@@ -40,7 +40,6 @@ class SolverConfig:
     optimality_tol: float = 1e-7
     integrality_tol: float = 1e-6
     epsilon_mw: float = 1e-6         # strict-inequality margin for indicator triggers
-    big_m_policy: str = "auto"       # per node-hour via compute_big_m
     scal_max: float = 1000.0
     node_limit: int = 100_000
     time_limit_s: float | None = None   # None keeps runs reproducible

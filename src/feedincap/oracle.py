@@ -309,7 +309,8 @@ def oracle_plan(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = None,
 
     When scal is omitted it comes from max_scal_bisection. Unit-level
     production splits node curtailment pro rata by availability; node totals,
-    flows and voltages are the quantities that are actually pinned down.
+    flows and voltages are the quantities that are actually pinned down. The
+    plan's alpha stays empty: the rule's triggers are RuleState.alpha.
     """
     cfg = cfg or SolverConfig()
     model = model or build_linear_model(grid)
@@ -358,10 +359,6 @@ def oracle_plan(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = None,
                                    - c.export_eur_mwh * (exports + q_exp))))
 
     cols = [pos[bid] for bid in model.bus_order]
-    capped = np.flatnonzero(agg.cap_const + agg.cap_coef > 0.0)
-    flags = state.alpha[:, capped].ravel().tolist()       # values share two floats
-    alpha = dict(zip(itertools.product(range(H), [agg.bus_order[i] for i in capped]),
-                     map((0.0, 1.0).__getitem__, flags)))
 
     return PlanResult(
         status="optimal",
@@ -376,7 +373,7 @@ def oracle_plan(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = None,
         production_mw=production,
         curtailment_mw=curtail,
         available_mw=avail,
-        alpha=alpha,
+        alpha={},
         injections_mw=state.injection_p[:, cols],
         flows_mw=flows,
         voltages_pu2=v2,

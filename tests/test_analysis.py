@@ -148,7 +148,14 @@ def test_sweep_annual_mode(lv):
     result = run_sweep(lv, spec)
     (cell,) = result.cells
     assert cell.status == "ok"
-    assert cell.account.demand_mwh is not None
+    scenario = Scenario(fl=0.7, case="a", mode="annual")
+    sim = annual_simulate(lv, scenario, cell.scal_star)
+    assert sim.violation_hours == 0
+    ref = annual_account(sim)
+    for name in ("available_mwh", "generated_mwh", "curtailed_mwh",
+                 "imports_mwh", "exports_mwh"):
+        assert getattr(cell.account, name) == pytest.approx(
+            getattr(ref, name), rel=1e-12, abs=0.0), name
 
 
 # -- monotonicity checker ----------------------------------------------------

@@ -119,6 +119,48 @@ def test_plan_infeasible_at_zero_distinct_exit(tmp_path, capsys):
     assert not (tmp_path / "plan.json").exists()
 
 
+def test_plan_milp_budget_exit_writes_nothing(toy_file, tmp_path, capsys,
+                                             monkeypatch):
+    from feedincap import analysis
+    from feedincap.milp import MILPSolution
+    monkeypatch.setattr(analysis, "solve_milp",
+                        lambda mip, cfg: MILPSolution("node_limit", None, None,
+                                                      float("inf"), 100_000, 0))
+    rc = cli.main(["plan", toy_file, "--engine", "milp",
+                   "--outdir", str(tmp_path)])
+    assert rc == 1
+    assert "node_limit" in capsys.readouterr().err
+    assert not (tmp_path / "plan.json").exists()
+
+
+def test_plan_milp_balance_slack_is_infeasible(tmp_path, capsys):
+    p = tmp_path / "overload.json"
+    # 8 MW of demand behind a 5 MW line, and no sun to offset it at any scal
+    p.write_text(serialize_grid(two_bus(demand_mw=8.0, profile=(0.0,))))
+    rc = cli.main(["plan", str(p), "--engine", "milp", "--outdir", str(tmp_path)])
+    assert rc == 1
+    assert "infeasible at scal = 0: the optimum needs balance slack" in \
+        capsys.readouterr().out
+    assert not (tmp_path / "plan.json").exists()
+
+
+@pytest.mark.parametrize("engine", ["oracle", "both"])
+def test_plan_document_is_the_sweep_cell(engine, toy_file, tmp_path):
+    rc = cli.main(["plan", toy_file, "--fl", "0.7", "--case", "a",
+                   "--engine", engine, "--outdir", str(tmp_path / "plan")])
+    assert rc == 0
+    rc = cli.main(["sweep", toy_file, "--fl-values", "0.7", "--cases", "a",
+                   "--mults", "1.0", "--engine", engine, "--json",
+                   "--outdir", str(tmp_path / "sweep")])
+    assert rc == 0
+    plan = json.loads((tmp_path / "plan" / "plan.json").read_text())
+    (cell,) = json.loads((tmp_path / "sweep" / "sweep.json").read_text())["cells"]
+    assert plan["hours"] == [0]
+    assert set(plan) - {"schema_version", "hours"} == set(cell) - {"error"}
+    for key in set(plan) - {"schema_version", "hours"}:
+        assert plan[key] == cell[key], key
+
+
 def test_plan_annual_milp_is_usage_error(example_file, tmp_path, capsys):
     rc = cli.main(["plan", example_file, "--mode", "annual",
                    "--outdir", str(tmp_path)])

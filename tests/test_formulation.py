@@ -9,7 +9,6 @@ from feedincap.formulation import (
     curtailment_rule,
     extract_solution,
     node_aggregates,
-    residual_demand,
     scenario_from_json,
     scenario_to_json,
     worst_case_hour,
@@ -69,28 +68,33 @@ def _node_with(demand_mw: float, extra_gens=()) -> Grid:
                 grid.gens + tuple(extra_gens))
 
 
+def _residual_n1(grid: Grid, scenario: Scenario) -> float:
+    agg = node_aggregates(grid, scenario, (0,))
+    return float(agg.residual[0, agg.bus_order.index("n1")])
+
+
 def test_residual_is_plain_demand_without_other_generation():
     grid = _node_with(1.4e-3)
-    r = residual_demand(grid, Scenario(fl=0.7), 0, "n1")
+    r = _residual_n1(grid, Scenario(fl=0.7))
     assert r == pytest.approx(1.4e-3, abs=1e-15)
 
 
 def test_residual_clamped_at_zero():
     grid = _node_with(1.0, [GenUnit("w", "n1", "wind", 3.0, (1.0,))])
-    assert residual_demand(grid, Scenario(), 0, "n1") == 0.0
+    assert _residual_n1(grid, Scenario()) == 0.0
 
 
 def test_residual_depends_on_eligibility_case():
     grid = _node_with(1.0, [GenUnit("old", "n1", "pv_existing_scalable", 2.0, (1.0,))])
     # case a: the existing unit is not curtailable, so it covers the demand
-    assert residual_demand(grid, Scenario(case="a"), 0, "n1") == 0.0
+    assert _residual_n1(grid, Scenario(case="a")) == 0.0
     # case b: the unit joins the curtailable pool and stops masking demand
-    assert residual_demand(grid, Scenario(case="b"), 0, "n1") == pytest.approx(1.0)
+    assert _residual_n1(grid, Scenario(case="b")) == pytest.approx(1.0)
 
 
 def test_residual_applies_demand_multiplier():
     grid = _node_with(1.0)
-    assert residual_demand(grid, Scenario(demand_multiplier=1.2), 0, "n1") == \
+    assert _residual_n1(grid, Scenario(demand_multiplier=1.2)) == \
         pytest.approx(1.2)
 
 

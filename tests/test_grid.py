@@ -13,11 +13,11 @@ from feedincap.grid import (
     Line,
     add_candidates,
     parse_grid,
-    scale_demand,
     serialize_grid,
     validate_grid,
 )
 from feedincap.fixtures import synth_grid
+from feedincap.formulation import Scenario, node_aggregates
 
 from util import two_bus
 
@@ -236,41 +236,15 @@ def test_candidate_id_collision_gets_suffix():
     assert any(g.id == "cand_a_2" for g in out.gens)
 
 
-# -- scale_demand ------------------------------------------------------------
-
-
-def test_scale_demand_identity():
-    grid = two_bus(demand_mw=0.7)
-    assert scale_demand(grid, 1.0) == grid
-
-
-def test_scale_demand_series():
-    grid = Grid(1.0, 20.0,
-                buses=(Bus("sub", True, (0.0, 0.0), (0.0, 0.0)),
-                       Bus("a", demand_p=(1.0, 2.0), demand_q=(0.1, 0.2))),
-                lines=(Line("sub", "a", 0.01, 0.01, 5.0),))
-    out = scale_demand(grid, 1.1)
-    assert out.bus("a").demand_p == pytest.approx((1.1, 2.2))
-    assert out.bus("a").demand_q == pytest.approx((0.11, 0.22))
-    assert out.lines == grid.lines and out.gens == grid.gens
-
-
-def test_scale_demand_multiplicative():
-    grid = two_bus(demand_mw=0.37)
-    a = scale_demand(scale_demand(grid, 1.3), 0.7)
-    b = scale_demand(grid, 1.3 * 0.7)
-    assert a.bus("n1").demand_p[0] == pytest.approx(b.bus("n1").demand_p[0], abs=1e-12)
+# -- demand multiplier ------------------------------------------------------
 
 
 def test_scale_demand_on_rural_total(rural):
     h = int(max(range(rural.hour_count),
                 key=lambda t: sum(b.demand_p[t] for b in rural.buses)))
     total = sum(b.demand_p[h] for b in rural.buses)
+    total_q = sum(b.demand_q[h] for b in rural.buses)
     assert total == pytest.approx(1.20, abs=1e-9)
-    scaled = scale_demand(rural, 1.2)
-    assert sum(b.demand_p[h] for b in scaled.buses) == pytest.approx(1.44, abs=1e-9)
-
-
-def test_scale_demand_rejects_negative():
-    with pytest.raises(ValueError):
-        scale_demand(two_bus(), -0.5)
+    agg = node_aggregates(rural, Scenario(demand_multiplier=1.2), (h,))
+    assert agg.demand_p.sum() == pytest.approx(1.44, abs=1e-9)
+    assert agg.demand_q.sum() == pytest.approx(1.2 * total_q, abs=1e-9)

@@ -275,6 +275,7 @@ def test_oracle_plan_reference_point():
     assert plan.curtailment_mw[gid][0] == pytest.approx(0.7e-3, abs=1e-12)
     assert plan.exports_mw[0] == pytest.approx(4.9e-3, abs=1e-12)
     assert plan.objective_eur == pytest.approx(-0.98, abs=1e-9)
+    assert plan.alpha == {}
 
 
 def test_oracle_plan_prorata_split():
