@@ -26,12 +26,12 @@ from .formulation import (
 )
 from .grid import Grid
 from .milp import SolverConfig, solve_milp
+from .network import network_bounds
 from .oracle import (
     AnnualResult,
     flagged_rows,
     headroom,
     max_scal_bisection,
-    network_bounds,
     oracle_plan,
 )
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Bus, CandidatePolicy, GenUnit, Grid, Line, add_candidates
-from .network import build_linear_model, evaluate_linear
+from .network import LinearNetworkModel, build_linear_model, evaluate_linear, network_bounds
 
 FIXTURE_KINDS = ("rural_mv", "urban_mv", "hybrid_mv", "lv", "example")
 
@@ -222,13 +222,12 @@ def _scale_impedance(lines: list[Line], k: float) -> list[Line]:
             for ln in lines]
 
 
-def _peak_injections(grid: Grid, peak_pos: int, scal: float):
-    """Net P and Q per non-slack bus at the peak hour, no curtailment.
+def _peak_injections(grid: Grid, model: LinearNetworkModel, peak_pos: int, scal: float):
+    """Net P and Q per non-slack bus (model order) at the peak hour, no curtailment.
 
     Valid for calibration: at FL = 1 the feed-in rule never removes anything
     (capacity factors stay at or below 1), so production equals availability.
     """
-    model = build_linear_model(grid)
     pos = {bid: i for i, bid in enumerate(model.bus_order)}
     p = np.zeros(len(model.bus_order))
     q = np.zeros(len(model.bus_order))
@@ -241,28 +240,24 @@ def _peak_injections(grid: Grid, peak_pos: int, scal: float):
         if b.id in pos:
             p[pos[b.id]] -= b.demand_p[peak_pos]
             q[pos[b.id]] -= b.demand_q[peak_pos]
-    return model, p, q
+    return p, q
 
 
 def _max_dv2(grid: Grid, peak_pos: int, scal: float) -> float:
-    model, p, q = _peak_injections(grid, peak_pos, scal)
-    _, v2 = evaluate_linear(model, p, q)
+    model = build_linear_model(grid)
+    _, v2 = evaluate_linear(model, *_peak_injections(grid, model, peak_pos, scal))
     return float(np.max(v2) - model.slack_voltage**2)
 
 
 def _thermal_scal(grid: Grid, peak_pos: int) -> float:
     """Smallest scal at which some line hits its rating at the peak hour."""
-    model, p0, q = _peak_injections(grid, peak_pos, 0.0)
-    f0, _ = evaluate_linear(model, p0, q)
-    model, p1, q = _peak_injections(grid, peak_pos, 1.0)
-    f1, _ = evaluate_linear(model, p1, q)
-    s_max = np.array([ln.s_max for ln in grid.lines])
-    best = np.inf
-    for l in range(len(grid.lines)):
-        slope = f1[l] - f0[l]
-        if slope > 1e-12:
-            best = min(best, (s_max[l] - f0[l]) / slope)
-    return float(best)
+    model = build_linear_model(grid)
+    f0, _ = evaluate_linear(model, *_peak_injections(grid, model, peak_pos, 0.0))
+    f1, _ = evaluate_linear(model, *_peak_injections(grid, model, peak_pos, 1.0))
+    s_max = network_bounds(grid, model.bus_order)[0]
+    slope = f1 - f0
+    rising = slope > 1e-12
+    return float(np.min((s_max - f0)[rising] / slope[rising], initial=np.inf))
 
 
 def _assemble_mv(kind: str, seed: int, hours: int) -> Grid:

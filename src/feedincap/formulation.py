@@ -34,7 +34,7 @@ from .milp import (
     SolverConfig,
     compute_big_m,
 )
-from .network import LinearNetworkModel, build_linear_model, evaluate_linear
+from .network import LinearNetworkModel, build_linear_model, evaluate_linear, network_bounds
 
 
 class FormulationError(ValueError):
@@ -281,6 +281,8 @@ class ProblemInstance:
     qns_idx: dict[tuple[int, int], int]
     eqs_idx: dict[tuple[int, int], int]
     big_m: dict[tuple[int, str], float]
+    thermal_hi_rows: np.ndarray                  # (H, L) lp row of thermal_hi[k, line]
+    v_hi_rows: np.ndarray                        # (H, N) lp row of v_hi[k, bus], model order
 
     @property
     def mip(self) -> MILProblem:
@@ -325,7 +327,7 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
     lp = LinearProgram()
     scal_idx = lp.add_var("scal", s_lo, s_hi, obj=0.0)
 
-    elig_units = [g for g in grid.gens if g.kind in elig_kinds or g.kind == "pv_candidate"]
+    elig_units = [g for g in grid.gens if g.kind in elig_kinds]
     elig_at: dict[str, list] = {}
     for g in elig_units:
         elig_at.setdefault(g.bus, []).append(g)
@@ -345,6 +347,9 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
     eqs_idx: dict[tuple[int, int], int] = {}
     big_m: dict[tuple[int, str], float] = {}
     binaries: list[int] = []
+    s_max, vmax2, vmin2 = network_bounds(grid, model.bus_order)
+    thermal_hi_rows = np.zeros((H, len(grid.lines)), dtype=int)
+    v_hi_rows = np.zeros((H, len(model.bus_order)), dtype=int)
 
     for k in range(H):
         imp_idx[k] = lp.add_var(f"pimp[{k}]", 0.0, exch_cap, obj=costs.import_eur_mwh * dh)
@@ -463,12 +468,12 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
                 const += a * inj_const[j_pos]
                 for var, c in p_injection_terms(j_pos).items():
                     coeffs[var] = coeffs.get(var, 0.0) + a * c
-            lp.add_row(coeffs, "<=", line.s_max - const, name=f"thermal_hi[{k},{line.id}]")
-            lp.add_row(coeffs, ">=", -line.s_max - const, name=f"thermal_lo[{k},{line.id}]")
+            thermal_hi_rows[k, l] = lp.add_row(coeffs, "<=", s_max[l] - const,
+                                               name=f"thermal_hi[{k},{line.id}]")
+            lp.add_row(coeffs, ">=", -s_max[l] - const, name=f"thermal_lo[{k},{line.id}]")
 
         vs2 = model.slack_voltage**2
         for nsl_i, bid in enumerate(model.bus_order):
-            bus = grid.bus(bid)
             coeffs = {}
             const = vs2
             for nsl_j, j_pos in enumerate(nonslack_pos):
@@ -482,8 +487,9 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
                     const += kq * (-agg.demand_q[k, j_pos])
                     coeffs[qns_idx[(k, j_pos)]] = coeffs.get(qns_idx[(k, j_pos)], 0.0) + kq
                     coeffs[eqs_idx[(k, j_pos)]] = coeffs.get(eqs_idx[(k, j_pos)], 0.0) - kq
-            lp.add_row(coeffs, "<=", bus.vmax**2 - const, name=f"v_hi[{k},{bid}]")
-            lp.add_row(coeffs, ">=", bus.vmin**2 - const, name=f"v_lo[{k},{bid}]")
+            v_hi_rows[k, nsl_i] = lp.add_row(coeffs, "<=", vmax2[nsl_i] - const,
+                                             name=f"v_hi[{k},{bid}]")
+            lp.add_row(coeffs, ">=", vmin2[nsl_i] - const, name=f"v_lo[{k},{bid}]")
 
     return ProblemInstance(
         grid=grid, scenario=scenario, cfg=cfg, hours=hours, model=model, agg=agg,
@@ -491,7 +497,7 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
         p_idx=p_idx, sp_idx=sp_idx, alpha_idx=alpha_idx,
         imp_idx=imp_idx, exp_idx=exp_idx, qimp_idx=qimp_idx, qexp_idx=qexp_idx,
         pns_idx=pns_idx, eps_idx=eps_idx, qns_idx=qns_idx, eqs_idx=eqs_idx,
-        big_m=big_m,
+        big_m=big_m, thermal_hi_rows=thermal_hi_rows, v_hi_rows=v_hi_rows,
     )
 
 
@@ -514,7 +520,6 @@ class PlanResult:
     curtailment_mw: dict[str, np.ndarray]
     available_mw: dict[str, np.ndarray]
     alpha: dict[tuple[int, str], float]    # MILP triggers; empty for oracle plans
-    injections_mw: np.ndarray           # (H, N) non-slack
     flows_mw: np.ndarray                # (H, L)
     voltages_pu2: np.ndarray            # (H, N) squared p.u.
     imports_mw: np.ndarray              # (H,)
@@ -525,10 +530,6 @@ class PlanResult:
     @property
     def slack_activity(self) -> float:
         return self.unserved_mwh + self.surplus_mwh
-
-    @property
-    def net_export_mwh(self) -> float:
-        return float((self.exports_mw - self.imports_mw).sum() * self.hour_duration_h)
 
 
 def extract_solution(instance: ProblemInstance, sol: MILPSolution) -> PlanResult:
@@ -547,7 +548,7 @@ def extract_solution(instance: ProblemInstance, sol: MILPSolution) -> PlanResult
             objective_eur=None, hours=instance.hours,
             hour_duration_h=grid.hour_duration_h, bus_order=model.bus_order,
             line_order=model.line_order, production_mw={}, curtailment_mw={},
-            available_mw={}, alpha={}, injections_mw=empty, flows_mw=empty,
+            available_mw={}, alpha={}, flows_mw=empty,
             voltages_pu2=empty, imports_mw=np.zeros(0), exports_mw=np.zeros(0),
             unserved_mwh=0.0, surplus_mwh=0.0)
     x = sol.x
@@ -591,19 +592,14 @@ def extract_solution(instance: ProblemInstance, sol: MILPSolution) -> PlanResult
     flows = np.atleast_2d(flows)
     v2 = np.atleast_2d(v2)
 
-    # agreement check against the LP's own thermal/voltage row activities
+    # agreement check against the LP's own thermal/voltage row activities:
+    # activity + (limit - rhs) is the flow or squared voltage the row encodes
     acts = instance.lp.activities(x)
-    names = {row.name: idx for idx, row in enumerate(instance.lp.rows)}
-    worst = 0.0
-    for k in range(H):
-        for l, line in enumerate(grid.lines):
-            row = instance.lp.rows[names[f"thermal_hi[{k},{line.id}]"]]
-            const = line.s_max - row.rhs
-            worst = max(worst, abs(acts[names[row.name]] + const - flows[k, l]))
-        for nsl, bid in enumerate(model.bus_order):
-            row = instance.lp.rows[names[f"v_hi[{k},{bid}]"]]
-            const = grid.bus(bid).vmax**2 - row.rhs
-            worst = max(worst, abs(acts[names[row.name]] + const - v2[k, nsl]))
+    rhs = np.array([row.rhs for row in instance.lp.rows])
+    s_max, vmax2, _ = network_bounds(grid, model.bus_order)
+    t, v = instance.thermal_hi_rows, instance.v_hi_rows
+    worst = max(np.max(np.abs(acts[t] + (s_max - rhs[t]) - flows), initial=0.0),
+                np.max(np.abs(acts[v] + (vmax2 - rhs[v]) - v2), initial=0.0))
     if worst > 1e-6:
         raise FormulationError(
             f"decoded network state deviates from LP rows by {worst:.3e}")
@@ -628,7 +624,6 @@ def extract_solution(instance: ProblemInstance, sol: MILPSolution) -> PlanResult
         curtailment_mw=curtail,
         available_mw=avail,
         alpha={key: float(x[j]) for key, j in instance.alpha_idx.items()},
-        injections_mw=inj,
         flows_mw=flows,
         voltages_pu2=v2,
         imports_mw=np.array([x[instance.imp_idx[k]] for k in range(H)]),

@@ -11,7 +11,9 @@ solve_milp is best-first branch and bound over binary variables: branch on
 the most fractional binary (ties to the lowest variable index), children
 inherit the parent LP objective as their bound, and near-integral incumbents
 are re-solved once with the binaries pinned so the reported point satisfies
-the indicator constraints exactly.
+the indicator constraints exactly. That polish re-solve runs only when
+rounding pins a binary that was free; with every binary already fixed, the
+node's own solution is the polished point.
 
 Problem sizes here are desk scale (hundreds to a few thousand rows); dense
 linear algebra is deliberate.
@@ -42,7 +44,6 @@ class SolverConfig:
     epsilon_mw: float = 1e-6         # strict-inequality margin for indicator triggers
     scal_max: float = 1000.0
     node_limit: int = 100_000
-    time_limit_s: float | None = None   # None keeps runs reproducible
     iteration_limit: int = 0            # 0 = scale with problem size
     refactor_every: int = 128
     bland_after: int = 40
@@ -121,8 +122,6 @@ class LPSolution:
     status: str
     x: np.ndarray | None
     objective: float | None
-    duals: np.ndarray | None
-    reduced_costs: np.ndarray | None
     iterations: int
 
 
@@ -154,11 +153,19 @@ def compute_big_m(avail_at_scal_max: float, fl_cap_at_scal_max: float,
 
 
 class _StandardForm:
-    """Ax = b with bounds, slack column per row; built once per problem."""
+    """Ax = b with bounds: n variables, one slack column per row, then any
+    phase-1 artificials."""
 
-    def __init__(self, lp: LinearProgram):
+    def __init__(self, A: np.ndarray, b: np.ndarray, c: np.ndarray,
+                 lb: np.ndarray, ub: np.ndarray, n: int, obj_const: float = 0.0):
+        self.m, self.n = A.shape[0], n
+        self.A, self.b, self.c = A, b, c
+        self.lb_base, self.ub_base = lb, ub
+        self.obj_const = obj_const
+
+    @classmethod
+    def from_lp(cls, lp: LinearProgram) -> "_StandardForm":
         m, n = lp.n_rows, lp.n_vars
-        self.m, self.n = m, n
         A = np.zeros((m, n + m))
         b = np.zeros(m)
         slack_lb = np.zeros(m)
@@ -169,31 +176,36 @@ class _StandardForm:
             b[i] = row.rhs
             A[i, n + i] = 1.0
             if row.sense == "<=":
-                slack_lb[i], slack_ub[i] = 0.0, INF
+                slack_ub[i] = INF
             elif row.sense == ">=":
-                slack_lb[i], slack_ub[i] = -INF, 0.0
-            else:
-                slack_lb[i], slack_ub[i] = 0.0, 0.0
-        self.A = A
-        self.b = b
-        self.c = np.concatenate([np.asarray(lp.obj, dtype=float), np.zeros(m)])
-        self.lb_base = np.concatenate([np.asarray(lp.lb, dtype=float), slack_lb])
-        self.ub_base = np.concatenate([np.asarray(lp.ub, dtype=float), slack_ub])
-        self.obj_const = lp.obj_const
+                slack_lb[i] = -INF
+        return cls(A, b,
+                   np.concatenate([np.asarray(lp.obj, dtype=float), np.zeros(m)]),
+                   np.concatenate([np.asarray(lp.lb, dtype=float), slack_lb]),
+                   np.concatenate([np.asarray(lp.ub, dtype=float), slack_ub]),
+                   n, lp.obj_const)
 
 
 class _SimplexState:
-    def __init__(self, sf: _StandardForm, lb: np.ndarray, ub: np.ndarray):
-        m = sf.m
-        self.sf = sf
-        self.lb = lb
-        self.ub = ub
-        self.x = np.where(np.isfinite(lb), lb, np.where(np.isfinite(ub), ub, 0.0))
-        self.basis = np.arange(sf.n, sf.n + m)
+    """A basic solution of sf under bounds lb/ub.
+
+    Without x, nonbasic variables start at a finite bound (else 0). Without
+    basis, the slack columns are basic. A given basis must consist of unit
+    columns of sf.A, so the basis inverse starts as the identity either way.
+    """
+
+    def __init__(self, sf: _StandardForm, lb: np.ndarray, ub: np.ndarray,
+                 x: np.ndarray | None = None, basis: np.ndarray | None = None):
+        self.sf, self.lb, self.ub = sf, lb, ub
+        if x is None:
+            x = np.where(np.isfinite(lb), lb, np.where(np.isfinite(ub), ub, 0.0))
+        self.x = x
+        self.basis = np.arange(sf.n, sf.n + sf.m) if basis is None else basis
         self.in_basis = np.zeros(sf.A.shape[1], dtype=bool)
         self.in_basis[self.basis] = True
-        self.B_inv = np.eye(m)
+        self.B_inv = np.eye(sf.m)
         self.iterations = 0
+        self.reconcile()
 
     def reconcile(self) -> None:
         # Recompute basic values from nonbasic ones; kills accumulated drift.
@@ -325,105 +337,71 @@ def _iterate(st: _SimplexState, c: np.ndarray, cfg: SolverConfig,
                 return NUMERICAL
 
 
+def _phase_one(st: _SimplexState, tol: float) -> tuple[_SimplexState, np.ndarray] | None:
+    """Phase-1 state and objective, or None if the slack basis is feasible.
+
+    Each basic slack outside its bounds is pinned to the bound it violates
+    and the excess moves into a one-signed artificial unit column, which
+    replaces the slack in the basis; the objective is the artificials' total
+    magnitude. The augmented form is new, so st.sf stays untouched.
+    """
+    sf = st.sf
+    slack = st.basis
+    v = st.x[slack]
+    up = v > st.ub[slack] + tol
+    rows = np.flatnonzero(up | (v < st.lb[slack] - tol))
+    if rows.size == 0:
+        return None
+    k, up, width = rows.size, up[rows], sf.A.shape[1]
+    unit = np.zeros((sf.m, k))
+    unit[rows, np.arange(k)] = 1.0
+    sf1 = _StandardForm(np.hstack([sf.A, unit]), sf.b, np.concatenate([sf.c, np.zeros(k)]),
+                        np.concatenate([st.lb, np.where(up, 0.0, -INF)]),
+                        np.concatenate([st.ub, np.where(up, INF, 0.0)]), sf.n, sf.obj_const)
+    pinned = slack[rows]
+    pin = np.where(up, st.ub[pinned], st.lb[pinned])
+    x1 = np.concatenate([st.x, st.x[pinned] - pin])
+    x1[pinned] = pin
+    basis1 = slack.copy()
+    basis1[rows] = width + np.arange(k)
+    c1 = np.concatenate([np.zeros(width), np.where(up, 1.0, -1.0)])
+    return _SimplexState(sf1, sf1.lb_base, sf1.ub_base, x1, basis1), c1
+
+
 def _solve_standard(sf: _StandardForm, lb: np.ndarray, ub: np.ndarray,
                     cfg: SolverConfig) -> LPSolution:
-    m, n = sf.m, sf.n
-    iter_cap = cfg.iteration_limit or (2000 + 60 * (m + n))
+    n = sf.n
+    iter_cap = cfg.iteration_limit or (2000 + 60 * (sf.m + n))
 
     st = _SimplexState(sf, lb.copy(), ub.copy())
-    st.reconcile()
-
-    # Phase 1: absorb bound violations of the initial (slack) basis into
-    # one-signed artificial columns and minimize their total magnitude.
-    viol_rows = []
-    for i in range(m):
-        v = st.x[st.basis[i]]
-        if v > ub[st.basis[i]] + cfg.feasibility_tol:
-            viol_rows.append((i, +1.0))
-        elif v < lb[st.basis[i]] - cfg.feasibility_tol:
-            viol_rows.append((i, -1.0))
-
-    if viol_rows:
-        n_art = len(viol_rows)
-        A = np.zeros((m, sf.A.shape[1] + n_art))
-        A[:, : sf.A.shape[1]] = sf.A
-        c1 = np.zeros(A.shape[1])
-        lb1 = np.concatenate([st.lb, np.zeros(n_art)])
-        ub1 = np.concatenate([st.ub, np.zeros(n_art)])
-        x1 = np.concatenate([st.x, np.zeros(n_art)])
-        sf1 = _StandardForm.__new__(_StandardForm)
-        sf1.m, sf1.n = m, n
-        sf1.A, sf1.b, sf1.obj_const = A, sf.b, sf.obj_const
-        sf1.c = np.concatenate([sf.c, np.zeros(n_art)])
-        for k, (i, sign) in enumerate(viol_rows):
-            col = sf.A.shape[1] + k
-            A[i, col] = 1.0
-            c1[col] = sign
-            if sign > 0:
-                lb1[col], ub1[col] = 0.0, INF
-            else:
-                lb1[col], ub1[col] = -INF, 0.0
-            slack = st.basis[i]
-            pin = ub[slack] if sign > 0 else lb[slack]
-            x1[slack] = pin
-            x1[col] = st.x[slack] - pin
-
-        st1 = _SimplexState.__new__(_SimplexState)
-        st1.sf = sf1
-        st1.lb, st1.ub = lb1, ub1
-        st1.x = x1
-        st1.basis = st.basis.copy()
-        st1.in_basis = np.zeros(A.shape[1], dtype=bool)
-        st1.in_basis[st1.basis] = True
-        st1.B_inv = np.eye(m)
-        st1.iterations = 0
-        for k, (i, _) in enumerate(viol_rows):
-            art = sf.A.shape[1] + k
-            st1.in_basis[st1.basis[i]] = False
-            st1.basis[i] = art
-            st1.in_basis[art] = True
-        st1.reconcile()
-
-        status = _iterate(st1, c1, cfg, iter_cap)
-        if status in (NUMERICAL, ITERATION_LIMIT):
-            return LPSolution(status, None, None, None, None, st1.iterations)
-        if status == UNBOUNDED:
-            return LPSolution(NUMERICAL, None, None, None, None, st1.iterations)
-        infeas = float(c1 @ st1.x)
+    phase_one = _phase_one(st, cfg.feasibility_tol)
+    if phase_one is not None:
+        st, c1 = phase_one
+        status = _iterate(st, c1, cfg, iter_cap)
+        if status != OPTIMAL:
+            # an unbounded phase 1 can only come from numerical trouble
+            return LPSolution(NUMERICAL if status == UNBOUNDED else status,
+                              None, None, st.iterations)
+        infeas = float(c1 @ st.x)
         if infeas > cfg.feasibility_tol * max(1.0, float(np.abs(sf.b).max(initial=0.0))):
-            return LPSolution(INFEASIBLE, None, None, None, None, st1.iterations)
+            return LPSolution(INFEASIBLE, None, None, st.iterations)
         # lock artificials at zero and continue with the real objective
-        art_cols = np.arange(sf.A.shape[1], sf.A.shape[1] + n_art)
-        st1.lb[art_cols] = 0.0
-        st1.ub[art_cols] = 0.0
-        st1.x[art_cols] = np.where(np.abs(st1.x[art_cols]) < 1e-9, 0.0, st1.x[art_cols])
-        st = st1
-        sf_run = sf1
-    else:
-        sf_run = sf
+        art = slice(sf.A.shape[1], None)
+        st.lb[art] = st.ub[art] = 0.0
+        st.x[art] = np.where(np.abs(st.x[art]) < 1e-9, 0.0, st.x[art])
 
-    status = _iterate(st, sf_run.c, cfg, iter_cap)
-    if status in (NUMERICAL, ITERATION_LIMIT, UNBOUNDED):
-        if status == UNBOUNDED:
-            return LPSolution(UNBOUNDED, None, None, None, None, st.iterations)
-        return LPSolution(status, None, None, None, None, st.iterations)
-
+    status = _iterate(st, st.sf.c, cfg, iter_cap)
+    if status != OPTIMAL:
+        return LPSolution(status, None, None, st.iterations)
     st.refactor()
     x = st.x[:n].copy()
-    if m:
-        y = st.B_inv.T @ sf_run.c[st.basis]
-        d = sf_run.c - sf_run.A.T @ y
-    else:
-        y = np.zeros(0)
-        d = sf_run.c.copy()
-    obj = float(sf.c[:n] @ x + sf.obj_const)
-    return LPSolution(OPTIMAL, x, obj, y.copy(), d[:n].copy(), st.iterations)
+    return LPSolution(OPTIMAL, x, float(sf.c[:n] @ x + sf.obj_const), st.iterations)
 
 
 def solve_lp(lp: LinearProgram, cfg: SolverConfig | None = None) -> LPSolution:
     """Solve the LP to optimality. Deterministic for identical input."""
     cfg = cfg or SolverConfig()
-    sf = _StandardForm(lp)
+    sf = _StandardForm.from_lp(lp)
     return _solve_standard(sf, sf.lb_base, sf.ub_base, cfg)
 
 
@@ -453,7 +431,7 @@ def solve_milp(mip: MILProblem, cfg: SolverConfig | None = None) -> MILPSolution
         if lp.lb[j] < -1e-12 or lp.ub[j] > 1 + 1e-12:
             raise ValueError(f"binary variable {lp.names[j]} must have bounds within [0, 1]")
 
-    sf = _StandardForm(lp)
+    sf = _StandardForm.from_lp(lp)
     binaries = tuple(sorted(mip.binaries))
     total_iters = 0
     nodes = 0
@@ -488,8 +466,6 @@ def solve_milp(mip: MILProblem, cfg: SolverConfig | None = None) -> MILPSolution
         total_iters += sol.iterations
         if sol.status == INFEASIBLE:
             continue
-        if sol.status == UNBOUNDED:
-            return MILPSolution(UNBOUNDED, None, None, INF, nodes, total_iters)
         if sol.status != OPTIMAL:
             return MILPSolution(sol.status, None, None, INF, nodes, total_iters)
         if sol.objective >= incumbent_obj - 1e-9:
@@ -498,39 +474,37 @@ def solve_milp(mip: MILProblem, cfg: SolverConfig | None = None) -> MILPSolution
         j_branch = _most_fractional(sol.x, binaries, lb, ub, cfg.integrality_tol)
         if j_branch < 0:
             # Near-integral: pin binaries to rounded values and re-solve so the
-            # incumbent satisfies the indicator logic exactly.
-            lb2, ub2 = lb.copy(), ub.copy()
-            for j in binaries:
-                v = round(float(sol.x[j]))
-                lb2[j] = ub2[j] = float(v)
-            polished = _solve_standard(sf, lb2, ub2, cfg)
-            total_iters += polished.iterations
-            if polished.status == OPTIMAL and polished.objective < incumbent_obj - 1e-9:
-                incumbent_obj = polished.objective
-                incumbent_x = polished.x
-            elif polished.status != OPTIMAL:
-                # rounding killed feasibility; force explicit branching on the
-                # first free binary to make progress
-                for j in binaries:
-                    if ub[j] - lb[j] >= 0.5:
-                        j_branch = j
-                        break
-                if j_branch < 0:
-                    continue
+            # incumbent satisfies the indicator logic exactly. If every binary
+            # was fixed there already, the pinned LP is this node's LP.
+            pins = [(j, float(round(float(sol.x[j])))) for j in binaries]
+            if all(lb[j] == v == ub[j] for j, v in pins):
+                polished = sol
             else:
+                lb2, ub2 = lb.copy(), ub.copy()
+                for j, v in pins:
+                    lb2[j] = ub2[j] = v
+                polished = _solve_standard(sf, lb2, ub2, cfg)
+                total_iters += polished.iterations
+            if polished.status == OPTIMAL:
+                if polished.objective < incumbent_obj - 1e-9:
+                    incumbent_obj = polished.objective
+                    incumbent_x = polished.x
                 continue
-        if j_branch >= 0:
-            seq += 1
-            heapq.heappush(heap, (sol.objective, seq,
-                                  patch_lb, patch_ub + ((j_branch, 0.0),)))
-            seq += 1
-            heapq.heappush(heap, (sol.objective, seq,
-                                  patch_lb + ((j_branch, 1.0),), patch_ub))
+            # rounding killed feasibility; force explicit branching on the
+            # first free binary to make progress
+            j_branch = next((j for j in binaries if ub[j] - lb[j] >= 0.5), -1)
+            if j_branch < 0:
+                continue
+        seq += 1
+        heapq.heappush(heap, (sol.objective, seq,
+                              patch_lb, patch_ub + ((j_branch, 0.0),)))
+        seq += 1
+        heapq.heappush(heap, (sol.objective, seq,
+                              patch_lb + ((j_branch, 1.0),), patch_ub))
 
     if incumbent_x is None:
-        if status_out == NODE_LIMIT:
-            return MILPSolution(NODE_LIMIT, None, None, INF, nodes, total_iters)
-        return MILPSolution(INFEASIBLE, None, None, INF, nodes, total_iters)
+        status = NODE_LIMIT if status_out == NODE_LIMIT else INFEASIBLE
+        return MILPSolution(status, None, None, INF, nodes, total_iters)
     remaining = min((b for b, *_ in heap), default=incumbent_obj)
     gap = max(0.0, incumbent_obj - min(remaining, incumbent_obj))
     return MILPSolution(status_out, incumbent_x, incumbent_obj, gap, nodes, total_iters)

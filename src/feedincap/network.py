@@ -45,8 +45,7 @@ class LinearNetworkModel:
     slack_voltage: float
     bus_order: tuple[str, ...]
     line_order: tuple[str, ...]
-    downstream_sets: dict[str, frozenset[str]]
-    flow_map: np.ndarray        # (L, N) 0/1 downstream indicator
+    flow_map: np.ndarray        # (L, N) 1 iff bus j lies downstream of line l
     voltage_map_p: np.ndarray   # (N, N) dv^2/dP, includes 2/base factor
     voltage_map_q: np.ndarray   # (N, N) dv^2/dQ
 
@@ -108,10 +107,6 @@ def build_linear_model(grid: Grid, slack_voltage: float = 1.0) -> LinearNetworkM
 
     # A bus is downstream of line l iff l is on its path.
     flow_map = path_mat.T.copy()
-    downstream = {
-        grid.lines[l].id: frozenset(nonslack[i] for i in np.flatnonzero(path_mat[:, l]))
-        for l in range(nl)
-    }
 
     r = np.array([ln.r for ln in grid.lines])
     x = np.array([ln.x for ln in grid.lines])
@@ -124,11 +119,18 @@ def build_linear_model(grid: Grid, slack_voltage: float = 1.0) -> LinearNetworkM
         slack_voltage=slack_voltage,
         bus_order=tuple(nonslack),
         line_order=tuple(ln.id for ln in grid.lines),
-        downstream_sets=downstream,
         flow_map=flow_map,
         voltage_map_p=vp,
         voltage_map_q=vq,
     )
+
+
+def network_bounds(grid: Grid, bus_order: tuple[str, ...]):
+    """(s_max over grid.lines, vmax^2 and vmin^2 over bus_order), built once."""
+    bus = {b.id: b for b in grid.buses}
+    return (np.array([ln.s_max for ln in grid.lines]),
+            np.array([bus[b].vmax**2 for b in bus_order]),
+            np.array([bus[b].vmin**2 for b in bus_order]))
 
 
 def evaluate_linear(

@@ -31,7 +31,7 @@ from .formulation import (
 )
 from .grid import Grid
 from .milp import SolverConfig, solve_lp
-from .network import LinearNetworkModel, build_linear_model, evaluate_linear
+from .network import LinearNetworkModel, build_linear_model, evaluate_linear, network_bounds
 
 
 class OracleError(ValueError):
@@ -121,14 +121,6 @@ def _network_arrays(state: RuleState, model: LinearNetworkModel,
 def _model_columns(agg: NodeAggregates, model: LinearNetworkModel) -> list[int]:
     pos = {bid: i for i, bid in enumerate(agg.bus_order)}
     return [pos[bid] for bid in model.bus_order]
-
-
-def network_bounds(grid: Grid, bus_order: tuple[str, ...]):
-    """(s_max over grid.lines, vmax^2 and vmin^2 over bus_order), built once."""
-    bus = {b.id: b for b in grid.buses}
-    return (np.array([ln.s_max for ln in grid.lines]),
-            np.array([bus[b].vmax**2 for b in bus_order]),
-            np.array([bus[b].vmin**2 for b in bus_order]))
 
 
 def headroom(bounds, flows: np.ndarray,
@@ -326,7 +318,7 @@ def oracle_plan(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = None,
     idx = np.asarray(hours)
     H = len(hours)
     pos = {bid: i for i, bid in enumerate(agg.bus_order)}
-    elig_kinds = scenario.eligible_kinds() | {"pv_candidate"}
+    elig_kinds = scenario.eligible_kinds()
 
     production: dict[str, np.ndarray] = {}
     curtail: dict[str, np.ndarray] = {}
@@ -358,8 +350,6 @@ def oracle_plan(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = None,
     objective = float(np.sum(dh * (c.import_eur_mwh * (imports + q_imp)
                                    - c.export_eur_mwh * (exports + q_exp))))
 
-    cols = [pos[bid] for bid in model.bus_order]
-
     return PlanResult(
         status="optimal",
         engine="oracle",
@@ -374,7 +364,6 @@ def oracle_plan(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = None,
         curtailment_mw=curtail,
         available_mw=avail,
         alpha={},
-        injections_mw=state.injection_p[:, cols],
         flows_mw=flows,
         voltages_pu2=v2,
         imports_mw=imports,

@@ -182,8 +182,7 @@ def test_criterion_7_nonlinear_validation(rural, urban, hybrid, lv):
         for bus in model.bus_order:
             incident = [i for i, ln in enumerate(grid.lines)
                         if bus in (ln.from_bus, ln.to_bus)]
-            up = [i for i in incident
-                  if bus in model.downstream_sets[grid.lines[i].id]]
+            up = [i for i in incident if model.flow_map[i, pos[bus]] == 1.0]
             down = [i for i in incident if i not in up]
             resid = np.abs(flows[..., up[0]]
                            - sum(flows[..., i] for i in down)

@@ -154,6 +154,9 @@ def test_milp_fixed_binaries_reduce_to_lp():
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(ref.objective)
     assert sol.nodes <= 1
+    # every binary is fixed, so the root LP is the only solve
+    assert sol.lp_iterations == ref.iterations
+    assert sol.x.tobytes() == ref.x.tobytes()
 
 
 def test_milp_rounding_forced():

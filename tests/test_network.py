@@ -15,16 +15,22 @@ from feedincap.network import (
 from util import chain3, random_radial, two_bus
 
 
+def _downstream(model, line_id):
+    """Buses downstream of a line, read off the 0/1 flow map."""
+    row = model.flow_map[model.line_order.index(line_id)]
+    return frozenset(b for b, f in zip(model.bus_order, row) if f == 1.0)
+
+
 def test_two_bus_downstream_set():
     model = build_linear_model(two_bus())
-    assert model.downstream_sets["sub-n1"] == frozenset({"n1"})
+    assert _downstream(model, "sub-n1") == frozenset({"n1"})
     assert model.bus_order == ("n1",)
 
 
 def test_chain_downstream_sets():
     model = build_linear_model(chain3())
-    assert model.downstream_sets["sub-A"] == frozenset({"A", "B"})
-    assert model.downstream_sets["A-B"] == frozenset({"B"})
+    assert _downstream(model, "sub-A") == frozenset({"A", "B"})
+    assert _downstream(model, "A-B") == frozenset({"B"})
 
 
 def test_rural_downstream_matches_path_enumeration(rural):
@@ -49,7 +55,7 @@ def test_rural_downstream_matches_path_enumeration(rural):
             cur, idx = parent[cur]
             on_path.add(rural.lines[idx].id)
         for lid in model.line_order:
-            assert (bus in model.downstream_sets[lid]) == (lid in on_path)
+            assert (bus in _downstream(model, lid)) == (lid in on_path)
 
 
 def test_non_radial_rejected():
@@ -115,8 +121,7 @@ def test_flow_conservation(rural):
     for bus in model.bus_order:
         incident = [i for i, ln in enumerate(rural.lines)
                     if bus in (ln.from_bus, ln.to_bus)]
-        up = [i for i in incident
-              if bus in model.downstream_sets[rural.lines[i].id]]
+        up = [i for i in incident if model.flow_map[i, pos[bus]] == 1.0]
         down = [i for i in incident if i not in up]
         assert len(up) == 1
         resid = flows[up[0]] - sum(flows[i] for i in down) - p[pos[bus]]
