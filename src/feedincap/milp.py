@@ -2,8 +2,14 @@
 
 solve_lp is a bounded-variable revised simplex: two phases, Dantzig pricing
 with lowest-index tie-breaks, and a Bland fallback after a degenerate streak
-so cycling cannot occur. The basis inverse is updated with elementary row
-operations and refactorized periodically. Everything is double precision
+so cycling cannot occur. The explicit basis inverse stays hypersparse on the
+power-flow LPs here (a few percent nonzero), so a pivot touches only what can
+change: the rank-1 update subtracts the outer product on the block of rows
+where the entering column is nonzero and columns where the new pivot row is
+nonzero (everywhere else it would subtract an exact zero), and the ratio test
+computes step lengths only for rows whose step is above the pivot tolerance
+and whose bound in that direction is finite, then breaks ties in row order.
+The inverse is refactorized periodically. Everything is double precision
 numpy with a fixed operation order, so two runs on the same input produce
 bit-identical results.
 
@@ -16,13 +22,14 @@ rounding pins a binary that was free; with every binary already fixed, the
 node's own solution is the polished point.
 
 Problem sizes here are desk scale (hundreds to a few thousand rows); dense
-linear algebra is deliberate.
+storage is deliberate.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -92,8 +99,9 @@ class LinearProgram:
         if sense not in ("<=", ">=", "=="):
             raise ValueError(f"bad sense {sense!r}")
         items = sorted(coeffs.items())
+        n = self.n_vars
         for j, _ in items:
-            if not 0 <= j < self.n_vars:
+            if not 0 <= j < n:
                 raise ValueError(f"row {name!r} references unknown variable {j}")
         self.rows.append(_Row(
             idx=tuple(j for j, _ in items),
@@ -104,11 +112,23 @@ class LinearProgram:
         ))
         return len(self.rows) - 1
 
+    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row index, variable index and coefficient of every entry, rows in
+        order and each row's entries in variable order."""
+        lengths = [len(row.idx) for row in self.rows]
+        count = sum(lengths)
+        rows = np.repeat(np.arange(self.n_rows), lengths)
+        cols = np.fromiter(chain.from_iterable(row.idx for row in self.rows),
+                           dtype=np.intp, count=count)
+        coef = np.fromiter(chain.from_iterable(row.coef for row in self.rows),
+                           dtype=float, count=count)
+        return rows, cols, coef
+
     def activities(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(self.rows))
-        for i, row in enumerate(self.rows):
-            out[i] = sum(c * x[j] for j, c in zip(row.idx, row.coef))
-        return out
+        # bincount adds each row's products in entry order, as a running sum would
+        rows, cols, coef = self._entries()
+        out = np.bincount(rows, weights=coef * x[cols], minlength=self.n_rows)
+        return out.astype(float, copy=False)     # integer when there are no entries
 
 
 @dataclass
@@ -167,18 +187,12 @@ class _StandardForm:
     def from_lp(cls, lp: LinearProgram) -> "_StandardForm":
         m, n = lp.n_rows, lp.n_vars
         A = np.zeros((m, n + m))
-        b = np.zeros(m)
-        slack_lb = np.zeros(m)
-        slack_ub = np.zeros(m)
-        for i, row in enumerate(lp.rows):
-            for j, cval in zip(row.idx, row.coef):
-                A[i, j] += cval
-            b[i] = row.rhs
-            A[i, n + i] = 1.0
-            if row.sense == "<=":
-                slack_ub[i] = INF
-            elif row.sense == ">=":
-                slack_lb[i] = -INF
+        rows, cols, coef = lp._entries()
+        A[rows, cols] += coef
+        A[np.arange(m), n + np.arange(m)] = 1.0
+        b = np.array([row.rhs for row in lp.rows], dtype=float)
+        slack_lb = np.array([-INF if row.sense == ">=" else 0.0 for row in lp.rows], dtype=float)
+        slack_ub = np.array([INF if row.sense == "<=" else 0.0 for row in lp.rows], dtype=float)
         return cls(A, b,
                    np.concatenate([np.asarray(lp.obj, dtype=float), np.zeros(m)]),
                    np.concatenate([np.asarray(lp.lb, dtype=float), slack_lb]),
@@ -214,13 +228,56 @@ class _SimplexState:
         self.x[self.basis] = self.B_inv @ rhs
 
     def refactor(self) -> bool:
+        # Drop the old inverse before inverting and B before reconciling, so
+        # fewer m x m arrays are alive at once. A failed refactor leaves
+        # B_inv None; every caller then abandons this state.
         B = self.sf.A[:, self.basis]
+        self.B_inv = None
         try:
             self.B_inv = np.linalg.inv(B)
         except np.linalg.LinAlgError:
             return False
+        del B
         self.reconcile()
         return True
+
+
+def _ratio_test(step: np.ndarray, bvals: np.ndarray, lb: np.ndarray, ub: np.ndarray,
+                basis: np.ndarray, piv_tol: float) -> tuple[int, float]:
+    """Blocking basis row (-1 if none) and step length of the ratio test.
+
+    Basic variable i moves by -t*step[i]. Only rows with |step| > piv_tol and
+    a finite bound in the direction of travel can block; t_i = max(0, (x_i -
+    bound) / step_i) is computed for those alone. They are then scanned in
+    row order: a t more than 1e-12 below the best wins, and within 1e-12 the
+    lower variable index wins.
+    """
+    rows = np.flatnonzero(np.abs(step) > piv_tol)
+    s = step[rows]
+    var = basis[rows]
+    bound = np.where(s > 0, lb[var], ub[var])
+    keep = np.isfinite(bound)
+    rows, s, var, bound = rows[keep], s[keep], var[keep], bound[keep]
+    ratio = (bvals[rows] - bound) / s
+    t = np.where(ratio > 0.0, ratio, 0.0)
+    t_best, r_best, v_best = INF, -1, -1
+    for r, t_i, v in zip(rows.tolist(), t.tolist(), var.tolist()):
+        if t_i < t_best - 1e-12 or (t_i < t_best + 1e-12 and (r_best < 0 or v < v_best)):
+            t_best, r_best, v_best = t_i, r, v
+    return r_best, t_best
+
+
+def _pivot_update(B_inv: np.ndarray, w: np.ndarray, r: int) -> None:
+    """Basis inverse after the column w = B_inv a_j replaces basis row r.
+
+    B_inv - outer(w, brow) changes only on rows where w is nonzero and columns
+    where the new pivot row brow is nonzero; everywhere else it would
+    subtract an exact zero, so only that block is updated.
+    """
+    brow = B_inv[r] / w[r]
+    rows, cols = np.flatnonzero(w), np.flatnonzero(brow)
+    B_inv[np.ix_(rows, cols)] -= np.multiply.outer(w[rows], brow[cols])
+    B_inv[r] = brow
 
 
 def _iterate(st: _SimplexState, c: np.ndarray, cfg: SolverConfig,
@@ -267,30 +324,8 @@ def _iterate(st: _SimplexState, c: np.ndarray, cfg: SolverConfig,
         w = st.B_inv @ sf.A[:, j_in] if sf.m else np.zeros(0)
         step = sigma * w
 
-        # ratio test over basic vars
-        t_best = INF
-        r_block = -1
         bvals = st.x[st.basis]
-        for i in range(sf.m):
-            si = step[i]
-            if si > piv_tol:
-                bound = st.lb[st.basis[i]]
-                if not np.isfinite(bound):
-                    continue
-                t_i = max(0.0, (bvals[i] - bound) / si)
-            elif si < -piv_tol:
-                bound = st.ub[st.basis[i]]
-                if not np.isfinite(bound):
-                    continue
-                t_i = max(0.0, (bvals[i] - bound) / si)
-            else:
-                continue
-            if t_i < t_best - 1e-12 or (
-                t_i < t_best + 1e-12
-                and (r_block < 0 or st.basis[i] < st.basis[r_block])
-            ):
-                t_best = t_i
-                r_block = i
+        r_block, t_best = _ratio_test(step, bvals, st.lb, st.ub, st.basis, piv_tol)
 
         span = st.ub[j_in] - st.lb[j_in]
         flip = np.isfinite(span) and span < t_best
@@ -319,9 +354,7 @@ def _iterate(st: _SimplexState, c: np.ndarray, cfg: SolverConfig,
                 if not st.refactor():
                     return NUMERICAL
             else:
-                brow = st.B_inv[r_block] / piv
-                st.B_inv -= np.outer(w, brow)
-                st.B_inv[r_block] = brow
+                _pivot_update(st.B_inv, w, r_block)
 
         if t <= 1e-11:
             degen_streak += 1

@@ -6,11 +6,14 @@ from feedincap.milp import (
     LinearProgram,
     MILProblem,
     SolverConfig,
+    _pivot_update,
+    _ratio_test,
     compute_big_m,
     dump_lp,
     solve_lp,
     solve_milp,
 )
+from util import reference_ratio_test
 
 
 def test_lp_single_var_at_bound():
@@ -139,6 +142,67 @@ def test_lp_determinism():
     b = solve_lp(lp)
     assert a.status == b.status == "optimal"
     assert a.x.tobytes() == b.x.tobytes()
+
+
+def test_activities_match_row_sums():
+    rng = np.random.default_rng(8)
+    for _ in range(30):
+        lp = _random_lp(rng)
+        lp.add_row({}, "<=", 1.0)
+        x = rng.standard_normal(lp.n_vars)
+        want = np.array([sum(c * x[j] for j, c in zip(row.idx, row.coef))
+                         for row in lp.rows])
+        assert lp.activities(x).tobytes() == want.tobytes()
+
+
+# -- simplex kernels -----------------------------------------------------------
+
+
+def _ratio_case(rng: np.random.Generator):
+    """Basis rows with exact ties, chains of near-ties within 1e-12, zero and
+    sub-tolerance steps, and infinite bounds."""
+    m = int(rng.integers(1, 30))
+    n = m + int(rng.integers(0, 10))
+    basis = rng.permutation(n)[:m]
+    lb = rng.choice([-INF, -2.0, -1.0, 0.0], n)
+    ub = rng.choice([INF, 0.0, 1.0, 2.0], n)
+    step = rng.choice([0.0, -0.0, 1e-9, -1e-9, 5e-10, 1.0000001e-9, -1.0000001e-9,
+                       0.5, -0.5, 1.0, -1.0, 1.0, -1.0, 2.0, -2.0], m)
+    bvals = (rng.integers(-3, 4, m).astype(float)
+             + 0.4e-12 * rng.integers(0, 5, m) * (rng.random(m) < 0.7))
+    if rng.random() < 0.5:
+        # every step of magnitude 1 lands within 1.6e-12 of t = 1
+        lb[:], ub[:] = 0.0, 2.0
+        bvals = 1.0 + 0.4e-12 * rng.integers(-4, 5, m)
+    return step, bvals, lb, ub, basis
+
+
+def test_ratio_test_matches_full_row_loop():
+    rng = np.random.default_rng(5)
+    chained = (np.ones(3), np.array([1.0, 1.0 + 0.8e-12, 1.0 + 1.6e-12]),
+               np.zeros(6), np.full(6, INF), np.array([5, 3, 1]))
+    cases = [chained] + [_ratio_case(rng) for _ in range(3000)]
+    for step, bvals, lb, ub, basis in cases:
+        r, t = _ratio_test(step, bvals, lb, ub, basis, 1e-9)
+        r_ref, t_ref = reference_ratio_test(step, bvals, lb, ub, basis, 1e-9)
+        assert (r, float(t).hex()) == (r_ref, float(t_ref).hex())
+    # each near-tie with a lower variable index takes over, one after another
+    assert _ratio_test(*chained, 1e-9)[0] == 2
+
+
+def test_pivot_update_matches_dense_update():
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        m = int(rng.integers(1, 40))
+        B_inv = rng.standard_normal((m, m)) * (rng.random((m, m)) < rng.uniform(0.02, 0.5))
+        w = rng.standard_normal(m) * (rng.random(m) < rng.uniform(0.05, 0.6))
+        r = int(rng.integers(m))
+        w[r] = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0)
+        brow = B_inv[r] / w[r]
+        want = B_inv - np.outer(w, brow)
+        want[r] = brow
+        _pivot_update(B_inv, w, r)
+        assert np.array_equal(B_inv, want)
 
 
 # -- MILP --------------------------------------------------------------------

@@ -106,3 +106,28 @@ def reference_bisection(grid: Grid, scenario: Scenario, cfg: SolverConfig,
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if ok(mid) else (lo, mid)
     return lo
+
+
+def reference_ratio_test(step, bvals, lb, ub, basis, piv_tol):
+    """The simplex ratio test as a loop over every basis row: the reference
+    for milp._ratio_test. Returns (blocking row or -1, step length)."""
+    t_best = float("inf")
+    r_block = -1
+    for i in range(len(step)):
+        si = step[i]
+        if si > piv_tol:
+            bound = lb[basis[i]]
+        elif si < -piv_tol:
+            bound = ub[basis[i]]
+        else:
+            continue
+        if not np.isfinite(bound):
+            continue
+        t_i = max(0.0, (bvals[i] - bound) / si)
+        if t_i < t_best - 1e-12 or (
+            t_i < t_best + 1e-12
+            and (r_block < 0 or basis[i] < basis[r_block])
+        ):
+            t_best = t_i
+            r_block = i
+    return r_block, t_best
