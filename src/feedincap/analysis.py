@@ -18,6 +18,7 @@ import numpy as np
 
 from .formulation import (
     Costs,
+    FormulationError,
     PlanResult,
     Scenario,
     build_problem,
@@ -66,6 +67,10 @@ class SweepSpec:
         if self.mode == "annual" and self.engine != "oracle":
             raise AnalysisError("annual sweeps decompose hour by hour; only the "
                                 "oracle engine supports them")
+        try:
+            list(self.scenarios())          # each cell must be a valid Scenario
+        except FormulationError as exc:
+            raise AnalysisError(f"bad sweep cell: {exc}") from None
 
     def scenarios(self):
         for fl in self.fl_values:
@@ -337,6 +342,13 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
+def write_json(path: Path, doc: dict) -> Path:
+    """Write a JSON artifact: one-space indent, sorted keys, final newline."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    return path
+
+
 def emit_report(result: SweepResult, outdir, formats=("csv", "json", "svg"),
                 stem: str = "sweep") -> list[Path]:
     outdir = Path(outdir)
@@ -358,7 +370,6 @@ def emit_report(result: SweepResult, outdir, formats=("csv", "json", "svg"),
         p.write_text("\n".join(lines) + "\n", encoding="utf-8")
         written.append(p)
     if "json" in formats:
-        p = outdir / f"{stem}.json"
         doc = {
             "schema_version": SCHEMA_VERSION,
             "engine": result.spec.engine,
@@ -368,9 +379,7 @@ def emit_report(result: SweepResult, outdir, formats=("csv", "json", "svg"),
             "demand_multipliers": list(result.spec.demand_multipliers),
             "cells": [cell_doc(c) for c in result.cells],
         }
-        p.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
-                     encoding="utf-8")
-        written.append(p)
+        written.append(write_json(outdir / f"{stem}.json", doc))
     if "svg" in formats:
         p = outdir / f"{stem}.svg"
         p.write_text(_capacity_chart(result), encoding="utf-8")

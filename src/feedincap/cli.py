@@ -39,18 +39,23 @@ def _default_outdir() -> str:
     return os.environ.get("FEEDINCAP_OUTDIR", ".")
 
 
-def _read_grid(path: str):
-    """Parse a grid document; structural problems exit 2, domain issues 1."""
+def _load_grid(path: str):
+    """Read and parse a grid document, unvalidated; any failure exits 2."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
     try:
-        grid = parse_grid(text, validate=False)
+        return parse_grid(text, validate=False)
     except GridFormatError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _read_grid(path: str):
+    """Parse a grid document; structural problems exit 2, domain issues 1."""
+    grid = _load_grid(path)
     issues = validate_grid(grid)
     errors = [i for i in issues if i.severity == "error"]
     if errors:
@@ -89,16 +94,7 @@ def _scenario_from_args(args) -> Scenario:
 
 
 def cmd_validate(args) -> int:
-    try:
-        text = Path(args.grid).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot read {args.grid}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        grid = parse_grid(text, validate=False)
-    except GridFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    grid = _load_grid(args.grid)
     issues = validate_grid(grid)
     for i in issues:
         print(f"{i.severity} {i.code} at {i.location}: {i.message}")
@@ -143,11 +139,7 @@ def cmd_plan(args) -> int:
     del doc["error"]
     doc["schema_version"] = analysis.SCHEMA_VERSION
     doc["hours"] = list(cell.hours)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    out = outdir / "plan.json"
-    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
-                   encoding="utf-8")
+    out = analysis.write_json(Path(args.outdir) / "plan.json", doc)
 
     account = cell.account
     print(f"scal* = {cell.scal_star:.6f}  (+{cell.added_capacity_mw:.3f} MW of new capacity)")
@@ -223,11 +215,7 @@ def cmd_simulate(args) -> int:
         "demand_mwh": account.demand_mwh,
         "violation_hours": sim.violation_hours,
     }
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    out = outdir / "simulate.json"
-    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
-                   encoding="utf-8")
+    out = analysis.write_json(Path(args.outdir) / "simulate.json", doc)
 
     print(f"scal = {sim.scal:g} over {grid.hour_count} hour(s)")
     print(f"available {account.available_mwh:.4f} MWh = generated "

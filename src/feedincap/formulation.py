@@ -37,6 +37,9 @@ from .milp import (
 from .network import LinearNetworkModel, build_linear_model, evaluate_linear, network_bounds
 
 
+EPSILON_MW = 1e-6      # strict-inequality margin for the indicator triggers
+
+
 class FormulationError(ValueError):
     pass
 
@@ -116,19 +119,25 @@ def scenario_from_json(text: str | dict) -> Scenario:
     if not isinstance(doc, dict):
         raise FormulationError("scenario document must be an object")
     costs = doc.get("costs", {})
-    return Scenario(
-        fl=float(doc.get("fl", 1.0)),
-        case=str(doc.get("case", "a")),
-        demand_multiplier=float(doc.get("demand_multiplier", 1.0)),
-        hours=None if doc.get("hours") is None else tuple(int(h) for h in doc["hours"]),
-        mode=str(doc.get("mode", "snapshot")),
-        costs=Costs(
-            import_eur_mwh=float(costs.get("import_eur_mwh", 200.0)),
-            export_eur_mwh=float(costs.get("export_eur_mwh", 200.0)),
-            unserved_eur_mwh=float(costs.get("unserved_eur_mwh", 100_000.0)),
-            surplus_eur_mwh=float(costs.get("surplus_eur_mwh", 200_000.0)),
-        ),
-    )
+    if not isinstance(costs, dict):
+        raise FormulationError("scenario costs must be an object")
+    try:
+        fields = dict(
+            fl=float(doc.get("fl", 1.0)),
+            case=str(doc.get("case", "a")),
+            demand_multiplier=float(doc.get("demand_multiplier", 1.0)),
+            hours=None if doc.get("hours") is None else tuple(int(h) for h in doc["hours"]),
+            mode=str(doc.get("mode", "snapshot")),
+            costs=Costs(
+                import_eur_mwh=float(costs.get("import_eur_mwh", 200.0)),
+                export_eur_mwh=float(costs.get("export_eur_mwh", 200.0)),
+                unserved_eur_mwh=float(costs.get("unserved_eur_mwh", 100_000.0)),
+                surplus_eur_mwh=float(costs.get("surplus_eur_mwh", 200_000.0)),
+            ),
+        )
+    except (TypeError, ValueError) as exc:
+        raise FormulationError(f"scenario values must be numbers: {exc}") from None
+    return Scenario(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +265,11 @@ def curtailment_rule(avail, cap, fl, residual):
 
 @dataclass
 class ProblemInstance:
-    """The assembled MILP plus every index map needed to decode a solution."""
+    """The assembled MILP plus the variable layout needed to decode a solution.
+
+    The index arrays hold LP variable indices, hour position first; units
+    follow elig_units, triggers follow elig_nodes and buses agg.bus_order.
+    """
 
     grid: Grid
     scenario: Scenario
@@ -268,25 +281,31 @@ class ProblemInstance:
     binaries: tuple[int, ...]
     scal_idx: int
     fix_scal: float | None
-    # (hour index into hours, gen id) -> variable index
-    p_idx: dict[tuple[int, str], int]
-    sp_idx: dict[tuple[int, str], int]
-    alpha_idx: dict[tuple[int, str], int]        # (hour index, bus id)
-    imp_idx: dict[int, int]
-    exp_idx: dict[int, int]
-    qimp_idx: dict[int, int]
-    qexp_idx: dict[int, int]
-    pns_idx: dict[tuple[int, int], int]          # (hour index, bus pos)
-    eps_idx: dict[tuple[int, int], int]
-    qns_idx: dict[tuple[int, int], int]
-    eqs_idx: dict[tuple[int, int], int]
-    big_m: dict[tuple[int, str], float]
+    elig_units: tuple[str, ...]                  # eligible generator ids, grid order
+    elig_nodes: tuple[str, ...]                  # buses with eligible capacity, grid order
+    unit_idx: np.ndarray                         # (H, U, 2) p, sp
+    exchange_idx: np.ndarray                     # (H, 4) pimp, pexp, qimp, qexp
+    slack_idx: np.ndarray                        # (H, N, 4) pns, eps, qns, eqs
+    alpha_idx: np.ndarray                        # (H, E) curt_on
+    big_m: np.ndarray                            # (H, E)
     thermal_hi_rows: np.ndarray                  # (H, L) lp row of thermal_hi[k, line]
     v_hi_rows: np.ndarray                        # (H, N) lp row of v_hi[k, bus], model order
 
     @property
     def mip(self) -> MILProblem:
         return MILProblem(self.lp, self.binaries)
+
+
+def _running_total(start, terms: np.ndarray) -> np.ndarray:
+    """start + terms[..., 0] + terms[..., 1] + ..., added strictly left to right
+    (np.sum pairs terms up and may round differently)."""
+    first = np.full(terms.shape[:-1] + (1,), start)
+    return np.add.accumulate(np.concatenate([first, terms], axis=-1), axis=-1)[..., -1]
+
+
+def _nonzeros(mat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each row's nonzero columns and their values."""
+    return [(np.flatnonzero(row), row[row != 0]) for row in mat]
 
 
 def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = None,
@@ -308,11 +327,12 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
     agg = node_aggregates(grid, scenario, hours)
     model = model or build_linear_model(grid)
     elig_kinds = scenario.eligible_kinds()
-    H = len(hours)
+    H, N = len(hours), len(agg.bus_order)
     pos = {bid: i for i, bid in enumerate(agg.bus_order)}
     nonslack_pos = [pos[bid] for bid in model.bus_order]
     dh = grid.hour_duration_h
     costs = scenario.costs
+    fl = scenario.fl
 
     if fix_scal is not None and fix_scal < 0:
         raise FormulationError("fix_scal must be >= 0")
@@ -328,59 +348,39 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
     scal_idx = lp.add_var("scal", s_lo, s_hi, obj=0.0)
 
     elig_units = [g for g in grid.gens if g.kind in elig_kinds]
-    elig_at: dict[str, list] = {}
-    for g in elig_units:
-        elig_at.setdefault(g.bus, []).append(g)
     elig_nodes = [bid for bid in agg.bus_order
                   if agg.cap_const[pos[bid]] + agg.cap_coef[pos[bid]] > 0.0]
+    units_at = {bid: [u for u, g in enumerate(elig_units) if g.bus == bid]
+                for bid in elig_nodes}
 
-    p_idx: dict[tuple[int, str], int] = {}
-    sp_idx: dict[tuple[int, str], int] = {}
-    alpha_idx: dict[tuple[int, str], int] = {}
-    imp_idx: dict[int, int] = {}
-    exp_idx: dict[int, int] = {}
-    qimp_idx: dict[int, int] = {}
-    qexp_idx: dict[int, int] = {}
-    pns_idx: dict[tuple[int, int], int] = {}
-    eps_idx: dict[tuple[int, int], int] = {}
-    qns_idx: dict[tuple[int, int], int] = {}
-    eqs_idx: dict[tuple[int, int], int] = {}
-    big_m: dict[tuple[int, str], float] = {}
-    binaries: list[int] = []
-    s_max, vmax2, vmin2 = network_bounds(grid, model.bus_order)
-    thermal_hi_rows = np.zeros((H, len(grid.lines)), dtype=int)
-    v_hi_rows = np.zeros((H, len(model.bus_order)), dtype=int)
-
+    exchange, units, slacks, alphas, big_m = [], [], [], [], []   # in variable order
     for k in range(H):
-        imp_idx[k] = lp.add_var(f"pimp[{k}]", 0.0, exch_cap, obj=costs.import_eur_mwh * dh)
-        exp_idx[k] = lp.add_var(f"pexp[{k}]", 0.0, exch_cap, obj=-costs.export_eur_mwh * dh)
-        qimp_idx[k] = lp.add_var(f"qimp[{k}]", 0.0, exch_cap, obj=costs.import_eur_mwh * dh)
-        qexp_idx[k] = lp.add_var(f"qexp[{k}]", 0.0, exch_cap, obj=-costs.export_eur_mwh * dh)
+        exchange += [
+            lp.add_var(f"pimp[{k}]", 0.0, exch_cap, obj=costs.import_eur_mwh * dh),
+            lp.add_var(f"pexp[{k}]", 0.0, exch_cap, obj=-costs.export_eur_mwh * dh),
+            lp.add_var(f"qimp[{k}]", 0.0, exch_cap, obj=costs.import_eur_mwh * dh),
+            lp.add_var(f"qexp[{k}]", 0.0, exch_cap, obj=-costs.export_eur_mwh * dh)]
         for g in elig_units:
-            p_idx[(k, g.id)] = lp.add_var(f"p[{k},{g.id}]", 0.0, INF)
-            sp_idx[(k, g.id)] = lp.add_var(f"sp[{k},{g.id}]", 0.0, INF)
+            units += [lp.add_var(f"p[{k},{g.id}]", 0.0, INF),
+                      lp.add_var(f"sp[{k},{g.id}]", 0.0, INF)]
         for i, bid in enumerate(agg.bus_order):
-            pns_idx[(k, i)] = lp.add_var(f"pns[{k},{bid}]", 0.0,
-                                         max(0.0, agg.demand_p[k, i]),
-                                         obj=costs.unserved_eur_mwh * dh)
-            eps_idx[(k, i)] = lp.add_var(f"eps[{k},{bid}]", 0.0, INF,
-                                         obj=costs.surplus_eur_mwh * dh)
-            qns_idx[(k, i)] = lp.add_var(f"qns[{k},{bid}]", 0.0,
-                                         max(0.0, agg.demand_q[k, i]),
-                                         obj=costs.unserved_eur_mwh * dh)
-            eqs_idx[(k, i)] = lp.add_var(f"eqs[{k},{bid}]", 0.0, INF,
-                                         obj=costs.surplus_eur_mwh * dh)
+            slacks += [
+                lp.add_var(f"pns[{k},{bid}]", 0.0, max(0.0, agg.demand_p[k, i]),
+                           obj=costs.unserved_eur_mwh * dh),
+                lp.add_var(f"eps[{k},{bid}]", 0.0, INF, obj=costs.surplus_eur_mwh * dh),
+                lp.add_var(f"qns[{k},{bid}]", 0.0, max(0.0, agg.demand_q[k, i]),
+                           obj=costs.unserved_eur_mwh * dh),
+                lp.add_var(f"eqs[{k},{bid}]", 0.0, INF, obj=costs.surplus_eur_mwh * dh)]
         for bid in elig_nodes:
             i = pos[bid]
-            m_val = compute_big_m(
+            big_m.append(compute_big_m(
                 float(agg.avail_const[k, i] + agg.avail_coef[k, i] * cfg.scal_max),
-                scenario.fl * float(agg.cap_const[i] + agg.cap_coef[i] * cfg.scal_max),
+                fl * float(agg.cap_const[i] + agg.cap_coef[i] * cfg.scal_max),
                 float(agg.residual[k, i]),
-            )
-            big_m[(k, bid)] = m_val
+            ))
             # trigger premise over the admissible scal interval
-            slope = float(agg.avail_coef[k, i] - scenario.fl * agg.cap_coef[i])
-            inter = float(agg.avail_const[k, i] - scenario.fl * agg.cap_const[i]
+            slope = float(agg.avail_coef[k, i] - fl * agg.cap_coef[i])
+            inter = float(agg.avail_const[k, i] - fl * agg.cap_const[i]
                           - agg.residual[k, i])
             p_ends = (inter + slope * s_lo, inter + slope * s_hi)
             if min(p_ends) > 0.0:
@@ -389,115 +389,105 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
                 a_lo, a_hi = 0.0, 0.0      # cap unreachable: trigger off
             else:
                 a_lo, a_hi = 0.0, 1.0
-            j = lp.add_var(f"curt_on[{k},{bid}]", a_lo, a_hi)
-            alpha_idx[(k, bid)] = j
-            binaries.append(j)
+            alphas.append(lp.add_var(f"curt_on[{k},{bid}]", a_lo, a_hi))
 
-    eps_mw = cfg.epsilon_mw
+    U, E = len(elig_units), len(elig_nodes)
+    unit_idx = np.array(units, dtype=int).reshape(H, U, 2)
+    exchange_idx = np.array(exchange, dtype=int).reshape(H, 4)
+    slack_idx = np.array(slacks, dtype=int).reshape(H, N, 4)
+
+    # The hour's injection variables are the unit p's, then every bus's (pns,
+    # eps, qns, eqs), in ascending index order; a non-slack bus's P injection
+    # takes its units' p and pns at +1, eps at -1, its Q injection qns at +1
+    # and eqs at -1. Each variable enters one injection once, so every network
+    # coefficient below is a single product, as in a bus-by-bus sum.
+    inj_bus = np.concatenate([np.array([pos[g.bus] for g in elig_units], dtype=int),
+                              np.repeat(np.arange(N), 4)])
+    inj_sign = np.concatenate([np.ones(U), np.tile([1.0, -1.0, 1.0, -1.0], N)])
+    inj_is_q = np.concatenate([np.zeros(U, dtype=int), np.tile([0, 0, 1, 1], N)])
+    is_p = inj_is_q == 0
+    incidence = np.zeros((2, N, len(inj_bus)))          # P and Q, every bus
+    incidence[inj_is_q, inj_bus, np.arange(len(inj_bus))] = inj_sign
+    inc_p, inc_q = incidence[:, nonslack_pos]
+    thermal_terms = _nonzeros(model.flow_map @ inc_p)
+    v_terms = _nonzeros(model.voltage_map_p @ inc_p + model.voltage_map_q @ inc_q)
+
+    s_max, vmax2, vmin2 = network_bounds(grid, model.bus_order)
+    vs2 = model.slack_voltage**2
+    thermal_hi_rows = np.zeros((H, len(grid.lines)), dtype=int)
+    v_hi_rows = np.zeros((H, len(model.bus_order)), dtype=int)
     for k in range(H):
-        for g in elig_units:
+        unit_k = unit_idx[k].tolist()
+        imp, exp, qimp, qexp = exchange_idx[k].tolist()
+        for (p, sp), g in zip(unit_k, elig_units):
             if g.kind == "pv_candidate":
-                lp.add_row({p_idx[(k, g.id)]: 1.0, sp_idx[(k, g.id)]: 1.0,
-                            scal_idx: -g.p_max * g.profile[hours[k]]},
+                lp.add_row({p: 1.0, sp: 1.0, scal_idx: -g.p_max * g.profile[hours[k]]},
                            "==", 0.0, name=f"avail[{k},{g.id}]")
             else:
-                lp.add_row({p_idx[(k, g.id)]: 1.0, sp_idx[(k, g.id)]: 1.0},
-                           "==", g.p_max * g.profile[hours[k]],
+                lp.add_row({p: 1.0, sp: 1.0}, "==", g.p_max * g.profile[hours[k]],
                            name=f"avail[{k},{g.id}]")
 
-        for bid in elig_nodes:
+        for e, bid in enumerate(elig_nodes):
             i = pos[bid]
-            m_val = big_m[(k, bid)]
-            a_j = alpha_idx[(k, bid)]
-            fl = scenario.fl
+            m_val = big_m[k * E + e]
+            a_j = alphas[k * E + e]
             cap_c, cap_k = float(agg.cap_const[i]), float(agg.cap_coef[i])
             av_c, av_k = float(agg.avail_const[k, i]), float(agg.avail_coef[k, i])
             res = float(agg.residual[k, i])
-            units = elig_at.get(bid, [])
-            p_sum = {p_idx[(k, g.id)]: 1.0 for g in units}
-            sp_sum = {sp_idx[(k, g.id)]: 1.0 for g in units}
+            p_sum = {unit_k[u][0]: 1.0 for u in units_at[bid]}
+            sp_sum = {unit_k[u][1]: 1.0 for u in units_at[bid]}
+            pin = {**p_sum, scal_idx: 0.0 - fl * cap_k}     # +0.0, not -0.0, at cap_k = 0
 
-            lp.add_row({scal_idx: av_k - fl * cap_k, a_j: -(m_val + eps_mw)},
-                       "<=", fl * cap_c - av_c + res - eps_mw,
+            lp.add_row({scal_idx: av_k - fl * cap_k, a_j: -(m_val + EPSILON_MW)},
+                       "<=", fl * cap_c - av_c + res - EPSILON_MW,
                        name=f"trigger[{k},{bid}]")
-            row5 = dict(p_sum)
-            row5[scal_idx] = row5.get(scal_idx, 0.0) - fl * cap_k
-            row5[a_j] = m_val
-            lp.add_row(row5, "<=", m_val + fl * cap_c + res, name=f"pin_hi[{k},{bid}]")
-            row6 = dict(p_sum)
-            row6[scal_idx] = row6.get(scal_idx, 0.0) - fl * cap_k
-            row6[a_j] = -m_val
-            lp.add_row(row6, ">=", -m_val + fl * cap_c + res, name=f"pin_lo[{k},{bid}]")
-            row7 = dict(sp_sum)
-            row7[a_j] = -m_val
-            lp.add_row(row7, "<=", 0.0, name=f"spill[{k},{bid}]")
+            lp.add_row({**pin, a_j: m_val}, "<=", m_val + fl * cap_c + res,
+                       name=f"pin_hi[{k},{bid}]")
+            lp.add_row({**pin, a_j: -m_val}, ">=", -m_val + fl * cap_c + res,
+                       name=f"pin_lo[{k},{bid}]")
+            lp.add_row({**sp_sum, a_j: -m_val}, "<=", 0.0, name=f"spill[{k},{bid}]")
 
-        # system balance, lossless
-        bal_p = {p_idx[(k, g.id)]: 1.0 for g in elig_units}
-        bal_p[imp_idx[k]] = 1.0
-        bal_p[exp_idx[k]] = -1.0
-        for i in range(len(agg.bus_order)):
-            bal_p[pns_idx[(k, i)]] = 1.0
-            bal_p[eps_idx[(k, i)]] = -1.0
-        lp.add_row(bal_p, "==",
+        # system balance, lossless: every bus's P (Q) injection plus exchange
+        # as objects, so that every row of the hour shares one int per variable
+        inj_vars = np.concatenate([unit_idx[k, :, 0], slack_idx[k].ravel()]).astype(object)
+        bal_p = dict(zip(inj_vars[is_p].tolist(), inj_sign[is_p].tolist()))
+        lp.add_row({**bal_p, imp: 1.0, exp: -1.0}, "==",
                    float(np.sum(agg.demand_p[k]) - np.sum(agg.nonelig_prod[k])),
                    name=f"balance_p[{k}]")
-        bal_q = {qimp_idx[k]: 1.0, qexp_idx[k]: -1.0}
-        for i in range(len(agg.bus_order)):
-            bal_q[qns_idx[(k, i)]] = 1.0
-            bal_q[eqs_idx[(k, i)]] = -1.0
-        lp.add_row(bal_q, "==", float(np.sum(agg.demand_q[k])), name=f"balance_q[{k}]")
+        bal_q = dict(zip(inj_vars[~is_p].tolist(), inj_sign[~is_p].tolist()))
+        lp.add_row({**bal_q, qimp: 1.0, qexp: -1.0}, "==", float(np.sum(agg.demand_q[k])),
+                   name=f"balance_q[{k}]")
 
-        # network rows: injections are affine in the hour's variables
-        inj_const = agg.nonelig_prod[k] - agg.demand_p[k]
-
-        def p_injection_terms(j_pos: int) -> dict[int, float]:
-            bid = agg.bus_order[j_pos]
-            terms = {p_idx[(k, g.id)]: 1.0 for g in elig_at.get(bid, [])}
-            terms[pns_idx[(k, j_pos)]] = 1.0
-            terms[eps_idx[(k, j_pos)]] = -1.0
-            return terms
-
+        # network rows: injections are affine in the hour's variables; the
+        # constants add up bus by bus, a bus's P term before its Q term
+        inj_const = (agg.nonelig_prod[k] - agg.demand_p[k])[nonslack_pos]
+        t_const = _running_total(0.0, model.flow_map * inj_const)
+        v_const = _running_total(vs2, np.stack(
+            [model.voltage_map_p * inj_const,
+             model.voltage_map_q * -agg.demand_q[k, nonslack_pos]], axis=-1
+        ).reshape(len(inj_const), 2 * len(inj_const)))
         for l, line in enumerate(grid.lines):
-            coeffs: dict[int, float] = {}
-            const = 0.0
-            for nsl, j_pos in enumerate(nonslack_pos):
-                a = model.flow_map[l, nsl]
-                if a == 0.0:
-                    continue
-                const += a * inj_const[j_pos]
-                for var, c in p_injection_terms(j_pos).items():
-                    coeffs[var] = coeffs.get(var, 0.0) + a * c
-            thermal_hi_rows[k, l] = lp.add_row(coeffs, "<=", s_max[l] - const,
+            cols, vals = thermal_terms[l]
+            coeffs = dict(zip(inj_vars[cols].tolist(), vals.tolist()))
+            thermal_hi_rows[k, l] = lp.add_row(coeffs, "<=", s_max[l] - t_const[l],
                                                name=f"thermal_hi[{k},{line.id}]")
-            lp.add_row(coeffs, ">=", -s_max[l] - const, name=f"thermal_lo[{k},{line.id}]")
-
-        vs2 = model.slack_voltage**2
-        for nsl_i, bid in enumerate(model.bus_order):
-            coeffs = {}
-            const = vs2
-            for nsl_j, j_pos in enumerate(nonslack_pos):
-                kp = model.voltage_map_p[nsl_i, nsl_j]
-                kq = model.voltage_map_q[nsl_i, nsl_j]
-                if kp != 0.0:
-                    const += kp * inj_const[j_pos]
-                    for var, c in p_injection_terms(j_pos).items():
-                        coeffs[var] = coeffs.get(var, 0.0) + kp * c
-                if kq != 0.0:
-                    const += kq * (-agg.demand_q[k, j_pos])
-                    coeffs[qns_idx[(k, j_pos)]] = coeffs.get(qns_idx[(k, j_pos)], 0.0) + kq
-                    coeffs[eqs_idx[(k, j_pos)]] = coeffs.get(eqs_idx[(k, j_pos)], 0.0) - kq
-            v_hi_rows[k, nsl_i] = lp.add_row(coeffs, "<=", vmax2[nsl_i] - const,
-                                             name=f"v_hi[{k},{bid}]")
-            lp.add_row(coeffs, ">=", vmin2[nsl_i] - const, name=f"v_lo[{k},{bid}]")
+            lp.add_row(coeffs, ">=", -s_max[l] - t_const[l],
+                       name=f"thermal_lo[{k},{line.id}]")
+        for n, bid in enumerate(model.bus_order):
+            cols, vals = v_terms[n]
+            coeffs = dict(zip(inj_vars[cols].tolist(), vals.tolist()))
+            v_hi_rows[k, n] = lp.add_row(coeffs, "<=", vmax2[n] - v_const[n],
+                                         name=f"v_hi[{k},{bid}]")
+            lp.add_row(coeffs, ">=", vmin2[n] - v_const[n], name=f"v_lo[{k},{bid}]")
 
     return ProblemInstance(
         grid=grid, scenario=scenario, cfg=cfg, hours=hours, model=model, agg=agg,
-        lp=lp, binaries=tuple(binaries), scal_idx=scal_idx, fix_scal=fix_scal,
-        p_idx=p_idx, sp_idx=sp_idx, alpha_idx=alpha_idx,
-        imp_idx=imp_idx, exp_idx=exp_idx, qimp_idx=qimp_idx, qexp_idx=qexp_idx,
-        pns_idx=pns_idx, eps_idx=eps_idx, qns_idx=qns_idx, eqs_idx=eqs_idx,
-        big_m=big_m, thermal_hi_rows=thermal_hi_rows, v_hi_rows=v_hi_rows,
+        lp=lp, binaries=tuple(alphas), scal_idx=scal_idx, fix_scal=fix_scal,
+        elig_units=tuple(g.id for g in elig_units), elig_nodes=tuple(elig_nodes),
+        unit_idx=unit_idx, exchange_idx=exchange_idx, slack_idx=slack_idx,
+        alpha_idx=np.array(alphas, dtype=int).reshape(H, E),
+        big_m=np.array(big_m, dtype=float).reshape(H, E),
+        thermal_hi_rows=thermal_hi_rows, v_hi_rows=v_hi_rows,
     )
 
 
@@ -532,6 +522,35 @@ class PlanResult:
         return self.unserved_mwh + self.surplus_mwh
 
 
+def unit_dispatch(grid: Grid, scenario: Scenario, hours: tuple[int, ...], scal: float,
+                  eligible_split) -> tuple[dict[str, np.ndarray], ...]:
+    """Per-generator production, curtailment and availability over hours, MW.
+
+    Non-eligible units run at full availability p_max * cf. An eligible
+    unit's availability is (p_max * scal for candidates, else p_max) * cf; the
+    engine splits it: eligible_split(u, unit, availability) returns the unit's
+    (production, curtailment), u counting eligible units in grid order.
+    """
+    idx = np.asarray(hours, dtype=int)
+    elig_kinds = scenario.eligible_kinds()
+    production: dict[str, np.ndarray] = {}
+    curtail: dict[str, np.ndarray] = {}
+    avail: dict[str, np.ndarray] = {}
+    u = 0
+    for g in grid.gens:
+        cf = np.asarray(g.profile, dtype=float)[idx]
+        if g.kind in elig_kinds:
+            base = g.p_max * scal if g.kind == "pv_candidate" else g.p_max
+            avail[g.id] = base * cf
+            production[g.id], curtail[g.id] = eligible_split(u, g, avail[g.id])
+            u += 1
+        else:
+            production[g.id] = g.p_max * cf
+            curtail[g.id] = np.zeros(len(idx))
+            avail[g.id] = g.p_max * cf
+    return production, curtail, avail
+
+
 def extract_solution(instance: ProblemInstance, sol: MILPSolution) -> PlanResult:
     """Decode a MILP solution and cross-check the embedded network rows.
 
@@ -553,44 +572,24 @@ def extract_solution(instance: ProblemInstance, sol: MILPSolution) -> PlanResult
             unserved_mwh=0.0, surplus_mwh=0.0)
     x = sol.x
     hours = instance.hours
-    H = len(hours)
-    pos = {bid: i for i, bid in enumerate(agg.bus_order)}
     scal = float(x[instance.scal_idx])
+    units = x[instance.unit_idx]                  # (H, U, 2) p, sp
+    production, curtail, avail = unit_dispatch(
+        grid, instance.scenario, hours, scal,
+        lambda u, g, a: (units[:, u, 0], units[:, u, 1]))
 
-    production: dict[str, np.ndarray] = {}
-    curtail: dict[str, np.ndarray] = {}
-    avail: dict[str, np.ndarray] = {}
-    elig_ids = set()
+    # injections from per-unit production at each generator's bus, not from
+    # the builder's incidence, so the check below can catch a mismatch
+    pos = {bid: i for i, bid in enumerate(agg.bus_order)}
+    gen_at = np.zeros((len(hours), len(agg.bus_order)))
     for g in grid.gens:
-        cf = np.array([g.profile[h] for h in hours])
-        if (0, g.id) in instance.p_idx:
-            elig_ids.add(g.id)
-            production[g.id] = np.array([x[instance.p_idx[(k, g.id)]] for k in range(H)])
-            curtail[g.id] = np.array([x[instance.sp_idx[(k, g.id)]] for k in range(H)])
-            base = g.p_max * scal if g.kind == "pv_candidate" else g.p_max
-            avail[g.id] = base * cf
-        else:
-            production[g.id] = g.p_max * cf
-            curtail[g.id] = np.zeros(H)
-            avail[g.id] = g.p_max * cf
+        gen_at[:, pos[g.bus]] += production[g.id]
+    slack = x[instance.slack_idx]                 # (H, N, 4) pns, eps, qns, eqs
+    cols = [pos[bid] for bid in model.bus_order]
+    inj = (gen_at + (slack[..., 0] - slack[..., 1]) - agg.demand_p)[:, cols]
+    inj_q = (slack[..., 2] - slack[..., 3] - agg.demand_q)[:, cols]
 
-    inj = np.zeros((H, len(model.bus_order)))
-    inj_q = np.zeros_like(inj)
-    for nsl, bid in enumerate(model.bus_order):
-        i = pos[bid]
-        gen_sum = np.zeros(H)
-        for g in grid.gens:
-            if g.bus == bid:
-                gen_sum += production[g.id]
-        for k in range(H):
-            gen_sum[k] += x[instance.pns_idx[(k, i)]] - x[instance.eps_idx[(k, i)]]
-            inj_q[k, nsl] = (x[instance.qns_idx[(k, i)]] - x[instance.eqs_idx[(k, i)]]
-                             - agg.demand_q[k, i])
-        inj[:, nsl] = gen_sum - agg.demand_p[:, i]
-
-    flows, v2 = evaluate_linear(model, inj, inj_q)
-    flows = np.atleast_2d(flows)
-    v2 = np.atleast_2d(v2)
+    flows, v2 = map(np.atleast_2d, evaluate_linear(model, inj, inj_q))
 
     # agreement check against the LP's own thermal/voltage row activities:
     # activity + (limit - rhs) is the flow or squared voltage the row encodes
@@ -605,10 +604,9 @@ def extract_solution(instance: ProblemInstance, sol: MILPSolution) -> PlanResult
             f"decoded network state deviates from LP rows by {worst:.3e}")
 
     dh = grid.hour_duration_h
-    unserved = (sum(x[j] for j in instance.pns_idx.values())
-                + sum(x[j] for j in instance.qns_idx.values())) * dh
-    surplus = (sum(x[j] for j in instance.eps_idx.values())
-               + sum(x[j] for j in instance.eqs_idx.values())) * dh
+    pns, eps, qns, eqs = _running_total(0.0, slack.reshape(-1, 4).T)
+    unserved, surplus = (pns + qns) * dh, (eps + eqs) * dh
+    alpha = x[instance.alpha_idx].tolist()
 
     return PlanResult(
         status="optimal",
@@ -623,11 +621,12 @@ def extract_solution(instance: ProblemInstance, sol: MILPSolution) -> PlanResult
         production_mw=production,
         curtailment_mw=curtail,
         available_mw=avail,
-        alpha={key: float(x[j]) for key, j in instance.alpha_idx.items()},
+        alpha={(k, bid): a for k, row in enumerate(alpha)
+               for bid, a in zip(instance.elig_nodes, row)},
         flows_mw=flows,
         voltages_pu2=v2,
-        imports_mw=np.array([x[instance.imp_idx[k]] for k in range(H)]),
-        exports_mw=np.array([x[instance.exp_idx[k]] for k in range(H)]),
+        imports_mw=x[instance.exchange_idx[:, 0]],
+        exports_mw=x[instance.exchange_idx[:, 1]],
         unserved_mwh=float(unserved),
         surplus_mwh=float(surplus),
     )

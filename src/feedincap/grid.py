@@ -197,69 +197,82 @@ def parse_grid(document: str | dict, *, validate: bool = True) -> Grid:
     for key in ("base_mva", "base_kv", "buses", "lines"):
         if key not in doc:
             raise GridFormatError(f"missing required key {key!r}")
+    for key in ("buses", "lines", "generators"):
+        if not isinstance(doc.get(key, []), list):
+            raise GridFormatError(f"{key} must be a list")
 
-    buses = []
-    for i, raw in enumerate(doc["buses"]):
-        if not isinstance(raw, dict) or "id" not in raw:
-            raise GridFormatError(f"buses[{i}]: expected an object with an 'id'")
-        bid = str(raw["id"])
-        dp = raw.get("demand_p", [0.0])
-        dq = raw.get("demand_q")
-        demand_p = _power(dp, f"bus {bid} demand_p", series=True)
-        if dq is None:
-            demand_q = (0.0,) * len(demand_p)
-        else:
-            demand_q = _power(dq, f"bus {bid} demand_q", series=True)
-        buses.append(
-            Bus(
-                id=bid,
-                is_slack=bool(raw.get("is_slack", False)),
-                demand_p=demand_p,
-                demand_q=demand_q,
-                vmin=float(raw.get("vmin", 0.95)),
-                vmax=float(raw.get("vmax", 1.05)),
+    where = "grid"      # names the element whose value fails to convert
+    try:
+        buses = []
+        for i, raw in enumerate(doc["buses"]):
+            if not isinstance(raw, dict) or "id" not in raw:
+                raise GridFormatError(f"buses[{i}]: expected an object with an 'id'")
+            bid = str(raw["id"])
+            where = f"bus {bid}"
+            dp = raw.get("demand_p", [0.0])
+            dq = raw.get("demand_q")
+            demand_p = _power(dp, f"bus {bid} demand_p", series=True)
+            if dq is None:
+                demand_q = (0.0,) * len(demand_p)
+            else:
+                demand_q = _power(dq, f"bus {bid} demand_q", series=True)
+            buses.append(
+                Bus(
+                    id=bid,
+                    is_slack=bool(raw.get("is_slack", False)),
+                    demand_p=demand_p,
+                    demand_q=demand_q,
+                    vmin=float(raw.get("vmin", 0.95)),
+                    vmax=float(raw.get("vmax", 1.05)),
+                )
             )
-        )
 
-    lines = []
-    for i, raw in enumerate(doc["lines"]):
-        if not isinstance(raw, dict) or "from" not in raw or "to" not in raw:
-            raise GridFormatError(f"lines[{i}]: expected an object with 'from'/'to'")
-        lines.append(
-            Line(
-                from_bus=str(raw["from"]),
-                to_bus=str(raw["to"]),
-                r=float(raw.get("r", 0.0)),
-                x=float(raw.get("x", 0.0)),
-                s_max=_power(raw.get("s_max", math.inf), f"lines[{i}] s_max"),
-                length_km=float(raw.get("length_km", 0.0)),
+        lines = []
+        for i, raw in enumerate(doc["lines"]):
+            if not isinstance(raw, dict) or "from" not in raw or "to" not in raw:
+                raise GridFormatError(f"lines[{i}]: expected an object with 'from'/'to'")
+            where = f"lines[{i}]"
+            lines.append(
+                Line(
+                    from_bus=str(raw["from"]),
+                    to_bus=str(raw["to"]),
+                    r=float(raw.get("r", 0.0)),
+                    x=float(raw.get("x", 0.0)),
+                    s_max=_power(raw.get("s_max", math.inf), f"lines[{i}] s_max"),
+                    length_km=float(raw.get("length_km", 0.0)),
+                )
             )
-        )
 
-    gens = []
-    for i, raw in enumerate(doc.get("generators", [])):
-        if not isinstance(raw, dict) or "id" not in raw:
-            raise GridFormatError(f"generators[{i}]: expected an object with an 'id'")
-        gid = str(raw["id"])
-        profile = raw.get("profile", [1.0])
-        gens.append(
-            GenUnit(
-                id=gid,
-                bus=str(raw.get("bus", "")),
-                kind=str(raw.get("kind", "")),
-                p_max=_power(raw.get("p_max", 0.0), f"gen {gid} p_max"),
-                profile=tuple(float(v) for v in profile),
+        gens = []
+        for i, raw in enumerate(doc.get("generators", [])):
+            if not isinstance(raw, dict) or "id" not in raw:
+                raise GridFormatError(f"generators[{i}]: expected an object with an 'id'")
+            gid = str(raw["id"])
+            where = f"gen {gid}"
+            profile = raw.get("profile", [1.0])
+            gens.append(
+                GenUnit(
+                    id=gid,
+                    bus=str(raw.get("bus", "")),
+                    kind=str(raw.get("kind", "")),
+                    p_max=_power(raw.get("p_max", 0.0), f"gen {gid} p_max"),
+                    profile=tuple(float(v) for v in profile),
+                )
             )
-        )
 
-    grid = Grid(
-        base_mva=float(doc["base_mva"]),
-        base_kv=float(doc["base_kv"]),
-        hour_duration_h=float(doc.get("hour_duration_h", 1.0)),
-        buses=tuple(buses),
-        lines=tuple(lines),
-        gens=tuple(gens),
-    )
+        where = "grid"
+        grid = Grid(
+            base_mva=float(doc["base_mva"]),
+            base_kv=float(doc["base_kv"]),
+            hour_duration_h=float(doc.get("hour_duration_h", 1.0)),
+            buses=tuple(buses),
+            lines=tuple(lines),
+            gens=tuple(gens),
+        )
+    except GridFormatError:
+        raise
+    except (TypeError, ValueError) as exc:      # a value that is not a number
+        raise GridFormatError(f"{where}: expected numbers ({exc})") from None
     if validate:
         errors = [iss for iss in validate_grid(grid) if iss.severity == "error"]
         if errors:
@@ -400,6 +413,10 @@ def validate_grid(grid: Grid) -> list[ValidationIssue]:
             err("bad_line_param", ln.id, f"negative impedance r={ln.r} x={ln.x}")
         if not ln.s_max > 0:
             err("bad_line_param", ln.id, f"s_max must be > 0, got {ln.s_max}")
+        if ln.r == 0 and ln.x == 0:
+            issues.append(ValidationIssue(
+                "zero_impedance", "warning", ln.id,
+                "r = x = 0: the linearized model accepts it, the AC power-flow check cannot"))
 
     # Radiality: tree edge count plus connectivity from the slack.
     if len(slack_ids) == 1 and not any(i.code == "unknown_bus" for i in issues):

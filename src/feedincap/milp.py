@@ -43,17 +43,17 @@ NODE_LIMIT = "node_limit"
 NUMERICAL = "numerical"
 
 
+OPTIMALITY_TOL = 1e-7      # reduced-cost threshold for an entering column
+INTEGRALITY_TOL = 1e-6     # a binary this close to 0 or 1 counts as integral
+REFACTOR_EVERY = 128       # pivots between full re-inversions of the basis
+BLAND_AFTER = 40           # degenerate pivots in a row before Bland's rule
+
+
 @dataclass
 class SolverConfig:
     feasibility_tol: float = 1e-7
-    optimality_tol: float = 1e-7
-    integrality_tol: float = 1e-6
-    epsilon_mw: float = 1e-6         # strict-inequality margin for indicator triggers
     scal_max: float = 1000.0
     node_limit: int = 100_000
-    iteration_limit: int = 0            # 0 = scale with problem size
-    refactor_every: int = 128
-    bland_after: int = 40
 
 
 @dataclass
@@ -98,14 +98,13 @@ class LinearProgram:
                 name: str = "") -> int:
         if sense not in ("<=", ">=", "=="):
             raise ValueError(f"bad sense {sense!r}")
-        items = sorted(coeffs.items())
-        n = self.n_vars
-        for j, _ in items:
-            if not 0 <= j < n:
-                raise ValueError(f"row {name!r} references unknown variable {j}")
+        idx, coef = zip(*sorted(coeffs.items())) if coeffs else ((), ())
+        if idx and not (0 <= idx[0] and idx[-1] < self.n_vars):     # sorted: ends bound all
+            bad = next(j for j in idx if not 0 <= j < self.n_vars)
+            raise ValueError(f"row {name!r} references unknown variable {bad}")
         self.rows.append(_Row(
-            idx=tuple(j for j, _ in items),
-            coef=tuple(float(v) for _, v in items),
+            idx=idx,
+            coef=tuple(map(float, coef)),
             sense=sense,
             rhs=float(rhs),
             name=name or f"r{len(self.rows)}",
@@ -280,11 +279,10 @@ def _pivot_update(B_inv: np.ndarray, w: np.ndarray, r: int) -> None:
     B_inv[r] = brow
 
 
-def _iterate(st: _SimplexState, c: np.ndarray, cfg: SolverConfig,
-             iter_cap: int) -> str:
+def _iterate(st: _SimplexState, c: np.ndarray, iter_cap: int) -> str:
     """Run simplex to optimality for the given objective. Returns a status."""
     sf = st.sf
-    tol = cfg.optimality_tol
+    tol = OPTIMALITY_TOL
     piv_tol = 1e-9
     degen_streak = 0
     bland = False
@@ -358,13 +356,13 @@ def _iterate(st: _SimplexState, c: np.ndarray, cfg: SolverConfig,
 
         if t <= 1e-11:
             degen_streak += 1
-            if degen_streak > cfg.bland_after:
+            if degen_streak > BLAND_AFTER:
                 bland = True
         else:
             degen_streak = 0
             bland = False
 
-        if since_refactor >= cfg.refactor_every:
+        if since_refactor >= REFACTOR_EVERY:
             since_refactor = 0
             if not st.refactor():
                 return NUMERICAL
@@ -404,13 +402,13 @@ def _phase_one(st: _SimplexState, tol: float) -> tuple[_SimplexState, np.ndarray
 def _solve_standard(sf: _StandardForm, lb: np.ndarray, ub: np.ndarray,
                     cfg: SolverConfig) -> LPSolution:
     n = sf.n
-    iter_cap = cfg.iteration_limit or (2000 + 60 * (sf.m + n))
+    iter_cap = 2000 + 60 * (sf.m + n)     # scales with problem size
 
     st = _SimplexState(sf, lb.copy(), ub.copy())
     phase_one = _phase_one(st, cfg.feasibility_tol)
     if phase_one is not None:
         st, c1 = phase_one
-        status = _iterate(st, c1, cfg, iter_cap)
+        status = _iterate(st, c1, iter_cap)
         if status != OPTIMAL:
             # an unbounded phase 1 can only come from numerical trouble
             return LPSolution(NUMERICAL if status == UNBOUNDED else status,
@@ -423,7 +421,7 @@ def _solve_standard(sf: _StandardForm, lb: np.ndarray, ub: np.ndarray,
         st.lb[art] = st.ub[art] = 0.0
         st.x[art] = np.where(np.abs(st.x[art]) < 1e-9, 0.0, st.x[art])
 
-    status = _iterate(st, st.sf.c, cfg, iter_cap)
+    status = _iterate(st, st.sf.c, iter_cap)
     if status != OPTIMAL:
         return LPSolution(status, None, None, st.iterations)
     st.refactor()
@@ -504,7 +502,7 @@ def solve_milp(mip: MILProblem, cfg: SolverConfig | None = None) -> MILPSolution
         if sol.objective >= incumbent_obj - 1e-9:
             continue
 
-        j_branch = _most_fractional(sol.x, binaries, lb, ub, cfg.integrality_tol)
+        j_branch = _most_fractional(sol.x, binaries, lb, ub, INTEGRALITY_TOL)
         if j_branch < 0:
             # Near-integral: pin binaries to rounded values and re-solve so the
             # incumbent satisfies the indicator logic exactly. If every binary

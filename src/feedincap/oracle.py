@@ -28,6 +28,7 @@ from .formulation import (
     build_problem,
     curtailment_rule,
     node_aggregates,
+    unit_dispatch,
 )
 from .grid import Grid
 from .milp import SolverConfig, solve_lp
@@ -315,29 +316,16 @@ def oracle_plan(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = None,
     state = _rule_state(agg, scenario.fl, scal)
     flows, v2 = _network_arrays(state, model, agg)
     hours = agg.hours
-    idx = np.asarray(hours)
-    H = len(hours)
     pos = {bid: i for i, bid in enumerate(agg.bus_order)}
-    elig_kinds = scenario.eligible_kinds()
 
-    production: dict[str, np.ndarray] = {}
-    curtail: dict[str, np.ndarray] = {}
-    avail: dict[str, np.ndarray] = {}
-    for g in grid.gens:
-        cf = np.asarray(g.profile, dtype=float)[idx]
-        if g.kind in elig_kinds:
-            base = g.p_max * scal if g.kind == "pv_candidate" else g.p_max
-            a_g = base * cf
-            i = pos[g.bus]
-            node_av = state.available_mw[:, i]
-            share = np.divide(a_g, node_av, out=np.zeros(H), where=node_av > 0)
-            curtail[g.id] = state.curtailed_mw[:, i] * share
-            production[g.id] = a_g - curtail[g.id]
-            avail[g.id] = a_g
-        else:
-            production[g.id] = g.p_max * cf
-            curtail[g.id] = np.zeros(H)
-            avail[g.id] = g.p_max * cf
+    def pro_rata(u, g, a_g):
+        i = pos[g.bus]
+        node_av = state.available_mw[:, i]
+        share = np.divide(a_g, node_av, out=np.zeros(len(hours)), where=node_av > 0)
+        curtailed = state.curtailed_mw[:, i] * share
+        return a_g - curtailed, curtailed
+
+    production, curtail, avail = unit_dispatch(grid, scenario, hours, scal, pro_rata)
 
     net = state.injection_p.sum(axis=1)           # lossless: slack picks this up
     net_q = state.injection_q.sum(axis=1)

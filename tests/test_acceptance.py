@@ -99,7 +99,7 @@ def test_criterion_3_exhaustive_binary_equivalence():
                                                  max_bus=5, max_hours=3):
         count += 1
         inst = build_problem(grid, scenario, cfg)
-        assert len(inst.alpha_idx) <= 12
+        assert inst.alpha_idx.size <= 12
         sol = solve_milp(inst.mip, cfg)
         enum = enumerate_alpha(grid, scenario, cfg)
         if sol.status != "optimal" or enum.status != "optimal":

@@ -62,6 +62,37 @@ def test_validate_garbage(tmp_path, capsys):
     assert cli.main(["validate", str(p)]) == 2
 
 
+def test_validate_zero_impedance_is_a_warning(tmp_path, capsys):
+    p = tmp_path / "ideal.json"
+    p.write_text(serialize_grid(two_bus(r=0.0, x=0.0)))
+    assert cli.main(["validate", str(p)]) == 0
+    out = capsys.readouterr().out
+    assert "warning zero_impedance at sub-n1" in out
+    assert "ok: 2 buses" in out
+
+
+@pytest.mark.parametrize("command,where,key,value", [
+    ("validate", "buses", "vmin", "x"),
+    ("validate", "grid", "base_mva", "x"),
+    ("validate", "generators", "profile", 5),
+    ("validate", "generators", "profile", ["a"]),
+    ("plan", "scenario", "fl", "x"),
+    ("plan", "scenario", "hours", 3),
+])
+def test_malformed_values_are_usage_errors(command, where, key, value, tmp_path, capsys):
+    grid_doc = json.loads(serialize_grid(two_bus()))
+    argv = [command, str(tmp_path / "grid.json")]
+    if where == "scenario":
+        (tmp_path / "scenario.json").write_text(json.dumps({key: value}))
+        argv += ["--scenario", str(tmp_path / "scenario.json"),
+                 "--outdir", str(tmp_path / "out")]
+    else:
+        (grid_doc if where == "grid" else grid_doc[where][-1])[key] = value
+    (tmp_path / "grid.json").write_text(json.dumps(grid_doc))
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 # -- plan --------------------------------------------------------------------
 
 
@@ -185,6 +216,19 @@ def test_plan_bad_fl_flag(toy_file, capsys):
 
 
 # -- sweep -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--fl-values", "1.5", "fl must lie"),
+    ("--cases", "c", "case must be"),
+    ("--mults", "-1", "demand_multiplier"),
+])
+def test_sweep_bad_cell_value_is_usage_error(flag, value, message, toy_file, tmp_path,
+                                             capsys):
+    assert cli.main(["sweep", toy_file, flag, value,
+                     "--outdir", str(tmp_path / "rep")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
 
 
 def test_sweep_defaults_on_urban(tmp_path, capsys):

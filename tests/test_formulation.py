@@ -13,11 +13,11 @@ from feedincap.formulation import (
     scenario_to_json,
     worst_case_hour,
 )
-from feedincap.fixtures import example_grid_7kwp
+from feedincap.fixtures import example_grid_7kwp, synth_grid
 from feedincap.grid import Bus, GenUnit, Grid, Line
 from feedincap.milp import SolverConfig, solve_milp
 
-from util import random_radial, two_bus
+from util import random_radial, reference_network_rows, two_bus
 
 
 # -- Scenario ----------------------------------------------------------------
@@ -208,9 +208,7 @@ def test_extract_infeasible_has_no_values():
     grid = two_bus(demand_mw=1.0, s_max=0.5, kind="wind", p_max=0.0)
     cfg = SolverConfig()
     inst = build_problem(grid, Scenario(fl=1.0), cfg)
-    for j in inst.pns_idx.values():
-        inst.lp.ub[j] = 0.0
-    for j in inst.eps_idx.values():
+    for j in inst.slack_idx[..., :2].ravel():     # pns, eps
         inst.lp.ub[j] = 0.0
     sol = solve_milp(inst.mip, cfg)
     plan = extract_solution(inst, sol)
@@ -277,15 +275,31 @@ def test_binary_prefixing_narrows_bounds():
     # candidate at CF 1 with fl 0.5: above cap for every scal > 0 at this node
     grid = two_bus(p_max=1.0)
     inst = build_problem(grid, Scenario(fl=0.5), SolverConfig())
-    (key,) = inst.alpha_idx.keys()
-    j = inst.alpha_idx[key]
+    (j,) = inst.alpha_idx.ravel()
     # premise can flip sign over [0, SCAL_MAX] only via the residual; D = 0
     # here, so the trigger is live for scal > 0 and stays free or pinned high
     assert (inst.lp.lb[j], inst.lp.ub[j]) in ((0.0, 1.0), (1.0, 1.0))
 
 
+def test_network_rows_match_the_bus_by_bus_reference():
+    rng = np.random.default_rng(5)
+    cases = [(synth_grid("urban_mv"), Scenario(fl=0.7, case="b"))]
+    for n in range(6):
+        grid = random_radial(rng, n_bus=3 + 2 * n, hours=3)
+        cases.append((grid, Scenario(fl=0.8, case="ab"[n % 2], hours=(0, 1, 2))))
+    for grid, scenario in cases:
+        inst = build_problem(grid, scenario, SolverConfig())
+        built = [inst.lp.rows[r] for k in range(len(inst.hours))
+                 for r in (*inst.thermal_hi_rows[k], *inst.v_hi_rows[k])]
+        ref = reference_network_rows(inst)
+        assert len(built) == len(ref)
+        for row, (coeffs, rhs) in zip(built, ref):
+            assert dict(zip(row.idx, row.coef)) == coeffs
+            assert row.rhs == rhs
+
+
 def test_big_m_positive_and_matching_nodes():
     grid = example_grid_7kwp()
     inst = build_problem(grid, Scenario(fl=0.7), SolverConfig())
-    assert set(inst.big_m) == set(inst.alpha_idx)
-    assert all(m > 0 for m in inst.big_m.values())
+    assert inst.big_m.shape == inst.alpha_idx.shape
+    assert (inst.big_m > 0).all()

@@ -25,6 +25,21 @@ def test_lp_single_var_at_bound():
     assert sol.objective == pytest.approx(-3.0)
 
 
+def test_add_row_sorts_entries_and_rejects_unknown_variables():
+    lp = LinearProgram()
+    for name in "abc":
+        lp.add_var(name)
+    lp.add_row({2: 1, 0: np.float64(-2.0)}, "<=", 1.0)
+    assert (lp.rows[0].idx, lp.rows[0].coef) == ((0, 2), (-2.0, 1.0))
+    assert all(type(v) is float for v in lp.rows[0].coef)
+    lp.add_row({}, "==", 0.0)
+    assert lp.rows[1].idx == ()
+    for coeffs, bad in (({0: 1.0, 3: 1.0, 4: 1.0}, 3), ({-1: 1.0, 1: 1.0}, -1)):
+        with pytest.raises(ValueError, match=f"unknown variable {bad}$"):
+            lp.add_row(coeffs, "<=", 0.0)
+    assert lp.n_rows == 2
+
+
 def test_lp_infeasible():
     lp = LinearProgram()
     x = lp.add_var("x", lb=-INF, ub=INF, obj=1.0)

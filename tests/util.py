@@ -7,6 +7,7 @@ import numpy as np
 from feedincap.grid import Bus, GenUnit, Grid, Line
 from feedincap.formulation import Scenario
 from feedincap.milp import SolverConfig
+from feedincap.network import network_bounds
 from feedincap.oracle import feasible_at
 
 
@@ -131,3 +132,51 @@ def reference_ratio_test(step, bvals, lb, ub, basis, piv_tol):
             t_best = t_i
             r_block = i
     return r_block, t_best
+
+
+def reference_network_rows(inst) -> list[tuple[dict[int, float], float]]:
+    """The thermal_hi and v_hi rows of a built problem, hour by hour, as the
+    bus-by-bus loop builds them: the reference for build_problem's block form.
+    Returns (coefficients, rhs) per row."""
+    agg, model, grid = inst.agg, inst.model, inst.grid
+    pos = {bid: i for i, bid in enumerate(agg.bus_order)}
+    bus_of = {g.id: pos[g.bus] for g in grid.gens}
+    unit_bus = [bus_of[gid] for gid in inst.elig_units]
+    s_max, vmax2, _ = network_bounds(grid, model.bus_order)
+    rows = []
+    for k in range(len(inst.hours)):
+        def p_terms(j):
+            terms = {int(inst.unit_idx[k, u, 0]): 1.0
+                     for u, b in enumerate(unit_bus) if b == j}
+            terms[int(inst.slack_idx[k, j, 0])] = 1.0
+            terms[int(inst.slack_idx[k, j, 1])] = -1.0
+            return terms
+
+        def q_terms(j):
+            return {int(inst.slack_idx[k, j, 2]): 1.0, int(inst.slack_idx[k, j, 3]): -1.0}
+
+        def add(coeffs, terms, a):
+            for var, c in terms.items():
+                coeffs[var] = coeffs.get(var, 0.0) + a * c
+
+        inj_const = agg.nonelig_prod[k] - agg.demand_p[k]
+        for l in range(len(grid.lines)):
+            coeffs, const = {}, 0.0
+            for nsl, bid in enumerate(model.bus_order):
+                a = model.flow_map[l, nsl]
+                if a != 0.0:
+                    const += a * inj_const[pos[bid]]
+                    add(coeffs, p_terms(pos[bid]), a)
+            rows.append((coeffs, s_max[l] - const))
+        for n in range(len(model.bus_order)):
+            coeffs, const = {}, model.slack_voltage**2
+            for nsl, bid in enumerate(model.bus_order):
+                kp, kq = model.voltage_map_p[n, nsl], model.voltage_map_q[n, nsl]
+                if kp != 0.0:
+                    const += kp * inj_const[pos[bid]]
+                    add(coeffs, p_terms(pos[bid]), kp)
+                if kq != 0.0:
+                    const += kq * (-agg.demand_q[k, pos[bid]])
+                    add(coeffs, q_terms(pos[bid]), kq)
+            rows.append((coeffs, vmax2[n] - const))
+    return rows
