@@ -21,6 +21,7 @@ the model carries no flow or voltage variables.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -126,7 +127,7 @@ def scenario_from_json(text: str | dict) -> Scenario:
             fl=float(doc.get("fl", 1.0)),
             case=str(doc.get("case", "a")),
             demand_multiplier=float(doc.get("demand_multiplier", 1.0)),
-            hours=None if doc.get("hours") is None else tuple(int(h) for h in doc["hours"]),
+            hours=None if doc.get("hours") is None else tuple(map(operator.index, doc["hours"])),
             mode=str(doc.get("mode", "snapshot")),
             costs=Costs(
                 import_eur_mwh=float(costs.get("import_eur_mwh", 200.0)),
@@ -273,14 +274,12 @@ class ProblemInstance:
 
     grid: Grid
     scenario: Scenario
-    cfg: SolverConfig
     hours: tuple[int, ...]
     model: LinearNetworkModel
     agg: NodeAggregates
     lp: LinearProgram
     binaries: tuple[int, ...]
     scal_idx: int
-    fix_scal: float | None
     elig_units: tuple[str, ...]                  # eligible generator ids, grid order
     elig_nodes: tuple[str, ...]                  # buses with eligible capacity, grid order
     unit_idx: np.ndarray                         # (H, U, 2) p, sp
@@ -301,11 +300,6 @@ def _running_total(start, terms: np.ndarray) -> np.ndarray:
     (np.sum pairs terms up and may round differently)."""
     first = np.full(terms.shape[:-1] + (1,), start)
     return np.add.accumulate(np.concatenate([first, terms], axis=-1), axis=-1)[..., -1]
-
-
-def _nonzeros(mat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each row's nonzero columns and their values."""
-    return [(np.flatnonzero(row), row[row != 0]) for row in mat]
 
 
 def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = None,
@@ -409,22 +403,21 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
     incidence = np.zeros((2, N, len(inj_bus)))          # P and Q, every bus
     incidence[inj_is_q, inj_bus, np.arange(len(inj_bus))] = inj_sign
     inc_p, inc_q = incidence[:, nonslack_pos]
-    thermal_terms = _nonzeros(model.flow_map @ inc_p)
-    v_terms = _nonzeros(model.voltage_map_p @ inc_p + model.voltage_map_q @ inc_q)
+    thermal_terms = [(np.flatnonzero(r), r[r != 0]) for r in model.flow_map @ inc_p]
+    v_terms = [(np.flatnonzero(r), r[r != 0])
+               for r in model.voltage_map_p @ inc_p + model.voltage_map_q @ inc_q]
 
     s_max, vmax2, vmin2 = network_bounds(grid, model.bus_order)
     vs2 = model.slack_voltage**2
     thermal_hi_rows = np.zeros((H, len(grid.lines)), dtype=int)
     v_hi_rows = np.zeros((H, len(model.bus_order)), dtype=int)
     for k in range(H):
-        unit_k = unit_idx[k].tolist()
-        imp, exp, qimp, qexp = exchange_idx[k].tolist()
-        for (p, sp), g in zip(unit_k, elig_units):
+        for (p, sp), g in zip(unit_idx[k].tolist(), elig_units):
             if g.kind == "pv_candidate":
-                lp.add_row({p: 1.0, sp: 1.0, scal_idx: -g.p_max * g.profile[hours[k]]},
+                lp.add_row([scal_idx, p, sp], [-g.p_max * g.profile[hours[k]], 1.0, 1.0],
                            "==", 0.0, name=f"avail[{k},{g.id}]")
             else:
-                lp.add_row({p: 1.0, sp: 1.0}, "==", g.p_max * g.profile[hours[k]],
+                lp.add_row([p, sp], [1.0, 1.0], "==", g.p_max * g.profile[hours[k]],
                            name=f"avail[{k},{g.id}]")
 
         for e, bid in enumerate(elig_nodes):
@@ -434,29 +427,30 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
             cap_c, cap_k = float(agg.cap_const[i]), float(agg.cap_coef[i])
             av_c, av_k = float(agg.avail_const[k, i]), float(agg.avail_coef[k, i])
             res = float(agg.residual[k, i])
-            p_sum = {unit_k[u][0]: 1.0 for u in units_at[bid]}
-            sp_sum = {unit_k[u][1]: 1.0 for u in units_at[bid]}
-            pin = {**p_sum, scal_idx: 0.0 - fl * cap_k}     # +0.0, not -0.0, at cap_k = 0
+            p_at, sp_at = unit_idx[k, units_at[bid]].T.tolist()
+            ones = [1.0] * len(p_at)
+            pin_idx = np.array([scal_idx, *p_at, a_j], dtype=np.intp)
+            pin_scal = 0.0 - fl * cap_k                 # +0.0, not -0.0, at cap_k = 0
 
-            lp.add_row({scal_idx: av_k - fl * cap_k, a_j: -(m_val + EPSILON_MW)},
+            lp.add_row([scal_idx, a_j], [av_k - fl * cap_k, -(m_val + EPSILON_MW)],
                        "<=", fl * cap_c - av_c + res - EPSILON_MW,
                        name=f"trigger[{k},{bid}]")
-            lp.add_row({**pin, a_j: m_val}, "<=", m_val + fl * cap_c + res,
+            lp.add_row(pin_idx, [pin_scal, *ones, m_val], "<=", m_val + fl * cap_c + res,
                        name=f"pin_hi[{k},{bid}]")
-            lp.add_row({**pin, a_j: -m_val}, ">=", -m_val + fl * cap_c + res,
+            lp.add_row(pin_idx, [pin_scal, *ones, -m_val], ">=", -m_val + fl * cap_c + res,
                        name=f"pin_lo[{k},{bid}]")
-            lp.add_row({**sp_sum, a_j: -m_val}, "<=", 0.0, name=f"spill[{k},{bid}]")
+            lp.add_row([*sp_at, a_j], [*ones, -m_val], "<=", 0.0, name=f"spill[{k},{bid}]")
 
         # system balance, lossless: every bus's P (Q) injection plus exchange
-        # as objects, so that every row of the hour shares one int per variable
-        inj_vars = np.concatenate([unit_idx[k, :, 0], slack_idx[k].ravel()]).astype(object)
-        bal_p = dict(zip(inj_vars[is_p].tolist(), inj_sign[is_p].tolist()))
-        lp.add_row({**bal_p, imp: 1.0, exp: -1.0}, "==",
+        inj_vars = np.concatenate([unit_idx[k, :, 0], slack_idx[k].ravel()])
+        imp, exp, qimp, qexp = exchange_idx[k]
+        lp.add_row(np.concatenate([[imp, exp], inj_vars[is_p]]),
+                   np.concatenate([[1.0, -1.0], inj_sign[is_p]]), "==",
                    float(np.sum(agg.demand_p[k]) - np.sum(agg.nonelig_prod[k])),
                    name=f"balance_p[{k}]")
-        bal_q = dict(zip(inj_vars[~is_p].tolist(), inj_sign[~is_p].tolist()))
-        lp.add_row({**bal_q, qimp: 1.0, qexp: -1.0}, "==", float(np.sum(agg.demand_q[k])),
-                   name=f"balance_q[{k}]")
+        lp.add_row(np.concatenate([[qimp, qexp], inj_vars[~is_p]]),
+                   np.concatenate([[1.0, -1.0], inj_sign[~is_p]]), "==",
+                   float(np.sum(agg.demand_q[k])), name=f"balance_q[{k}]")
 
         # network rows: injections are affine in the hour's variables; the
         # constants add up bus by bus, a bus's P term before its Q term
@@ -466,23 +460,21 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
             [model.voltage_map_p * inj_const,
              model.voltage_map_q * -agg.demand_q[k, nonslack_pos]], axis=-1
         ).reshape(len(inj_const), 2 * len(inj_const)))
-        for l, line in enumerate(grid.lines):
-            cols, vals = thermal_terms[l]
-            coeffs = dict(zip(inj_vars[cols].tolist(), vals.tolist()))
-            thermal_hi_rows[k, l] = lp.add_row(coeffs, "<=", s_max[l] - t_const[l],
+        for l, (line, (cols, vals)) in enumerate(zip(grid.lines, thermal_terms)):
+            idx = inj_vars[cols]
+            thermal_hi_rows[k, l] = lp.add_row(idx, vals, "<=", s_max[l] - t_const[l],
                                                name=f"thermal_hi[{k},{line.id}]")
-            lp.add_row(coeffs, ">=", -s_max[l] - t_const[l],
+            lp.add_row(idx, vals, ">=", -s_max[l] - t_const[l],
                        name=f"thermal_lo[{k},{line.id}]")
-        for n, bid in enumerate(model.bus_order):
-            cols, vals = v_terms[n]
-            coeffs = dict(zip(inj_vars[cols].tolist(), vals.tolist()))
-            v_hi_rows[k, n] = lp.add_row(coeffs, "<=", vmax2[n] - v_const[n],
+        for n, (bid, (cols, vals)) in enumerate(zip(model.bus_order, v_terms)):
+            idx = inj_vars[cols]
+            v_hi_rows[k, n] = lp.add_row(idx, vals, "<=", vmax2[n] - v_const[n],
                                          name=f"v_hi[{k},{bid}]")
-            lp.add_row(coeffs, ">=", vmin2[n] - v_const[n], name=f"v_lo[{k},{bid}]")
+            lp.add_row(idx, vals, ">=", vmin2[n] - v_const[n], name=f"v_lo[{k},{bid}]")
 
     return ProblemInstance(
-        grid=grid, scenario=scenario, cfg=cfg, hours=hours, model=model, agg=agg,
-        lp=lp, binaries=tuple(alphas), scal_idx=scal_idx, fix_scal=fix_scal,
+        grid=grid, scenario=scenario, hours=hours, model=model, agg=agg,
+        lp=lp, binaries=tuple(alphas), scal_idx=scal_idx,
         elig_units=tuple(g.id for g in elig_units), elig_nodes=tuple(elig_nodes),
         unit_idx=unit_idx, exchange_idx=exchange_idx, slack_idx=slack_idx,
         alpha_idx=np.array(alphas, dtype=int).reshape(H, E),
@@ -594,7 +586,7 @@ def extract_solution(instance: ProblemInstance, sol: MILPSolution) -> PlanResult
     # agreement check against the LP's own thermal/voltage row activities:
     # activity + (limit - rhs) is the flow or squared voltage the row encodes
     acts = instance.lp.activities(x)
-    rhs = np.array([row.rhs for row in instance.lp.rows])
+    rhs = np.array(instance.lp.rhs)
     s_max, vmax2, _ = network_bounds(grid, model.bus_order)
     t, v = instance.thermal_hi_rows, instance.v_hi_rows
     worst = max(np.max(np.abs(acts[t] + (s_max - rhs[t]) - flows), initial=0.0),

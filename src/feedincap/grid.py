@@ -216,10 +216,12 @@ def parse_grid(document: str | dict, *, validate: bool = True) -> Grid:
                 demand_q = (0.0,) * len(demand_p)
             else:
                 demand_q = _power(dq, f"bus {bid} demand_q", series=True)
+            if not isinstance(raw.get("is_slack", False), bool):
+                raise GridFormatError(f"bus {bid}: is_slack must be true or false")
             buses.append(
                 Bus(
                     id=bid,
-                    is_slack=bool(raw.get("is_slack", False)),
+                    is_slack=raw.get("is_slack", False),
                     demand_p=demand_p,
                     demand_q=demand_q,
                     vmin=float(raw.get("vmin", 0.95)),
@@ -250,6 +252,8 @@ def parse_grid(document: str | dict, *, validate: bool = True) -> Grid:
             gid = str(raw["id"])
             where = f"gen {gid}"
             profile = raw.get("profile", [1.0])
+            if not isinstance(profile, (list, tuple)):
+                raise GridFormatError(f"gen {gid}: profile must be a list of numbers")
             gens.append(
                 GenUnit(
                     id=gid,

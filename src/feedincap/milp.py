@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -57,23 +56,19 @@ class SolverConfig:
 
 
 @dataclass
-class _Row:
-    idx: tuple[int, ...]
-    coef: tuple[float, ...]
-    sense: str      # "<=", ">=", "=="
-    rhs: float
-    name: str
-
-
-@dataclass
 class LinearProgram:
-    """Column-oriented LP container; variables are added before rows."""
+    """Column-oriented LP container; variables are added before rows. Row i is
+    sum(row_coef[i] * x[row_idx[i]]) sense[i] rhs[i]; rows may share arrays."""
 
     obj: list[float] = field(default_factory=list)
     lb: list[float] = field(default_factory=list)
     ub: list[float] = field(default_factory=list)
     names: list[str] = field(default_factory=list)
-    rows: list[_Row] = field(default_factory=list)
+    row_idx: list[np.ndarray] = field(default_factory=list)
+    row_coef: list[np.ndarray] = field(default_factory=list)
+    sense: list[str] = field(default_factory=list)       # "<=", ">=", "=="
+    rhs: list[float] = field(default_factory=list)
+    row_names: list[str] = field(default_factory=list)
     obj_const: float = 0.0
 
     @property
@@ -82,7 +77,7 @@ class LinearProgram:
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self.rhs)
 
     def add_var(self, name: str, lb: float = 0.0, ub: float = INF,
                 obj: float = 0.0) -> int:
@@ -94,33 +89,36 @@ class LinearProgram:
         self.obj.append(float(obj))
         return len(self.obj) - 1
 
-    def add_row(self, coeffs: dict[int, float], sense: str, rhs: float,
-                name: str = "") -> int:
+    def add_row(self, idx, coef, sense: str, rhs: float, name: str = "") -> int:
+        """Append a row; idx is sorted (coef with it), range-checked and unique."""
         if sense not in ("<=", ">=", "=="):
             raise ValueError(f"bad sense {sense!r}")
-        idx, coef = zip(*sorted(coeffs.items())) if coeffs else ((), ())
-        if idx and not (0 <= idx[0] and idx[-1] < self.n_vars):     # sorted: ends bound all
-            bad = next(j for j in idx if not 0 <= j < self.n_vars)
+        idx = np.asarray(idx, dtype=np.intp)
+        coef = np.asarray(coef, dtype=float)
+        if idx.ndim != 1 or idx.shape != coef.shape:
+            raise ValueError(f"row {name!r}: idx and coef must be 1-d of one length")
+        if not (idx[1:] > idx[:-1]).all():
+            order = np.argsort(idx, kind="stable")
+            idx, coef = idx[order], coef[order]
+            repeated = idx[1:][idx[1:] == idx[:-1]]
+            if repeated.size:
+                raise ValueError(f"row {name!r} repeats variable {repeated[0]}")
+        if idx.size and not (0 <= idx[0] and idx[-1] < self.n_vars):     # sorted: ends bound all
+            bad = idx[(idx < 0) | (idx >= self.n_vars)][0]
             raise ValueError(f"row {name!r} references unknown variable {bad}")
-        self.rows.append(_Row(
-            idx=idx,
-            coef=tuple(map(float, coef)),
-            sense=sense,
-            rhs=float(rhs),
-            name=name or f"r{len(self.rows)}",
-        ))
-        return len(self.rows) - 1
+        self.row_idx.append(idx)
+        self.row_coef.append(coef)
+        self.sense.append(sense)
+        self.rhs.append(float(rhs))
+        self.row_names.append(name or f"r{len(self.row_names)}")
+        return len(self.rhs) - 1
 
     def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Row index, variable index and coefficient of every entry, rows in
         order and each row's entries in variable order."""
-        lengths = [len(row.idx) for row in self.rows]
-        count = sum(lengths)
-        rows = np.repeat(np.arange(self.n_rows), lengths)
-        cols = np.fromiter(chain.from_iterable(row.idx for row in self.rows),
-                           dtype=np.intp, count=count)
-        coef = np.fromiter(chain.from_iterable(row.coef for row in self.rows),
-                           dtype=float, count=count)
+        rows = np.repeat(np.arange(self.n_rows), [idx.size for idx in self.row_idx])
+        cols = np.concatenate([np.zeros(0, dtype=np.intp), *self.row_idx])
+        coef = np.concatenate([np.zeros(0), *self.row_coef])
         return rows, cols, coef
 
     def activities(self, x: np.ndarray) -> np.ndarray:
@@ -189,9 +187,9 @@ class _StandardForm:
         rows, cols, coef = lp._entries()
         A[rows, cols] += coef
         A[np.arange(m), n + np.arange(m)] = 1.0
-        b = np.array([row.rhs for row in lp.rows], dtype=float)
-        slack_lb = np.array([-INF if row.sense == ">=" else 0.0 for row in lp.rows], dtype=float)
-        slack_ub = np.array([INF if row.sense == "<=" else 0.0 for row in lp.rows], dtype=float)
+        b = np.array(lp.rhs, dtype=float)
+        slack_lb = np.array([-INF if s == ">=" else 0.0 for s in lp.sense], dtype=float)
+        slack_ub = np.array([INF if s == "<=" else 0.0 for s in lp.sense], dtype=float)
         return cls(A, b,
                    np.concatenate([np.asarray(lp.obj, dtype=float), np.zeros(m)]),
                    np.concatenate([np.asarray(lp.lb, dtype=float), slack_lb]),
@@ -384,9 +382,11 @@ def _phase_one(st: _SimplexState, tol: float) -> tuple[_SimplexState, np.ndarray
     if rows.size == 0:
         return None
     k, up, width = rows.size, up[rows], sf.A.shape[1]
-    unit = np.zeros((sf.m, k))
-    unit[rows, np.arange(k)] = 1.0
-    sf1 = _StandardForm(np.hstack([sf.A, unit]), sf.b, np.concatenate([sf.c, np.zeros(k)]),
+    st.B_inv = None                     # the slack-basis state is abandoned
+    A1 = np.zeros((sf.m, width + k))
+    A1[:, :width] = sf.A
+    A1[rows, width + np.arange(k)] = 1.0
+    sf1 = _StandardForm(A1, sf.b, np.concatenate([sf.c, np.zeros(k)]),
                         np.concatenate([st.lb, np.where(up, 0.0, -INF)]),
                         np.concatenate([st.ub, np.where(up, INF, 0.0)]), sf.n, sf.obj_const)
     pinned = slack[rows]
@@ -562,12 +562,13 @@ def dump_lp(problem: LinearProgram | MILProblem) -> str:
     if lp.obj_const:
         out.append(f" const: {_fmt(lp.obj_const)}")
     out.append("Subject To")
-    for row in lp.rows:
+    for idx, coef, sense, rhs, name in zip(lp.row_idx, lp.row_coef, lp.sense,
+                                           lp.rhs, lp.row_names):
         body = " ".join(
             f"{'+' if c >= 0 else '-'} {_fmt(abs(c))} {lp.names[j]}"
-            for j, c in zip(row.idx, row.coef)
+            for j, c in zip(idx.tolist(), coef.tolist())
         )
-        out.append(f" {row.name}: {body} {row.sense} {_fmt(row.rhs)}")
+        out.append(f" {name}: {body} {sense} {_fmt(rhs)}")
     out.append("Bounds")
     for j in range(lp.n_vars):
         out.append(f" {_fmt(lp.lb[j])} <= {lp.names[j]} <= {_fmt(lp.ub[j])}")

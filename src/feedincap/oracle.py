@@ -275,7 +275,7 @@ def enumerate_alpha(grid: Grid, scenario: Scenario,
             for j, v in zip(free, bits):
                 lp.lb[j] = v
                 lp.ub[j] = v
-            sol = solve_lp(lp, inst.cfg)
+            sol = solve_lp(lp, cfg)
             if sol.status == "optimal":
                 n_feas += 1
                 if best_obj is None or sol.objective < best_obj - 1e-12:

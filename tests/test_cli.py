@@ -76,8 +76,11 @@ def test_validate_zero_impedance_is_a_warning(tmp_path, capsys):
     ("validate", "grid", "base_mva", "x"),
     ("validate", "generators", "profile", 5),
     ("validate", "generators", "profile", ["a"]),
+    ("validate", "generators", "profile", "12"),
+    ("validate", "buses", "is_slack", "false"),
     ("plan", "scenario", "fl", "x"),
     ("plan", "scenario", "hours", 3),
+    ("plan", "scenario", "hours", [0.5]),
 ])
 def test_malformed_values_are_usage_errors(command, where, key, value, tmp_path, capsys):
     grid_doc = json.loads(serialize_grid(two_bus()))

@@ -289,13 +289,13 @@ def test_network_rows_match_the_bus_by_bus_reference():
         cases.append((grid, Scenario(fl=0.8, case="ab"[n % 2], hours=(0, 1, 2))))
     for grid, scenario in cases:
         inst = build_problem(grid, scenario, SolverConfig())
-        built = [inst.lp.rows[r] for k in range(len(inst.hours))
+        built = [r for k in range(len(inst.hours))
                  for r in (*inst.thermal_hi_rows[k], *inst.v_hi_rows[k])]
         ref = reference_network_rows(inst)
         assert len(built) == len(ref)
-        for row, (coeffs, rhs) in zip(built, ref):
-            assert dict(zip(row.idx, row.coef)) == coeffs
-            assert row.rhs == rhs
+        for r, (coeffs, rhs) in zip(built, ref):
+            assert dict(zip(inst.lp.row_idx[r].tolist(), inst.lp.row_coef[r].tolist())) == coeffs
+            assert inst.lp.rhs[r] == rhs
 
 
 def test_big_m_positive_and_matching_nodes():

@@ -29,22 +29,34 @@ def test_add_row_sorts_entries_and_rejects_unknown_variables():
     lp = LinearProgram()
     for name in "abc":
         lp.add_var(name)
-    lp.add_row({2: 1, 0: np.float64(-2.0)}, "<=", 1.0)
-    assert (lp.rows[0].idx, lp.rows[0].coef) == ((0, 2), (-2.0, 1.0))
-    assert all(type(v) is float for v in lp.rows[0].coef)
-    lp.add_row({}, "==", 0.0)
-    assert lp.rows[1].idx == ()
-    for coeffs, bad in (({0: 1.0, 3: 1.0, 4: 1.0}, 3), ({-1: 1.0, 1: 1.0}, -1)):
+    lp.add_row([2, 0], [1, np.float64(-2.0)], "<=", 1.0)
+    assert (lp.row_idx[0].tolist(), lp.row_coef[0].tolist()) == ([0, 2], [-2.0, 1.0])
+    assert lp.row_idx[0].dtype == np.intp and lp.row_coef[0].dtype == np.float64
+    lp.add_row(np.array([2, 0, 1]), np.array([3.0, 1.0, 2.0]), ">=", -1.0)
+    assert (lp.row_idx[1].tolist(), lp.row_coef[1].tolist()) == ([0, 1, 2], [1.0, 2.0, 3.0])
+    lp.add_row([], [], "==", 0.0)
+    assert lp.row_idx[2].size == lp.row_coef[2].size == 0
+    # rows in final form keep the caller's arrays, so two rows can share them
+    idx, coef = np.array([0, 2], dtype=np.intp), np.array([1.0, -1.0])
+    lp.add_row(idx, coef, "<=", 1.0)
+    lp.add_row(idx, coef, ">=", -1.0)
+    assert lp.row_idx[3] is lp.row_idx[4] is idx and lp.row_coef[3] is lp.row_coef[4] is coef
+    assert (lp.sense, lp.rhs) == (["<=", ">=", "==", "<=", ">="], [1.0, -1.0, 0.0, 1.0, -1.0])
+    for bad_idx, bad in (([0, 3, 4], 3), ([-1, 1], -1), (np.array([2, 5, 0]), 5)):
         with pytest.raises(ValueError, match=f"unknown variable {bad}$"):
-            lp.add_row(coeffs, "<=", 0.0)
-    assert lp.n_rows == 2
+            lp.add_row(bad_idx, [1.0] * len(bad_idx), "<=", 0.0)
+    with pytest.raises(ValueError, match="repeats variable 1$"):
+        lp.add_row([1, 0, 1], [1.0, 2.0, 3.0], "<=", 0.0)
+    with pytest.raises(ValueError, match="one length"):
+        lp.add_row([0, 1], [1.0], "<=", 0.0)
+    assert lp.n_rows == 5
 
 
 def test_lp_infeasible():
     lp = LinearProgram()
     x = lp.add_var("x", lb=-INF, ub=INF, obj=1.0)
-    lp.add_row({x: 1.0}, ">=", 1.0)
-    lp.add_row({x: 1.0}, "<=", 0.0)
+    lp.add_row([x], [1.0], ">=", 1.0)
+    lp.add_row([x], [1.0], "<=", 0.0)
     assert solve_lp(lp).status == "infeasible"
 
 
@@ -52,7 +64,7 @@ def test_lp_face_optimum():
     lp = LinearProgram()
     x = lp.add_var("x", obj=-1.0)
     y = lp.add_var("y", obj=-1.0)
-    lp.add_row({x: 1.0, y: 1.0}, "<=", 1.0)
+    lp.add_row([x, y], [1.0, 1.0], "<=", 1.0)
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(-1.0)
@@ -69,8 +81,8 @@ def test_lp_equality_row():
     lp = LinearProgram()
     x = lp.add_var("x", obj=2.0)
     y = lp.add_var("y", obj=3.0)
-    lp.add_row({x: 1.0, y: 1.0}, "==", 4.0)
-    lp.add_row({x: 1.0, y: -1.0}, "<=", 2.0)
+    lp.add_row([x, y], [1.0, 1.0], "==", 4.0)
+    lp.add_row([x, y], [1.0, -1.0], "<=", 2.0)
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     # cheapest split puts everything on x, limited by x - y <= 2
@@ -89,9 +101,9 @@ def test_lp_rejects_bad_rows():
     lp = LinearProgram()
     x = lp.add_var("x")
     with pytest.raises(ValueError):
-        lp.add_row({x: 1.0}, "!=", 0.0)
+        lp.add_row([x], [1.0], "!=", 0.0)
     with pytest.raises(ValueError):
-        lp.add_row({x + 7: 1.0}, "<=", 0.0)
+        lp.add_row([x + 7], [1.0], "<=", 0.0)
     with pytest.raises(ValueError):
         lp.add_var("bad", lb=2.0, ub=1.0)
 
@@ -105,15 +117,15 @@ def _random_lp(rng: np.random.Generator, ensure_feasible: bool = False) -> Linea
     x0 = rng.uniform(lp.lb, lp.ub)
     for _ in range(int(rng.integers(1, 6))):
         cols = rng.choice(n, size=min(n, int(rng.integers(1, 4))), replace=False)
-        coeffs = {int(j): float(rng.normal()) for j in cols}
+        coef = [float(rng.normal()) for _ in cols]
         sense = ("<=", ">=", "==")[int(rng.integers(0, 3))]
         if ensure_feasible:
-            at_x0 = sum(c * x0[j] for j, c in coeffs.items())
+            at_x0 = sum(c * x0[j] for j, c in zip(cols, coef))
             slack = float(rng.uniform(0.0, 1.0))
             rhs = {"<=": at_x0 + slack, ">=": at_x0 - slack, "==": at_x0}[sense]
         else:
             rhs = float(rng.normal())
-        lp.add_row(coeffs, sense, rhs)
+        lp.add_row(cols, coef, sense, rhs)
     return lp
 
 
@@ -125,16 +137,16 @@ def test_lp_against_scipy():
         lp = _random_lp(rng, ensure_feasible=k % 2 == 0)
         sol = solve_lp(lp)
         a_ub, b_ub, a_eq, b_eq = [], [], [], []
-        for row in lp.rows:
+        for idx, coef, sense, rhs in zip(lp.row_idx, lp.row_coef, lp.sense, lp.rhs):
             dense = np.zeros(lp.n_vars)
-            for j, c in zip(row.idx, row.coef):
+            for j, c in zip(idx, coef):
                 dense[j] = c
-            if row.sense == "<=":
-                a_ub.append(dense), b_ub.append(row.rhs)
-            elif row.sense == ">=":
-                a_ub.append(-dense), b_ub.append(-row.rhs)
+            if sense == "<=":
+                a_ub.append(dense), b_ub.append(rhs)
+            elif sense == ">=":
+                a_ub.append(-dense), b_ub.append(-rhs)
             else:
-                a_eq.append(dense), b_eq.append(row.rhs)
+                a_eq.append(dense), b_eq.append(rhs)
         ref = scipy_opt.linprog(
             np.array(lp.obj), A_ub=np.array(a_ub) if a_ub else None,
             b_ub=np.array(b_ub) if b_ub else None,
@@ -163,10 +175,10 @@ def test_activities_match_row_sums():
     rng = np.random.default_rng(8)
     for _ in range(30):
         lp = _random_lp(rng)
-        lp.add_row({}, "<=", 1.0)
+        lp.add_row([], [], "<=", 1.0)
         x = rng.standard_normal(lp.n_vars)
-        want = np.array([sum(c * x[j] for j, c in zip(row.idx, row.coef))
-                         for row in lp.rows])
+        want = np.array([sum(c * x[j] for j, c in zip(idx.tolist(), coef.tolist()))
+                         for idx, coef in zip(lp.row_idx, lp.row_coef)])
         assert lp.activities(x).tobytes() == want.tobytes()
 
 
@@ -227,7 +239,7 @@ def test_milp_fixed_binaries_reduce_to_lp():
     lp = LinearProgram()
     b = lp.add_var("b", lb=1.0, ub=1.0, obj=-2.0)
     x = lp.add_var("x", lb=0.0, ub=4.0, obj=-1.0)
-    lp.add_row({b: 1.0, x: 1.0}, "<=", 3.0)
+    lp.add_row([b, x], [1.0, 1.0], "<=", 3.0)
     ref = solve_lp(lp)
     sol = solve_milp(MILProblem(lp, binaries=(b,)))
     assert sol.status == "optimal"
@@ -241,7 +253,7 @@ def test_milp_fixed_binaries_reduce_to_lp():
 def test_milp_rounding_forced():
     lp = LinearProgram()
     b = lp.add_var("b", lb=0.0, ub=1.0, obj=-1.0)
-    lp.add_row({b: 1.0}, "<=", 0.5)
+    lp.add_row([b], [1.0], "<=", 0.5)
     sol = solve_milp(MILProblem(lp, binaries=(b,)))
     assert sol.status == "optimal"
     assert sol.x[b] == pytest.approx(0.0, abs=1e-9)
@@ -253,7 +265,7 @@ def test_milp_knapsack():
     a = lp.add_var("a", ub=1.0, obj=-5.0)
     b = lp.add_var("b", ub=1.0, obj=-4.0)
     c = lp.add_var("c", ub=1.0, obj=-3.0)
-    lp.add_row({a: 2.0, b: 3.0, c: 1.0}, "<=", 3.0)
+    lp.add_row([a, b, c], [2.0, 3.0, 1.0], "<=", 3.0)
     sol = solve_milp(MILProblem(lp, binaries=(a, b, c)))
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(-8.0)
@@ -263,8 +275,8 @@ def test_milp_knapsack():
 def test_milp_infeasible():
     lp = LinearProgram()
     b = lp.add_var("b", ub=1.0)
-    lp.add_row({b: 1.0}, ">=", 0.3)
-    lp.add_row({b: 1.0}, "<=", 0.7)
+    lp.add_row([b], [1.0], ">=", 0.3)
+    lp.add_row([b], [1.0], "<=", 0.7)
     sol = solve_milp(MILProblem(lp, binaries=(b,)))
     assert sol.status == "infeasible"
 
@@ -274,7 +286,7 @@ def test_milp_node_limit_reported():
     lp = LinearProgram()
     idx = [lp.add_var(f"b{j}", ub=1.0, obj=float(-rng.uniform(1, 2)))
            for j in range(12)]
-    lp.add_row({j: float(rng.uniform(1, 3)) for j in idx}, "<=", 7.0)
+    lp.add_row(idx, [float(rng.uniform(1, 3)) for _ in idx], "<=", 7.0)
     cfg = SolverConfig(node_limit=1)
     sol = solve_milp(MILProblem(lp, binaries=tuple(idx)), cfg)
     assert sol.status in ("node_limit", "optimal")
@@ -290,7 +302,7 @@ def test_milp_determinism():
     idx = [lp.add_var(f"b{j}", ub=1.0, obj=float(-rng.uniform(0.5, 2)))
            for j in range(8)]
     y = lp.add_var("y", ub=10.0, obj=-0.1)
-    lp.add_row({**{j: float(rng.uniform(0.5, 2)) for j in idx}, y: 1.0}, "<=", 6.0)
+    lp.add_row([*idx, y], [*(float(rng.uniform(0.5, 2)) for _ in idx), 1.0], "<=", 6.0)
     mip = MILProblem(lp, binaries=tuple(idx))
     a = solve_milp(mip)
     b = solve_milp(mip)
@@ -337,7 +349,7 @@ def test_dump_lp_stable():
     lp = LinearProgram()
     x = lp.add_var("x", ub=3.0, obj=-1.0)
     b = lp.add_var("b", ub=1.0, obj=0.5)
-    lp.add_row({x: 1.0, b: -2.0}, "<=", 1.5, name="cap")
+    lp.add_row([x, b], [1.0, -2.0], "<=", 1.5, name="cap")
     text = dump_lp(MILProblem(lp, binaries=(b,)))
     assert text == dump_lp(MILProblem(lp, binaries=(b,)))
     assert "cap" in text and "b" in text
