@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .formulation import (
-    Costs,
+    EnergyAccount,
+    EnergyBalanceError,     # noqa: F401  re-exported for the cli
     FormulationError,
     PlanResult,
     Scenario,
@@ -27,9 +28,8 @@ from .formulation import (
 )
 from .grid import Grid
 from .milp import SolverConfig, solve_milp
-from .network import network_bounds
+from .network import LinearNetworkModel, build_linear_model
 from .oracle import (
-    AnnualResult,
     flagged_rows,
     headroom,
     max_scal_bisection,
@@ -57,7 +57,6 @@ class SweepSpec:
     demand_multipliers: tuple[float, ...] = (1.0, 1.1, 1.2)
     mode: str = "snapshot"
     engine: str = "oracle"              # oracle | milp | both
-    costs: Costs = field(default_factory=Costs)
 
     def __post_init__(self) -> None:
         if self.engine not in ("oracle", "milp", "both"):
@@ -77,39 +76,11 @@ class SweepSpec:
             for case in self.cases:
                 for mult in self.demand_multipliers:
                     yield Scenario(fl=fl, case=case, demand_multiplier=mult,
-                                   costs=self.costs, mode=self.mode)
+                                   mode=self.mode)
 
 
 # ---------------------------------------------------------------------------
 # energy accounting
-
-
-class EnergyBalanceError(AssertionError):
-    pass
-
-
-@dataclass(frozen=True)
-class EnergyAccount:
-    """Totals in MWh with the conservation identity enforced on creation."""
-
-    available_mwh: float
-    generated_mwh: float
-    curtailed_mwh: float
-    imports_mwh: float
-    exports_mwh: float
-    demand_mwh: float | None = None
-
-    def __post_init__(self) -> None:
-        gap = abs(self.generated_mwh + self.curtailed_mwh - self.available_mwh)
-        if gap > 1e-9 * max(1.0, abs(self.available_mwh)):
-            raise EnergyBalanceError(
-                f"generated + curtailed != available (gap {gap:.3e} MWh)")
-
-    @property
-    def curtailed_share(self) -> float:
-        if self.available_mwh <= 0:
-            return 0.0
-        return self.curtailed_mwh / self.available_mwh
 
 
 def energy_account(plan: PlanResult) -> EnergyAccount:
@@ -121,17 +92,6 @@ def energy_account(plan: PlanResult) -> EnergyAccount:
         available_mwh=avail, generated_mwh=gen, curtailed_mwh=curt,
         imports_mwh=float(plan.imports_mw.sum()) * dh,
         exports_mwh=float(plan.exports_mw.sum()) * dh,
-    )
-
-
-def annual_account(sim: AnnualResult) -> EnergyAccount:
-    return EnergyAccount(
-        available_mwh=sim.available_mwh,
-        generated_mwh=sim.generated_mwh,
-        curtailed_mwh=sim.curtailed_mwh,
-        imports_mwh=sim.imports_mwh,
-        exports_mwh=sim.exports_mwh,
-        demand_mwh=sim.demand_mwh,
     )
 
 
@@ -169,15 +129,15 @@ class BindingReport:
         return tuple(seen)
 
 
-def find_bottlenecks(plan: PlanResult, grid: Grid) -> BindingReport:
-    """Which elements stop further expansion at the plan's operating point."""
-    bounds = network_bounds(grid, plan.bus_order)
+def find_bottlenecks(plan: PlanResult, model: LinearNetworkModel) -> BindingReport:
+    """Which elements of the plan's network model stop further expansion at the
+    plan's operating point."""
     flows = np.atleast_2d(plan.flows_mw)
     v2 = np.atleast_2d(plan.voltages_pu2)
-    margins = t_head, hi_head, lo_head = headroom(bounds, flows, v2)
+    margins = t_head, hi_head, lo_head = headroom(model, flows, v2)
     _, rows = flagged_rows(
         margins,
-        (np.abs(flows) >= THERMAL_BINDING_FRAC * bounds[0],
+        (np.abs(flows) >= THERMAL_BINDING_FRAC * model.s_max,
          hi_head <= VOLTAGE_BINDING_PU2, lo_head <= VOLTAGE_BINDING_PU2),
         plan.hours, plan.line_order, plan.bus_order)
 
@@ -230,7 +190,7 @@ class SweepResult:
 
 
 def run_cell(grid: Grid, scenario: Scenario, engine: str,
-             cfg: SolverConfig, model) -> CellResult:
+             cfg: SolverConfig, model: LinearNetworkModel) -> CellResult:
     """Answer one scenario with the engine: scal*, energy and binding elements.
 
     The engines only fix scal*; the reported quantities come from the
@@ -266,19 +226,17 @@ def run_cell(grid: Grid, scenario: Scenario, engine: str,
     # for the pure milp engine the agreed factor is the milp's own
     scal = cell.milp_scal if engine == "milp" else cell.oracle_scal
     cell.scal_star = scal
-    plan = oracle_plan(grid, scenario, cfg, scal=scal, agg=agg, model=model)
+    plan = oracle_plan(grid, scenario, scal, agg=agg, model=model)
     cell.hours = plan.hours
     cell.account = energy_account(plan)
     cell.added_capacity_mw = plan.added_capacity_mw
-    cell.binding = find_bottlenecks(plan, grid)
+    cell.binding = find_bottlenecks(plan, model)
     return cell
 
 
 def run_sweep(grid: Grid, spec: SweepSpec | None = None,
               cfg: SolverConfig | None = None) -> SweepResult:
     """Evaluate every sweep cell; cell failures are captured, not raised."""
-    from .network import build_linear_model
-
     spec = spec or SweepSpec()
     cfg = cfg or SolverConfig()
     model = build_linear_model(grid)

@@ -197,7 +197,7 @@ def cmd_simulate(args) -> int:
         print("error: --scal must be >= 0", file=sys.stderr)
         return EXIT_USAGE
     sim = oracle.annual_simulate(grid, scenario, args.scal, cfg)
-    account = analysis.annual_account(sim)
+    account = sim.account
 
     doc = {
         "schema_version": analysis.SCHEMA_VERSION,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Bus, CandidatePolicy, GenUnit, Grid, Line, add_candidates
-from .network import LinearNetworkModel, build_linear_model, evaluate_linear, network_bounds
+from .network import LinearNetworkModel, build_linear_model, evaluate_linear
 
 FIXTURE_KINDS = ("rural_mv", "urban_mv", "hybrid_mv", "lv", "example")
 
@@ -254,10 +254,9 @@ def _thermal_scal(grid: Grid, peak_pos: int) -> float:
     model = build_linear_model(grid)
     f0, _ = evaluate_linear(model, *_peak_injections(grid, model, peak_pos, 0.0))
     f1, _ = evaluate_linear(model, *_peak_injections(grid, model, peak_pos, 1.0))
-    s_max = network_bounds(grid, model.bus_order)[0]
     slope = f1 - f0
     rising = slope > 1e-12
-    return float(np.min((s_max - f0)[rising] / slope[rising], initial=np.inf))
+    return float(np.min((model.s_max - f0)[rising] / slope[rising], initial=np.inf))
 
 
 def _assemble_mv(kind: str, seed: int, hours: int) -> Grid:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .milp import (
     SolverConfig,
     compute_big_m,
 )
-from .network import LinearNetworkModel, build_linear_model, evaluate_linear, network_bounds
+from .network import LinearNetworkModel, build_linear_model, evaluate_linear
 
 
 EPSILON_MW = 1e-6      # strict-inequality margin for the indicator triggers
@@ -115,6 +115,13 @@ def scenario_to_json(sc: Scenario) -> str:
     return json.dumps(doc, indent=1)
 
 
+def _number(value, kind=float):
+    """kind(value) for a JSON number; a JSON boolean is not one."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {json.dumps(value)}")
+    return kind(value)
+
+
 def scenario_from_json(text: str | dict) -> Scenario:
     doc = json.loads(text) if isinstance(text, str) else text
     if not isinstance(doc, dict):
@@ -123,22 +130,19 @@ def scenario_from_json(text: str | dict) -> Scenario:
     if not isinstance(costs, dict):
         raise FormulationError("scenario costs must be an object")
     try:
-        fields = dict(
-            fl=float(doc.get("fl", 1.0)),
+        hours = doc.get("hours")
+        values = dict(
+            fl=_number(doc.get("fl", 1.0)),
             case=str(doc.get("case", "a")),
-            demand_multiplier=float(doc.get("demand_multiplier", 1.0)),
-            hours=None if doc.get("hours") is None else tuple(map(operator.index, doc["hours"])),
+            demand_multiplier=_number(doc.get("demand_multiplier", 1.0)),
+            hours=None if hours is None else tuple(_number(h, operator.index) for h in hours),
             mode=str(doc.get("mode", "snapshot")),
-            costs=Costs(
-                import_eur_mwh=float(costs.get("import_eur_mwh", 200.0)),
-                export_eur_mwh=float(costs.get("export_eur_mwh", 200.0)),
-                unserved_eur_mwh=float(costs.get("unserved_eur_mwh", 100_000.0)),
-                surplus_eur_mwh=float(costs.get("surplus_eur_mwh", 200_000.0)),
-            ),
+            costs=Costs(**{f.name: _number(costs.get(f.name, f.default))
+                           for f in fields(Costs)}),
         )
     except (TypeError, ValueError) as exc:
         raise FormulationError(f"scenario values must be numbers: {exc}") from None
-    return Scenario(**fields)
+    return Scenario(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +161,6 @@ class NodeAggregates:
 
     hours: tuple[int, ...]
     bus_order: tuple[str, ...]           # every bus, grid order (slack included)
-    slack_pos: int
     avail_const: np.ndarray              # (H, N)
     avail_coef: np.ndarray               # (H, N)
     cap_const: np.ndarray                # (N,)
@@ -231,12 +234,10 @@ def node_aggregates(grid: Grid, scenario: Scenario,
     dp = np.array([b.demand_p for b in grid.buses], dtype=float).T[idx] * mult
     dq = np.array([b.demand_q for b in grid.buses], dtype=float).T[idx] * mult
     residual = np.maximum(0.0, dp - nonelig)
-    slack_pos = next(i for i, b in enumerate(grid.buses) if b.is_slack)
 
     return NodeAggregates(
         hours=tuple(hours),
         bus_order=bus_order,
-        slack_pos=slack_pos,
         avail_const=avail_const,
         avail_coef=avail_coef,
         cap_const=cap_const,
@@ -307,8 +308,9 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
                   model: LinearNetworkModel | None = None) -> ProblemInstance:
     """Assemble the MILP for the resolved scenario hours.
 
-    fix_scal pins the expansion factor (plain operation at today's build-out,
-    or `simulate --scal`); otherwise scal ranges over [0, cfg.scal_max].
+    fix_scal pins the expansion factor (annual mode needs it, and
+    enumerate_alpha passes it through); otherwise scal ranges over
+    [0, cfg.scal_max].
     Binary triggers are created only where eligible capacity exists, and are
     pre-fixed by interval analysis of the trigger premise over the scal
     domain whenever its sign cannot change.
@@ -323,7 +325,6 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
     elig_kinds = scenario.eligible_kinds()
     H, N = len(hours), len(agg.bus_order)
     pos = {bid: i for i, bid in enumerate(agg.bus_order)}
-    nonslack_pos = [pos[bid] for bid in model.bus_order]
     dh = grid.hour_duration_h
     costs = scenario.costs
     fl = scenario.fl
@@ -402,12 +403,11 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
     is_p = inj_is_q == 0
     incidence = np.zeros((2, N, len(inj_bus)))          # P and Q, every bus
     incidence[inj_is_q, inj_bus, np.arange(len(inj_bus))] = inj_sign
-    inc_p, inc_q = incidence[:, nonslack_pos]
+    inc_p, inc_q = incidence[:, model.bus_cols]
     thermal_terms = [(np.flatnonzero(r), r[r != 0]) for r in model.flow_map @ inc_p]
     v_terms = [(np.flatnonzero(r), r[r != 0])
                for r in model.voltage_map_p @ inc_p + model.voltage_map_q @ inc_q]
 
-    s_max, vmax2, vmin2 = network_bounds(grid, model.bus_order)
     vs2 = model.slack_voltage**2
     thermal_hi_rows = np.zeros((H, len(grid.lines)), dtype=int)
     v_hi_rows = np.zeros((H, len(model.bus_order)), dtype=int)
@@ -454,23 +454,23 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
 
         # network rows: injections are affine in the hour's variables; the
         # constants add up bus by bus, a bus's P term before its Q term
-        inj_const = (agg.nonelig_prod[k] - agg.demand_p[k])[nonslack_pos]
+        inj_const = (agg.nonelig_prod[k] - agg.demand_p[k])[model.bus_cols]
         t_const = _running_total(0.0, model.flow_map * inj_const)
         v_const = _running_total(vs2, np.stack(
             [model.voltage_map_p * inj_const,
-             model.voltage_map_q * -agg.demand_q[k, nonslack_pos]], axis=-1
+             model.voltage_map_q * -agg.demand_q[k, model.bus_cols]], axis=-1
         ).reshape(len(inj_const), 2 * len(inj_const)))
         for l, (line, (cols, vals)) in enumerate(zip(grid.lines, thermal_terms)):
             idx = inj_vars[cols]
-            thermal_hi_rows[k, l] = lp.add_row(idx, vals, "<=", s_max[l] - t_const[l],
+            thermal_hi_rows[k, l] = lp.add_row(idx, vals, "<=", model.s_max[l] - t_const[l],
                                                name=f"thermal_hi[{k},{line.id}]")
-            lp.add_row(idx, vals, ">=", -s_max[l] - t_const[l],
+            lp.add_row(idx, vals, ">=", -model.s_max[l] - t_const[l],
                        name=f"thermal_lo[{k},{line.id}]")
         for n, (bid, (cols, vals)) in enumerate(zip(model.bus_order, v_terms)):
             idx = inj_vars[cols]
-            v_hi_rows[k, n] = lp.add_row(idx, vals, "<=", vmax2[n] - v_const[n],
+            v_hi_rows[k, n] = lp.add_row(idx, vals, "<=", model.vmax2[n] - v_const[n],
                                          name=f"v_hi[{k},{bid}]")
-            lp.add_row(idx, vals, ">=", vmin2[n] - v_const[n], name=f"v_lo[{k},{bid}]")
+            lp.add_row(idx, vals, ">=", model.vmin2[n] - v_const[n], name=f"v_lo[{k},{bid}]")
 
     return ProblemInstance(
         grid=grid, scenario=scenario, hours=hours, model=model, agg=agg,
@@ -512,6 +512,34 @@ class PlanResult:
     @property
     def slack_activity(self) -> float:
         return self.unserved_mwh + self.surplus_mwh
+
+
+class EnergyBalanceError(AssertionError):
+    pass
+
+
+@dataclass(frozen=True)
+class EnergyAccount:
+    """Totals in MWh with the conservation identity enforced on creation."""
+
+    available_mwh: float
+    generated_mwh: float
+    curtailed_mwh: float
+    imports_mwh: float
+    exports_mwh: float
+    demand_mwh: float | None = None
+
+    def __post_init__(self) -> None:
+        gap = abs(self.generated_mwh + self.curtailed_mwh - self.available_mwh)
+        if gap > 1e-9 * max(1.0, abs(self.available_mwh)):
+            raise EnergyBalanceError(
+                f"generated + curtailed != available (gap {gap:.3e} MWh)")
+
+    @property
+    def curtailed_share(self) -> float:
+        if self.available_mwh <= 0:
+            return 0.0
+        return self.curtailed_mwh / self.available_mwh
 
 
 def unit_dispatch(grid: Grid, scenario: Scenario, hours: tuple[int, ...], scal: float,
@@ -577,9 +605,8 @@ def extract_solution(instance: ProblemInstance, sol: MILPSolution) -> PlanResult
     for g in grid.gens:
         gen_at[:, pos[g.bus]] += production[g.id]
     slack = x[instance.slack_idx]                 # (H, N, 4) pns, eps, qns, eqs
-    cols = [pos[bid] for bid in model.bus_order]
-    inj = (gen_at + (slack[..., 0] - slack[..., 1]) - agg.demand_p)[:, cols]
-    inj_q = (slack[..., 2] - slack[..., 3] - agg.demand_q)[:, cols]
+    inj = (gen_at + (slack[..., 0] - slack[..., 1]) - agg.demand_p)[:, model.bus_cols]
+    inj_q = (slack[..., 2] - slack[..., 3] - agg.demand_q)[:, model.bus_cols]
 
     flows, v2 = map(np.atleast_2d, evaluate_linear(model, inj, inj_q))
 
@@ -587,10 +614,9 @@ def extract_solution(instance: ProblemInstance, sol: MILPSolution) -> PlanResult
     # activity + (limit - rhs) is the flow or squared voltage the row encodes
     acts = instance.lp.activities(x)
     rhs = np.array(instance.lp.rhs)
-    s_max, vmax2, _ = network_bounds(grid, model.bus_order)
     t, v = instance.thermal_hi_rows, instance.v_hi_rows
-    worst = max(np.max(np.abs(acts[t] + (s_max - rhs[t]) - flows), initial=0.0),
-                np.max(np.abs(acts[v] + (vmax2 - rhs[v]) - v2), initial=0.0))
+    worst = max(np.max(np.abs(acts[t] + (model.s_max - rhs[t]) - flows), initial=0.0),
+                np.max(np.abs(acts[v] + (model.vmax2 - rhs[v]) - v2), initial=0.0))
     if worst > 1e-6:
         raise FormulationError(
             f"decoded network state deviates from LP rows by {worst:.3e}")

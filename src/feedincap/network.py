@@ -36,18 +36,24 @@ class ConvergenceError(RuntimeError):
 class LinearNetworkModel:
     """Affine injection-to-state maps for one radial grid.
 
-    bus_order is every non-slack bus id in document order; line_order matches
-    grid.lines. flow_map @ p gives line flows (MW, oriented toward the slack);
-    voltage_map_* give the squared-voltage response in p.u. per MW.
+    bus_order is every non-slack bus id in document order and bus_cols each
+    one's position in grid.buses; line_order matches grid.lines. flow_map @ p
+    gives line flows (MW, oriented toward the slack); voltage_map_* give the
+    squared-voltage response in p.u. per MW. s_max, vmax2 and vmin2 are the
+    limits of those flows and squared voltages.
     """
 
     slack_id: str
     slack_voltage: float
     bus_order: tuple[str, ...]
+    bus_cols: np.ndarray        # (N,) position of bus_order[j] in grid.buses
     line_order: tuple[str, ...]
     flow_map: np.ndarray        # (L, N) 1 iff bus j lies downstream of line l
     voltage_map_p: np.ndarray   # (N, N) dv^2/dP, includes 2/base factor
     voltage_map_q: np.ndarray   # (N, N) dv^2/dQ
+    s_max: np.ndarray           # (L,) line ratings, MVA
+    vmax2: np.ndarray           # (N,) squared upper voltage bound, p.u.^2
+    vmin2: np.ndarray           # (N,) squared lower voltage bound
 
     @property
     def n_buses(self) -> int:
@@ -91,18 +97,18 @@ def _tree(grid: Grid) -> tuple[str, dict[str, tuple[str, int]], list[str]]:
 
 def build_linear_model(grid: Grid, slack_voltage: float = 1.0) -> LinearNetworkModel:
     root, parent, order = _tree(grid)
-    nonslack = [b.id for b in grid.buses if b.id != root]
-    pos = {bid: i for i, bid in enumerate(nonslack)}
+    cols = [i for i, b in enumerate(grid.buses) if b.id != root]
+    nonslack = [grid.buses[i] for i in cols]
     n = len(nonslack)
     nl = len(grid.lines)
 
     # path_mat[i, l] = 1 iff line l lies on the slack->bus_i path
     path_mat = np.zeros((n, nl))
-    for bid in nonslack:
-        cur = bid
+    for j, b in enumerate(nonslack):
+        cur = b.id
         while cur != root:
             up, lidx = parent[cur]
-            path_mat[pos[bid], lidx] = 1.0
+            path_mat[j, lidx] = 1.0
             cur = up
 
     # A bus is downstream of line l iff l is on its path.
@@ -117,20 +123,16 @@ def build_linear_model(grid: Grid, slack_voltage: float = 1.0) -> LinearNetworkM
     return LinearNetworkModel(
         slack_id=root,
         slack_voltage=slack_voltage,
-        bus_order=tuple(nonslack),
+        bus_order=tuple(b.id for b in nonslack),
+        bus_cols=np.array(cols, dtype=np.intp),
         line_order=tuple(ln.id for ln in grid.lines),
         flow_map=flow_map,
         voltage_map_p=vp,
         voltage_map_q=vq,
+        s_max=np.array([ln.s_max for ln in grid.lines]),
+        vmax2=np.array([b.vmax**2 for b in nonslack]),
+        vmin2=np.array([b.vmin**2 for b in nonslack]),
     )
-
-
-def network_bounds(grid: Grid, bus_order: tuple[str, ...]):
-    """(s_max over grid.lines, vmax^2 and vmin^2 over bus_order), built once."""
-    bus = {b.id: b for b in grid.buses}
-    return (np.array([ln.s_max for ln in grid.lines]),
-            np.array([bus[b].vmax**2 for b in bus_order]),
-            np.array([bus[b].vmin**2 for b in bus_order]))
 
 
 def evaluate_linear(

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .formulation import (
+    EnergyAccount,
     NodeAggregates,
     PlanResult,
     Scenario,
@@ -32,7 +33,7 @@ from .formulation import (
 )
 from .grid import Grid
 from .milp import SolverConfig, solve_lp
-from .network import LinearNetworkModel, build_linear_model, evaluate_linear, network_bounds
+from .network import LinearNetworkModel, build_linear_model, evaluate_linear
 
 
 class OracleError(ValueError):
@@ -111,25 +112,19 @@ def rule_injections(grid: Grid, scenario: Scenario, scal: float,
     return _rule_state(agg, scenario.fl, scal)
 
 
-def _network_arrays(state: RuleState, model: LinearNetworkModel,
-                    agg: NodeAggregates) -> tuple[np.ndarray, np.ndarray]:
-    cols = _model_columns(agg, model)
-    flows, v2 = evaluate_linear(model, state.injection_p[:, cols],
-                                state.injection_q[:, cols])
+def _network_arrays(state: RuleState,
+                    model: LinearNetworkModel) -> tuple[np.ndarray, np.ndarray]:
+    flows, v2 = evaluate_linear(model, state.injection_p[:, model.bus_cols],
+                                state.injection_q[:, model.bus_cols])
     return np.atleast_2d(flows), np.atleast_2d(v2)
 
 
-def _model_columns(agg: NodeAggregates, model: LinearNetworkModel) -> list[int]:
-    pos = {bid: i for i, bid in enumerate(agg.bus_order)}
-    return [pos[bid] for bid in model.bus_order]
-
-
-def headroom(bounds, flows: np.ndarray,
+def headroom(model: LinearNetworkModel, flows: np.ndarray,
              v2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Margins to every bound, negative where violated: thermal s_max - |flow|
-    (H, L), v_high vmax^2 - v^2 (H, N) and v_low v^2 - vmin^2 (H, N)."""
-    s_max, vmax2, vmin2 = bounds
-    return s_max - np.abs(flows), vmax2 - v2, v2 - vmin2
+    """Margins to every bound of the model, negative where violated: thermal
+    s_max - |flow| (H, L), v_high vmax^2 - v^2 (H, N) and v_low v^2 - vmin^2
+    (H, N)."""
+    return model.s_max - np.abs(flows), model.vmax2 - v2, v2 - model.vmin2
 
 
 def flagged_rows(values, masks, hours: tuple[int, ...],
@@ -157,8 +152,8 @@ def feasible_at(grid: Grid, scenario: Scenario, scal: float,
     cfg = cfg or SolverConfig()
     agg = agg if agg is not None else node_aggregates(grid, scenario)
     model = model or build_linear_model(grid)
-    flows, v2 = _network_arrays(_rule_state(agg, scenario.fl, scal), model, agg)
-    margins = headroom(network_bounds(grid, model.bus_order), flows, v2)
+    flows, v2 = _network_arrays(_rule_state(agg, scenario.fl, scal), model)
+    margins = headroom(model, flows, v2)
     n_total, rows = flagged_rows(margins,
                                  tuple(m < -cfg.feasibility_tol for m in margins),
                                  agg.hours, model.line_order, model.bus_order,
@@ -199,12 +194,11 @@ def max_scal_bisection(grid: Grid, scenario: Scenario,
     report_zero = feasible_at(grid, scenario, 0.0, cfg, agg=agg, model=model)
     if not report_zero.feasible:
         return ScalSearch("infeasible_at_zero", None, 1, False, report_zero)
-    upper = network_bounds(grid, model.bus_order)[:2]
     blocks = [agg.hour_block(lo, lo + _BLOCK_HOURS)
               for lo in range(0, len(agg.hours), _BLOCK_HOURS)]
     s = 0.0
     for passes in range(2, 102):        # a few passes settle it; 100 caps rounding noise
-        t, binding = min((_tangent_step(b, model, upper, scenario.fl, s) for b in blocks),
+        t, binding = min((_tangent_step(b, model, scenario.fl, s) for b in blocks),
                          key=lambda step: step[0])
         if s + t >= cfg.scal_max:
             return ScalSearch("ok", cfg.scal_max, passes, True, report_zero)
@@ -214,17 +208,17 @@ def max_scal_bisection(grid: Grid, scenario: Scenario,
     return ScalSearch("ok", s, passes, False, report_zero, binding)
 
 
-def _tangent_step(agg: NodeAggregates, model: LinearNetworkModel, upper,
+def _tangent_step(agg: NodeAggregates, model: LinearNetworkModel,
                   fl: float, s: float) -> tuple[float, tuple[str, str, int] | None]:
     """Shortest step to a hard upper bound along the tangents at s, and its row."""
     state = _rule_state(agg, fl, s)
-    flows, v2 = _network_arrays(state, model, agg)
+    flows, v2 = _network_arrays(state, model)
     # right-derivative of min(avail, fl * cap + R): the smaller slope at a kink
     over = state.available_mw - fl * (agg.cap_const + agg.cap_coef * s) - agg.residual
     a, f = agg.avail_coef, np.broadcast_to(fl * agg.cap_coef, over.shape)
     dp = np.minimum(np.where(over > 0, f, a), np.where(over < 0, a, f))
-    dp = dp[:, _model_columns(agg, model)]
-    gap = np.concatenate([upper[0] - flows, upper[1] - v2], axis=1)
+    dp = dp[:, model.bus_cols]
+    gap = np.concatenate([model.s_max - flows, model.vmax2 - v2], axis=1)
     rate = np.concatenate([dp @ model.flow_map.T, dp @ model.voltage_map_p.T], axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         step = np.where(rate > 0, np.maximum(gap, 0.0) / rate, np.inf)
@@ -294,27 +288,20 @@ def enumerate_alpha(grid: Grid, scenario: Scenario,
 # plan assembly without the MILP
 
 
-def oracle_plan(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = None,
-                *, scal: float | None = None,
+def oracle_plan(grid: Grid, scenario: Scenario, scal: float, *,
                 agg: NodeAggregates | None = None,
                 model: LinearNetworkModel | None = None) -> PlanResult:
-    """PlanResult-shaped answer from the closed-form path.
+    """PlanResult-shaped answer from the closed-form path at expansion factor scal.
 
-    When scal is omitted it comes from max_scal_bisection. Unit-level
-    production splits node curtailment pro rata by availability; node totals,
-    flows and voltages are the quantities that are actually pinned down. The
-    plan's alpha stays empty: the rule's triggers are RuleState.alpha.
+    Unit-level production splits node curtailment pro rata by availability;
+    node totals, flows and voltages are the quantities that are actually
+    pinned down. The plan's alpha stays empty: the rule's triggers are
+    RuleState.alpha.
     """
-    cfg = cfg or SolverConfig()
     model = model or build_linear_model(grid)
     agg = agg if agg is not None else node_aggregates(grid, scenario)
-    if scal is None:
-        search = max_scal_bisection(grid, scenario, cfg, agg=agg, model=model)
-        if search.status != "ok":
-            raise OracleError("no feasible expansion: grid violates bounds at scal=0")
-        scal = search.scal_star
     state = _rule_state(agg, scenario.fl, scal)
-    flows, v2 = _network_arrays(state, model, agg)
+    flows, v2 = _network_arrays(state, model)
     hours = agg.hours
     pos = {bid: i for i, bid in enumerate(agg.bus_order)}
 
@@ -363,26 +350,12 @@ def oracle_plan(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = None,
 
 @dataclass
 class AnnualResult:
-    """Hourly series and totals at a fixed expansion factor over all hours."""
+    """Energy totals at a fixed expansion factor over all hours, and the
+    number of hours in which some network bound is violated."""
 
     scal: float
-    hour_duration_h: float
-    available_mw: np.ndarray      # (H,) eligible + non-eligible availability
-    generated_mw: np.ndarray      # (H,) total production
-    curtailed_mw: np.ndarray      # (H,)
-    net_export_mw: np.ndarray     # (H,) negative means import
-    demand_mw: np.ndarray         # (H,)
+    account: EnergyAccount
     violation_hours: int
-    available_mwh: float
-    generated_mwh: float
-    curtailed_mwh: float
-    imports_mwh: float
-    exports_mwh: float
-    demand_mwh: float
-
-    @property
-    def curtailed_share(self) -> float:
-        return self.curtailed_mwh / self.available_mwh if self.available_mwh > 0 else 0.0
 
 
 def annual_simulate(grid: Grid, scenario: Scenario, scal: float,
@@ -401,9 +374,9 @@ def annual_simulate(grid: Grid, scenario: Scenario, scal: float,
     all_hours = tuple(range(grid.hour_count))
     agg = node_aggregates(grid, scenario, all_hours)
     state = _rule_state(agg, scenario.fl, scal)
-    flows, v2 = _network_arrays(state, model, agg)
+    flows, v2 = _network_arrays(state, model)
 
-    margins = headroom(network_bounds(grid, model.bus_order), flows, v2)
+    margins = headroom(model, flows, v2)
     bad_hour = np.logical_or.reduce([(m < -cfg.feasibility_tol).any(axis=1)
                                      for m in margins])
 
@@ -414,15 +387,7 @@ def annual_simulate(grid: Grid, scenario: Scenario, scal: float,
     net = state.injection_p.sum(axis=1)
     dh = grid.hour_duration_h
 
-    return AnnualResult(
-        scal=float(scal),
-        hour_duration_h=dh,
-        available_mw=avail_total,
-        generated_mw=gen_total,
-        curtailed_mw=curt_total,
-        net_export_mw=net,
-        demand_mw=demand,
-        violation_hours=int(bad_hour.sum()),
+    account = EnergyAccount(
         available_mwh=float(avail_total.sum() * dh),
         generated_mwh=float(gen_total.sum() * dh),
         curtailed_mwh=float(curt_total.sum() * dh),
@@ -430,3 +395,4 @@ def annual_simulate(grid: Grid, scenario: Scenario, scal: float,
         exports_mwh=float(np.maximum(0.0, net).sum() * dh),
         demand_mwh=float(demand.sum() * dh),
     )
+    return AnnualResult(float(scal), account, int(bad_hour.sum()))

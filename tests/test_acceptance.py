@@ -152,10 +152,10 @@ def test_criterion_6_annual_low_cap_adds_more(lv_year):
                           s07.scal_star, cfg)
     dt = time.perf_counter() - t0
     ok = (s07.status == "ok" and s10.status == "ok"
-          and added07 > added10 and sim.curtailed_share <= 0.05
+          and added07 > added10 and sim.account.curtailed_share <= 0.05
           and sim.violation_hours == 0 and dt < 60.0)
     _verdict(6, ok, f"added {added07:.4f} MW at cap 0.7 vs {added10:.4f} MW "
-                    f"at cap 1.0, curtailed share {sim.curtailed_share:.4f}, "
+                    f"at cap 1.0, curtailed share {sim.account.curtailed_share:.4f}, "
                     f"{dt:.1f} s for 2x8760 h")
 
 

@@ -1,5 +1,6 @@
 import json
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,15 +14,16 @@ from feedincap.analysis import (
     EnergyBalanceError,
     SweepSpec,
     SweepResult,
-    annual_account,
     check_monotonicity,
     emit_report,
     energy_account,
     find_bottlenecks,
     run_sweep,
 )
-from feedincap.formulation import Scenario
+from feedincap.formulation import Scenario, build_problem, extract_solution
 from feedincap.fixtures import example_grid_7kwp
+from feedincap.milp import SolverConfig, solve_milp
+from feedincap.network import build_linear_model
 from feedincap.oracle import annual_simulate, max_scal_bisection, oracle_plan
 
 from util import two_bus
@@ -67,9 +69,9 @@ def test_account_reference_share():
 
 
 def test_annual_account_carries_demand(lv):
-    sim = annual_simulate(lv, Scenario(fl=0.7, case="b"), 0.2)
-    acc = annual_account(sim)
-    assert acc.demand_mwh == pytest.approx(sim.demand_mwh)
+    acc = annual_simulate(lv, Scenario(fl=0.7, case="b"), 0.2).account
+    demand = sum(sum(b.demand_p) for b in lv.buses) * lv.hour_duration_h
+    assert acc.demand_mwh == pytest.approx(demand, rel=1e-12)
     assert acc.generated_mwh + acc.curtailed_mwh == pytest.approx(
         acc.available_mwh, rel=1e-9)
 
@@ -80,15 +82,16 @@ def test_annual_account_carries_demand(lv):
 def test_bottlenecks_empty_when_only_the_domain_bound_binds():
     grid = two_bus(s_max=float("inf"), vmin=0.01, vmax=100.0)
     plan = oracle_plan(grid, Scenario(fl=1.0), scal=1000.0)
-    report = find_bottlenecks(plan, grid)
+    report = find_bottlenecks(plan, build_linear_model(grid))
     assert report.binding == ()
     assert report.labels() == ()
 
 
 def test_bottlenecks_single_thermal_line():
     grid = two_bus()
-    plan = oracle_plan(grid, Scenario(fl=1.0))
-    report = find_bottlenecks(plan, grid)
+    scenario = Scenario(fl=1.0)
+    plan = oracle_plan(grid, scenario, max_scal_bisection(grid, scenario).scal_star)
+    report = find_bottlenecks(plan, build_linear_model(grid))
     assert report.labels() == ("thermal:sub-n1",)
     assert report.worst_line == "sub-n1"
     assert report.min_thermal_headroom_mw == pytest.approx(0.0, abs=1e-3)
@@ -98,7 +101,7 @@ def test_bottlenecks_rural_voltage_ranking(rural):
     scenario = Scenario(fl=1.0, case="a")
     search = max_scal_bisection(rural, scenario)
     plan = oracle_plan(rural, scenario, scal=search.scal_star)
-    report = find_bottlenecks(plan, rural)
+    report = find_bottlenecks(plan, build_linear_model(rural))
     v_high = [b for b in report.binding if b.kind == "v_high"]
     assert v_high, "voltage-calibrated fixture must bind on v_high"
     # the reported worst bus is the one the raw voltage ranking puts on top
@@ -151,11 +154,50 @@ def test_sweep_annual_mode(lv):
     scenario = Scenario(fl=0.7, case="a", mode="annual")
     sim = annual_simulate(lv, scenario, cell.scal_star)
     assert sim.violation_hours == 0
-    ref = annual_account(sim)
+    ref = sim.account
     for name in ("available_mwh", "generated_mwh", "curtailed_mwh",
                  "imports_mwh", "exports_mwh"):
         assert getattr(cell.account, name) == pytest.approx(
             getattr(ref, name), rel=1e-12, abs=0.0), name
+
+
+# -- bus order ---------------------------------------------------------------
+
+
+def _slack_in_middle(grid):
+    slack, *rest = grid.buses
+    assert slack.is_slack
+    mid = len(rest) // 2
+    return replace(grid, buses=(*rest[:mid], slack, *rest[mid:]))
+
+
+@pytest.mark.parametrize("fl,case", [(0.7, "b"), (1.0, "a")])
+@pytest.mark.parametrize("name", ["urban", "rural", "example"])
+def test_slack_bus_may_sit_anywhere_in_the_document(name, fl, case, request):
+    grid = example_grid_7kwp() if name == "example" else request.getfixturevalue(name)
+    scenario = Scenario(fl=fl, case=case)
+    first, middle = (analysis.run_cell(g, scenario, "oracle", SolverConfig(),
+                                       build_linear_model(g))
+                     for g in (grid, _slack_in_middle(grid)))
+    assert first.status == middle.status == "ok"
+    assert middle.oracle_scal == first.oracle_scal
+    for total in ("available_mwh", "generated_mwh", "curtailed_mwh"):   # unit by unit
+        assert getattr(middle.account, total) == getattr(first.account, total), total
+    for total in ("imports_mwh", "exports_mwh"):    # summed over buses in document order
+        assert getattr(middle.account, total) == pytest.approx(
+            getattr(first.account, total), rel=1e-12, abs=0.0), total
+    assert middle.binding.labels() == first.binding.labels()
+
+
+@pytest.mark.parametrize("fl,case", [(0.7, "b"), (1.0, "a")])
+def test_milp_answer_ignores_bus_order(fl, case):
+    grid = example_grid_7kwp()
+    scenario = Scenario(fl=fl, case=case)
+    scal = []
+    for g in (grid, replace(grid, buses=grid.buses[::-1])):
+        inst = build_problem(g, scenario)
+        scal.append(extract_solution(inst, solve_milp(inst.mip)).scal)
+    assert scal[1] == scal[0]
 
 
 # -- monotonicity checker ----------------------------------------------------

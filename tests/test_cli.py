@@ -81,6 +81,10 @@ def test_validate_zero_impedance_is_a_warning(tmp_path, capsys):
     ("plan", "scenario", "fl", "x"),
     ("plan", "scenario", "hours", 3),
     ("plan", "scenario", "hours", [0.5]),
+    ("plan", "scenario", "hours", [True]),
+    ("plan", "scenario", "fl", True),
+    ("plan", "scenario", "demand_multiplier", False),
+    ("plan", "scenario", "costs", {"import_eur_mwh": True}),
 ])
 def test_malformed_values_are_usage_errors(command, where, key, value, tmp_path, capsys):
     grid_doc = json.loads(serialize_grid(two_bus()))

@@ -9,6 +9,7 @@ from feedincap.formulation import Scenario, build_problem
 from feedincap.fixtures import example_grid_7kwp
 from feedincap.grid import GenUnit, Grid, parse_grid
 from feedincap.milp import SolverConfig
+from feedincap.network import build_linear_model
 from feedincap.oracle import (
     OracleError,
     annual_simulate,
@@ -16,7 +17,6 @@ from feedincap.oracle import (
     feasible_at,
     headroom,
     max_scal_bisection,
-    network_bounds,
     oracle_plan,
     rule_injections,
 )
@@ -170,7 +170,7 @@ def test_interval_feasibility_sampled():
 def _binding_margin(grid, scenario, search) -> float:
     """Distance left to the bound of the row the search reports as binding."""
     plan = oracle_plan(grid, scenario, scal=search.scal_star)
-    thermal, v_high, _ = headroom(network_bounds(grid, plan.bus_order),
+    thermal, v_high, _ = headroom(build_linear_model(grid),
                                   plan.flows_mw, plan.voltages_pu2)
     kind, element, hour = search.binding
     k = plan.hours.index(hour)
@@ -291,19 +291,14 @@ def test_oracle_plan_prorata_split():
         pytest.approx(4.0)
 
 
-def test_oracle_plan_infeasible_at_zero_raises(hybrid):
-    with pytest.raises(OracleError, match="scal=0"):
-        oracle_plan(hybrid, Scenario(fl=1.0, demand_multiplier=0.5))
-
-
 # -- annual ------------------------------------------------------------------
 
 
 def test_annual_zero_scal_no_existing_pv():
     grid = two_bus(profile=(0.1, 0.6, 1.0, 0.2))
     sim = annual_simulate(grid, Scenario(fl=0.7), 0.0)
-    assert np.all(sim.curtailed_mw == 0.0)
-    assert sim.generated_mwh == 0.0
+    assert sim.account.curtailed_mwh == 0.0         # a sum of nonnegative hours
+    assert sim.account.generated_mwh == 0.0
     assert sim.violation_hours == 0
 
 
@@ -316,14 +311,14 @@ def test_annual_single_peak_hour_curtailment():
     gens = (replace(cand, profile=(0.0, 1.0, 0.0)),)
     grid = Grid(base.base_mva, base.base_kv, buses, base.lines, gens)
     sim = annual_simulate(grid, Scenario(fl=0.7), 1.0)
-    assert sim.curtailed_mwh == pytest.approx(0.7e-3, abs=1e-12)
-    assert sim.generated_mwh == pytest.approx(6.3e-3, abs=1e-12)
+    assert sim.account.curtailed_mwh == pytest.approx(0.7e-3, abs=1e-12)
+    assert sim.account.generated_mwh == pytest.approx(6.3e-3, abs=1e-12)
 
 
 def test_annual_energy_identity(lv):
-    sim = annual_simulate(lv, Scenario(fl=0.7, case="b"), 0.5)
-    gap = abs(sim.generated_mwh + sim.curtailed_mwh - sim.available_mwh)
-    assert gap <= 1e-9 * max(1.0, sim.available_mwh)
+    acc = annual_simulate(lv, Scenario(fl=0.7, case="b"), 0.5).account
+    gap = abs(acc.generated_mwh + acc.curtailed_mwh - acc.available_mwh)
+    assert gap <= 1e-9 * max(1.0, acc.available_mwh)
 
 
 def test_annual_counts_violation_hours():

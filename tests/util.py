@@ -7,7 +7,6 @@ import numpy as np
 from feedincap.grid import Bus, GenUnit, Grid, Line
 from feedincap.formulation import Scenario
 from feedincap.milp import SolverConfig
-from feedincap.network import network_bounds
 from feedincap.oracle import feasible_at
 
 
@@ -142,7 +141,8 @@ def reference_network_rows(inst) -> list[tuple[dict[int, float], float]]:
     pos = {bid: i for i, bid in enumerate(agg.bus_order)}
     bus_of = {g.id: pos[g.bus] for g in grid.gens}
     unit_bus = [bus_of[gid] for gid in inst.elig_units]
-    s_max, vmax2, _ = network_bounds(grid, model.bus_order)
+    s_max = [ln.s_max for ln in grid.lines]
+    vmax2 = [grid.buses[pos[bid]].vmax**2 for bid in model.bus_order]
     rows = []
     for k in range(len(inst.hours)):
         def p_terms(j):
