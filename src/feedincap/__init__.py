@@ -29,7 +29,7 @@ from .formulation import (
     scenario_from_json,
     scenario_to_json,
 )
-from .fixtures import FixtureProfile, example_grid_7kwp, synth_grid, synth_profiles
+from .fixtures import example_grid_7kwp, synth_grid, synth_profiles
 from .grid import (
     Bus,
     CandidatePolicy,
@@ -57,8 +57,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BindingReport", "Bus", "CandidatePolicy", "Costs", "EnergyAccount",
-    "FixtureProfile", "GenUnit", "Grid", "GridFormatError", "Line",
-    "MILProblem", "PlanResult", "Scenario", "SolverConfig", "SweepSpec",
+    "GenUnit", "Grid", "GridFormatError", "Line", "MILProblem", "PlanResult",
+    "Scenario", "SolverConfig", "SweepSpec",
     "ac_sweep", "add_candidates", "annual_simulate", "build_linear_model",
     "build_problem", "check_monotonicity", "compare_models",
     "curtailment_rule", "emit_report", "energy_account", "enumerate_alpha",

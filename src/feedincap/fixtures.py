@@ -46,30 +46,15 @@ _LV_LATERAL = (0.443, 0.082, 0.142)
 
 
 @dataclass(frozen=True)
-class FixtureProfile:
-    """Selects one archetype; seed controls every random draw."""
-
-    kind: str
-    seed: int = 1
-    hours: int = 1
-
-    def __post_init__(self) -> None:
-        if self.kind not in FIXTURE_KINDS:
-            raise ValueError(f"unknown fixture kind {self.kind!r}")
-        if self.hours < 1:
-            raise ValueError("hours must be >= 1")
-
-
-@dataclass(frozen=True)
 class ProfileSet:
     """Shared capacity-factor and demand shapes for the selected hours."""
 
     hours: tuple[int, ...]            # positions in the underlying year
-    pv_cf: tuple[float, ...]
-    wind_cf: tuple[float, ...]
-    ror_cf: tuple[float, ...]
-    demand_shape: tuple[float, ...]   # relative, peak of the year = 1.0
-    peak_pos: int                     # index into the tuples with pv_cf max
+    pv_cf: np.ndarray
+    wind_cf: np.ndarray
+    ror_cf: np.ndarray
+    demand_shape: np.ndarray          # relative, peak of the year = 1.0
+    peak_pos: int                     # index into the series with pv_cf max
     year_demand_mean: float           # mean of the full-year shape
 
 
@@ -136,10 +121,10 @@ def synth_profiles(kind: str, hours: int, seed: int = 1) -> ProfileSet:
     idx = _hour_slice(pv, hours)
     return ProfileSet(
         hours=tuple(int(i) for i in idx),
-        pv_cf=tuple(float(v) for v in pv[idx]),
-        wind_cf=tuple(float(v) for v in wind[idx]),
-        ror_cf=tuple(float(v) for v in ror[idx]),
-        demand_shape=tuple(float(v) for v in dem[idx]),
+        pv_cf=pv[idx],
+        wind_cf=wind[idx],
+        ror_cf=ror[idx],
+        demand_shape=dem[idx],
         peak_pos=int(np.argmax(pv[idx])),
         year_demand_mean=float(dem.mean()),
     )
@@ -260,9 +245,9 @@ def _thermal_scal(grid: Grid, peak_pos: int) -> float:
 
 
 def _assemble_mv(kind: str, seed: int, hours: int) -> Grid:
+    prof = synth_profiles(kind, hours, seed)      # rejects an unknown kind
     t = _MV_TARGETS[kind]
     rng = np.random.default_rng(10_000 + seed * 7 + len(kind))
-    prof = synth_profiles(kind, hours, seed)
     H = len(prof.hours)
     peak = prof.peak_pos
 
@@ -316,14 +301,13 @@ def _assemble_mv(kind: str, seed: int, hours: int) -> Grid:
     weights = _split_total(rng, len(demand_nodes), t["demand"] / prof.demand_shape[peak])
     dmap = {bid: w for bid, w in zip(demand_nodes, weights)}
 
-    shape = np.array(prof.demand_shape)
+    shape = prof.demand_shape
     buses = [Bus("sub", True, (0.0,) * H, (0.0,) * H, vmin=0.95, vmax=1.03)]
     for i in range(1, t["n"]):
         bid = f"n{i:03d}"
         w = dmap.get(bid, 0.0)
-        dp = tuple(float(v) for v in w * shape)
-        dq = tuple(float(v) for v in w * shape * _MV_PF_TAN)
-        buses.append(Bus(bid, False, dp, dq, vmin=0.95, vmax=1.03))
+        buses.append(Bus(bid, False, w * shape, w * shape * _MV_PF_TAN,
+                         vmin=0.95, vmax=1.03))
 
     grid = Grid(base_mva=t["mva"], base_kv=20.0, buses=tuple(buses),
                 lines=tuple(lines), gens=tuple(gens))
@@ -386,13 +370,11 @@ def _assemble_lv(seed: int, hours: int) -> Grid:
                            year_mean_mw / prof.year_demand_mean)
     dmap = dict(zip(demand_nodes, weights))
 
-    shape = np.array(prof.demand_shape)
+    shape = prof.demand_shape
     buses = [Bus("sub", True, (0.0,) * H, (0.0,) * H, vmin=0.9, vmax=1.1)]
     for bid in node_ids:
         w = dmap.get(bid, 0.0)
-        dp = tuple(float(v) for v in w * shape)
-        dq = tuple(float(v) for v in w * shape * _LV_PF_TAN)
-        buses.append(Bus(bid, False, dp, dq, vmin=0.9, vmax=1.1))
+        buses.append(Bus(bid, False, w * shape, w * shape * _LV_PF_TAN, vmin=0.9, vmax=1.1))
 
     grid = Grid(base_mva=0.25, base_kv=0.4, buses=tuple(buses),
                 lines=tuple(lines), gens=tuple(gens))
@@ -421,25 +403,18 @@ def example_grid_7kwp(hours: int = 1) -> Grid:
     prof = synth_profiles("example", hours, seed=1)
     H = len(prof.hours)
     peak = prof.peak_pos
-    shape = np.array(prof.demand_shape)
-    dp = 1.4e-3 * shape / shape[peak]
+    shape = prof.demand_shape
     return Grid(
         base_mva=1.0, base_kv=20.0,
         buses=(Bus("sub", True, (0.0,) * H, (0.0,) * H),
-               Bus("n001", False, tuple(float(v) for v in dp), (0.0,) * H)),
+               Bus("n001", False, 1.4e-3 * shape / shape[peak], (0.0,) * H)),
         lines=(Line("sub", "n001", 1e-4, 1e-4, 5.0, 0.2),),
         gens=(GenUnit("pv_new", "n001", "pv_candidate", 7e-3, prof.pv_cf),),
     )
 
 
-def synth_grid(profile: FixtureProfile | str, seed: int = 1, hours: int = 1) -> Grid:
+def synth_grid(kind: str, seed: int = 1, hours: int = 1) -> Grid:
     """Build one of the archetype grids; byte-stable for a given seed."""
-    if isinstance(profile, FixtureProfile):
-        kind, seed, hours = profile.kind, profile.seed, profile.hours
-    else:
-        kind = profile
-        if kind not in FIXTURE_KINDS:
-            raise ValueError(f"unknown fixture kind {kind!r}")
     if kind == "example":
         return example_grid_7kwp(hours)
     if kind == "lv":

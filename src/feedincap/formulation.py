@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .grid import Grid, PV_KINDS
+from .grid import PV_KINDS, Grid, _number
 from .milp import (
     INF,
     LinearProgram,
@@ -115,13 +115,6 @@ def scenario_to_json(sc: Scenario) -> str:
     return json.dumps(doc, indent=1)
 
 
-def _number(value, kind=float):
-    """kind(value) for a JSON number; a JSON boolean is not one."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected a number, got {json.dumps(value)}")
-    return kind(value)
-
-
 def scenario_from_json(text: str | dict) -> Scenario:
     doc = json.loads(text) if isinstance(text, str) else text
     if not isinstance(doc, dict):
@@ -140,7 +133,7 @@ def scenario_from_json(text: str | dict) -> Scenario:
             costs=Costs(**{f.name: _number(costs.get(f.name, f.default))
                            for f in fields(Costs)}),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormulationError(f"scenario values must be numbers: {exc}") from None
     return Scenario(**values)
 
@@ -180,14 +173,23 @@ class NodeAggregates:
 
 
 def worst_case_hour(grid: Grid, scenario: Scenario) -> int:
-    """Hour maximizing total availability minus total demand (scal = 1)."""
+    """Hour maximizing total availability minus total demand (scal = 1).
+
+    Scanning the hours in order, a later hour replaces the best one only when
+    it is larger by more than 1e-15, so near-ties go to the earliest hour.
+    """
+    zero = np.zeros(grid.hour_count)
+    # accumulate adds the units one after another, in document order; np.sum and
+    # np.add.reduce may add a one-hour column pairwise
+    avail = np.add.accumulate([zero, *(g.p_max * g.profile for g in grid.gens)])[-1]
+    demand = np.add.accumulate([zero, *(b.demand_p for b in grid.buses)])[-1]
+    margin = avail - scenario.demand_multiplier * demand
+    # only an hour above every earlier one can beat the best so far by 1e-15
+    earlier = np.fmax.accumulate(np.concatenate(([-INF], margin[:-1])))
     best_h, best_v = 0, -INF
-    for h in range(grid.hour_count):
-        avail = sum(g.p_max * g.profile[h] for g in grid.gens)
-        dem = scenario.demand_multiplier * sum(b.demand_p[h] for b in grid.buses)
-        if avail - dem > best_v + 1e-15:
-            best_v = avail - dem
-            best_h = h
+    for h in np.flatnonzero(margin > earlier).tolist():
+        if margin[h] > best_v + 1e-15:
+            best_h, best_v = h, margin[h]
     return best_h
 
 
@@ -219,7 +221,7 @@ def node_aggregates(grid: Grid, scenario: Scenario,
     cand_total = 0.0
     for g in grid.gens:
         i = pos[g.bus]
-        cf = np.asarray(g.profile, dtype=float)[idx]
+        cf = g.profile[idx]
         if g.kind == "pv_candidate":
             avail_coef[:, i] += g.p_max * cf
             cap_coef[i] += g.p_max
@@ -231,8 +233,8 @@ def node_aggregates(grid: Grid, scenario: Scenario,
             nonelig[:, i] += g.p_max * cf
 
     mult = scenario.demand_multiplier
-    dp = np.array([b.demand_p for b in grid.buses], dtype=float).T[idx] * mult
-    dq = np.array([b.demand_q for b in grid.buses], dtype=float).T[idx] * mult
+    dp = np.array([b.demand_p for b in grid.buses]).T[idx] * mult
+    dq = np.array([b.demand_q for b in grid.buses]).T[idx] * mult
     residual = np.maximum(0.0, dp - nonelig)
 
     return NodeAggregates(
@@ -558,7 +560,7 @@ def unit_dispatch(grid: Grid, scenario: Scenario, hours: tuple[int, ...], scal: 
     avail: dict[str, np.ndarray] = {}
     u = 0
     for g in grid.gens:
-        cf = np.asarray(g.profile, dtype=float)[idx]
+        cf = g.profile[idx]
         if g.kind in elig_kinds:
             base = g.p_max * scal if g.kind == "pv_candidate" else g.p_max
             avail[g.id] = base * cf

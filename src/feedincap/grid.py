@@ -52,14 +52,30 @@ class CandidatePolicyWarning(UserWarning):
     """A candidate policy matched nothing (or was otherwise degenerate)."""
 
 
-@dataclass(frozen=True)
+def _series(values) -> np.ndarray:
+    """An hourly series as a read-only float64 array (list, tuple or array in)."""
+    if isinstance(values, np.ndarray) and values.dtype == np.float64 \
+            and not values.flags.writeable:
+        return values
+    series = np.array(values, dtype=np.float64)
+    series.flags.writeable = False
+    return series
+
+
+# Series fields are read-only float64 arrays, so Bus and GenUnit compare by
+# identity (eq=False); compare grids through serialize_grid.
+@dataclass(frozen=True, eq=False)
 class Bus:
     id: str
     is_slack: bool = False
-    demand_p: tuple[float, ...] = (0.0,)   # MW per hour
-    demand_q: tuple[float, ...] = (0.0,)   # MVAr per hour
-    vmin: float = 0.95                     # p.u.
-    vmax: float = 1.05                     # p.u.
+    demand_p: np.ndarray = (0.0,)     # MW per hour
+    demand_q: np.ndarray = (0.0,)     # MVAr per hour
+    vmin: float = 0.95                # p.u.
+    vmax: float = 1.05                # p.u.
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "demand_p", _series(self.demand_p))
+        object.__setattr__(self, "demand_q", _series(self.demand_q))
 
 
 @dataclass(frozen=True)
@@ -76,13 +92,16 @@ class Line:
         return f"{self.from_bus}-{self.to_bus}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GenUnit:
     id: str
     bus: str
     kind: str
-    p_max: float                          # MW; base capacity for candidates
-    profile: tuple[float, ...] = (1.0,)   # per-hour capacity factor in [0, 1]
+    p_max: float                   # MW; base capacity for candidates
+    profile: np.ndarray = (1.0,)   # per-hour capacity factor in [0, 1]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "profile", _series(self.profile))
 
 
 @dataclass(frozen=True)
@@ -151,7 +170,22 @@ class CandidatePolicy:
 # document parsing
 
 
-def _power(node: object, what: str, series: bool = False) -> float | tuple[float, ...]:
+def _number(value, kind=float):
+    """kind(value) for a JSON number (int or float); a boolean, a string or null
+    is not one. Series entries follow the same rule in _numbers."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {json.dumps(value, default=repr)}")
+    return kind(value)
+
+
+def _numbers(node: object, what: str) -> list:
+    """node if it is a list of JSON numbers; one type check, no per-value loop."""
+    if not isinstance(node, (list, tuple)) or not set(map(type, node)) <= {int, float}:
+        raise GridFormatError(f"{what}: expected a list of numbers")
+    return node
+
+
+def _power(node: object, what: str, series: bool = False) -> float | np.ndarray:
     """Decode a power field: bare number (MW) or {"unit": ..., "value(s)": ...}."""
     if isinstance(node, dict):
         unit = str(node.get("unit", "MW")).upper()
@@ -165,15 +199,10 @@ def _power(node: object, what: str, series: bool = False) -> float | tuple[float
     else:
         scale = 1.0
     if series:
-        if not isinstance(node, (list, tuple)):
-            raise GridFormatError(f"{what}: expected a list of numbers")
-        try:
-            return tuple(float(v) * scale for v in node)
-        except (TypeError, ValueError) as exc:
-            raise GridFormatError(f"{what}: non-numeric entry ({exc})") from None
+        return _series(_numbers(node, what)) * scale
     try:
-        return float(node) * scale
-    except (TypeError, ValueError):
+        return _number(node) * scale
+    except TypeError:
         raise GridFormatError(f"{what}: expected a number") from None
 
 
@@ -213,7 +242,7 @@ def parse_grid(document: str | dict, *, validate: bool = True) -> Grid:
             dq = raw.get("demand_q")
             demand_p = _power(dp, f"bus {bid} demand_p", series=True)
             if dq is None:
-                demand_q = (0.0,) * len(demand_p)
+                demand_q = np.zeros(len(demand_p))
             else:
                 demand_q = _power(dq, f"bus {bid} demand_q", series=True)
             if not isinstance(raw.get("is_slack", False), bool):
@@ -224,8 +253,8 @@ def parse_grid(document: str | dict, *, validate: bool = True) -> Grid:
                     is_slack=raw.get("is_slack", False),
                     demand_p=demand_p,
                     demand_q=demand_q,
-                    vmin=float(raw.get("vmin", 0.95)),
-                    vmax=float(raw.get("vmax", 1.05)),
+                    vmin=_number(raw.get("vmin", 0.95)),
+                    vmax=_number(raw.get("vmax", 1.05)),
                 )
             )
 
@@ -238,10 +267,10 @@ def parse_grid(document: str | dict, *, validate: bool = True) -> Grid:
                 Line(
                     from_bus=str(raw["from"]),
                     to_bus=str(raw["to"]),
-                    r=float(raw.get("r", 0.0)),
-                    x=float(raw.get("x", 0.0)),
+                    r=_number(raw.get("r", 0.0)),
+                    x=_number(raw.get("x", 0.0)),
                     s_max=_power(raw.get("s_max", math.inf), f"lines[{i}] s_max"),
-                    length_km=float(raw.get("length_km", 0.0)),
+                    length_km=_number(raw.get("length_km", 0.0)),
                 )
             )
 
@@ -251,31 +280,28 @@ def parse_grid(document: str | dict, *, validate: bool = True) -> Grid:
                 raise GridFormatError(f"generators[{i}]: expected an object with an 'id'")
             gid = str(raw["id"])
             where = f"gen {gid}"
-            profile = raw.get("profile", [1.0])
-            if not isinstance(profile, (list, tuple)):
-                raise GridFormatError(f"gen {gid}: profile must be a list of numbers")
             gens.append(
                 GenUnit(
                     id=gid,
                     bus=str(raw.get("bus", "")),
                     kind=str(raw.get("kind", "")),
                     p_max=_power(raw.get("p_max", 0.0), f"gen {gid} p_max"),
-                    profile=tuple(float(v) for v in profile),
+                    profile=_numbers(raw.get("profile", [1.0]), f"gen {gid} profile"),
                 )
             )
 
         where = "grid"
         grid = Grid(
-            base_mva=float(doc["base_mva"]),
-            base_kv=float(doc["base_kv"]),
-            hour_duration_h=float(doc.get("hour_duration_h", 1.0)),
+            base_mva=_number(doc["base_mva"]),
+            base_kv=_number(doc["base_kv"]),
+            hour_duration_h=_number(doc.get("hour_duration_h", 1.0)),
             buses=tuple(buses),
             lines=tuple(lines),
             gens=tuple(gens),
         )
     except GridFormatError:
         raise
-    except (TypeError, ValueError) as exc:      # a value that is not a number
+    except (TypeError, ValueError, OverflowError) as exc:   # not a number, or past float range
         raise GridFormatError(f"{where}: expected numbers ({exc})") from None
     if validate:
         errors = [iss for iss in validate_grid(grid) if iss.severity == "error"]
@@ -302,8 +328,8 @@ def serialize_grid(grid: Grid) -> str:
                 "is_slack": b.is_slack,
                 "vmin": b.vmin,
                 "vmax": b.vmax,
-                "demand_p": list(b.demand_p),
-                "demand_q": list(b.demand_q),
+                "demand_p": b.demand_p.tolist(),
+                "demand_q": b.demand_q.tolist(),
             }
             for b in grid.buses
         ],
@@ -324,7 +350,7 @@ def serialize_grid(grid: Grid) -> str:
                 "bus": g.bus,
                 "kind": g.kind,
                 "p_max": g.p_max,
-                "profile": list(g.profile),
+                "profile": g.profile.tolist(),
             }
             for g in grid.gens
         ],
@@ -389,11 +415,9 @@ def validate_grid(grid: Grid) -> list[ValidationIssue]:
         if len(b.demand_p) != hour_count or len(b.demand_q) != hour_count:
             err("series_length", b.id,
                 f"demand series length {len(b.demand_p)}/{len(b.demand_q)} != {hour_count}")
-        demand_p = np.asarray(b.demand_p, dtype=float)
-        demand_q = np.asarray(b.demand_q, dtype=float)
-        if not (np.isfinite(demand_p).all() and np.isfinite(demand_q).all()):
+        if not (np.isfinite(b.demand_p).all() and np.isfinite(b.demand_q).all()):
             err("non_finite", b.id, "demand series has NaN or infinite entries")
-        if (demand_p < 0).any():
+        if (b.demand_p < 0).any():
             err("neg_demand", b.id, "demand_p has negative entries")
         if not (0 < b.vmin < b.vmax):
             err("bad_voltage_band", b.id,
@@ -448,8 +472,7 @@ def validate_grid(grid: Grid) -> list[ValidationIssue]:
             err("bad_pmax", g.id, f"p_max must be >= 0, got {g.p_max}")
         if len(g.profile) != hour_count:
             err("series_length", g.id, f"profile length {len(g.profile)} != {hour_count}")
-        profile = np.asarray(g.profile, dtype=float)
-        if not ((profile >= 0.0) & (profile <= 1.0)).all():        # NaN fails both
+        if not ((g.profile >= 0.0) & (g.profile <= 1.0)).all():    # NaN fails both
             err("bad_profile", g.id, "profile out of [0, 1]")
 
     return issues
@@ -459,14 +482,11 @@ def validate_grid(grid: Grid) -> list[ValidationIssue]:
 # grid transforms
 
 
-def _mean_profile(units: list[GenUnit], hour_count: int) -> tuple[float, ...]:
-    if not units:
-        return (0.0,) * hour_count
-    acc = [0.0] * hour_count
-    for u in units:
-        for h, v in enumerate(u.profile):
-            acc[h] += v
-    return tuple(v / len(units) for v in acc)
+def _mean_profile(units: list[GenUnit], hour_count: int) -> np.ndarray:
+    acc = np.zeros(hour_count)
+    for u in units:             # unit by unit: the sum keeps document order
+        acc += u.profile
+    return acc / len(units) if units else acc
 
 
 def add_candidates(grid: Grid, policy: CandidatePolicy) -> Grid:
@@ -487,7 +507,7 @@ def add_candidates(grid: Grid, policy: CandidatePolicy) -> Grid:
             nodes = [
                 b.id
                 for b in grid.buses
-                if not b.is_slack and b.id not in pv_buses and any(v > 0 for v in b.demand_p)
+                if not b.is_slack and b.id not in pv_buses and (b.demand_p > 0).any()
             ]
         elif policy.eligible == "scalable_sites":
             nodes = sorted({g.bus for g in scalable},
@@ -522,11 +542,11 @@ def add_candidates(grid: Grid, policy: CandidatePolicy) -> Grid:
         if base <= 0:
             raise ValueError(f"candidate base capacity must be > 0, got {base} at {bus_id}")
         if policy.profile is not None:
-            profile = policy.profile
+            profile = _series(policy.profile)
         else:
             local = [g for g in scalable if g.bus == bus_id]
             profile = _mean_profile(local or any_pv, hour_count)
-        if not any(v > 0 for v in profile):
+        if not (profile > 0).any():
             raise ValueError(f"candidate at {bus_id} would have an all-zero profile; "
                              "pass an explicit policy profile")
         gid = f"cand_{bus_id}"
@@ -536,6 +556,6 @@ def add_candidates(grid: Grid, policy: CandidatePolicy) -> Grid:
             n += 1
         existing_ids.add(gid)
         new_units.append(GenUnit(id=gid, bus=bus_id, kind="pv_candidate",
-                                 p_max=base, profile=tuple(profile)))
+                                 p_max=base, profile=profile))
 
     return replace(grid, gens=grid.gens + tuple(new_units))

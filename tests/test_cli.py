@@ -5,7 +5,7 @@ import pytest
 
 from feedincap import cli
 from feedincap.fixtures import example_grid_7kwp, synth_grid
-from feedincap.grid import parse_grid, serialize_grid
+from feedincap.grid import serialize_grid
 
 from util import two_bus
 
@@ -85,6 +85,17 @@ def test_validate_zero_impedance_is_a_warning(tmp_path, capsys):
     ("plan", "scenario", "fl", True),
     ("plan", "scenario", "demand_multiplier", False),
     ("plan", "scenario", "costs", {"import_eur_mwh": True}),
+    ("plan", "scenario", "fl", "0.7"),
+    ("validate", "lines", "s_max", True),
+    ("validate", "buses", "vmax", True),
+    ("validate", "generators", "p_max", False),
+    ("validate", "buses", "demand_p", [True]),
+    ("validate", "generators", "profile", [None]),
+    ("validate", "buses", "vmin", "0.9"),
+    pytest.param("validate", "lines", "r", 10**400, id="validate-lines-r-int-too-large"),
+    pytest.param("validate", "buses", "demand_p", [10**400],
+                 id="validate-buses-demand_p-int-too-large"),
+    pytest.param("plan", "scenario", "fl", 10**400, id="plan-scenario-fl-int-too-large"),
 ])
 def test_malformed_values_are_usage_errors(command, where, key, value, tmp_path, capsys):
     grid_doc = json.loads(serialize_grid(two_bus()))
@@ -323,7 +334,7 @@ def test_synth_round_trip(tmp_path):
     rc = cli.main(["synth", "--kind", "rural_mv", "--seed", "1",
                    "--hours", "1", "--out", str(out)])
     assert rc == 0
-    assert parse_grid(out.read_text()) == synth_grid("rural_mv", seed=1, hours=1)
+    assert out.read_text() == serialize_grid(synth_grid("rural_mv", seed=1, hours=1))
 
 
 def test_synth_unknown_kind(capsys):

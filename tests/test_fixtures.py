@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 
 import feedincap.fixtures as fixtures
-from feedincap.fixtures import (
-    FixtureProfile,
-    example_grid_7kwp,
-    synth_grid,
-    synth_profiles,
-)
+from feedincap.fixtures import example_grid_7kwp, synth_grid, synth_profiles
 from feedincap.formulation import Scenario, curtailment_rule
-from feedincap.grid import PV_KINDS, parse_grid, serialize_grid, validate_grid
+from feedincap.grid import PV_KINDS, serialize_grid, validate_grid
 from feedincap.oracle import max_scal_bisection
 
 
@@ -96,19 +91,11 @@ def test_seed_changes_the_draw():
     assert a != b
 
 
-def test_profile_object_equivalent_to_kind_string():
-    a = serialize_grid(synth_grid(FixtureProfile("rural_mv", seed=1, hours=1)))
-    b = serialize_grid(synth_grid("rural_mv", seed=1, hours=1))
-    assert a == b
-
-
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="unknown fixture kind"):
         synth_grid("suburban")
     with pytest.raises(ValueError, match="unknown fixture kind"):
         synth_profiles("suburban", 1)
-    with pytest.raises(ValueError, match="unknown fixture kind"):
-        FixtureProfile("suburban")
 
 
 def test_mv_candidates_shadow_scalable_sites(rural):
@@ -217,4 +204,4 @@ def test_shipped_documents_match_generators():
         "example.json": example_grid_7kwp(),
     }
     for name, grid in shipped.items():
-        assert parse_grid((root / name).read_text()) == grid
+        assert (root / name).read_text() == serialize_grid(grid)

@@ -17,7 +17,7 @@ from feedincap.fixtures import example_grid_7kwp, synth_grid
 from feedincap.grid import Bus, GenUnit, Grid, Line
 from feedincap.milp import SolverConfig, solve_milp
 
-from util import random_radial, reference_network_rows, two_bus
+from util import random_radial, reference_network_rows, reference_worst_case_hour, two_bus
 
 
 # -- Scenario ----------------------------------------------------------------
@@ -138,6 +138,30 @@ def test_worst_case_hour_maximizes_surplus():
     assert worst_case_hour(grid, Scenario()) == 1
     # heavier demand reweights the comparison but hour 1 still wins
     assert worst_case_hour(grid, Scenario(demand_multiplier=1.2)) == 1
+
+
+def test_worst_case_hour_matches_the_hourly_scan():
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        grid = random_radial(rng, n_bus=int(rng.integers(2, 20)),
+                             hours=int(rng.integers(1, 30)))
+        sc = Scenario(demand_multiplier=float(rng.choice([0.0, 1.0, 1.7])))
+        got = worst_case_hour(grid, sc)
+        assert type(got) is int
+        assert got == reference_worst_case_hour(grid, sc)
+    # a near-tie within 1e-15 goes to the earliest hour; in the last case hours
+    # 1 and 2 stay within 1e-15 of hour 0, and hour 3 (12 ulps up) clears it
+    eps = np.spacing(0.5)
+    for profile, want in [((0.5, 0.5 + 7 * eps), 0),
+                          ((0.3, 0.5, 0.5 + 4 * eps), 1),
+                          ((0.5, 0.5 + 4 * eps, 0.5 + 8 * eps, 0.5 + 12 * eps), 3)]:
+        grid = two_bus(profile=profile)
+        assert worst_case_hour(grid, Scenario()) == want
+        assert reference_worst_case_hour(grid, Scenario()) == want
+    for _ in range(20):
+        steps = rng.uniform(-3 * eps, 12 * eps, 200)
+        grid = two_bus(profile=tuple(0.5 + np.cumsum(steps)))
+        assert worst_case_hour(grid, Scenario()) == reference_worst_case_hour(grid, Scenario())
 
 
 def test_hours_out_of_range_rejected():

@@ -1,6 +1,7 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from feedincap.grid import (
@@ -41,6 +42,18 @@ def test_parse_minimal_two_bus():
     assert grid.bus("n1").demand_p == (0.5,)
 
 
+def test_series_are_read_only_float64_arrays():
+    grid = two_bus(demand_mw=0.5, profile=(1, 0.25))      # tuples in, an int among them
+    parsed = parse_grid(MINIMAL_DOC)
+    for s in (grid.bus("n1").demand_p, grid.bus("n1").demand_q, grid.gens[0].profile,
+              parsed.bus("n1").demand_p, parsed.bus("n1").demand_q):
+        assert isinstance(s, np.ndarray) and s.dtype == np.float64
+        with pytest.raises(ValueError):
+            s[0] = 1.0
+    assert grid.gens[0].profile.tolist() == [1.0, 0.25]
+    assert parsed.bus("n1").demand_p.tolist() == [0.5]
+
+
 def test_parse_kw_units_convert_to_mw():
     doc = dict(MINIMAL_DOC)
     doc["buses"] = [
@@ -75,14 +88,13 @@ def test_parse_bad_json_and_missing_keys():
 
 
 def test_round_trip_identity():
-    grid = synth_grid("rural_mv", seed=1, hours=1)
-    again = parse_grid(serialize_grid(grid))
-    assert again == grid
+    text = serialize_grid(synth_grid("rural_mv", seed=1, hours=1))
+    assert serialize_grid(parse_grid(text)) == text
 
 
 def test_round_trip_identity_two_bus():
-    grid = two_bus(demand_mw=0.123456789, profile=(0.3, 1.0))
-    assert parse_grid(serialize_grid(grid)) == grid
+    text = serialize_grid(two_bus(demand_mw=0.123456789, profile=(0.3, 1.0)))
+    assert serialize_grid(parse_grid(text)) == text
 
 
 def test_fixture_document_parses_to_158_buses():
@@ -200,6 +212,24 @@ def test_demand_no_pv_rule_covers_every_such_node():
     assert [c.bus for c in cands] == ["c"]
     assert cands[0].p_max == 0.005
     assert cands[0].id == "cand_c"
+
+
+def test_grid_mean_candidate_profile_adds_units_in_document_order():
+    rng = np.random.default_rng(5)
+    for hours in (1, 1, 1, 3, 3):
+        zero = (0.0,) * hours
+        units = tuple(GenUnit(f"f{i}", "a", "pv_existing_fixed", 1.0,
+                              rng.uniform(0.0, 1.0, hours) * 10.0 ** rng.integers(-8, 1))
+                      for i in range(40))
+        grid = Grid(1.0, 20.0,
+                    buses=(Bus("sub", True, zero, zero), Bus("a", False, zero, zero),
+                           Bus("c", False, (0.2,) * hours, zero)),
+                    lines=(Line("sub", "a", 0.01, 0.01, 5.0), Line("a", "c", 0.01, 0.01, 5.0)),
+                    gens=units)
+        out = add_candidates(grid, CandidatePolicy(mode="fixed_capacity",
+                                                   eligible="demand_no_pv", capacity_mw=1.0))
+        want = [sum(float(u.profile[h]) for u in units) / len(units) for h in range(hours)]
+        assert out.gens[-1].profile.tolist() == want
 
 
 def test_per_node_list_empty_is_identity_with_warning():

@@ -91,6 +91,18 @@ def valid_random_instances(seed: int, count: int, cfg: SolverConfig, *,
             yield grid, scenario
 
 
+def reference_worst_case_hour(grid: Grid, scenario: Scenario) -> int:
+    """Hour-by-hour scan in Python floats: the reference for worst_case_hour."""
+    best_h, best_v = 0, -float("inf")
+    for h in range(grid.hour_count):
+        avail = sum(g.p_max * float(g.profile[h]) for g in grid.gens)
+        dem = scenario.demand_multiplier * sum(float(b.demand_p[h]) for b in grid.buses)
+        if avail - dem > best_v + 1e-15:
+            best_v = avail - dem
+            best_h = h
+    return best_h
+
+
 def reference_bisection(grid: Grid, scenario: Scenario, cfg: SolverConfig,
                         tol: float = 1e-9) -> float | None:
     """Plain bisection on feasible_at: the reference for the exact search."""
