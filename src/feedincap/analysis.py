@@ -211,6 +211,10 @@ def run_cell(grid: Grid, scenario: Scenario, engine: str,
     if engine in ("milp", "both"):
         inst = build_problem(grid, scenario, cfg, model=model)
         sol = solve_milp(inst.mip, cfg)
+        log.debug("cell fl=%g case=%s x%g: milp %s after %d node(s), %d LP iterations, "
+                  "gap %g, %d free trigger(s)", scenario.fl, scenario.case,
+                  scenario.demand_multiplier, sol.status, sol.nodes, sol.lp_iterations,
+                  sol.gap, sum(inst.lp.lb[j] < inst.lp.ub[j] for j in inst.binaries))
         if sol.status != "optimal":
             cell.status = "error"
             cell.error = f"milp returned {sol.status}"

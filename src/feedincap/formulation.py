@@ -313,9 +313,9 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
     fix_scal pins the expansion factor (annual mode needs it, and
     enumerate_alpha passes it through); otherwise scal ranges over
     [0, cfg.scal_max].
-    Binary triggers are created only where eligible capacity exists, and are
-    pre-fixed by interval analysis of the trigger premise over the scal
-    domain whenever its sign cannot change.
+    Binary triggers exist only where eligible capacity exists; a trigger whose
+    affine premise is >= 0 over the whole scal domain is pinned on (premise 0
+    still forces alpha = 1), < 0 over it pinned off, and otherwise left free.
     """
     cfg = cfg or SolverConfig()
     if scenario.mode == "annual" and fix_scal is None:
@@ -380,8 +380,8 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
             inter = float(agg.avail_const[k, i] - fl * agg.cap_const[i]
                           - agg.residual[k, i])
             p_ends = (inter + slope * s_lo, inter + slope * s_hi)
-            if min(p_ends) > 0.0:
-                a_lo, a_hi = 1.0, 1.0      # cap always exceeded: trigger on
+            if min(p_ends) >= 0.0:
+                a_lo, a_hi = 1.0, 1.0      # premise + eps > 0 forces the trigger on
             elif max(p_ends) < 0.0:
                 a_lo, a_hi = 0.0, 0.0      # cap unreachable: trigger off
             else:

@@ -161,6 +161,18 @@ def test_sweep_annual_mode(lv):
             getattr(ref, name), rel=1e-12, abs=0.0), name
 
 
+@pytest.mark.parametrize("name,fl,case", [("hybrid", 0.7, "a"),
+                                          ("urban", 1.0, "a"), ("urban", 1.0, "b")])
+def test_engines_agree_where_the_milp_used_to_branch(name, fl, case, request):
+    grid = request.getfixturevalue(name)
+    cfg = SolverConfig()
+    cell = analysis.run_cell(grid, Scenario(fl=fl, case=case), "both", cfg,
+                             build_linear_model(grid))
+    assert cell.status == "ok"
+    assert 0.0 <= cell.milp_scal <= cfg.scal_max
+    assert cell.deviation <= 1e-6 * (1.0 + cell.oracle_scal)
+
+
 # -- bus order ---------------------------------------------------------------
 
 

@@ -1,5 +1,10 @@
 import json
 import logging
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -156,6 +161,25 @@ def test_verbose_logs_the_oracle_answer(toy_file, tmp_path, caplog):
                      "--outdir", str(tmp_path), "--csv"]) == 0
     cells = oracle_lines()
     assert len(cells) == 4 and all("sub-n1" in m for m in cells)
+
+
+def test_verbose_logs_the_milp_work_on_stderr(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+
+    def run(*flags):
+        return subprocess.run(
+            [sys.executable, "-m", "feedincap.cli", *flags, "plan",
+             str(root / "fixtures" / "example.json"), "--engine", "milp",
+             "--outdir", str(tmp_path)], capture_output=True, text=True, env=env)
+
+    quiet, loud = run(), run("-v")
+    assert quiet.returncode == loud.returncode == 0
+    assert quiet.stderr == "" and loud.stdout == quiet.stdout
+    assert re.fullmatch(
+        r"DEBUG feedincap\.analysis: cell fl=1 case=a x1: milp optimal after 1 node\(s\), "
+        r"\d+ LP iterations, gap 0, 0 free trigger\(s\)\n", loud.stderr)
 
 
 def test_plan_infeasible_at_zero_distinct_exit(tmp_path, capsys):

@@ -296,13 +296,31 @@ def test_cost_scaling_leaves_optimum_unchanged():
 
 
 def test_binary_prefixing_narrows_bounds():
-    # candidate at CF 1 with fl 0.5: above cap for every scal > 0 at this node
+    # candidate at CF 1 with fl 0.5 and no demand: the premise is 0.5 * scal,
+    # 0 at scal = 0 and positive beyond, so the trigger row forces alpha = 1
+    # over the whole domain and the trigger is pinned on
     grid = two_bus(p_max=1.0)
     inst = build_problem(grid, Scenario(fl=0.5), SolverConfig())
     (j,) = inst.alpha_idx.ravel()
-    # premise can flip sign over [0, SCAL_MAX] only via the residual; D = 0
-    # here, so the trigger is live for scal > 0 and stays free or pinned high
-    assert (inst.lp.lb[j], inst.lp.ub[j]) in ((0.0, 1.0), (1.0, 1.0))
+    assert (inst.lp.lb[j], inst.lp.ub[j]) == (1.0, 1.0)
+
+
+def test_trigger_pinned_at_zero_premise_solves_at_the_root():
+    inst = build_problem(two_bus(p_max=1.0), Scenario(fl=0.5), SolverConfig())
+    sol = solve_milp(inst.mip, SolverConfig())
+    assert sol.status == "optimal"
+    assert sol.nodes == 1
+
+
+@pytest.mark.parametrize("name", ["urban", "rural", "hybrid"])
+def test_mv_fixtures_leave_no_trigger_free(name, request):
+    # no MV trigger premise changes sign over [0, scal_max]
+    grid = request.getfixturevalue(name)
+    for fl in (1.0, 0.7):
+        for case in ("a", "b"):
+            inst = build_problem(grid, Scenario(fl=fl, case=case), SolverConfig())
+            lb, ub = np.asarray(inst.lp.lb), np.asarray(inst.lp.ub)
+            assert not (lb[inst.alpha_idx] < ub[inst.alpha_idx]).any(), (fl, case)
 
 
 def test_network_rows_match_the_bus_by_bus_reference():
