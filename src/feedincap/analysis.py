@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,7 @@ from .formulation import (
     EnergyBalanceError,     # noqa: F401  re-exported for the cli
     FormulationError,
     PlanResult,
+    ProblemInstance,
     Scenario,
     build_problem,
     extract_solution,
@@ -200,8 +201,10 @@ def run_cell(grid: Grid, scenario: Scenario, engine: str,
                       demand_multiplier=scenario.demand_multiplier,
                       status="ok", engine=engine)
     agg = node_aggregates(grid, scenario)
+    # the oracle's binding row only seeds the MILP's kept rows, so the search
+    # runs for every engine but decides the cell only for oracle and both
+    search = max_scal_bisection(grid, scenario, cfg, agg=agg, model=model)
     if engine in ("oracle", "both"):
-        search = max_scal_bisection(grid, scenario, cfg, agg=agg, model=model)
         log.debug("cell fl=%g case=%s x%g: %s", scenario.fl, scenario.case,
                   scenario.demand_multiplier, search)
         if search.status != "ok":
@@ -210,11 +213,13 @@ def run_cell(grid: Grid, scenario: Scenario, engine: str,
         cell.oracle_scal = search.scal_star
     if engine in ("milp", "both"):
         inst = build_problem(grid, scenario, cfg, model=model)
-        sol = solve_milp(inst.mip, cfg)
+        sol = solve_milp(replace(inst.mip, seed=_seed_rows(inst, search.binding)), cfg)
         log.debug("cell fl=%g case=%s x%g: milp %s after %d node(s), %d LP iterations, "
-                  "gap %g, %d free trigger(s)", scenario.fl, scenario.case,
-                  scenario.demand_multiplier, sol.status, sol.nodes, sol.lp_iterations,
-                  sol.gap, sum(inst.lp.lb[j] < inst.lp.ub[j] for j in inst.binaries))
+                  "gap %g, %d free trigger(s), %d round(s), %d/%d rows", scenario.fl,
+                  scenario.case, scenario.demand_multiplier, sol.status, sol.nodes,
+                  sol.lp_iterations, sol.gap,
+                  sum(inst.lp.lb[j] < inst.lp.ub[j] for j in inst.binaries),
+                  sol.rounds, sol.rows_kept, inst.lp.n_rows)
         if sol.status != "optimal":
             cell.status = "error"
             cell.error = f"milp returned {sol.status}"
@@ -236,6 +241,17 @@ def run_cell(grid: Grid, scenario: Scenario, engine: str,
     cell.added_capacity_mw = plan.added_capacity_mw
     cell.binding = find_bottlenecks(plan, model)
     return cell
+
+
+def _seed_rows(inst: ProblemInstance, binding: tuple[str, str, int] | None) -> tuple[int, ...]:
+    """The LP row of the oracle's binding (kind, element, hour), if it names one."""
+    if binding is None:
+        return ()
+    kind, element, hour = binding
+    k = inst.hours.index(hour)
+    if kind == "thermal":
+        return (int(inst.thermal_hi_rows[k, inst.model.line_order.index(element)]),)
+    return (int(inst.v_hi_rows[k, inst.model.bus_order.index(element)]),)
 
 
 def run_sweep(grid: Grid, spec: SweepSpec | None = None,

@@ -253,14 +253,20 @@ def _case_list(text: str) -> list[str]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # -v goes before or after the subcommand; with SUPPRESS a parser that does
+    # not see it leaves it unset instead of resetting the value given before
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("-v", "--verbose", action="store_true", default=argparse.SUPPRESS)
     ap = argparse.ArgumentParser(
-        prog="feedincap",
+        prog="feedincap", parents=[common],
         description="PV expansion planning under dynamic feed-in limitation "
                     "on radial grids")
-    ap.add_argument("-v", "--verbose", action="store_true")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check a grid document")
+    def add_parser(name, **kwargs):
+        return sub.add_parser(name, parents=[common], **kwargs)
+
+    p = add_parser("validate", help="check a grid document")
     p.add_argument("grid")
     p.set_defaults(func=cmd_validate)
 
@@ -271,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="curtailment eligibility: a new PV only, b all PV")
         p.add_argument("--demand-mult", type=float, dest="demand_mult")
 
-    p = sub.add_parser("plan", help="maximum uniform expansion for one scenario")
+    p = add_parser("plan", help="maximum uniform expansion for one scenario")
     p.add_argument("grid")
     scenario_flags(p)
     p.add_argument("--mode", choices=("snapshot", "annual"))
@@ -279,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outdir", default=_default_outdir())
     p.set_defaults(func=cmd_plan)
 
-    p = sub.add_parser("sweep", help="scenario grid with report files")
+    p = add_parser("sweep", help="scenario grid with report files")
     p.add_argument("grid")
     p.add_argument("--fl-values", type=_float_list, dest="fl_values",
                    default=[1.0, 0.9, 0.8, 0.7])
@@ -295,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("simulate", help="fixed-factor run over the whole series")
+    p = add_parser("simulate", help="fixed-factor run over the whole series")
     p.add_argument("grid")
     scenario_flags(p)
     p.add_argument("--scal", type=float, required=True,
@@ -303,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outdir", default=_default_outdir())
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("synth", help="write a bundled synthetic grid")
+    p = add_parser("synth", help="write a bundled synthetic grid")
     p.add_argument("--kind", choices=fixtures.FIXTURE_KINDS, required=True)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--hours", type=int, default=1)
@@ -318,7 +324,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
-    log.setLevel(logging.DEBUG if args.verbose else logging.WARNING)
+    log.setLevel(logging.DEBUG if getattr(args, "verbose", False) else logging.WARNING)
     try:
         return args.func(args)
     except SystemExit as exc:

@@ -15,7 +15,8 @@ node (wind, hydro, fossil, and under case "a" all existing PV) has covered
 its share.
 
 Network limits enter as affine rows in the injections (see network.py), so
-the model carries no flow or voltage variables.
+the model carries no flow or voltage variables. ProblemInstance.mip defers
+these rows: the solver adds one only when a solution violates it.
 """
 
 from __future__ import annotations
@@ -292,10 +293,12 @@ class ProblemInstance:
     big_m: np.ndarray                            # (H, E)
     thermal_hi_rows: np.ndarray                  # (H, L) lp row of thermal_hi[k, line]
     v_hi_rows: np.ndarray                        # (H, N) lp row of v_hi[k, bus], model order
+    network_rows: np.ndarray                     # every thermal and voltage row, ascending
 
     @property
     def mip(self) -> MILProblem:
-        return MILProblem(self.lp, self.binaries)
+        """The MILP with its network rows deferred until a solution violates them."""
+        return MILProblem(self.lp, self.binaries, lazy=self.network_rows)
 
 
 def _running_total(start, terms: np.ndarray) -> np.ndarray:
@@ -413,6 +416,7 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
     vs2 = model.slack_voltage**2
     thermal_hi_rows = np.zeros((H, len(grid.lines)), dtype=int)
     v_hi_rows = np.zeros((H, len(model.bus_order)), dtype=int)
+    network_rows = []
     for k in range(H):
         for (p, sp), g in zip(unit_idx[k].tolist(), elig_units):
             if g.kind == "pv_candidate":
@@ -466,13 +470,16 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
             idx = inj_vars[cols]
             thermal_hi_rows[k, l] = lp.add_row(idx, vals, "<=", model.s_max[l] - t_const[l],
                                                name=f"thermal_hi[{k},{line.id}]")
-            lp.add_row(idx, vals, ">=", -model.s_max[l] - t_const[l],
-                       name=f"thermal_lo[{k},{line.id}]")
+            network_rows += [thermal_hi_rows[k, l],
+                             lp.add_row(idx, vals, ">=", -model.s_max[l] - t_const[l],
+                                        name=f"thermal_lo[{k},{line.id}]")]
         for n, (bid, (cols, vals)) in enumerate(zip(model.bus_order, v_terms)):
             idx = inj_vars[cols]
             v_hi_rows[k, n] = lp.add_row(idx, vals, "<=", model.vmax2[n] - v_const[n],
                                          name=f"v_hi[{k},{bid}]")
-            lp.add_row(idx, vals, ">=", model.vmin2[n] - v_const[n], name=f"v_lo[{k},{bid}]")
+            network_rows += [v_hi_rows[k, n],
+                             lp.add_row(idx, vals, ">=", model.vmin2[n] - v_const[n],
+                                        name=f"v_lo[{k},{bid}]")]
 
     return ProblemInstance(
         grid=grid, scenario=scenario, hours=hours, model=model, agg=agg,
@@ -482,6 +489,7 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
         alpha_idx=np.array(alphas, dtype=int).reshape(H, E),
         big_m=np.array(big_m, dtype=float).reshape(H, E),
         thermal_hi_rows=thermal_hi_rows, v_hi_rows=v_hi_rows,
+        network_rows=np.array(network_rows, dtype=int),
     )
 
 

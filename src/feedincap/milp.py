@@ -21,6 +21,17 @@ the indicator constraints exactly. That polish re-solve runs only when
 rounding pins a binary that was free; with every binary already fixed, the
 node's own solution is the polished point.
 
+solve_milp may defer rows. MILProblem.lazy names rows the solve may leave
+out and MILProblem.seed those of them to keep from the start. The solve then
+runs in rounds: each builds the standard form from the kept rows only, runs
+branch and bound on it, and checks the answer against every row of the LP.
+A deferred row the answer violates by more than feasibility_tol * (1 +
+|rhs|) joins the kept rows and the next round starts from scratch; a round
+that violates none has the full problem's optimum, because dropping rows
+only relaxes it. An infeasible round is final for the same reason. Nodes
+and LP iterations add up over the rounds, and node_limit caps their sum.
+With nothing deferred there is one round over every row.
+
 Problem sizes here are desk scale (hundreds to a few thousand rows); dense
 storage is deliberate.
 """
@@ -28,7 +39,8 @@ storage is deliberate.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -113,13 +125,16 @@ class LinearProgram:
         self.row_names.append(name or f"r{len(self.row_names)}")
         return len(self.rhs) - 1
 
-    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Row index, variable index and coefficient of every entry, rows in
-        order and each row's entries in variable order."""
-        rows = np.repeat(np.arange(self.n_rows), [idx.size for idx in self.row_idx])
-        cols = np.concatenate([np.zeros(0, dtype=np.intp), *self.row_idx])
-        coef = np.concatenate([np.zeros(0), *self.row_coef])
-        return rows, cols, coef
+    def _entries(self, rows: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row position, variable index and coefficient of every entry of the
+        given rows (default all), rows in order and each row's entries in
+        variable order; positions count within rows."""
+        idx = self.row_idx if rows is None else [self.row_idx[i] for i in rows]
+        coef = self.row_coef if rows is None else [self.row_coef[i] for i in rows]
+        return (np.repeat(np.arange(len(idx)), [a.size for a in idx]),
+                np.concatenate([np.zeros(0, dtype=np.intp), *idx]),
+                np.concatenate([np.zeros(0), *coef]))
 
     def activities(self, x: np.ndarray) -> np.ndarray:
         # bincount adds each row's products in entry order, as a running sum would
@@ -132,6 +147,8 @@ class LinearProgram:
 class MILProblem:
     lp: LinearProgram
     binaries: tuple[int, ...] = ()
+    lazy: Sequence[int] = ()          # rows the solve may leave out until violated
+    seed: Sequence[int] = ()          # lazy rows kept from the first round
 
 
 @dataclass
@@ -150,6 +167,8 @@ class MILPSolution:
     gap: float
     nodes: int
     lp_iterations: int
+    rounds: int = 1                   # branch-and-bound runs, one per set of kept rows
+    rows_kept: int = 0                # rows of the last round
 
 
 def compute_big_m(avail_at_scal_max: float, fl_cap_at_scal_max: float,
@@ -181,15 +200,18 @@ class _StandardForm:
         self.obj_const = obj_const
 
     @classmethod
-    def from_lp(cls, lp: LinearProgram) -> "_StandardForm":
-        m, n = lp.n_rows, lp.n_vars
+    def from_lp(cls, lp: LinearProgram, rows: np.ndarray | None = None) -> "_StandardForm":
+        """The form of lp's rows, or of the given ascending row indices only."""
+        rows = np.arange(lp.n_rows) if rows is None else rows
+        m, n = rows.size, lp.n_vars
         A = np.zeros((m, n + m))
-        rows, cols, coef = lp._entries()
-        A[rows, cols] += coef
+        pos, cols, coef = lp._entries(rows)
+        A[pos, cols] += coef
         A[np.arange(m), n + np.arange(m)] = 1.0
-        b = np.array(lp.rhs, dtype=float)
-        slack_lb = np.array([-INF if s == ">=" else 0.0 for s in lp.sense], dtype=float)
-        slack_ub = np.array([INF if s == "<=" else 0.0 for s in lp.sense], dtype=float)
+        b = np.array(lp.rhs, dtype=float)[rows]
+        sense = [lp.sense[i] for i in rows.tolist()]
+        slack_lb = np.array([-INF if s == ">=" else 0.0 for s in sense], dtype=float)
+        slack_ub = np.array([INF if s == "<=" else 0.0 for s in sense], dtype=float)
         return cls(A, b,
                    np.concatenate([np.asarray(lp.obj, dtype=float), np.zeros(m)]),
                    np.concatenate([np.asarray(lp.lb, dtype=float), slack_lb]),
@@ -455,15 +477,53 @@ def _most_fractional(x: np.ndarray, binaries: tuple[int, ...],
 
 
 def solve_milp(mip: MILProblem, cfg: SolverConfig | None = None) -> MILPSolution:
-    """Best-first branch and bound over the binary variables."""
+    """Branch and bound over the binaries, in rounds of kept rows (module doc)."""
     cfg = cfg or SolverConfig()
     lp = mip.lp
     for j in mip.binaries:
         if lp.lb[j] < -1e-12 or lp.ub[j] > 1 + 1e-12:
             raise ValueError(f"binary variable {lp.names[j]} must have bounds within [0, 1]")
+    lazy = np.asarray(mip.lazy, dtype=np.intp)
+    seed = np.asarray(mip.seed, dtype=np.intp)
+    if ((lazy < 0) | (lazy >= lp.n_rows)).any():
+        raise ValueError(f"lazy rows must lie in [0, {lp.n_rows})")
+    if not np.isin(seed, lazy).all():
+        raise ValueError("seed rows must be lazy rows")
 
-    sf = _StandardForm.from_lp(lp)
+    keep = np.ones(lp.n_rows, dtype=bool)
+    keep[lazy] = False
+    keep[seed] = True
     binaries = tuple(sorted(mip.binaries))
+    nodes = iterations = rounds = 0
+    while True:
+        rounds += 1
+        kept = np.flatnonzero(keep)
+        sol = _branch_and_bound(_StandardForm.from_lp(lp, kept), binaries, cfg,
+                                cfg.node_limit - nodes)
+        nodes += sol.nodes
+        iterations += sol.lp_iterations
+        sol = replace(sol, nodes=nodes, lp_iterations=iterations, rounds=rounds,
+                      rows_kept=kept.size)
+        if sol.status != OPTIMAL or kept.size == lp.n_rows:
+            return sol
+        violated = ~keep & _violated_rows(lp, sol.x, cfg.feasibility_tol)
+        if not violated.any():
+            return sol
+        keep |= violated
+
+
+def _violated_rows(lp: LinearProgram, x: np.ndarray, feas_tol: float) -> np.ndarray:
+    """Mask of the rows x violates by more than feas_tol * (1 + |rhs|)."""
+    act = lp.activities(x)
+    rhs = np.array(lp.rhs, dtype=float)
+    tol = feas_tol * (1.0 + np.abs(rhs))
+    sense = np.array(lp.sense)
+    return ((sense != ">=") & (act > rhs + tol)) | ((sense != "<=") & (act < rhs - tol))
+
+
+def _branch_and_bound(sf: _StandardForm, binaries: tuple[int, ...], cfg: SolverConfig,
+                      node_limit: int) -> MILPSolution:
+    """Best-first branch and bound over the binary variables of sf."""
     total_iters = 0
     nodes = 0
     incumbent_x: np.ndarray | None = None
@@ -488,7 +548,7 @@ def solve_milp(mip: MILProblem, cfg: SolverConfig | None = None) -> MILPSolution
         bound, _, patch_lb, patch_ub = heapq.heappop(heap)
         if bound >= incumbent_obj - 1e-9:
             continue
-        if nodes >= cfg.node_limit:
+        if nodes >= node_limit:
             status_out = NODE_LIMIT
             break
         nodes += 1

@@ -173,6 +173,29 @@ def test_engines_agree_where_the_milp_used_to_branch(name, fl, case, request):
     assert cell.deviation <= 1e-6 * (1.0 + cell.oracle_scal)
 
 
+def test_oracle_seed_leaves_one_round_on_every_mv_fixture(request, monkeypatch):
+    solved = []
+
+    def recording(mip, cfg):
+        solved.append((mip, solve_milp(mip, cfg)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(analysis, "solve_milp", recording)
+    for name in ("urban", "rural", "hybrid"):
+        grid = request.getfixturevalue(name)
+        model = build_linear_model(grid)
+        for fl in (1.0, 0.7):
+            for case in ("a", "b"):
+                cell = analysis.run_cell(grid, Scenario(fl=fl, case=case), "milp",
+                                         SolverConfig(), model)
+                assert cell.status == "ok"
+                mip, sol = solved[-1]
+                assert len(mip.seed) == 1, (name, fl, case)
+                assert sol.rounds == 1, (name, fl, case)
+                assert sol.rows_kept < mip.lp.n_rows
+    assert len(solved) == 12
+
+
 # -- bus order ---------------------------------------------------------------
 
 

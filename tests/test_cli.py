@@ -163,23 +163,37 @@ def test_verbose_logs_the_oracle_answer(toy_file, tmp_path, caplog):
     assert len(cells) == 4 and all("sub-n1" in m for m in cells)
 
 
-def test_verbose_logs_the_milp_work_on_stderr(tmp_path):
+def _plan_example_milp(outdir, before=(), after=()):
+    """`feedincap [before] plan fixtures/example.json --engine milp [after]` in a
+    fresh interpreter, so stderr holds exactly what the CLI logs."""
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "feedincap.cli", *before, "plan",
+         str(root / "fixtures" / "example.json"), "--engine", "milp",
+         "--outdir", str(outdir), *after], capture_output=True, text=True, env=env)
 
-    def run(*flags):
-        return subprocess.run(
-            [sys.executable, "-m", "feedincap.cli", *flags, "plan",
-             str(root / "fixtures" / "example.json"), "--engine", "milp",
-             "--outdir", str(tmp_path)], capture_output=True, text=True, env=env)
 
-    quiet, loud = run(), run("-v")
+MILP_LINE = (r"DEBUG feedincap\.analysis: cell fl=1 case=a x1: milp optimal after 1 node\(s\), "
+             r"\d+ LP iterations, gap 0, 0 free trigger\(s\), 1 round\(s\), "
+             r"(\d+)/(\d+) rows\n")
+
+
+def test_verbose_logs_the_milp_work_on_stderr(tmp_path):
+    quiet, loud = _plan_example_milp(tmp_path), _plan_example_milp(tmp_path, before=["-v"])
     assert quiet.returncode == loud.returncode == 0
     assert quiet.stderr == "" and loud.stdout == quiet.stdout
-    assert re.fullmatch(
-        r"DEBUG feedincap\.analysis: cell fl=1 case=a x1: milp optimal after 1 node\(s\), "
-        r"\d+ LP iterations, gap 0, 0 free trigger\(s\)\n", loud.stderr)
+    m = re.fullmatch(MILP_LINE, loud.stderr)
+    assert m and int(m[1]) < int(m[2])        # the network rows but one stay out
+
+
+def test_verbose_flag_goes_before_or_after_the_subcommand(tmp_path):
+    before = _plan_example_milp(tmp_path, before=["-v"])
+    after = _plan_example_milp(tmp_path, after=["-v"])
+    assert before.returncode == after.returncode == 0
+    assert after.stdout == before.stdout and "scal* = " in after.stdout
+    assert re.fullmatch(MILP_LINE, after.stderr) and after.stderr == before.stderr
 
 
 def test_plan_infeasible_at_zero_distinct_exit(tmp_path, capsys):

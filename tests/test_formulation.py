@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,10 @@ from feedincap.fixtures import example_grid_7kwp, synth_grid
 from feedincap.grid import Bus, GenUnit, Grid, Line
 from feedincap.milp import SolverConfig, solve_milp
 
-from util import random_radial, reference_network_rows, reference_worst_case_hour, two_bus
+from util import (
+    random_radial, reference_network_rows, reference_worst_case_hour, two_bus,
+    valid_random_instances,
+)
 
 
 # -- Scenario ----------------------------------------------------------------
@@ -309,7 +314,7 @@ def test_trigger_pinned_at_zero_premise_solves_at_the_root():
     inst = build_problem(two_bus(p_max=1.0), Scenario(fl=0.5), SolverConfig())
     sol = solve_milp(inst.mip, SolverConfig())
     assert sol.status == "optimal"
-    assert sol.nodes == 1
+    assert sol.nodes == sol.rounds        # each round of kept rows is one root LP
 
 
 @pytest.mark.parametrize("name", ["urban", "rural", "hybrid"])
@@ -345,3 +350,43 @@ def test_big_m_positive_and_matching_nodes():
     inst = build_problem(grid, Scenario(fl=0.7), SolverConfig())
     assert inst.big_m.shape == inst.alpha_idx.shape
     assert (inst.big_m > 0).all()
+
+
+# -- deferred network rows ---------------------------------------------------
+
+
+def test_network_rows_are_the_deferred_rows(hybrid):
+    inst = build_problem(hybrid, Scenario(fl=0.7, case="b"), SolverConfig())
+    names = [inst.lp.row_names[i] for i in inst.mip.lazy]
+    kinds = ("thermal_hi[", "thermal_lo[", "v_hi[", "v_lo[")
+    assert names and all(n.startswith(kinds) for n in names)
+    assert sum(n.startswith(kinds) for n in inst.lp.row_names) == len(names)
+    assert set(inst.thermal_hi_rows.ravel()) | set(inst.v_hi_rows.ravel()) <= set(inst.mip.lazy)
+
+
+def test_deferring_network_rows_keeps_the_answer():
+    # criterion 2's instances: every row at once against the deferred rows
+    cfg = SolverConfig()
+    for grid, scenario in valid_random_instances(11, 50, cfg, max_bus=10, max_hours=3):
+        inst = build_problem(grid, scenario, cfg)
+        lazy = solve_milp(inst.mip, cfg)
+        full = solve_milp(replace(inst.mip, lazy=()), cfg)
+        assert lazy.status == full.status == "optimal"
+        assert abs(lazy.objective - full.objective) <= 1e-9 * (1.0 + abs(full.objective))
+        s_lazy, s_full = lazy.x[inst.scal_idx], full.x[inst.scal_idx]
+        assert abs(s_lazy - s_full) <= 1e-6 * (1.0 + s_full)
+
+
+@pytest.mark.parametrize("name,case", [("hybrid", "b"), ("rural", "b"), ("urban", "a")])
+def test_wrong_or_missing_seed_still_reaches_the_full_lp(name, case, request):
+    grid = request.getfixturevalue(name)
+    cfg = SolverConfig()
+    inst = build_problem(grid, Scenario(fl=0.7, case=case), cfg)
+    full = solve_milp(replace(inst.mip, lazy=()), cfg)
+    s_full = full.x[inst.scal_idx]
+    # thermal_hi of the first line does not bind on these requests
+    for seed in ((), (int(inst.thermal_hi_rows[0, 0]),)):
+        sol = solve_milp(replace(inst.mip, seed=seed), cfg)
+        assert sol.status == "optimal" and sol.rounds == 2, seed
+        assert sol.rows_kept < inst.lp.n_rows
+        assert abs(sol.x[inst.scal_idx] - s_full) <= 1e-6 * (1.0 + s_full), seed

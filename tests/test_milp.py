@@ -310,6 +310,55 @@ def test_milp_determinism():
     assert a.objective == b.objective
 
 
+# -- deferred rows -----------------------------------------------------------
+
+
+def _lazy_lp():
+    """max 2x + y with x + y <= 8 kept; x <= 3 binds but is deferred, and so
+    is y <= 100, which never binds."""
+    lp = LinearProgram()
+    x = lp.add_var("x", ub=10.0, obj=-2.0)
+    y = lp.add_var("y", ub=10.0, obj=-1.0)
+    lp.add_row([x, y], [1.0, 1.0], "<=", 8.0)
+    lp.add_row([x], [1.0], "<=", 3.0)
+    lp.add_row([y], [1.0], "<=", 100.0)
+    return lp
+
+
+def test_deferred_row_violated_at_the_relaxed_optimum_is_added():
+    lp = _lazy_lp()
+    sol = solve_milp(MILProblem(lp, lazy=(1, 2)))
+    full = solve_lp(lp)
+    assert sol.status == full.status == "optimal"
+    assert (sol.rounds, sol.rows_kept) == (2, 2)      # x <= 3 joined, y <= 100 never did
+    assert sol.objective == pytest.approx(full.objective) == -11.0
+    assert sol.x == pytest.approx(full.x)
+    seeded = solve_milp(MILProblem(lp, lazy=(1, 2), seed=(1,)))
+    assert (seeded.rounds, seeded.rows_kept) == (1, 2)
+    assert seeded.objective == pytest.approx(-11.0)
+
+
+def test_node_limit_caps_the_nodes_of_every_round():
+    sol = solve_milp(MILProblem(_lazy_lp(), lazy=(1, 2)), SolverConfig(node_limit=1))
+    assert (sol.status, sol.nodes, sol.rounds) == ("node_limit", 1, 2)
+
+
+def test_infeasible_round_is_final():
+    lp = LinearProgram()
+    x = lp.add_var("x", ub=1.0, obj=-1.0)
+    lp.add_row([x], [1.0], ">=", 2.0)
+    lp.add_row([x], [1.0], "<=", 0.5)
+    sol = solve_milp(MILProblem(lp, lazy=(1,)))
+    assert (sol.status, sol.rounds, sol.rows_kept) == ("infeasible", 1, 1)
+
+
+def test_seed_and_lazy_rows_must_exist():
+    lp = _lazy_lp()
+    for lazy, seed in (((1, 2), (0,)), ((1, 2), (5,)), ((1, 3), ()), ((-1,), ())):
+        with pytest.raises(ValueError):
+            solve_milp(MILProblem(lp, lazy=lazy, seed=seed))
+
+
 # -- big-M -------------------------------------------------------------------
 
 
