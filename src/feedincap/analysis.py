@@ -21,7 +21,6 @@ from .formulation import (
     EnergyBalanceError,     # noqa: F401  re-exported for the cli
     FormulationError,
     PlanResult,
-    ProblemInstance,
     Scenario,
     build_problem,
     extract_solution,
@@ -213,7 +212,8 @@ def run_cell(grid: Grid, scenario: Scenario, engine: str,
         cell.oracle_scal = search.scal_star
     if engine in ("milp", "both"):
         inst = build_problem(grid, scenario, cfg, model=model)
-        sol = solve_milp(replace(inst.mip, seed=_seed_rows(inst, search.binding)), cfg)
+        seed = () if search.binding is None else (inst.row_of(*search.binding),)
+        sol = solve_milp(replace(inst.mip, seed=seed), cfg)
         log.debug("cell fl=%g case=%s x%g: milp %s after %d node(s), %d LP iterations, "
                   "gap %g, %d free trigger(s), %d round(s), %d/%d rows", scenario.fl,
                   scenario.case, scenario.demand_multiplier, sol.status, sol.nodes,
@@ -241,17 +241,6 @@ def run_cell(grid: Grid, scenario: Scenario, engine: str,
     cell.added_capacity_mw = plan.added_capacity_mw
     cell.binding = find_bottlenecks(plan, model)
     return cell
-
-
-def _seed_rows(inst: ProblemInstance, binding: tuple[str, str, int] | None) -> tuple[int, ...]:
-    """The LP row of the oracle's binding (kind, element, hour), if it names one."""
-    if binding is None:
-        return ()
-    kind, element, hour = binding
-    k = inst.hours.index(hour)
-    if kind == "thermal":
-        return (int(inst.thermal_hi_rows[k, inst.model.line_order.index(element)]),)
-    return (int(inst.v_hi_rows[k, inst.model.bus_order.index(element)]),)
 
 
 def run_sweep(grid: Grid, spec: SweepSpec | None = None,

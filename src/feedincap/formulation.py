@@ -300,6 +300,16 @@ class ProblemInstance:
         """The MILP with its network rows deferred until a solution violates them."""
         return MILProblem(self.lp, self.binaries, lazy=self.network_rows)
 
+    def row_of(self, kind: str, element: str, hour: int) -> int:
+        """The LP row of an upper network limit: kind "thermal" names a line's
+        thermal_hi row, "v_high" a bus's v_hi row, at a planned hour."""
+        k = self.hours.index(hour)
+        if kind == "thermal":
+            return int(self.thermal_hi_rows[k, self.model.line_order.index(element)])
+        if kind == "v_high":
+            return int(self.v_hi_rows[k, self.model.bus_order.index(element)])
+        raise ValueError(f"no upper network row of kind {kind!r}")
+
 
 def _running_total(start, terms: np.ndarray) -> np.ndarray:
     """start + terms[..., 0] + terms[..., 1] + ..., added strictly left to right

@@ -28,9 +28,13 @@ branch and bound on it, and checks the answer against every row of the LP.
 A deferred row the answer violates by more than feasibility_tol * (1 +
 |rhs|) joins the kept rows and the next round starts from scratch; a round
 that violates none has the full problem's optimum, because dropping rows
-only relaxes it. An infeasible round is final for the same reason. Nodes
-and LP iterations add up over the rounds, and node_limit caps their sum.
-With nothing deferred there is one round over every row.
+only relaxes it. An infeasible round is final for the same reason. Only
+these two outcomes carry over to the full problem: any other status is
+returned as the round ended, and its incumbent (a node_limit round may have
+one) only if that point satisfies every row, with the round's gap, which
+still bounds the full problem's. Nodes and LP iterations add up over the
+rounds, and node_limit caps their sum. With nothing deferred there is one
+round over every row.
 
 Problem sizes here are desk scale (hundreds to a few thousand rows); dense
 storage is deliberate.
@@ -504,11 +508,14 @@ def solve_milp(mip: MILProblem, cfg: SolverConfig | None = None) -> MILPSolution
         iterations += sol.lp_iterations
         sol = replace(sol, nodes=nodes, lp_iterations=iterations, rounds=rounds,
                       rows_kept=kept.size)
-        if sol.status != OPTIMAL or kept.size == lp.n_rows:
+        if sol.x is None or kept.size == lp.n_rows:
             return sol
         violated = ~keep & _violated_rows(lp, sol.x, cfg.feasibility_tol)
         if not violated.any():
             return sol
+        if sol.status != OPTIMAL:
+            # an incumbent that breaks a deferred row is no point of the full problem
+            return replace(sol, x=None, objective=None, gap=INF)
         keep |= violated
 
 
@@ -545,11 +552,13 @@ def _branch_and_bound(sf: _StandardForm, binaries: tuple[int, ...], cfg: SolverC
 
     status_out = OPTIMAL
     while heap:
-        bound, _, patch_lb, patch_ub = heapq.heappop(heap)
+        node = heapq.heappop(heap)
+        bound, _, patch_lb, patch_ub = node
         if bound >= incumbent_obj - 1e-9:
             continue
         if nodes >= node_limit:
             status_out = NODE_LIMIT
+            heapq.heappush(heap, node)        # still open: its bound enters the gap
             break
         nodes += 1
         lb, ub = bounds_with(patch_lb, patch_ub)

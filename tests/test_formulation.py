@@ -312,9 +312,13 @@ def test_binary_prefixing_narrows_bounds():
 
 def test_trigger_pinned_at_zero_premise_solves_at_the_root():
     inst = build_problem(two_bus(p_max=1.0), Scenario(fl=0.5), SolverConfig())
+    sol = solve_milp(replace(inst.mip, lazy=()), SolverConfig())
+    assert sol.status == "optimal"
+    assert sol.nodes == 1
+    # unseeded, the deferred rows take one more round, again a single root LP
     sol = solve_milp(inst.mip, SolverConfig())
     assert sol.status == "optimal"
-    assert sol.nodes == sol.rounds        # each round of kept rows is one root LP
+    assert (sol.nodes, sol.rounds) == (2, 2)
 
 
 @pytest.mark.parametrize("name", ["urban", "rural", "hybrid"])
@@ -362,6 +366,16 @@ def test_network_rows_are_the_deferred_rows(hybrid):
     assert names and all(n.startswith(kinds) for n in names)
     assert sum(n.startswith(kinds) for n in inst.lp.row_names) == len(names)
     assert set(inst.thermal_hi_rows.ravel()) | set(inst.v_hi_rows.ravel()) <= set(inst.mip.lazy)
+
+
+def test_row_of_names_the_upper_network_rows(hybrid):
+    inst = build_problem(hybrid, Scenario(fl=0.7, case="b"), SolverConfig())
+    hour = inst.hours[-1]
+    line, bus = inst.model.line_order[-1], inst.model.bus_order[-1]
+    assert inst.lp.row_names[inst.row_of("thermal", line, hour)] == f"thermal_hi[{hour},{line}]"
+    assert inst.lp.row_names[inst.row_of("v_high", bus, hour)] == f"v_hi[{hour},{bus}]"
+    with pytest.raises(ValueError):
+        inst.row_of("v_low", bus, hour)
 
 
 def test_deferring_network_rows_keeps_the_answer():

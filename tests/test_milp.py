@@ -343,6 +343,33 @@ def test_node_limit_caps_the_nodes_of_every_round():
     assert (sol.status, sol.nodes, sol.rounds) == ("node_limit", 1, 2)
 
 
+def _knapsack_lp(deferred_bound_on: int):
+    """max 3a + 2b over binaries with 2a + 2b <= 3 kept, and a deferred
+    a <= 0.5 (deferred_bound_on 0) or b <= 0.5 (deferred_bound_on 1). The root
+    LP is a = 1, b = 0.5; the child b = 0 gives the incumbent a = 1, b = 0."""
+    lp = LinearProgram()
+    a = lp.add_var("a", ub=1.0, obj=-3.0)
+    b = lp.add_var("b", ub=1.0, obj=-2.0)
+    lp.add_row([a, b], [2.0, 2.0], "<=", 3.0)
+    lp.add_row([(a, b)[deferred_bound_on]], [1.0], "<=", 0.5)
+    return MILProblem(lp, binaries=(a, b), lazy=(1,))
+
+
+def test_node_limit_incumbent_must_satisfy_the_deferred_rows():
+    cfg = SolverConfig(node_limit=2)
+    # the incumbent breaks a <= 0.5: no point of the full problem to report
+    sol = solve_milp(_knapsack_lp(0), cfg)
+    assert (sol.status, sol.nodes, sol.rounds) == ("node_limit", 2, 1)
+    assert sol.x is None and sol.objective is None and sol.gap == INF
+    # it satisfies b <= 0.5: kept, with the gap to the round's bound
+    mip = _knapsack_lp(1)
+    sol = solve_milp(mip, cfg)
+    full = solve_milp(MILProblem(mip.lp, mip.binaries), cfg)
+    assert (sol.status, sol.nodes, sol.rounds) == (full.status, full.nodes, 1) == ("node_limit", 2, 1)
+    assert sol.x == pytest.approx(full.x) == [1.0, 0.0]
+    assert (sol.objective, sol.gap) == pytest.approx((full.objective, full.gap)) == (-3.0, 1.0)
+
+
 def test_infeasible_round_is_final():
     lp = LinearProgram()
     x = lp.add_var("x", ub=1.0, obj=-1.0)
