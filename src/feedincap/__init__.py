@@ -11,20 +11,20 @@ validates the linearization.
 
 from .analysis import (
     BindingReport,
-    EnergyAccount,
     SweepSpec,
     check_monotonicity,
     emit_report,
-    energy_account,
     find_bottlenecks,
     run_sweep,
 )
 from .formulation import (
     Costs,
+    EnergyAccount,
     PlanResult,
     Scenario,
     build_problem,
     curtailment_rule,
+    energy_account,
     extract_solution,
     scenario_from_json,
     scenario_to_json,

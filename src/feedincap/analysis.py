@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,7 @@ from .formulation import (
     PlanResult,
     Scenario,
     build_problem,
+    energy_account,
     extract_solution,
     node_aggregates,
 )
@@ -77,22 +78,6 @@ class SweepSpec:
                 for mult in self.demand_multipliers:
                     yield Scenario(fl=fl, case=case, demand_multiplier=mult,
                                    mode=self.mode)
-
-
-# ---------------------------------------------------------------------------
-# energy accounting
-
-
-def energy_account(plan: PlanResult) -> EnergyAccount:
-    dh = plan.hour_duration_h
-    avail = sum(float(v.sum()) for v in plan.available_mw.values()) * dh
-    gen = sum(float(v.sum()) for v in plan.production_mw.values()) * dh
-    curt = sum(float(v.sum()) for v in plan.curtailment_mw.values()) * dh
-    return EnergyAccount(
-        available_mwh=avail, generated_mwh=gen, curtailed_mwh=curt,
-        imports_mwh=float(plan.imports_mw.sum()) * dh,
-        exports_mwh=float(plan.exports_mw.sum()) * dh,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +339,14 @@ def emit_report(result: SweepResult, outdir, formats=("csv", "json", "svg"),
     return written
 
 
+def account_doc(acc: EnergyAccount) -> dict:
+    """The JSON form of an energy account: the "energy" block of a cell, and
+    the energy fields of simulate.json. demand_mwh is left out when unset."""
+    doc = {k: v for k, v in asdict(acc).items() if v is not None}
+    doc["curtailed_share"] = acc.curtailed_share
+    return doc
+
+
 def cell_doc(c: CellResult) -> dict:
     """The JSON form of one cell: a sweep.json cell, and the body of plan.json."""
     doc = {
@@ -364,14 +357,7 @@ def cell_doc(c: CellResult) -> dict:
         "deviation": c.deviation, "error": c.error,
     }
     if c.account:
-        doc["energy"] = {
-            "available_mwh": c.account.available_mwh,
-            "generated_mwh": c.account.generated_mwh,
-            "curtailed_mwh": c.account.curtailed_mwh,
-            "curtailed_share": c.account.curtailed_share,
-            "imports_mwh": c.account.imports_mwh,
-            "exports_mwh": c.account.exports_mwh,
-        }
+        doc["energy"] = account_doc(c.account)
     if c.binding:
         doc["binding"] = {
             "elements": [

@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -193,8 +194,8 @@ def cmd_simulate(args) -> int:
     grid = _read_grid(args.grid)
     scenario = _scenario_from_args(args)
     cfg = SolverConfig()
-    if args.scal < 0:
-        print("error: --scal must be >= 0", file=sys.stderr)
+    if not 0.0 <= args.scal < math.inf:
+        print("error: --scal must be finite and >= 0", file=sys.stderr)
         return EXIT_USAGE
     sim = oracle.annual_simulate(grid, scenario, args.scal, cfg)
     account = sim.account
@@ -206,13 +207,7 @@ def cmd_simulate(args) -> int:
         "fl": scenario.fl,
         "case": scenario.case,
         "demand_multiplier": scenario.demand_multiplier,
-        "available_mwh": account.available_mwh,
-        "generated_mwh": account.generated_mwh,
-        "curtailed_mwh": account.curtailed_mwh,
-        "curtailed_share": account.curtailed_share,
-        "imports_mwh": account.imports_mwh,
-        "exports_mwh": account.exports_mwh,
-        "demand_mwh": account.demand_mwh,
+        **analysis.account_doc(account),
         "violation_hours": sim.violation_hours,
     }
     out = analysis.write_json(Path(args.outdir) / "simulate.json", doc)

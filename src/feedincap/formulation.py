@@ -22,6 +22,7 @@ these rows: the solver adds one only when a solution violates it.
 from __future__ import annotations
 
 import json
+import math
 import operator
 from dataclasses import dataclass, field, fields, replace
 
@@ -82,16 +83,17 @@ class Scenario:
             raise FormulationError(f"fl must lie in (0, 1], got {self.fl}")
         if self.case not in ("a", "b"):
             raise FormulationError(f"case must be 'a' or 'b', got {self.case!r}")
-        if self.demand_multiplier < 0:
-            raise FormulationError("demand_multiplier must be >= 0")
+        if not 0.0 <= self.demand_multiplier < math.inf:
+            raise FormulationError(
+                f"demand_multiplier must be finite and >= 0, got {self.demand_multiplier}")
         if self.mode not in ("snapshot", "annual"):
             raise FormulationError(f"mode must be snapshot or annual, got {self.mode!r}")
         if self.hours is not None and len(self.hours) == 0:
             raise FormulationError("hours must be None or non-empty")
         for c in (self.costs.import_eur_mwh, self.costs.export_eur_mwh,
                   self.costs.unserved_eur_mwh, self.costs.surplus_eur_mwh):
-            if c < 0:
-                raise FormulationError("cost values must be >= 0")
+            if not 0.0 <= c < math.inf:
+                raise FormulationError(f"cost values must be finite and >= 0, got {c}")
 
     def eligible_kinds(self) -> frozenset[str]:
         if self.case == "a":
@@ -560,6 +562,18 @@ class EnergyAccount:
         if self.available_mwh <= 0:
             return 0.0
         return self.curtailed_mwh / self.available_mwh
+
+
+def energy_account(plan: PlanResult) -> EnergyAccount:
+    dh = plan.hour_duration_h
+    avail = sum(float(v.sum()) for v in plan.available_mw.values()) * dh
+    gen = sum(float(v.sum()) for v in plan.production_mw.values()) * dh
+    curt = sum(float(v.sum()) for v in plan.curtailment_mw.values()) * dh
+    return EnergyAccount(
+        available_mwh=avail, generated_mwh=gen, curtailed_mwh=curt,
+        imports_mwh=float(plan.imports_mw.sum()) * dh,
+        exports_mwh=float(plan.exports_mw.sum()) * dh,
+    )
 
 
 def unit_dispatch(grid: Grid, scenario: Scenario, hours: tuple[int, ...], scal: float,

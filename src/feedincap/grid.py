@@ -362,23 +362,25 @@ def serialize_grid(grid: Grid) -> str:
 # validation
 
 
-def _connected_component(grid: Grid) -> set[str]:
-    adj: dict[str, list[str]] = {b.id: [] for b in grid.buses}
-    for ln in grid.lines:
+def tree_walk(grid: Grid, root: str) -> tuple[dict[str, tuple[str, int]], list[str]]:
+    """Walk out from root breadth first over the lines whose ends are both buses.
+
+    Returns the parent map (bus -> (parent bus, line index)) and the buses in
+    visiting order, root first.
+    """
+    adj: dict[str, list[tuple[str, int]]] = {b.id: [] for b in grid.buses}
+    for idx, ln in enumerate(grid.lines):
         if ln.from_bus in adj and ln.to_bus in adj:
-            adj[ln.from_bus].append(ln.to_bus)
-            adj[ln.to_bus].append(ln.from_bus)
-    slack = [b.id for b in grid.buses if b.is_slack]
-    if not slack:
-        return set()
-    seen = {slack[0]}
-    stack = [slack[0]]
-    while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
+            adj[ln.from_bus].append((ln.to_bus, idx))
+            adj[ln.to_bus].append((ln.from_bus, idx))
+    parent: dict[str, tuple[str, int]] = {}
+    order = [root]
+    for cur in order:               # order grows while it is read: a queue
+        for nxt, idx in adj[cur]:
+            if nxt != root and nxt not in parent:
+                parent[nxt] = (cur, idx)
+                order.append(nxt)
+    return parent, order
 
 
 def validate_grid(grid: Grid) -> list[ValidationIssue]:
@@ -452,8 +454,7 @@ def validate_grid(grid: Grid) -> list[ValidationIssue]:
             err("non_radial", "grid",
                 f"non-radial topology: a tree needs |lines| == |buses|-1, "
                 f"got {len(grid.lines)} != {len(grid.buses) - 1}")
-        reached = _connected_component(grid)
-        missing = sorted(seen_bus - reached)
+        missing = sorted(seen_bus - set(tree_walk(grid, slack_ids[0])[1]))
         if missing:
             err("disconnected", "grid", f"buses unreachable from slack: {', '.join(missing[:6])}")
 

@@ -85,7 +85,6 @@ class LinearProgram:
     sense: list[str] = field(default_factory=list)       # "<=", ">=", "=="
     rhs: list[float] = field(default_factory=list)
     row_names: list[str] = field(default_factory=list)
-    obj_const: float = 0.0
 
     @property
     def n_vars(self) -> int:
@@ -197,11 +196,10 @@ class _StandardForm:
     phase-1 artificials."""
 
     def __init__(self, A: np.ndarray, b: np.ndarray, c: np.ndarray,
-                 lb: np.ndarray, ub: np.ndarray, n: int, obj_const: float = 0.0):
+                 lb: np.ndarray, ub: np.ndarray, n: int):
         self.m, self.n = A.shape[0], n
         self.A, self.b, self.c = A, b, c
         self.lb_base, self.ub_base = lb, ub
-        self.obj_const = obj_const
 
     @classmethod
     def from_lp(cls, lp: LinearProgram, rows: np.ndarray | None = None) -> "_StandardForm":
@@ -220,7 +218,7 @@ class _StandardForm:
                    np.concatenate([np.asarray(lp.obj, dtype=float), np.zeros(m)]),
                    np.concatenate([np.asarray(lp.lb, dtype=float), slack_lb]),
                    np.concatenate([np.asarray(lp.ub, dtype=float), slack_ub]),
-                   n, lp.obj_const)
+                   n)
 
 
 class _SimplexState:
@@ -414,7 +412,7 @@ def _phase_one(st: _SimplexState, tol: float) -> tuple[_SimplexState, np.ndarray
     A1[rows, width + np.arange(k)] = 1.0
     sf1 = _StandardForm(A1, sf.b, np.concatenate([sf.c, np.zeros(k)]),
                         np.concatenate([st.lb, np.where(up, 0.0, -INF)]),
-                        np.concatenate([st.ub, np.where(up, INF, 0.0)]), sf.n, sf.obj_const)
+                        np.concatenate([st.ub, np.where(up, INF, 0.0)]), sf.n)
     pinned = slack[rows]
     pin = np.where(up, st.ub[pinned], st.lb[pinned])
     x1 = np.concatenate([st.x, st.x[pinned] - pin])
@@ -452,7 +450,7 @@ def _solve_standard(sf: _StandardForm, lb: np.ndarray, ub: np.ndarray,
         return LPSolution(status, None, None, st.iterations)
     st.refactor()
     x = st.x[:n].copy()
-    return LPSolution(OPTIMAL, x, float(sf.c[:n] @ x + sf.obj_const), st.iterations)
+    return LPSolution(OPTIMAL, x, float(sf.c[:n] @ x), st.iterations)
 
 
 def solve_lp(lp: LinearProgram, cfg: SolverConfig | None = None) -> LPSolution:
@@ -628,8 +626,6 @@ def dump_lp(problem: LinearProgram | MILProblem) -> str:
     terms = [f"{'+' if c >= 0 else '-'} {_fmt(abs(c))} {lp.names[j]}"
              for j, c in enumerate(lp.obj) if c != 0.0]
     out.append(" obj: " + (" ".join(terms) if terms else "0"))
-    if lp.obj_const:
-        out.append(f" const: {_fmt(lp.obj_const)}")
     out.append("Subject To")
     for idx, coef, sense, rhs, name in zip(lp.row_idx, lp.row_coef, lp.sense,
                                            lp.rhs, lp.row_names):

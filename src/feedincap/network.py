@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, tree_walk
 
 
 class NetworkError(ValueError):
@@ -66,31 +66,17 @@ def _tree(grid: Grid) -> tuple[str, dict[str, tuple[str, int]], list[str]]:
     Returns (slack_id, parent map: bus -> (parent bus, line index), buses in
     BFS order from the slack). Raises NetworkError on non-tree input.
     """
-    adj: dict[str, list[tuple[str, int]]] = {b.id: [] for b in grid.buses}
-    for idx, ln in enumerate(grid.lines):
-        try:
-            adj[ln.from_bus].append((ln.to_bus, idx))
-            adj[ln.to_bus].append((ln.from_bus, idx))
-        except KeyError as exc:
-            raise NetworkError(f"line {ln.id} references unknown bus {exc}") from None
+    ids = {b.id for b in grid.buses}
+    for ln in grid.lines:
+        for end in (ln.from_bus, ln.to_bus):
+            if end not in ids:
+                raise NetworkError(f"line {ln.id} references unknown bus {end!r}")
     slack = [b.id for b in grid.buses if b.is_slack]
     if len(slack) != 1:
         raise NetworkError(f"need exactly one slack bus, found {len(slack)}")
     root = slack[0]
-    parent: dict[str, tuple[str, int]] = {}
-    order = [root]
-    seen = {root}
-    qi = 0
-    while qi < len(order):
-        cur = order[qi]
-        qi += 1
-        for nxt, idx in adj[cur]:
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            parent[nxt] = (cur, idx)
-            order.append(nxt)
-    if len(seen) != len(grid.buses) or len(grid.lines) != len(grid.buses) - 1:
+    parent, order = tree_walk(grid, root)
+    if len(order) != len(grid.buses) or len(grid.lines) != len(grid.buses) - 1:
         raise NetworkError("grid is not a connected radial tree")
     return root, parent, order
 

@@ -17,7 +17,8 @@ usable cross-check.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .formulation import (
     Scenario,
     build_problem,
     curtailment_rule,
+    energy_account,
     node_aggregates,
     unit_dispatch,
 )
@@ -76,13 +78,10 @@ class ScalSearch:
 class RuleState:
     """One evaluation of the feed-in rule for every resolved hour."""
 
-    hours: tuple[int, ...]
     bus_order: tuple[str, ...]          # all buses, grid order
-    scal: float
     available_mw: np.ndarray            # (H, N) eligible availability
     produced_mw: np.ndarray             # (H, N) eligible production after the cap
     curtailed_mw: np.ndarray            # (H, N)
-    nonelig_mw: np.ndarray              # (H, N)
     alpha: np.ndarray                   # (H, N) bool, cap active
     injection_p: np.ndarray             # (H, N) net MW, generation positive
     injection_q: np.ndarray             # (H, N) net Mvar
@@ -96,9 +95,8 @@ def _rule_state(agg: NodeAggregates, fl: float, scal: float) -> RuleState:
     inj_p = produced + agg.nonelig_prod - agg.demand_p
     inj_q = -agg.demand_q
     return RuleState(
-        hours=agg.hours, bus_order=agg.bus_order, scal=scal,
-        available_mw=avail, produced_mw=produced, curtailed_mw=curtailed,
-        nonelig_mw=agg.nonelig_prod, alpha=alpha,
+        bus_order=agg.bus_order,
+        available_mw=avail, produced_mw=produced, curtailed_mw=curtailed, alpha=alpha,
         injection_p=inj_p, injection_q=inj_q,
     )
 
@@ -361,38 +359,23 @@ class AnnualResult:
 def annual_simulate(grid: Grid, scenario: Scenario, scal: float,
                     cfg: SolverConfig | None = None, *,
                     model: LinearNetworkModel | None = None) -> AnnualResult:
-    """Run the feed-in rule over every grid hour at a fixed expansion factor.
+    """The plan at a fixed expansion factor over every grid hour, its energy
+    account with demand, and the number of hours that violate a bound.
 
     The scenario's hour selection is ignored on purpose: this is the
-    full-series accounting pass. The energy identity generated + curtailed =
-    available holds by construction of the rule.
+    full-series accounting pass. The account is the one an annual plan or
+    sweep cell reports at the same factor.
     """
-    if scal < 0:
-        raise OracleError("scal must be >= 0")
+    if not 0.0 <= scal < math.inf:
+        raise OracleError(f"scal must be finite and >= 0, got {scal}")
     cfg = cfg or SolverConfig()
     model = model or build_linear_model(grid)
-    all_hours = tuple(range(grid.hour_count))
-    agg = node_aggregates(grid, scenario, all_hours)
-    state = _rule_state(agg, scenario.fl, scal)
-    flows, v2 = _network_arrays(state, model)
-
-    margins = headroom(model, flows, v2)
+    agg = node_aggregates(grid, scenario, tuple(range(grid.hour_count)))
+    plan = oracle_plan(grid, scenario, scal, agg=agg, model=model)
+    dh = grid.hour_duration_h
+    account = replace(energy_account(plan),
+                      demand_mwh=float(agg.demand_p.sum(axis=1).sum() * dh))
+    margins = headroom(model, plan.flows_mw, plan.voltages_pu2)
     bad_hour = np.logical_or.reduce([(m < -cfg.feasibility_tol).any(axis=1)
                                      for m in margins])
-
-    avail_total = state.available_mw.sum(axis=1) + state.nonelig_mw.sum(axis=1)
-    gen_total = state.produced_mw.sum(axis=1) + state.nonelig_mw.sum(axis=1)
-    curt_total = state.curtailed_mw.sum(axis=1)
-    demand = agg.demand_p.sum(axis=1)
-    net = state.injection_p.sum(axis=1)
-    dh = grid.hour_duration_h
-
-    account = EnergyAccount(
-        available_mwh=float(avail_total.sum() * dh),
-        generated_mwh=float(gen_total.sum() * dh),
-        curtailed_mwh=float(curt_total.sum() * dh),
-        imports_mwh=float(np.maximum(0.0, -net).sum() * dh),
-        exports_mwh=float(np.maximum(0.0, net).sum() * dh),
-        demand_mwh=float(demand.sum() * dh),
-    )
     return AnnualResult(float(scal), account, int(bad_hour.sum()))

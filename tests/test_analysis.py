@@ -157,8 +157,7 @@ def test_sweep_annual_mode(lv):
     ref = sim.account
     for name in ("available_mwh", "generated_mwh", "curtailed_mwh",
                  "imports_mwh", "exports_mwh"):
-        assert getattr(cell.account, name) == pytest.approx(
-            getattr(ref, name), rel=1e-12, abs=0.0), name
+        assert getattr(cell.account, name) == getattr(ref, name), name
 
 
 @pytest.mark.parametrize("name,fl,case", [("hybrid", 0.7, "a"),

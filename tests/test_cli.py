@@ -14,6 +14,8 @@ from feedincap.grid import serialize_grid
 
 from util import two_bus
 
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+
 
 @pytest.fixture()
 def example_file(tmp_path):
@@ -278,6 +280,7 @@ def test_plan_bad_fl_flag(toy_file, capsys):
     ("--fl-values", "1.5", "fl must lie"),
     ("--cases", "c", "case must be"),
     ("--mults", "-1", "demand_multiplier"),
+    ("--mults", "nan", "demand_multiplier must be finite"),
 ])
 def test_sweep_bad_cell_value_is_usage_error(flag, value, message, toy_file, tmp_path,
                                              capsys):
@@ -362,6 +365,39 @@ def test_simulate_violations_exit_nonzero(toy_file, tmp_path, capsys):
 
 def test_simulate_negative_scal(example_file, capsys):
     assert cli.main(["simulate", example_file, "--scal", "-1"]) == 2
+
+
+def test_simulate_reports_the_annual_plan_energy(tmp_path):
+    lv = str(FIXTURES / "lv.json")
+    assert cli.main(["plan", lv, "--mode", "annual", "--engine", "oracle", "--fl", "0.7",
+                     "--outdir", str(tmp_path)]) == 0
+    plan = json.loads((tmp_path / "plan.json").read_text())
+    assert cli.main(["simulate", lv, "--fl", "0.7", "--scal", repr(plan["scal_star"]),
+                     "--outdir", str(tmp_path)]) == 0
+    sim = json.loads((tmp_path / "simulate.json").read_text())
+    assert {k: sim[k] for k in plan["energy"]} == plan["energy"]
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("plan", ["--engine", "oracle", "--demand-mult", "nan"]),
+    ("simulate", ["--scal", "nan"]),
+    ("simulate", ["--scal", "inf"]),
+])
+def test_non_finite_values_are_usage_errors(command, flags, example_file, tmp_path,
+                                            capsys):
+    assert cli.main([command, example_file, *flags,
+                     "--outdir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "o").exists()
+
+
+def test_non_finite_scenario_cost_is_usage_error(example_file, tmp_path, capsys):
+    sc = tmp_path / "scenario.json"
+    sc.write_text('{"costs": {"import_eur_mwh": NaN}}')
+    assert cli.main(["plan", example_file, "--scenario", str(sc),
+                     "--outdir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "o").exists()
 
 
 # -- synth -------------------------------------------------------------------

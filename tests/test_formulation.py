@@ -43,6 +43,13 @@ def test_scenario_validation():
         Scenario(mode="weekly")
     with pytest.raises(FormulationError):
         Scenario(costs=Costs(import_eur_mwh=-1.0))
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(FormulationError, match="finite"):
+            Scenario(demand_multiplier=value)
+        for name in ("import_eur_mwh", "export_eur_mwh", "unserved_eur_mwh",
+                     "surplus_eur_mwh"):
+            with pytest.raises(FormulationError, match="finite"):
+                Scenario(costs=Costs(**{name: value}))
 
 
 def test_scenario_eligibility_sets():

@@ -90,13 +90,6 @@ def test_lp_equality_row():
     assert sol.x[1] == pytest.approx(1.0)
 
 
-def test_lp_objective_constant_carried():
-    lp = LinearProgram()
-    lp.add_var("x", lb=1.0, ub=1.0, obj=1.0)
-    lp.obj_const = 10.0
-    assert solve_lp(lp).objective == pytest.approx(11.0)
-
-
 def test_lp_rejects_bad_rows():
     lp = LinearProgram()
     x = lp.add_var("x")

@@ -321,6 +321,12 @@ def test_annual_energy_identity(lv):
     assert gap <= 1e-9 * max(1.0, acc.available_mwh)
 
 
+@pytest.mark.parametrize("scal", [float("nan"), float("inf"), -0.1])
+def test_annual_rejects_a_bad_scal(scal):
+    with pytest.raises(OracleError, match="scal must be finite"):
+        annual_simulate(two_bus(), Scenario(), scal)
+
+
 def test_annual_counts_violation_hours():
     grid = two_bus(profile=(1.0, 0.4))
     sim = annual_simulate(grid, Scenario(fl=1.0, hours=(0,)), 8.0)
