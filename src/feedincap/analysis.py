@@ -20,6 +20,7 @@ from .formulation import (
     EnergyAccount,
     EnergyBalanceError,     # noqa: F401  re-exported for the cli
     FormulationError,
+    NodeAggregates,
     PlanResult,
     Scenario,
     build_problem,
@@ -175,16 +176,18 @@ class SweepResult:
 
 
 def run_cell(grid: Grid, scenario: Scenario, engine: str,
-             cfg: SolverConfig, model: LinearNetworkModel) -> CellResult:
+             cfg: SolverConfig, model: LinearNetworkModel,
+             agg: NodeAggregates | None = None) -> CellResult:
     """Answer one scenario with the engine: scal*, energy and binding elements.
 
     The engines only fix scal*; the reported quantities come from the
     closed-form plan at that factor, over every planned hour in either mode.
+    agg, when given, is node_aggregates(grid, scenario).
     """
     cell = CellResult(fl=scenario.fl, case=scenario.case,
                       demand_multiplier=scenario.demand_multiplier,
                       status="ok", engine=engine)
-    agg = node_aggregates(grid, scenario)
+    agg = agg if agg is not None else node_aggregates(grid, scenario)
     # the oracle's binding row only seeds the MILP's kept rows, so the search
     # runs for every engine but decides the cell only for oracle and both
     search = max_scal_bisection(grid, scenario, cfg, agg=agg, model=model)
@@ -234,10 +237,14 @@ def run_sweep(grid: Grid, spec: SweepSpec | None = None,
     spec = spec or SweepSpec()
     cfg = cfg or SolverConfig()
     model = build_linear_model(grid)
+    aggs: dict[tuple, NodeAggregates] = {}      # the feed-in limit does not enter
     cells = []
     for scenario in spec.scenarios():
         try:
-            cells.append(run_cell(grid, scenario, spec.engine, cfg, model))
+            key = (scenario.case, scenario.demand_multiplier)
+            if key not in aggs:
+                aggs[key] = node_aggregates(grid, scenario)
+            cells.append(run_cell(grid, scenario, spec.engine, cfg, model, aggs[key]))
         except Exception as exc:                      # cell isolation
             cells.append(CellResult(
                 fl=scenario.fl, case=scenario.case,

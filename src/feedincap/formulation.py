@@ -239,6 +239,9 @@ def node_aggregates(grid: Grid, scenario: Scenario,
     dp = np.array([b.demand_p for b in grid.buses]).T[idx] * mult
     dq = np.array([b.demand_q for b in grid.buses]).T[idx] * mult
     residual = np.maximum(0.0, dp - nonelig)
+    # the cells of a sweep share one aggregate, so nothing may write to it
+    for arr in (avail_const, avail_coef, cap_const, cap_coef, nonelig, dp, dq, residual):
+        arr.flags.writeable = False
 
     return NodeAggregates(
         hours=tuple(hours),
@@ -346,8 +349,8 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
     costs = scenario.costs
     fl = scenario.fl
 
-    if fix_scal is not None and fix_scal < 0:
-        raise FormulationError("fix_scal must be >= 0")
+    if fix_scal is not None and not 0.0 <= fix_scal < math.inf:
+        raise FormulationError(f"fix_scal must be finite and >= 0, got {fix_scal}")
     s_lo = 0.0 if fix_scal is None else float(fix_scal)
     s_hi = cfg.scal_max if fix_scal is None else float(fix_scal)
 

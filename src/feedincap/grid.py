@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -52,12 +53,15 @@ class CandidatePolicyWarning(UserWarning):
     """A candidate policy matched nothing (or was otherwise degenerate)."""
 
 
-def _series(values) -> np.ndarray:
-    """An hourly series as a read-only float64 array (list, tuple or array in)."""
-    if isinstance(values, np.ndarray) and values.dtype == np.float64 \
+def _series(values, scale: float = 1.0) -> np.ndarray:
+    """An hourly series times scale as a read-only float64 array (list, tuple or
+    array in); a read-only float64 array at scale 1 is kept as is."""
+    if scale == 1.0 and isinstance(values, np.ndarray) and values.dtype == np.float64 \
             and not values.flags.writeable:
         return values
     series = np.array(values, dtype=np.float64)
+    if scale != 1.0:
+        series *= scale
     series.flags.writeable = False
     return series
 
@@ -199,7 +203,7 @@ def _power(node: object, what: str, series: bool = False) -> float | np.ndarray:
     else:
         scale = 1.0
     if series:
-        return _series(_numbers(node, what)) * scale
+        return _series(_numbers(node, what), scale)
     try:
         return _number(node) * scale
     except TypeError:
@@ -312,11 +316,31 @@ def parse_grid(document: str | dict, *, validate: bool = True) -> Grid:
     return grid
 
 
+# A series field's line in json.dumps(doc, indent=1) of a document whose series
+# were replaced by None. A raw newline never occurs inside a JSON string, so only
+# the keys of bus and generator objects start such a line.
+_SERIES_HOLE = re.compile(r'^(   "(?:demand_p|demand_q|profile)": )null(,?)$', re.MULTILINE)
+
+
+def _series_text(values: np.ndarray) -> str:
+    """A series laid out as json.dumps(indent=1) lays it out at the depth of a
+    bus or generator field: one number per line at 4 spaces, "]" at 3."""
+    if not values.size:
+        return "[]"
+    # without an indent json.dumps runs the C encoder, which writes each float
+    # as float.__repr__ does (NaN, Infinity, -Infinity for the rest)
+    numbers = json.dumps(values.tolist(), separators=(",\n    ", ": "))[1:-1]
+    return f"[\n    {numbers}\n   ]"
+
+
 def serialize_grid(grid: Grid) -> str:
     """Serialize to the canonical document form (bare numbers, MW).
 
-    parse_grid(serialize_grid(g)) reproduces g exactly: floats go through
-    repr-exact JSON in both directions.
+    The text is exactly json.dumps(doc, indent=1). With an indent json.dumps
+    runs its pure-Python encoder, so only the skeleton goes through it; the
+    hourly series, nearly all of the text, are rendered by the C encoder and
+    spliced in. parse_grid(serialize_grid(g)) reproduces g exactly: floats go
+    through repr-exact JSON in both directions.
     """
     doc = {
         "base_mva": grid.base_mva,
@@ -328,8 +352,8 @@ def serialize_grid(grid: Grid) -> str:
                 "is_slack": b.is_slack,
                 "vmin": b.vmin,
                 "vmax": b.vmax,
-                "demand_p": b.demand_p.tolist(),
-                "demand_q": b.demand_q.tolist(),
+                "demand_p": None,
+                "demand_q": None,
             }
             for b in grid.buses
         ],
@@ -350,12 +374,17 @@ def serialize_grid(grid: Grid) -> str:
                 "bus": g.bus,
                 "kind": g.kind,
                 "p_max": g.p_max,
-                "profile": g.profile.tolist(),
+                "profile": None,
             }
             for g in grid.gens
         ],
     }
-    return json.dumps(doc, indent=1)
+    # the holes in document order
+    series = [s for b in grid.buses for s in (b.demand_p, b.demand_q)]
+    series += [g.profile for g in grid.gens]
+    texts = map(_series_text, series)
+    return _SERIES_HOLE.sub(lambda m: m[1] + next(texts) + m[2],
+                            json.dumps(doc, indent=1))
 
 
 # ---------------------------------------------------------------------------

@@ -104,8 +104,8 @@ def _rule_state(agg: NodeAggregates, fl: float, scal: float) -> RuleState:
 def rule_injections(grid: Grid, scenario: Scenario, scal: float,
                     hours: tuple[int, ...] | None = None) -> RuleState:
     """Apply the feed-in rule at a fixed expansion factor; no optimization."""
-    if scal < 0:
-        raise OracleError("scal must be >= 0")
+    if not 0.0 <= scal < math.inf:
+        raise OracleError(f"scal must be finite and >= 0, got {scal}")
     agg = node_aggregates(grid, scenario, hours)
     return _rule_state(agg, scenario.fl, scal)
 

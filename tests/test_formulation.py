@@ -220,6 +220,12 @@ def test_fix_scal_pins_the_variable():
     assert plan.exports_mw[0] == pytest.approx(2.5, abs=1e-7)
 
 
+@pytest.mark.parametrize("scal", [float("nan"), float("inf"), -0.1])
+def test_fix_scal_must_be_finite_and_non_negative(scal):
+    with pytest.raises(FormulationError, match="fix_scal must be finite and >= 0"):
+        build_problem(example_grid_7kwp(), Scenario(fl=0.7), fix_scal=scal)
+
+
 def test_annual_without_fixed_scal_rejected():
     grid = two_bus(profile=(0.2, 1.0))
     with pytest.raises(FormulationError, match="annual"):

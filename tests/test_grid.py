@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from feedincap.grid import (
 from feedincap.fixtures import synth_grid
 from feedincap.formulation import Scenario, node_aggregates
 
-from util import two_bus
+from util import reference_serialize_grid, two_bus
 
 
 MINIMAL_DOC = {
@@ -69,6 +70,22 @@ def test_parse_kw_units_convert_to_mw():
     assert grid.gens[0].p_max == pytest.approx(7e-3, abs=1e-15)
 
 
+def test_parsed_series_keep_their_bits():
+    values = [1.4, 3, -0.0, 0.1, 1e-05, 7]
+    doc = dict(MINIMAL_DOC)
+    doc["buses"] = [
+        {"id": "sub", "is_slack": True, "demand_p": values, "demand_q": values},
+        {"id": "n1", "demand_p": {"unit": "kW", "values": values},
+         "demand_q": {"unit": "MVAr", "values": values}},
+    ]
+    grid = parse_grid(doc)
+    mw = np.array(values, dtype=np.float64)
+    for series, want in ((grid.buses[0].demand_p, mw), (grid.buses[0].demand_q, mw),
+                         (grid.buses[1].demand_p, mw * 1e-3), (grid.buses[1].demand_q, mw)):
+        assert series.tobytes() == want.tobytes()
+        assert not series.flags.writeable
+
+
 def test_parse_rejects_cycle():
     doc = json.loads(json.dumps(MINIMAL_DOC))
     doc["buses"].append({"id": "n2"})
@@ -95,6 +112,70 @@ def test_round_trip_identity():
 def test_round_trip_identity_two_bus():
     text = serialize_grid(two_bus(demand_mw=0.123456789, profile=(0.3, 1.0)))
     assert serialize_grid(parse_grid(text)) == text
+
+
+# -- the canonical writer against json.dumps(indent=1) of the whole document --
+
+SHIPPED = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
+def test_writer_matches_the_reference_on_shipped_fixtures(path):
+    grid = parse_grid(path.read_text())
+    assert serialize_grid(grid) == reference_serialize_grid(grid)
+
+
+def test_writer_matches_the_reference_on_a_week_of_lv():
+    grid = synth_grid("lv", seed=1, hours=168)
+    assert serialize_grid(grid) == reference_serialize_grid(grid)
+
+
+ODD_NUMBERS = (float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e-05, 1e+16,
+               3.0, -7.0, 1e22, 0.1, 5e-324, 1.7976931348623157e+308)
+
+
+def test_writer_matches_the_reference_on_odd_numbers():
+    nan, inf = float("nan"), float("inf")
+    grid = Grid(
+        base_mva=nan, base_kv=inf, hour_duration_h=-inf,
+        buses=(Bus("sub", True, ODD_NUMBERS, ODD_NUMBERS[::-1], vmin=-0.0, vmax=1e+16),
+               Bus("n1", False, ODD_NUMBERS[3:], ODD_NUMBERS[:3], vmin=1e-05, vmax=2.0)),
+        lines=(Line("sub", "n1", nan, -inf, inf, -0.0),),
+        gens=(GenUnit("g1", "n1", "wind", 1e+16, ODD_NUMBERS[1:]),
+              GenUnit("g2", "sub", "ror", -inf, (nan,))),
+    )
+    text = serialize_grid(grid)
+    assert text == reference_serialize_grid(grid)
+    for word in ("NaN", "Infinity", "-Infinity", "-0.0", "1e-05", "1e+16", "3.0"):
+        assert f"    {word}," in text
+
+
+def test_writer_matches_the_reference_on_empty_series_and_lists():
+    grids = (
+        Grid(1.0, 20.0, buses=(Bus("sub", True, (), ()),), lines=(),
+             gens=(GenUnit("g", "sub", "wind", 1.0, ()),)),
+        Grid(1.0, 20.0, buses=(Bus("sub", True, (), (0.5,)),), lines=()),
+        Grid(1.0, 20.0, buses=(), lines=()),
+    )
+    for grid in grids:
+        assert serialize_grid(grid) == reference_serialize_grid(grid)
+
+
+@pytest.mark.parametrize("name", [
+    'say "hi"', "Übergabe – 変電所", "nul\x00byte", "back\\slash", "null",
+    '   "demand_p": null,', '"profile": null', '\n   "demand_q": null\n', "[]",
+])
+def test_writer_matches_the_reference_on_odd_ids(name):
+    grid = Grid(
+        1.0, 20.0,
+        buses=(Bus(name, True, (0.5, 1.0), (0.1, 0.2)),
+               Bus(name + "2", False, (0.25, 2.0), (0.3, 0.4))),
+        lines=(Line(name, name + "2", 0.01, 0.01, 5.0),),
+        gens=(GenUnit(name, name + "2", name, 1.0, (0.0, 1.0)),),
+    )
+    text = serialize_grid(grid)
+    assert text == reference_serialize_grid(grid)
+    assert parse_grid(text, validate=False).buses[0].id == name
 
 
 def test_fixture_document_parses_to_158_buses():

@@ -48,6 +48,12 @@ def test_rule_rejects_negative_scal():
         rule_injections(two_bus(), Scenario(), -0.1)
 
 
+@pytest.mark.parametrize("scal", [float("nan"), float("inf"), float("-inf")])
+def test_rule_rejects_a_non_finite_scal(scal):
+    with pytest.raises(OracleError, match="scal must be finite and >= 0"):
+        rule_injections(example_grid_7kwp(), Scenario(fl=0.7), scal)
+
+
 def test_injections_nondecreasing_in_scal():
     rng = np.random.default_rng(23)
     for _ in range(8):

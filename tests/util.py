@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from feedincap.grid import Bus, GenUnit, Grid, Line
@@ -101,6 +103,49 @@ def reference_worst_case_hour(grid: Grid, scenario: Scenario) -> int:
             best_v = avail - dem
             best_h = h
     return best_h
+
+
+def reference_serialize_grid(grid: Grid) -> str:
+    """The whole document through json.dumps(indent=1), the pure-Python
+    encoder: the reference for serialize_grid."""
+    doc = {
+        "base_mva": grid.base_mva,
+        "base_kv": grid.base_kv,
+        "hour_duration_h": grid.hour_duration_h,
+        "buses": [
+            {
+                "id": b.id,
+                "is_slack": b.is_slack,
+                "vmin": b.vmin,
+                "vmax": b.vmax,
+                "demand_p": b.demand_p.tolist(),
+                "demand_q": b.demand_q.tolist(),
+            }
+            for b in grid.buses
+        ],
+        "lines": [
+            {
+                "from": ln.from_bus,
+                "to": ln.to_bus,
+                "r": ln.r,
+                "x": ln.x,
+                "s_max": ln.s_max,
+                "length_km": ln.length_km,
+            }
+            for ln in grid.lines
+        ],
+        "generators": [
+            {
+                "id": g.id,
+                "bus": g.bus,
+                "kind": g.kind,
+                "p_max": g.p_max,
+                "profile": g.profile.tolist(),
+            }
+            for g in grid.gens
+        ],
+    }
+    return json.dumps(doc, indent=1)
 
 
 def reference_bisection(grid: Grid, scenario: Scenario, cfg: SolverConfig,
