@@ -44,14 +44,7 @@ from .grid import (
 )
 from .milp import MILProblem, SolverConfig, solve_lp, solve_milp
 from .network import ac_sweep, build_linear_model, compare_models, evaluate_linear
-from .oracle import (
-    annual_simulate,
-    enumerate_alpha,
-    feasible_at,
-    max_scal_bisection,
-    oracle_plan,
-    rule_injections,
-)
+from .oracle import annual_simulate, feasible_at, max_scal_bisection, oracle_plan
 
 __version__ = "0.1.0"
 
@@ -61,10 +54,9 @@ __all__ = [
     "Scenario", "SolverConfig", "SweepSpec",
     "ac_sweep", "add_candidates", "annual_simulate", "build_linear_model",
     "build_problem", "check_monotonicity", "compare_models",
-    "curtailment_rule", "emit_report", "energy_account", "enumerate_alpha",
-    "example_grid_7kwp", "extract_solution", "feasible_at",
-    "find_bottlenecks", "max_scal_bisection", "oracle_plan", "parse_grid",
-    "rule_injections", "run_sweep", "scenario_from_json", "scenario_to_json",
+    "curtailment_rule", "emit_report", "energy_account", "example_grid_7kwp",
+    "extract_solution", "feasible_at", "find_bottlenecks", "max_scal_bisection",
+    "oracle_plan", "parse_grid", "run_sweep", "scenario_from_json", "scenario_to_json",
     "serialize_grid", "solve_lp", "solve_milp", "synth_grid", "synth_profiles",
     "validate_grid", "__version__",
 ]

@@ -68,6 +68,9 @@ class SweepSpec:
         if self.mode == "annual" and self.engine != "oracle":
             raise AnalysisError("annual sweeps decompose hour by hour; only the "
                                 "oracle engine supports them")
+        for name in ("fl_values", "cases", "demand_multipliers"):
+            if not getattr(self, name):
+                raise AnalysisError(f"{name} must not be empty")
         try:
             list(self.scenarios())          # each cell must be a valid Scenario
         except FormulationError as exc:

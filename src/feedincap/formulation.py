@@ -90,6 +90,8 @@ class Scenario:
             raise FormulationError(f"mode must be snapshot or annual, got {self.mode!r}")
         if self.hours is not None and len(self.hours) == 0:
             raise FormulationError("hours must be None or non-empty")
+        if self.hours is not None and len(set(self.hours)) != len(self.hours):
+            raise FormulationError("hours must not repeat an hour index")
         for c in (self.costs.import_eur_mwh, self.costs.export_eur_mwh,
                   self.costs.unserved_eur_mwh, self.costs.surplus_eur_mwh):
             if not 0.0 <= c < math.inf:
@@ -328,9 +330,8 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
                   model: LinearNetworkModel | None = None) -> ProblemInstance:
     """Assemble the MILP for the resolved scenario hours.
 
-    fix_scal pins the expansion factor (annual mode needs it, and
-    enumerate_alpha passes it through); otherwise scal ranges over
-    [0, cfg.scal_max].
+    fix_scal pins the expansion factor (annual mode needs it); otherwise
+    scal ranges over [0, cfg.scal_max].
     Binary triggers exist only where eligible capacity exists; a trigger whose
     affine premise is >= 0 over the whole scal domain is pinned on (premise 0
     still forces alpha = 1), < 0 over it pinned off, and otherwise left free.

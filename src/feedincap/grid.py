@@ -453,6 +453,8 @@ def validate_grid(grid: Grid) -> list[ValidationIssue]:
         if not (0 < b.vmin < b.vmax):
             err("bad_voltage_band", b.id,
                 f"degenerate voltage band: need 0 < vmin < vmax, got [{b.vmin}, {b.vmax}]")
+        if not math.isfinite(b.vmax * b.vmax):      # ** would raise OverflowError
+            err("non_finite", b.id, f"vmax^2 must be finite, got vmax = {b.vmax}")
 
     line_pairs: set[frozenset[str]] = set()
     for ln in grid.lines:

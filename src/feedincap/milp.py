@@ -606,39 +606,3 @@ def _branch_and_bound(sf: _StandardForm, binaries: tuple[int, ...], cfg: SolverC
     remaining = min((b for b, *_ in heap), default=incumbent_obj)
     gap = max(0.0, incumbent_obj - min(remaining, incumbent_obj))
     return MILPSolution(status_out, incumbent_x, incumbent_obj, gap, nodes, total_iters)
-
-
-# ---------------------------------------------------------------------------
-# debug dump
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
-def dump_lp(problem: LinearProgram | MILProblem) -> str:
-    """Plain-text dump (objective, rows, bounds, binaries); bit-exact."""
-    if isinstance(problem, MILProblem):
-        lp, binaries = problem.lp, problem.binaries
-    else:
-        lp, binaries = problem, ()
-    out = ["Minimize"]
-    terms = [f"{'+' if c >= 0 else '-'} {_fmt(abs(c))} {lp.names[j]}"
-             for j, c in enumerate(lp.obj) if c != 0.0]
-    out.append(" obj: " + (" ".join(terms) if terms else "0"))
-    out.append("Subject To")
-    for idx, coef, sense, rhs, name in zip(lp.row_idx, lp.row_coef, lp.sense,
-                                           lp.rhs, lp.row_names):
-        body = " ".join(
-            f"{'+' if c >= 0 else '-'} {_fmt(abs(c))} {lp.names[j]}"
-            for j, c in zip(idx.tolist(), coef.tolist())
-        )
-        out.append(f" {name}: {body} {sense} {_fmt(rhs)}")
-    out.append("Bounds")
-    for j in range(lp.n_vars):
-        out.append(f" {_fmt(lp.lb[j])} <= {lp.names[j]} <= {_fmt(lp.ub[j])}")
-    if binaries:
-        out.append("Binaries")
-        out.append(" " + " ".join(lp.names[j] for j in sorted(binaries)))
-    out.append("End")
-    return "\n".join(out) + "\n"

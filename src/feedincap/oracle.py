@@ -16,7 +16,6 @@ usable cross-check.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -27,14 +26,13 @@ from .formulation import (
     NodeAggregates,
     PlanResult,
     Scenario,
-    build_problem,
     curtailment_rule,
     energy_account,
     node_aggregates,
     unit_dispatch,
 )
 from .grid import Grid
-from .milp import SolverConfig, solve_lp
+from .milp import SolverConfig
 from .network import LinearNetworkModel, build_linear_model, evaluate_linear
 
 
@@ -78,11 +76,8 @@ class ScalSearch:
 class RuleState:
     """One evaluation of the feed-in rule for every resolved hour."""
 
-    bus_order: tuple[str, ...]          # all buses, grid order
     available_mw: np.ndarray            # (H, N) eligible availability
-    produced_mw: np.ndarray             # (H, N) eligible production after the cap
     curtailed_mw: np.ndarray            # (H, N)
-    alpha: np.ndarray                   # (H, N) bool, cap active
     injection_p: np.ndarray             # (H, N) net MW, generation positive
     injection_q: np.ndarray             # (H, N) net Mvar
 
@@ -91,23 +86,9 @@ def _rule_state(agg: NodeAggregates, fl: float, scal: float) -> RuleState:
     avail = agg.avail_const + agg.avail_coef * scal
     cap = agg.cap_const + agg.cap_coef * scal
     produced, curtailed = curtailment_rule(avail, cap[None, :], fl, agg.residual)
-    alpha = (avail - fl * cap[None, :] - agg.residual) > 0.0
-    inj_p = produced + agg.nonelig_prod - agg.demand_p
-    inj_q = -agg.demand_q
-    return RuleState(
-        bus_order=agg.bus_order,
-        available_mw=avail, produced_mw=produced, curtailed_mw=curtailed, alpha=alpha,
-        injection_p=inj_p, injection_q=inj_q,
-    )
-
-
-def rule_injections(grid: Grid, scenario: Scenario, scal: float,
-                    hours: tuple[int, ...] | None = None) -> RuleState:
-    """Apply the feed-in rule at a fixed expansion factor; no optimization."""
-    if not 0.0 <= scal < math.inf:
-        raise OracleError(f"scal must be finite and >= 0, got {scal}")
-    agg = node_aggregates(grid, scenario, hours)
-    return _rule_state(agg, scenario.fl, scal)
+    return RuleState(available_mw=avail, curtailed_mw=curtailed,
+                     injection_p=produced + agg.nonelig_prod - agg.demand_p,
+                     injection_q=-agg.demand_q)
 
 
 def _network_arrays(state: RuleState,
@@ -228,60 +209,6 @@ def _tangent_step(agg: NodeAggregates, model: LinearNetworkModel,
     return float(step[k, c]), row + (agg.hours[k],)
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
-    status: str
-    scal: float | None
-    objective: float | None
-    x: np.ndarray | None
-    n_assignments: int
-    n_feasible: int
-
-
-def enumerate_alpha(grid: Grid, scenario: Scenario,
-                    cfg: SolverConfig | None = None, *,
-                    fix_scal: float | None = None,
-                    max_free: int = 20) -> EnumerationResult:
-    """Brute-force the MILP: one LP per assignment of the free triggers.
-
-    Exponential by design; refuses more than max_free free binaries. The
-    pre-fixing inside build_problem already removes every trigger whose
-    premise cannot change sign, so only genuinely ambiguous node-hours are
-    enumerated.
-    """
-    inst = build_problem(grid, scenario, cfg, fix_scal=fix_scal)
-    lp = inst.lp
-    free = [j for j in inst.binaries if lp.lb[j] < lp.ub[j]]
-    if len(free) > max_free:
-        raise OracleError(
-            f"{len(free)} free binaries exceed the enumeration guard of {max_free}")
-    base_lb = list(lp.lb)
-    base_ub = list(lp.ub)
-    best_obj = None
-    best_x = None
-    n_feas = 0
-    n_tried = 0
-    try:
-        for bits in itertools.product((0.0, 1.0), repeat=len(free)):
-            n_tried += 1
-            for j, v in zip(free, bits):
-                lp.lb[j] = v
-                lp.ub[j] = v
-            sol = solve_lp(lp, cfg)
-            if sol.status == "optimal":
-                n_feas += 1
-                if best_obj is None or sol.objective < best_obj - 1e-12:
-                    best_obj = sol.objective
-                    best_x = sol.x.copy()
-    finally:
-        lp.lb[:] = base_lb
-        lp.ub[:] = base_ub
-    if best_obj is None:
-        return EnumerationResult("infeasible", None, None, None, n_tried, 0)
-    return EnumerationResult("optimal", float(best_x[inst.scal_idx]), best_obj,
-                             best_x, n_tried, n_feas)
-
-
 # ---------------------------------------------------------------------------
 # plan assembly without the MILP
 
@@ -293,8 +220,8 @@ def oracle_plan(grid: Grid, scenario: Scenario, scal: float, *,
 
     Unit-level production splits node curtailment pro rata by availability;
     node totals, flows and voltages are the quantities that are actually
-    pinned down. The plan's alpha stays empty: the rule's triggers are
-    RuleState.alpha.
+    pinned down. The plan's alpha stays empty: the rule has no trigger
+    variables.
     """
     model = model or build_linear_model(grid)
     agg = agg if agg is not None else node_aggregates(grid, scenario)

@@ -22,11 +22,9 @@ from feedincap.formulation import (
 from feedincap.grid import serialize_grid
 from feedincap.milp import SolverConfig, solve_milp
 from feedincap.network import build_linear_model, compare_models, evaluate_linear
-from feedincap.oracle import (
-    annual_simulate, enumerate_alpha, max_scal_bisection, rule_injections,
-)
+from feedincap.oracle import annual_simulate, max_scal_bisection
 
-from util import valid_random_instances
+from util import enumerate_alpha, rule_injections, valid_random_instances
 
 
 def _verdict(n: int, ok: bool, detail: str) -> None:

@@ -300,7 +300,7 @@ def test_emit_report_full_sweep(tmp_path):
 
 
 def test_emit_report_empty_sweep(tmp_path):
-    result = SweepResult(SweepSpec(fl_values=()), [])
+    result = SweepResult(SweepSpec(), [])      # a spec with an empty axis is refused
     emit_report(result, tmp_path, stem="empty")
     assert (tmp_path / "empty.csv").read_text() == ",".join(CSV_COLUMNS) + "\n"
     ET.fromstring((tmp_path / "empty.svg").read_text())

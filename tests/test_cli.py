@@ -103,6 +103,7 @@ def test_validate_zero_impedance_is_a_warning(tmp_path, capsys):
     pytest.param("validate", "buses", "demand_p", [10**400],
                  id="validate-buses-demand_p-int-too-large"),
     pytest.param("plan", "scenario", "fl", 10**400, id="plan-scenario-fl-int-too-large"),
+    pytest.param("plan", "scenario", "hours", [0, 0], id="plan-scenario-hours-repeated"),
 ])
 def test_malformed_values_are_usage_errors(command, where, key, value, tmp_path, capsys):
     grid_doc = json.loads(serialize_grid(two_bus()))
@@ -116,6 +117,21 @@ def test_malformed_values_are_usage_errors(command, where, key, value, tmp_path,
     (tmp_path / "grid.json").write_text(json.dumps(grid_doc))
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("validate", []), ("plan", ["--outdir"]), ("sweep", ["--outdir"]),
+    ("simulate", ["--scal", "1", "--outdir"]),
+])
+def test_huge_vmax_is_a_domain_error(command, flags, tmp_path, capsys):
+    # finite, so only its overflowing square (vmax**2 raises) gives it away
+    doc = json.loads(serialize_grid(example_grid_7kwp()))
+    doc["buses"][-1]["vmax"] = 1e200
+    (tmp_path / "grid.json").write_text(json.dumps(doc))
+    outdir = [str(tmp_path / "o")] if flags else []
+    assert cli.main([command, str(tmp_path / "grid.json"), *flags, *outdir]) == 1
+    assert "non_finite at n001" in "".join(capsys.readouterr())   # validate: stdout
+    assert not (tmp_path / "o").exists()
 
 
 # -- plan --------------------------------------------------------------------
@@ -281,6 +297,9 @@ def test_plan_bad_fl_flag(toy_file, capsys):
     ("--cases", "c", "case must be"),
     ("--mults", "-1", "demand_multiplier"),
     ("--mults", "nan", "demand_multiplier must be finite"),
+    ("--fl-values", ",", "fl_values must not be empty"),
+    ("--cases", ",", "cases must not be empty"),
+    ("--mults", ",", "demand_multipliers must not be empty"),
 ])
 def test_sweep_bad_cell_value_is_usage_error(flag, value, message, toy_file, tmp_path,
                                              capsys):

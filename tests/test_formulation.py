@@ -39,6 +39,8 @@ def test_scenario_validation():
         Scenario(demand_multiplier=-1.0)
     with pytest.raises(FormulationError):
         Scenario(hours=())
+    with pytest.raises(FormulationError, match="must not repeat"):
+        Scenario(hours=(0, 0))
     with pytest.raises(FormulationError):
         Scenario(mode="weekly")
     with pytest.raises(FormulationError):

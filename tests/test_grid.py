@@ -212,6 +212,13 @@ def test_validate_rejects_non_finite(field, bad):
     assert "non_finite" in {i.code for i in validate_grid(grid)}
 
 
+def test_validate_rejects_a_vmax_whose_square_overflows():
+    # 1e200 is finite, but the linear model squares it: 1e200**2 raises OverflowError
+    issues = validate_grid(two_bus(vmax=1e200))
+    assert [(i.code, i.location) for i in issues] == [("non_finite", "sub"),
+                                                       ("non_finite", "n1")]
+
+
 def test_nan_demand_document_is_rejected():
     # json accepts the NaN literal, and nan < 0 is False, so only the
     # finiteness check stands between this document and the solvers

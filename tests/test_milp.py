@@ -9,11 +9,10 @@ from feedincap.milp import (
     _pivot_update,
     _ratio_test,
     compute_big_m,
-    dump_lp,
     solve_lp,
     solve_milp,
 )
-from util import reference_ratio_test
+from util import dump_lp, reference_ratio_test
 
 
 def test_lp_single_var_at_bound():

@@ -183,7 +183,8 @@ def test_compare_light_loading(rural):
 
 def test_compare_rated_loading(urban):
     from feedincap.formulation import Scenario
-    from feedincap.oracle import max_scal_bisection, rule_injections
+    from feedincap.oracle import max_scal_bisection
+    from util import rule_injections
 
     scenario = Scenario(fl=1.0, case="a")
     search = max_scal_bisection(urban, scenario)

@@ -4,7 +4,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from feedincap import oracle
 from feedincap.formulation import Scenario, build_problem
 from feedincap.fixtures import example_grid_7kwp
 from feedincap.grid import GenUnit, Grid, parse_grid
@@ -13,15 +12,21 @@ from feedincap.network import build_linear_model
 from feedincap.oracle import (
     OracleError,
     annual_simulate,
-    enumerate_alpha,
     feasible_at,
     headroom,
     max_scal_bisection,
     oracle_plan,
-    rule_injections,
 )
 
-from util import random_radial, reference_bisection, two_bus, valid_random_instances
+import util
+from util import (
+    enumerate_alpha,
+    random_radial,
+    reference_bisection,
+    rule_injections,
+    two_bus,
+    valid_random_instances,
+)
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -263,8 +268,8 @@ def test_enumerate_restores_bounds_when_a_solve_fails(monkeypatch):
     def crash(lp, cfg):
         raise RuntimeError("solver crashed")
 
-    monkeypatch.setattr(oracle, "build_problem", lambda *a, **kw: inst)
-    monkeypatch.setattr(oracle, "solve_lp", crash)
+    monkeypatch.setattr(util, "build_problem", lambda *a, **kw: inst)
+    monkeypatch.setattr(util, "solve_lp", crash)
     with pytest.raises(RuntimeError, match="solver crashed"):
         enumerate_alpha(grid, scenario, max_free=64)
     assert (list(inst.lp.lb), list(inst.lp.ub)) == before

@@ -1,15 +1,18 @@
-"""Builders shared across the test modules."""
+"""Builders and reference implementations shared across the test modules."""
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from feedincap.grid import Bus, GenUnit, Grid, Line
-from feedincap.formulation import Scenario
-from feedincap.milp import SolverConfig
-from feedincap.oracle import feasible_at
+from feedincap.formulation import Scenario, build_problem, node_aggregates
+from feedincap.milp import LinearProgram, MILProblem, SolverConfig, solve_lp
+from feedincap.oracle import OracleError, RuleState, _rule_state, feasible_at
 
 
 def two_bus(demand_mw=0.0, kind="pv_candidate", p_max=1.0, s_max=5.0,
@@ -237,3 +240,109 @@ def reference_network_rows(inst) -> list[tuple[dict[int, float], float]]:
                     add(coeffs, q_terms(pos[bid]), kq)
             rows.append((coeffs, vmax2[n] - const))
     return rows
+
+
+@dataclass
+class RuleInjections(RuleState):
+    """The oracle's rule state plus the bus order and the rule's triggers."""
+
+    bus_order: tuple[str, ...]          # all buses, grid order
+    alpha: np.ndarray                   # (H, N) bool, cap active
+
+
+def rule_injections(grid: Grid, scenario: Scenario, scal: float,
+                    hours: tuple[int, ...] | None = None) -> RuleInjections:
+    """Apply the feed-in rule at a fixed expansion factor; no optimization."""
+    if not 0.0 <= scal < math.inf:
+        raise OracleError(f"scal must be finite and >= 0, got {scal}")
+    agg = node_aggregates(grid, scenario, hours)
+    state = _rule_state(agg, scenario.fl, scal)
+    cap = agg.cap_const + agg.cap_coef * scal
+    alpha = (state.available_mw - scenario.fl * cap[None, :] - agg.residual) > 0.0
+    return RuleInjections(**vars(state), bus_order=agg.bus_order, alpha=alpha)
+
+
+@dataclass(frozen=True)
+class EnumerationResult:
+    status: str
+    scal: float | None
+    objective: float | None
+    x: np.ndarray | None
+    n_assignments: int
+    n_feasible: int
+
+
+def enumerate_alpha(grid: Grid, scenario: Scenario,
+                    cfg: SolverConfig | None = None, *,
+                    fix_scal: float | None = None,
+                    max_free: int = 20) -> EnumerationResult:
+    """Brute-force the MILP: one LP per assignment of the free triggers.
+
+    Exponential by design; refuses more than max_free free binaries. The
+    pre-fixing inside build_problem already removes every trigger whose
+    premise cannot change sign, so only genuinely ambiguous node-hours are
+    enumerated.
+    """
+    inst = build_problem(grid, scenario, cfg, fix_scal=fix_scal)
+    lp = inst.lp
+    free = [j for j in inst.binaries if lp.lb[j] < lp.ub[j]]
+    if len(free) > max_free:
+        raise OracleError(
+            f"{len(free)} free binaries exceed the enumeration guard of {max_free}")
+    base_lb = list(lp.lb)
+    base_ub = list(lp.ub)
+    best_obj = None
+    best_x = None
+    n_feas = 0
+    n_tried = 0
+    try:
+        for bits in itertools.product((0.0, 1.0), repeat=len(free)):
+            n_tried += 1
+            for j, v in zip(free, bits):
+                lp.lb[j] = v
+                lp.ub[j] = v
+            sol = solve_lp(lp, cfg)
+            if sol.status == "optimal":
+                n_feas += 1
+                if best_obj is None or sol.objective < best_obj - 1e-12:
+                    best_obj = sol.objective
+                    best_x = sol.x.copy()
+    finally:
+        lp.lb[:] = base_lb
+        lp.ub[:] = base_ub
+    if best_obj is None:
+        return EnumerationResult("infeasible", None, None, None, n_tried, 0)
+    return EnumerationResult("optimal", float(best_x[inst.scal_idx]), best_obj,
+                             best_x, n_tried, n_feas)
+
+
+def _fmt(v: float) -> str:
+    return repr(float(v))
+
+
+def dump_lp(problem: LinearProgram | MILProblem) -> str:
+    """Plain-text dump (objective, rows, bounds, binaries); bit-exact."""
+    if isinstance(problem, MILProblem):
+        lp, binaries = problem.lp, problem.binaries
+    else:
+        lp, binaries = problem, ()
+    out = ["Minimize"]
+    terms = [f"{'+' if c >= 0 else '-'} {_fmt(abs(c))} {lp.names[j]}"
+             for j, c in enumerate(lp.obj) if c != 0.0]
+    out.append(" obj: " + (" ".join(terms) if terms else "0"))
+    out.append("Subject To")
+    for idx, coef, sense, rhs, name in zip(lp.row_idx, lp.row_coef, lp.sense,
+                                           lp.rhs, lp.row_names):
+        body = " ".join(
+            f"{'+' if c >= 0 else '-'} {_fmt(abs(c))} {lp.names[j]}"
+            for j, c in zip(idx.tolist(), coef.tolist())
+        )
+        out.append(f" {name}: {body} {sense} {_fmt(rhs)}")
+    out.append("Bounds")
+    for j in range(lp.n_vars):
+        out.append(f" {_fmt(lp.lb[j])} <= {lp.names[j]} <= {_fmt(lp.ub[j])}")
+    if binaries:
+        out.append("Binaries")
+        out.append(" " + " ".join(lp.names[j] for j in sorted(binaries)))
+    out.append("End")
+    return "\n".join(out) + "\n"
