@@ -427,6 +427,8 @@ def validate_grid(grid: Grid) -> list[ValidationIssue]:
             f"got {grid.base_mva}/{grid.base_kv}/{grid.hour_duration_h}")
     if grid.base_mva <= 0 or grid.base_kv <= 0:
         err("bad_base", "grid", f"base_mva/base_kv must be > 0, got {grid.base_mva}/{grid.base_kv}")
+    if grid.base_mva > 0 and not math.isfinite(1 / grid.base_mva):     # MW -> per unit
+        err("non_finite", "grid", f"1/base_mva must be finite, got base_mva = {grid.base_mva}")
     if grid.hour_duration_h <= 0:
         err("bad_hour_duration", "grid", f"hour_duration_h must be > 0, got {grid.hour_duration_h}")
 
@@ -478,6 +480,14 @@ def validate_grid(grid: Grid) -> list[ValidationIssue]:
             issues.append(ValidationIssue(
                 "zero_impedance", "warning", ln.id,
                 "r = x = 0: the linearized model accepts it, the AC power-flow check cannot"))
+
+    # build_linear_model's voltage sensitivities are 2 * (r or x summed over
+    # the lines two paths share) / base_mva; the sums over all lines bound them
+    if grid.base_mva > 0 and all(math.isfinite(ln.r) and math.isfinite(ln.x) for ln in grid.lines):
+        bounds = [2 * sum(getattr(ln, z) for ln in grid.lines) / grid.base_mva for z in "rx"]
+        if not all(map(math.isfinite, bounds)):
+            err("non_finite", "grid", "line impedances overflow the linear model: "
+                f"2*sum(r)/base_mva = {bounds[0]}, 2*sum(x)/base_mva = {bounds[1]}")
 
     # Radiality: tree edge count plus connectivity from the slack.
     if len(slack_ids) == 1 and not any(i.code == "unknown_bus" for i in issues):

@@ -1,4 +1,4 @@
-"""Dense LP and MILP solving.
+"""LP and MILP solving on a column-compressed constraint matrix.
 
 solve_lp is a bounded-variable revised simplex: two phases, Dantzig pricing
 with lowest-index tie-breaks, and a Bland fallback after a degenerate streak
@@ -36,8 +36,17 @@ still bounds the full problem's. Nodes and LP iterations add up over the
 rounds, and node_limit caps their sum. With nothing deferred there is one
 round over every row.
 
-Problem sizes here are desk scale (hundreds to a few thousand rows); dense
-storage is deliberate.
+The standard form keeps A once, column-compressed: column pointers, row
+indices and values, with the slack and phase-1 artificial unit columns
+appended to the same arrays. Every product with A reads those entries: the
+reduced costs c - A^T y are one bincount over them (y itself reads only
+the rows of the inverse whose basic variable has a cost), FTRAN multiplies the
+entering column's few entries by the matching columns of the inverse,
+reconciling x sums the nonbasic entries, and a refactorization scatters the
+basis columns into B. The basis inverse beside it is a dense explicit m x m
+array, which the desk-scale problems here (hundreds to a few thousand kept
+rows) afford. Once a solve is optimal, one LU solve of B, not a new
+inverse, settles the basic values.
 """
 
 from __future__ import annotations
@@ -60,7 +69,9 @@ NUMERICAL = "numerical"
 
 OPTIMALITY_TOL = 1e-7      # reduced-cost threshold for an entering column
 INTEGRALITY_TOL = 1e-6     # a binary this close to 0 or 1 counts as integral
-REFACTOR_EVERY = 128       # pivots between full re-inversions of the basis
+REFACTOR_EVERY = 512       # pivots between full re-inversions of the basis: a
+                           # re-inversion costs O(m^3) and fills the hypersparse
+                           # inverse with roundoff, while 300 pivots drift ~1e-11
 BLAND_AFTER = 40           # degenerate pivots in a row before Bland's rule
 
 
@@ -193,12 +204,19 @@ def compute_big_m(avail_at_scal_max: float, fl_cap_at_scal_max: float,
 
 class _StandardForm:
     """Ax = b with bounds: n variables, one slack column per row, then any
-    phase-1 artificials."""
+    phase-1 artificials.
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, c: np.ndarray,
-                 lb: np.ndarray, ub: np.ndarray, n: int):
-        self.m, self.n = A.shape[0], n
-        self.A, self.b, self.c = A, b, c
+    A is column-compressed: column j's entries are rows[ptr[j]:ptr[j+1]]
+    (ascending) with coefficients vals[ptr[j]:ptr[j+1]], and col[k] is the
+    column of entry k.
+    """
+
+    def __init__(self, ptr: np.ndarray, rows: np.ndarray, vals: np.ndarray,
+                 b: np.ndarray, c: np.ndarray, lb: np.ndarray, ub: np.ndarray, n: int):
+        self.m, self.n, self.width = b.size, n, ptr.size - 1
+        self.ptr, self.rows, self.vals = ptr, rows, vals
+        self.col = np.repeat(np.arange(self.width), np.diff(ptr))
+        self.b, self.c = b, c
         self.lb_base, self.ub_base = lb, ub
 
     @classmethod
@@ -206,19 +224,29 @@ class _StandardForm:
         """The form of lp's rows, or of the given ascending row indices only."""
         rows = np.arange(lp.n_rows) if rows is None else rows
         m, n = rows.size, lp.n_vars
-        A = np.zeros((m, n + m))
         pos, cols, coef = lp._entries(rows)
-        A[pos, cols] += coef
-        A[np.arange(m), n + np.arange(m)] = 1.0
+        order = np.argsort(cols, kind="stable")       # by column, rows stay ascending
+        ptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
         b = np.array(lp.rhs, dtype=float)[rows]
         sense = [lp.sense[i] for i in rows.tolist()]
         slack_lb = np.array([-INF if s == ">=" else 0.0 for s in sense], dtype=float)
         slack_ub = np.array([INF if s == "<=" else 0.0 for s in sense], dtype=float)
-        return cls(A, b,
+        return cls(*_with_unit_columns(ptr, pos[order], coef[order], np.arange(m)), b,
                    np.concatenate([np.asarray(lp.obj, dtype=float), np.zeros(m)]),
                    np.concatenate([np.asarray(lp.lb, dtype=float), slack_lb]),
                    np.concatenate([np.asarray(lp.ub, dtype=float), slack_ub]),
                    n)
+
+    def reduced_costs(self, c: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """c - A^T y, summed column by column over the entries."""
+        return c - np.bincount(self.col, weights=self.vals * y[self.rows], minlength=self.width)
+
+
+def _with_unit_columns(ptr: np.ndarray, rows: np.ndarray, vals: np.ndarray,
+                       at: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Compressed columns with one unit column appended per row index in at."""
+    return (np.concatenate([ptr, ptr[-1] + 1 + np.arange(at.size)]),
+            np.concatenate([rows, at]), np.concatenate([vals, np.ones(at.size)]))
 
 
 class _SimplexState:
@@ -226,7 +254,7 @@ class _SimplexState:
 
     Without x, nonbasic variables start at a finite bound (else 0). Without
     basis, the slack columns are basic. A given basis must consist of unit
-    columns of sf.A, so the basis inverse starts as the identity either way.
+    columns of A, so the basis inverse starts as the identity either way.
     """
 
     def __init__(self, sf: _StandardForm, lb: np.ndarray, ub: np.ndarray,
@@ -236,23 +264,38 @@ class _SimplexState:
             x = np.where(np.isfinite(lb), lb, np.where(np.isfinite(ub), ub, 0.0))
         self.x = x
         self.basis = np.arange(sf.n, sf.n + sf.m) if basis is None else basis
-        self.in_basis = np.zeros(sf.A.shape[1], dtype=bool)
+        self.in_basis = np.zeros(sf.width, dtype=bool)
         self.in_basis[self.basis] = True
         self.B_inv = np.eye(sf.m)
         self.iterations = 0
         self.reconcile()
 
+    def basic_rhs(self) -> np.ndarray:
+        """b - A_N x_N, what the basic variables must make up."""
+        sf = self.sf
+        x_n = np.where(self.in_basis, 0.0, self.x)
+        return sf.b - np.bincount(sf.rows, weights=sf.vals * x_n[sf.col], minlength=sf.m)
+
+    def basis_matrix(self) -> np.ndarray:
+        """B, the basis columns of A scattered into an m x m array."""
+        sf = self.sf
+        slot = np.full(sf.width, -1)
+        slot[self.basis] = np.arange(sf.m)
+        at = slot[sf.col]
+        keep = at >= 0
+        B = np.zeros((sf.m, sf.m))
+        B[sf.rows[keep], at[keep]] = sf.vals[keep]
+        return B
+
     def reconcile(self) -> None:
         # Recompute basic values from nonbasic ones; kills accumulated drift.
-        nb_mask = ~self.in_basis
-        rhs = self.sf.b - self.sf.A[:, nb_mask] @ self.x[nb_mask]
-        self.x[self.basis] = self.B_inv @ rhs
+        self.x[self.basis] = self.B_inv @ self.basic_rhs()
 
     def refactor(self) -> bool:
         # Drop the old inverse before inverting and B before reconciling, so
         # fewer m x m arrays are alive at once. A failed refactor leaves
         # B_inv None; every caller then abandons this state.
-        B = self.sf.A[:, self.basis]
+        B = self.basis_matrix()
         self.B_inv = None
         try:
             self.B_inv = np.linalg.inv(B)
@@ -261,6 +304,15 @@ class _SimplexState:
         del B
         self.reconcile()
         return True
+
+    def settle(self) -> None:
+        """Solve B x_B = b - A_N x_N afresh: the final clean-up of an optimal
+        state, one LU solve instead of a new inverse. A singular B leaves x
+        as the pivots left it."""
+        try:
+            self.x[self.basis] = np.linalg.solve(self.basis_matrix(), self.basic_rhs())
+        except np.linalg.LinAlgError:
+            pass
 
 
 def _ratio_test(step: np.ndarray, bvals: np.ndarray, lb: np.ndarray, ub: np.ndarray,
@@ -309,28 +361,24 @@ def _iterate(st: _SimplexState, c: np.ndarray, iter_cap: int) -> str:
     degen_streak = 0
     bland = False
     since_refactor = 0
+    # bounds stay put here: a nonbasic var sits at a finite lb, a finite ub or
+    # is free (at 0), classified by its actual value
+    movable = st.ub - st.lb > 0                 # fixed vars can never improve
+    lb_fin, ub_fin = np.isfinite(st.lb), np.isfinite(st.ub)
+    lb_near, ub_near = st.lb + 1e-30, st.ub - 1e-30
 
     while True:
         if st.iterations >= iter_cap:
             return ITERATION_LIMIT
-        if sf.m:
-            y = st.B_inv.T @ c[st.basis]
-            d = c - sf.A.T @ y
-        else:
-            d = c.copy()
+        # y = B_inv^T c_B, read from the basis rows with a cost
+        c_B = c[st.basis]
+        costed = np.flatnonzero(c_B)
+        d = sf.reduced_costs(c, c_B[costed] @ st.B_inv[costed])
 
-        # nonbasic vars sit at lb, ub, or 0 (free); classify by actual value
-        nb = ~st.in_basis & (st.ub - st.lb > 0)   # fixed vars can never improve
-        score = np.zeros_like(d)
-        lb_side = nb & (st.x <= st.lb + 1e-30) & np.isfinite(st.lb)
-        ub_side = nb & ~lb_side & (st.x >= st.ub - 1e-30) & np.isfinite(st.ub)
-        free_side = nb & ~lb_side & ~ub_side
-        score[lb_side] = d[lb_side]
-        score[ub_side] = -d[ub_side]
-        score[free_side] = -np.abs(d[free_side])
-        score[~nb] = 0.0
-
-        eligible = np.flatnonzero(score < -tol)
+        at_lb = lb_fin & (st.x <= lb_near)
+        at_ub = ~at_lb & ub_fin & (st.x >= ub_near)
+        score = np.where(at_lb, d, np.where(at_ub, -d, -np.abs(d)))
+        eligible = np.flatnonzero(movable & ~st.in_basis & (score < -tol))
         if eligible.size == 0:
             return OPTIMAL
         if bland:
@@ -338,10 +386,11 @@ def _iterate(st: _SimplexState, c: np.ndarray, iter_cap: int) -> str:
         else:
             j_in = int(eligible[np.argmin(score[eligible])])
         sigma = 1.0
-        if ub_side[j_in] or (free_side[j_in] and d[j_in] > 0):
+        if at_ub[j_in] or (not at_lb[j_in] and d[j_in] > 0):
             sigma = -1.0
 
-        w = st.B_inv @ sf.A[:, j_in] if sf.m else np.zeros(0)
+        lo, hi = sf.ptr[j_in], sf.ptr[j_in + 1]
+        w = st.B_inv[:, sf.rows[lo:hi]] @ sf.vals[lo:hi]
         step = sigma * w
 
         bvals = st.x[st.basis]
@@ -405,12 +454,10 @@ def _phase_one(st: _SimplexState, tol: float) -> tuple[_SimplexState, np.ndarray
     rows = np.flatnonzero(up | (v < st.lb[slack] - tol))
     if rows.size == 0:
         return None
-    k, up, width = rows.size, up[rows], sf.A.shape[1]
+    k, up, width = rows.size, up[rows], sf.width
     st.B_inv = None                     # the slack-basis state is abandoned
-    A1 = np.zeros((sf.m, width + k))
-    A1[:, :width] = sf.A
-    A1[rows, width + np.arange(k)] = 1.0
-    sf1 = _StandardForm(A1, sf.b, np.concatenate([sf.c, np.zeros(k)]),
+    sf1 = _StandardForm(*_with_unit_columns(sf.ptr, sf.rows, sf.vals, rows),
+                        sf.b, np.concatenate([sf.c, np.zeros(k)]),
                         np.concatenate([st.lb, np.where(up, 0.0, -INF)]),
                         np.concatenate([st.ub, np.where(up, INF, 0.0)]), sf.n)
     pinned = slack[rows]
@@ -441,14 +488,14 @@ def _solve_standard(sf: _StandardForm, lb: np.ndarray, ub: np.ndarray,
         if infeas > cfg.feasibility_tol * max(1.0, float(np.abs(sf.b).max(initial=0.0))):
             return LPSolution(INFEASIBLE, None, None, st.iterations)
         # lock artificials at zero and continue with the real objective
-        art = slice(sf.A.shape[1], None)
+        art = slice(sf.width, None)
         st.lb[art] = st.ub[art] = 0.0
         st.x[art] = np.where(np.abs(st.x[art]) < 1e-9, 0.0, st.x[art])
 
     status = _iterate(st, st.sf.c, iter_cap)
     if status != OPTIMAL:
         return LPSolution(status, None, None, st.iterations)
-    st.refactor()
+    st.settle()
     x = st.x[:n].copy()
     return LPSolution(OPTIMAL, x, float(sf.c[:n] @ x), st.iterations)
 

@@ -134,6 +134,18 @@ def test_huge_vmax_is_a_domain_error(command, flags, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("key,value", [("r", 1e308), ("base_mva", 1e-310)])
+def test_validate_rejects_impedances_that_overflow_the_linear_model(key, value, tmp_path,
+                                                                    capsys):
+    # finite, but the linear model's 2 * r / base_mva overflows: an input error,
+    # not an infeasible build-out
+    doc = json.loads(serialize_grid(example_grid_7kwp()))
+    (doc if key == "base_mva" else doc["lines"][0])[key] = value
+    (tmp_path / "grid.json").write_text(json.dumps(doc))
+    assert cli.main(["validate", str(tmp_path / "grid.json")]) == 1
+    assert "error non_finite at grid" in capsys.readouterr().out
+
+
 # -- plan --------------------------------------------------------------------
 
 

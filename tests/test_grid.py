@@ -18,7 +18,7 @@ from feedincap.grid import (
     serialize_grid,
     validate_grid,
 )
-from feedincap.fixtures import synth_grid
+from feedincap.fixtures import example_grid_7kwp, synth_grid
 from feedincap.formulation import Scenario, node_aggregates
 
 from util import reference_serialize_grid, two_bus
@@ -217,6 +217,16 @@ def test_validate_rejects_a_vmax_whose_square_overflows():
     issues = validate_grid(two_bus(vmax=1e200))
     assert [(i.code, i.location) for i in issues] == [("non_finite", "sub"),
                                                        ("non_finite", "n1")]
+
+
+@pytest.mark.parametrize("key,value", [("r", 1e308), ("x", 1e308), ("base_mva", 1e-310)])
+def test_validate_rejects_impedances_that_overflow_the_linear_model(key, value):
+    # every value is finite, but 2 * r / base_mva (or x) is not, so the linear
+    # model's voltage sensitivities would be infinite
+    doc = json.loads(serialize_grid(example_grid_7kwp()))
+    (doc if key == "base_mva" else doc["lines"][0])[key] = value
+    issues = validate_grid(parse_grid(doc, validate=False))
+    assert [(i.code, i.location) for i in issues] == [("non_finite", "grid")]
 
 
 def test_nan_demand_document_is_rejected():

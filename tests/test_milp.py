@@ -8,11 +8,16 @@ from feedincap.milp import (
     SolverConfig,
     _pivot_update,
     _ratio_test,
+    _SimplexState,
+    _StandardForm,
     compute_big_m,
     solve_lp,
     solve_milp,
 )
-from util import dump_lp, reference_ratio_test
+from feedincap.formulation import Scenario, build_problem
+from feedincap.oracle import max_scal_bisection
+from util import (dump_lp, reference_ratio_test, reference_reduced_costs,
+                  reference_standard_matrix)
 
 
 def test_lp_single_var_at_bound():
@@ -124,9 +129,13 @@ def _random_lp(rng: np.random.Generator, ensure_feasible: bool = False) -> Linea
 def test_lp_against_scipy():
     scipy_opt = pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(11)
+    lps = [_random_lp(rng, ensure_feasible=k % 2 == 0) for k in range(60)]
+    # a variable in no row (an empty column) and a row with no entries
+    alone, empty_row = _random_lp(rng, ensure_feasible=True), _random_lp(rng, ensure_feasible=True)
+    alone.add_var("alone", lb=-1.0, ub=2.0, obj=-1.0)
+    empty_row.add_row([], [], "<=", 1.0)
     checked = 0
-    for k in range(60):
-        lp = _random_lp(rng, ensure_feasible=k % 2 == 0)
+    for lp in lps + [alone, empty_row]:
         sol = solve_lp(lp)
         a_ub, b_ub, a_eq, b_eq = [], [], [], []
         for idx, coef, sense, rhs in zip(lp.row_idx, lp.row_coef, lp.sense, lp.rhs):
@@ -152,6 +161,69 @@ def test_lp_against_scipy():
         elif ref.status == 2:
             assert sol.status == "infeasible"
     assert checked >= 20
+    assert solve_lp(alone).x[-1] == 2.0
+
+
+def _lp_with_empty_ranges(rng: np.random.Generator) -> LinearProgram:
+    """A random LP plus a variable in no row and a row with no entries."""
+    lp = _random_lp(rng)
+    lp.add_var("alone", lb=0.0, ub=1.0, obj=1.0)
+    lp.add_row([], [], ">=", -1.0)
+    return lp
+
+
+def test_standard_form_columns_match_the_dense_matrix():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        lp = _lp_with_empty_ranges(rng)
+        rows = np.flatnonzero(rng.random(lp.n_rows) < 0.7)
+        sf = _StandardForm.from_lp(lp, rows)
+        dense = np.zeros((sf.m, sf.width))
+        dense[sf.rows, sf.col] = sf.vals
+        assert np.array_equal(dense, reference_standard_matrix(lp, rows))
+        assert sf.ptr[-1] == sf.vals.size and (np.diff(sf.ptr) >= 0).all()
+        # within a column, rows ascend
+        assert all((np.diff(sf.rows[a:b]) > 0).all() for a, b in zip(sf.ptr, sf.ptr[1:]))
+
+
+def _assert_reduced_costs_match(lp: LinearProgram, rows: np.ndarray,
+                                rng: np.random.Generator) -> None:
+    sf = _StandardForm.from_lp(lp, rows)
+    A = reference_standard_matrix(lp, rows)
+    c = rng.standard_normal(sf.width) * (rng.random(sf.width) < 0.5)
+    y = rng.standard_normal(sf.m) * (rng.random(sf.m) < 0.5)
+    want = reference_reduced_costs(A, c, y)
+    assert (np.abs(sf.reduced_costs(c, y) - want) <= 1e-12 * (1.0 + np.abs(want))).all()
+
+
+def test_reduced_costs_match_the_dense_product():
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        lp = _lp_with_empty_ranges(rng)
+        _assert_reduced_costs_match(lp, np.flatnonzero(rng.random(lp.n_rows) < 0.7), rng)
+
+
+def test_reduced_costs_match_the_dense_product_on_the_kept_hybrid_form(hybrid):
+    # the rows the first round of plan's solve keeps: every row but the
+    # network rows, plus the oracle's binding row
+    cfg, scenario = SolverConfig(), Scenario(fl=0.7, case="b")
+    inst = build_problem(hybrid, scenario, cfg)
+    keep = np.ones(inst.lp.n_rows, dtype=bool)
+    keep[inst.network_rows] = False
+    keep[inst.row_of(*max_scal_bisection(hybrid, scenario, cfg).binding)] = True
+    rng = np.random.default_rng(14)
+    for _ in range(5):
+        _assert_reduced_costs_match(inst.lp, np.flatnonzero(keep), rng)
+
+
+def test_basis_matrix_gathers_the_basis_columns():
+    rng = np.random.default_rng(15)
+    for _ in range(100):
+        lp = _lp_with_empty_ranges(rng)
+        sf = _StandardForm.from_lp(lp)
+        st = _SimplexState(sf, sf.lb_base, sf.ub_base)
+        st.basis = rng.permutation(sf.width)[:sf.m]
+        assert np.array_equal(st.basis_matrix(), reference_standard_matrix(lp)[:, st.basis])
 
 
 def test_lp_determinism():

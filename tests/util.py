@@ -193,6 +193,23 @@ def reference_ratio_test(step, bvals, lb, ub, basis, piv_tol):
     return r_block, t_best
 
 
+def reference_standard_matrix(lp: LinearProgram, rows=None) -> np.ndarray:
+    """The standard form's A as a dense m x (n + m) array, the given rows of lp
+    (default all) beside an identity for their slacks: the reference for
+    milp._StandardForm's compressed columns."""
+    rows = range(lp.n_rows) if rows is None else [int(i) for i in rows]
+    A = np.zeros((len(rows), lp.n_vars + len(rows)))
+    for pos, i in enumerate(rows):
+        A[pos, lp.row_idx[i]] = lp.row_coef[i]
+        A[pos, lp.n_vars + pos] = 1.0
+    return A
+
+
+def reference_reduced_costs(A: np.ndarray, c: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """c - A.T @ y with a dense A: the reference for milp's pricing by entries."""
+    return c - A.T @ y
+
+
 def reference_network_rows(inst) -> list[tuple[dict[int, float], float]]:
     """The thermal_hi and v_hi rows of a built problem, hour by hour, as the
     bus-by-bus loop builds them: the reference for build_problem's block form.
