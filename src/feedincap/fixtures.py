@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Bus, CandidatePolicy, GenUnit, Grid, Line, add_candidates
-from .network import LinearNetworkModel, build_linear_model, evaluate_linear
+from .network import SLACK_VOLTAGE, LinearNetworkModel, build_linear_model, evaluate_linear
 
 FIXTURE_KINDS = ("rural_mv", "urban_mv", "hybrid_mv", "lv", "example")
 
@@ -231,7 +231,7 @@ def _peak_injections(grid: Grid, model: LinearNetworkModel, peak_pos: int, scal:
 def _max_dv2(grid: Grid, peak_pos: int, scal: float) -> float:
     model = build_linear_model(grid)
     _, v2 = evaluate_linear(model, *_peak_injections(grid, model, peak_pos, scal))
-    return float(np.max(v2) - model.slack_voltage**2)
+    return float(np.max(v2) - SLACK_VOLTAGE**2)
 
 
 def _thermal_scal(grid: Grid, peak_pos: int) -> float:

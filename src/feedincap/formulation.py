@@ -35,9 +35,8 @@ from .milp import (
     MILPSolution,
     MILProblem,
     SolverConfig,
-    compute_big_m,
 )
-from .network import LinearNetworkModel, build_linear_model, evaluate_linear
+from .network import SLACK_VOLTAGE, LinearNetworkModel, build_linear_model, evaluate_linear
 
 
 EPSILON_MW = 1e-6      # strict-inequality margin for the indicator triggers
@@ -332,9 +331,21 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
 
     fix_scal pins the expansion factor (annual mode needs it); otherwise
     scal ranges over [0, cfg.scal_max].
-    Binary triggers exist only where eligible capacity exists; a trigger whose
-    affine premise is >= 0 over the whole scal domain is pinned on (premise 0
-    still forces alpha = 1), < 0 over it pinned off, and otherwise left free.
+
+    The feed-in trigger curt_on exists per hour and eligible node, i.e. where
+    eligible capacity exists. Its premise avail - fl * cap - R is affine in
+    scal, slope * scal + inter, and the rows are, with M = big_m:
+
+        trigger  premise + eps <= (M + eps) * curt_on
+        pin_hi   p + M * curt_on <= M + fl * cap + R
+        pin_lo   p - M * curt_on >= -M + fl * cap + R
+        spill    sp <= M * curt_on
+
+    (p and sp summed over the node's eligible units). A trigger whose premise
+    is >= 0 over the whole scal domain is pinned on (premise 0 still forces
+    curt_on = 1), one < 0 over it pinned off, any other left free. M is
+    avail + fl * cap + R + 1 at scal = cfg.scal_max, so no row it relaxes can
+    bind anywhere in the domain.
     """
     cfg = cfg or SolverConfig()
     if scenario.mode == "annual" and fix_scal is None:
@@ -360,16 +371,32 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
                                    + agg.nonelig_prod, axis=1), initial=0.0))
     exch_cap = avail_hi + float(np.max(np.sum(agg.demand_p, axis=1), initial=0.0)) + 1.0
 
-    lp = LinearProgram()
-    scal_idx = lp.add_var("scal", s_lo, s_hi, obj=0.0)
-
     elig_units = [g for g in grid.gens if g.kind in elig_kinds]
     elig_nodes = [bid for bid in agg.bus_order
                   if agg.cap_const[pos[bid]] + agg.cap_coef[pos[bid]] > 0.0]
     units_at = {bid: [u for u, g in enumerate(elig_units) if g.bus == bid]
                 for bid in elig_nodes}
 
-    exchange, units, slacks, alphas, big_m = [], [], [], [], []   # in variable order
+    # the trigger block, (hour, eligible node)
+    ei = np.array([pos[bid] for bid in elig_nodes], dtype=int)
+    fl_cap_c, res = fl * agg.cap_const[ei], agg.residual[:, ei]
+    slope = agg.avail_coef[:, ei] - fl * agg.cap_coef[ei]
+    inter = agg.avail_const[:, ei] - fl_cap_c - res
+    p_lo, p_hi = inter + slope * s_lo, inter + slope * s_hi
+    a_lo = np.where(np.minimum(p_lo, p_hi) >= 0.0, 1.0, 0.0)     # curt_on bounds
+    a_hi = np.where(np.maximum(p_lo, p_hi) < 0.0, 0.0, 1.0)
+    avail_max = agg.avail_const[:, ei] + agg.avail_coef[:, ei] * cfg.scal_max
+    fl_cap_max = fl * (agg.cap_const[ei] + agg.cap_coef[ei] * cfg.scal_max)
+    if (np.minimum(np.minimum(avail_max, fl_cap_max), res) < 0.0).any():
+        raise ValueError("big-M inputs must be nonnegative")    # a Grid that skipped validation
+    big_m = avail_max + fl_cap_max + res + 1.0
+    pin_scal = 0.0 - fl * agg.cap_coef[ei]            # +0.0, not -0.0, at cap_coef = 0
+    pin_hi_rhs, pin_lo_rhs = big_m + fl_cap_c + res, -big_m + fl_cap_c + res
+
+    lp = LinearProgram()
+    scal_idx = lp.add_var("scal", s_lo, s_hi, obj=0.0)
+
+    exchange, units, slacks, alphas = [], [], [], []   # in variable order
     for k in range(H):
         exchange += [
             lp.add_var(f"pimp[{k}]", 0.0, exch_cap, obj=costs.import_eur_mwh * dh),
@@ -387,25 +414,8 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
                 lp.add_var(f"qns[{k},{bid}]", 0.0, max(0.0, agg.demand_q[k, i]),
                            obj=costs.unserved_eur_mwh * dh),
                 lp.add_var(f"eqs[{k},{bid}]", 0.0, INF, obj=costs.surplus_eur_mwh * dh)]
-        for bid in elig_nodes:
-            i = pos[bid]
-            big_m.append(compute_big_m(
-                float(agg.avail_const[k, i] + agg.avail_coef[k, i] * cfg.scal_max),
-                fl * float(agg.cap_const[i] + agg.cap_coef[i] * cfg.scal_max),
-                float(agg.residual[k, i]),
-            ))
-            # trigger premise over the admissible scal interval
-            slope = float(agg.avail_coef[k, i] - fl * agg.cap_coef[i])
-            inter = float(agg.avail_const[k, i] - fl * agg.cap_const[i]
-                          - agg.residual[k, i])
-            p_ends = (inter + slope * s_lo, inter + slope * s_hi)
-            if min(p_ends) >= 0.0:
-                a_lo, a_hi = 1.0, 1.0      # premise + eps > 0 forces the trigger on
-            elif max(p_ends) < 0.0:
-                a_lo, a_hi = 0.0, 0.0      # cap unreachable: trigger off
-            else:
-                a_lo, a_hi = 0.0, 1.0
-            alphas.append(lp.add_var(f"curt_on[{k},{bid}]", a_lo, a_hi))
+        alphas += [lp.add_var(f"curt_on[{k},{bid}]", lo, hi)
+                   for bid, lo, hi in zip(elig_nodes, a_lo[k].tolist(), a_hi[k].tolist())]
 
     U, E = len(elig_units), len(elig_nodes)
     unit_idx = np.array(units, dtype=int).reshape(H, U, 2)
@@ -429,7 +439,6 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
     v_terms = [(np.flatnonzero(r), r[r != 0])
                for r in model.voltage_map_p @ inc_p + model.voltage_map_q @ inc_q]
 
-    vs2 = model.slack_voltage**2
     thermal_hi_rows = np.zeros((H, len(grid.lines)), dtype=int)
     v_hi_rows = np.zeros((H, len(model.bus_order)), dtype=int)
     network_rows = []
@@ -443,23 +452,15 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
                            name=f"avail[{k},{g.id}]")
 
         for e, bid in enumerate(elig_nodes):
-            i = pos[bid]
-            m_val = big_m[k * E + e]
-            a_j = alphas[k * E + e]
-            cap_c, cap_k = float(agg.cap_const[i]), float(agg.cap_coef[i])
-            av_c, av_k = float(agg.avail_const[k, i]), float(agg.avail_coef[k, i])
-            res = float(agg.residual[k, i])
+            m_val, a_j = big_m[k, e], alphas[k * E + e]
             p_at, sp_at = unit_idx[k, units_at[bid]].T.tolist()
             ones = [1.0] * len(p_at)
             pin_idx = np.array([scal_idx, *p_at, a_j], dtype=np.intp)
-            pin_scal = 0.0 - fl * cap_k                 # +0.0, not -0.0, at cap_k = 0
-
-            lp.add_row([scal_idx, a_j], [av_k - fl * cap_k, -(m_val + EPSILON_MW)],
-                       "<=", fl * cap_c - av_c + res - EPSILON_MW,
-                       name=f"trigger[{k},{bid}]")
-            lp.add_row(pin_idx, [pin_scal, *ones, m_val], "<=", m_val + fl * cap_c + res,
+            lp.add_row([scal_idx, a_j], [slope[k, e], -(m_val + EPSILON_MW)],
+                       "<=", -inter[k, e] - EPSILON_MW, name=f"trigger[{k},{bid}]")
+            lp.add_row(pin_idx, [pin_scal[e], *ones, m_val], "<=", pin_hi_rhs[k, e],
                        name=f"pin_hi[{k},{bid}]")
-            lp.add_row(pin_idx, [pin_scal, *ones, -m_val], ">=", -m_val + fl * cap_c + res,
+            lp.add_row(pin_idx, [pin_scal[e], *ones, -m_val], ">=", pin_lo_rhs[k, e],
                        name=f"pin_lo[{k},{bid}]")
             lp.add_row([*sp_at, a_j], [*ones, -m_val], "<=", 0.0, name=f"spill[{k},{bid}]")
 
@@ -478,7 +479,7 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
         # constants add up bus by bus, a bus's P term before its Q term
         inj_const = (agg.nonelig_prod[k] - agg.demand_p[k])[model.bus_cols]
         t_const = _running_total(0.0, model.flow_map * inj_const)
-        v_const = _running_total(vs2, np.stack(
+        v_const = _running_total(SLACK_VOLTAGE**2, np.stack(
             [model.voltage_map_p * inj_const,
              model.voltage_map_q * -agg.demand_q[k, model.bus_cols]], axis=-1
         ).reshape(len(inj_const), 2 * len(inj_const)))
@@ -503,7 +504,7 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
         elig_units=tuple(g.id for g in elig_units), elig_nodes=tuple(elig_nodes),
         unit_idx=unit_idx, exchange_idx=exchange_idx, slack_idx=slack_idx,
         alpha_idx=np.array(alphas, dtype=int).reshape(H, E),
-        big_m=np.array(big_m, dtype=float).reshape(H, E),
+        big_m=big_m,
         thermal_hi_rows=thermal_hi_rows, v_hi_rows=v_hi_rows,
         network_rows=np.array(network_rows, dtype=int),
     )

@@ -185,19 +185,6 @@ class MILPSolution:
     rows_kept: int = 0                # rows of the last round
 
 
-def compute_big_m(avail_at_scal_max: float, fl_cap_at_scal_max: float,
-                  residual: float) -> float:
-    """Constraint-specific big-M for one node-hour's indicator rows.
-
-    The bound covers both directions of the production-pinning rows and the
-    trigger row itself over the whole scal domain, so a relaxed row can never
-    bind: M >= avail and M >= FL*cap + R at the largest admissible scal.
-    """
-    if min(avail_at_scal_max, fl_cap_at_scal_max, residual) < 0:
-        raise ValueError("big-M inputs must be nonnegative")
-    return avail_at_scal_max + fl_cap_at_scal_max + residual + 1.0
-
-
 # ---------------------------------------------------------------------------
 # standard form + simplex core
 

@@ -24,12 +24,17 @@ import numpy as np
 from .grid import Grid, tree_walk
 
 
+SLACK_VOLTAGE = 1.0     # p.u., magnitude held at the slack bus
+AC_TOL = 1e-8           # AC sweep: largest per-bus apparent-power mismatch, p.u.
+AC_MAX_ITER = 100       # AC sweep iterations before ConvergenceError
+
+
 class NetworkError(ValueError):
     pass
 
 
 class ConvergenceError(RuntimeError):
-    """AC sweep failed to reach the mismatch tolerance within max_iter."""
+    """AC sweep failed to reach AC_TOL within AC_MAX_ITER iterations."""
 
 
 @dataclass(frozen=True)
@@ -44,7 +49,6 @@ class LinearNetworkModel:
     """
 
     slack_id: str
-    slack_voltage: float
     bus_order: tuple[str, ...]
     bus_cols: np.ndarray        # (N,) position of bus_order[j] in grid.buses
     line_order: tuple[str, ...]
@@ -81,7 +85,7 @@ def _tree(grid: Grid) -> tuple[str, dict[str, tuple[str, int]], list[str]]:
     return root, parent, order
 
 
-def build_linear_model(grid: Grid, slack_voltage: float = 1.0) -> LinearNetworkModel:
+def build_linear_model(grid: Grid) -> LinearNetworkModel:
     root, parent, order = _tree(grid)
     cols = [i for i, b in enumerate(grid.buses) if b.id != root]
     nonslack = [grid.buses[i] for i in cols]
@@ -108,7 +112,6 @@ def build_linear_model(grid: Grid, slack_voltage: float = 1.0) -> LinearNetworkM
 
     return LinearNetworkModel(
         slack_id=root,
-        slack_voltage=slack_voltage,
         bus_order=tuple(b.id for b in nonslack),
         bus_cols=np.array(cols, dtype=np.intp),
         line_order=tuple(ln.id for ln in grid.lines),
@@ -143,7 +146,7 @@ def evaluate_linear(
         if q.shape != p.shape:
             raise NetworkError("P and Q injection shapes differ")
     flows = p @ model.flow_map.T
-    v = model.slack_voltage**2 + p @ model.voltage_map_p.T + q @ model.voltage_map_q.T
+    v = SLACK_VOLTAGE**2 + p @ model.voltage_map_p.T + q @ model.voltage_map_q.T
     return flows, v
 
 
@@ -164,16 +167,13 @@ def ac_sweep(
     grid: Grid,
     p_mw: np.ndarray,
     q_mvar: np.ndarray | None = None,
-    slack_voltage: float = 1.0,
-    tol: float = 1e-8,
-    max_iter: int = 100,
 ) -> ACState:
     """Backward/forward sweep AC power flow for one operating point.
 
     Injections are net MW/MVAr per non-slack bus in document order (same
     convention as evaluate_linear). Convergence is measured as the largest
     per-bus apparent-power mismatch implied by the voltage profile. Raises
-    ConvergenceError if max_iter is exhausted and NetworkError for
+    ConvergenceError if AC_MAX_ITER is exhausted and NetworkError for
     zero-impedance lines (the mismatch is undefined there).
     """
     root, parent, order = _tree(grid)
@@ -191,8 +191,8 @@ def ac_sweep(
         z[ln.id] = complex(ln.r, ln.x)
 
     s_pu = (p + 1j * q) / grid.base_mva
-    v = {bid: complex(slack_voltage, 0.0) for bid in pos}
-    v[root] = complex(slack_voltage, 0.0)
+    v = {bid: complex(SLACK_VOLTAGE, 0.0) for bid in pos}
+    v[root] = complex(SLACK_VOLTAGE, 0.0)
     children: dict[str, list[str]] = {b.id: [] for b in grid.buses}
     line_of: dict[str, str] = {}
     for bid, (up, lidx) in parent.items():
@@ -216,10 +216,10 @@ def ac_sweep(
 
     iterations = 0
     mis = mismatch_of(v)
-    while mis > tol:
-        if iterations >= max_iter:
+    while mis > AC_TOL:
+        if iterations >= AC_MAX_ITER:
             raise ConvergenceError(
-                f"AC sweep did not converge in {max_iter} iterations (mismatch {mis:.3e})")
+                f"AC sweep did not converge in {AC_MAX_ITER} iterations (mismatch {mis:.3e})")
         # backward: accumulate export-oriented branch currents
         j_acc = {bid: (s_pu[pos[bid]] / v[bid]).conjugate() for bid in nonslack}
         for bid in rev:
@@ -270,7 +270,6 @@ class DeviationReport:
     max_dflow_mw: float       # worst |flow_linear - flow_ac| over lines
     worst_bus: str
     worst_line: str
-    ac_iterations: int
 
 
 def compare_models(
@@ -278,13 +277,12 @@ def compare_models(
     p_mw: np.ndarray,
     q_mvar: np.ndarray | None = None,
     model: LinearNetworkModel | None = None,
-    slack_voltage: float = 1.0,
 ) -> DeviationReport:
     """Run both models on one operating point and report worst deviations."""
     if model is None:
-        model = build_linear_model(grid, slack_voltage)
+        model = build_linear_model(grid)
     flows, v2 = evaluate_linear(model, p_mw, q_mvar)
-    ac = ac_sweep(grid, p_mw, q_mvar, slack_voltage=slack_voltage)
+    ac = ac_sweep(grid, p_mw, q_mvar)
     v_lin = np.sqrt(v2)
     dv = np.abs(v_lin - np.abs(ac.voltages))
     dflow = np.abs(flows - ac.flow_p)
@@ -295,5 +293,4 @@ def compare_models(
         max_dflow_mw=float(dflow[il]) if len(dflow) else 0.0,
         worst_bus=model.bus_order[ib] if len(dv) else "",
         worst_line=model.line_order[il] if len(dflow) else "",
-        ac_iterations=ac.iterations,
     )

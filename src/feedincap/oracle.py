@@ -55,7 +55,6 @@ class FeasibilityReport:
     violations: tuple[Violation, ...]   # capped listing, worst kept implicitly
     n_violations: int
     worst_thermal_mw: float
-    worst_voltage_pu2: float
 
 
 @dataclass(frozen=True)
@@ -137,14 +136,12 @@ def feasible_at(grid: Grid, scenario: Scenario, scal: float,
                                  tuple(m < -cfg.feasibility_tol for m in margins),
                                  agg.hours, model.line_order, model.bus_order,
                                  max_listed)
-    least = [float(np.min(m, initial=np.inf)) for m in margins]
     return FeasibilityReport(
         feasible=n_total == 0,
         scal=scal,
         violations=tuple(Violation(kind, el, h, -m) for kind, el, h, m in rows),
         n_violations=n_total,
-        worst_thermal_mw=-least[0],
-        worst_voltage_pu2=-min(least[1], least[2]),
+        worst_thermal_mw=-float(np.min(margins[0], initial=np.inf)),
     )
 
 

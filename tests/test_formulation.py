@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,13 +17,15 @@ from feedincap.formulation import (
     worst_case_hour,
 )
 from feedincap.fixtures import example_grid_7kwp, synth_grid
-from feedincap.grid import Bus, GenUnit, Grid, Line
+from feedincap.grid import Bus, GenUnit, Grid, Line, parse_grid
 from feedincap.milp import SolverConfig, solve_milp
 
 from util import (
-    random_radial, reference_network_rows, reference_worst_case_hour, two_bus,
-    valid_random_instances,
+    random_radial, reference_network_rows, reference_trigger_rows,
+    reference_worst_case_hour, two_bus, valid_random_instances,
 )
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 # -- Scenario ----------------------------------------------------------------
@@ -362,6 +365,40 @@ def test_network_rows_match_the_bus_by_bus_reference():
         for r, (coeffs, rhs) in zip(built, ref):
             assert dict(zip(inst.lp.row_idx[r].tolist(), inst.lp.row_coef[r].tolist())) == coeffs
             assert inst.lp.rhs[r] == rhs
+
+
+def _assert_trigger_block_matches_reference(inst):
+    rows, bounds, big_m = reference_trigger_rows(inst)
+    assert inst.big_m.tobytes() == big_m.tobytes() and inst.big_m.shape == big_m.shape
+    kinds = ("trigger[", "pin_hi[", "pin_lo[", "spill[")
+    built = {name: r for r, name in enumerate(inst.lp.row_names) if name.startswith(kinds)}
+    assert built.keys() == rows.keys()
+    for name, (idx, coef, sense, rhs) in rows.items():
+        r = built[name]
+        assert inst.lp.row_idx[r].tolist() == idx, name
+        # bytes, so that -0.0 and 0.0 differ
+        assert inst.lp.row_coef[r].tobytes() == np.array(coef, dtype=float).tobytes(), name
+        assert (inst.lp.sense[r], np.float64(inst.lp.rhs[r]).tobytes()) == (
+            sense, np.float64(rhs).tobytes()), name
+    assert inst.binaries == tuple(inst.alpha_idx.ravel().tolist()) == tuple(bounds)
+    for j, (lo, hi) in bounds.items():
+        assert (inst.lp.lb[j], inst.lp.ub[j]) == (lo, hi), inst.lp.names[j]
+
+
+@pytest.mark.parametrize("name", ["example", "urban_mv", "rural_mv", "hybrid_mv", "lv"])
+def test_trigger_block_matches_the_scalar_reference(name):
+    grid = parse_grid((FIXTURES / f"{name}.json").read_text())
+    for fl in (1.0, 0.7):
+        for case in ("a", "b"):
+            for fix_scal in (None, 1.0):
+                _assert_trigger_block_matches_reference(
+                    build_problem(grid, Scenario(fl=fl, case=case), fix_scal=fix_scal))
+
+
+def test_trigger_block_matches_the_scalar_reference_on_random_instances():
+    cfg = SolverConfig()
+    for grid, scenario in valid_random_instances(11, 40, cfg, max_bus=10, max_hours=3):
+        _assert_trigger_block_matches_reference(build_problem(grid, scenario, cfg))
 
 
 def test_big_m_positive_and_matching_nodes():

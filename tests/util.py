@@ -10,8 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from feedincap.grid import Bus, GenUnit, Grid, Line
-from feedincap.formulation import Scenario, build_problem, node_aggregates
+from feedincap.formulation import EPSILON_MW, Scenario, build_problem, node_aggregates
 from feedincap.milp import LinearProgram, MILProblem, SolverConfig, solve_lp
+from feedincap.network import SLACK_VOLTAGE
 from feedincap.oracle import OracleError, RuleState, _rule_state, feasible_at
 
 
@@ -246,7 +247,7 @@ def reference_network_rows(inst) -> list[tuple[dict[int, float], float]]:
                     add(coeffs, p_terms(pos[bid]), a)
             rows.append((coeffs, s_max[l] - const))
         for n in range(len(model.bus_order)):
-            coeffs, const = {}, model.slack_voltage**2
+            coeffs, const = {}, SLACK_VOLTAGE**2
             for nsl, bid in enumerate(model.bus_order):
                 kp, kq = model.voltage_map_p[n, nsl], model.voltage_map_q[n, nsl]
                 if kp != 0.0:
@@ -257,6 +258,52 @@ def reference_network_rows(inst) -> list[tuple[dict[int, float], float]]:
                     add(coeffs, q_terms(pos[bid]), kq)
             rows.append((coeffs, vmax2[n] - const))
     return rows
+
+
+def reference_trigger_rows(inst, scal_max: float = SolverConfig().scal_max):
+    """The feed-in trigger block of a built problem, one (hour, node) at a time
+    in Python floats, big-M included (avail + fl * cap + R + 1 at scal_max,
+    inputs checked nonnegative): the reference for build_problem's array
+    form. scal_max must be the one the problem was built with. Returns
+    ({row name: (indices, coefficients, sense, rhs)} for every trigger,
+    pin_hi, pin_lo and spill row, {curt_on variable: (lb, ub)}, big-M as an
+    (H, E) array)."""
+    agg, fl, s = inst.agg, inst.scenario.fl, inst.scal_idx
+    pos = {bid: i for i, bid in enumerate(agg.bus_order)}
+    gen_bus = {g.id: g.bus for g in inst.grid.gens}
+    s_lo, s_hi = inst.lp.lb[s], inst.lp.ub[s]
+    rows, bounds, big_m = {}, {}, np.zeros(inst.alpha_idx.shape)
+    for k in range(len(inst.hours)):
+        for e, bid in enumerate(inst.elig_nodes):
+            i, a = pos[bid], int(inst.alpha_idx[k, e])
+            avail_at = float(agg.avail_const[k, i] + agg.avail_coef[k, i] * scal_max)
+            fl_cap_at = fl * float(agg.cap_const[i] + agg.cap_coef[i] * scal_max)
+            res = float(agg.residual[k, i])
+            if min(avail_at, fl_cap_at, res) < 0:
+                raise ValueError("big-M inputs must be nonnegative")
+            m = big_m[k, e] = avail_at + fl_cap_at + res + 1.0
+            slope = float(agg.avail_coef[k, i] - fl * agg.cap_coef[i])
+            inter = float(agg.avail_const[k, i] - fl * agg.cap_const[i] - agg.residual[k, i])
+            p_ends = (inter + slope * s_lo, inter + slope * s_hi)
+            if min(p_ends) >= 0.0:
+                bounds[a] = (1.0, 1.0)
+            elif max(p_ends) < 0.0:
+                bounds[a] = (0.0, 0.0)
+            else:
+                bounds[a] = (0.0, 1.0)
+            units = [u for u, gid in enumerate(inst.elig_units) if gen_bus[gid] == bid]
+            p_at, sp_at = inst.unit_idx[k, units].T.tolist()
+            ones = [1.0] * len(p_at)
+            cap_c, cap_k = float(agg.cap_const[i]), float(agg.cap_coef[i])
+            av_c, av_k = float(agg.avail_const[k, i]), float(agg.avail_coef[k, i])
+            rows[f"trigger[{k},{bid}]"] = ([s, a], [av_k - fl * cap_k, -(m + EPSILON_MW)],
+                                           "<=", fl * cap_c - av_c + res - EPSILON_MW)
+            rows[f"pin_hi[{k},{bid}]"] = ([s, *p_at, a], [0.0 - fl * cap_k, *ones, m],
+                                          "<=", m + fl * cap_c + res)
+            rows[f"pin_lo[{k},{bid}]"] = ([s, *p_at, a], [0.0 - fl * cap_k, *ones, -m],
+                                          ">=", -m + fl * cap_c + res)
+            rows[f"spill[{k},{bid}]"] = ([*sp_at, a], [*ones, -m], "<=", 0.0)
+    return rows, bounds, big_m
 
 
 @dataclass
