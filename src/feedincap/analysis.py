@@ -185,7 +185,8 @@ def run_cell(grid: Grid, scenario: Scenario, engine: str,
 
     The engines only fix scal*; the reported quantities come from the
     closed-form plan at that factor, over every planned hour in either mode.
-    agg, when given, is node_aggregates(grid, scenario).
+    agg, when given, is node_aggregates(grid, scenario). Raises AnalysisError
+    where scal moves no production but nothing is infeasible at scal = 0.
     """
     cell = CellResult(fl=scenario.fl, case=scenario.case,
                       demand_multiplier=scenario.demand_multiplier,
@@ -220,6 +221,10 @@ def run_cell(grid: Grid, scenario: Scenario, engine: str,
             cell.status = "infeasible_at_zero"
             return cell
         cell.milp_scal = plan_m.scal
+    if not agg.avail_coef.any():
+        # feasible at scal = 0, and every other scal gives the same plan
+        raise AnalysisError("no candidate PV produces in the planned hours, so "
+                            "scal changes nothing and has no maximum")
     if engine == "both":
         cell.deviation = abs(cell.oracle_scal - cell.milp_scal)
 

@@ -35,6 +35,7 @@ from .milp import (
     MILPSolution,
     MILProblem,
     SolverConfig,
+    indicator_bounds,
 )
 from .network import SLACK_VOLTAGE, LinearNetworkModel, build_linear_model, evaluate_linear
 
@@ -296,6 +297,8 @@ class ProblemInstance:
     exchange_idx: np.ndarray                     # (H, 4) pimp, pexp, qimp, qexp
     slack_idx: np.ndarray                        # (H, N, 4) pns, eps, qns, eqs
     alpha_idx: np.ndarray                        # (H, E) curt_on
+    slope: np.ndarray                            # (H, E) premise slope * scal + inter
+    inter: np.ndarray                            # (H, E)
     big_m: np.ndarray                            # (H, E)
     thermal_hi_rows: np.ndarray                  # (H, L) lp row of thermal_hi[k, line]
     v_hi_rows: np.ndarray                        # (H, N) lp row of v_hi[k, bus], model order
@@ -304,7 +307,8 @@ class ProblemInstance:
     @property
     def mip(self) -> MILProblem:
         """The MILP with its network rows deferred until a solution violates them."""
-        return MILProblem(self.lp, self.binaries, lazy=self.network_rows)
+        return MILProblem(self.lp, self.binaries, self.scal_idx, self.slope.ravel(),
+                          self.inter.ravel(), lazy=self.network_rows)
 
     def row_of(self, kind: str, element: str, hour: int) -> int:
         """The LP row of an upper network limit: kind "thermal" names a line's
@@ -343,9 +347,10 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
 
     (p and sp summed over the node's eligible units). A trigger whose premise
     is >= 0 over the whole scal domain is pinned on (premise 0 still forces
-    curt_on = 1), one < 0 over it pinned off, any other left free. M is
-    avail + fl * cap + R + 1 at scal = cfg.scal_max, so no row it relaxes can
-    bind anywhere in the domain.
+    curt_on = 1), one < 0 over it pinned off, any other left free: the rule
+    of milp.indicator_bounds, which solve_milp applies to every scal interval
+    it branches on. M is avail + fl * cap + R + 1 at scal = cfg.scal_max, so
+    no row it relaxes can bind anywhere in the domain.
     """
     cfg = cfg or SolverConfig()
     if scenario.mode == "annual" and fix_scal is None:
@@ -382,9 +387,7 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
     fl_cap_c, res = fl * agg.cap_const[ei], agg.residual[:, ei]
     slope = agg.avail_coef[:, ei] - fl * agg.cap_coef[ei]
     inter = agg.avail_const[:, ei] - fl_cap_c - res
-    p_lo, p_hi = inter + slope * s_lo, inter + slope * s_hi
-    a_lo = np.where(np.minimum(p_lo, p_hi) >= 0.0, 1.0, 0.0)     # curt_on bounds
-    a_hi = np.where(np.maximum(p_lo, p_hi) < 0.0, 0.0, 1.0)
+    a_lo, a_hi = indicator_bounds(slope, inter, s_lo, s_hi)     # curt_on bounds
     avail_max = agg.avail_const[:, ei] + agg.avail_coef[:, ei] * cfg.scal_max
     fl_cap_max = fl * (agg.cap_const[ei] + agg.cap_coef[ei] * cfg.scal_max)
     if (np.minimum(np.minimum(avail_max, fl_cap_max), res) < 0.0).any():
@@ -504,7 +507,7 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
         elig_units=tuple(g.id for g in elig_units), elig_nodes=tuple(elig_nodes),
         unit_idx=unit_idx, exchange_idx=exchange_idx, slack_idx=slack_idx,
         alpha_idx=np.array(alphas, dtype=int).reshape(H, E),
-        big_m=big_m,
+        slope=slope, inter=inter, big_m=big_m,
         thermal_hi_rows=thermal_hi_rows, v_hi_rows=v_hi_rows,
         network_rows=np.array(network_rows, dtype=int),
     )

@@ -13,13 +13,16 @@ The inverse is refactorized periodically. Everything is double precision
 numpy with a fixed operation order, so two runs on the same input produce
 bit-identical results.
 
-solve_milp is best-first branch and bound over binary variables: branch on
-the most fractional binary (ties to the lowest variable index), children
-inherit the parent LP objective as their bound, and near-integral incumbents
-are re-solved once with the binaries pinned so the reported point satisfies
-the indicator constraints exactly. That polish re-solve runs only when
-rounding pins a binary that was free; with every binary already fixed, the
-node's own solution is the polished point.
+solve_milp is best-first branch and bound for indicator binaries whose
+premises are affine in one variable, scal: binary i is 1 where slope[i] *
+scal + inter[i] >= 0 and 0 where it is < 0, as the LP's own rows must enforce.
+A node is a scal interval plus the indicators forced by earlier splits, and
+indicator_bounds fixes every indicator whose premise keeps one sign on it. A
+node with none left undecided is an exact LP and a candidate incumbent; any
+other splits at the median premise root t of its undecided indicators into
+[lo, t] and [t, hi], each child forcing that indicator to its side's value
+(the LP rows then keep out any point where that value is wrong). Children
+inherit the parent LP objective as their bound.
 
 solve_milp may defer rows. MILProblem.lazy names rows the solve may leave
 out and MILProblem.seed those of them to keep from the start. The solve then
@@ -68,7 +71,6 @@ NUMERICAL = "numerical"
 
 
 OPTIMALITY_TOL = 1e-7      # reduced-cost threshold for an entering column
-INTEGRALITY_TOL = 1e-6     # a binary this close to 0 or 1 counts as integral
 REFACTOR_EVERY = 512       # pivots between full re-inversions of the basis: a
                            # re-inversion costs O(m^3) and fills the hypersparse
                            # inverse with roundoff, while 300 pivots drift ~1e-11
@@ -159,8 +161,15 @@ class LinearProgram:
 
 @dataclass
 class MILProblem:
+    """lp with indicator binaries: the premise of binaries[i] is
+    slope[i] * x[scal] + inter[i] (module doc). solve_milp sets the binaries'
+    bounds from their premises; it does not read theirs in lp."""
+
     lp: LinearProgram
     binaries: tuple[int, ...] = ()
+    scal: int | None = None           # the variable every premise is affine in
+    slope: Sequence[float] = ()
+    inter: Sequence[float] = ()
     lazy: Sequence[int] = ()          # rows the solve may leave out until violated
     seed: Sequence[int] = ()          # lazy rows kept from the first round
 
@@ -498,27 +507,25 @@ def solve_lp(lp: LinearProgram, cfg: SolverConfig | None = None) -> LPSolution:
 # branch and bound
 
 
-def _most_fractional(x: np.ndarray, binaries: tuple[int, ...],
-                     lb: np.ndarray, ub: np.ndarray, tol: float) -> int:
-    best_j = -1
-    best_f = tol
-    for j in binaries:
-        if ub[j] - lb[j] < 0.5:       # fixed by bounds
-            continue
-        f = min(x[j], 1.0 - x[j])
-        if f > best_f + 1e-15:
-            best_f = f
-            best_j = j
-    return best_j
+def indicator_bounds(slope, inter, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds of the indicators with premises slope * s + inter for s in [lo, hi]:
+    (1, 1) where the premise is >= 0 at both ends, (0, 0) where it is < 0 at
+    both ends, (0, 1) otherwise."""
+    p_lo, p_hi = inter + slope * lo, inter + slope * hi
+    return (np.where(np.minimum(p_lo, p_hi) >= 0.0, 1.0, 0.0),
+            np.where(np.maximum(p_lo, p_hi) < 0.0, 0.0, 1.0))
 
 
 def solve_milp(mip: MILProblem, cfg: SolverConfig | None = None) -> MILPSolution:
-    """Branch and bound over the binaries, in rounds of kept rows (module doc)."""
+    """Branch and bound over scal intervals, in rounds of kept rows (module doc)."""
     cfg = cfg or SolverConfig()
     lp = mip.lp
-    for j in mip.binaries:
-        if lp.lb[j] < -1e-12 or lp.ub[j] > 1 + 1e-12:
-            raise ValueError(f"binary variable {lp.names[j]} must have bounds within [0, 1]")
+    binaries = np.asarray(mip.binaries, dtype=np.intp)
+    slope = np.asarray(mip.slope, dtype=float)
+    inter = np.asarray(mip.inter, dtype=float)
+    if (binaries.size and mip.scal is None) or not binaries.shape == slope.shape == inter.shape:
+        raise ValueError("every binary needs a premise: a scal variable, and slope "
+                         "and inter with one entry per binary")
     lazy = np.asarray(mip.lazy, dtype=np.intp)
     seed = np.asarray(mip.seed, dtype=np.intp)
     if ((lazy < 0) | (lazy >= lp.n_rows)).any():
@@ -529,13 +536,12 @@ def solve_milp(mip: MILProblem, cfg: SolverConfig | None = None) -> MILPSolution
     keep = np.ones(lp.n_rows, dtype=bool)
     keep[lazy] = False
     keep[seed] = True
-    binaries = tuple(sorted(mip.binaries))
     nodes = iterations = rounds = 0
     while True:
         rounds += 1
         kept = np.flatnonzero(keep)
-        sol = _branch_and_bound(_StandardForm.from_lp(lp, kept), binaries, cfg,
-                                cfg.node_limit - nodes)
+        sol = _branch_and_bound(_StandardForm.from_lp(lp, kept), mip.scal, binaries,
+                                slope, inter, cfg, cfg.node_limit - nodes)
         nodes += sol.nodes
         iterations += sol.lp_iterations
         sol = replace(sol, nodes=nodes, lp_iterations=iterations, rounds=rounds,
@@ -560,32 +566,24 @@ def _violated_rows(lp: LinearProgram, x: np.ndarray, feas_tol: float) -> np.ndar
     return ((sense != ">=") & (act > rhs + tol)) | ((sense != "<=") & (act < rhs - tol))
 
 
-def _branch_and_bound(sf: _StandardForm, binaries: tuple[int, ...], cfg: SolverConfig,
+def _branch_and_bound(sf: _StandardForm, scal: int | None, binaries: np.ndarray,
+                      slope: np.ndarray, inter: np.ndarray, cfg: SolverConfig,
                       node_limit: int) -> MILPSolution:
-    """Best-first branch and bound over the binary variables of sf."""
+    """Best-first branch and bound over the scal intervals of sf (module doc).
+    The binaries' bounds come from their premises at every node."""
     total_iters = 0
     nodes = 0
     incumbent_x: np.ndarray | None = None
     incumbent_obj = INF
     seq = 0
-    # heap entries: (bound, seq, lb patch, ub patch)
-    heap: list[tuple[float, int, tuple[tuple[int, float], ...], tuple[tuple[int, float], ...]]] = [
-        (-INF, 0, (), ())
-    ]
-
-    def bounds_with(patch_lb, patch_ub):
-        lb = sf.lb_base.copy()
-        ub = sf.ub_base.copy()
-        for j, v in patch_lb:
-            lb[j] = v
-        for j, v in patch_ub:
-            ub[j] = v
-        return lb, ub
+    root = (0.0, 0.0) if scal is None else (sf.lb_base[scal], sf.ub_base[scal])
+    # heap entries: (bound, seq, lo, hi, forced), forced holding (binary position, value)
+    heap = [(-INF, 0, *root, ())]
 
     status_out = OPTIMAL
     while heap:
         node = heapq.heappop(heap)
-        bound, _, patch_lb, patch_ub = node
+        bound, _, lo, hi, forced = node
         if bound >= incumbent_obj - 1e-9:
             continue
         if nodes >= node_limit:
@@ -593,7 +591,13 @@ def _branch_and_bound(sf: _StandardForm, binaries: tuple[int, ...], cfg: SolverC
             heapq.heappush(heap, node)        # still open: its bound enters the gap
             break
         nodes += 1
-        lb, ub = bounds_with(patch_lb, patch_ub)
+        a_lo, a_hi = indicator_bounds(slope, inter, lo, hi)
+        for i, v in forced:
+            a_lo[i] = a_hi[i] = v
+        lb, ub = sf.lb_base.copy(), sf.ub_base.copy()
+        if scal is not None:
+            lb[scal], ub[scal] = lo, hi
+        lb[binaries], ub[binaries] = a_lo, a_hi
         sol = _solve_standard(sf, lb, ub, cfg)
         total_iters += sol.iterations
         if sol.status == INFEASIBLE:
@@ -603,36 +607,17 @@ def _branch_and_bound(sf: _StandardForm, binaries: tuple[int, ...], cfg: SolverC
         if sol.objective >= incumbent_obj - 1e-9:
             continue
 
-        j_branch = _most_fractional(sol.x, binaries, lb, ub, INTEGRALITY_TOL)
-        if j_branch < 0:
-            # Near-integral: pin binaries to rounded values and re-solve so the
-            # incumbent satisfies the indicator logic exactly. If every binary
-            # was fixed there already, the pinned LP is this node's LP.
-            pins = [(j, float(round(float(sol.x[j])))) for j in binaries]
-            if all(lb[j] == v == ub[j] for j, v in pins):
-                polished = sol
-            else:
-                lb2, ub2 = lb.copy(), ub.copy()
-                for j, v in pins:
-                    lb2[j] = ub2[j] = v
-                polished = _solve_standard(sf, lb2, ub2, cfg)
-                total_iters += polished.iterations
-            if polished.status == OPTIMAL:
-                if polished.objective < incumbent_obj - 1e-9:
-                    incumbent_obj = polished.objective
-                    incumbent_x = polished.x
-                continue
-            # rounding killed feasibility; force explicit branching on the
-            # first free binary to make progress
-            j_branch = next((j for j in binaries if ub[j] - lb[j] >= 0.5), -1)
-            if j_branch < 0:
-                continue
-        seq += 1
-        heapq.heappush(heap, (sol.objective, seq,
-                              patch_lb, patch_ub + ((j_branch, 0.0),)))
-        seq += 1
-        heapq.heappush(heap, (sol.objective, seq,
-                              patch_lb + ((j_branch, 1.0),), patch_ub))
+        undecided = np.flatnonzero(a_lo < a_hi)
+        if undecided.size == 0:                # an exact LP
+            incumbent_obj, incumbent_x = sol.objective, sol.x
+            continue
+        roots = -inter[undecided] / slope[undecided]
+        k = np.argsort(roots, kind="stable")[undecided.size // 2]
+        i, t = int(undecided[k]), min(max(float(roots[k]), lo), hi)
+        on_right = float(slope[i] > 0.0)       # the premise is >= 0 above t
+        for child_lo, child_hi, v in ((lo, t, 1.0 - on_right), (t, hi, on_right)):
+            seq += 1
+            heapq.heappush(heap, (sol.objective, seq, child_lo, child_hi, forced + ((i, v),)))
 
     if incumbent_x is None:
         status = NODE_LIMIT if status_out == NODE_LIMIT else INFEASIBLE

@@ -1,6 +1,7 @@
 import json
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,11 +23,14 @@ from feedincap.analysis import (
 )
 from feedincap.formulation import Scenario, build_problem, extract_solution
 from feedincap.fixtures import example_grid_7kwp
+from feedincap.grid import parse_grid
 from feedincap.milp import SolverConfig, solve_milp
 from feedincap.network import build_linear_model
 from feedincap.oracle import annual_simulate, max_scal_bisection, oracle_plan
 
 from util import two_bus
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 # -- SweepSpec ---------------------------------------------------------------
@@ -170,6 +174,25 @@ def test_engines_agree_where_the_milp_used_to_branch(name, fl, case, request):
     assert cell.status == "ok"
     assert 0.0 <= cell.milp_scal <= cfg.scal_max
     assert cell.deviation <= 1e-6 * (1.0 + cell.oracle_scal)
+
+
+@pytest.mark.parametrize("case", ["a", "b"])
+def test_engines_agree_on_the_lv_request_that_branches(case, monkeypatch):
+    # fixtures/lv.json at FL 0.7 leaves 130 triggers free at its worst hour
+    solved = []
+
+    def recording(mip, cfg):
+        solved.append(solve_milp(mip, cfg))
+        return solved[-1]
+
+    monkeypatch.setattr(analysis, "solve_milp", recording)
+    grid = parse_grid((FIXTURES / "lv.json").read_text())
+    cell = analysis.run_cell(grid, Scenario(fl=0.7, case=case), "both", SolverConfig(),
+                             build_linear_model(grid))
+    assert cell.status == "ok"
+    assert cell.deviation <= 1e-6 * (1.0 + cell.oracle_scal)
+    (sol,) = solved
+    assert (sol.status, sol.gap) == ("optimal", 0.0)
 
 
 def test_oracle_seed_leaves_one_round_on_every_mv_fixture(request, monkeypatch):

@@ -261,6 +261,23 @@ def test_plan_milp_balance_slack_is_infeasible(tmp_path, capsys):
     assert not (tmp_path / "plan.json").exists()
 
 
+@pytest.mark.parametrize("engine", ["oracle", "milp", "both"])
+@pytest.mark.parametrize("change", [("kind", "pv_existing_fixed"), ("profile", [0.0])],
+                         ids=["no_candidate", "candidate_without_sun"])
+def test_plan_without_candidate_production_is_an_error(change, engine, tmp_path, capsys):
+    # scal moves nothing, so the question has no answer
+    doc = json.loads((FIXTURES / "example.json").read_text())
+    doc["generators"][0][change[0]] = change[1]
+    p = tmp_path / "grid.json"
+    p.write_text(json.dumps(doc))
+    rc = cli.main(["plan", str(p), "--fl", "0.7", "--engine", engine,
+                   "--outdir", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err.startswith("error: no candidate PV produces")
+    assert not (tmp_path / "plan.json").exists()
+
+
 @pytest.mark.parametrize("engine", ["oracle", "both"])
 def test_plan_document_is_the_sweep_cell(engine, toy_file, tmp_path):
     rc = cli.main(["plan", toy_file, "--fl", "0.7", "--case", "a",

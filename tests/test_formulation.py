@@ -408,6 +408,51 @@ def test_big_m_positive_and_matching_nodes():
     assert (inst.big_m > 0).all()
 
 
+def test_big_m_no_eligible_capacity():
+    # no eligible capacity at the node: no trigger and no big-M
+    for kind, case in (("wind", "b"), ("pv_existing_fixed", "a")):
+        inst = build_problem(two_bus(demand_mw=1.4, kind=kind), Scenario(case=case))
+        assert inst.big_m.shape == inst.alpha_idx.shape == (1, 0)
+        assert not any(n.startswith("curt_on") for n in inst.lp.names)
+
+
+def test_big_m_formula():
+    # candidate B = 1 MW, CF = 1, FL = 0.7, SCAL_MAX = 10: M = 10 + 7 + 0 + 1
+    inst = build_problem(two_bus(p_max=1.0), Scenario(fl=0.7), SolverConfig(scal_max=10.0))
+    assert inst.big_m.tolist() == [[pytest.approx(18.0)]]
+
+
+def test_big_m_rejects_negative():
+    # a hand-built grid skips validate_grid: the node's eligible capacity is
+    # positive (2 - 1 MW), but negative at scal_max
+    grid = two_bus(kind="pv_existing_scalable", p_max=2.0)
+    grid = replace(grid, gens=(*grid.gens, GenUnit("c1", "n1", "pv_candidate", -1.0, (1.0,))))
+    with pytest.raises(ValueError, match="big-M inputs must be nonnegative"):
+        build_problem(grid, Scenario(case="b"))
+
+
+def test_big_m_covers_relaxed_rows():
+    # For any scal <= SCAL_MAX and any production split, a deactivated
+    # indicator row must have nonnegative slack.
+    rng = np.random.default_rng(5)
+    smax = 1000.0
+    for _ in range(200):
+        cap0, cap1 = rng.uniform(0.01, 3.0, 2)
+        cf0, cf1, resid = rng.uniform(0.0, 1.0, 3)
+        fl = rng.uniform(0.1, 1.0)
+        grid = two_bus(demand_mw=resid, kind="pv_existing_scalable", p_max=cap0,
+                       profile=(cf0,))
+        grid = replace(grid, gens=(*grid.gens, GenUnit("c1", "n1", "pv_candidate", cap1, (cf1,))))
+        m = build_problem(grid, Scenario(fl=fl, case="b"), SolverConfig(scal_max=smax)).big_m[0, 0]
+        s = rng.uniform(0.0, smax)
+        avail = cap0 * cf0 + cap1 * cf1 * s
+        flcap = fl * (cap0 + cap1 * s)
+        prod = rng.uniform(0.0, avail)
+        assert avail - flcap - resid <= m                 # trigger, alpha = 1
+        assert abs(prod - flcap - resid) <= m             # pins, alpha = 0
+        assert avail - prod <= m                          # spill, alpha = 1
+
+
 # -- deferred network rows ---------------------------------------------------
 
 

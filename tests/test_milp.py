@@ -3,7 +3,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from feedincap.grid import GenUnit
 from feedincap.milp import (
     INF,
     LinearProgram,
@@ -18,8 +17,8 @@ from feedincap.milp import (
 )
 from feedincap.formulation import Scenario, build_problem
 from feedincap.oracle import max_scal_bisection
-from util import (dump_lp, reference_ratio_test, reference_reduced_costs,
-                  reference_standard_matrix, two_bus)
+from util import (dump_lp, enumerate_alpha, reference_ratio_test, reference_reduced_costs,
+                  reference_standard_matrix, valid_random_instances)
 
 
 def test_lp_single_var_at_bound():
@@ -301,79 +300,111 @@ def test_pivot_update_matches_dense_update():
 # -- MILP --------------------------------------------------------------------
 
 
+def _indicator_lp(*rows) -> LinearProgram:
+    """min -s + 0.1 a over s in [0, 10] and an indicator a with premise s - 4:
+    a = 0 forces s <= 3.5 (the trigger row, margin 0.5, M = 10), a = 1 forces
+    s >= 4. Each extra row is (idx, coef, sense, rhs). Without them the root
+    LP is s = 10, a = 6.5 / 10.5; the child [0, 4] has a = 0, s = 3.5 and
+    the child [4, 10] the optimum a = 1, s = 10."""
+    lp = LinearProgram()
+    s = lp.add_var("s", ub=10.0, obj=-1.0)
+    a = lp.add_var("a", ub=1.0, obj=0.1)
+    lp.add_row([s, a], [1.0, -10.5], "<=", 3.5)
+    lp.add_row([s, a], [1.0, -4.0], ">=", 0.0)
+    for row in rows:
+        lp.add_row(*row)
+    return lp
+
+
+def _indicator_mip(lp: LinearProgram, **kw) -> MILProblem:
+    return MILProblem(lp, binaries=(1,), scal=0, slope=[1.0], inter=[-4.0], **kw)
+
+
 def test_milp_fixed_binaries_reduce_to_lp():
-    lp = LinearProgram()
-    b = lp.add_var("b", lb=1.0, ub=1.0, obj=-2.0)
-    x = lp.add_var("x", lb=0.0, ub=4.0, obj=-1.0)
-    lp.add_row([b, x], [1.0, 1.0], "<=", 3.0)
-    ref = solve_lp(lp)
-    sol = solve_milp(MILProblem(lp, binaries=(b,)))
-    assert sol.status == "optimal"
-    assert sol.objective == pytest.approx(ref.objective)
-    assert sol.nodes <= 1
-    # every binary is fixed, so the root LP is the only solve
-    assert sol.lp_iterations == ref.iterations
-    assert sol.x.tobytes() == ref.x.tobytes()
+    # the premise keeps one sign over s's range, so the indicator's bounds are
+    # its pin and the root LP is lp itself
+    for s_lo, s_hi, a in ((0.0, 3.0, 0.0), (5.0, 10.0, 1.0)):
+        lp = _indicator_lp()
+        lp.lb[0], lp.ub[0] = s_lo, s_hi
+        lp.lb[1] = lp.ub[1] = a
+        ref = solve_lp(lp)
+        sol = solve_milp(_indicator_mip(lp))
+        assert sol.status == ref.status == "optimal"
+        assert (sol.nodes, sol.lp_iterations) == (1, ref.iterations)
+        assert sol.x.tobytes() == ref.x.tobytes() and sol.objective == ref.objective
 
 
-def test_milp_rounding_forced():
-    lp = LinearProgram()
-    b = lp.add_var("b", lb=0.0, ub=1.0, obj=-1.0)
-    lp.add_row([b], [1.0], "<=", 0.5)
-    sol = solve_milp(MILProblem(lp, binaries=(b,)))
-    assert sol.status == "optimal"
-    assert sol.x[b] == pytest.approx(0.0, abs=1e-9)
-    assert sol.objective == pytest.approx(0.0, abs=1e-9)
+def test_milp_branches_on_the_premise_root():
+    sol = solve_milp(_indicator_mip(_indicator_lp()))
+    assert (sol.status, sol.nodes, sol.gap) == ("optimal", 3, 0.0)
+    assert sol.x == pytest.approx([10.0, 1.0]) and sol.objective == pytest.approx(-9.9)
 
 
-def test_milp_knapsack():
-    lp = LinearProgram()
-    a = lp.add_var("a", ub=1.0, obj=-5.0)
-    b = lp.add_var("b", ub=1.0, obj=-4.0)
-    c = lp.add_var("c", ub=1.0, obj=-3.0)
-    lp.add_row([a, b, c], [2.0, 3.0, 1.0], "<=", 3.0)
-    sol = solve_milp(MILProblem(lp, binaries=(a, b, c)))
-    assert sol.status == "optimal"
-    assert sol.objective == pytest.approx(-8.0)
-    assert sol.x[a] == pytest.approx(1.0) and sol.x[c] == pytest.approx(1.0)
+def test_milp_rejects_binaries_without_premises():
+    lp = _indicator_lp()
+    for kw in (dict(), dict(scal=0), dict(slope=[1.0], inter=[-4.0]),
+               dict(scal=0, slope=[1.0, 2.0], inter=[-4.0, 0.0]),
+               dict(scal=0, slope=[1.0], inter=[])):
+        with pytest.raises(ValueError, match="premise"):
+            solve_milp(MILProblem(lp, binaries=(1,), **kw))
+    with pytest.raises(ValueError, match="premise"):
+        solve_milp(MILProblem(lp, slope=[1.0], inter=[-4.0]))
 
 
 def test_milp_infeasible():
-    lp = LinearProgram()
-    b = lp.add_var("b", ub=1.0)
-    lp.add_row([b], [1.0], ">=", 0.3)
-    lp.add_row([b], [1.0], "<=", 0.7)
-    sol = solve_milp(MILProblem(lp, binaries=(b,)))
-    assert sol.status == "infeasible"
+    # s >= 3.75 rules out a = 0 and s + 10 a <= 13.9 rules out a = 1, while
+    # the root LP, with a relaxed, is feasible
+    lp = _indicator_lp(([0], [1.0], ">=", 3.75), ([0, 1], [1.0, 10.0], "<=", 13.9))
+    assert solve_lp(lp).status == "optimal"
+    sol = solve_milp(_indicator_mip(lp))
+    assert (sol.status, sol.nodes) == ("infeasible", 3)
+    assert sol.x is None and sol.gap == INF
 
 
 def test_milp_node_limit_reported():
-    rng = np.random.default_rng(9)
-    lp = LinearProgram()
-    idx = [lp.add_var(f"b{j}", ub=1.0, obj=float(-rng.uniform(1, 2)))
-           for j in range(12)]
-    lp.add_row(idx, [float(rng.uniform(1, 3)) for _ in idx], "<=", 7.0)
-    cfg = SolverConfig(node_limit=1)
-    sol = solve_milp(MILProblem(lp, binaries=tuple(idx)), cfg)
-    assert sol.status in ("node_limit", "optimal")
-    full = solve_milp(MILProblem(lp, binaries=tuple(idx)))
-    assert full.status == "optimal"
-    if sol.status == "node_limit":
-        assert sol.gap >= 0.0
+    sol = solve_milp(_indicator_mip(_indicator_lp()), SolverConfig(node_limit=2))
+    # the root and the child [0, 4]; the child [4, 10] stays open
+    assert (sol.status, sol.nodes) == ("node_limit", 2)
+    assert sol.x == pytest.approx([3.5, 0.0])
+    assert sol.gap >= 0.0
+    assert sol.gap == pytest.approx(-3.5 - (-10.0 + 0.1 * 6.5 / 10.5))
 
 
 def test_milp_determinism():
-    rng = np.random.default_rng(21)
-    lp = LinearProgram()
-    idx = [lp.add_var(f"b{j}", ub=1.0, obj=float(-rng.uniform(0.5, 2)))
-           for j in range(8)]
-    y = lp.add_var("y", ub=10.0, obj=-0.1)
-    lp.add_row([*idx, y], [*(float(rng.uniform(0.5, 2)) for _ in idx), 1.0], "<=", 6.0)
-    mip = MILProblem(lp, binaries=tuple(idx))
-    a = solve_milp(mip)
-    b = solve_milp(mip)
+    # the second random instance of criterion 2, over its three hours: five
+    # triggers are free and the solve takes 10 nodes
+    cfg = SolverConfig()
+    grid, scenario = list(valid_random_instances(11, 2, cfg, max_bus=10, max_hours=3))[1]
+    mip = build_problem(grid, replace(scenario, hours=(0, 1, 2)), cfg).mip
+    a = solve_milp(mip, cfg)
+    b = solve_milp(mip, cfg)
+    assert (a.status, a.nodes) == ("optimal", 10)
     assert a.x.tobytes() == b.x.tobytes()
-    assert a.objective == b.objective
+    assert (a.objective, a.nodes, a.lp_iterations) == (b.objective, b.nodes, b.lp_iterations)
+
+
+# -- scal branching ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("all_hours", [False, True], ids=["worst_hour", "all_hours"])
+def test_scal_branching_matches_enumeration_on_random_instances(all_hours):
+    cfg = SolverConfig()
+    count = 0
+    for seed in (11, 12, 13, 23, 31):
+        for grid, scenario in valid_random_instances(seed, 40, cfg, max_bus=10, max_hours=3):
+            if all_hours:
+                scenario = replace(scenario, hours=tuple(range(grid.hour_count)))
+            inst = build_problem(grid, scenario, cfg)
+            if not any(inst.lp.lb[j] < inst.lp.ub[j] for j in inst.binaries):
+                continue
+            count += 1
+            sol = solve_milp(inst.mip, cfg)
+            enum = enumerate_alpha(grid, scenario, cfg)
+            assert sol.status == enum.status == "optimal", (seed, count)
+            assert abs(sol.objective - enum.objective) <= 1e-9 * (1.0 + abs(enum.objective))
+            scal = sol.x[inst.scal_idx]
+            assert abs(scal - enum.scal) <= 1e-9 * (1.0 + enum.scal), (seed, count)
+    assert count == (80 if all_hours else 62)
 
 
 # -- deferred rows -----------------------------------------------------------
@@ -409,31 +440,21 @@ def test_node_limit_caps_the_nodes_of_every_round():
     assert (sol.status, sol.nodes, sol.rounds) == ("node_limit", 1, 2)
 
 
-def _knapsack_lp(deferred_bound_on: int):
-    """max 3a + 2b over binaries with 2a + 2b <= 3 kept, and a deferred
-    a <= 0.5 (deferred_bound_on 0) or b <= 0.5 (deferred_bound_on 1). The root
-    LP is a = 1, b = 0.5; the child b = 0 gives the incumbent a = 1, b = 0."""
-    lp = LinearProgram()
-    a = lp.add_var("a", ub=1.0, obj=-3.0)
-    b = lp.add_var("b", ub=1.0, obj=-2.0)
-    lp.add_row([a, b], [2.0, 2.0], "<=", 3.0)
-    lp.add_row([(a, b)[deferred_bound_on]], [1.0], "<=", 0.5)
-    return MILProblem(lp, binaries=(a, b), lazy=(1,))
-
-
 def test_node_limit_incumbent_must_satisfy_the_deferred_rows():
+    # two nodes: the root, then the child [0, 4] gives the incumbent s = 3.5, a = 0
     cfg = SolverConfig(node_limit=2)
-    # the incumbent breaks a <= 0.5: no point of the full problem to report
-    sol = solve_milp(_knapsack_lp(0), cfg)
+    # the incumbent breaks a deferred s <= 3: no point of the full problem to report
+    sol = solve_milp(_indicator_mip(_indicator_lp(([0], [1.0], "<=", 3.0)), lazy=(2,)), cfg)
     assert (sol.status, sol.nodes, sol.rounds) == ("node_limit", 2, 1)
     assert sol.x is None and sol.objective is None and sol.gap == INF
-    # it satisfies b <= 0.5: kept, with the gap to the round's bound
-    mip = _knapsack_lp(1)
-    sol = solve_milp(mip, cfg)
-    full = solve_milp(MILProblem(mip.lp, mip.binaries), cfg)
+    # it satisfies a deferred a <= 0.75: kept, with the gap to the round's bound
+    lp = _indicator_lp(([1], [1.0], "<=", 0.75))
+    sol = solve_milp(_indicator_mip(lp, lazy=(2,)), cfg)
+    full = solve_milp(_indicator_mip(lp), cfg)
     assert (sol.status, sol.nodes, sol.rounds) == (full.status, full.nodes, 1) == ("node_limit", 2, 1)
-    assert sol.x == pytest.approx(full.x) == [1.0, 0.0]
-    assert (sol.objective, sol.gap) == pytest.approx((full.objective, full.gap)) == (-3.0, 1.0)
+    assert sol.x == pytest.approx(full.x) == [3.5, 0.0]
+    assert (sol.objective, sol.gap) == pytest.approx((full.objective, full.gap))
+    assert sol.gap == pytest.approx(-3.5 - (-10.0 + 0.1 * 6.5 / 10.5))
 
 
 def test_infeasible_round_is_final():
@@ -450,54 +471,6 @@ def test_seed_and_lazy_rows_must_exist():
     for lazy, seed in (((1, 2), (0,)), ((1, 2), (5,)), ((1, 3), ()), ((-1,), ())):
         with pytest.raises(ValueError):
             solve_milp(MILProblem(lp, lazy=lazy, seed=seed))
-
-
-# -- big-M -------------------------------------------------------------------
-
-
-def test_big_m_no_eligible_capacity():
-    # no eligible capacity at the node: no trigger and no big-M
-    for kind, case in (("wind", "b"), ("pv_existing_fixed", "a")):
-        inst = build_problem(two_bus(demand_mw=1.4, kind=kind), Scenario(case=case))
-        assert inst.big_m.shape == inst.alpha_idx.shape == (1, 0)
-        assert not any(n.startswith("curt_on") for n in inst.lp.names)
-
-
-def test_big_m_formula():
-    # candidate B = 1 MW, CF = 1, FL = 0.7, SCAL_MAX = 10: M = 10 + 7 + 0 + 1
-    inst = build_problem(two_bus(p_max=1.0), Scenario(fl=0.7), SolverConfig(scal_max=10.0))
-    assert inst.big_m.tolist() == [[pytest.approx(18.0)]]
-
-
-def test_big_m_rejects_negative():
-    # a hand-built grid skips validate_grid: the node's eligible capacity is
-    # positive (2 - 1 MW), but negative at scal_max
-    grid = two_bus(kind="pv_existing_scalable", p_max=2.0)
-    grid = replace(grid, gens=(*grid.gens, GenUnit("c1", "n1", "pv_candidate", -1.0, (1.0,))))
-    with pytest.raises(ValueError, match="big-M inputs must be nonnegative"):
-        build_problem(grid, Scenario(case="b"))
-
-
-def test_big_m_covers_relaxed_rows():
-    # For any scal <= SCAL_MAX and any production split, a deactivated
-    # indicator row must have nonnegative slack.
-    rng = np.random.default_rng(5)
-    smax = 1000.0
-    for _ in range(200):
-        cap0, cap1 = rng.uniform(0.01, 3.0, 2)
-        cf0, cf1, resid = rng.uniform(0.0, 1.0, 3)
-        fl = rng.uniform(0.1, 1.0)
-        grid = two_bus(demand_mw=resid, kind="pv_existing_scalable", p_max=cap0,
-                       profile=(cf0,))
-        grid = replace(grid, gens=(*grid.gens, GenUnit("c1", "n1", "pv_candidate", cap1, (cf1,))))
-        m = build_problem(grid, Scenario(fl=fl, case="b"), SolverConfig(scal_max=smax)).big_m[0, 0]
-        s = rng.uniform(0.0, smax)
-        avail = cap0 * cf0 + cap1 * cf1 * s
-        flcap = fl * (cap0 + cap1 * s)
-        prod = rng.uniform(0.0, avail)
-        assert avail - flcap - resid <= m                 # trigger, alpha = 1
-        assert abs(prod - flcap - resid) <= m             # pins, alpha = 0
-        assert avail - prod <= m                          # spill, alpha = 1
 
 
 def test_dump_lp_stable():
