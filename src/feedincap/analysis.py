@@ -69,8 +69,11 @@ class SweepSpec:
             raise AnalysisError("annual sweeps decompose hour by hour; only the "
                                 "oracle engine supports them")
         for name in ("fl_values", "cases", "demand_multipliers"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise AnalysisError(f"{name} must not be empty")
+            if len(set(values)) < len(values):
+                raise AnalysisError(f"{name} must not repeat a value")
         try:
             list(self.scenarios())          # each cell must be a valid Scenario
         except FormulationError as exc:

@@ -25,19 +25,14 @@ other splits at the median premise root t of its undecided indicators into
 inherit the parent LP objective as their bound.
 
 solve_milp may defer rows. MILProblem.lazy names rows the solve may leave
-out and MILProblem.seed those of them to keep from the start. The solve then
-runs in rounds: each builds the standard form from the kept rows only, runs
-branch and bound on it, and checks the answer against every row of the LP.
-A deferred row the answer violates by more than feasibility_tol * (1 +
-|rhs|) joins the kept rows and the next round starts from scratch; a round
-that violates none has the full problem's optimum, because dropping rows
-only relaxes it. An infeasible round is final for the same reason. Only
-these two outcomes carry over to the full problem: any other status is
-returned as the round ended, and its incumbent (a node_limit round may have
-one) only if that point satisfies every row, with the round's gap, which
-still bounds the full problem's. Nodes and LP iterations add up over the
-rounds, and node_limit caps their sum. With nothing deferred there is one
-round over every row.
+out and MILProblem.seed those of them to keep from the start; the standard
+form holds the kept rows only. A leaf's answer is checked against every row
+of the LP: deferred rows it violates by more than feasibility_tol * (1 +
+|rhs|) join the kept rows, the standard form is rebuilt, and the leaf goes
+back on the heap with its bound to be solved again. Only a leaf that violates
+none becomes the incumbent. Dropping rows only relaxes the problem, so every
+bound, infeasible node and gap still holds for the full problem. node_limit
+counts LP solves, re-solves included.
 
 The standard form keeps A once, column-compressed: column pointers, row
 indices and values, with the slack and phase-1 artificial unit columns
@@ -56,7 +51,7 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -171,7 +166,7 @@ class MILProblem:
     slope: Sequence[float] = ()
     inter: Sequence[float] = ()
     lazy: Sequence[int] = ()          # rows the solve may leave out until violated
-    seed: Sequence[int] = ()          # lazy rows kept from the first round
+    seed: Sequence[int] = ()          # lazy rows kept from the start
 
 
 @dataclass
@@ -190,8 +185,8 @@ class MILPSolution:
     gap: float
     nodes: int
     lp_iterations: int
-    rounds: int = 1                   # branch-and-bound runs, one per set of kept rows
-    rows_kept: int = 0                # rows of the last round
+    rounds: int = 1                   # sets of kept rows: 1 + the times rows joined
+    rows_kept: int = 0                # rows of the final kept set
 
 
 # ---------------------------------------------------------------------------
@@ -517,13 +512,14 @@ def indicator_bounds(slope, inter, lo: float, hi: float) -> tuple[np.ndarray, np
 
 
 def solve_milp(mip: MILProblem, cfg: SolverConfig | None = None) -> MILPSolution:
-    """Branch and bound over scal intervals, in rounds of kept rows (module doc)."""
+    """Best-first branch and bound over scal intervals; deferred rows are
+    checked at the leaves (module doc)."""
     cfg = cfg or SolverConfig()
-    lp = mip.lp
+    lp, scal = mip.lp, mip.scal
     binaries = np.asarray(mip.binaries, dtype=np.intp)
     slope = np.asarray(mip.slope, dtype=float)
     inter = np.asarray(mip.inter, dtype=float)
-    if (binaries.size and mip.scal is None) or not binaries.shape == slope.shape == inter.shape:
+    if (binaries.size and scal is None) or not binaries.shape == slope.shape == inter.shape:
         raise ValueError("every binary needs a premise: a scal variable, and slope "
                          "and inter with one entry per binary")
     lazy = np.asarray(mip.lazy, dtype=np.intp)
@@ -536,58 +532,23 @@ def solve_milp(mip: MILProblem, cfg: SolverConfig | None = None) -> MILPSolution
     keep = np.ones(lp.n_rows, dtype=bool)
     keep[lazy] = False
     keep[seed] = True
-    nodes = iterations = rounds = 0
-    while True:
-        rounds += 1
-        kept = np.flatnonzero(keep)
-        sol = _branch_and_bound(_StandardForm.from_lp(lp, kept), mip.scal, binaries,
-                                slope, inter, cfg, cfg.node_limit - nodes)
-        nodes += sol.nodes
-        iterations += sol.lp_iterations
-        sol = replace(sol, nodes=nodes, lp_iterations=iterations, rounds=rounds,
-                      rows_kept=kept.size)
-        if sol.x is None or kept.size == lp.n_rows:
-            return sol
-        violated = ~keep & _violated_rows(lp, sol.x, cfg.feasibility_tol)
-        if not violated.any():
-            return sol
-        if sol.status != OPTIMAL:
-            # an incumbent that breaks a deferred row is no point of the full problem
-            return replace(sol, x=None, objective=None, gap=INF)
-        keep |= violated
-
-
-def _violated_rows(lp: LinearProgram, x: np.ndarray, feas_tol: float) -> np.ndarray:
-    """Mask of the rows x violates by more than feas_tol * (1 + |rhs|)."""
-    act = lp.activities(x)
-    rhs = np.array(lp.rhs, dtype=float)
-    tol = feas_tol * (1.0 + np.abs(rhs))
-    sense = np.array(lp.sense)
-    return ((sense != ">=") & (act > rhs + tol)) | ((sense != "<=") & (act < rhs - tol))
-
-
-def _branch_and_bound(sf: _StandardForm, scal: int | None, binaries: np.ndarray,
-                      slope: np.ndarray, inter: np.ndarray, cfg: SolverConfig,
-                      node_limit: int) -> MILPSolution:
-    """Best-first branch and bound over the scal intervals of sf (module doc).
-    The binaries' bounds come from their premises at every node."""
-    total_iters = 0
-    nodes = 0
+    sf = _StandardForm.from_lp(lp, np.flatnonzero(keep))
+    nodes = iterations = seq = 0
+    rounds = 1
     incumbent_x: np.ndarray | None = None
     incumbent_obj = INF
-    seq = 0
     root = (0.0, 0.0) if scal is None else (sf.lb_base[scal], sf.ub_base[scal])
     # heap entries: (bound, seq, lo, hi, forced), forced holding (binary position, value)
     heap = [(-INF, 0, *root, ())]
 
-    status_out = OPTIMAL
+    status = OPTIMAL
     while heap:
         node = heapq.heappop(heap)
         bound, _, lo, hi, forced = node
         if bound >= incumbent_obj - 1e-9:
             continue
-        if nodes >= node_limit:
-            status_out = NODE_LIMIT
+        if nodes >= cfg.node_limit:
+            status = NODE_LIMIT
             heapq.heappush(heap, node)        # still open: its bound enters the gap
             break
         nodes += 1
@@ -599,17 +560,24 @@ def _branch_and_bound(sf: _StandardForm, scal: int | None, binaries: np.ndarray,
             lb[scal], ub[scal] = lo, hi
         lb[binaries], ub[binaries] = a_lo, a_hi
         sol = _solve_standard(sf, lb, ub, cfg)
-        total_iters += sol.iterations
+        iterations += sol.iterations
         if sol.status == INFEASIBLE:
             continue
         if sol.status != OPTIMAL:
-            return MILPSolution(sol.status, None, None, INF, nodes, total_iters)
+            return MILPSolution(sol.status, None, None, INF, nodes, iterations, rounds, sf.m)
         if sol.objective >= incumbent_obj - 1e-9:
             continue
 
         undecided = np.flatnonzero(a_lo < a_hi)
-        if undecided.size == 0:                # an exact LP
-            incumbent_obj, incumbent_x = sol.objective, sol.x
+        if undecided.size == 0:                # an exact LP of the kept rows
+            violated = ~keep & _violated_rows(lp, sol.x, cfg.feasibility_tol)
+            if violated.any():                 # keep them and solve the leaf again
+                keep |= violated
+                rounds += 1
+                sf = _StandardForm.from_lp(lp, np.flatnonzero(keep))
+                heapq.heappush(heap, node)
+            else:
+                incumbent_obj, incumbent_x = sol.objective, sol.x
             continue
         roots = -inter[undecided] / slope[undecided]
         k = np.argsort(roots, kind="stable")[undecided.size // 2]
@@ -620,8 +588,17 @@ def _branch_and_bound(sf: _StandardForm, scal: int | None, binaries: np.ndarray,
             heapq.heappush(heap, (sol.objective, seq, child_lo, child_hi, forced + ((i, v),)))
 
     if incumbent_x is None:
-        status = NODE_LIMIT if status_out == NODE_LIMIT else INFEASIBLE
-        return MILPSolution(status, None, None, INF, nodes, total_iters)
+        return MILPSolution(status if status == NODE_LIMIT else INFEASIBLE, None, None, INF,
+                            nodes, iterations, rounds, sf.m)
     remaining = min((b for b, *_ in heap), default=incumbent_obj)
     gap = max(0.0, incumbent_obj - min(remaining, incumbent_obj))
-    return MILPSolution(status_out, incumbent_x, incumbent_obj, gap, nodes, total_iters)
+    return MILPSolution(status, incumbent_x, incumbent_obj, gap, nodes, iterations, rounds, sf.m)
+
+
+def _violated_rows(lp: LinearProgram, x: np.ndarray, feas_tol: float) -> np.ndarray:
+    """Mask of the rows x violates by more than feas_tol * (1 + |rhs|)."""
+    act = lp.activities(x)
+    rhs = np.array(lp.rhs, dtype=float)
+    tol = feas_tol * (1.0 + np.abs(rhs))
+    sense = np.array(lp.sense)
+    return ((sense != ">=") & (act > rhs + tol)) | ((sense != "<=") & (act < rhs - tol))

@@ -329,6 +329,9 @@ def test_plan_bad_fl_flag(toy_file, capsys):
     ("--fl-values", ",", "fl_values must not be empty"),
     ("--cases", ",", "cases must not be empty"),
     ("--mults", ",", "demand_multipliers must not be empty"),
+    ("--fl-values", "0.7,0.7", "fl_values must not repeat"),
+    ("--cases", "a,b,a", "cases must not repeat"),
+    ("--mults", "1.0,1", "demand_multipliers must not repeat"),
 ])
 def test_sweep_bad_cell_value_is_usage_error(flag, value, message, toy_file, tmp_path,
                                              capsys):

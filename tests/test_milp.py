@@ -443,17 +443,41 @@ def test_node_limit_caps_the_nodes_of_every_round():
 def test_node_limit_incumbent_must_satisfy_the_deferred_rows():
     # two nodes: the root, then the child [0, 4] gives the incumbent s = 3.5, a = 0
     cfg = SolverConfig(node_limit=2)
-    # the incumbent breaks a deferred s <= 3: no point of the full problem to report
+    # that leaf breaks a deferred s <= 3, which joins; the limit stops the search
+    # before the re-solve, so no point of the full problem is there to report
     sol = solve_milp(_indicator_mip(_indicator_lp(([0], [1.0], "<=", 3.0)), lazy=(2,)), cfg)
-    assert (sol.status, sol.nodes, sol.rounds) == ("node_limit", 2, 1)
+    assert (sol.status, sol.nodes, sol.rounds) == ("node_limit", 2, 2)
     assert sol.x is None and sol.objective is None and sol.gap == INF
-    # it satisfies a deferred a <= 0.75: kept, with the gap to the round's bound
+    # it satisfies a deferred a <= 0.75: kept, with the gap to the open node's bound
     lp = _indicator_lp(([1], [1.0], "<=", 0.75))
     sol = solve_milp(_indicator_mip(lp, lazy=(2,)), cfg)
     full = solve_milp(_indicator_mip(lp), cfg)
     assert (sol.status, sol.nodes, sol.rounds) == (full.status, full.nodes, 1) == ("node_limit", 2, 1)
     assert sol.x == pytest.approx(full.x) == [3.5, 0.0]
     assert (sol.objective, sol.gap) == pytest.approx((full.objective, full.gap))
+    assert sol.gap == pytest.approx(-3.5 - (-10.0 + 0.1 * 6.5 / 10.5))
+
+
+def test_leaf_that_breaks_a_deferred_row_is_solved_again_in_the_same_search():
+    # the leaf [4, 10] gives s = 10, which breaks a deferred s <= 8: the row
+    # joins and only that leaf is solved again, to the optimum s = 8, a = 1
+    lp = _indicator_lp(([0], [1.0], "<=", 8.0))
+    sol = solve_milp(_indicator_mip(lp, lazy=(2,)))
+    seeded = solve_milp(_indicator_mip(lp, lazy=(2,), seed=(2,)))
+    assert (seeded.status, seeded.nodes, seeded.rounds) == ("optimal", 3, 1)
+    assert (sol.status, sol.rounds, sol.rows_kept) == ("optimal", 2, 3)
+    assert sol.nodes == seeded.nodes + sol.rounds - 1 == 4
+    assert sol.x.tobytes() == seeded.x.tobytes() and sol.objective == seeded.objective
+    assert sol.x == pytest.approx([8.0, 1.0]) and sol.gap == 0.0
+
+
+def test_node_limit_keeps_an_incumbent_found_before_rows_joined():
+    # the root, the leaf [0, 4] (incumbent s = 3.5, which meets s <= 8), then the
+    # leaf [4, 10], whose s = 10 adds s <= 8; its re-solve is left open
+    lp = _indicator_lp(([0], [1.0], "<=", 8.0))
+    sol = solve_milp(_indicator_mip(lp, lazy=(2,)), SolverConfig(node_limit=3))
+    assert (sol.status, sol.nodes, sol.rounds, sol.rows_kept) == ("node_limit", 3, 2, 3)
+    assert sol.x == pytest.approx([3.5, 0.0]) and sol.objective == pytest.approx(-3.5)
     assert sol.gap == pytest.approx(-3.5 - (-10.0 + 0.1 * 6.5 / 10.5))
 
 
