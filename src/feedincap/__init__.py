@@ -18,7 +18,6 @@ from .analysis import (
     run_sweep,
 )
 from .formulation import (
-    Costs,
     EnergyAccount,
     PlanResult,
     Scenario,
@@ -49,7 +48,7 @@ from .oracle import annual_simulate, feasible_at, max_scal_bisection, oracle_pla
 __version__ = "0.1.0"
 
 __all__ = [
-    "BindingReport", "Bus", "CandidatePolicy", "Costs", "EnergyAccount",
+    "BindingReport", "Bus", "CandidatePolicy", "EnergyAccount",
     "GenUnit", "Grid", "GridFormatError", "Line", "MILProblem", "PlanResult",
     "Scenario", "SolverConfig", "SweepSpec",
     "ac_sweep", "add_candidates", "annual_simulate", "build_linear_model",

@@ -215,15 +215,14 @@ def run_cell(grid: Grid, scenario: Scenario, engine: str,
                   sol.lp_iterations, sol.gap,
                   sum(inst.lp.lb[j] < inst.lp.ub[j] for j in inst.binaries),
                   sol.rounds, sol.rows_kept, inst.lp.n_rows)
+        if sol.status == "infeasible":
+            cell.status = "infeasible_at_zero"
+            return cell
         if sol.status != "optimal":
             cell.status = "error"
             cell.error = f"milp returned {sol.status}"
             return cell
-        plan_m = extract_solution(inst, sol)
-        if plan_m.slack_activity > 1e-6:
-            cell.status = "infeasible_at_zero"
-            return cell
-        cell.milp_scal = plan_m.scal
+        cell.milp_scal = extract_solution(inst, sol).scal
     if not agg.avail_coef.any():
         # feasible at scal = 0, and every other scal gives the same plan
         raise AnalysisError("no candidate PV produces in the planned hours, so "

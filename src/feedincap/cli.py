@@ -126,8 +126,8 @@ def cmd_plan(args) -> int:
         return EXIT_DOMAIN
     if cell.status != "ok":
         if engine == "milp" or cell.oracle_scal is not None:     # the milp failed
-            print("infeasible at scal = 0: the optimum needs balance slack; "
-                  "nothing can be added")
+            print("infeasible at scal = 0: the MILP finds no expansion factor that "
+                  "meets every network bound; nothing can be added")
             return EXIT_DOMAIN
         print("infeasible at scal = 0: the existing build-out already "
               "violates a network bound; nothing can be added")

@@ -1,9 +1,9 @@
 """Builds the expansion-planning MILP and decodes its solutions.
 
-One continuous variable `scal` scales every candidate PV unit uniformly; the
-objective prices grid exchange at the slack bus (imports cost, exports earn)
-plus heavy penalties on per-node balance slacks, so the optimizer pushes
-`scal` up until a network limit binds.
+One continuous variable `scal` scales every candidate PV unit uniformly, and
+the objective is -scal: the optimizer pushes `scal` up until a network limit
+binds. The slack bus takes up whatever the lossless grid does not consume, so
+the model needs no exchange variables or balance rows.
 
 The feed-in cap works per node and hour on the "eligible" units (candidates
 under case "a"; candidates plus all existing PV under case "b"): whenever
@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,20 +48,6 @@ class FormulationError(ValueError):
 
 
 @dataclass(frozen=True)
-class Costs:
-    """Exchange prices and slack penalties, EUR per MWh."""
-
-    import_eur_mwh: float = 200.0
-    export_eur_mwh: float = 200.0
-    unserved_eur_mwh: float = 100_000.0   # per-node demand left unserved (P or Q)
-    surplus_eur_mwh: float = 200_000.0    # per-node generation that cannot leave
-
-    def scaled(self, k: float) -> "Costs":
-        return Costs(self.import_eur_mwh * k, self.export_eur_mwh * k,
-                     self.unserved_eur_mwh * k, self.surplus_eur_mwh * k)
-
-
-@dataclass(frozen=True)
 class Scenario:
     """One planning case: feed-in limit, eligibility case, demand scaling.
 
@@ -75,7 +61,6 @@ class Scenario:
     case: str = "a"
     demand_multiplier: float = 1.0
     hours: tuple[int, ...] | None = None
-    costs: Costs = field(default_factory=Costs)
     mode: str = "snapshot"
 
     def __post_init__(self) -> None:
@@ -92,10 +77,6 @@ class Scenario:
             raise FormulationError("hours must be None or non-empty")
         if self.hours is not None and len(set(self.hours)) != len(self.hours):
             raise FormulationError("hours must not repeat an hour index")
-        for c in (self.costs.import_eur_mwh, self.costs.export_eur_mwh,
-                  self.costs.unserved_eur_mwh, self.costs.surplus_eur_mwh):
-            if not 0.0 <= c < math.inf:
-                raise FormulationError(f"cost values must be finite and >= 0, got {c}")
 
     def eligible_kinds(self) -> frozenset[str]:
         if self.case == "a":
@@ -110,12 +91,6 @@ def scenario_to_json(sc: Scenario) -> str:
         "demand_multiplier": sc.demand_multiplier,
         "hours": None if sc.hours is None else list(sc.hours),
         "mode": sc.mode,
-        "costs": {
-            "import_eur_mwh": sc.costs.import_eur_mwh,
-            "export_eur_mwh": sc.costs.export_eur_mwh,
-            "unserved_eur_mwh": sc.costs.unserved_eur_mwh,
-            "surplus_eur_mwh": sc.costs.surplus_eur_mwh,
-        },
     }
     return json.dumps(doc, indent=1)
 
@@ -124,9 +99,9 @@ def scenario_from_json(text: str | dict) -> Scenario:
     doc = json.loads(text) if isinstance(text, str) else text
     if not isinstance(doc, dict):
         raise FormulationError("scenario document must be an object")
-    costs = doc.get("costs", {})
-    if not isinstance(costs, dict):
-        raise FormulationError("scenario costs must be an object")
+    unknown = sorted(set(doc) - {"fl", "case", "demand_multiplier", "hours", "mode"})
+    if unknown:
+        raise FormulationError(f"unknown scenario keys: {', '.join(unknown)}")
     try:
         hours = doc.get("hours")
         values = dict(
@@ -135,8 +110,6 @@ def scenario_from_json(text: str | dict) -> Scenario:
             demand_multiplier=_number(doc.get("demand_multiplier", 1.0)),
             hours=None if hours is None else tuple(_number(h, operator.index) for h in hours),
             mode=str(doc.get("mode", "snapshot")),
-            costs=Costs(**{f.name: _number(costs.get(f.name, f.default))
-                           for f in fields(Costs)}),
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise FormulationError(f"scenario values must be numbers: {exc}") from None
@@ -280,7 +253,7 @@ class ProblemInstance:
     """The assembled MILP plus the variable layout needed to decode a solution.
 
     The index arrays hold LP variable indices, hour position first; units
-    follow elig_units, triggers follow elig_nodes and buses agg.bus_order.
+    follow elig_units and triggers elig_nodes.
     """
 
     grid: Grid
@@ -294,8 +267,6 @@ class ProblemInstance:
     elig_units: tuple[str, ...]                  # eligible generator ids, grid order
     elig_nodes: tuple[str, ...]                  # buses with eligible capacity, grid order
     unit_idx: np.ndarray                         # (H, U, 2) p, sp
-    exchange_idx: np.ndarray                     # (H, 4) pimp, pexp, qimp, qexp
-    slack_idx: np.ndarray                        # (H, N, 4) pns, eps, qns, eqs
     alpha_idx: np.ndarray                        # (H, E) curt_on
     slope: np.ndarray                            # (H, E) premise slope * scal + inter
     inter: np.ndarray                            # (H, E)
@@ -331,7 +302,7 @@ def _running_total(start, terms: np.ndarray) -> np.ndarray:
 def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = None,
                   *, fix_scal: float | None = None,
                   model: LinearNetworkModel | None = None) -> ProblemInstance:
-    """Assemble the MILP for the resolved scenario hours.
+    """Assemble the MILP for the resolved scenario hours; its objective is -scal.
 
     fix_scal pins the expansion factor (annual mode needs it); otherwise
     scal ranges over [0, cfg.scal_max].
@@ -362,19 +333,12 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
     elig_kinds = scenario.eligible_kinds()
     H, N = len(hours), len(agg.bus_order)
     pos = {bid: i for i, bid in enumerate(agg.bus_order)}
-    dh = grid.hour_duration_h
-    costs = scenario.costs
     fl = scenario.fl
 
     if fix_scal is not None and not 0.0 <= fix_scal < math.inf:
         raise FormulationError(f"fix_scal must be finite and >= 0, got {fix_scal}")
     s_lo = 0.0 if fix_scal is None else float(fix_scal)
     s_hi = cfg.scal_max if fix_scal is None else float(fix_scal)
-
-    # generous but finite exchange bound; keeps odd cost vectors bounded
-    avail_hi = float(np.max(np.sum(agg.avail_const + agg.avail_coef * s_hi
-                                   + agg.nonelig_prod, axis=1), initial=0.0))
-    exch_cap = avail_hi + float(np.max(np.sum(agg.demand_p, axis=1), initial=0.0)) + 1.0
 
     elig_units = [g for g in grid.gens if g.kind in elig_kinds]
     elig_nodes = [bid for bid in agg.bus_order
@@ -397,50 +361,28 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
     pin_hi_rhs, pin_lo_rhs = big_m + fl_cap_c + res, -big_m + fl_cap_c + res
 
     lp = LinearProgram()
-    scal_idx = lp.add_var("scal", s_lo, s_hi, obj=0.0)
+    scal_idx = lp.add_var("scal", s_lo, s_hi, obj=-1.0)
 
-    exchange, units, slacks, alphas = [], [], [], []   # in variable order
+    units, alphas = [], []                  # in variable order
     for k in range(H):
-        exchange += [
-            lp.add_var(f"pimp[{k}]", 0.0, exch_cap, obj=costs.import_eur_mwh * dh),
-            lp.add_var(f"pexp[{k}]", 0.0, exch_cap, obj=-costs.export_eur_mwh * dh),
-            lp.add_var(f"qimp[{k}]", 0.0, exch_cap, obj=costs.import_eur_mwh * dh),
-            lp.add_var(f"qexp[{k}]", 0.0, exch_cap, obj=-costs.export_eur_mwh * dh)]
         for g in elig_units:
             units += [lp.add_var(f"p[{k},{g.id}]", 0.0, INF),
                       lp.add_var(f"sp[{k},{g.id}]", 0.0, INF)]
-        for i, bid in enumerate(agg.bus_order):
-            slacks += [
-                lp.add_var(f"pns[{k},{bid}]", 0.0, max(0.0, agg.demand_p[k, i]),
-                           obj=costs.unserved_eur_mwh * dh),
-                lp.add_var(f"eps[{k},{bid}]", 0.0, INF, obj=costs.surplus_eur_mwh * dh),
-                lp.add_var(f"qns[{k},{bid}]", 0.0, max(0.0, agg.demand_q[k, i]),
-                           obj=costs.unserved_eur_mwh * dh),
-                lp.add_var(f"eqs[{k},{bid}]", 0.0, INF, obj=costs.surplus_eur_mwh * dh)]
         alphas += [lp.add_var(f"curt_on[{k},{bid}]", lo, hi)
                    for bid, lo, hi in zip(elig_nodes, a_lo[k].tolist(), a_hi[k].tolist())]
 
     U, E = len(elig_units), len(elig_nodes)
     unit_idx = np.array(units, dtype=int).reshape(H, U, 2)
-    exchange_idx = np.array(exchange, dtype=int).reshape(H, 4)
-    slack_idx = np.array(slacks, dtype=int).reshape(H, N, 4)
 
-    # The hour's injection variables are the unit p's, then every bus's (pns,
-    # eps, qns, eqs), in ascending index order; a non-slack bus's P injection
-    # takes its units' p and pns at +1, eps at -1, its Q injection qns at +1
-    # and eqs at -1. Each variable enters one injection once, so every network
-    # coefficient below is a single product, as in a bus-by-bus sum.
-    inj_bus = np.concatenate([np.array([pos[g.bus] for g in elig_units], dtype=int),
-                              np.repeat(np.arange(N), 4)])
-    inj_sign = np.concatenate([np.ones(U), np.tile([1.0, -1.0, 1.0, -1.0], N)])
-    inj_is_q = np.concatenate([np.zeros(U, dtype=int), np.tile([0, 0, 1, 1], N)])
-    is_p = inj_is_q == 0
-    incidence = np.zeros((2, N, len(inj_bus)))          # P and Q, every bus
-    incidence[inj_is_q, inj_bus, np.arange(len(inj_bus))] = inj_sign
-    inc_p, inc_q = incidence[:, model.bus_cols]
+    # The hour's only injection variables are the eligible units' p, each at +1
+    # in its bus's P injection (a unit at the slack bus enters no row); the Q
+    # injections are constants. Each p enters one injection once, so every
+    # network coefficient below is a single product, as in a bus-by-bus sum.
+    incidence = np.zeros((N, U))
+    incidence[[pos[g.bus] for g in elig_units], np.arange(U)] = 1.0
+    inc_p = incidence[model.bus_cols]
     thermal_terms = [(np.flatnonzero(r), r[r != 0]) for r in model.flow_map @ inc_p]
-    v_terms = [(np.flatnonzero(r), r[r != 0])
-               for r in model.voltage_map_p @ inc_p + model.voltage_map_q @ inc_q]
+    v_terms = [(np.flatnonzero(r), r[r != 0]) for r in model.voltage_map_p @ inc_p]
 
     thermal_hi_rows = np.zeros((H, len(grid.lines)), dtype=int)
     v_hi_rows = np.zeros((H, len(model.bus_order)), dtype=int)
@@ -467,17 +409,6 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
                        name=f"pin_lo[{k},{bid}]")
             lp.add_row([*sp_at, a_j], [*ones, -m_val], "<=", 0.0, name=f"spill[{k},{bid}]")
 
-        # system balance, lossless: every bus's P (Q) injection plus exchange
-        inj_vars = np.concatenate([unit_idx[k, :, 0], slack_idx[k].ravel()])
-        imp, exp, qimp, qexp = exchange_idx[k]
-        lp.add_row(np.concatenate([[imp, exp], inj_vars[is_p]]),
-                   np.concatenate([[1.0, -1.0], inj_sign[is_p]]), "==",
-                   float(np.sum(agg.demand_p[k]) - np.sum(agg.nonelig_prod[k])),
-                   name=f"balance_p[{k}]")
-        lp.add_row(np.concatenate([[qimp, qexp], inj_vars[~is_p]]),
-                   np.concatenate([[1.0, -1.0], inj_sign[~is_p]]), "==",
-                   float(np.sum(agg.demand_q[k])), name=f"balance_q[{k}]")
-
         # network rows: injections are affine in the hour's variables; the
         # constants add up bus by bus, a bus's P term before its Q term
         inj_const = (agg.nonelig_prod[k] - agg.demand_p[k])[model.bus_cols]
@@ -486,6 +417,7 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
             [model.voltage_map_p * inj_const,
              model.voltage_map_q * -agg.demand_q[k, model.bus_cols]], axis=-1
         ).reshape(len(inj_const), 2 * len(inj_const)))
+        inj_vars = unit_idx[k, :, 0]
         for l, (line, (cols, vals)) in enumerate(zip(grid.lines, thermal_terms)):
             idx = inj_vars[cols]
             thermal_hi_rows[k, l] = lp.add_row(idx, vals, "<=", model.s_max[l] - t_const[l],
@@ -505,8 +437,7 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
         grid=grid, scenario=scenario, hours=hours, model=model, agg=agg,
         lp=lp, binaries=tuple(alphas), scal_idx=scal_idx,
         elig_units=tuple(g.id for g in elig_units), elig_nodes=tuple(elig_nodes),
-        unit_idx=unit_idx, exchange_idx=exchange_idx, slack_idx=slack_idx,
-        alpha_idx=np.array(alphas, dtype=int).reshape(H, E),
+        unit_idx=unit_idx, alpha_idx=np.array(alphas, dtype=int).reshape(H, E),
         slope=slope, inter=inter, big_m=big_m,
         thermal_hi_rows=thermal_hi_rows, v_hi_rows=v_hi_rows,
         network_rows=np.array(network_rows, dtype=int),
@@ -523,7 +454,6 @@ class PlanResult:
     engine: str
     scal: float
     added_capacity_mw: float
-    objective_eur: float | None
     hours: tuple[int, ...]
     hour_duration_h: float
     bus_order: tuple[str, ...]          # non-slack, network order
@@ -536,12 +466,6 @@ class PlanResult:
     voltages_pu2: np.ndarray            # (H, N) squared p.u.
     imports_mw: np.ndarray              # (H,)
     exports_mw: np.ndarray
-    unserved_mwh: float
-    surplus_mwh: float
-
-    @property
-    def slack_activity(self) -> float:
-        return self.unserved_mwh + self.surplus_mwh
 
 
 class EnergyBalanceError(AssertionError):
@@ -626,12 +550,11 @@ def extract_solution(instance: ProblemInstance, sol: MILPSolution) -> PlanResult
         empty = np.zeros((0, 0))
         return PlanResult(
             status=sol.status, engine="milp", scal=nan, added_capacity_mw=nan,
-            objective_eur=None, hours=instance.hours,
+            hours=instance.hours,
             hour_duration_h=grid.hour_duration_h, bus_order=model.bus_order,
             line_order=model.line_order, production_mw={}, curtailment_mw={},
             available_mw={}, alpha={}, flows_mw=empty,
-            voltages_pu2=empty, imports_mw=np.zeros(0), exports_mw=np.zeros(0),
-            unserved_mwh=0.0, surplus_mwh=0.0)
+            voltages_pu2=empty, imports_mw=np.zeros(0), exports_mw=np.zeros(0))
     x = sol.x
     hours = instance.hours
     scal = float(x[instance.scal_idx])
@@ -646,11 +569,9 @@ def extract_solution(instance: ProblemInstance, sol: MILPSolution) -> PlanResult
     gen_at = np.zeros((len(hours), len(agg.bus_order)))
     for g in grid.gens:
         gen_at[:, pos[g.bus]] += production[g.id]
-    slack = x[instance.slack_idx]                 # (H, N, 4) pns, eps, qns, eqs
-    inj = (gen_at + (slack[..., 0] - slack[..., 1]) - agg.demand_p)[:, model.bus_cols]
-    inj_q = (slack[..., 2] - slack[..., 3] - agg.demand_q)[:, model.bus_cols]
-
-    flows, v2 = map(np.atleast_2d, evaluate_linear(model, inj, inj_q))
+    net_at = gen_at - agg.demand_p
+    flows, v2 = map(np.atleast_2d, evaluate_linear(
+        model, net_at[:, model.bus_cols], -agg.demand_q[:, model.bus_cols]))
 
     # agreement check against the LP's own thermal/voltage row activities:
     # activity + (limit - rhs) is the flow or squared voltage the row encodes
@@ -663,9 +584,7 @@ def extract_solution(instance: ProblemInstance, sol: MILPSolution) -> PlanResult
         raise FormulationError(
             f"decoded network state deviates from LP rows by {worst:.3e}")
 
-    dh = grid.hour_duration_h
-    pns, eps, qns, eqs = _running_total(0.0, slack.reshape(-1, 4).T)
-    unserved, surplus = (pns + qns) * dh, (eps + eqs) * dh
+    net = net_at.sum(axis=1)                      # lossless: the slack bus takes it up
     alpha = x[instance.alpha_idx].tolist()
 
     return PlanResult(
@@ -673,9 +592,8 @@ def extract_solution(instance: ProblemInstance, sol: MILPSolution) -> PlanResult
         engine="milp",
         scal=scal,
         added_capacity_mw=scal * agg.candidate_base_total,
-        objective_eur=sol.objective,
         hours=hours,
-        hour_duration_h=dh,
+        hour_duration_h=grid.hour_duration_h,
         bus_order=model.bus_order,
         line_order=model.line_order,
         production_mw=production,
@@ -685,8 +603,6 @@ def extract_solution(instance: ProblemInstance, sol: MILPSolution) -> PlanResult
                for bid, a in zip(instance.elig_nodes, row)},
         flows_mw=flows,
         voltages_pu2=v2,
-        imports_mw=x[instance.exchange_idx[:, 0]],
-        exports_mw=x[instance.exchange_idx[:, 1]],
-        unserved_mwh=float(unserved),
-        surplus_mwh=float(surplus),
+        imports_mw=np.maximum(0.0, -net),
+        exports_mw=np.maximum(0.0, net),
     )

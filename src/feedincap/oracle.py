@@ -237,24 +237,13 @@ def oracle_plan(grid: Grid, scenario: Scenario, scal: float, *,
     production, curtail, avail = unit_dispatch(grid, scenario, hours, scal, pro_rata)
 
     net = state.injection_p.sum(axis=1)           # lossless: slack picks this up
-    net_q = state.injection_q.sum(axis=1)
-    imports = np.maximum(0.0, -net)
-    exports = np.maximum(0.0, net)
-    q_imp = np.maximum(0.0, -net_q)
-    q_exp = np.maximum(0.0, net_q)
-    dh = grid.hour_duration_h
-    c = scenario.costs
-    objective = float(np.sum(dh * (c.import_eur_mwh * (imports + q_imp)
-                                   - c.export_eur_mwh * (exports + q_exp))))
-
     return PlanResult(
         status="optimal",
         engine="oracle",
         scal=float(scal),
         added_capacity_mw=float(scal) * agg.candidate_base_total,
-        objective_eur=objective,
         hours=hours,
-        hour_duration_h=dh,
+        hour_duration_h=grid.hour_duration_h,
         bus_order=model.bus_order,
         line_order=model.line_order,
         production_mw=production,
@@ -263,10 +252,8 @@ def oracle_plan(grid: Grid, scenario: Scenario, scal: float, *,
         alpha={},
         flows_mw=flows,
         voltages_pu2=v2,
-        imports_mw=imports,
-        exports_mw=exports,
-        unserved_mwh=0.0,
-        surplus_mwh=0.0,
+        imports_mw=np.maximum(0.0, -net),
+        exports_mw=np.maximum(0.0, net),
     )
 
 

@@ -91,7 +91,7 @@ def test_validate_zero_impedance_is_a_warning(tmp_path, capsys):
     ("plan", "scenario", "hours", [True]),
     ("plan", "scenario", "fl", True),
     ("plan", "scenario", "demand_multiplier", False),
-    ("plan", "scenario", "costs", {"import_eur_mwh": True}),
+    ("plan", "scenario", "demand_multiplier", "1.5"),
     ("plan", "scenario", "fl", "0.7"),
     ("validate", "lines", "s_max", True),
     ("validate", "buses", "vmax", True),
@@ -250,14 +250,14 @@ def test_plan_milp_budget_exit_writes_nothing(toy_file, tmp_path, capsys,
     assert not (tmp_path / "plan.json").exists()
 
 
-def test_plan_milp_balance_slack_is_infeasible(tmp_path, capsys):
+def test_plan_milp_without_a_feasible_factor_is_infeasible(tmp_path, capsys):
     p = tmp_path / "overload.json"
     # 8 MW of demand behind a 5 MW line, and no sun to offset it at any scal
     p.write_text(serialize_grid(two_bus(demand_mw=8.0, profile=(0.0,))))
     rc = cli.main(["plan", str(p), "--engine", "milp", "--outdir", str(tmp_path)])
     assert rc == 1
-    assert "infeasible at scal = 0: the optimum needs balance slack" in \
-        capsys.readouterr().out
+    assert "infeasible at scal = 0: the MILP finds no expansion factor that meets " \
+        "every network bound" in capsys.readouterr().out
     assert not (tmp_path / "plan.json").exists()
 
 
@@ -442,12 +442,24 @@ def test_non_finite_values_are_usage_errors(command, flags, example_file, tmp_pa
     assert not (tmp_path / "o").exists()
 
 
-def test_non_finite_scenario_cost_is_usage_error(example_file, tmp_path, capsys):
+def test_non_finite_scenario_value_is_usage_error(example_file, tmp_path, capsys):
     sc = tmp_path / "scenario.json"
-    sc.write_text('{"costs": {"import_eur_mwh": NaN}}')
+    sc.write_text('{"demand_multiplier": NaN}')
     assert cli.main(["plan", example_file, "--scenario", str(sc),
                      "--outdir", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key,value", [("demand_mult", 1.5),
+                                       ("costs", {"export_eur_mwh": 0.0})])
+def test_unknown_scenario_key_is_usage_error(key, value, example_file, tmp_path, capsys):
+    # a misspelt or retired key must not plan with the default it meant to set
+    sc = tmp_path / "scenario.json"
+    sc.write_text(json.dumps({"fl": 0.7, key: value}))
+    assert cli.main(["plan", example_file, "--scenario", str(sc),
+                     "--outdir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: bad scenario file: unknown scenario keys: {key}\n"
     assert not (tmp_path / "o").exists()
 
 

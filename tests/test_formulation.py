@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from feedincap.formulation import (
-    Costs,
     FormulationError,
     Scenario,
     build_problem,
@@ -46,15 +45,9 @@ def test_scenario_validation():
         Scenario(hours=(0, 0))
     with pytest.raises(FormulationError):
         Scenario(mode="weekly")
-    with pytest.raises(FormulationError):
-        Scenario(costs=Costs(import_eur_mwh=-1.0))
     for value in (float("nan"), float("inf")):
         with pytest.raises(FormulationError, match="finite"):
             Scenario(demand_multiplier=value)
-        for name in ("import_eur_mwh", "export_eur_mwh", "unserved_eur_mwh",
-                     "surplus_eur_mwh"):
-            with pytest.raises(FormulationError, match="finite"):
-                Scenario(costs=Costs(**{name: value}))
 
 
 def test_scenario_eligibility_sets():
@@ -65,15 +58,12 @@ def test_scenario_eligibility_sets():
 
 def test_scenario_json_round_trip():
     sc = Scenario(fl=0.8, case="b", demand_multiplier=1.2, hours=(0, 5, 7),
-                  costs=Costs(150.0, 120.0, 9e4, 1e5), mode="snapshot")
+                  mode="snapshot")
     assert scenario_from_json(scenario_to_json(sc)) == sc
 
 
 def test_scenario_json_defaults():
-    sc = scenario_from_json("{}")
-    assert sc == Scenario()
-    assert sc.costs.import_eur_mwh == 200.0
-    assert sc.costs.surplus_eur_mwh == 200_000.0
+    assert scenario_from_json("{}") == Scenario()
 
 
 # -- residual demand and the curtailment rule --------------------------------
@@ -247,7 +237,6 @@ def test_reference_point_through_the_milp():
     assert plan.curtailment_mw[gid][0] == pytest.approx(0.7e-3, abs=1e-12)
     assert plan.production_mw[gid][0] == pytest.approx(6.3e-3, abs=1e-12)
     assert plan.exports_mw[0] == pytest.approx(4.9e-3, abs=1e-9)
-    assert plan.slack_activity == 0.0
 
 
 def test_extract_infeasible_has_no_values():
@@ -255,13 +244,10 @@ def test_extract_infeasible_has_no_values():
     grid = two_bus(demand_mw=1.0, s_max=0.5, kind="wind", p_max=0.0)
     cfg = SolverConfig()
     inst = build_problem(grid, Scenario(fl=1.0), cfg)
-    for j in inst.slack_idx[..., :2].ravel():     # pns, eps
-        inst.lp.ub[j] = 0.0
     sol = solve_milp(inst.mip, cfg)
     plan = extract_solution(inst, sol)
-    assert plan.status == "infeasible"
+    assert plan.status == "infeasible" and sol.objective is None
     assert np.isnan(plan.scal)
-    assert plan.objective_eur is None
     assert plan.production_mw == {} and plan.alpha == {}
 
 
@@ -304,20 +290,6 @@ def test_indicator_semantics_realized():
             assert abs(p_sum - scenario.fl * cap - agg.residual[k, i]) <= 1e-6
 
 
-def test_cost_scaling_leaves_optimum_unchanged():
-    grid = two_bus()
-    cfg = SolverConfig()
-    base = Scenario(fl=0.7)
-    scaled = Scenario(fl=0.7, costs=base.costs.scaled(3.5))
-    inst_a = build_problem(grid, base, cfg)
-    inst_b = build_problem(grid, scaled, cfg)
-    plan_a = extract_solution(inst_a, solve_milp(inst_a.mip, cfg))
-    plan_b = extract_solution(inst_b, solve_milp(inst_b.mip, cfg))
-    assert plan_b.scal == pytest.approx(plan_a.scal, abs=1e-9)
-    assert plan_b.alpha == plan_a.alpha
-    assert plan_b.objective_eur == pytest.approx(plan_a.objective_eur * 3.5, rel=1e-9)
-
-
 def test_binary_prefixing_narrows_bounds():
     # candidate at CF 1 with fl 0.5 and no demand: the premise is 0.5 * scal,
     # 0 at scal = 0 and positive beyond, so the trigger row forces alpha = 1
@@ -348,6 +320,20 @@ def test_mv_fixtures_leave_no_trigger_free(name, request):
             inst = build_problem(grid, Scenario(fl=fl, case=case), SolverConfig())
             lb, ub = np.asarray(inst.lp.lb), np.asarray(inst.lp.ub)
             assert not (lb[inst.alpha_idx] < ub[inst.alpha_idx]).any(), (fl, case)
+
+
+@pytest.mark.parametrize("name", ["example", "urban_mv", "rural_mv", "hybrid_mv", "lv"])
+def test_the_milp_maximises_scal_over_units_and_triggers_only(name):
+    # one scal, each eligible unit's p and sp and each trigger per hour: no
+    # exchange or balance slack variables, and the objective is -scal
+    grid = parse_grid((FIXTURES / f"{name}.json").read_text())
+    for fl, case in ((0.7, "a"), (1.0, "b")):
+        inst = build_problem(grid, Scenario(fl=fl, case=case), SolverConfig())
+        H, U, E = len(inst.hours), len(inst.elig_units), len(inst.elig_nodes)
+        assert inst.lp.n_vars == 1 + H * (2 * U + E)
+        sol = solve_milp(inst.mip, SolverConfig())
+        assert sol.status == "optimal"
+        assert sol.objective == -sol.x[inst.scal_idx]
 
 
 def test_network_rows_match_the_bus_by_bus_reference():

@@ -235,8 +235,8 @@ def test_enumerate_single_lp_when_nothing_free():
     res = enumerate_alpha(grid, Scenario(fl=0.7), fix_scal=1.0)
     assert res.status == "optimal"
     assert res.n_assignments == 1
-    # exporting 4.9 kW for one hour at 200 EUR/MWh
-    assert res.objective == pytest.approx(-0.98, abs=1e-9)
+    # the objective is -scal, pinned at 1
+    assert res.objective == -1.0
 
 
 def test_enumerate_guard():
@@ -285,7 +285,6 @@ def test_oracle_plan_reference_point():
     gid = next(g.id for g in grid.gens if g.kind == "pv_candidate")
     assert plan.curtailment_mw[gid][0] == pytest.approx(0.7e-3, abs=1e-12)
     assert plan.exports_mw[0] == pytest.approx(4.9e-3, abs=1e-12)
-    assert plan.objective_eur == pytest.approx(-0.98, abs=1e-9)
     assert plan.alpha == {}
 
 

@@ -224,14 +224,8 @@ def reference_network_rows(inst) -> list[tuple[dict[int, float], float]]:
     rows = []
     for k in range(len(inst.hours)):
         def p_terms(j):
-            terms = {int(inst.unit_idx[k, u, 0]): 1.0
-                     for u, b in enumerate(unit_bus) if b == j}
-            terms[int(inst.slack_idx[k, j, 0])] = 1.0
-            terms[int(inst.slack_idx[k, j, 1])] = -1.0
-            return terms
-
-        def q_terms(j):
-            return {int(inst.slack_idx[k, j, 2]): 1.0, int(inst.slack_idx[k, j, 3]): -1.0}
+            return {int(inst.unit_idx[k, u, 0]): 1.0
+                    for u, b in enumerate(unit_bus) if b == j}
 
         def add(coeffs, terms, a):
             for var, c in terms.items():
@@ -255,7 +249,6 @@ def reference_network_rows(inst) -> list[tuple[dict[int, float], float]]:
                     add(coeffs, p_terms(pos[bid]), kp)
                 if kq != 0.0:
                     const += kq * (-agg.demand_q[k, pos[bid]])
-                    add(coeffs, q_terms(pos[bid]), kq)
             rows.append((coeffs, vmax2[n] - const))
     return rows
 
