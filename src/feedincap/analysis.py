@@ -195,7 +195,7 @@ def run_cell(grid: Grid, scenario: Scenario, engine: str,
                       demand_multiplier=scenario.demand_multiplier,
                       status="ok", engine=engine)
     agg = agg if agg is not None else node_aggregates(grid, scenario)
-    # the oracle's binding row only seeds the MILP's kept rows, so the search
+    # the oracle's binding row starts out kept in the MILP, so the search
     # runs for every engine but decides the cell only for oracle and both
     search = max_scal_bisection(grid, scenario, cfg, agg=agg, model=model)
     if engine in ("oracle", "both"):
@@ -206,9 +206,11 @@ def run_cell(grid: Grid, scenario: Scenario, engine: str,
             return cell
         cell.oracle_scal = search.scal_star
     if engine in ("milp", "both"):
-        inst = build_problem(grid, scenario, cfg, model=model)
-        seed = () if search.binding is None else (inst.row_of(*search.binding),)
-        sol = solve_milp(replace(inst.mip, seed=seed), cfg)
+        inst = build_problem(grid, scenario, cfg, agg=agg, model=model)
+        lazy = inst.network_rows
+        if search.binding is not None:
+            lazy = lazy[lazy != inst.row_of(*search.binding)]
+        sol = solve_milp(replace(inst.mip, lazy=lazy), cfg)
         log.debug("cell fl=%g case=%s x%g: milp %s after %d node(s), %d LP iterations, "
                   "gap %g, %d free trigger(s), %d round(s), %d/%d rows", scenario.fl,
                   scenario.case, scenario.demand_multiplier, sol.status, sol.nodes,

@@ -300,12 +300,13 @@ def _running_total(start, terms: np.ndarray) -> np.ndarray:
 
 
 def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = None,
-                  *, fix_scal: float | None = None,
+                  *, agg: NodeAggregates | None = None,
                   model: LinearNetworkModel | None = None) -> ProblemInstance:
-    """Assemble the MILP for the resolved scenario hours; its objective is -scal.
+    """Assemble the MILP for the resolved scenario hours; its objective is -scal
+    over [0, cfg.scal_max].
 
-    fix_scal pins the expansion factor (annual mode needs it); otherwise
-    scal ranges over [0, cfg.scal_max].
+    agg, when given, is node_aggregates(grid, scenario); its hours are the
+    planned hours.
 
     The feed-in trigger curt_on exists per hour and eligible node, i.e. where
     eligible capacity exists. Its premise avail - fl * cap - R is affine in
@@ -324,21 +325,15 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
     no row it relaxes can bind anywhere in the domain.
     """
     cfg = cfg or SolverConfig()
-    if scenario.mode == "annual" and fix_scal is None:
-        raise FormulationError(
-            "annual mode has no monolithic MILP; fix scal or use the oracle decomposition")
-    hours = resolve_hours(grid, scenario)
-    agg = node_aggregates(grid, scenario, hours)
+    if scenario.mode == "annual":
+        raise FormulationError("annual mode has no monolithic MILP; use the oracle")
+    agg = agg if agg is not None else node_aggregates(grid, scenario)
+    hours = agg.hours
     model = model or build_linear_model(grid)
     elig_kinds = scenario.eligible_kinds()
     H, N = len(hours), len(agg.bus_order)
     pos = {bid: i for i, bid in enumerate(agg.bus_order)}
     fl = scenario.fl
-
-    if fix_scal is not None and not 0.0 <= fix_scal < math.inf:
-        raise FormulationError(f"fix_scal must be finite and >= 0, got {fix_scal}")
-    s_lo = 0.0 if fix_scal is None else float(fix_scal)
-    s_hi = cfg.scal_max if fix_scal is None else float(fix_scal)
 
     elig_units = [g for g in grid.gens if g.kind in elig_kinds]
     elig_nodes = [bid for bid in agg.bus_order
@@ -351,7 +346,7 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
     fl_cap_c, res = fl * agg.cap_const[ei], agg.residual[:, ei]
     slope = agg.avail_coef[:, ei] - fl * agg.cap_coef[ei]
     inter = agg.avail_const[:, ei] - fl_cap_c - res
-    a_lo, a_hi = indicator_bounds(slope, inter, s_lo, s_hi)     # curt_on bounds
+    a_lo, a_hi = indicator_bounds(slope, inter, 0.0, cfg.scal_max)     # curt_on bounds
     avail_max = agg.avail_const[:, ei] + agg.avail_coef[:, ei] * cfg.scal_max
     fl_cap_max = fl * (agg.cap_const[ei] + agg.cap_coef[ei] * cfg.scal_max)
     if (np.minimum(np.minimum(avail_max, fl_cap_max), res) < 0.0).any():
@@ -361,7 +356,7 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
     pin_hi_rhs, pin_lo_rhs = big_m + fl_cap_c + res, -big_m + fl_cap_c + res
 
     lp = LinearProgram()
-    scal_idx = lp.add_var("scal", s_lo, s_hi, obj=-1.0)
+    scal_idx = lp.add_var("scal", 0.0, cfg.scal_max, obj=-1.0)
 
     units, alphas = [], []                  # in variable order
     for k in range(H):

@@ -25,14 +25,14 @@ other splits at the median premise root t of its undecided indicators into
 inherit the parent LP objective as their bound.
 
 solve_milp may defer rows. MILProblem.lazy names rows the solve may leave
-out and MILProblem.seed those of them to keep from the start; the standard
-form holds the kept rows only. A leaf's answer is checked against every row
-of the LP: deferred rows it violates by more than feasibility_tol * (1 +
-|rhs|) join the kept rows, the standard form is rebuilt, and the leaf goes
-back on the heap with its bound to be solved again. Only a leaf that violates
-none becomes the incumbent. Dropping rows only relaxes the problem, so every
-bound, infeasible node and gap still holds for the full problem. node_limit
-counts LP solves, re-solves included.
+out; the standard form holds the kept rows only, at first every row not in
+lazy. A leaf's answer is checked against every row of the LP: deferred rows
+it violates by more than feasibility_tol * (1 + |rhs|) join the kept rows,
+the standard form is rebuilt, and the leaf goes back on the heap with its
+bound to be solved again. Only a leaf that violates none becomes the
+incumbent. Dropping rows only relaxes the problem, so every bound, infeasible
+node and gap still holds for the full problem. node_limit counts LP solves,
+re-solves included.
 
 The standard form keeps A once, column-compressed: column pointers, row
 indices and values, with the slack and phase-1 artificial unit columns
@@ -72,11 +72,19 @@ REFACTOR_EVERY = 512       # pivots between full re-inversions of the basis: a
 BLAND_AFTER = 40           # degenerate pivots in a row before Bland's rule
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     feasibility_tol: float = 1e-7
     scal_max: float = 1000.0
     node_limit: int = 100_000
+
+    def __post_init__(self) -> None:
+        # not (0 < v < inf) also catches NaN
+        for name in ("scal_max", "feasibility_tol"):
+            if not 0.0 < getattr(self, name) < INF:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if not self.node_limit >= 1:
+            raise ValueError(f"node_limit must be >= 1, got {self.node_limit}")
 
 
 @dataclass
@@ -166,7 +174,6 @@ class MILProblem:
     slope: Sequence[float] = ()
     inter: Sequence[float] = ()
     lazy: Sequence[int] = ()          # rows the solve may leave out until violated
-    seed: Sequence[int] = ()          # lazy rows kept from the start
 
 
 @dataclass
@@ -523,15 +530,11 @@ def solve_milp(mip: MILProblem, cfg: SolverConfig | None = None) -> MILPSolution
         raise ValueError("every binary needs a premise: a scal variable, and slope "
                          "and inter with one entry per binary")
     lazy = np.asarray(mip.lazy, dtype=np.intp)
-    seed = np.asarray(mip.seed, dtype=np.intp)
     if ((lazy < 0) | (lazy >= lp.n_rows)).any():
         raise ValueError(f"lazy rows must lie in [0, {lp.n_rows})")
-    if not np.isin(seed, lazy).all():
-        raise ValueError("seed rows must be lazy rows")
 
     keep = np.ones(lp.n_rows, dtype=bool)
     keep[lazy] = False
-    keep[seed] = True
     sf = _StandardForm.from_lp(lp, np.flatnonzero(keep))
     nodes = iterations = seq = 0
     rounds = 1

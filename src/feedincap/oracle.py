@@ -1,12 +1,12 @@
 """Closed-form reference engine for the expansion question.
 
-The MILP in formulation.py prices its way to the answer; this module gets
-there directly. For a fixed expansion factor the feed-in cap has a closed
-form per node and hour (curtailment_rule), injections follow, and the
-linearized network mapping turns them into flows and voltages whose margins
-to their bounds come from one kernel, headroom. Every upper-bound row is
-concave and nondecreasing in the factor, so the maximum factor falls out of
-an exact tangent search (max_scal_bisection).
+The MILP in formulation.py maximises scal by branch and bound over scal
+intervals; this module gets there directly. For a fixed expansion
+factor the feed-in cap has a closed form per node and hour (curtailment_rule),
+injections follow, and the linearized network mapping turns them into flows
+and voltages whose margins to their bounds come from one kernel, headroom.
+Every upper-bound row is concave and nondecreasing in the factor, so the
+maximum factor falls out of an exact tangent search (max_scal_bisection).
 
 Everything here is vectorized over hours, so full-year studies stay cheap.
 The module shares the node aggregation and the network model with the MILP

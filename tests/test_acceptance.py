@@ -45,8 +45,10 @@ def test_criterion_1_reference_example():
     rule_curt = float(state.curtailed_mw.sum())
     rule_feed = float(state.injection_p.max())
 
-    inst = build_problem(grid, Scenario(fl=0.7), cfg, fix_scal=1.0)
-    plan = extract_solution(inst, solve_milp(inst.mip, cfg))
+    # a scal_max of 1 binds (scal* is far above it), so the MILP plans at scal = 1
+    pinned = SolverConfig(scal_max=1.0)
+    inst = build_problem(grid, Scenario(fl=0.7), pinned)
+    plan = extract_solution(inst, solve_milp(inst.mip, pinned))
     milp_curt = float(plan.curtailment_mw["pv_new"].sum())
     milp_feed = float(plan.exports_mw.max())
 

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import feedincap.analysis as analysis
+import feedincap.formulation as formulation
+import feedincap.oracle as oracle
 from feedincap.analysis import (
     CSV_COLUMNS,
     AnalysisError,
@@ -126,9 +128,30 @@ def test_sweep_both_engines_on_toy():
     assert [c.key for c in result.cells] == sorted(c.key for c in result.cells)
     for c in result.cells:
         assert c.status == "ok"
-        assert c.deviation <= 1e-3 * (1.0 + c.scal_star)
+        assert c.deviation <= 1e-9 * (1.0 + c.scal_star)
         assert c.account is not None and c.binding is not None
     assert check_monotonicity(result) == []
+
+
+@pytest.mark.parametrize("engine", ["milp", "both"])
+def test_a_milp_cell_aggregates_once(engine, monkeypatch):
+    real, calls = formulation.node_aggregates, []
+
+    def counting(*args, **kw):
+        calls.append(args)
+        return real(*args, **kw)
+
+    for module in (analysis, formulation, oracle):      # every module that calls it
+        monkeypatch.setattr(module, "node_aggregates", counting)
+    grid = example_grid_7kwp()
+    cell = analysis.run_cell(grid, Scenario(fl=0.7), engine, SolverConfig(),
+                             build_linear_model(grid))
+    assert cell.status == "ok" and len(calls) == 1
+    # a sweep aggregates once per (case, demand multiplier), for every feed-in limit
+    calls.clear()
+    result = run_sweep(two_bus(demand_mw=0.2), SweepSpec(engine=engine))
+    assert [c.status for c in result.cells] == ["ok"] * 24
+    assert len(calls) == 2 * 3
 
 
 def test_sweep_cell_isolation(monkeypatch):
@@ -220,7 +243,10 @@ def test_oracle_seed_leaves_one_round_on_every_mv_fixture(request, monkeypatch):
                                          SolverConfig(), model)
                 assert cell.status == "ok"
                 mip, sol = solved[-1]
-                assert len(mip.seed) == 1, (name, fl, case)
+                network = [n.startswith(("thermal_", "v_")) for n in mip.lp.row_names]
+                # every network row but the oracle's binding one is deferred
+                assert len(mip.lazy) == sum(network) - 1, (name, fl, case)
+                assert all(network[i] for i in mip.lazy), (name, fl, case)
                 assert sol.rounds == 1, (name, fl, case)
                 assert sol.rows_kept < mip.lp.n_rows
     assert len(solved) == 12

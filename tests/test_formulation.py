@@ -20,7 +20,7 @@ from feedincap.grid import Bus, GenUnit, Grid, Line, parse_grid
 from feedincap.milp import SolverConfig, solve_milp
 
 from util import (
-    random_radial, reference_network_rows, reference_trigger_rows,
+    dump_lp, random_radial, reference_network_rows, reference_trigger_rows,
     reference_worst_case_hour, two_bus, valid_random_instances,
 )
 
@@ -207,18 +207,13 @@ def test_two_bus_thermal_closed_form():
 
 
 def test_fix_scal_pins_the_variable():
+    # scal* is 5 under the 5 MW line, so a scal_max of 2.5 binds and pins scal
     grid = two_bus()
-    cfg = SolverConfig()
-    inst = build_problem(grid, Scenario(fl=1.0), cfg, fix_scal=2.5)
+    cfg = SolverConfig(scal_max=2.5)
+    inst = build_problem(grid, Scenario(fl=1.0), cfg)
     plan = extract_solution(inst, solve_milp(inst.mip, cfg))
     assert plan.scal == pytest.approx(2.5)
     assert plan.exports_mw[0] == pytest.approx(2.5, abs=1e-7)
-
-
-@pytest.mark.parametrize("scal", [float("nan"), float("inf"), -0.1])
-def test_fix_scal_must_be_finite_and_non_negative(scal):
-    with pytest.raises(FormulationError, match="fix_scal must be finite and >= 0"):
-        build_problem(example_grid_7kwp(), Scenario(fl=0.7), fix_scal=scal)
 
 
 def test_annual_without_fixed_scal_rejected():
@@ -228,9 +223,10 @@ def test_annual_without_fixed_scal_rejected():
 
 
 def test_reference_point_through_the_milp():
+    # scal* is far above 1 on this grid, so the scal_max of 1 binds and pins scal
     grid = example_grid_7kwp()
-    cfg = SolverConfig()
-    inst = build_problem(grid, Scenario(fl=0.7), cfg, fix_scal=1.0)
+    cfg = SolverConfig(scal_max=1.0)
+    inst = build_problem(grid, Scenario(fl=0.7), cfg)
     plan = extract_solution(inst, solve_milp(inst.mip, cfg))
     assert plan.status == "optimal"
     gid = next(g.id for g in grid.gens if g.kind == "pv_candidate")
@@ -272,9 +268,9 @@ def test_eq3_residual_on_random_instances():
 
 def test_indicator_semantics_realized():
     grid = example_grid_7kwp()
-    cfg = SolverConfig()
+    cfg = SolverConfig(scal_max=1.0)      # binds: scal = 1
     scenario = Scenario(fl=0.7)
-    inst = build_problem(grid, scenario, cfg, fix_scal=1.0)
+    inst = build_problem(grid, scenario, cfg)
     plan = extract_solution(inst, solve_milp(inst.mip, cfg))
     agg = node_aggregates(grid, scenario, inst.hours)
     for (k, bid), a in plan.alpha.items():
@@ -353,8 +349,8 @@ def test_network_rows_match_the_bus_by_bus_reference():
             assert inst.lp.rhs[r] == rhs
 
 
-def _assert_trigger_block_matches_reference(inst):
-    rows, bounds, big_m = reference_trigger_rows(inst)
+def _assert_trigger_block_matches_reference(inst, scal_max=SolverConfig().scal_max):
+    rows, bounds, big_m = reference_trigger_rows(inst, scal_max)
     assert inst.big_m.tobytes() == big_m.tobytes() and inst.big_m.shape == big_m.shape
     kinds = ("trigger[", "pin_hi[", "pin_lo[", "spill[")
     built = {name: r for r, name in enumerate(inst.lp.row_names) if name.startswith(kinds)}
@@ -376,9 +372,20 @@ def test_trigger_block_matches_the_scalar_reference(name):
     grid = parse_grid((FIXTURES / f"{name}.json").read_text())
     for fl in (1.0, 0.7):
         for case in ("a", "b"):
-            for fix_scal in (None, 1.0):
-                _assert_trigger_block_matches_reference(
-                    build_problem(grid, Scenario(fl=fl, case=case), fix_scal=fix_scal))
+            for scal_max in (SolverConfig().scal_max, 1.0):
+                inst = build_problem(grid, Scenario(fl=fl, case=case),
+                                     SolverConfig(scal_max=scal_max))
+                _assert_trigger_block_matches_reference(inst, scal_max)
+
+
+@pytest.mark.parametrize("name", ["example", "urban_mv", "rural_mv", "hybrid_mv", "lv"])
+def test_given_aggregates_build_the_same_problem(name):
+    grid = parse_grid((FIXTURES / f"{name}.json").read_text())
+    for fl in (1.0, 0.7):
+        for case in ("a", "b"):
+            scenario = Scenario(fl=fl, case=case)
+            given = build_problem(grid, scenario, agg=node_aggregates(grid, scenario))
+            assert dump_lp(given.mip) == dump_lp(build_problem(grid, scenario).mip)
 
 
 def test_trigger_block_matches_the_scalar_reference_on_random_instances():
@@ -483,7 +490,8 @@ def test_wrong_or_missing_seed_still_reaches_the_full_lp(name, case, request):
     s_full = full.x[inst.scal_idx]
     # thermal_hi of the first line does not bind on these requests
     for seed in ((), (int(inst.thermal_hi_rows[0, 0]),)):
-        sol = solve_milp(replace(inst.mip, seed=seed), cfg)
+        lazy = np.setdiff1d(inst.network_rows, seed)
+        sol = solve_milp(replace(inst.mip, lazy=lazy), cfg)
         assert sol.status == "optimal" and sol.rounds == 2, seed
         assert sol.rows_kept < inst.lp.n_rows
         assert abs(sol.x[inst.scal_idx] - s_full) <= 1e-6 * (1.0 + s_full), seed

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -430,7 +430,7 @@ def test_deferred_row_violated_at_the_relaxed_optimum_is_added():
     assert (sol.rounds, sol.rows_kept) == (2, 2)      # x <= 3 joined, y <= 100 never did
     assert sol.objective == pytest.approx(full.objective) == -11.0
     assert sol.x == pytest.approx(full.x)
-    seeded = solve_milp(MILProblem(lp, lazy=(1, 2), seed=(1,)))
+    seeded = solve_milp(MILProblem(lp, lazy=(2,)))
     assert (seeded.rounds, seeded.rows_kept) == (1, 2)
     assert seeded.objective == pytest.approx(-11.0)
 
@@ -463,7 +463,7 @@ def test_leaf_that_breaks_a_deferred_row_is_solved_again_in_the_same_search():
     # joins and only that leaf is solved again, to the optimum s = 8, a = 1
     lp = _indicator_lp(([0], [1.0], "<=", 8.0))
     sol = solve_milp(_indicator_mip(lp, lazy=(2,)))
-    seeded = solve_milp(_indicator_mip(lp, lazy=(2,), seed=(2,)))
+    seeded = solve_milp(_indicator_mip(lp))
     assert (seeded.status, seeded.nodes, seeded.rounds) == ("optimal", 3, 1)
     assert (sol.status, sol.rounds, sol.rows_kept) == ("optimal", 2, 3)
     assert sol.nodes == seeded.nodes + sol.rounds - 1 == 4
@@ -492,9 +492,22 @@ def test_infeasible_round_is_final():
 
 def test_seed_and_lazy_rows_must_exist():
     lp = _lazy_lp()
-    for lazy, seed in (((1, 2), (0,)), ((1, 2), (5,)), ((1, 3), ()), ((-1,), ())):
-        with pytest.raises(ValueError):
-            solve_milp(MILProblem(lp, lazy=lazy, seed=seed))
+    for lazy in ((1, 3), (-1,)):
+        with pytest.raises(ValueError, match="lazy rows must lie in"):
+            solve_milp(MILProblem(lp, lazy=lazy))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("scal_max", float("inf")), ("scal_max", float("nan")), ("scal_max", 0.0),
+    ("scal_max", -1.0), ("feasibility_tol", -1e-7), ("feasibility_tol", 0.0),
+    ("feasibility_tol", float("nan")), ("feasibility_tol", float("inf")),
+    ("node_limit", 0), ("node_limit", -1),
+])
+def test_solver_config_rejects_values_outside_its_domain(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**{field: value})
+    with pytest.raises(FrozenInstanceError):      # nor can a value get there later
+        setattr(SolverConfig(), field, value)
 
 
 def test_dump_lp_stable():

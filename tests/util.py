@@ -11,7 +11,7 @@ import numpy as np
 
 from feedincap.grid import Bus, GenUnit, Grid, Line
 from feedincap.formulation import EPSILON_MW, Scenario, build_problem, node_aggregates
-from feedincap.milp import LinearProgram, MILProblem, SolverConfig, solve_lp
+from feedincap.milp import LinearProgram, MILProblem, SolverConfig, indicator_bounds, solve_lp
 from feedincap.network import SLACK_VOLTAGE
 from feedincap.oracle import OracleError, RuleState, _rule_state, feasible_at
 
@@ -338,14 +338,10 @@ def enumerate_alpha(grid: Grid, scenario: Scenario,
     Exponential by design; refuses more than max_free free binaries. The
     pre-fixing inside build_problem already removes every trigger whose
     premise cannot change sign, so only genuinely ambiguous node-hours are
-    enumerated.
+    enumerated. fix_scal pins scal, and with it every trigger, to one value.
     """
-    inst = build_problem(grid, scenario, cfg, fix_scal=fix_scal)
+    inst = build_problem(grid, scenario, cfg)
     lp = inst.lp
-    free = [j for j in inst.binaries if lp.lb[j] < lp.ub[j]]
-    if len(free) > max_free:
-        raise OracleError(
-            f"{len(free)} free binaries exceed the enumeration guard of {max_free}")
     base_lb = list(lp.lb)
     base_ub = list(lp.ub)
     best_obj = None
@@ -353,6 +349,15 @@ def enumerate_alpha(grid: Grid, scenario: Scenario,
     n_feas = 0
     n_tried = 0
     try:
+        if fix_scal is not None:
+            lp.lb[inst.scal_idx] = lp.ub[inst.scal_idx] = float(fix_scal)
+            a_lo, a_hi = indicator_bounds(inst.slope, inst.inter, fix_scal, fix_scal)
+            for j, lo, hi in zip(inst.binaries, a_lo.ravel().tolist(), a_hi.ravel().tolist()):
+                lp.lb[j], lp.ub[j] = lo, hi
+        free = [j for j in inst.binaries if lp.lb[j] < lp.ub[j]]
+        if len(free) > max_free:
+            raise OracleError(
+                f"{len(free)} free binaries exceed the enumeration guard of {max_free}")
         for bits in itertools.product((0.0, 1.0), repeat=len(free)):
             n_tried += 1
             for j, v in zip(free, bits):
