@@ -31,12 +31,10 @@ from .formulation import (
 from .fixtures import example_grid_7kwp, synth_grid, synth_profiles
 from .grid import (
     Bus,
-    CandidatePolicy,
     GenUnit,
     Grid,
     GridFormatError,
     Line,
-    add_candidates,
     parse_grid,
     serialize_grid,
     validate_grid,
@@ -48,10 +46,10 @@ from .oracle import annual_simulate, feasible_at, max_scal_bisection, oracle_pla
 __version__ = "0.1.0"
 
 __all__ = [
-    "BindingReport", "Bus", "CandidatePolicy", "EnergyAccount",
+    "BindingReport", "Bus", "EnergyAccount",
     "GenUnit", "Grid", "GridFormatError", "Line", "MILProblem", "PlanResult",
     "Scenario", "SolverConfig", "SweepSpec",
-    "ac_sweep", "add_candidates", "annual_simulate", "build_linear_model",
+    "ac_sweep", "annual_simulate", "build_linear_model",
     "build_problem", "check_monotonicity", "compare_models",
     "curtailment_rule", "emit_report", "energy_account", "example_grid_7kwp",
     "extract_solution", "feasible_at", "find_bottlenecks", "max_scal_bisection",

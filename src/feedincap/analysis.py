@@ -309,7 +309,7 @@ def _csv_cell(v) -> str:
     if v is None:
         return ""
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))         # numpy 2 reprs np.float64(0.7)
     return str(v)
 
 

@@ -8,6 +8,11 @@ for new systems, and an LV grid with rooftop PV on household nodes. Node
 counts are exact; totals are hit exactly by scaling the random draws, so any
 declared tolerance is only about interpretation, not noise.
 
+Each generator places its own candidate PV, after the existing units: an MV
+grid puts a `cand_<bus>` of the same size beside every `pv_existing_scalable`
+system, and the LV grid puts a 5 kWp `cand_<bus>` at every non-slack node with
+demand and no rooftop PV. Candidates follow the shared PV profile.
+
 The LV transformer rating in the targets (0.25 MVA) is small against the
 existing 352 kWp of rooftop PV: at clear-sky peak the plate rating would
 already be exceeded by today's build-out. The fixture keeps the stated value
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Bus, CandidatePolicy, GenUnit, Grid, Line, add_candidates
+from .grid import Bus, GenUnit, Grid, Line
 from .network import SLACK_VOLTAGE, LinearNetworkModel, build_linear_model, evaluate_linear
 
 FIXTURE_KINDS = ("rural_mv", "urban_mv", "hybrid_mv", "lv", "example")
@@ -309,13 +314,11 @@ def _assemble_mv(kind: str, seed: int, hours: int) -> Grid:
         buses.append(Bus(bid, False, w * shape, w * shape * _MV_PF_TAN,
                          vmin=0.95, vmax=1.03))
 
+    # a same-size candidate beside every scalable system, after the existing units
+    gens += [GenUnit(f"cand_{g.bus}", g.bus, "pv_candidate", g.p_max, pv_series)
+             for g in gens if g.kind == "pv_existing_scalable"]
     grid = Grid(base_mva=t["mva"], base_kv=20.0, buses=tuple(buses),
                 lines=tuple(lines), gens=tuple(gens))
-    policy = CandidatePolicy(mode="per_node_list",
-                             entries=tuple((g.bus, g.p_max) for g in gens
-                                           if g.kind == "pv_existing_scalable"),
-                             profile=pv_series)
-    grid = add_candidates(grid, policy)
 
     # impedance calibration: per-km constants are drawn from a cable
     # catalogue, but how close the feeder runs to its band is a siting
@@ -376,11 +379,12 @@ def _assemble_lv(seed: int, hours: int) -> Grid:
         w = dmap.get(bid, 0.0)
         buses.append(Bus(bid, False, w * shape, w * shape * _LV_PF_TAN, vmin=0.9, vmax=1.1))
 
+    # a 5 kWp candidate at every metering point without rooftop PV
+    gens += [GenUnit(f"cand_{b.id}", b.id, "pv_candidate", 0.005, prof.pv_cf)
+             for b in buses
+             if not b.is_slack and b.id not in pv_nodes and (b.demand_p > 0).any()]
     grid = Grid(base_mva=0.25, base_kv=0.4, buses=tuple(buses),
                 lines=tuple(lines), gens=tuple(gens))
-    grid = add_candidates(grid, CandidatePolicy(
-        mode="fixed_capacity", eligible="demand_no_pv",
-        capacity_mw=0.005, profile=prof.pv_cf))
 
     # keep the head cables the binding element: cap the voltage rise at the
     # thermally limited expansion to 80% of the band

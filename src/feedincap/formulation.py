@@ -552,7 +552,7 @@ def extract_solution(instance: ProblemInstance, sol: MILPSolution) -> PlanResult
             voltages_pu2=empty, imports_mw=np.zeros(0), exports_mw=np.zeros(0))
     x = sol.x
     hours = instance.hours
-    scal = float(x[instance.scal_idx])
+    scal = float(x[instance.scal_idx]) + 0.0      # +0.0, not -0.0, at zero headroom
     units = x[instance.unit_idx]                  # (H, U, 2) p, sp
     production, curtail, avail = unit_dispatch(
         grid, instance.scenario, hours, scal,

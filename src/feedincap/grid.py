@@ -16,8 +16,7 @@ from __future__ import annotations
 import json
 import math
 import re
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,10 +46,6 @@ _POWER_UNITS = {
 
 class GridFormatError(ValueError):
     """Raised for documents that cannot be turned into a valid Grid."""
-
-
-class CandidatePolicyWarning(UserWarning):
-    """A candidate policy matched nothing (or was otherwise degenerate)."""
 
 
 def _series(values, scale: float = 1.0) -> np.ndarray:
@@ -144,30 +139,6 @@ class ValidationIssue:
 
     def __str__(self) -> str:
         return f"[{self.severity}] {self.code} at {self.location}: {self.message}"
-
-
-@dataclass(frozen=True)
-class CandidatePolicy:
-    """Where new PV units may be placed and how large their base capacity is.
-
-    mode:
-      "mean_of_scalable"  base = mean capacity of existing scalable PV units
-      "fixed_capacity"    base = capacity_mw
-      "per_node_list"     entries give explicit (bus_id, base_mw) pairs
-    eligible (ignored for per_node_list):
-      "demand_no_pv"      buses with demand in some hour and no PV unit
-      "scalable_sites"    buses carrying a pv_existing_scalable unit
-      tuple of bus ids    explicit list
-    profile: explicit capacity-factor series for the new units; when None the
-    candidate copies the mean profile of scalable PV at its bus, falling back
-    to the grid-wide mean over all existing PV.
-    """
-
-    mode: str = "mean_of_scalable"
-    eligible: str | tuple[str, ...] = "demand_no_pv"
-    capacity_mw: float = 0.0
-    entries: tuple[tuple[str, float], ...] = ()
-    profile: tuple[float, ...] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -518,86 +489,3 @@ def validate_grid(grid: Grid) -> list[ValidationIssue]:
             err("bad_profile", g.id, "profile out of [0, 1]")
 
     return issues
-
-
-# ---------------------------------------------------------------------------
-# grid transforms
-
-
-def _mean_profile(units: list[GenUnit], hour_count: int) -> np.ndarray:
-    acc = np.zeros(hour_count)
-    for u in units:             # unit by unit: the sum keeps document order
-        acc += u.profile
-    return acc / len(units) if units else acc
-
-
-def add_candidates(grid: Grid, policy: CandidatePolicy) -> Grid:
-    """Return a copy of grid with pv_candidate units added per policy.
-
-    Candidate ids are "cand_<bus>" (with a numeric suffix on collision) so a
-    second application with a different policy stays well-defined.
-    """
-    hour_count = grid.hour_count
-    scalable = [g for g in grid.gens if g.kind == "pv_existing_scalable"]
-    any_pv = [g for g in grid.gens if g.kind in PV_KINDS]
-    pv_buses = {g.bus for g in any_pv}
-
-    if policy.mode == "per_node_list":
-        targets = list(policy.entries)
-    else:
-        if policy.eligible == "demand_no_pv":
-            nodes = [
-                b.id
-                for b in grid.buses
-                if not b.is_slack and b.id not in pv_buses and (b.demand_p > 0).any()
-            ]
-        elif policy.eligible == "scalable_sites":
-            nodes = sorted({g.bus for g in scalable},
-                           key=[b.id for b in grid.buses].index)
-        elif isinstance(policy.eligible, tuple):
-            nodes = list(policy.eligible)
-        else:
-            raise ValueError(f"unknown eligibility rule {policy.eligible!r}")
-        if policy.mode == "mean_of_scalable":
-            if not scalable:
-                warnings.warn("no scalable PV to average; policy adds nothing",
-                              CandidatePolicyWarning, stacklevel=2)
-                return grid
-            base = sum(g.p_max for g in scalable) / len(scalable)
-        elif policy.mode == "fixed_capacity":
-            base = policy.capacity_mw
-        else:
-            raise ValueError(f"unknown candidate mode {policy.mode!r}")
-        targets = [(n, base) for n in nodes]
-
-    if not targets:
-        warnings.warn("candidate policy matched no buses", CandidatePolicyWarning,
-                      stacklevel=2)
-        return grid
-
-    existing_ids = {g.id for g in grid.gens}
-    bus_ids = {b.id for b in grid.buses}
-    new_units = []
-    for bus_id, base in targets:
-        if bus_id not in bus_ids:
-            raise ValueError(f"candidate policy references unknown bus {bus_id!r}")
-        if base <= 0:
-            raise ValueError(f"candidate base capacity must be > 0, got {base} at {bus_id}")
-        if policy.profile is not None:
-            profile = _series(policy.profile)
-        else:
-            local = [g for g in scalable if g.bus == bus_id]
-            profile = _mean_profile(local or any_pv, hour_count)
-        if not (profile > 0).any():
-            raise ValueError(f"candidate at {bus_id} would have an all-zero profile; "
-                             "pass an explicit policy profile")
-        gid = f"cand_{bus_id}"
-        n = 2
-        while gid in existing_ids:
-            gid = f"cand_{bus_id}_{n}"
-            n += 1
-        existing_ids.add(gid)
-        new_units.append(GenUnit(id=gid, bus=bus_id, kind="pv_candidate",
-                                 p_max=base, profile=profile))
-
-    return replace(grid, gens=grid.gens + tuple(new_units))

@@ -82,6 +82,8 @@ class RuleState:
 
 
 def _rule_state(agg: NodeAggregates, fl: float, scal: float) -> RuleState:
+    if not 0.0 <= scal < math.inf:
+        raise OracleError(f"scal must be finite and >= 0, got {scal}")
     avail = agg.avail_const + agg.avail_coef * scal
     cap = agg.cap_const + agg.cap_coef * scal
     produced, curtailed = curtailment_rule(avail, cap[None, :], fl, agg.residual)
@@ -277,8 +279,6 @@ def annual_simulate(grid: Grid, scenario: Scenario, scal: float,
     full-series accounting pass. The account is the one an annual plan or
     sweep cell reports at the same factor.
     """
-    if not 0.0 <= scal < math.inf:
-        raise OracleError(f"scal must be finite and >= 0, got {scal}")
     cfg = cfg or SolverConfig()
     model = model or build_linear_model(grid)
     agg = node_aggregates(grid, scenario, tuple(range(grid.hour_count)))

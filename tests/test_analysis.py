@@ -374,6 +374,15 @@ def test_emit_report_byte_identical(tmp_path):
             (tmp_path / "two" / name).read_bytes()
 
 
+def test_csv_writes_numpy_floats_as_python_floats(tmp_path):
+    def csv_for(fl_values, sub):
+        spec = SweepSpec(fl_values=fl_values, cases=("a",), demand_multipliers=(1.0,))
+        emit_report(run_sweep(example_grid_7kwp(), spec), tmp_path / sub, formats=("csv",))
+        return (tmp_path / sub / "sweep.csv").read_bytes()
+
+    assert csv_for(tuple(np.array([1.0, 0.7])), "numpy") == csv_for((1.0, 0.7), "python")
+
+
 def test_emit_report_infeasible_cell_status_in_binding_column(tmp_path):
     result = SweepResult(SweepSpec(), [
         _cell(0.7, "a", 1.0, None, status="infeasible_at_zero")])

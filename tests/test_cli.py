@@ -4,13 +4,14 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from feedincap import cli
 from feedincap.fixtures import example_grid_7kwp, synth_grid
-from feedincap.grid import serialize_grid
+from feedincap.grid import GenUnit, serialize_grid
 
 from util import two_bus
 
@@ -259,6 +260,28 @@ def test_plan_milp_without_a_feasible_factor_is_infeasible(tmp_path, capsys):
     assert "infeasible at scal = 0: the MILP finds no expansion factor that meets " \
         "every network bound" in capsys.readouterr().out
     assert not (tmp_path / "plan.json").exists()
+
+
+def test_plan_milp_at_zero_headroom_reports_positive_zero(tmp_path, capsys):
+    # 5 MW of existing PV fills the 5 MW line, so nothing can be added
+    grid = two_bus(p_max=1.0, s_max=5.0)
+    grid = replace(grid, gens=grid.gens + (
+        GenUnit("f1", "n1", "pv_existing_fixed", 5.0, (1.0,)),))
+    p = tmp_path / "full.json"
+    p.write_text(serialize_grid(grid))
+    rc = cli.main(["plan", str(p), "--fl", "1.0", "--engine", "milp",
+                   "--outdir", str(tmp_path / "plan")])
+    assert rc == 0
+    assert "scal* = 0.000000  (+0.000 MW of new capacity)" in capsys.readouterr().out
+    text = (tmp_path / "plan" / "plan.json").read_text()
+    for key in ("scal_star", "milp_scal", "added_capacity_mw"):
+        assert f'"{key}": 0.0,' in text, key
+    rc = cli.main(["sweep", str(p), "--fl-values", "1.0", "--cases", "a",
+                   "--mults", "1.0", "--engine", "milp", "--csv",
+                   "--outdir", str(tmp_path / "sweep")])
+    assert rc == 0
+    row = (tmp_path / "sweep" / "sweep.csv").read_text().split("\n")[1]
+    assert row.split(",")[3:5] == ["0.0", "0.0"]
 
 
 @pytest.mark.parametrize("engine", ["oracle", "milp", "both"])

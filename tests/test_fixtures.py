@@ -116,6 +116,34 @@ def test_lv_candidates_at_metered_nodes_without_pv(lv):
     assert all(g.p_max == 0.005 for g in cands)
 
 
+@pytest.mark.parametrize("seed", [2, 3])
+@pytest.mark.parametrize("kind", ["rural_mv", "urban_mv", "hybrid_mv"])
+def test_mv_candidate_beside_each_scalable_unit(kind, seed):
+    grid = synth_grid(kind, seed=seed, hours=24)
+    scalable = [g for g in grid.gens if g.kind == "pv_existing_scalable"]
+    n_existing = len(grid.gens) - len(scalable)
+    assert all(g.kind != "pv_candidate" for g in grid.gens[:n_existing])
+    cands = grid.gens[n_existing:]
+    assert [(c.id, c.bus, c.kind, c.p_max) for c in cands] == \
+        [(f"cand_{g.bus}", g.bus, "pv_candidate", g.p_max) for g in scalable]
+    for c, g in zip(cands, scalable):
+        assert c.profile.tolist() == g.profile.tolist()
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_lv_candidate_at_each_metered_node_without_pv(seed):
+    grid = synth_grid("lv", seed=seed, hours=24)
+    existing = [g for g in grid.gens if g.kind != "pv_candidate"]
+    cands = grid.gens[len(existing):]
+    pv_buses = {g.bus for g in existing if g.kind in PV_KINDS}
+    metered = [b.id for b in grid.buses if not b.is_slack and b.id not in pv_buses
+               and (b.demand_p > 0).any()]
+    assert [(c.id, c.bus, c.kind, c.p_max) for c in cands] == \
+        [(f"cand_{bid}", bid, "pv_candidate", 0.005) for bid in metered]
+    pv_cf = synth_profiles("lv", 24, seed).pv_cf.tolist()
+    assert all(c.profile.tolist() == pv_cf for c in cands)
+
+
 def test_transformer_tension_flagged_in_docs():
     assert "0.25 MVA" in fixtures.__doc__
 

@@ -7,13 +7,10 @@ import pytest
 
 from feedincap.grid import (
     Bus,
-    CandidatePolicy,
-    CandidatePolicyWarning,
     GenUnit,
     Grid,
     GridFormatError,
     Line,
-    add_candidates,
     parse_grid,
     serialize_grid,
     validate_grid,
@@ -271,97 +268,6 @@ def test_validate_catches_disconnected_and_duplicates():
     )
     codes = {i.code for i in validate_grid(grid)}
     assert {"duplicate_bus", "non_radial", "bad_kind", "bad_pmax"} <= codes
-
-
-# -- add_candidates ----------------------------------------------------------
-
-
-def _scalable_pair() -> Grid:
-    return Grid(
-        1.0, 20.0,
-        buses=(Bus("sub", True), Bus("a", demand_p=(0.1,)), Bus("b", demand_p=(0.1,))),
-        lines=(Line("sub", "a", 0.01, 0.01, 5.0), Line("a", "b", 0.01, 0.01, 5.0)),
-        gens=(GenUnit("s1", "a", "pv_existing_scalable", 2.0, (0.8,)),
-              GenUnit("s2", "b", "pv_existing_scalable", 4.0, (0.6,))),
-    )
-
-
-def test_mean_of_scalable_base_is_arithmetic_mean():
-    grid = add_candidates(_scalable_pair(),
-                          CandidatePolicy(mode="mean_of_scalable",
-                                          eligible="scalable_sites"))
-    cands = [g for g in grid.gens if g.kind == "pv_candidate"]
-    assert len(cands) == 2
-    assert all(c.p_max == pytest.approx(3.0) for c in cands)
-    # local scalable profile is copied, not the grid mean
-    assert dict((c.bus, c.profile[0]) for c in cands) == {"a": 0.8, "b": 0.6}
-
-
-def test_demand_no_pv_rule_covers_every_such_node():
-    grid = _scalable_pair()
-    grid = Grid(1.0, 20.0,
-                buses=grid.buses + (Bus("c", demand_p=(0.2,)),),
-                lines=grid.lines + (Line("b", "c", 0.01, 0.01, 5.0),),
-                gens=grid.gens)
-    out = add_candidates(grid, CandidatePolicy(mode="fixed_capacity",
-                                               eligible="demand_no_pv",
-                                               capacity_mw=0.005))
-    cands = [g for g in out.gens if g.kind == "pv_candidate"]
-    assert [c.bus for c in cands] == ["c"]
-    assert cands[0].p_max == 0.005
-    assert cands[0].id == "cand_c"
-
-
-def test_grid_mean_candidate_profile_adds_units_in_document_order():
-    rng = np.random.default_rng(5)
-    for hours in (1, 1, 1, 3, 3):
-        zero = (0.0,) * hours
-        units = tuple(GenUnit(f"f{i}", "a", "pv_existing_fixed", 1.0,
-                              rng.uniform(0.0, 1.0, hours) * 10.0 ** rng.integers(-8, 1))
-                      for i in range(40))
-        grid = Grid(1.0, 20.0,
-                    buses=(Bus("sub", True, zero, zero), Bus("a", False, zero, zero),
-                           Bus("c", False, (0.2,) * hours, zero)),
-                    lines=(Line("sub", "a", 0.01, 0.01, 5.0), Line("a", "c", 0.01, 0.01, 5.0)),
-                    gens=units)
-        out = add_candidates(grid, CandidatePolicy(mode="fixed_capacity",
-                                                   eligible="demand_no_pv", capacity_mw=1.0))
-        want = [sum(float(u.profile[h]) for u in units) / len(units) for h in range(hours)]
-        assert out.gens[-1].profile.tolist() == want
-
-
-def test_per_node_list_empty_is_identity_with_warning():
-    grid = _scalable_pair()
-    with pytest.warns(CandidatePolicyWarning):
-        out = add_candidates(grid, CandidatePolicy(mode="per_node_list", entries=()))
-    assert out == grid
-
-
-def test_add_candidates_never_touches_existing_units():
-    grid = _scalable_pair()
-    out = add_candidates(grid, CandidatePolicy(mode="mean_of_scalable",
-                                               eligible="scalable_sites"))
-    assert out.gens[: len(grid.gens)] == grid.gens
-    n_added = len(out.gens) - len(grid.gens)
-    assert n_added == len({g.bus for g in grid.gens
-                           if g.kind == "pv_existing_scalable"})
-
-
-def test_mean_of_scalable_without_scalable_units_warns():
-    grid = two_bus(kind="pv_existing_fixed")
-    with pytest.warns(CandidatePolicyWarning, match="no scalable"):
-        out = add_candidates(grid, CandidatePolicy(mode="mean_of_scalable",
-                                                   eligible="demand_no_pv"))
-    assert out == grid
-
-
-def test_candidate_id_collision_gets_suffix():
-    grid = _scalable_pair()
-    grid = Grid(1.0, 20.0, grid.buses, grid.lines,
-                grid.gens + (GenUnit("cand_a", "a", "pv_existing_fixed", 0.1, (1.0,)),))
-    out = add_candidates(grid, CandidatePolicy(mode="per_node_list",
-                                               entries=(("a", 1.0),)))
-    assert any(g.id == "cand_a_2" for g in out.gens)
 
 
 # -- demand multiplier ------------------------------------------------------

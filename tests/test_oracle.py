@@ -59,6 +59,19 @@ def test_rule_rejects_a_non_finite_scal(scal):
         rule_injections(example_grid_7kwp(), Scenario(fl=0.7), scal)
 
 
+@pytest.mark.parametrize("scal", [float("nan"), float("inf"), float("-inf"), -0.1])
+@pytest.mark.parametrize("entry", [feasible_at, oracle_plan])
+def test_oracle_rejects_a_scal_outside_its_domain(entry, scal):
+    with pytest.raises(OracleError, match="scal must be finite and >= 0"):
+        entry(example_grid_7kwp(), Scenario(fl=0.7), scal)
+
+
+def test_oracle_accepts_negative_zero():
+    # the MILP answers -0.0 where nothing can be added
+    assert feasible_at(example_grid_7kwp(), Scenario(fl=0.7), -0.0).feasible
+    assert oracle_plan(example_grid_7kwp(), Scenario(fl=0.7), -0.0).status == "optimal"
+
+
 def test_injections_nondecreasing_in_scal():
     rng = np.random.default_rng(23)
     for _ in range(8):

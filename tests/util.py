@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -310,8 +309,6 @@ class RuleInjections(RuleState):
 def rule_injections(grid: Grid, scenario: Scenario, scal: float,
                     hours: tuple[int, ...] | None = None) -> RuleInjections:
     """Apply the feed-in rule at a fixed expansion factor; no optimization."""
-    if not 0.0 <= scal < math.inf:
-        raise OracleError(f"scal must be finite and >= 0, got {scal}")
     agg = node_aggregates(grid, scenario, hours)
     state = _rule_state(agg, scenario.fl, scal)
     cap = agg.cap_const + agg.cap_coef * scal
