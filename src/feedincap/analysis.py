@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import numbers
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -68,6 +69,10 @@ class SweepSpec:
         if self.mode == "annual" and self.engine != "oracle":
             raise AnalysisError("annual sweeps decompose hour by hour; only the "
                                 "oracle engine supports them")
+        # numbers become floats, so an axis value 1 reports as 1.0, as from the CLI
+        for name in ("fl_values", "demand_multipliers"):
+            object.__setattr__(self, name, tuple(
+                float(v) if isinstance(v, numbers.Real) else v for v in getattr(self, name)))
         for name in ("fl_values", "cases", "demand_multipliers"):
             values = getattr(self, name)
             if not values:
@@ -224,7 +229,7 @@ def run_cell(grid: Grid, scenario: Scenario, engine: str,
             cell.status = "error"
             cell.error = f"milp returned {sol.status}"
             return cell
-        cell.milp_scal = extract_solution(inst, sol).scal
+        cell.milp_scal = extract_solution(inst, sol)
     if not agg.avail_coef.any():
         # feasible at scal = 0, and every other scal gives the same plan
         raise AnalysisError("no candidate PV produces in the planned hours, so "

@@ -1,4 +1,4 @@
-"""Builds the expansion-planning MILP and decodes its solutions.
+"""Builds the expansion-planning MILP and certifies its answer.
 
 One continuous variable `scal` scales every candidate PV unit uniformly, and
 the objective is -scal: the optimizer pushes `scal` up until a network limit
@@ -250,7 +250,7 @@ def curtailment_rule(avail, cap, fl, residual):
 
 @dataclass
 class ProblemInstance:
-    """The assembled MILP plus the variable layout needed to decode a solution.
+    """The assembled MILP plus the variable layout needed to read a solution.
 
     The index arrays hold LP variable indices, hour position first; units
     follow elig_units and triggers elig_nodes.
@@ -440,13 +440,13 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
 
 
 # ---------------------------------------------------------------------------
-# solution decoding
+# plans and the MILP's answer
 
 
 @dataclass
 class PlanResult:
-    status: str
-    engine: str
+    """One operating point at a fixed expansion factor, from oracle.oracle_plan."""
+
     scal: float
     added_capacity_mw: float
     hours: tuple[int, ...]
@@ -456,7 +456,6 @@ class PlanResult:
     production_mw: dict[str, np.ndarray]    # gen id -> (H,)
     curtailment_mw: dict[str, np.ndarray]
     available_mw: dict[str, np.ndarray]
-    alpha: dict[tuple[int, str], float]    # MILP triggers; empty for oracle plans
     flows_mw: np.ndarray                # (H, L)
     voltages_pu2: np.ndarray            # (H, N) squared p.u.
     imports_mw: np.ndarray              # (H,)
@@ -503,72 +502,37 @@ def energy_account(plan: PlanResult) -> EnergyAccount:
     )
 
 
-def unit_dispatch(grid: Grid, scenario: Scenario, hours: tuple[int, ...], scal: float,
-                  eligible_split) -> tuple[dict[str, np.ndarray], ...]:
-    """Per-generator production, curtailment and availability over hours, MW.
+def extract_solution(instance: ProblemInstance, sol: MILPSolution) -> float:
+    """The MILP's scal, once its embedded network rows are cross-checked.
 
-    Non-eligible units run at full availability p_max * cf. An eligible
-    unit's availability is (p_max * scal for candidates, else p_max) * cf; the
-    engine splits it: eligible_split(u, unit, availability) returns the unit's
-    (production, curtailment), u counting eligible units in grid order.
+    Flows and voltages are recomputed through evaluate_linear from the
+    solution's eligible production and the other units' full availability, and
+    must agree with the LP's own constraint activities to 1e-6; a mismatch
+    means the builder and the physics disagree and raises, as does a solution
+    that is not optimal.
     """
-    idx = np.asarray(hours, dtype=int)
-    elig_kinds = scenario.eligible_kinds()
-    production: dict[str, np.ndarray] = {}
-    curtail: dict[str, np.ndarray] = {}
-    avail: dict[str, np.ndarray] = {}
+    if sol.status != "optimal":
+        raise FormulationError(f"no scal to extract: the MILP solution is {sol.status}")
+    grid, agg, model, x = instance.grid, instance.agg, instance.model, sol.x
+    idx = np.asarray(instance.hours, dtype=int)
+    elig_kinds = instance.scenario.eligible_kinds()
+    p = x[instance.unit_idx[:, :, 0]]             # (H, U), eligible units in grid order
+
+    # injections from each generator at its bus, not from the builder's
+    # incidence or row constants, so the check below can catch a mismatch
+    pos = {bid: i for i, bid in enumerate(agg.bus_order)}
+    gen_at = np.zeros((len(idx), len(agg.bus_order)))
     u = 0
     for g in grid.gens:
-        cf = g.profile[idx]
         if g.kind in elig_kinds:
-            base = g.p_max * scal if g.kind == "pv_candidate" else g.p_max
-            avail[g.id] = base * cf
-            production[g.id], curtail[g.id] = eligible_split(u, g, avail[g.id])
+            gen_at[:, pos[g.bus]] += p[:, u]
             u += 1
         else:
-            production[g.id] = g.p_max * cf
-            curtail[g.id] = np.zeros(len(idx))
-            avail[g.id] = g.p_max * cf
-    return production, curtail, avail
-
-
-def extract_solution(instance: ProblemInstance, sol: MILPSolution) -> PlanResult:
-    """Decode a MILP solution and cross-check the embedded network rows.
-
-    Flows and voltages are recomputed from the decoded injections through
-    evaluate_linear and must agree with the LP's own constraint activities to
-    1e-6; a mismatch means the builder and the physics disagree and raises.
-    """
-    grid, agg, model = instance.grid, instance.agg, instance.model
-    if sol.status != "optimal" or sol.x is None:
-        nan = float("nan")
-        empty = np.zeros((0, 0))
-        return PlanResult(
-            status=sol.status, engine="milp", scal=nan, added_capacity_mw=nan,
-            hours=instance.hours,
-            hour_duration_h=grid.hour_duration_h, bus_order=model.bus_order,
-            line_order=model.line_order, production_mw={}, curtailment_mw={},
-            available_mw={}, alpha={}, flows_mw=empty,
-            voltages_pu2=empty, imports_mw=np.zeros(0), exports_mw=np.zeros(0))
-    x = sol.x
-    hours = instance.hours
-    scal = float(x[instance.scal_idx]) + 0.0      # +0.0, not -0.0, at zero headroom
-    units = x[instance.unit_idx]                  # (H, U, 2) p, sp
-    production, curtail, avail = unit_dispatch(
-        grid, instance.scenario, hours, scal,
-        lambda u, g, a: (units[:, u, 0], units[:, u, 1]))
-
-    # injections from per-unit production at each generator's bus, not from
-    # the builder's incidence, so the check below can catch a mismatch
-    pos = {bid: i for i, bid in enumerate(agg.bus_order)}
-    gen_at = np.zeros((len(hours), len(agg.bus_order)))
-    for g in grid.gens:
-        gen_at[:, pos[g.bus]] += production[g.id]
+            gen_at[:, pos[g.bus]] += g.p_max * g.profile[idx]
     net_at = gen_at - agg.demand_p
     flows, v2 = map(np.atleast_2d, evaluate_linear(
         model, net_at[:, model.bus_cols], -agg.demand_q[:, model.bus_cols]))
 
-    # agreement check against the LP's own thermal/voltage row activities:
     # activity + (limit - rhs) is the flow or squared voltage the row encodes
     acts = instance.lp.activities(x)
     rhs = np.array(instance.lp.rhs)
@@ -578,26 +542,4 @@ def extract_solution(instance: ProblemInstance, sol: MILPSolution) -> PlanResult
     if worst > 1e-6:
         raise FormulationError(
             f"decoded network state deviates from LP rows by {worst:.3e}")
-
-    net = net_at.sum(axis=1)                      # lossless: the slack bus takes it up
-    alpha = x[instance.alpha_idx].tolist()
-
-    return PlanResult(
-        status="optimal",
-        engine="milp",
-        scal=scal,
-        added_capacity_mw=scal * agg.candidate_base_total,
-        hours=hours,
-        hour_duration_h=grid.hour_duration_h,
-        bus_order=model.bus_order,
-        line_order=model.line_order,
-        production_mw=production,
-        curtailment_mw=curtail,
-        available_mw=avail,
-        alpha={(k, bid): a for k, row in enumerate(alpha)
-               for bid, a in zip(instance.elig_nodes, row)},
-        flows_mw=flows,
-        voltages_pu2=v2,
-        imports_mw=np.maximum(0.0, -net),
-        exports_mw=np.maximum(0.0, net),
-    )
+    return float(x[instance.scal_idx]) + 0.0      # +0.0, not -0.0, at zero headroom

@@ -19,10 +19,11 @@ scal + inter[i] >= 0 and 0 where it is < 0, as the LP's own rows must enforce.
 A node is a scal interval plus the indicators forced by earlier splits, and
 indicator_bounds fixes every indicator whose premise keeps one sign on it. A
 node with none left undecided is an exact LP and a candidate incumbent; any
-other splits at the median premise root t of its undecided indicators into
-[lo, t] and [t, hi], each child forcing that indicator to its side's value
-(the LP rows then keep out any point where that value is wrong). Children
-inherit the parent LP objective as their bound.
+other splits at the premise root t of its undecided indicators nearest the
+node's LP value of scal (ties to the lower index) into [lo, t] and [t, hi],
+each child forcing that indicator to its side's value (the LP rows then keep
+out any point where that value is wrong). Children inherit the parent LP
+objective as their bound.
 
 solve_milp may defer rows. MILProblem.lazy names rows the solve may leave
 out; the standard form holds the kept rows only, at first every row not in
@@ -583,7 +584,7 @@ def solve_milp(mip: MILProblem, cfg: SolverConfig | None = None) -> MILPSolution
                 incumbent_obj, incumbent_x = sol.objective, sol.x
             continue
         roots = -inter[undecided] / slope[undecided]
-        k = np.argsort(roots, kind="stable")[undecided.size // 2]
+        k = int(np.argmin(np.abs(roots - sol.x[scal])))
         i, t = int(undecided[k]), min(max(float(roots[k]), lo), hi)
         on_right = float(slope[i] > 0.0)       # the premise is >= 0 above t
         for child_lo, child_hi, v in ((lo, t, 1.0 - on_right), (t, hi, on_right)):

@@ -29,7 +29,6 @@ from .formulation import (
     curtailment_rule,
     energy_account,
     node_aggregates,
-    unit_dispatch,
 )
 from .grid import Grid
 from .milp import SolverConfig
@@ -215,33 +214,41 @@ def _tangent_step(agg: NodeAggregates, model: LinearNetworkModel,
 def oracle_plan(grid: Grid, scenario: Scenario, scal: float, *,
                 agg: NodeAggregates | None = None,
                 model: LinearNetworkModel | None = None) -> PlanResult:
-    """PlanResult-shaped answer from the closed-form path at expansion factor scal.
+    """The plan of the closed-form path at expansion factor scal.
 
-    Unit-level production splits node curtailment pro rata by availability;
-    node totals, flows and voltages are the quantities that are actually
-    pinned down. The plan's alpha stays empty: the rule has no trigger
-    variables.
+    Non-eligible units run at full availability p_max * cf. An eligible unit's
+    availability is (p_max * scal for candidates, else p_max) * cf, and its
+    node's curtailment is split pro rata by availability; node totals, flows
+    and voltages are the quantities that are actually pinned down.
     """
     model = model or build_linear_model(grid)
     agg = agg if agg is not None else node_aggregates(grid, scenario)
     state = _rule_state(agg, scenario.fl, scal)
     flows, v2 = _network_arrays(state, model)
     hours = agg.hours
+    idx = np.asarray(hours, dtype=int)
     pos = {bid: i for i, bid in enumerate(agg.bus_order)}
-
-    def pro_rata(u, g, a_g):
-        i = pos[g.bus]
-        node_av = state.available_mw[:, i]
-        share = np.divide(a_g, node_av, out=np.zeros(len(hours)), where=node_av > 0)
-        curtailed = state.curtailed_mw[:, i] * share
-        return a_g - curtailed, curtailed
-
-    production, curtail, avail = unit_dispatch(grid, scenario, hours, scal, pro_rata)
+    elig_kinds = scenario.eligible_kinds()
+    production: dict[str, np.ndarray] = {}
+    curtail: dict[str, np.ndarray] = {}
+    avail: dict[str, np.ndarray] = {}
+    for g in grid.gens:
+        cf = g.profile[idx]
+        if g.kind in elig_kinds:
+            i = pos[g.bus]
+            base = g.p_max * scal if g.kind == "pv_candidate" else g.p_max
+            avail[g.id] = a_g = base * cf
+            node_av = state.available_mw[:, i]
+            share = np.divide(a_g, node_av, out=np.zeros(len(hours)), where=node_av > 0)
+            curtail[g.id] = state.curtailed_mw[:, i] * share
+            production[g.id] = a_g - curtail[g.id]
+        else:
+            production[g.id] = g.p_max * cf
+            curtail[g.id] = np.zeros(len(hours))
+            avail[g.id] = g.p_max * cf
 
     net = state.injection_p.sum(axis=1)           # lossless: slack picks this up
     return PlanResult(
-        status="optimal",
-        engine="oracle",
         scal=float(scal),
         added_capacity_mw=float(scal) * agg.candidate_base_total,
         hours=hours,
@@ -251,7 +258,6 @@ def oracle_plan(grid: Grid, scenario: Scenario, scal: float, *,
         production_mw=production,
         curtailment_mw=curtail,
         available_mw=avail,
-        alpha={},
         flows_mw=flows,
         voltages_pu2=v2,
         imports_mw=np.maximum(0.0, -net),

@@ -50,6 +50,18 @@ def test_spec_rejects_bad_engine_and_annual_milp():
     SweepSpec(mode="annual", engine="oracle")   # fine
 
 
+def test_integer_axis_values_report_as_floats(tmp_path):
+    # the CLI parses 1 as 1.0; a library spec written with ints must report the same
+    grid = example_grid_7kwp()
+    for sub, fl, mult in (("ints", (1, 0.7), (1,)), ("floats", (1.0, 0.7), (1.0,))):
+        spec = SweepSpec(fl_values=fl, cases=("a",), demand_multipliers=mult)
+        assert spec.fl_values == (1.0, 0.7) and spec.demand_multipliers == (1.0,)
+        emit_report(run_sweep(grid, spec), tmp_path / sub, formats=("csv", "json"))
+    for name in ("sweep.csv", "sweep.json"):
+        assert (tmp_path / "ints" / name).read_bytes() == (tmp_path / "floats" / name).read_bytes()
+    assert (tmp_path / "ints" / "sweep.csv").read_text().splitlines()[1].startswith("1.0,a,1.0,")
+
+
 # -- energy accounts ---------------------------------------------------------
 
 
@@ -287,7 +299,7 @@ def test_milp_answer_ignores_bus_order(fl, case):
     scal = []
     for g in (grid, replace(grid, buses=grid.buses[::-1])):
         inst = build_problem(g, scenario)
-        scal.append(extract_solution(inst, solve_milp(inst.mip)).scal)
+        scal.append(extract_solution(inst, solve_milp(inst.mip)))
     assert scal[1] == scal[0]
 
 

@@ -188,22 +188,21 @@ def test_single_bus_structure_and_saturation():
     inst = build_problem(grid, Scenario(fl=0.7), cfg)
     assert len(inst.binaries) == 1
     sol = solve_milp(inst.mip, cfg)
-    plan = extract_solution(inst, sol)
-    assert plan.status == "optimal"
-    assert plan.scal == pytest.approx(1000.0)
+    assert sol.status == "optimal"
+    assert extract_solution(inst, sol) == pytest.approx(1000.0)
 
 
 def test_two_bus_thermal_closed_form():
     cfg = SolverConfig()
     grid = two_bus()   # line limit 5 MW, candidate B = 1 MW, CF = 1, D = 0
     inst = build_problem(grid, Scenario(fl=1.0), cfg)
-    plan = extract_solution(inst, solve_milp(inst.mip, cfg))
-    assert plan.scal == pytest.approx(5.0, abs=1e-6)
-    assert plan.added_capacity_mw == pytest.approx(5.0, abs=1e-6)
+    scal = extract_solution(inst, solve_milp(inst.mip, cfg))
+    assert scal == pytest.approx(5.0, abs=1e-6)
+    assert scal * inst.agg.candidate_base_total == pytest.approx(5.0, abs=1e-6)
 
     inst7 = build_problem(grid, Scenario(fl=0.7), cfg)
-    plan7 = extract_solution(inst7, solve_milp(inst7.mip, cfg))
-    assert plan7.scal == pytest.approx(5.0 / 0.7, abs=1e-5)
+    scal7 = extract_solution(inst7, solve_milp(inst7.mip, cfg))
+    assert scal7 == pytest.approx(5.0 / 0.7, abs=1e-5)
 
 
 def test_fix_scal_pins_the_variable():
@@ -211,9 +210,9 @@ def test_fix_scal_pins_the_variable():
     grid = two_bus()
     cfg = SolverConfig(scal_max=2.5)
     inst = build_problem(grid, Scenario(fl=1.0), cfg)
-    plan = extract_solution(inst, solve_milp(inst.mip, cfg))
-    assert plan.scal == pytest.approx(2.5)
-    assert plan.exports_mw[0] == pytest.approx(2.5, abs=1e-7)
+    sol = solve_milp(inst.mip, cfg)
+    assert extract_solution(inst, sol) == pytest.approx(2.5)
+    assert sol.x[inst.unit_idx[0, 0, 0]] == pytest.approx(2.5, abs=1e-7)   # all exported
 
 
 def test_annual_without_fixed_scal_rejected():
@@ -227,12 +226,13 @@ def test_reference_point_through_the_milp():
     grid = example_grid_7kwp()
     cfg = SolverConfig(scal_max=1.0)
     inst = build_problem(grid, Scenario(fl=0.7), cfg)
-    plan = extract_solution(inst, solve_milp(inst.mip, cfg))
-    assert plan.status == "optimal"
-    gid = next(g.id for g in grid.gens if g.kind == "pv_candidate")
-    assert plan.curtailment_mw[gid][0] == pytest.approx(0.7e-3, abs=1e-12)
-    assert plan.production_mw[gid][0] == pytest.approx(6.3e-3, abs=1e-12)
-    assert plan.exports_mw[0] == pytest.approx(4.9e-3, abs=1e-9)
+    sol = solve_milp(inst.mip, cfg)
+    assert extract_solution(inst, sol) == 1.0
+    u = inst.elig_units.index(next(g.id for g in grid.gens if g.kind == "pv_candidate"))
+    p, sp = sol.x[inst.unit_idx[0, u]]
+    assert sp == pytest.approx(0.7e-3, abs=1e-12)
+    assert p == pytest.approx(6.3e-3, abs=1e-12)
+    assert p - inst.agg.demand_p.sum() == pytest.approx(4.9e-3, abs=1e-9)   # fed in
 
 
 def test_extract_infeasible_has_no_values():
@@ -241,10 +241,21 @@ def test_extract_infeasible_has_no_values():
     cfg = SolverConfig()
     inst = build_problem(grid, Scenario(fl=1.0), cfg)
     sol = solve_milp(inst.mip, cfg)
-    plan = extract_solution(inst, sol)
-    assert plan.status == "infeasible" and sol.objective is None
-    assert np.isnan(plan.scal)
-    assert plan.production_mw == {} and plan.alpha == {}
+    assert sol.status == "infeasible" and sol.x is None and sol.objective is None
+    with pytest.raises(FormulationError, match="infeasible"):
+        extract_solution(inst, sol)
+
+
+@pytest.mark.parametrize("rows", ["thermal_hi_rows", "v_hi_rows"])
+def test_extract_solution_catches_rows_that_disagree_with_the_network(rows):
+    # a row whose rhs no longer matches the network model encodes a flow or
+    # voltage other than the one the solution's injections produce
+    inst = build_problem(example_grid_7kwp(), Scenario(fl=0.7), SolverConfig())
+    sol = solve_milp(inst.mip)
+    assert extract_solution(inst, sol) > 0.0
+    inst.lp.rhs[int(getattr(inst, rows)[0, -1])] += 1e-3
+    with pytest.raises(FormulationError, match="deviates from LP rows by 1.000e-03"):
+        extract_solution(inst, sol)
 
 
 def test_eq3_residual_on_random_instances():
@@ -257,12 +268,12 @@ def test_eq3_residual_on_random_instances():
         sol = solve_milp(inst.mip, cfg)
         if sol.status != "optimal":
             continue
-        plan = extract_solution(inst, sol)
-        for g in grid.gens:
-            if g.id not in plan.available_mw:
-                continue
-            resid = np.abs(plan.production_mw[g.id] + plan.curtailment_mw[g.id]
-                           - plan.available_mw[g.id])
+        scal = extract_solution(inst, sol)
+        units = sol.x[inst.unit_idx]            # (H, U, 2) p, sp
+        for u, gid in enumerate(inst.elig_units):
+            g = next(g for g in grid.gens if g.id == gid)
+            base = g.p_max * scal if g.kind == "pv_candidate" else g.p_max
+            resid = np.abs(units[:, u].sum(axis=1) - base * g.profile[list(inst.hours)])
             assert np.max(resid, initial=0.0) <= 1e-7
 
 
@@ -271,15 +282,16 @@ def test_indicator_semantics_realized():
     cfg = SolverConfig(scal_max=1.0)      # binds: scal = 1
     scenario = Scenario(fl=0.7)
     inst = build_problem(grid, scenario, cfg)
-    plan = extract_solution(inst, solve_milp(inst.mip, cfg))
+    sol = solve_milp(inst.mip, cfg)
+    scal = extract_solution(inst, sol)
     agg = node_aggregates(grid, scenario, inst.hours)
-    for (k, bid), a in plan.alpha.items():
+    bus_of = {g.id: g.bus for g in grid.gens}
+    for (k, e), a in np.ndenumerate(sol.x[inst.alpha_idx]):
+        bid = inst.elig_nodes[e]
         i = agg.bus_order.index(bid)
-        p_sum = sum(plan.production_mw[g.id][k] for g in grid.gens if g.bus == bid
-                    if g.id in plan.available_mw)
-        sp_sum = sum(plan.curtailment_mw[g.id][k] for g in grid.gens if g.bus == bid
-                     if g.id in plan.available_mw)
-        cap = agg.cap_const[i] + agg.cap_coef[i] * plan.scal
+        at = [u for u, gid in enumerate(inst.elig_units) if bus_of[gid] == bid]
+        p_sum, sp_sum = sol.x[inst.unit_idx[k, at]].sum(axis=0)
+        cap = agg.cap_const[i] + agg.cap_coef[i] * scal
         if a < 0.5:
             assert sp_sum <= 1e-7
         else:
