@@ -15,8 +15,9 @@ node (wind, hydro, fossil, and under case "a" all existing PV) has covered
 its share.
 
 Network limits enter as affine rows in the injections (see network.py), so
-the model carries no flow or voltage variables. ProblemInstance.mip defers
-these rows: the solver adds one only when a solution violates it.
+the model carries no flow or voltage variables: one thermal row per line and
+one voltage row per bus and hour, each with both its limits. ProblemInstance.mip
+defers these rows: the solver adds one only when a solution violates it.
 """
 
 from __future__ import annotations
@@ -271,8 +272,8 @@ class ProblemInstance:
     slope: np.ndarray                            # (H, E) premise slope * scal + inter
     inter: np.ndarray                            # (H, E)
     big_m: np.ndarray                            # (H, E)
-    thermal_hi_rows: np.ndarray                  # (H, L) lp row of thermal_hi[k, line]
-    v_hi_rows: np.ndarray                        # (H, N) lp row of v_hi[k, bus], model order
+    thermal_rows: np.ndarray                     # (H, L) lp row of thermal[k, line]
+    v_rows: np.ndarray                           # (H, N) lp row of v[k, bus], model order
     network_rows: np.ndarray                     # every thermal and voltage row, ascending
 
     @property
@@ -282,14 +283,14 @@ class ProblemInstance:
                           self.inter.ravel(), lazy=self.network_rows)
 
     def row_of(self, kind: str, element: str, hour: int) -> int:
-        """The LP row of an upper network limit: kind "thermal" names a line's
-        thermal_hi row, "v_high" a bus's v_hi row, at a planned hour."""
+        """The LP row of a limit the oracle reports binding: kind "thermal" names
+        a line's thermal row, "v_high" a bus's v row, at a planned hour."""
         k = self.hours.index(hour)
         if kind == "thermal":
-            return int(self.thermal_hi_rows[k, self.model.line_order.index(element)])
+            return int(self.thermal_rows[k, self.model.line_order.index(element)])
         if kind == "v_high":
-            return int(self.v_hi_rows[k, self.model.bus_order.index(element)])
-        raise ValueError(f"no upper network row of kind {kind!r}")
+            return int(self.v_rows[k, self.model.bus_order.index(element)])
+        raise ValueError(f"no network row of kind {kind!r}")
 
 
 def _running_total(start, terms: np.ndarray) -> np.ndarray:
@@ -353,7 +354,7 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
         raise ValueError("big-M inputs must be nonnegative")    # a Grid that skipped validation
     big_m = avail_max + fl_cap_max + res + 1.0
     pin_scal = 0.0 - fl * agg.cap_coef[ei]            # +0.0, not -0.0, at cap_coef = 0
-    pin_hi_rhs, pin_lo_rhs = big_m + fl_cap_c + res, -big_m + fl_cap_c + res
+    pin_hi_ub, pin_lo_lb = big_m + fl_cap_c + res, -big_m + fl_cap_c + res
 
     lp = LinearProgram()
     scal_idx = lp.add_var("scal", 0.0, cfg.scal_max, obj=-1.0)
@@ -379,17 +380,16 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
     thermal_terms = [(np.flatnonzero(r), r[r != 0]) for r in model.flow_map @ inc_p]
     v_terms = [(np.flatnonzero(r), r[r != 0]) for r in model.voltage_map_p @ inc_p]
 
-    thermal_hi_rows = np.zeros((H, len(grid.lines)), dtype=int)
-    v_hi_rows = np.zeros((H, len(model.bus_order)), dtype=int)
-    network_rows = []
+    thermal_rows = np.zeros((H, len(grid.lines)), dtype=int)
+    v_rows = np.zeros((H, len(model.bus_order)), dtype=int)
     for k in range(H):
         for (p, sp), g in zip(unit_idx[k].tolist(), elig_units):
+            avail = g.p_max * g.profile[hours[k]]
             if g.kind == "pv_candidate":
-                lp.add_row([scal_idx, p, sp], [-g.p_max * g.profile[hours[k]], 1.0, 1.0],
-                           "==", 0.0, name=f"avail[{k},{g.id}]")
-            else:
-                lp.add_row([p, sp], [1.0, 1.0], "==", g.p_max * g.profile[hours[k]],
+                lp.add_row([scal_idx, p, sp], [-avail, 1.0, 1.0], 0.0, 0.0,
                            name=f"avail[{k},{g.id}]")
+            else:
+                lp.add_row([p, sp], [1.0, 1.0], avail, avail, name=f"avail[{k},{g.id}]")
 
         for e, bid in enumerate(elig_nodes):
             m_val, a_j = big_m[k, e], alphas[k * E + e]
@@ -397,12 +397,12 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
             ones = [1.0] * len(p_at)
             pin_idx = np.array([scal_idx, *p_at, a_j], dtype=np.intp)
             lp.add_row([scal_idx, a_j], [slope[k, e], -(m_val + EPSILON_MW)],
-                       "<=", -inter[k, e] - EPSILON_MW, name=f"trigger[{k},{bid}]")
-            lp.add_row(pin_idx, [pin_scal[e], *ones, m_val], "<=", pin_hi_rhs[k, e],
+                       -INF, -inter[k, e] - EPSILON_MW, name=f"trigger[{k},{bid}]")
+            lp.add_row(pin_idx, [pin_scal[e], *ones, m_val], -INF, pin_hi_ub[k, e],
                        name=f"pin_hi[{k},{bid}]")
-            lp.add_row(pin_idx, [pin_scal[e], *ones, -m_val], ">=", pin_lo_rhs[k, e],
+            lp.add_row(pin_idx, [pin_scal[e], *ones, -m_val], pin_lo_lb[k, e], INF,
                        name=f"pin_lo[{k},{bid}]")
-            lp.add_row([*sp_at, a_j], [*ones, -m_val], "<=", 0.0, name=f"spill[{k},{bid}]")
+            lp.add_row([*sp_at, a_j], [*ones, -m_val], -INF, 0.0, name=f"spill[{k},{bid}]")
 
         # network rows: injections are affine in the hour's variables; the
         # constants add up bus by bus, a bus's P term before its Q term
@@ -414,19 +414,12 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
         ).reshape(len(inj_const), 2 * len(inj_const)))
         inj_vars = unit_idx[k, :, 0]
         for l, (line, (cols, vals)) in enumerate(zip(grid.lines, thermal_terms)):
-            idx = inj_vars[cols]
-            thermal_hi_rows[k, l] = lp.add_row(idx, vals, "<=", model.s_max[l] - t_const[l],
-                                               name=f"thermal_hi[{k},{line.id}]")
-            network_rows += [thermal_hi_rows[k, l],
-                             lp.add_row(idx, vals, ">=", -model.s_max[l] - t_const[l],
-                                        name=f"thermal_lo[{k},{line.id}]")]
+            thermal_rows[k, l] = lp.add_row(inj_vars[cols], vals, -model.s_max[l] - t_const[l],
+                                            model.s_max[l] - t_const[l],
+                                            name=f"thermal[{k},{line.id}]")
         for n, (bid, (cols, vals)) in enumerate(zip(model.bus_order, v_terms)):
-            idx = inj_vars[cols]
-            v_hi_rows[k, n] = lp.add_row(idx, vals, "<=", model.vmax2[n] - v_const[n],
-                                         name=f"v_hi[{k},{bid}]")
-            network_rows += [v_hi_rows[k, n],
-                             lp.add_row(idx, vals, ">=", model.vmin2[n] - v_const[n],
-                                        name=f"v_lo[{k},{bid}]")]
+            v_rows[k, n] = lp.add_row(inj_vars[cols], vals, model.vmin2[n] - v_const[n],
+                                      model.vmax2[n] - v_const[n], name=f"v[{k},{bid}]")
 
     return ProblemInstance(
         grid=grid, scenario=scenario, hours=hours, model=model, agg=agg,
@@ -434,8 +427,8 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
         elig_units=tuple(g.id for g in elig_units), elig_nodes=tuple(elig_nodes),
         unit_idx=unit_idx, alpha_idx=np.array(alphas, dtype=int).reshape(H, E),
         slope=slope, inter=inter, big_m=big_m,
-        thermal_hi_rows=thermal_hi_rows, v_hi_rows=v_hi_rows,
-        network_rows=np.array(network_rows, dtype=int),
+        thermal_rows=thermal_rows, v_rows=v_rows,
+        network_rows=np.hstack([thermal_rows, v_rows]).ravel(),
     )
 
 
@@ -533,12 +526,13 @@ def extract_solution(instance: ProblemInstance, sol: MILPSolution) -> float:
     flows, v2 = map(np.atleast_2d, evaluate_linear(
         model, net_at[:, model.bus_cols], -agg.demand_q[:, model.bus_cols]))
 
-    # activity + (limit - rhs) is the flow or squared voltage the row encodes
-    acts = instance.lp.activities(x)
-    rhs = np.array(instance.lp.rhs)
-    t, v = instance.thermal_hi_rows, instance.v_hi_rows
-    worst = max(np.max(np.abs(acts[t] + (model.s_max - rhs[t]) - flows), initial=0.0),
-                np.max(np.abs(acts[v] + (model.vmax2 - rhs[v]) - v2), initial=0.0))
+    # activity + (limit - bound) is the flow or squared voltage a row encodes
+    lp = instance.lp
+    acts, lo, hi = lp.activities(x), np.array(lp.row_lo), np.array(lp.row_hi)
+    t, v = instance.thermal_rows, instance.v_rows
+    gaps = (acts[t] + (model.s_max - hi[t]) - flows, acts[t] + (-model.s_max - lo[t]) - flows,
+            acts[v] + (model.vmax2 - hi[v]) - v2, acts[v] + (model.vmin2 - lo[v]) - v2)
+    worst = max(np.max(np.abs(gap), initial=0.0) for gap in gaps)
     if worst > 1e-6:
         raise FormulationError(
             f"decoded network state deviates from LP rows by {worst:.3e}")

@@ -28,9 +28,9 @@ objective as their bound.
 solve_milp may defer rows. MILProblem.lazy names rows the solve may leave
 out; the standard form holds the kept rows only, at first every row not in
 lazy. A leaf's answer is checked against every row of the LP: deferred rows
-it violates by more than feasibility_tol * (1 + |rhs|) join the kept rows,
-the standard form is rebuilt, and the leaf goes back on the heap with its
-bound to be solved again. Only a leaf that violates none becomes the
+it violates on either side by more than feasibility_tol * (1 + |bound|) join
+the kept rows, the standard form is rebuilt, and the leaf goes back on the
+heap with its bound to be solved again. Only a leaf that violates none becomes the
 incumbent. Dropping rows only relaxes the problem, so every bound, infeasible
 node and gap still holds for the full problem. node_limit counts LP solves,
 re-solves included.
@@ -91,7 +91,8 @@ class SolverConfig:
 @dataclass
 class LinearProgram:
     """Column-oriented LP container; variables are added before rows. Row i is
-    sum(row_coef[i] * x[row_idx[i]]) sense[i] rhs[i]; rows may share arrays."""
+    row_lo[i] <= sum(row_coef[i] * x[row_idx[i]]) <= row_hi[i], with at least
+    one bound finite (lo == hi for an equality); rows may share arrays."""
 
     obj: list[float] = field(default_factory=list)
     lb: list[float] = field(default_factory=list)
@@ -99,8 +100,8 @@ class LinearProgram:
     names: list[str] = field(default_factory=list)
     row_idx: list[np.ndarray] = field(default_factory=list)
     row_coef: list[np.ndarray] = field(default_factory=list)
-    sense: list[str] = field(default_factory=list)       # "<=", ">=", "=="
-    rhs: list[float] = field(default_factory=list)
+    row_lo: list[float] = field(default_factory=list)
+    row_hi: list[float] = field(default_factory=list)
     row_names: list[str] = field(default_factory=list)
 
     @property
@@ -109,7 +110,7 @@ class LinearProgram:
 
     @property
     def n_rows(self) -> int:
-        return len(self.rhs)
+        return len(self.row_hi)
 
     def add_var(self, name: str, lb: float = 0.0, ub: float = INF,
                 obj: float = 0.0) -> int:
@@ -121,10 +122,12 @@ class LinearProgram:
         self.obj.append(float(obj))
         return len(self.obj) - 1
 
-    def add_row(self, idx, coef, sense: str, rhs: float, name: str = "") -> int:
-        """Append a row; idx is sorted (coef with it), range-checked and unique."""
-        if sense not in ("<=", ">=", "=="):
-            raise ValueError(f"bad sense {sense!r}")
+    def add_row(self, idx, coef, lo: float, hi: float, name: str = "") -> int:
+        """Append lo <= sum(coef * x[idx]) <= hi; idx is sorted (coef with it),
+        range-checked and unique."""
+        lo, hi = float(lo), float(hi)
+        if not (lo <= hi and (-INF < lo < INF or -INF < hi < INF)):     # also catches NaN
+            raise ValueError(f"row {name!r}: bounds [{lo}, {hi}] need lo <= hi, one finite")
         idx = np.asarray(idx, dtype=np.intp)
         coef = np.asarray(coef, dtype=float)
         if idx.ndim != 1 or idx.shape != coef.shape:
@@ -140,10 +143,10 @@ class LinearProgram:
             raise ValueError(f"row {name!r} references unknown variable {bad}")
         self.row_idx.append(idx)
         self.row_coef.append(coef)
-        self.sense.append(sense)
-        self.rhs.append(float(rhs))
+        self.row_lo.append(lo)
+        self.row_hi.append(hi)
         self.row_names.append(name or f"r{len(self.row_names)}")
-        return len(self.rhs) - 1
+        return len(self.row_hi) - 1
 
     def _entries(self, rows: np.ndarray | None = None
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -203,7 +206,8 @@ class MILPSolution:
 
 class _StandardForm:
     """Ax = b with bounds: n variables, one slack column per row, then any
-    phase-1 artificials.
+    phase-1 artificials. A row's b is hi, its slack in [0, hi - lo], where hi
+    is finite, else lo, its slack in (-inf, 0].
 
     A is column-compressed: column j's entries are rows[ptr[j]:ptr[j+1]]
     (ascending) with coefficients vals[ptr[j]:ptr[j+1]], and col[k] is the
@@ -226,10 +230,11 @@ class _StandardForm:
         pos, cols, coef = lp._entries(rows)
         order = np.argsort(cols, kind="stable")       # by column, rows stay ascending
         ptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
-        b = np.array(lp.rhs, dtype=float)[rows]
-        sense = [lp.sense[i] for i in rows.tolist()]
-        slack_lb = np.array([-INF if s == ">=" else 0.0 for s in sense], dtype=float)
-        slack_ub = np.array([INF if s == "<=" else 0.0 for s in sense], dtype=float)
+        lo, hi = np.array(lp.row_lo)[rows], np.array(lp.row_hi)[rows]
+        upper = hi < INF
+        b = np.where(upper, hi, lo)
+        slack_lb = np.where(upper, 0.0, -INF)
+        slack_ub = np.where(upper, hi - lo, 0.0)
         return cls(*_with_unit_columns(ptr, pos[order], coef[order], np.arange(m)), b,
                    np.concatenate([np.asarray(lp.obj, dtype=float), np.zeros(m)]),
                    np.concatenate([np.asarray(lp.lb, dtype=float), slack_lb]),
@@ -600,9 +605,9 @@ def solve_milp(mip: MILProblem, cfg: SolverConfig | None = None) -> MILPSolution
 
 
 def _violated_rows(lp: LinearProgram, x: np.ndarray, feas_tol: float) -> np.ndarray:
-    """Mask of the rows x violates by more than feas_tol * (1 + |rhs|)."""
+    """Mask of the rows x violates by more than feas_tol * (1 + |bound|) on
+    either side (an infinite bound cannot be violated)."""
     act = lp.activities(x)
-    rhs = np.array(lp.rhs, dtype=float)
-    tol = feas_tol * (1.0 + np.abs(rhs))
-    sense = np.array(lp.sense)
-    return ((sense != ">=") & (act > rhs + tol)) | ((sense != "<=") & (act < rhs - tol))
+    lo, hi = np.array(lp.row_lo), np.array(lp.row_hi)
+    return ((act > hi + feas_tol * (1.0 + np.abs(hi)))
+            | (act < lo - feas_tol * (1.0 + np.abs(lo))))

@@ -255,7 +255,7 @@ def test_oracle_seed_leaves_one_round_on_every_mv_fixture(request, monkeypatch):
                                          SolverConfig(), model)
                 assert cell.status == "ok"
                 mip, sol = solved[-1]
-                network = [n.startswith(("thermal_", "v_")) for n in mip.lp.row_names]
+                network = [n.startswith(("thermal[", "v[")) for n in mip.lp.row_names]
                 # every network row but the oracle's binding one is deferred
                 assert len(mip.lazy) == sum(network) - 1, (name, fl, case)
                 assert all(network[i] for i in mip.lazy), (name, fl, case)

@@ -246,14 +246,17 @@ def test_extract_infeasible_has_no_values():
         extract_solution(inst, sol)
 
 
-@pytest.mark.parametrize("rows", ["thermal_hi_rows", "v_hi_rows"])
-def test_extract_solution_catches_rows_that_disagree_with_the_network(rows):
-    # a row whose rhs no longer matches the network model encodes a flow or
+@pytest.mark.parametrize("rows,bound", [
+    ("thermal_rows", "row_hi"), ("v_rows", "row_hi"),
+    ("thermal_rows", "row_lo"), ("v_rows", "row_lo"),
+], ids=["thermal_hi_rows", "v_hi_rows", "thermal_lo_rows", "v_lo_rows"])
+def test_extract_solution_catches_rows_that_disagree_with_the_network(rows, bound):
+    # a row whose bound no longer matches the network model encodes a flow or
     # voltage other than the one the solution's injections produce
     inst = build_problem(example_grid_7kwp(), Scenario(fl=0.7), SolverConfig())
     sol = solve_milp(inst.mip)
     assert extract_solution(inst, sol) > 0.0
-    inst.lp.rhs[int(getattr(inst, rows)[0, -1])] += 1e-3
+    getattr(inst.lp, bound)[int(getattr(inst, rows)[0, -1])] += 1e-3
     with pytest.raises(FormulationError, match="deviates from LP rows by 1.000e-03"):
         extract_solution(inst, sol)
 
@@ -338,7 +341,11 @@ def test_the_milp_maximises_scal_over_units_and_triggers_only(name):
     for fl, case in ((0.7, "a"), (1.0, "b")):
         inst = build_problem(grid, Scenario(fl=fl, case=case), SolverConfig())
         H, U, E = len(inst.hours), len(inst.elig_units), len(inst.elig_nodes)
+        L, N = len(inst.model.line_order), len(inst.model.bus_order)
         assert inst.lp.n_vars == 1 + H * (2 * U + E)
+        # per hour: one availability row per unit, four trigger rows per node, and
+        # one thermal row per line and one voltage row per bus, each with both limits
+        assert inst.lp.n_rows == H * (U + 4 * E + L + N)
         sol = solve_milp(inst.mip, SolverConfig())
         assert sol.status == "optimal"
         assert sol.objective == -sol.x[inst.scal_idx]
@@ -353,12 +360,14 @@ def test_network_rows_match_the_bus_by_bus_reference():
     for grid, scenario in cases:
         inst = build_problem(grid, scenario, SolverConfig())
         built = [r for k in range(len(inst.hours))
-                 for r in (*inst.thermal_hi_rows[k], *inst.v_hi_rows[k])]
+                 for r in (*inst.thermal_rows[k], *inst.v_rows[k])]
         ref = reference_network_rows(inst)
         assert len(built) == len(ref)
-        for r, (coeffs, rhs) in zip(built, ref):
+        for r, (coeffs, lo, hi) in zip(built, ref):
             assert dict(zip(inst.lp.row_idx[r].tolist(), inst.lp.row_coef[r].tolist())) == coeffs
-            assert inst.lp.rhs[r] == rhs
+            # bytes, so that -0.0 and 0.0 differ
+            assert (np.array([inst.lp.row_lo[r], inst.lp.row_hi[r]]).tobytes()
+                    == np.array([lo, hi]).tobytes())
 
 
 def _assert_trigger_block_matches_reference(inst, scal_max=SolverConfig().scal_max):
@@ -367,13 +376,13 @@ def _assert_trigger_block_matches_reference(inst, scal_max=SolverConfig().scal_m
     kinds = ("trigger[", "pin_hi[", "pin_lo[", "spill[")
     built = {name: r for r, name in enumerate(inst.lp.row_names) if name.startswith(kinds)}
     assert built.keys() == rows.keys()
-    for name, (idx, coef, sense, rhs) in rows.items():
+    for name, (idx, coef, lo, hi) in rows.items():
         r = built[name]
         assert inst.lp.row_idx[r].tolist() == idx, name
         # bytes, so that -0.0 and 0.0 differ
         assert inst.lp.row_coef[r].tobytes() == np.array(coef, dtype=float).tobytes(), name
-        assert (inst.lp.sense[r], np.float64(inst.lp.rhs[r]).tobytes()) == (
-            sense, np.float64(rhs).tobytes()), name
+        assert (np.array([inst.lp.row_lo[r], inst.lp.row_hi[r]]).tobytes()
+                == np.array([lo, hi], dtype=float).tobytes()), name
     assert inst.binaries == tuple(inst.alpha_idx.ravel().tolist()) == tuple(bounds)
     for j, (lo, hi) in bounds.items():
         assert (inst.lp.lb[j], inst.lp.ub[j]) == (lo, hi), inst.lp.names[j]
@@ -464,18 +473,18 @@ def test_big_m_covers_relaxed_rows():
 def test_network_rows_are_the_deferred_rows(hybrid):
     inst = build_problem(hybrid, Scenario(fl=0.7, case="b"), SolverConfig())
     names = [inst.lp.row_names[i] for i in inst.mip.lazy]
-    kinds = ("thermal_hi[", "thermal_lo[", "v_hi[", "v_lo[")
+    kinds = ("thermal[", "v[")
     assert names and all(n.startswith(kinds) for n in names)
     assert sum(n.startswith(kinds) for n in inst.lp.row_names) == len(names)
-    assert set(inst.thermal_hi_rows.ravel()) | set(inst.v_hi_rows.ravel()) <= set(inst.mip.lazy)
+    assert sorted([*inst.thermal_rows.ravel(), *inst.v_rows.ravel()]) == list(inst.mip.lazy)
 
 
 def test_row_of_names_the_upper_network_rows(hybrid):
     inst = build_problem(hybrid, Scenario(fl=0.7, case="b"), SolverConfig())
     hour = inst.hours[-1]
     line, bus = inst.model.line_order[-1], inst.model.bus_order[-1]
-    assert inst.lp.row_names[inst.row_of("thermal", line, hour)] == f"thermal_hi[{hour},{line}]"
-    assert inst.lp.row_names[inst.row_of("v_high", bus, hour)] == f"v_hi[{hour},{bus}]"
+    assert inst.lp.row_names[inst.row_of("thermal", line, hour)] == f"thermal[{hour},{line}]"
+    assert inst.lp.row_names[inst.row_of("v_high", bus, hour)] == f"v[{hour},{bus}]"
     with pytest.raises(ValueError):
         inst.row_of("v_low", bus, hour)
 
@@ -500,8 +509,8 @@ def test_wrong_or_missing_seed_still_reaches_the_full_lp(name, case, request):
     inst = build_problem(grid, Scenario(fl=0.7, case=case), cfg)
     full = solve_milp(replace(inst.mip, lazy=()), cfg)
     s_full = full.x[inst.scal_idx]
-    # thermal_hi of the first line does not bind on these requests
-    for seed in ((), (int(inst.thermal_hi_rows[0, 0]),)):
+    # the first line's thermal row does not bind on these requests
+    for seed in ((), (int(inst.thermal_rows[0, 0]),)):
         lazy = np.setdiff1d(inst.network_rows, seed)
         sol = solve_milp(replace(inst.mip, lazy=lazy), cfg)
         assert sol.status == "optimal" and sol.rounds == 2, seed

@@ -34,34 +34,38 @@ def test_add_row_sorts_entries_and_rejects_unknown_variables():
     lp = LinearProgram()
     for name in "abc":
         lp.add_var(name)
-    lp.add_row([2, 0], [1, np.float64(-2.0)], "<=", 1.0)
+    lp.add_row([2, 0], [1, np.float64(-2.0)], -INF, 1.0)
     assert (lp.row_idx[0].tolist(), lp.row_coef[0].tolist()) == ([0, 2], [-2.0, 1.0])
     assert lp.row_idx[0].dtype == np.intp and lp.row_coef[0].dtype == np.float64
-    lp.add_row(np.array([2, 0, 1]), np.array([3.0, 1.0, 2.0]), ">=", -1.0)
+    lp.add_row(np.array([2, 0, 1]), np.array([3.0, 1.0, 2.0]), -1.0, INF)
     assert (lp.row_idx[1].tolist(), lp.row_coef[1].tolist()) == ([0, 1, 2], [1.0, 2.0, 3.0])
-    lp.add_row([], [], "==", 0.0)
+    lp.add_row([], [], 0.0, 0.0)
     assert lp.row_idx[2].size == lp.row_coef[2].size == 0
     # rows in final form keep the caller's arrays, so two rows can share them
     idx, coef = np.array([0, 2], dtype=np.intp), np.array([1.0, -1.0])
-    lp.add_row(idx, coef, "<=", 1.0)
-    lp.add_row(idx, coef, ">=", -1.0)
+    lp.add_row(idx, coef, -INF, 1.0)
+    lp.add_row(idx, coef, np.float64(-1.0), 2)
     assert lp.row_idx[3] is lp.row_idx[4] is idx and lp.row_coef[3] is lp.row_coef[4] is coef
-    assert (lp.sense, lp.rhs) == (["<=", ">=", "==", "<=", ">="], [1.0, -1.0, 0.0, 1.0, -1.0])
+    assert (lp.row_lo, lp.row_hi) == ([-INF, -1.0, 0.0, -INF, -1.0], [1.0, INF, 0.0, 1.0, 2.0])
+    assert all(type(v) is float for v in lp.row_lo + lp.row_hi)
     for bad_idx, bad in (([0, 3, 4], 3), ([-1, 1], -1), (np.array([2, 5, 0]), 5)):
         with pytest.raises(ValueError, match=f"unknown variable {bad}$"):
-            lp.add_row(bad_idx, [1.0] * len(bad_idx), "<=", 0.0)
+            lp.add_row(bad_idx, [1.0] * len(bad_idx), -INF, 0.0)
     with pytest.raises(ValueError, match="repeats variable 1$"):
-        lp.add_row([1, 0, 1], [1.0, 2.0, 3.0], "<=", 0.0)
+        lp.add_row([1, 0, 1], [1.0, 2.0, 3.0], -INF, 0.0)
     with pytest.raises(ValueError, match="one length"):
-        lp.add_row([0, 1], [1.0], "<=", 0.0)
+        lp.add_row([0, 1], [1.0], -INF, 0.0)
+    for lo, hi in BAD_ROW_BOUNDS:
+        with pytest.raises(ValueError, match="bounds"):
+            lp.add_row([0], [1.0], lo, hi)
     assert lp.n_rows == 5
 
 
 def test_lp_infeasible():
     lp = LinearProgram()
     x = lp.add_var("x", lb=-INF, ub=INF, obj=1.0)
-    lp.add_row([x], [1.0], ">=", 1.0)
-    lp.add_row([x], [1.0], "<=", 0.0)
+    lp.add_row([x], [1.0], 1.0, INF)
+    lp.add_row([x], [1.0], -INF, 0.0)
     assert solve_lp(lp).status == "infeasible"
 
 
@@ -69,7 +73,7 @@ def test_lp_face_optimum():
     lp = LinearProgram()
     x = lp.add_var("x", obj=-1.0)
     y = lp.add_var("y", obj=-1.0)
-    lp.add_row([x, y], [1.0, 1.0], "<=", 1.0)
+    lp.add_row([x, y], [1.0, 1.0], -INF, 1.0)
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(-1.0)
@@ -86,8 +90,8 @@ def test_lp_equality_row():
     lp = LinearProgram()
     x = lp.add_var("x", obj=2.0)
     y = lp.add_var("y", obj=3.0)
-    lp.add_row([x, y], [1.0, 1.0], "==", 4.0)
-    lp.add_row([x, y], [1.0, -1.0], "<=", 2.0)
+    lp.add_row([x, y], [1.0, 1.0], 4.0, 4.0)
+    lp.add_row([x, y], [1.0, -1.0], -INF, 2.0)
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     # cheapest split puts everything on x, limited by x - y <= 2
@@ -95,18 +99,28 @@ def test_lp_equality_row():
     assert sol.x[1] == pytest.approx(1.0)
 
 
+# NaN bounds, lo > hi, and rows with no finite bound
+BAD_ROW_BOUNDS = ((np.nan, 1.0), (0.0, np.nan), (np.nan, np.nan), (1.0, 0.0), (INF, -INF),
+                  (-INF, INF), (-INF, -INF), (INF, INF))
+
+
 def test_lp_rejects_bad_rows():
     lp = LinearProgram()
     x = lp.add_var("x")
+    for lo, hi in BAD_ROW_BOUNDS:
+        with pytest.raises(ValueError, match="bounds"):
+            lp.add_row([x], [1.0], lo, hi)
     with pytest.raises(ValueError):
-        lp.add_row([x], [1.0], "!=", 0.0)
-    with pytest.raises(ValueError):
-        lp.add_row([x + 7], [1.0], "<=", 0.0)
+        lp.add_row([x + 7], [1.0], -INF, 0.0)
+    assert lp.n_rows == 0
     with pytest.raises(ValueError):
         lp.add_var("bad", lb=2.0, ub=1.0)
 
 
-def _random_lp(rng: np.random.Generator, ensure_feasible: bool = False) -> LinearProgram:
+def _random_lp(rng: np.random.Generator, ensure_feasible: bool = False,
+               ranged: bool = False) -> LinearProgram:
+    """A random LP of one-sided and equality rows; with ranged, each one-sided
+    row gets a second, finite bound (the random draws up to it are the same)."""
     lp = LinearProgram()
     n = int(rng.integers(2, 7))
     for j in range(n):
@@ -117,38 +131,41 @@ def _random_lp(rng: np.random.Generator, ensure_feasible: bool = False) -> Linea
         cols = rng.choice(n, size=min(n, int(rng.integers(1, 4))), replace=False)
         coef = [float(rng.normal()) for _ in cols]
         sense = ("<=", ">=", "==")[int(rng.integers(0, 3))]
+        slack = 0.0
         if ensure_feasible:
             at_x0 = sum(c * x0[j] for j, c in zip(cols, coef))
             slack = float(rng.uniform(0.0, 1.0))
             rhs = {"<=": at_x0 + slack, ">=": at_x0 - slack, "==": at_x0}[sense]
         else:
             rhs = float(rng.normal())
-        lp.add_row(cols, coef, sense, rhs)
+        lo, hi = {"<=": (-INF, rhs), ">=": (rhs, INF), "==": (rhs, rhs)}[sense]
+        if ranged and sense != "==":
+            # the far bound lies beyond x0's activity when ensure_feasible
+            width = slack + float(rng.uniform(0.0, 2.0))
+            lo, hi = (hi - width, hi) if sense == "<=" else (lo, lo + width)
+        lp.add_row(cols, coef, lo, hi)
     return lp
 
 
-def test_lp_against_scipy():
+def _checked_against_scipy(lps: list[LinearProgram]) -> int:
+    """Solve each LP here and with scipy's HiGHS, assert that they agree, and
+    return how many both solved to optimality."""
     scipy_opt = pytest.importorskip("scipy.optimize")
-    rng = np.random.default_rng(11)
-    lps = [_random_lp(rng, ensure_feasible=k % 2 == 0) for k in range(60)]
-    # a variable in no row (an empty column) and a row with no entries
-    alone, empty_row = _random_lp(rng, ensure_feasible=True), _random_lp(rng, ensure_feasible=True)
-    alone.add_var("alone", lb=-1.0, ub=2.0, obj=-1.0)
-    empty_row.add_row([], [], "<=", 1.0)
     checked = 0
-    for lp in lps + [alone, empty_row]:
+    for lp in lps:
         sol = solve_lp(lp)
         a_ub, b_ub, a_eq, b_eq = [], [], [], []
-        for idx, coef, sense, rhs in zip(lp.row_idx, lp.row_coef, lp.sense, lp.rhs):
+        for idx, coef, lo, hi in zip(lp.row_idx, lp.row_coef, lp.row_lo, lp.row_hi):
             dense = np.zeros(lp.n_vars)
             for j, c in zip(idx, coef):
                 dense[j] = c
-            if sense == "<=":
-                a_ub.append(dense), b_ub.append(rhs)
-            elif sense == ">=":
-                a_ub.append(-dense), b_ub.append(-rhs)
-            else:
-                a_eq.append(dense), b_eq.append(rhs)
+            if lo == hi:
+                a_eq.append(dense), b_eq.append(hi)
+                continue
+            if hi < INF:
+                a_ub.append(dense), b_ub.append(hi)
+            if lo > -INF:
+                a_ub.append(-dense), b_ub.append(-lo)
         ref = scipy_opt.linprog(
             np.array(lp.obj), A_ub=np.array(a_ub) if a_ub else None,
             b_ub=np.array(b_ub) if b_ub else None,
@@ -161,15 +178,36 @@ def test_lp_against_scipy():
             checked += 1
         elif ref.status == 2:
             assert sol.status == "infeasible"
-    assert checked >= 20
+    return checked
+
+
+def test_lp_against_scipy():
+    rng = np.random.default_rng(11)
+    lps = [_random_lp(rng, ensure_feasible=k % 2 == 0) for k in range(60)]
+    # a variable in no row (an empty column) and a row with no entries
+    alone, empty_row = _random_lp(rng, ensure_feasible=True), _random_lp(rng, ensure_feasible=True)
+    alone.add_var("alone", lb=-1.0, ub=2.0, obj=-1.0)
+    empty_row.add_row([], [], -INF, 1.0)
+    assert _checked_against_scipy(lps + [alone, empty_row]) >= 20
     assert solve_lp(alone).x[-1] == 2.0
+
+
+def test_ranged_rows_against_scipy():
+    # every one-sided row of a random LP given a second finite bound: a basic
+    # slack then has two finite bounds, and one that starts above its upper
+    # bound (the activity below lo) enters phase 1
+    rng = np.random.default_rng(21)
+    lps = [_random_lp(rng, ensure_feasible=k % 2 == 0, ranged=True) for k in range(80)]
+    assert sum(lo > -INF and hi < INF and lo < hi for lp in lps
+               for lo, hi in zip(lp.row_lo, lp.row_hi)) >= 100
+    assert _checked_against_scipy(lps) >= 30
 
 
 def _lp_with_empty_ranges(rng: np.random.Generator) -> LinearProgram:
     """A random LP plus a variable in no row and a row with no entries."""
     lp = _random_lp(rng)
     lp.add_var("alone", lb=0.0, ub=1.0, obj=1.0)
-    lp.add_row([], [], ">=", -1.0)
+    lp.add_row([], [], -1.0, INF)
     return lp
 
 
@@ -240,7 +278,7 @@ def test_activities_match_row_sums():
     rng = np.random.default_rng(8)
     for _ in range(30):
         lp = _random_lp(rng)
-        lp.add_row([], [], "<=", 1.0)
+        lp.add_row([], [], -INF, 1.0)
         x = rng.standard_normal(lp.n_vars)
         want = np.array([sum(c * x[j] for j, c in zip(idx.tolist(), coef.tolist()))
                          for idx, coef in zip(lp.row_idx, lp.row_coef)])
@@ -303,14 +341,14 @@ def test_pivot_update_matches_dense_update():
 def _indicator_lp(*rows) -> LinearProgram:
     """min -s + 0.1 a over s in [0, 10] and an indicator a with premise s - 4:
     a = 0 forces s <= 3.5 (the trigger row, margin 0.5, M = 10), a = 1 forces
-    s >= 4. Each extra row is (idx, coef, sense, rhs). Without them the root
+    s >= 4. Each extra row is (idx, coef, lo, hi). Without them the root
     LP is s = 10, a = 6.5 / 10.5; the child [0, 4] has a = 0, s = 3.5 and
     the child [4, 10] the optimum a = 1, s = 10."""
     lp = LinearProgram()
     s = lp.add_var("s", ub=10.0, obj=-1.0)
     a = lp.add_var("a", ub=1.0, obj=0.1)
-    lp.add_row([s, a], [1.0, -10.5], "<=", 3.5)
-    lp.add_row([s, a], [1.0, -4.0], ">=", 0.0)
+    lp.add_row([s, a], [1.0, -10.5], -INF, 3.5)
+    lp.add_row([s, a], [1.0, -4.0], 0.0, INF)
     for row in rows:
         lp.add_row(*row)
     return lp
@@ -354,7 +392,7 @@ def test_milp_rejects_binaries_without_premises():
 def test_milp_infeasible():
     # s >= 3.75 rules out a = 0 and s + 10 a <= 13.9 rules out a = 1, while
     # the root LP, with a relaxed, is feasible
-    lp = _indicator_lp(([0], [1.0], ">=", 3.75), ([0, 1], [1.0, 10.0], "<=", 13.9))
+    lp = _indicator_lp(([0], [1.0], 3.75, INF), ([0, 1], [1.0, 10.0], -INF, 13.9))
     assert solve_lp(lp).status == "optimal"
     sol = solve_milp(_indicator_mip(lp))
     assert (sol.status, sol.nodes) == ("infeasible", 3)
@@ -410,15 +448,15 @@ def test_scal_branching_matches_enumeration_on_random_instances(all_hours):
 # -- deferred rows -----------------------------------------------------------
 
 
-def _lazy_lp():
+def _lazy_lp(y_lo: float = -INF):
     """max 2x + y with x + y <= 8 kept; x <= 3 binds but is deferred, and so
-    is y <= 100, which never binds."""
+    is y_lo <= y <= 100, whose upper side never binds."""
     lp = LinearProgram()
     x = lp.add_var("x", ub=10.0, obj=-2.0)
     y = lp.add_var("y", ub=10.0, obj=-1.0)
-    lp.add_row([x, y], [1.0, 1.0], "<=", 8.0)
-    lp.add_row([x], [1.0], "<=", 3.0)
-    lp.add_row([y], [1.0], "<=", 100.0)
+    lp.add_row([x, y], [1.0, 1.0], -INF, 8.0)
+    lp.add_row([x], [1.0], -INF, 3.0)
+    lp.add_row([y], [1.0], y_lo, 100.0)
     return lp
 
 
@@ -433,6 +471,13 @@ def test_deferred_row_violated_at_the_relaxed_optimum_is_added():
     seeded = solve_milp(MILProblem(lp, lazy=(2,)))
     assert (seeded.rounds, seeded.rows_kept) == (1, 2)
     assert seeded.objective == pytest.approx(-11.0)
+    # a ranged row broken on its lower side only: x = 3, y = 5 meets x <= 3 but
+    # not 6 <= y <= 100, which joins, and the leaf is solved again to x = 2, y = 6
+    lp = _lazy_lp(y_lo=6.0)
+    sol = solve_milp(MILProblem(lp, lazy=(2,)))
+    assert (sol.status, sol.nodes, sol.rounds, sol.rows_kept) == ("optimal", 2, 2, 3)
+    assert sol.x == pytest.approx([2.0, 6.0]) and sol.objective == pytest.approx(-10.0)
+    assert sol.x.tobytes() == solve_lp(lp).x.tobytes()
 
 
 def test_node_limit_caps_the_nodes_of_every_round():
@@ -445,11 +490,11 @@ def test_node_limit_incumbent_must_satisfy_the_deferred_rows():
     cfg = SolverConfig(node_limit=2)
     # that leaf breaks a deferred s <= 3, which joins; the limit stops the search
     # before the re-solve, so no point of the full problem is there to report
-    sol = solve_milp(_indicator_mip(_indicator_lp(([0], [1.0], "<=", 3.0)), lazy=(2,)), cfg)
+    sol = solve_milp(_indicator_mip(_indicator_lp(([0], [1.0], -INF, 3.0)), lazy=(2,)), cfg)
     assert (sol.status, sol.nodes, sol.rounds) == ("node_limit", 2, 2)
     assert sol.x is None and sol.objective is None and sol.gap == INF
     # it satisfies a deferred a <= 0.75: kept, with the gap to the open node's bound
-    lp = _indicator_lp(([1], [1.0], "<=", 0.75))
+    lp = _indicator_lp(([1], [1.0], -INF, 0.75))
     sol = solve_milp(_indicator_mip(lp, lazy=(2,)), cfg)
     full = solve_milp(_indicator_mip(lp), cfg)
     assert (sol.status, sol.nodes, sol.rounds) == (full.status, full.nodes, 1) == ("node_limit", 2, 1)
@@ -461,7 +506,7 @@ def test_node_limit_incumbent_must_satisfy_the_deferred_rows():
 def test_leaf_that_breaks_a_deferred_row_is_solved_again_in_the_same_search():
     # the leaf [4, 10] gives s = 10, which breaks a deferred s <= 8: the row
     # joins and only that leaf is solved again, to the optimum s = 8, a = 1
-    lp = _indicator_lp(([0], [1.0], "<=", 8.0))
+    lp = _indicator_lp(([0], [1.0], -INF, 8.0))
     sol = solve_milp(_indicator_mip(lp, lazy=(2,)))
     seeded = solve_milp(_indicator_mip(lp))
     assert (seeded.status, seeded.nodes, seeded.rounds) == ("optimal", 3, 1)
@@ -474,7 +519,7 @@ def test_leaf_that_breaks_a_deferred_row_is_solved_again_in_the_same_search():
 def test_node_limit_keeps_an_incumbent_found_before_rows_joined():
     # the root, the leaf [0, 4] (incumbent s = 3.5, which meets s <= 8), then the
     # leaf [4, 10], whose s = 10 adds s <= 8; its re-solve is left open
-    lp = _indicator_lp(([0], [1.0], "<=", 8.0))
+    lp = _indicator_lp(([0], [1.0], -INF, 8.0))
     sol = solve_milp(_indicator_mip(lp, lazy=(2,)), SolverConfig(node_limit=3))
     assert (sol.status, sol.nodes, sol.rounds, sol.rows_kept) == ("node_limit", 3, 2, 3)
     assert sol.x == pytest.approx([3.5, 0.0]) and sol.objective == pytest.approx(-3.5)
@@ -484,8 +529,8 @@ def test_node_limit_keeps_an_incumbent_found_before_rows_joined():
 def test_infeasible_round_is_final():
     lp = LinearProgram()
     x = lp.add_var("x", ub=1.0, obj=-1.0)
-    lp.add_row([x], [1.0], ">=", 2.0)
-    lp.add_row([x], [1.0], "<=", 0.5)
+    lp.add_row([x], [1.0], 2.0, INF)
+    lp.add_row([x], [1.0], -INF, 0.5)
     sol = solve_milp(MILProblem(lp, lazy=(1,)))
     assert (sol.status, sol.rounds, sol.rows_kept) == ("infeasible", 1, 1)
 
@@ -514,7 +559,7 @@ def test_dump_lp_stable():
     lp = LinearProgram()
     x = lp.add_var("x", ub=3.0, obj=-1.0)
     b = lp.add_var("b", ub=1.0, obj=0.5)
-    lp.add_row([x, b], [1.0, -2.0], "<=", 1.5, name="cap")
+    lp.add_row([x, b], [1.0, -2.0], -INF, 1.5, name="cap")
     text = dump_lp(MILProblem(lp, binaries=(b,)))
     assert text == dump_lp(MILProblem(lp, binaries=(b,)))
     assert "cap" in text and "b" in text

@@ -10,7 +10,8 @@ import numpy as np
 
 from feedincap.grid import Bus, GenUnit, Grid, Line
 from feedincap.formulation import EPSILON_MW, Scenario, build_problem, node_aggregates
-from feedincap.milp import LinearProgram, MILProblem, SolverConfig, indicator_bounds, solve_lp
+from feedincap.milp import (INF, LinearProgram, MILProblem, SolverConfig, indicator_bounds,
+                           solve_lp)
 from feedincap.network import SLACK_VOLTAGE
 from feedincap.oracle import OracleError, RuleState, _rule_state, feasible_at
 
@@ -210,15 +211,16 @@ def reference_reduced_costs(A: np.ndarray, c: np.ndarray, y: np.ndarray) -> np.n
     return c - A.T @ y
 
 
-def reference_network_rows(inst) -> list[tuple[dict[int, float], float]]:
-    """The thermal_hi and v_hi rows of a built problem, hour by hour, as the
+def reference_network_rows(inst) -> list[tuple[dict[int, float], float, float]]:
+    """The thermal and voltage rows of a built problem, hour by hour, as the
     bus-by-bus loop builds them: the reference for build_problem's block form.
-    Returns (coefficients, rhs) per row."""
+    Returns (coefficients, lo, hi) per row."""
     agg, model, grid = inst.agg, inst.model, inst.grid
     pos = {bid: i for i, bid in enumerate(agg.bus_order)}
     bus_of = {g.id: pos[g.bus] for g in grid.gens}
     unit_bus = [bus_of[gid] for gid in inst.elig_units]
     s_max = [ln.s_max for ln in grid.lines]
+    vmin2 = [grid.buses[pos[bid]].vmin**2 for bid in model.bus_order]
     vmax2 = [grid.buses[pos[bid]].vmax**2 for bid in model.bus_order]
     rows = []
     for k in range(len(inst.hours)):
@@ -238,7 +240,7 @@ def reference_network_rows(inst) -> list[tuple[dict[int, float], float]]:
                 if a != 0.0:
                     const += a * inj_const[pos[bid]]
                     add(coeffs, p_terms(pos[bid]), a)
-            rows.append((coeffs, s_max[l] - const))
+            rows.append((coeffs, -s_max[l] - const, s_max[l] - const))
         for n in range(len(model.bus_order)):
             coeffs, const = {}, SLACK_VOLTAGE**2
             for nsl, bid in enumerate(model.bus_order):
@@ -248,7 +250,7 @@ def reference_network_rows(inst) -> list[tuple[dict[int, float], float]]:
                     add(coeffs, p_terms(pos[bid]), kp)
                 if kq != 0.0:
                     const += kq * (-agg.demand_q[k, pos[bid]])
-            rows.append((coeffs, vmax2[n] - const))
+            rows.append((coeffs, vmin2[n] - const, vmax2[n] - const))
     return rows
 
 
@@ -257,7 +259,7 @@ def reference_trigger_rows(inst, scal_max: float = SolverConfig().scal_max):
     in Python floats, big-M included (avail + fl * cap + R + 1 at scal_max,
     inputs checked nonnegative): the reference for build_problem's array
     form. scal_max must be the one the problem was built with. Returns
-    ({row name: (indices, coefficients, sense, rhs)} for every trigger,
+    ({row name: (indices, coefficients, lo, hi)} for every trigger,
     pin_hi, pin_lo and spill row, {curt_on variable: (lb, ub)}, big-M as an
     (H, E) array)."""
     agg, fl, s = inst.agg, inst.scenario.fl, inst.scal_idx
@@ -289,12 +291,12 @@ def reference_trigger_rows(inst, scal_max: float = SolverConfig().scal_max):
             cap_c, cap_k = float(agg.cap_const[i]), float(agg.cap_coef[i])
             av_c, av_k = float(agg.avail_const[k, i]), float(agg.avail_coef[k, i])
             rows[f"trigger[{k},{bid}]"] = ([s, a], [av_k - fl * cap_k, -(m + EPSILON_MW)],
-                                           "<=", fl * cap_c - av_c + res - EPSILON_MW)
+                                           -INF, fl * cap_c - av_c + res - EPSILON_MW)
             rows[f"pin_hi[{k},{bid}]"] = ([s, *p_at, a], [0.0 - fl * cap_k, *ones, m],
-                                          "<=", m + fl * cap_c + res)
+                                          -INF, m + fl * cap_c + res)
             rows[f"pin_lo[{k},{bid}]"] = ([s, *p_at, a], [0.0 - fl * cap_k, *ones, -m],
-                                          ">=", -m + fl * cap_c + res)
-            rows[f"spill[{k},{bid}]"] = ([*sp_at, a], [*ones, -m], "<=", 0.0)
+                                          -m + fl * cap_c + res, INF)
+            rows[f"spill[{k},{bid}]"] = ([*sp_at, a], [*ones, -m], -INF, 0.0)
     return rows, bounds, big_m
 
 
@@ -390,13 +392,13 @@ def dump_lp(problem: LinearProgram | MILProblem) -> str:
              for j, c in enumerate(lp.obj) if c != 0.0]
     out.append(" obj: " + (" ".join(terms) if terms else "0"))
     out.append("Subject To")
-    for idx, coef, sense, rhs, name in zip(lp.row_idx, lp.row_coef, lp.sense,
-                                           lp.rhs, lp.row_names):
+    for idx, coef, lo, hi, name in zip(lp.row_idx, lp.row_coef, lp.row_lo,
+                                       lp.row_hi, lp.row_names):
         body = " ".join(
             f"{'+' if c >= 0 else '-'} {_fmt(abs(c))} {lp.names[j]}"
             for j, c in zip(idx.tolist(), coef.tolist())
         )
-        out.append(f" {name}: {body} {sense} {_fmt(rhs)}")
+        out.append(f" {name}: {_fmt(lo)} <= {body} <= {_fmt(hi)}")
     out.append("Bounds")
     for j in range(lp.n_vars):
         out.append(f" {_fmt(lp.lb[j])} <= {lp.names[j]} <= {_fmt(lp.ub[j])}")
