@@ -47,6 +47,9 @@ def _load_grid(path: str):
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+    except UnicodeDecodeError as exc:
+        print(f"error: {path}: not UTF-8 ({exc})", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
     try:
         return parse_grid(text, validate=False)
     except GridFormatError as exc:
@@ -72,6 +75,9 @@ def _scenario_from_args(args) -> Scenario:
             sc = scenario_from_json(Path(args.scenario).read_text(encoding="utf-8"))
         except OSError as exc:
             print(f"error: cannot read {args.scenario}: {exc}", file=sys.stderr)
+            raise SystemExit(EXIT_USAGE)
+        except UnicodeDecodeError as exc:
+            print(f"error: {args.scenario}: not UTF-8 ({exc})", file=sys.stderr)
             raise SystemExit(EXIT_USAGE)
         except (json.JSONDecodeError, FormulationError) as exc:
             print(f"error: bad scenario file: {exc}", file=sys.stderr)

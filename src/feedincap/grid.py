@@ -153,11 +153,31 @@ def _number(value, kind=float):
     return kind(value)
 
 
-def _numbers(node: object, what: str) -> list:
-    """node if it is a list of JSON numbers; one type check, no per-value loop."""
+def _numbers(node: object, what: str) -> list | np.ndarray:
+    """node if it is a list of JSON numbers (one type check, no per-value loop) or
+    the float64 array _decode_series made of one."""
+    if isinstance(node, np.ndarray) and node.dtype == np.float64 and node.ndim == 1:
+        return node
     if not isinstance(node, (list, tuple)) or not set(map(type, node)) <= {int, float}:
         raise GridFormatError(f"{what}: expected a list of numbers")
     return node
+
+
+_SERIES_KEYS = ("demand_p", "demand_q", "profile", "values")
+
+
+def _decode_series(obj: dict) -> dict:
+    """json.loads object hook: each series of obj becomes its array as obj closes,
+    so the list of Python floats is freed at once and only one series of them is
+    alive at a time. A list the number rule rejects, or one past the float range,
+    stays a list for parse_grid to report."""
+    for key in _SERIES_KEYS:
+        if type(obj.get(key)) is list:
+            try:
+                obj[key] = _series(_numbers(obj[key], key))
+            except (GridFormatError, OverflowError):
+                pass
+    return obj
 
 
 def _power(node: object, what: str, series: bool = False) -> float | np.ndarray:
@@ -191,7 +211,7 @@ def parse_grid(document: str | dict, *, validate: bool = True) -> Grid:
     """
     if isinstance(document, str):
         try:
-            doc = json.loads(document)
+            doc = json.loads(document, object_hook=_decode_series)
         except json.JSONDecodeError as exc:
             raise GridFormatError(f"not valid JSON: {exc}") from None
     else:
@@ -207,31 +227,19 @@ def parse_grid(document: str | dict, *, validate: bool = True) -> Grid:
 
     where = "grid"      # names the element whose value fails to convert
     try:
-        buses = []
+        bus_args = []
         for i, raw in enumerate(doc["buses"]):
             if not isinstance(raw, dict) or "id" not in raw:
                 raise GridFormatError(f"buses[{i}]: expected an object with an 'id'")
             bid = str(raw["id"])
             where = f"bus {bid}"
-            dp = raw.get("demand_p", [0.0])
-            dq = raw.get("demand_q")
-            demand_p = _power(dp, f"bus {bid} demand_p", series=True)
-            if dq is None:
-                demand_q = np.zeros(len(demand_p))
-            else:
-                demand_q = _power(dq, f"bus {bid} demand_q", series=True)
+            args = {key: _power(raw[key], f"bus {bid} {key}", series=True)
+                    for key in ("demand_p", "demand_q") if key in raw}
             if not isinstance(raw.get("is_slack", False), bool):
                 raise GridFormatError(f"bus {bid}: is_slack must be true or false")
-            buses.append(
-                Bus(
-                    id=bid,
-                    is_slack=raw.get("is_slack", False),
-                    demand_p=demand_p,
-                    demand_q=demand_q,
-                    vmin=_number(raw.get("vmin", 0.95)),
-                    vmax=_number(raw.get("vmax", 1.05)),
-                )
-            )
+            bus_args.append(dict(args, id=bid, is_slack=raw.get("is_slack", False),
+                                 vmin=_number(raw.get("vmin", 0.95)),
+                                 vmax=_number(raw.get("vmax", 1.05))))
 
         lines = []
         for i, raw in enumerate(doc["lines"]):
@@ -249,21 +257,25 @@ def parse_grid(document: str | dict, *, validate: bool = True) -> Grid:
                 )
             )
 
-        gens = []
+        gen_args = []
         for i, raw in enumerate(doc.get("generators", [])):
             if not isinstance(raw, dict) or "id" not in raw:
                 raise GridFormatError(f"generators[{i}]: expected an object with an 'id'")
             gid = str(raw["id"])
             where = f"gen {gid}"
-            gens.append(
-                GenUnit(
-                    id=gid,
-                    bus=str(raw.get("bus", "")),
-                    kind=str(raw.get("kind", "")),
-                    p_max=_power(raw.get("p_max", 0.0), f"gen {gid} p_max"),
-                    profile=_numbers(raw.get("profile", [1.0]), f"gen {gid} profile"),
-                )
-            )
+            args = {"id": gid, "bus": str(raw.get("bus", "")), "kind": str(raw.get("kind", "")),
+                    "p_max": _power(raw.get("p_max", 0.0), f"gen {gid} p_max")}
+            if "profile" in raw:
+                args["profile"] = _series(_numbers(raw["profile"], f"gen {gid} profile"))
+            gen_args.append(args)
+
+        # a series the document leaves out spans the hours of the first one it gives
+        given = [a[key] for a in bus_args for key in ("demand_p", "demand_q") if key in a]
+        given += [a["profile"] for a in gen_args if "profile" in a]
+        hours = len(given[0]) if given else 1
+        zeros, ones = _series(np.zeros(hours)), _series(np.ones(hours))
+        buses = [Bus(**{"demand_p": zeros, "demand_q": zeros, **a}) for a in bus_args]
+        gens = [GenUnit(**{"profile": ones, **a}) for a in gen_args]
 
         where = "grid"
         grid = Grid(

@@ -70,6 +70,22 @@ def test_validate_garbage(tmp_path, capsys):
     assert cli.main(["validate", str(p)]) == 2
 
 
+def test_grid_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    p = tmp_path / "latin1.json"
+    p.write_bytes(serialize_grid(two_bus()).replace('"n1"', '"caf\xe9"').encode("latin-1"))
+    assert cli.main(["validate", str(p)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {p}: not UTF-8")
+
+
+def test_scenario_file_that_is_not_utf8_is_a_usage_error(toy_file, tmp_path, capsys):
+    sc = tmp_path / "scenario.json"
+    sc.write_bytes('{"fl": 0.7, "case": "a"} \xe9'.encode("latin-1"))
+    assert cli.main(["plan", toy_file, "--scenario", str(sc),
+                     "--outdir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {sc}: not UTF-8")
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_zero_impedance_is_a_warning(tmp_path, capsys):
     p = tmp_path / "ideal.json"
     p.write_text(serialize_grid(two_bus(r=0.0, x=0.0)))

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -111,9 +112,103 @@ def test_round_trip_identity_two_bus():
     assert serialize_grid(parse_grid(text)) == text
 
 
-# -- the canonical writer against json.dumps(indent=1) of the whole document --
+def test_missing_series_span_the_document_hours():
+    # the slack bus gives no demand and the unit no profile: all zeros and all
+    # ones over the two hours of the first series given
+    doc = {
+        "base_mva": 1.0, "base_kv": 20.0,
+        "buses": [{"id": "sub", "is_slack": True},
+                  {"id": "n1", "demand_p": [0.5, 0.25]}],
+        "lines": [{"from": "sub", "to": "n1", "r": 0.01, "x": 0.01, "s_max": 5.0}],
+        "generators": [{"id": "pv", "bus": "n1", "kind": "pv_candidate", "p_max": 1.0}],
+    }
+    for grid in (parse_grid(json.dumps(doc)), parse_grid(doc)):
+        assert grid.hour_count == 2
+        assert grid.slack.demand_p.tolist() == grid.slack.demand_q.tolist() == [0.0, 0.0]
+        assert grid.bus("n1").demand_q.tolist() == [0.0, 0.0]
+        assert grid.gens[0].profile.tolist() == [1.0, 1.0]
+
+
+# -- text and dict input: series decoded while reading or afterwards --
 
 SHIPPED = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.json"))
+
+
+def _all_series(grid):
+    return [s for b in grid.buses for s in (b.demand_p, b.demand_q)] + \
+        [g.profile for g in grid.gens]
+
+
+def _assert_both_paths_agree(text):
+    """parse_grid of the text (series decoded as their objects close) and of
+    json.loads of it (series converted afterwards) give the same grid."""
+    from_text, from_dict = parse_grid(text), parse_grid(json.loads(text))
+    assert [s.tobytes() for s in _all_series(from_text)] == \
+        [s.tobytes() for s in _all_series(from_dict)]
+    assert serialize_grid(from_text) == serialize_grid(from_dict)
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
+def test_text_and_dict_parse_alike_on_shipped_fixtures(path):
+    text = path.read_text()
+    _assert_both_paths_agree(text)
+    assert serialize_grid(parse_grid(text)) == text
+
+
+def test_text_and_dict_parse_alike_on_unit_tagged_series():
+    doc = json.loads(json.dumps(MINIMAL_DOC))
+    doc["buses"][1]["demand_p"] = {"unit": "kW", "values": [1.4, 0.1, 3, -0.0]}
+    doc["buses"][1]["demand_q"] = {"unit": "kVAr", "values": [0.3, 0.7, 1e-05, 2]}
+    doc["buses"][0]["demand_p"] = {"values": [0.0, 0.0, 0.0, 0.0]}
+    _assert_both_paths_agree(json.dumps(doc))
+    assert parse_grid(json.dumps(doc)).bus("n1").demand_p.tobytes() == \
+        (np.array([1.4, 0.1, 3, -0.0]) * 1e-3).tobytes()
+
+
+def _series_holders(doc):
+    """(object, key) of a bus demand, a unit-tagged demand and a generator profile."""
+    doc["buses"][1]["demand_q"] = {"unit": "kVAr", "values": [0.5]}
+    doc["generators"] = [{"id": "pv", "bus": "n1", "kind": "pv_candidate",
+                          "p_max": 1.0, "profile": [1.0]}]
+    return ((doc["buses"][1], "demand_p"), (doc["buses"][1]["demand_q"], "values"),
+            (doc["generators"][0], "profile"))
+
+
+BAD_ENTRIES = {"true": True, "string": "0.9", "null": None, "nested": [0.5],
+               "int-too-large": 10**400, "nan": float("nan")}
+BAD_SERIES = {**{f"[{k}]": [v] for k, v in BAD_ENTRIES.items()},
+              **{k: v for k, v in BAD_ENTRIES.items() if k != "nested"}}
+
+
+@pytest.mark.parametrize("bad", BAD_SERIES.values(), ids=BAD_SERIES.keys())
+@pytest.mark.parametrize("holder", [0, 1, 2], ids=["demand_p", "kw-values", "profile"])
+def test_text_and_dict_reject_bad_series_alike(bad, holder):
+    doc = json.loads(json.dumps(MINIMAL_DOC))
+    obj, key = _series_holders(doc)[holder]
+    obj[key] = bad
+    text = json.dumps(doc)
+    with pytest.raises(GridFormatError) as from_text:
+        parse_grid(text)
+    with pytest.raises(GridFormatError) as from_dict:
+        parse_grid(json.loads(text))
+    assert str(from_text.value) == str(from_dict.value)
+
+
+def test_series_become_arrays_while_the_document_is_read():
+    # the parse holds the series as float64 arrays plus at most one list of
+    # Python floats (32 bytes per number), not every series as a list at once
+    text = serialize_grid(synth_grid("lv", seed=1, hours=720))
+    series_bytes = sum(s.nbytes for s in _all_series(parse_grid(text, validate=False)))
+    tracemalloc.start()
+    try:
+        parse_grid(text, validate=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * series_bytes
+
+
+# -- the canonical writer against json.dumps(indent=1) of the whole document --
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
