@@ -438,7 +438,11 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
 
 @dataclass
 class PlanResult:
-    """One operating point at a fixed expansion factor, from oracle.oracle_plan."""
+    """One operating point at a fixed expansion factor, from oracle.oracle_plan.
+
+    The per-unit series are C-ordered (G, H) matrices: row u is unit_ids[u],
+    in grid.gens order, and column k is hours[k].
+    """
 
     scal: float
     added_capacity_mw: float
@@ -446,9 +450,10 @@ class PlanResult:
     hour_duration_h: float
     bus_order: tuple[str, ...]          # non-slack, network order
     line_order: tuple[str, ...]
-    production_mw: dict[str, np.ndarray]    # gen id -> (H,)
-    curtailment_mw: dict[str, np.ndarray]
-    available_mw: dict[str, np.ndarray]
+    unit_ids: tuple[str, ...]           # gen ids, one per matrix row
+    production_mw: np.ndarray           # (G, H)
+    curtailment_mw: np.ndarray          # (G, H)
+    available_mw: np.ndarray            # (G, H)
     flows_mw: np.ndarray                # (H, L)
     voltages_pu2: np.ndarray            # (H, N) squared p.u.
     imports_mw: np.ndarray              # (H,)
@@ -484,12 +489,17 @@ class EnergyAccount:
 
 
 def energy_account(plan: PlanResult) -> EnergyAccount:
+    """The plan's energy totals in MWh: each unit's row is summed as its own
+    1-D series would be (numpy's pairwise sum, which only a C-contiguous row
+    gets), and the unit totals are added left to right in grid order."""
     dh = plan.hour_duration_h
-    avail = sum(float(v.sum()) for v in plan.available_mw.values()) * dh
-    gen = sum(float(v.sum()) for v in plan.production_mw.values()) * dh
-    curt = sum(float(v.sum()) for v in plan.curtailment_mw.values()) * dh
+
+    def total(m: np.ndarray) -> float:
+        return sum(np.ascontiguousarray(m).sum(axis=1).tolist()) * dh
+
     return EnergyAccount(
-        available_mwh=avail, generated_mwh=gen, curtailed_mwh=curt,
+        available_mwh=total(plan.available_mw), generated_mwh=total(plan.production_mw),
+        curtailed_mwh=total(plan.curtailment_mw),
         imports_mwh=float(plan.imports_mw.sum()) * dh,
         exports_mwh=float(plan.exports_mw.sum()) * dh,
     )

@@ -441,6 +441,9 @@ def validate_grid(grid: Grid) -> list[ValidationIssue]:
         if not math.isfinite(b.vmax * b.vmax):      # ** would raise OverflowError
             err("non_finite", b.id, f"vmax^2 must be finite, got vmax = {b.vmax}")
 
+    if not grid.lines:
+        err("no_lines", "grid", "no lines: with nothing to rate and no bus off the "
+            "slack, no network bound limits the expansion")
     line_pairs: set[frozenset[str]] = set()
     for ln in grid.lines:
         for end in (ln.from_bus, ln.to_bus):

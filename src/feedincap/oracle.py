@@ -111,14 +111,16 @@ def flagged_rows(values, masks, hours: tuple[int, ...],
                  limit: int | None = None) -> tuple[int, list[tuple]]:
     """Count and first `limit` (kind, element, hour, value) rows where masks
     hold, by hour, then thermal lines, v_high buses and v_low buses."""
-    names = ([("thermal", l, 0, j) for j, l in enumerate(line_order)]
-             + [(kind, b, blk, j) for blk, kind in ((1, "v_high"), (2, "v_low"))
-                for j, b in enumerate(bus_order)])
     ks, cs = np.nonzero(np.concatenate(masks, axis=1))
+    n_lines, n_buses = len(line_order), len(bus_order)
     rows = []
     for k, c in zip(ks[:limit].tolist(), cs[:limit].tolist()):
-        kind, element, blk, j = names[c]
-        rows.append((kind, element, hours[k], float(values[blk][k, j])))
+        if c < n_lines:
+            rows.append(("thermal", line_order[c], hours[k], float(values[0][k, c])))
+        else:
+            blk, j = divmod(c - n_lines, n_buses)
+            rows.append((("v_high", "v_low")[blk], bus_order[j], hours[k],
+                         float(values[blk + 1][k, j])))
     return int(ks.size), rows
 
 
@@ -219,7 +221,10 @@ def oracle_plan(grid: Grid, scenario: Scenario, scal: float, *,
     Non-eligible units run at full availability p_max * cf. An eligible unit's
     availability is (p_max * scal for candidates, else p_max) * cf, and its
     node's curtailment is split pro rata by availability; node totals, flows
-    and voltages are the quantities that are actually pinned down.
+    and voltages are the quantities that are actually pinned down. The
+    per-unit series come out as C-ordered (G, H) matrices, rows in grid.gens
+    order. energy_account's row sums equal the sums of the 1-D unit series
+    only for C-contiguous rows.
     """
     model = model or build_linear_model(grid)
     agg = agg if agg is not None else node_aggregates(grid, scenario)
@@ -227,25 +232,25 @@ def oracle_plan(grid: Grid, scenario: Scenario, scal: float, *,
     flows, v2 = _network_arrays(state, model)
     hours = agg.hours
     idx = np.asarray(hours, dtype=int)
+    gens = grid.gens
     pos = {bid: i for i, bid in enumerate(agg.bus_order)}
+    at = np.array([pos[g.bus] for g in gens], dtype=np.intp)
     elig_kinds = scenario.eligible_kinds()
-    production: dict[str, np.ndarray] = {}
-    curtail: dict[str, np.ndarray] = {}
-    avail: dict[str, np.ndarray] = {}
-    for g in grid.gens:
-        cf = g.profile[idx]
-        if g.kind in elig_kinds:
-            i = pos[g.bus]
-            base = g.p_max * scal if g.kind == "pv_candidate" else g.p_max
-            avail[g.id] = a_g = base * cf
-            node_av = state.available_mw[:, i]
-            share = np.divide(a_g, node_av, out=np.zeros(len(hours)), where=node_av > 0)
-            curtail[g.id] = state.curtailed_mw[:, i] * share
-            production[g.id] = a_g - curtail[g.id]
-        else:
-            production[g.id] = g.p_max * cf
-            curtail[g.id] = np.zeros(len(hours))
-            avail[g.id] = g.p_max * cf
+    elig = np.array([g.kind in elig_kinds for g in gens], dtype=bool)
+    p_max = np.array([g.p_max for g in gens], dtype=float)
+    base = np.where([g.kind == "pv_candidate" for g in gens], p_max * scal, p_max)
+
+    # one row per unit, C-ordered: a gathered column block would be F-ordered
+    avail = np.array([g.profile[idx] for g in gens]).reshape(len(gens), len(idx))
+    avail *= base[:, None]
+    node_av = state.available_mw[:, at].T
+    shared = node_av > 0
+    shared &= elig[:, None]
+    curtail = np.zeros_like(avail)          # the pro-rata share, then MW in place
+    np.divide(avail, node_av, out=curtail, where=shared)
+    del node_av, shared                     # at most three (G, H) floats at once
+    curtail *= state.curtailed_mw[:, at].T
+    production = avail - curtail
 
     net = state.injection_p.sum(axis=1)           # lossless: slack picks this up
     return PlanResult(
@@ -255,6 +260,7 @@ def oracle_plan(grid: Grid, scenario: Scenario, scal: float, *,
         hour_duration_h=grid.hour_duration_h,
         bus_order=model.bus_order,
         line_order=model.line_order,
+        unit_ids=tuple(g.id for g in gens),
         production_mw=production,
         curtailment_mw=curtail,
         available_mw=avail,

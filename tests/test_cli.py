@@ -13,7 +13,7 @@ from feedincap import cli
 from feedincap.fixtures import example_grid_7kwp, synth_grid
 from feedincap.grid import GenUnit, serialize_grid
 
-from util import two_bus
+from util import chain3, two_bus
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -148,6 +148,26 @@ def test_huge_vmax_is_a_domain_error(command, flags, tmp_path, capsys):
     outdir = [str(tmp_path / "o")] if flags else []
     assert cli.main([command, str(tmp_path / "grid.json"), *flags, *outdir]) == 1
     assert "non_finite at n001" in "".join(capsys.readouterr())   # validate: stdout
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("validate", []), ("plan", ["--outdir"]), ("plan", ["--engine", "oracle", "--outdir"]),
+    ("sweep", ["--outdir"]), ("simulate", ["--scal", "1", "--outdir"]),
+])
+def test_grid_without_lines_is_a_domain_error(command, flags, tmp_path, capsys):
+    # a lone slack bus is a tree, but no bound could stop the expansion
+    (tmp_path / "grid.json").write_text(json.dumps({
+        "base_mva": 1.0, "base_kv": 20.0,
+        "buses": [{"id": "sub", "is_slack": True, "demand_p": [0.1]}],
+        "lines": [],
+        "generators": [{"id": "c", "bus": "sub", "kind": "pv_candidate", "p_max": 0.5}],
+    }))
+    outdir = [str(tmp_path / "o")] if flags else []
+    assert cli.main([command, str(tmp_path / "grid.json"), *flags, *outdir]) == 1
+    out, err = capsys.readouterr()
+    assert "error no_lines at grid: no lines" in (out if command == "validate" else err)
+    assert "argmin" not in out + err
     assert not (tmp_path / "o").exists()
 
 
@@ -455,6 +475,15 @@ def test_simulate_violations_exit_nonzero(toy_file, tmp_path, capsys):
 
 def test_simulate_negative_scal(example_file, capsys):
     assert cli.main(["simulate", example_file, "--scal", "-1"]) == 2
+
+
+def test_simulate_without_generators_reports_zero_energy(tmp_path):
+    (tmp_path / "grid.json").write_text(serialize_grid(chain3()))
+    assert cli.main(["simulate", str(tmp_path / "grid.json"), "--scal", "1",
+                     "--outdir", str(tmp_path)]) == 0
+    text = (tmp_path / "simulate.json").read_text()
+    for key in ("available_mwh", "generated_mwh", "curtailed_mwh", "curtailed_share"):
+        assert f'"{key}": 0.0,' in text
 
 
 def test_simulate_reports_the_annual_plan_energy(tmp_path):

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from feedincap.formulation import Scenario, build_problem
+from feedincap.formulation import Scenario, build_problem, energy_account
 from feedincap.fixtures import example_grid_7kwp
 from feedincap.grid import GenUnit, Grid, parse_grid
 from feedincap.milp import SolverConfig
@@ -13,6 +13,7 @@ from feedincap.oracle import (
     OracleError,
     annual_simulate,
     feasible_at,
+    flagged_rows,
     headroom,
     max_scal_bisection,
     oracle_plan,
@@ -20,9 +21,13 @@ from feedincap.oracle import (
 
 import util
 from util import (
+    chain3,
     enumerate_alpha,
     random_radial,
     reference_bisection,
+    reference_flagged_rows,
+    reference_unit_series,
+    reference_unit_totals,
     rule_injections,
     two_bus,
     valid_random_instances,
@@ -295,7 +300,8 @@ def test_oracle_plan_reference_point():
     grid = example_grid_7kwp()
     plan = oracle_plan(grid, Scenario(fl=0.7), scal=1.0)
     gid = next(g.id for g in grid.gens if g.kind == "pv_candidate")
-    assert plan.curtailment_mw[gid][0] == pytest.approx(0.7e-3, abs=1e-12)
+    assert plan.curtailment_mw[plan.unit_ids.index(gid)][0] == \
+        pytest.approx(0.7e-3, abs=1e-12)
     assert plan.exports_mw[0] == pytest.approx(4.9e-3, abs=1e-12)
 
 
@@ -306,10 +312,96 @@ def test_oracle_plan_prorata_split():
                                      6.0, (1.0,)),))
     plan = oracle_plan(grid, Scenario(fl=0.5, case="b"), scal=1.0)
     # node: avail 8, cap 8, fl 0.5 -> curtail 4 split 1:3 across the units
-    assert plan.curtailment_mw["g1"][0] == pytest.approx(1.0)
-    assert plan.curtailment_mw["g2"][0] == pytest.approx(3.0)
-    assert plan.production_mw["g1"][0] + plan.production_mw["g2"][0] == \
+    g1, g2 = plan.unit_ids.index("g1"), plan.unit_ids.index("g2")
+    assert plan.curtailment_mw[g1][0] == pytest.approx(1.0)
+    assert plan.curtailment_mw[g2][0] == pytest.approx(3.0)
+    assert plan.production_mw[g1][0] + plan.production_mw[g2][0] == \
         pytest.approx(4.0)
+
+
+def _plan_matching_the_unit_loop(grid, scenario, scal):
+    """oracle_plan, once every unit row and account total is checked bit for
+    bit against the per-generator loop."""
+    plan = oracle_plan(grid, scenario, scal)
+    units = reference_unit_series(grid, scenario, scal)
+    assert plan.unit_ids == tuple(units)
+    matrices = (plan.available_mw, plan.curtailment_mw, plan.production_mw)
+    for m in matrices:
+        assert m.shape == (len(units), len(plan.hours))
+        assert m.flags.c_contiguous
+    for u, series in enumerate(units.values()):
+        for m, ref in zip(matrices, series):
+            assert m[u].tobytes() == ref.tobytes(), plan.unit_ids[u]
+    acc = energy_account(plan)
+    totals = (acc.available_mwh, acc.curtailed_mwh, acc.generated_mwh)
+    assert [t.hex() for t in totals] == \
+        [t.hex() for t in reference_unit_totals(units, grid.hour_duration_h)]
+    return plan
+
+
+@pytest.mark.parametrize("case", ["a", "b"])
+@pytest.mark.parametrize("fl", [1.0, 0.7])
+@pytest.mark.parametrize("name", ["example", "urban_mv", "rural_mv", "hybrid_mv", "lv"])
+def test_plan_rows_and_totals_match_the_unit_loop(name, fl, case):
+    grid = parse_grid((FIXTURES / f"{name}.json").read_text())
+    scenario = Scenario(fl=fl, case=case)
+    search = max_scal_bisection(grid, scenario)
+    _plan_matching_the_unit_loop(
+        grid, scenario, search.scal_star if search.status == "ok" else 1.0)
+
+
+def test_annual_plan_rows_and_totals_match_the_unit_loop(lv_year):
+    plan = _plan_matching_the_unit_loop(lv_year, Scenario(fl=0.7, mode="annual"), 1.0676)
+    assert plan.curtailment_mw.any()
+    # an F-ordered matrix sums its rows another way; the account must not see it
+    f_ordered = replace(plan, **{q: np.asfortranarray(getattr(plan, q)) for q in
+                                 ("available_mw", "curtailment_mw", "production_mw")})
+    assert energy_account(f_ordered) == energy_account(plan)
+
+
+@pytest.mark.parametrize("case", ["a", "b"])
+def test_plan_rows_without_node_availability_or_eligibility(case):
+    grid = two_bus(p_max=2.0, profile=(0.0, 1.0))
+    grid = replace(grid, gens=grid.gens + (
+        GenUnit("f", "n1", "pv_existing_fixed", 1.0, (0.0, 1.0)),))
+    plan = _plan_matching_the_unit_loop(grid, Scenario(fl=0.5, case=case, hours=(0, 1)), 1.0)
+    g1, f = plan.unit_ids.index("g1"), plan.unit_ids.index("f")
+    assert not plan.curtailment_mw[:, 0].any()         # nothing available: share 0
+    assert plan.curtailment_mw[g1, 1] > 0.0
+    if case == "a":                 # f is not eligible while its node curtails
+        assert plan.curtailment_mw[f].tobytes() == np.zeros(2).tobytes()
+        assert plan.production_mw[f].tobytes() == plan.available_mw[f].tobytes()
+    else:
+        assert plan.curtailment_mw[f, 1] > 0.0
+
+
+def test_plan_of_a_grid_without_generators():
+    plan = _plan_matching_the_unit_loop(chain3(), Scenario(), 1.0)
+    assert plan.unit_ids == ()
+    assert plan.available_mw.shape == (0, 1)
+    acc = energy_account(plan)
+    assert (acc.available_mwh, acc.curtailed_mwh, acc.generated_mwh) == (0.0, 0.0, 0.0)
+    assert isinstance(acc.available_mwh, float)
+
+
+@pytest.mark.parametrize("limit", [None, 0, 3])
+def test_flagged_rows_labels_match_the_list_lookup(limit):
+    rng = np.random.default_rng(7)
+    hours, lines, buses = (10, 11, 12, 13), ("l0", "l1", "l2"), ("b0", "b1", "b2", "b3")
+    values = tuple(rng.normal(size=(len(hours), n)) for n in (3, 4, 4))
+    masks = tuple(v < -0.5 for v in values)
+    for m in masks:
+        m[0] = False
+    # the first hour flags one row of each block, so three rows reach all of them
+    masks[0][0, 2] = masks[1][0, 1] = masks[2][0, 3] = True
+    got = flagged_rows(values, masks, hours, lines, buses, limit)
+    assert got == reference_flagged_rows(values, masks, hours, lines, buses, limit)
+    assert {kind for kind, *_ in got[1]} == (
+        set() if limit == 0 else {"thermal", "v_high", "v_low"})
+    if limit == 3:
+        assert got[1] == [("thermal", "l2", 10, float(values[0][0, 2])),
+                          ("v_high", "b1", 10, float(values[1][0, 1])),
+                          ("v_low", "b3", 10, float(values[2][0, 3]))]
 
 
 # -- annual ------------------------------------------------------------------

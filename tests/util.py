@@ -169,6 +169,53 @@ def reference_bisection(grid: Grid, scenario: Scenario, cfg: SolverConfig,
     return lo
 
 
+def reference_unit_series(grid: Grid, scenario: Scenario,
+                          scal: float) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The plan's per-unit series one generator at a time: the reference for
+    oracle_plan's (G, H) matrices. Returns {gen id: (available, curtailed,
+    produced)}, in grid order."""
+    agg = node_aggregates(grid, scenario)
+    state = _rule_state(agg, scenario.fl, scal)
+    idx = np.asarray(agg.hours, dtype=int)
+    pos = {bid: i for i, bid in enumerate(agg.bus_order)}
+    elig_kinds = scenario.eligible_kinds()
+    units = {}
+    for g in grid.gens:
+        cf = g.profile[idx]
+        if g.kind in elig_kinds:
+            i = pos[g.bus]
+            base = g.p_max * scal if g.kind == "pv_candidate" else g.p_max
+            a_g = base * cf
+            node_av = state.available_mw[:, i]
+            share = np.divide(a_g, node_av, out=np.zeros(len(idx)), where=node_av > 0)
+            c_g = state.curtailed_mw[:, i] * share
+            units[g.id] = (a_g, c_g, a_g - c_g)
+        else:
+            units[g.id] = (g.p_max * cf, np.zeros(len(idx)), g.p_max * cf)
+    return units
+
+
+def reference_unit_totals(units, hour_duration_h: float) -> tuple[float, float, float]:
+    """(available, curtailed, generated) MWh, each unit's series summed on its
+    own and the unit totals added in order: the reference for energy_account."""
+    return tuple(sum(float(series[q].sum()) for series in units.values()) * hour_duration_h
+                 for q in range(3))
+
+
+def reference_flagged_rows(values, masks, hours, line_order, bus_order, limit=None):
+    """flagged_rows with every row's label looked up in a list of all L + 2N
+    labels: the reference for its label arithmetic."""
+    names = ([("thermal", l, 0, j) for j, l in enumerate(line_order)]
+             + [(kind, b, blk, j) for blk, kind in ((1, "v_high"), (2, "v_low"))
+                for j, b in enumerate(bus_order)])
+    ks, cs = np.nonzero(np.concatenate(masks, axis=1))
+    rows = []
+    for k, c in zip(ks[:limit].tolist(), cs[:limit].tolist()):
+        kind, element, blk, j = names[c]
+        rows.append((kind, element, hours[k], float(values[blk][k, j])))
+    return int(ks.size), rows
+
+
 def reference_ratio_test(step, bvals, lb, ub, basis, piv_tol):
     """The simplex ratio test as a loop over every basis row: the reference
     for milp._ratio_test. Returns (blocking row or -1, step length)."""
