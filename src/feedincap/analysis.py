@@ -194,8 +194,12 @@ def run_cell(grid: Grid, scenario: Scenario, engine: str,
     The engines only fix scal*; the reported quantities come from the
     closed-form plan at that factor, over every planned hour in either mode.
     agg, when given, is node_aggregates(grid, scenario). Raises AnalysisError
+    for a grid without lines, which validate_grid refuses as no_lines, and
     where scal moves no production but nothing is infeasible at scal = 0.
     """
+    if not grid.lines:
+        raise AnalysisError("no_lines: the grid has no lines, so no network bound "
+                            "limits the expansion")
     cell = CellResult(fl=scenario.fl, case=scenario.case,
                       demand_multiplier=scenario.demand_multiplier,
                       status="ok", engine=engine)

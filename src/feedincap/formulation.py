@@ -339,8 +339,6 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
     elig_units = [g for g in grid.gens if g.kind in elig_kinds]
     elig_nodes = [bid for bid in agg.bus_order
                   if agg.cap_const[pos[bid]] + agg.cap_coef[pos[bid]] > 0.0]
-    units_at = {bid: [u for u, g in enumerate(elig_units) if g.bus == bid]
-                for bid in elig_nodes}
 
     # the trigger block, (hour, eligible node)
     ei = np.array([pos[bid] for bid in elig_nodes], dtype=int)
@@ -367,8 +365,23 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
         alphas += [lp.add_var(f"curt_on[{k},{bid}]", lo, hi)
                    for bid, lo, hi in zip(elig_nodes, a_lo[k].tolist(), a_hi[k].tolist())]
 
-    U, E = len(elig_units), len(elig_nodes)
+    U, E, L = len(elig_units), len(elig_nodes), len(grid.lines)
     unit_idx = np.array(units, dtype=int).reshape(H, U, 2)
+    alpha_idx = np.array(alphas, dtype=int).reshape(H, E)
+
+    # Each row kind enters as one block per hour, its entries as (row within
+    # the block, variable, coefficient) arrays, one per term of the row.
+    is_cand = np.array([g.kind == "pv_candidate" for g in elig_units], dtype=bool)
+    cand = np.flatnonzero(is_cand)
+    hour_idx = np.asarray(hours, dtype=int)
+    unit_avail = np.array([g.p_max * g.profile[hour_idx] for g in elig_units]).reshape(U, H)
+    # the four feed-in rows of node e are rows 4e..4e+3 of their block: trigger,
+    # pin_hi, pin_lo, spill, so the rows keep the node-by-node order
+    node_of = {bid: e for e, bid in enumerate(elig_nodes)}
+    u_at, e_at = np.array([(u, node_of[g.bus]) for u, g in enumerate(elig_units)
+                           if g.bus in node_of], dtype=int).reshape(-1, 2).T
+    by_node, by_unit = 4 * np.arange(E), 4 * e_at
+    scal_col, ones = np.full(E, scal_idx), np.ones(u_at.size)
 
     # The hour's only injection variables are the eligible units' p, each at +1
     # in its bus's P injection (a unit at the slack bus enters no row); the Q
@@ -377,32 +390,34 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
     incidence = np.zeros((N, U))
     incidence[[pos[g.bus] for g in elig_units], np.arange(U)] = 1.0
     inc_p = incidence[model.bus_cols]
-    thermal_terms = [(np.flatnonzero(r), r[r != 0]) for r in model.flow_map @ inc_p]
-    v_terms = [(np.flatnonzero(r), r[r != 0]) for r in model.voltage_map_p @ inc_p]
+    t_map, v_map = model.flow_map @ inc_p, model.voltage_map_p @ inc_p
+    t_at, t_unit = np.nonzero(t_map)
+    v_at, v_unit = np.nonzero(v_map)
+    t_coef, v_coef = t_map[t_at, t_unit], v_map[v_at, v_unit]
 
-    thermal_rows = np.zeros((H, len(grid.lines)), dtype=int)
+    thermal_rows = np.zeros((H, L), dtype=int)
     v_rows = np.zeros((H, len(model.bus_order)), dtype=int)
     for k in range(H):
-        for (p, sp), g in zip(unit_idx[k].tolist(), elig_units):
-            avail = g.p_max * g.profile[hours[k]]
-            if g.kind == "pv_candidate":
-                lp.add_row([scal_idx, p, sp], [-avail, 1.0, 1.0], 0.0, 0.0,
-                           name=f"avail[{k},{g.id}]")
-            else:
-                lp.add_row([p, sp], [1.0, 1.0], avail, avail, name=f"avail[{k},{g.id}]")
+        p, sp, a = unit_idx[k, :, 0], unit_idx[k, :, 1], alpha_idx[k]
+        avail = np.where(is_cand, 0.0, unit_avail[:, k])
+        lp.add_rows(np.concatenate([cand, np.arange(U), np.arange(U)]),
+                    np.concatenate([np.full(cand.size, scal_idx), p, sp]),
+                    np.concatenate([-unit_avail[cand, k], np.ones(2 * U)]), avail, avail,
+                    [f"avail[{k},{g.id}]" for g in elig_units])
 
-        for e, bid in enumerate(elig_nodes):
-            m_val, a_j = big_m[k, e], alphas[k * E + e]
-            p_at, sp_at = unit_idx[k, units_at[bid]].T.tolist()
-            ones = [1.0] * len(p_at)
-            pin_idx = np.array([scal_idx, *p_at, a_j], dtype=np.intp)
-            lp.add_row([scal_idx, a_j], [slope[k, e], -(m_val + EPSILON_MW)],
-                       -INF, -inter[k, e] - EPSILON_MW, name=f"trigger[{k},{bid}]")
-            lp.add_row(pin_idx, [pin_scal[e], *ones, m_val], -INF, pin_hi_ub[k, e],
-                       name=f"pin_hi[{k},{bid}]")
-            lp.add_row(pin_idx, [pin_scal[e], *ones, -m_val], pin_lo_lb[k, e], INF,
-                       name=f"pin_lo[{k},{bid}]")
-            lp.add_row([*sp_at, a_j], [*ones, -m_val], -INF, 0.0, name=f"spill[{k},{bid}]")
+        m_k, open_end = big_m[k], np.full(E, INF)
+        terms = ((by_node, scal_col, slope[k]), (by_node, a, -(m_k + EPSILON_MW)),
+                 (by_node + 1, scal_col, pin_scal), (by_unit + 1, p[u_at], ones),
+                 (by_node + 1, a, m_k),
+                 (by_node + 2, scal_col, pin_scal), (by_unit + 2, p[u_at], ones),
+                 (by_node + 2, a, -m_k),
+                 (by_unit + 3, sp[u_at], ones), (by_node + 3, a, -m_k))
+        lp.add_rows(*(np.concatenate(part) for part in zip(*terms)),
+                    np.stack([-open_end, -open_end, pin_lo_lb[k], -open_end], axis=1).ravel(),
+                    np.stack([-inter[k] - EPSILON_MW, pin_hi_ub[k], open_end, np.zeros(E)],
+                             axis=1).ravel(),
+                    [f"{kind}[{k},{bid}]" for bid in elig_nodes
+                     for kind in ("trigger", "pin_hi", "pin_lo", "spill")])
 
         # network rows: injections are affine in the hour's variables; the
         # constants add up bus by bus, a bus's P term before its Q term
@@ -412,20 +427,18 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
             [model.voltage_map_p * inj_const,
              model.voltage_map_q * -agg.demand_q[k, model.bus_cols]], axis=-1
         ).reshape(len(inj_const), 2 * len(inj_const)))
-        inj_vars = unit_idx[k, :, 0]
-        for l, (line, (cols, vals)) in enumerate(zip(grid.lines, thermal_terms)):
-            thermal_rows[k, l] = lp.add_row(inj_vars[cols], vals, -model.s_max[l] - t_const[l],
-                                            model.s_max[l] - t_const[l],
-                                            name=f"thermal[{k},{line.id}]")
-        for n, (bid, (cols, vals)) in enumerate(zip(model.bus_order, v_terms)):
-            v_rows[k, n] = lp.add_row(inj_vars[cols], vals, model.vmin2[n] - v_const[n],
-                                      model.vmax2[n] - v_const[n], name=f"v[{k},{bid}]")
+        thermal_rows[k] = lp.add_rows(
+            t_at, p[t_unit], t_coef, -model.s_max - t_const, model.s_max - t_const,
+            [f"thermal[{k},{line.id}]" for line in grid.lines]) + np.arange(L)
+        v_rows[k] = lp.add_rows(
+            v_at, p[v_unit], v_coef, model.vmin2 - v_const, model.vmax2 - v_const,
+            [f"v[{k},{bid}]" for bid in model.bus_order]) + np.arange(len(model.bus_order))
 
     return ProblemInstance(
         grid=grid, scenario=scenario, hours=hours, model=model, agg=agg,
         lp=lp, binaries=tuple(alphas), scal_idx=scal_idx,
         elig_units=tuple(g.id for g in elig_units), elig_nodes=tuple(elig_nodes),
-        unit_idx=unit_idx, alpha_idx=np.array(alphas, dtype=int).reshape(H, E),
+        unit_idx=unit_idx, alpha_idx=alpha_idx,
         slope=slope, inter=inter, big_m=big_m,
         thermal_rows=thermal_rows, v_rows=v_rows,
         network_rows=np.hstack([thermal_rows, v_rows]).ravel(),
@@ -537,11 +550,12 @@ def extract_solution(instance: ProblemInstance, sol: MILPSolution) -> float:
         model, net_at[:, model.bus_cols], -agg.demand_q[:, model.bus_cols]))
 
     # activity + (limit - bound) is the flow or squared voltage a row encodes
-    lp = instance.lp
-    acts, lo, hi = lp.activities(x), np.array(lp.row_lo), np.array(lp.row_hi)
-    t, v = instance.thermal_rows, instance.v_rows
-    gaps = (acts[t] + (model.s_max - hi[t]) - flows, acts[t] + (-model.s_max - lo[t]) - flows,
-            acts[v] + (model.vmax2 - hi[v]) - v2, acts[v] + (model.vmin2 - lo[v]) - v2)
+    lp, t, v = instance.lp, instance.thermal_rows, instance.v_rows
+    lo, hi = lp.row_lo, lp.row_hi
+    act_t = lp.activities(x, t.ravel()).reshape(t.shape)
+    act_v = lp.activities(x, v.ravel()).reshape(v.shape)
+    gaps = (act_t + (model.s_max - hi[t]) - flows, act_t + (-model.s_max - lo[t]) - flows,
+            act_v + (model.vmax2 - hi[v]) - v2, act_v + (model.vmin2 - lo[v]) - v2)
     worst = max(np.max(np.abs(gap), initial=0.0) for gap in gaps)
     if worst > 1e-6:
         raise FormulationError(

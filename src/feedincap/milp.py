@@ -1,4 +1,4 @@
-"""LP and MILP solving on a column-compressed constraint matrix.
+"""LP and MILP solving: rows kept row-compressed, solved column-compressed.
 
 solve_lp is a bounded-variable revised simplex: two phases, Dantzig pricing
 with lowest-index tie-breaks, and a Bland fallback after a degenerate streak
@@ -26,14 +26,34 @@ out any point where that value is wrong). Children inherit the parent LP
 objective as their bound.
 
 solve_milp may defer rows. MILProblem.lazy names rows the solve may leave
-out; the standard form holds the kept rows only, at first every row not in
-lazy. A leaf's answer is checked against every row of the LP: deferred rows
-it violates on either side by more than feasibility_tol * (1 + |bound|) join
-the kept rows, the standard form is rebuilt, and the leaf goes back on the
-heap with its bound to be solved again. Only a leaf that violates none becomes the
-incumbent. Dropping rows only relaxes the problem, so every bound, infeasible
-node and gap still holds for the full problem. node_limit counts LP solves,
-re-solves included.
+out; the kept rows are at first every row not in lazy. A leaf's answer is
+checked against the rows left out, the only ones that can join: those it
+violates on either side by more than feasibility_tol * (1 + |bound|) join
+the kept rows, and the leaf goes back on the heap with its bound to be solved
+again. Only a leaf that violates none becomes the incumbent. Dropping rows
+only relaxes the problem, so every bound, infeasible node and gap still
+holds for the full problem. node_limit counts LP solves, re-solves included.
+
+LinearProgram keeps its rows once, row-compressed (indptr, indices, data,
+row_lo, row_hi); the model builder appends them a block at a time. Each
+node's standard form is presolved from the kept rows under the node's
+bounds (its scal interval and decided indicators), in one pass (Andersen &
+Andersen, Math. Programming 71, 1995):
+- a row whose activity range under those bounds already lies within its
+  bounds is left out: every point within the bounds meets it, so leaving it
+  out changes no feasible set;
+- a row with one unfixed variable becomes a bound on that variable: with
+  the fixed terms moved to its bounds, lo <= a * x_j <= hi says exactly
+  lo / a <= x_j <= hi / a (ends swapped for a < 0);
+- when such bounds cross the variable's other bound by more than
+  feasibility_tol * (1 + |bound|), no point meets the row within the bounds,
+  so the node is infeasible without an LP. Bounds that cross by less stay
+  as they were and their rows stay in the form, for the simplex to decide.
+Both reductions describe the same set as the rows they replace, so a node's
+LP keeps its optimum; only the last bits of the vertex found may move. The
+pass derives no bound from a row with more than one unfixed variable: on
+the MV fixtures that cut more rows but took more iterations, and the
+outward-relaxed bounds it needs moved scal by up to 2.6e-9.
 
 The standard form keeps A once, column-compressed: column pointers, row
 indices and values, with the slack and phase-1 artificial unit columns
@@ -52,7 +72,7 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,21 +108,27 @@ class SolverConfig:
             raise ValueError(f"node_limit must be >= 1, got {self.node_limit}")
 
 
-@dataclass
 class LinearProgram:
-    """Column-oriented LP container; variables are added before rows. Row i is
-    row_lo[i] <= sum(row_coef[i] * x[row_idx[i]]) <= row_hi[i], with at least
-    one bound finite (lo == hi for an equality); rows may share arrays."""
+    """An LP whose rows are kept once, row-compressed; variables are added
+    before rows.
 
-    obj: list[float] = field(default_factory=list)
-    lb: list[float] = field(default_factory=list)
-    ub: list[float] = field(default_factory=list)
-    names: list[str] = field(default_factory=list)
-    row_idx: list[np.ndarray] = field(default_factory=list)
-    row_coef: list[np.ndarray] = field(default_factory=list)
-    row_lo: list[float] = field(default_factory=list)
-    row_hi: list[float] = field(default_factory=list)
-    row_names: list[str] = field(default_factory=list)
+    Row i is row_lo[i] <= sum(data[k] * x[indices[k]]) <= row_hi[i] over the
+    entries k in indptr[i]:indptr[i+1], its variables ascending and unique,
+    with at least one bound finite (lo == hi for an equality). add_rows
+    appends a block of rows and add_row one; the blocks are joined into these
+    arrays when they are next read, so building an LP copies each entry
+    about once.
+    """
+
+    def __init__(self) -> None:
+        self.obj: list[float] = []
+        self.lb: list[float] = []
+        self.ub: list[float] = []
+        self.names: list[str] = []
+        self.row_names: list[str] = []
+        self._blocks: list[tuple[np.ndarray, ...]] = []     # appended, not yet joined
+        self._csr = (np.zeros(1, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0),
+                     np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.intp))
 
     @property
     def n_vars(self) -> int:
@@ -110,7 +136,24 @@ class LinearProgram:
 
     @property
     def n_rows(self) -> int:
-        return len(self.row_hi)
+        return len(self.row_names)
+
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        """indptr, indices, data, row_lo, row_hi and the row of each entry."""
+        if self._blocks:
+            counts, *parts = zip(*self._blocks)
+            ptr, *joined, _ = self._csr
+            ptr = np.concatenate([ptr, ptr[-1] + np.cumsum(np.concatenate(counts))])
+            joined = [np.concatenate([a, *b]) for a, b in zip(joined, parts)]
+            self._csr = (ptr, *joined, np.repeat(np.arange(ptr.size - 1), np.diff(ptr)))
+            self._blocks = []
+        return self._csr
+
+    indptr = property(lambda self: self._arrays()[0])
+    indices = property(lambda self: self._arrays()[1])
+    data = property(lambda self: self._arrays()[2])
+    row_lo = property(lambda self: self._arrays()[3])
+    row_hi = property(lambda self: self._arrays()[4])
 
     def add_var(self, name: str, lb: float = 0.0, ub: float = INF,
                 obj: float = 0.0) -> int:
@@ -122,47 +165,68 @@ class LinearProgram:
         self.obj.append(float(obj))
         return len(self.obj) - 1
 
-    def add_row(self, idx, coef, lo: float, hi: float, name: str = "") -> int:
-        """Append lo <= sum(coef * x[idx]) <= hi; idx is sorted (coef with it),
-        range-checked and unique."""
-        lo, hi = float(lo), float(hi)
-        if not (lo <= hi and (-INF < lo < INF or -INF < hi < INF)):     # also catches NaN
-            raise ValueError(f"row {name!r}: bounds [{lo}, {hi}] need lo <= hi, one finite")
-        idx = np.asarray(idx, dtype=np.intp)
+    def add_rows(self, at, idx, coef, lo, hi, names: Sequence[str] = ()) -> int:
+        """Append the rows lo[i] <= sum(coef[k] * x[idx[k]] for at[k] == i) <=
+        hi[i]: entry k of the block lies in its row at[k]. The entries may come
+        in any order; each row's are sorted by variable, range-checked and
+        unique. Returns the index of the block's first row."""
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        first, m = self.n_rows, lo.size
+        names = list(names) or [f"r{first + i}" for i in range(m)]
+        if lo.shape != (m,) or hi.shape != (m,) or len(names) != m:
+            raise ValueError(f"block at row {first}: need one lo, hi and name per row")
+        bad = ~((lo <= hi) & (np.isfinite(lo) | np.isfinite(hi)))     # also catches NaN
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"row {names[i]!r}: bounds [{lo[i]}, {hi[i]}] "
+                             "need lo <= hi, one finite")
+        at, idx = np.asarray(at, dtype=np.intp), np.asarray(idx, dtype=np.intp)
         coef = np.asarray(coef, dtype=float)
-        if idx.ndim != 1 or idx.shape != coef.shape:
-            raise ValueError(f"row {name!r}: idx and coef must be 1-d of one length")
-        if not (idx[1:] > idx[:-1]).all():
-            order = np.argsort(idx, kind="stable")
-            idx, coef = idx[order], coef[order]
-            repeated = idx[1:][idx[1:] == idx[:-1]]
-            if repeated.size:
-                raise ValueError(f"row {name!r} repeats variable {repeated[0]}")
-        if idx.size and not (0 <= idx[0] and idx[-1] < self.n_vars):     # sorted: ends bound all
-            bad = idx[(idx < 0) | (idx >= self.n_vars)][0]
-            raise ValueError(f"row {name!r} references unknown variable {bad}")
-        self.row_idx.append(idx)
-        self.row_coef.append(coef)
-        self.row_lo.append(lo)
-        self.row_hi.append(hi)
-        self.row_names.append(name or f"r{len(self.row_names)}")
-        return len(self.row_hi) - 1
+        if idx.ndim != 1 or not idx.shape == coef.shape == at.shape:
+            raise ValueError(f"block at row {first}: at, idx and coef must be 1-d of one length")
+        if ((at < 0) | (at >= m)).any():
+            raise ValueError(f"block at row {first}: at must name one of its {m} rows")
+        if not ((at[1:] > at[:-1]) | ((at[1:] == at[:-1]) & (idx[1:] > idx[:-1]))).all():
+            order = np.lexsort((idx, at))
+            at, idx, coef = at[order], idx[order], coef[order]
+            repeated = (at[1:] == at[:-1]) & (idx[1:] == idx[:-1])
+            if repeated.any():
+                k = int(np.argmax(repeated))
+                raise ValueError(f"row {names[at[k]]!r} repeats variable {idx[k]}")
+        unknown = (idx < 0) | (idx >= self.n_vars)
+        if unknown.any():
+            k = int(np.argmax(unknown))
+            raise ValueError(f"row {names[at[k]]!r} references unknown variable {idx[k]}")
+        self._blocks.append((np.bincount(at, minlength=m), idx, coef, lo, hi))
+        self.row_names += names
+        return first
+
+    def add_row(self, idx, coef, lo: float, hi: float, name: str = "") -> int:
+        """Append lo <= sum(coef * x[idx]) <= hi, a block of one row."""
+        idx = np.asarray(idx, dtype=np.intp)
+        return self.add_rows(np.zeros(idx.shape, dtype=np.intp), idx, coef, [lo], [hi],
+                             [name] if name else ())
 
     def _entries(self, rows: np.ndarray | None = None
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Row position, variable index and coefficient of every entry of the
         given rows (default all), rows in order and each row's entries in
         variable order; positions count within rows."""
-        idx = self.row_idx if rows is None else [self.row_idx[i] for i in rows]
-        coef = self.row_coef if rows is None else [self.row_coef[i] for i in rows]
-        return (np.repeat(np.arange(len(idx)), [a.size for a in idx]),
-                np.concatenate([np.zeros(0, dtype=np.intp), *idx]),
-                np.concatenate([np.zeros(0), *coef]))
+        ptr, idx, data, _, _, entry_row = self._arrays()
+        if rows is None:
+            return entry_row, idx, data
+        rows = np.asarray(rows, dtype=np.intp)
+        counts = ptr[rows + 1] - ptr[rows]
+        pos = np.repeat(np.arange(rows.size), counts)
+        k = np.arange(pos.size) + np.repeat(ptr[rows] - (np.cumsum(counts) - counts), counts)
+        return pos, idx[k], data[k]
 
-    def activities(self, x: np.ndarray) -> np.ndarray:
+    def activities(self, x: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """Each given row's (default every row's) activity at x."""
         # bincount adds each row's products in entry order, as a running sum would
-        rows, cols, coef = self._entries()
-        out = np.bincount(rows, weights=coef * x[cols], minlength=self.n_rows)
+        pos, cols, coef = self._entries(rows)
+        m = self.n_rows if rows is None else len(rows)
+        out = np.bincount(pos, weights=coef * x[cols], minlength=m)
         return out.astype(float, copy=False)     # integer when there are no entries
 
 
@@ -226,20 +290,27 @@ class _StandardForm:
     def from_lp(cls, lp: LinearProgram, rows: np.ndarray | None = None) -> "_StandardForm":
         """The form of lp's rows, or of the given ascending row indices only."""
         rows = np.arange(lp.n_rows) if rows is None else rows
-        m, n = rows.size, lp.n_vars
-        pos, cols, coef = lp._entries(rows)
+        return cls.of_rows(*lp._entries(rows), lp.row_lo[rows], lp.row_hi[rows],
+                           np.asarray(lp.obj, dtype=float), np.asarray(lp.lb, dtype=float),
+                           np.asarray(lp.ub, dtype=float))
+
+    @classmethod
+    def of_rows(cls, pos: np.ndarray, cols: np.ndarray, coef: np.ndarray, lo: np.ndarray,
+                hi: np.ndarray, obj: np.ndarray, lb: np.ndarray, ub: np.ndarray
+                ) -> "_StandardForm":
+        """The form of the rows lo <= A x <= hi whose entries are A[pos, cols] =
+        coef (rows in order, each row's entries by variable), under the
+        variable bounds lb, ub and the objective obj."""
+        m, n = lo.size, obj.size
         order = np.argsort(cols, kind="stable")       # by column, rows stay ascending
         ptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
-        lo, hi = np.array(lp.row_lo)[rows], np.array(lp.row_hi)[rows]
         upper = hi < INF
         b = np.where(upper, hi, lo)
         slack_lb = np.where(upper, 0.0, -INF)
         slack_ub = np.where(upper, hi - lo, 0.0)
         return cls(*_with_unit_columns(ptr, pos[order], coef[order], np.arange(m)), b,
-                   np.concatenate([np.asarray(lp.obj, dtype=float), np.zeros(m)]),
-                   np.concatenate([np.asarray(lp.lb, dtype=float), slack_lb]),
-                   np.concatenate([np.asarray(lp.ub, dtype=float), slack_ub]),
-                   n)
+                   np.concatenate([obj, np.zeros(m)]), np.concatenate([lb, slack_lb]),
+                   np.concatenate([ub, slack_ub]), n)
 
     def reduced_costs(self, c: np.ndarray, y: np.ndarray) -> np.ndarray:
         """c - A^T y, summed column by column over the entries."""
@@ -525,8 +596,8 @@ def indicator_bounds(slope, inter, lo: float, hi: float) -> tuple[np.ndarray, np
 
 
 def solve_milp(mip: MILProblem, cfg: SolverConfig | None = None) -> MILPSolution:
-    """Best-first branch and bound over scal intervals; deferred rows are
-    checked at the leaves (module doc)."""
+    """Best-first branch and bound over scal intervals; each node's LP is
+    presolved and deferred rows are checked at the leaves (module doc)."""
     cfg = cfg or SolverConfig()
     lp, scal = mip.lp, mip.scal
     binaries = np.asarray(mip.binaries, dtype=np.intp)
@@ -539,14 +610,16 @@ def solve_milp(mip: MILProblem, cfg: SolverConfig | None = None) -> MILPSolution
     if ((lazy < 0) | (lazy >= lp.n_rows)).any():
         raise ValueError(f"lazy rows must lie in [0, {lp.n_rows})")
 
+    obj = np.asarray(lp.obj, dtype=float)
+    lb0, ub0 = np.asarray(lp.lb, dtype=float), np.asarray(lp.ub, dtype=float)
     keep = np.ones(lp.n_rows, dtype=bool)
     keep[lazy] = False
-    sf = _StandardForm.from_lp(lp, np.flatnonzero(keep))
+    gathered = False                          # the kept rows' entries, once per round
     nodes = iterations = seq = 0
     rounds = 1
     incumbent_x: np.ndarray | None = None
     incumbent_obj = INF
-    root = (0.0, 0.0) if scal is None else (sf.lb_base[scal], sf.ub_base[scal])
+    root = (0.0, 0.0) if scal is None else (lb0[scal], ub0[scal])
     # heap entries: (bound, seq, lo, hi, forced), forced holding (binary position, value)
     heap = [(-INF, 0, *root, ())]
 
@@ -561,29 +634,45 @@ def solve_milp(mip: MILProblem, cfg: SolverConfig | None = None) -> MILPSolution
             heapq.heappush(heap, node)        # still open: its bound enters the gap
             break
         nodes += 1
+        if not gathered:
+            rows = np.flatnonzero(keep)
+            pos, cols, coef = lp._entries(rows)
+            row_lo, row_hi = lp.row_lo[rows], lp.row_hi[rows]
+            nz = coef != 0.0                  # a zero entry adds nothing, not 0 * inf
+            gathered = True
         a_lo, a_hi = indicator_bounds(slope, inter, lo, hi)
         for i, v in forced:
             a_lo[i] = a_hi[i] = v
-        lb, ub = sf.lb_base.copy(), sf.ub_base.copy()
+        lb, ub = lb0.copy(), ub0.copy()
         if scal is not None:
             lb[scal], ub[scal] = lo, hi
         lb[binaries], ub[binaries] = a_lo, a_hi
-        sol = _solve_standard(sf, lb, ub, cfg)
+        reduced = _presolve(pos[nz], cols[nz], coef[nz], row_lo, row_hi, lb, ub,
+                            cfg.feasibility_tol)
+        if reduced is None:                   # a singleton row rules the node out
+            continue
+        need, lb, ub = reduced
+        at = need[pos]
+        sf = _StandardForm.of_rows((np.cumsum(need) - 1)[pos[at]], cols[at], coef[at],
+                                   row_lo[need], row_hi[need], obj, lb, ub)
+        sol = _solve_standard(sf, sf.lb_base, sf.ub_base, cfg)
         iterations += sol.iterations
         if sol.status == INFEASIBLE:
             continue
         if sol.status != OPTIMAL:
-            return MILPSolution(sol.status, None, None, INF, nodes, iterations, rounds, sf.m)
+            return MILPSolution(sol.status, None, None, INF, nodes, iterations, rounds,
+                                int(keep.sum()))
         if sol.objective >= incumbent_obj - 1e-9:
             continue
 
         undecided = np.flatnonzero(a_lo < a_hi)
         if undecided.size == 0:                # an exact LP of the kept rows
-            violated = ~keep & _violated_rows(lp, sol.x, cfg.feasibility_tol)
-            if violated.any():                 # keep them and solve the leaf again
-                keep |= violated
+            left_out = np.flatnonzero(~keep)
+            joining = left_out[_violated_rows(lp, sol.x, cfg.feasibility_tol, left_out)]
+            if joining.size:                   # keep them and solve the leaf again
+                keep[joining] = True
+                gathered = False
                 rounds += 1
-                sf = _StandardForm.from_lp(lp, np.flatnonzero(keep))
                 heapq.heappush(heap, node)
             else:
                 incumbent_obj, incumbent_x = sol.objective, sol.x
@@ -596,18 +685,57 @@ def solve_milp(mip: MILProblem, cfg: SolverConfig | None = None) -> MILPSolution
             seq += 1
             heapq.heappush(heap, (sol.objective, seq, child_lo, child_hi, forced + ((i, v),)))
 
+    rows_kept = int(keep.sum())
     if incumbent_x is None:
         return MILPSolution(status if status == NODE_LIMIT else INFEASIBLE, None, None, INF,
-                            nodes, iterations, rounds, sf.m)
+                            nodes, iterations, rounds, rows_kept)
     remaining = min((b for b, *_ in heap), default=incumbent_obj)
     gap = max(0.0, incumbent_obj - min(remaining, incumbent_obj))
-    return MILPSolution(status, incumbent_x, incumbent_obj, gap, nodes, iterations, rounds, sf.m)
+    return MILPSolution(status, incumbent_x, incumbent_obj, gap, nodes, iterations, rounds,
+                        rows_kept)
 
 
-def _violated_rows(lp: LinearProgram, x: np.ndarray, feas_tol: float) -> np.ndarray:
-    """Mask of the rows x violates by more than feas_tol * (1 + |bound|) on
-    either side (an infinite bound cannot be violated)."""
-    act = lp.activities(x)
-    lo, hi = np.array(lp.row_lo), np.array(lp.row_hi)
+def _presolve(pos: np.ndarray, cols: np.ndarray, coef: np.ndarray, lo: np.ndarray,
+              hi: np.ndarray, lb: np.ndarray, ub: np.ndarray, tol: float
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """One presolve pass over the rows lo <= A x <= hi, whose nonzero entries
+    are A[pos, cols] = coef, under the variable bounds lb, ub (module doc).
+
+    Returns the mask of rows the LP still needs and the bounds tightened by
+    the singleton rows it no longer needs, or None when those bounds cross by
+    more than tol * (1 + |bound|). Bounds that cross by less stay as they
+    were, and their singleton rows stay needed.
+    """
+    m = lo.size
+    l, u = lb[cols], ub[cols]
+    up = coef > 0.0
+    least, most = coef * np.where(up, l, u), coef * np.where(up, u, l)
+    redundant = ((np.bincount(pos, least, minlength=m) >= lo)
+                 & (np.bincount(pos, most, minlength=m) <= hi))
+    free = l < u
+    fixed = np.bincount(pos, np.where(free, 0.0, least), minlength=m)    # l == u there
+    single = ~redundant & (np.bincount(pos, free, minlength=m) == 1) & np.isfinite(fixed)
+    k = np.flatnonzero(free & single[pos])     # each singleton row's one free entry
+    r, j, a = pos[k], cols[k], coef[k]
+    at_lo, at_hi = (lo[r] - fixed[r]) / a, (hi[r] - fixed[r]) / a
+    new_lb, new_ub = lb.copy(), ub.copy()
+    np.maximum.at(new_lb, j, np.where(a > 0.0, at_lo, at_hi))
+    np.minimum.at(new_ub, j, np.where(a > 0.0, at_hi, at_lo))
+    cross = new_lb > new_ub
+    if cross.any():
+        size = 1.0 + np.maximum(np.abs(new_lb), np.abs(new_ub))
+        if (new_lb - new_ub > tol * size)[cross].any():
+            return None
+        new_lb[cross], new_ub[cross] = lb[cross], ub[cross]
+        single[r[cross[j]]] = False
+    return ~(redundant | single), new_lb, new_ub
+
+
+def _violated_rows(lp: LinearProgram, x: np.ndarray, feas_tol: float,
+                   rows: np.ndarray) -> np.ndarray:
+    """Mask over the given rows of those x violates by more than feas_tol *
+    (1 + |bound|) on either side (an infinite bound cannot be violated)."""
+    act = lp.activities(x, rows)
+    lo, hi = lp.row_lo[rows], lp.row_hi[rows]
     return ((act > hi + feas_tol * (1.0 + np.abs(hi)))
             | (act < lo - feas_tol * (1.0 + np.abs(lo))))

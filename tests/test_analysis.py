@@ -25,7 +25,7 @@ from feedincap.analysis import (
 )
 from feedincap.formulation import Scenario, build_problem, extract_solution
 from feedincap.fixtures import example_grid_7kwp
-from feedincap.grid import parse_grid
+from feedincap.grid import Bus, GenUnit, Grid, parse_grid
 from feedincap.milp import SolverConfig, solve_milp
 from feedincap.network import build_linear_model
 from feedincap.oracle import annual_simulate, max_scal_bisection, oracle_plan
@@ -236,6 +236,19 @@ def test_a_milp_without_a_feasible_factor_is_infeasible_at_zero():
     cell = analysis.run_cell(grid, Scenario(), "milp", SolverConfig(),
                              build_linear_model(grid))
     assert (cell.status, cell.milp_scal) == ("infeasible_at_zero", None)
+
+
+def test_a_grid_without_lines_is_refused_as_no_lines():
+    # built in Python, so validate_grid never saw it: one slack bus with a candidate
+    grid = Grid(base_mva=1.0, base_kv=20.0, buses=(Bus("sub", True, (0.0,), (0.0,)),),
+                lines=(), gens=(GenUnit("c", "sub", "pv_candidate", 1.0, (1.0,)),))
+    for engine in ("oracle", "milp", "both"):
+        with pytest.raises(AnalysisError, match="^no_lines: "):
+            analysis.run_cell(grid, Scenario(fl=0.7), engine, SolverConfig(),
+                              build_linear_model(grid))
+    result = run_sweep(grid)
+    assert len(result.failed_cells) == len(result.cells) == 24
+    assert all(c.error.startswith("no_lines: ") for c in result.cells)
 
 
 def test_oracle_seed_leaves_one_round_on_every_mv_fixture(request, monkeypatch):

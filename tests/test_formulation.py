@@ -21,7 +21,7 @@ from feedincap.milp import SolverConfig, solve_milp
 
 from util import (
     dump_lp, random_radial, reference_network_rows, reference_trigger_rows,
-    reference_worst_case_hour, two_bus, valid_random_instances,
+    reference_worst_case_hour, row_entries, two_bus, valid_random_instances,
 )
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -364,7 +364,8 @@ def test_network_rows_match_the_bus_by_bus_reference():
         ref = reference_network_rows(inst)
         assert len(built) == len(ref)
         for r, (coeffs, lo, hi) in zip(built, ref):
-            assert dict(zip(inst.lp.row_idx[r].tolist(), inst.lp.row_coef[r].tolist())) == coeffs
+            idx, coef = row_entries(inst.lp, r)
+            assert dict(zip(idx.tolist(), coef.tolist())) == coeffs
             # bytes, so that -0.0 and 0.0 differ
             assert (np.array([inst.lp.row_lo[r], inst.lp.row_hi[r]]).tobytes()
                     == np.array([lo, hi]).tobytes())
@@ -378,9 +379,10 @@ def _assert_trigger_block_matches_reference(inst, scal_max=SolverConfig().scal_m
     assert built.keys() == rows.keys()
     for name, (idx, coef, lo, hi) in rows.items():
         r = built[name]
-        assert inst.lp.row_idx[r].tolist() == idx, name
+        built_idx, built_coef = row_entries(inst.lp, r)
+        assert built_idx.tolist() == idx, name
         # bytes, so that -0.0 and 0.0 differ
-        assert inst.lp.row_coef[r].tobytes() == np.array(coef, dtype=float).tobytes(), name
+        assert built_coef.tobytes() == np.array(coef, dtype=float).tobytes(), name
         assert (np.array([inst.lp.row_lo[r], inst.lp.row_hi[r]]).tobytes()
                 == np.array([lo, hi], dtype=float).tobytes()), name
     assert inst.binaries == tuple(inst.alpha_idx.ravel().tolist()) == tuple(bounds)

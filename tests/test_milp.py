@@ -1,4 +1,5 @@
 from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,16 +10,21 @@ from feedincap.milp import (
     MILProblem,
     SolverConfig,
     _pivot_update,
+    _presolve,
     _ratio_test,
     _SimplexState,
     _StandardForm,
+    _violated_rows,
     solve_lp,
     solve_milp,
 )
-from feedincap.formulation import Scenario, build_problem
+from feedincap.formulation import Scenario, build_problem, extract_solution
+from feedincap.grid import parse_grid
 from feedincap.oracle import max_scal_bisection
 from util import (dump_lp, enumerate_alpha, reference_ratio_test, reference_reduced_costs,
-                  reference_standard_matrix, valid_random_instances)
+                  reference_standard_matrix, row_entries, valid_random_instances)
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def test_lp_single_var_at_bound():
@@ -35,19 +41,22 @@ def test_add_row_sorts_entries_and_rejects_unknown_variables():
     for name in "abc":
         lp.add_var(name)
     lp.add_row([2, 0], [1, np.float64(-2.0)], -INF, 1.0)
-    assert (lp.row_idx[0].tolist(), lp.row_coef[0].tolist()) == ([0, 2], [-2.0, 1.0])
-    assert lp.row_idx[0].dtype == np.intp and lp.row_coef[0].dtype == np.float64
+    assert [a.tolist() for a in row_entries(lp, 0)] == [[0, 2], [-2.0, 1.0]]
     lp.add_row(np.array([2, 0, 1]), np.array([3.0, 1.0, 2.0]), -1.0, INF)
-    assert (lp.row_idx[1].tolist(), lp.row_coef[1].tolist()) == ([0, 1, 2], [1.0, 2.0, 3.0])
+    assert [a.tolist() for a in row_entries(lp, 1)] == [[0, 1, 2], [1.0, 2.0, 3.0]]
     lp.add_row([], [], 0.0, 0.0)
-    assert lp.row_idx[2].size == lp.row_coef[2].size == 0
-    # rows in final form keep the caller's arrays, so two rows can share them
+    assert row_entries(lp, 2)[0].size == row_entries(lp, 2)[1].size == 0
     idx, coef = np.array([0, 2], dtype=np.intp), np.array([1.0, -1.0])
     lp.add_row(idx, coef, -INF, 1.0)
     lp.add_row(idx, coef, np.float64(-1.0), 2)
-    assert lp.row_idx[3] is lp.row_idx[4] is idx and lp.row_coef[3] is lp.row_coef[4] is coef
-    assert (lp.row_lo, lp.row_hi) == ([-INF, -1.0, 0.0, -INF, -1.0], [1.0, INF, 0.0, 1.0, 2.0])
-    assert all(type(v) is float for v in lp.row_lo + lp.row_hi)
+    # every row lives once in the store: a row read is a view of its arrays
+    assert lp.indices.dtype == np.intp and lp.data.dtype == np.float64
+    for r in (3, 4):
+        assert row_entries(lp, r)[0].base is lp.indices and row_entries(lp, r)[1].base is lp.data
+    assert lp.indptr.tolist() == [0, 2, 5, 5, 7, 9]
+    assert (lp.row_lo.tolist(), lp.row_hi.tolist()) == (
+        [-INF, -1.0, 0.0, -INF, -1.0], [1.0, INF, 0.0, 1.0, 2.0])
+    assert lp.row_lo.dtype == lp.row_hi.dtype == np.float64
     for bad_idx, bad in (([0, 3, 4], 3), ([-1, 1], -1), (np.array([2, 5, 0]), 5)):
         with pytest.raises(ValueError, match=f"unknown variable {bad}$"):
             lp.add_row(bad_idx, [1.0] * len(bad_idx), -INF, 0.0)
@@ -155,7 +164,8 @@ def _checked_against_scipy(lps: list[LinearProgram]) -> int:
     for lp in lps:
         sol = solve_lp(lp)
         a_ub, b_ub, a_eq, b_eq = [], [], [], []
-        for idx, coef, lo, hi in zip(lp.row_idx, lp.row_coef, lp.row_lo, lp.row_hi):
+        for r, (lo, hi) in enumerate(zip(lp.row_lo, lp.row_hi)):
+            idx, coef = row_entries(lp, r)
             dense = np.zeros(lp.n_vars)
             for j, c in zip(idx, coef):
                 dense[j] = c
@@ -281,7 +291,7 @@ def test_activities_match_row_sums():
         lp.add_row([], [], -INF, 1.0)
         x = rng.standard_normal(lp.n_vars)
         want = np.array([sum(c * x[j] for j, c in zip(idx.tolist(), coef.tolist()))
-                         for idx, coef in zip(lp.row_idx, lp.row_coef)])
+                         for idx, coef in (row_entries(lp, r) for r in range(lp.n_rows))])
         assert lp.activities(x).tobytes() == want.tobytes()
 
 
@@ -563,3 +573,144 @@ def test_dump_lp_stable():
     text = dump_lp(MILProblem(lp, binaries=(b,)))
     assert text == dump_lp(MILProblem(lp, binaries=(b,)))
     assert "cap" in text and "b" in text
+
+
+# -- row-compressed store and node presolve ----------------------------------
+
+
+def test_add_rows_matches_one_add_row_per_row():
+    # a block's entries in any order give the rows add_row gives one at a time
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        n, m = int(rng.integers(1, 8)), int(rng.integers(0, 6))
+        one, block = LinearProgram(), LinearProgram()
+        for lp in (one, block):
+            for j in range(n):
+                lp.add_var(f"x{j}")
+        rows = [rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False) for _ in range(m)]
+        coefs = [rng.standard_normal(r.size) for r in rows]
+        lo, hi = -rng.random(m), rng.random(m)
+        for r, c, a, b in zip(rows, coefs, lo, hi):
+            one.add_row(r, c, a, b)
+        at = np.repeat(np.arange(m), [r.size for r in rows])
+        order = rng.permutation(at.size)
+        idx, coef = np.concatenate([np.zeros(0, int), *rows]), np.concatenate([[], *coefs])
+        assert block.add_rows(at[order], idx[order], coef[order], lo, hi) == 0
+        for name in ("indptr", "indices", "data", "row_lo", "row_hi"):
+            assert getattr(block, name).tobytes() == getattr(one, name).tobytes(), name
+        assert block.row_names == one.row_names == [f"r{i}" for i in range(m)]
+    lp = LinearProgram()
+    lp.add_var("x"), lp.add_var("y")
+    with pytest.raises(ValueError, match="^row 'b' repeats variable 1$"):
+        lp.add_rows([1, 0, 1], [1, 0, 1], [1.0, 1.0, 2.0], [0.0, 0.0], [1.0, 1.0], ["a", "b"])
+    with pytest.raises(ValueError, match="^row 'b' references unknown variable 2$"):
+        lp.add_rows([0, 1], [1, 2], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0], ["a", "b"])
+    with pytest.raises(ValueError, match="^row 'b': bounds"):
+        lp.add_rows([0], [0], [1.0], [0.0, 2.0], [1.0, 1.0], ["a", "b"])
+    with pytest.raises(ValueError, match="one of its 2 rows"):
+        lp.add_rows([0, 2], [0, 1], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
+    assert lp.n_rows == 0 and lp.indptr.tolist() == [0]
+
+
+def test_activities_and_leaf_check_of_some_rows_match_the_all_row_computation(hybrid):
+    # the leaf check reads the left-out rows only and extract_solution the
+    # network rows only: both must equal the all-row computation, masked
+    rng = np.random.default_rng(9)
+    inst = build_problem(hybrid, Scenario(fl=0.7, case="b"), SolverConfig())
+    cases = [(inst.lp, inst.thermal_rows.ravel()), (inst.lp, inst.v_rows.ravel()),
+             (inst.lp, inst.network_rows)]
+    for _ in range(30):
+        lp = _lp_with_empty_ranges(rng)
+        cases.append((lp, np.flatnonzero(rng.random(lp.n_rows) < 0.5)))
+    tol = SolverConfig().feasibility_tol
+    for lp, rows in cases:
+        x = rng.uniform(-2.0, 2.0, lp.n_vars)
+        act = lp.activities(x)
+        assert lp.activities(x, rows).tobytes() == act[rows].tobytes()
+        lo, hi = lp.row_lo, lp.row_hi
+        every = (act > hi + tol * (1.0 + np.abs(hi))) | (act < lo - tol * (1.0 + np.abs(lo)))
+        assert np.array_equal(_violated_rows(lp, x, tol, rows), every[rows])
+
+
+def _presolved(lp: LinearProgram, tol: float = 1e-7):
+    pos, cols, coef = lp._entries()
+    return _presolve(pos, cols, coef, lp.row_lo, lp.row_hi, np.array(lp.lb), np.array(lp.ub), tol)
+
+
+def test_presolve_drops_redundant_rows_and_turns_singletons_into_bounds():
+    lp = LinearProgram()
+    x = lp.add_var("x", ub=2.0, obj=-1.0)
+    y = lp.add_var("y", ub=3.0, obj=1.0)
+    z = lp.add_var("z", lb=1.0, ub=1.0)
+    lp.add_row([x, y], [1.0, 1.0], -INF, 10.0)      # redundant: at most 5
+    lp.add_row([x, z], [-2.0, 2.0], -1.0, INF)      # z fixed: -2x >= -3, so x <= 1.5
+    lp.add_row([x, y], [1.0, 1.0], 1.0, INF)        # two free variables: stays
+    lp.add_row([y, z], [1.0, -1.0], -INF, 1.5)      # y <= 2.5
+    lp.add_row([], [], -1.0, 1.0)                   # empty: 0 lies within its bounds
+    need, lb, ub = _presolved(lp)
+    assert need.tolist() == [False, False, True, False, False]
+    assert (lb.tolist(), ub.tolist()) == ([0.0, 0.0, 1.0], [1.5, 2.5, 1.0])
+    sol = solve_milp(MILProblem(lp))
+    assert sol.status == "optimal" and sol.x.tolist() == [1.5, 0.0, 1.0]
+    assert sol.x.tobytes() == solve_lp(lp).x.tobytes()
+
+
+def test_presolve_rules_out_a_node_whose_singleton_bounds_cross():
+    lp = LinearProgram()
+    x = lp.add_var("x", ub=3.0, obj=-1.0)
+    b = lp.add_var("b", lb=1.0, ub=1.0)
+    lp.add_row([x, b], [1.0, -2.0], 2.0, INF)       # x >= 4 > 3
+    assert _presolved(lp) is None
+    sol = solve_milp(MILProblem(lp))
+    assert (sol.status, sol.nodes, sol.lp_iterations) == ("infeasible", 1, 0)
+    assert solve_lp(lp).status == "infeasible"
+    # two singletons on one variable that cross: x >= 2 and x <= 1
+    lp = LinearProgram()
+    x = lp.add_var("x", ub=3.0)
+    lp.add_row([x], [1.0], 2.0, INF)
+    lp.add_row([x], [1.0], -INF, 1.0)
+    assert _presolved(lp) is None
+    # bounds that cross by less than the tolerance stay; so do their rows
+    lp = LinearProgram()
+    x = lp.add_var("x", ub=3.0, obj=-1.0)
+    lp.add_row([x], [1.0], 3.0 + 1e-9, INF)
+    need, lb, ub = _presolved(lp)
+    assert need.tolist() == [True] and (lb.tolist(), ub.tolist()) == ([0.0], [3.0])
+    assert solve_milp(MILProblem(lp)).status == solve_lp(lp).status == "optimal"
+
+
+def _assert_every_row_holds(lp: LinearProgram, x: np.ndarray, cfg: SolverConfig) -> None:
+    # the presolved-away rows among them: redundant or a bound at the node
+    assert not _violated_rows(lp, x, cfg.feasibility_tol, np.arange(lp.n_rows)).any()
+
+
+@pytest.mark.parametrize("seed", [11, 23])
+def test_presolved_nodes_keep_every_status_and_row_on_random_instances(seed):
+    cfg = SolverConfig()
+    for grid, scenario in valid_random_instances(seed, 40, cfg, max_bus=10, max_hours=3):
+        for hours in (scenario.hours, tuple(range(grid.hour_count))):
+            inst = build_problem(grid, replace(scenario, hours=hours), cfg)
+            sol = solve_milp(inst.mip, cfg)
+            assert sol.status == "optimal"          # as every one solves without presolve
+            _assert_every_row_holds(inst.lp, sol.x, cfg)
+            star = max_scal_bisection(grid, replace(scenario, hours=hours), cfg).scal_star
+            assert abs(sol.x[inst.scal_idx] - star) <= 1e-9 * (1.0 + star)
+
+
+@pytest.mark.parametrize("name", ["example", "urban_mv", "rural_mv", "hybrid_mv", "lv"])
+def test_presolved_nodes_keep_every_status_and_row_on_the_fixtures(name):
+    grid = parse_grid((FIXTURES / f"{name}.json").read_text())
+    cfg = SolverConfig()
+    for fl in (1.0, 0.7):
+        for case in ("a", "b"):
+            scenario = Scenario(fl=fl, case=case)
+            inst = build_problem(grid, scenario, cfg)
+            search = max_scal_bisection(grid, scenario, cfg)
+            lazy = inst.network_rows                # seeded as run_cell seeds it
+            if search.binding is not None:
+                lazy = lazy[lazy != inst.row_of(*search.binding)]
+            sol = solve_milp(replace(inst.mip, lazy=lazy), cfg)
+            assert sol.status == "optimal", (fl, case)
+            _assert_every_row_holds(inst.lp, sol.x, cfg)
+            scal = extract_solution(inst, sol)
+            assert abs(scal - search.scal_star) <= 1e-9 * (1.0 + search.scal_star), (fl, case)

@@ -241,6 +241,13 @@ def reference_ratio_test(step, bvals, lb, ub, basis, piv_tol):
     return r_block, t_best
 
 
+def row_entries(lp: LinearProgram, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row r's variable indices and coefficients: slices of the LP's
+    row-compressed arrays."""
+    a, b = lp.indptr[r], lp.indptr[r + 1]
+    return lp.indices[a:b], lp.data[a:b]
+
+
 def reference_standard_matrix(lp: LinearProgram, rows=None) -> np.ndarray:
     """The standard form's A as a dense m x (n + m) array, the given rows of lp
     (default all) beside an identity for their slacks: the reference for
@@ -248,7 +255,8 @@ def reference_standard_matrix(lp: LinearProgram, rows=None) -> np.ndarray:
     rows = range(lp.n_rows) if rows is None else [int(i) for i in rows]
     A = np.zeros((len(rows), lp.n_vars + len(rows)))
     for pos, i in enumerate(rows):
-        A[pos, lp.row_idx[i]] = lp.row_coef[i]
+        idx, coef = row_entries(lp, i)
+        A[pos, idx] = coef
         A[pos, lp.n_vars + pos] = 1.0
     return A
 
@@ -439,8 +447,9 @@ def dump_lp(problem: LinearProgram | MILProblem) -> str:
              for j, c in enumerate(lp.obj) if c != 0.0]
     out.append(" obj: " + (" ".join(terms) if terms else "0"))
     out.append("Subject To")
-    for idx, coef, lo, hi, name in zip(lp.row_idx, lp.row_coef, lp.row_lo,
-                                       lp.row_hi, lp.row_names):
+    for r, (lo, hi, name) in enumerate(zip(lp.row_lo.tolist(), lp.row_hi.tolist(),
+                                           lp.row_names)):
+        idx, coef = row_entries(lp, r)
         body = " ".join(
             f"{'+' if c >= 0 else '-'} {_fmt(abs(c))} {lp.names[j]}"
             for j, c in zip(idx.tolist(), coef.tolist())
