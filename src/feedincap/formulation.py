@@ -12,7 +12,8 @@ the eligible installed capacity, a binary trigger flips and production is
 pinned to exactly that cap plus the residual-demand credit. Residual demand
 is what is left of local consumption after non-eligible generation at the
 node (wind, hydro, fossil, and under case "a" all existing PV) has covered
-its share.
+its share. The MILP therefore plans nodes, not units: how a node's output
+splits between its units decides nothing, and oracle.oracle_plan reports it.
 
 Network limits enter as affine rows in the injections (see network.py), so
 the model carries no flow or voltage variables: one thermal row per line and
@@ -253,8 +254,8 @@ def curtailment_rule(avail, cap, fl, residual):
 class ProblemInstance:
     """The assembled MILP plus the variable layout needed to read a solution.
 
-    The index arrays hold LP variable indices, hour position first; units
-    follow elig_units and triggers elig_nodes.
+    The index arrays hold LP variable indices, hour position first, then the
+    eligible node in elig_nodes order.
     """
 
     grid: Grid
@@ -265,9 +266,8 @@ class ProblemInstance:
     lp: LinearProgram
     binaries: tuple[int, ...]
     scal_idx: int
-    elig_units: tuple[str, ...]                  # eligible generator ids, grid order
     elig_nodes: tuple[str, ...]                  # buses with eligible capacity, grid order
-    unit_idx: np.ndarray                         # (H, U, 2) p, sp
+    prod_idx: np.ndarray                         # (H, E, 2) p, sp
     alpha_idx: np.ndarray                        # (H, E) curt_on
     slope: np.ndarray                            # (H, E) premise slope * scal + inter
     inter: np.ndarray                            # (H, E)
@@ -309,21 +309,25 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
     agg, when given, is node_aggregates(grid, scenario); its hours are the
     planned hours.
 
-    The feed-in trigger curt_on exists per hour and eligible node, i.e. where
-    eligible capacity exists. Its premise avail - fl * cap - R is affine in
-    scal, slope * scal + inter, and the rows are, with M = big_m:
+    Each hour and eligible node, i.e. bus with eligible capacity, has one
+    production p, one curtailment sp and one feed-in trigger curt_on, shared
+    by the node's eligible units; which units those are and what they make
+    available comes from agg, not from grid.gens. The network rows see p at
+    the node's bus. The trigger's premise avail - fl * cap - R is affine in
+    scal, slope * scal + inter, and the node's rows are, with M = big_m:
 
+        avail    p + sp = avail
         trigger  premise + eps <= (M + eps) * curt_on
         pin_hi   p + M * curt_on <= M + fl * cap + R
         pin_lo   p - M * curt_on >= -M + fl * cap + R
         spill    sp <= M * curt_on
 
-    (p and sp summed over the node's eligible units). A trigger whose premise
-    is >= 0 over the whole scal domain is pinned on (premise 0 still forces
-    curt_on = 1), one < 0 over it pinned off, any other left free: the rule
-    of milp.indicator_bounds, which solve_milp applies to every scal interval
-    it branches on. M is avail + fl * cap + R + 1 at scal = cfg.scal_max, so
-    no row it relaxes can bind anywhere in the domain.
+    A trigger whose premise is >= 0 over the whole scal domain is pinned on
+    (premise 0 still forces curt_on = 1), one < 0 over it pinned off, any
+    other left free: the rule of milp.indicator_bounds, which solve_milp
+    applies to every scal interval it branches on. M is avail + fl * cap + R
+    + 1 at scal = cfg.scal_max, so no row it relaxes can bind anywhere in the
+    domain.
     """
     cfg = cfg or SolverConfig()
     if scenario.mode == "annual":
@@ -331,17 +335,13 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
     agg = agg if agg is not None else node_aggregates(grid, scenario)
     hours = agg.hours
     model = model or build_linear_model(grid)
-    elig_kinds = scenario.eligible_kinds()
-    H, N = len(hours), len(agg.bus_order)
-    pos = {bid: i for i, bid in enumerate(agg.bus_order)}
     fl = scenario.fl
 
-    elig_units = [g for g in grid.gens if g.kind in elig_kinds]
-    elig_nodes = [bid for bid in agg.bus_order
-                  if agg.cap_const[pos[bid]] + agg.cap_coef[pos[bid]] > 0.0]
+    ei = np.flatnonzero(agg.cap_const + agg.cap_coef > 0.0)     # eligible nodes, grid order
+    elig_nodes = [agg.bus_order[i] for i in ei.tolist()]
+    H, E, L = len(hours), ei.size, len(model.line_order)
 
     # the trigger block, (hour, eligible node)
-    ei = np.array([pos[bid] for bid in elig_nodes], dtype=int)
     fl_cap_c, res = fl * agg.cap_const[ei], agg.residual[:, ei]
     slope = agg.avail_coef[:, ei] - fl * agg.cap_coef[ei]
     inter = agg.avail_const[:, ei] - fl_cap_c - res
@@ -357,61 +357,51 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
     lp = LinearProgram()
     scal_idx = lp.add_var("scal", 0.0, cfg.scal_max, obj=-1.0)
 
-    units, alphas = [], []                  # in variable order
+    prods, alphas = [], []                  # in variable order
     for k in range(H):
-        for g in elig_units:
-            units += [lp.add_var(f"p[{k},{g.id}]", 0.0, INF),
-                      lp.add_var(f"sp[{k},{g.id}]", 0.0, INF)]
+        for bid in elig_nodes:
+            prods += [lp.add_var(f"p[{k},{bid}]", 0.0, INF),
+                      lp.add_var(f"sp[{k},{bid}]", 0.0, INF)]
         alphas += [lp.add_var(f"curt_on[{k},{bid}]", lo, hi)
                    for bid, lo, hi in zip(elig_nodes, a_lo[k].tolist(), a_hi[k].tolist())]
-
-    U, E, L = len(elig_units), len(elig_nodes), len(grid.lines)
-    unit_idx = np.array(units, dtype=int).reshape(H, U, 2)
+    prod_idx = np.array(prods, dtype=int).reshape(H, E, 2)
     alpha_idx = np.array(alphas, dtype=int).reshape(H, E)
 
     # Each row kind enters as one block per hour, its entries as (row within
-    # the block, variable, coefficient) arrays, one per term of the row.
-    is_cand = np.array([g.kind == "pv_candidate" for g in elig_units], dtype=bool)
-    cand = np.flatnonzero(is_cand)
-    hour_idx = np.asarray(hours, dtype=int)
-    unit_avail = np.array([g.p_max * g.profile[hour_idx] for g in elig_units]).reshape(U, H)
-    # the four feed-in rows of node e are rows 4e..4e+3 of their block: trigger,
-    # pin_hi, pin_lo, spill, so the rows keep the node-by-node order
-    node_of = {bid: e for e, bid in enumerate(elig_nodes)}
-    u_at, e_at = np.array([(u, node_of[g.bus]) for u, g in enumerate(elig_units)
-                           if g.bus in node_of], dtype=int).reshape(-1, 2).T
-    by_node, by_unit = 4 * np.arange(E), 4 * e_at
-    scal_col, ones = np.full(E, scal_idx), np.ones(u_at.size)
+    # the block, variable, coefficient) arrays, one per term of the row. The
+    # four feed-in rows of node e are rows 4e..4e+3 of their block: trigger,
+    # pin_hi, pin_lo, spill, so the rows keep the node-by-node order.
+    node, by_node = np.arange(E), 4 * np.arange(E)
+    cand = np.flatnonzero(agg.cap_coef[ei] > 0.0)       # nodes whose availability scal scales
+    scal_col, ones = np.full(E, scal_idx), np.ones(E)
 
-    # The hour's only injection variables are the eligible units' p, each at +1
-    # in its bus's P injection (a unit at the slack bus enters no row); the Q
+    # The hour's only injection variables are the eligible nodes' p, each at +1
+    # in its bus's P injection (a node at the slack bus enters no row); the Q
     # injections are constants. Each p enters one injection once, so every
     # network coefficient below is a single product, as in a bus-by-bus sum.
-    incidence = np.zeros((N, U))
-    incidence[[pos[g.bus] for g in elig_units], np.arange(U)] = 1.0
-    inc_p = incidence[model.bus_cols]
+    inc_p = (model.bus_cols[:, None] == ei).astype(float)
     t_map, v_map = model.flow_map @ inc_p, model.voltage_map_p @ inc_p
-    t_at, t_unit = np.nonzero(t_map)
-    v_at, v_unit = np.nonzero(v_map)
-    t_coef, v_coef = t_map[t_at, t_unit], v_map[v_at, v_unit]
+    t_at, t_node = np.nonzero(t_map)
+    v_at, v_node = np.nonzero(v_map)
+    t_coef, v_coef = t_map[t_at, t_node], v_map[v_at, v_node]
 
     thermal_rows = np.zeros((H, L), dtype=int)
     v_rows = np.zeros((H, len(model.bus_order)), dtype=int)
     for k in range(H):
-        p, sp, a = unit_idx[k, :, 0], unit_idx[k, :, 1], alpha_idx[k]
-        avail = np.where(is_cand, 0.0, unit_avail[:, k])
-        lp.add_rows(np.concatenate([cand, np.arange(U), np.arange(U)]),
-                    np.concatenate([np.full(cand.size, scal_idx), p, sp]),
-                    np.concatenate([-unit_avail[cand, k], np.ones(2 * U)]), avail, avail,
-                    [f"avail[{k},{g.id}]" for g in elig_units])
+        p, sp, a = prod_idx[k, :, 0], prod_idx[k, :, 1], alpha_idx[k]
+        avail = agg.avail_const[k, ei]
+        lp.add_rows(np.concatenate([cand, node, node]),
+                    np.concatenate([scal_col[cand], p, sp]),
+                    np.concatenate([-agg.avail_coef[k, ei[cand]], ones, ones]), avail, avail,
+                    [f"avail[{k},{bid}]" for bid in elig_nodes])
 
         m_k, open_end = big_m[k], np.full(E, INF)
         terms = ((by_node, scal_col, slope[k]), (by_node, a, -(m_k + EPSILON_MW)),
-                 (by_node + 1, scal_col, pin_scal), (by_unit + 1, p[u_at], ones),
+                 (by_node + 1, scal_col, pin_scal), (by_node + 1, p, ones),
                  (by_node + 1, a, m_k),
-                 (by_node + 2, scal_col, pin_scal), (by_unit + 2, p[u_at], ones),
+                 (by_node + 2, scal_col, pin_scal), (by_node + 2, p, ones),
                  (by_node + 2, a, -m_k),
-                 (by_unit + 3, sp[u_at], ones), (by_node + 3, a, -m_k))
+                 (by_node + 3, sp, ones), (by_node + 3, a, -m_k))
         lp.add_rows(*(np.concatenate(part) for part in zip(*terms)),
                     np.stack([-open_end, -open_end, pin_lo_lb[k], -open_end], axis=1).ravel(),
                     np.stack([-inter[k] - EPSILON_MW, pin_hi_ub[k], open_end, np.zeros(E)],
@@ -428,17 +418,16 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
              model.voltage_map_q * -agg.demand_q[k, model.bus_cols]], axis=-1
         ).reshape(len(inj_const), 2 * len(inj_const)))
         thermal_rows[k] = lp.add_rows(
-            t_at, p[t_unit], t_coef, -model.s_max - t_const, model.s_max - t_const,
-            [f"thermal[{k},{line.id}]" for line in grid.lines]) + np.arange(L)
+            t_at, p[t_node], t_coef, -model.s_max - t_const, model.s_max - t_const,
+            [f"thermal[{k},{lid}]" for lid in model.line_order]) + np.arange(L)
         v_rows[k] = lp.add_rows(
-            v_at, p[v_unit], v_coef, model.vmin2 - v_const, model.vmax2 - v_const,
+            v_at, p[v_node], v_coef, model.vmin2 - v_const, model.vmax2 - v_const,
             [f"v[{k},{bid}]" for bid in model.bus_order]) + np.arange(len(model.bus_order))
 
     return ProblemInstance(
         grid=grid, scenario=scenario, hours=hours, model=model, agg=agg,
         lp=lp, binaries=tuple(alphas), scal_idx=scal_idx,
-        elig_units=tuple(g.id for g in elig_units), elig_nodes=tuple(elig_nodes),
-        unit_idx=unit_idx, alpha_idx=alpha_idx,
+        elig_nodes=tuple(elig_nodes), prod_idx=prod_idx, alpha_idx=alpha_idx,
         slope=slope, inter=inter, big_m=big_m,
         thermal_rows=thermal_rows, v_rows=v_rows,
         network_rows=np.hstack([thermal_rows, v_rows]).ravel(),
@@ -521,29 +510,26 @@ def energy_account(plan: PlanResult) -> EnergyAccount:
 def extract_solution(instance: ProblemInstance, sol: MILPSolution) -> float:
     """The MILP's scal, once its embedded network rows are cross-checked.
 
-    Flows and voltages are recomputed through evaluate_linear from the
-    solution's eligible production and the other units' full availability, and
-    must agree with the LP's own constraint activities to 1e-6; a mismatch
-    means the builder and the physics disagree and raises, as does a solution
-    that is not optimal.
+    Flows and voltages are recomputed through evaluate_linear from each
+    eligible node's production p at its bus and every non-eligible unit's
+    full availability, read from grid.gens, and must agree with the LP's own
+    constraint activities to 1e-6; a mismatch means the builder and the
+    physics disagree and raises, as does a solution that is not optimal.
     """
     if sol.status != "optimal":
         raise FormulationError(f"no scal to extract: the MILP solution is {sol.status}")
     grid, agg, model, x = instance.grid, instance.agg, instance.model, sol.x
     idx = np.asarray(instance.hours, dtype=int)
     elig_kinds = instance.scenario.eligible_kinds()
-    p = x[instance.unit_idx[:, :, 0]]             # (H, U), eligible units in grid order
 
-    # injections from each generator at its bus, not from the builder's
-    # incidence or row constants, so the check below can catch a mismatch
+    # injections at each bus from the solution and the generators, not from
+    # the builder's incidence or row constants, so the check below can catch
+    # a mismatch
     pos = {bid: i for i, bid in enumerate(agg.bus_order)}
     gen_at = np.zeros((len(idx), len(agg.bus_order)))
-    u = 0
+    gen_at[:, [pos[bid] for bid in instance.elig_nodes]] = x[instance.prod_idx[:, :, 0]]
     for g in grid.gens:
-        if g.kind in elig_kinds:
-            gen_at[:, pos[g.bus]] += p[:, u]
-            u += 1
-        else:
+        if g.kind not in elig_kinds:
             gen_at[:, pos[g.bus]] += g.p_max * g.profile[idx]
     net_at = gen_at - agg.demand_p
     flows, v2 = map(np.atleast_2d, evaluate_linear(

@@ -52,7 +52,7 @@ def test_criterion_1_reference_example():
     inst = build_problem(grid, Scenario(fl=0.7), pinned)
     sol = solve_milp(inst.mip, pinned)
     assert extract_solution(inst, sol) == 1.0
-    (p, sp), = sol.x[inst.unit_idx[0]]              # the one unit, pv_new: p, sp
+    (p, sp), = sol.x[inst.prod_idx[0]]              # pv_new's node, the one eligible
     milp_curt = float(sp)
     milp_feed = float(p - inst.agg.demand_p.sum())   # net export of the one load bus
 
@@ -210,25 +210,25 @@ def test_criterion_8_invariants():
         sol = solve_milp(inst.mip, cfg)
         scal = extract_solution(inst, sol)
         agg = node_aggregates(grid, scenario, inst.hours)
-        units = sol.x[inst.unit_idx]            # (H, U, 2) p, sp
-        elig = [next(g for g in grid.gens if g.id == gid) for gid in inst.elig_units]
+        prods = sol.x[inst.prod_idx]            # (H, E, 2) p, sp
 
-        for u, g in enumerate(elig):
-            base = g.p_max * scal if g.kind == "pv_candidate" else g.p_max
-            avail = base * g.profile[list(inst.hours)]
-            split = np.abs(units[:, u, 0] + units[:, u, 1] - avail).max()
-            worst_split = max(worst_split, float(split))
+        # each node's availability added up from its units in grid.gens, not
+        # read from agg, so the availability rows are checked on their own
+        split = prods.sum(axis=2)
+        for g in grid.gens:
+            if g.kind in scenario.eligible_kinds() and g.p_max > 0.0:
+                base = g.p_max * scal if g.kind == "pv_candidate" else g.p_max
+                split[:, inst.elig_nodes.index(g.bus)] -= base * g.profile[list(inst.hours)]
+        worst_split = max(worst_split, float(np.max(np.abs(split), initial=0.0)))
 
         for (h, e), a in np.ndenumerate(sol.x[inst.alpha_idx]):
-            bid = inst.elig_nodes[e]
-            i = agg.bus_order.index(bid)
-            at = [u for u, g in enumerate(elig) if g.bus == bid]
-            p_sum, sp_sum = units[h, at].sum(axis=0)
+            i = agg.bus_order.index(inst.elig_nodes[e])
+            p, sp = prods[h, e]
             if a < 0.5:
-                worst_off = max(worst_off, sp_sum)
+                worst_off = max(worst_off, sp)
             else:
                 cap = agg.cap_const[i] + agg.cap_coef[i] * scal
-                pin = abs(p_sum - scenario.fl * cap - agg.residual[h, i])
+                pin = abs(p - scenario.fl * cap - agg.residual[h, i])
                 worst_pin = max(worst_pin, pin)
 
         # the plan reported at the MILP's factor; raises EnergyBalanceError

@@ -18,6 +18,7 @@ from feedincap.formulation import (
 from feedincap.fixtures import example_grid_7kwp, synth_grid
 from feedincap.grid import Bus, GenUnit, Grid, Line, parse_grid
 from feedincap.milp import SolverConfig, solve_milp
+from feedincap.oracle import max_scal_bisection
 
 from util import (
     dump_lp, random_radial, reference_network_rows, reference_trigger_rows,
@@ -212,7 +213,7 @@ def test_fix_scal_pins_the_variable():
     inst = build_problem(grid, Scenario(fl=1.0), cfg)
     sol = solve_milp(inst.mip, cfg)
     assert extract_solution(inst, sol) == pytest.approx(2.5)
-    assert sol.x[inst.unit_idx[0, 0, 0]] == pytest.approx(2.5, abs=1e-7)   # all exported
+    assert sol.x[inst.prod_idx[0, 0, 0]] == pytest.approx(2.5, abs=1e-7)   # all exported
 
 
 def test_annual_without_fixed_scal_rejected():
@@ -228,8 +229,8 @@ def test_reference_point_through_the_milp():
     inst = build_problem(grid, Scenario(fl=0.7), cfg)
     sol = solve_milp(inst.mip, cfg)
     assert extract_solution(inst, sol) == 1.0
-    u = inst.elig_units.index(next(g.id for g in grid.gens if g.kind == "pv_candidate"))
-    p, sp = sol.x[inst.unit_idx[0, u]]
+    e = inst.elig_nodes.index(next(g.bus for g in grid.gens if g.kind == "pv_candidate"))
+    p, sp = sol.x[inst.prod_idx[0, e]]
     assert sp == pytest.approx(0.7e-3, abs=1e-12)
     assert p == pytest.approx(6.3e-3, abs=1e-12)
     assert p - inst.agg.demand_p.sum() == pytest.approx(4.9e-3, abs=1e-9)   # fed in
@@ -272,12 +273,14 @@ def test_eq3_residual_on_random_instances():
         if sol.status != "optimal":
             continue
         scal = extract_solution(inst, sol)
-        units = sol.x[inst.unit_idx]            # (H, U, 2) p, sp
-        for u, gid in enumerate(inst.elig_units):
-            g = next(g for g in grid.gens if g.id == gid)
-            base = g.p_max * scal if g.kind == "pv_candidate" else g.p_max
-            resid = np.abs(units[:, u].sum(axis=1) - base * g.profile[list(inst.hours)])
-            assert np.max(resid, initial=0.0) <= 1e-7
+        made = sol.x[inst.prod_idx].sum(axis=2)            # (H, E) p + sp
+        # each node's availability from its units in grid.gens, not from agg
+        hours = list(inst.hours)
+        for g in grid.gens:
+            if g.kind in scenario.eligible_kinds() and g.p_max > 0.0:
+                base = g.p_max * scal if g.kind == "pv_candidate" else g.p_max
+                made[:, inst.elig_nodes.index(g.bus)] -= base * g.profile[hours]
+        assert np.max(np.abs(made), initial=0.0) <= 1e-7
 
 
 def test_indicator_semantics_realized():
@@ -288,17 +291,73 @@ def test_indicator_semantics_realized():
     sol = solve_milp(inst.mip, cfg)
     scal = extract_solution(inst, sol)
     agg = node_aggregates(grid, scenario, inst.hours)
-    bus_of = {g.id: g.bus for g in grid.gens}
     for (k, e), a in np.ndenumerate(sol.x[inst.alpha_idx]):
-        bid = inst.elig_nodes[e]
-        i = agg.bus_order.index(bid)
-        at = [u for u, gid in enumerate(inst.elig_units) if bus_of[gid] == bid]
-        p_sum, sp_sum = sol.x[inst.unit_idx[k, at]].sum(axis=0)
+        i = agg.bus_order.index(inst.elig_nodes[e])
+        p, sp = sol.x[inst.prod_idx[k, e]]
         cap = agg.cap_const[i] + agg.cap_coef[i] * scal
         if a < 0.5:
-            assert sp_sum <= 1e-7
+            assert sp <= 1e-7
         else:
-            assert abs(p_sum - scenario.fl * cap - agg.residual[k, i]) <= 1e-6
+            assert abs(p - scenario.fl * cap - agg.residual[k, i]) <= 1e-6
+
+
+def _assert_dispatch_is_the_rule(inst, sol):
+    # given scal, each node's p is pinned by its trigger or equals its
+    # availability, so it can only be the rule's production at that scal
+    agg, scal = inst.agg, extract_solution(inst, sol)
+    ei = [agg.bus_order.index(bid) for bid in inst.elig_nodes]
+    produced, _ = curtailment_rule(agg.avail_const[:, ei] + agg.avail_coef[:, ei] * scal,
+                                   agg.cap_const[ei] + agg.cap_coef[ei] * scal,
+                                   inst.scenario.fl, agg.residual[:, ei])
+    p = sol.x[inst.prod_idx[:, :, 0]]
+    assert p.shape == produced.shape
+    assert (np.abs(p - produced) <= 1e-7 * (1.0 + np.abs(p))).all()
+
+
+@pytest.mark.parametrize("name", ["example", "urban_mv", "rural_mv", "hybrid_mv", "lv"])
+def test_node_dispatch_is_the_rule_at_the_milp_scal_on_the_fixtures(name):
+    grid = parse_grid((FIXTURES / f"{name}.json").read_text())
+    cfg = SolverConfig()
+    for fl in (1.0, 0.7):
+        for case in ("a", "b"):
+            scenario = Scenario(fl=fl, case=case)
+            inst = build_problem(grid, scenario, cfg)
+            search = max_scal_bisection(grid, scenario, cfg)
+            lazy = inst.network_rows                # seeded as run_cell seeds it
+            if search.binding is not None:
+                lazy = lazy[lazy != inst.row_of(*search.binding)]
+            _assert_dispatch_is_the_rule(inst, solve_milp(replace(inst.mip, lazy=lazy), cfg))
+
+
+@pytest.mark.parametrize("seed", [11, 23])
+def test_node_dispatch_is_the_rule_at_the_milp_scal_on_random_instances(seed):
+    cfg = SolverConfig()
+    for grid, scenario in valid_random_instances(seed, 40, cfg, max_bus=10, max_hours=3):
+        for hours in (scenario.hours, tuple(range(grid.hour_count))):
+            inst = build_problem(grid, replace(scenario, hours=hours), cfg)
+            _assert_dispatch_is_the_rule(inst, solve_milp(inst.mip, cfg))
+
+
+@pytest.mark.parametrize("kind,case", [("pv_candidate", "a"), ("pv_candidate", "b"),
+                                       ("pv_existing_scalable", "b")])
+def test_units_sharing_a_bus_and_profile_build_the_lp_of_one_unit(kind, case):
+    # a 1 MW candidate beside the unit lets scal move production in every case
+    base = two_bus(demand_mw=0.4, s_max=1.5, profile=(0.3, 0.9, 0.6))
+    cand = GenUnit("c1", "n1", "pv_candidate", 1.0, (0.3, 0.9, 0.6))
+    one = replace(base, gens=(GenUnit("u", "n1", kind, 2.0, cand.profile), cand))
+    two = replace(base, gens=(GenUnit("u1", "n1", kind, 1.0, cand.profile),
+                              GenUnit("u2", "n1", kind, 1.0, cand.profile), cand))
+    cfg = SolverConfig()
+    scenario = Scenario(fl=0.7, case=case, hours=(0, 1, 2))
+    (a, sol_a), (b, sol_b) = [(inst, solve_milp(inst.mip, cfg))
+                              for inst in (build_problem(g, scenario, cfg) for g in (one, two))]
+    # bytes, so that -0.0 and 0.0 differ
+    for name in ("indptr", "indices", "data", "row_lo", "row_hi"):
+        assert getattr(a.lp, name).tobytes() == getattr(b.lp, name).tobytes(), name
+    assert (a.lp.obj, a.lp.lb, a.lp.ub) == (b.lp.obj, b.lp.lb, b.lp.ub)
+    assert a.binaries == b.binaries and a.mip.lazy.tolist() == b.mip.lazy.tolist()
+    assert sol_a.status == sol_b.status == "optimal"
+    assert extract_solution(a, sol_a) == extract_solution(b, sol_b)
 
 
 def test_binary_prefixing_narrows_bounds():
@@ -335,17 +394,17 @@ def test_mv_fixtures_leave_no_trigger_free(name, request):
 
 @pytest.mark.parametrize("name", ["example", "urban_mv", "rural_mv", "hybrid_mv", "lv"])
 def test_the_milp_maximises_scal_over_units_and_triggers_only(name):
-    # one scal, each eligible unit's p and sp and each trigger per hour: no
-    # exchange or balance slack variables, and the objective is -scal
+    # one scal, each eligible node's p, sp and trigger per hour: no exchange
+    # or balance slack variables, and the objective is -scal
     grid = parse_grid((FIXTURES / f"{name}.json").read_text())
     for fl, case in ((0.7, "a"), (1.0, "b")):
         inst = build_problem(grid, Scenario(fl=fl, case=case), SolverConfig())
-        H, U, E = len(inst.hours), len(inst.elig_units), len(inst.elig_nodes)
+        H, E = len(inst.hours), len(inst.elig_nodes)
         L, N = len(inst.model.line_order), len(inst.model.bus_order)
-        assert inst.lp.n_vars == 1 + H * (2 * U + E)
-        # per hour: one availability row per unit, four trigger rows per node, and
-        # one thermal row per line and one voltage row per bus, each with both limits
-        assert inst.lp.n_rows == H * (U + 4 * E + L + N)
+        assert inst.lp.n_vars == 1 + 3 * H * E
+        # per hour: an availability row and four trigger rows per node, and one
+        # thermal row per line and one voltage row per bus, each with both limits
+        assert inst.lp.n_rows == H * (5 * E + L + N)
         sol = solve_milp(inst.mip, SolverConfig())
         assert sol.status == "optimal"
         assert sol.objective == -sol.x[inst.scal_idx]
@@ -374,7 +433,7 @@ def test_network_rows_match_the_bus_by_bus_reference():
 def _assert_trigger_block_matches_reference(inst, scal_max=SolverConfig().scal_max):
     rows, bounds, big_m = reference_trigger_rows(inst, scal_max)
     assert inst.big_m.tobytes() == big_m.tobytes() and inst.big_m.shape == big_m.shape
-    kinds = ("trigger[", "pin_hi[", "pin_lo[", "spill[")
+    kinds = ("avail[", "trigger[", "pin_hi[", "pin_lo[", "spill[")
     built = {name: r for r, name in enumerate(inst.lp.row_names) if name.startswith(kinds)}
     assert built.keys() == rows.keys()
     for name, (idx, coef, lo, hi) in rows.items():

@@ -272,16 +272,15 @@ def reference_network_rows(inst) -> list[tuple[dict[int, float], float, float]]:
     Returns (coefficients, lo, hi) per row."""
     agg, model, grid = inst.agg, inst.model, inst.grid
     pos = {bid: i for i, bid in enumerate(agg.bus_order)}
-    bus_of = {g.id: pos[g.bus] for g in grid.gens}
-    unit_bus = [bus_of[gid] for gid in inst.elig_units]
+    node_bus = [pos[bid] for bid in inst.elig_nodes]
     s_max = [ln.s_max for ln in grid.lines]
     vmin2 = [grid.buses[pos[bid]].vmin**2 for bid in model.bus_order]
     vmax2 = [grid.buses[pos[bid]].vmax**2 for bid in model.bus_order]
     rows = []
     for k in range(len(inst.hours)):
         def p_terms(j):
-            return {int(inst.unit_idx[k, u, 0]): 1.0
-                    for u, b in enumerate(unit_bus) if b == j}
+            return {int(inst.prod_idx[k, e, 0]): 1.0
+                    for e, b in enumerate(node_bus) if b == j}
 
         def add(coeffs, terms, a):
             for var, c in terms.items():
@@ -310,21 +309,33 @@ def reference_network_rows(inst) -> list[tuple[dict[int, float], float, float]]:
 
 
 def reference_trigger_rows(inst, scal_max: float = SolverConfig().scal_max):
-    """The feed-in trigger block of a built problem, one (hour, node) at a time
-    in Python floats, big-M included (avail + fl * cap + R + 1 at scal_max,
+    """The feed-in block of a built problem, one (hour, node) at a time in
+    Python floats, big-M included (avail + fl * cap + R + 1 at scal_max,
     inputs checked nonnegative): the reference for build_problem's array
-    form. scal_max must be the one the problem was built with. Returns
-    ({row name: (indices, coefficients, lo, hi)} for every trigger,
-    pin_hi, pin_lo and spill row, {curt_on variable: (lb, ub)}, big-M as an
-    (H, E) array)."""
+    form. Each availability row, p + sp - avail_coef * scal = avail_const,
+    adds up the node's eligible units from grid.gens one by one in grid
+    order, not from node_aggregates. scal_max must be the one the problem
+    was built with. Returns ({row name: (indices, coefficients, lo, hi)} for
+    every avail, trigger, pin_hi, pin_lo and spill row, {curt_on variable:
+    (lb, ub)}, big-M as an (H, E) array)."""
     agg, fl, s = inst.agg, inst.scenario.fl, inst.scal_idx
     pos = {bid: i for i, bid in enumerate(agg.bus_order)}
-    gen_bus = {g.id: g.bus for g in inst.grid.gens}
+    elig = [g for g in inst.grid.gens if g.kind in inst.scenario.eligible_kinds()]
     s_lo, s_hi = inst.lp.lb[s], inst.lp.ub[s]
     rows, bounds, big_m = {}, {}, np.zeros(inst.alpha_idx.shape)
-    for k in range(len(inst.hours)):
+    for k, hour in enumerate(inst.hours):
         for e, bid in enumerate(inst.elig_nodes):
             i, a = pos[bid], int(inst.alpha_idx[k, e])
+            p, sp = inst.prod_idx[k, e].tolist()
+            unit_c = unit_k = cand_cap = 0.0
+            for g in elig:
+                if g.bus == bid and g.kind == "pv_candidate":
+                    unit_k += g.p_max * float(g.profile[hour])
+                    cand_cap += g.p_max
+                elif g.bus == bid:
+                    unit_c += g.p_max * float(g.profile[hour])
+            idx, coef = ([s], [-unit_k]) if cand_cap > 0.0 else ([], [])
+            rows[f"avail[{k},{bid}]"] = (idx + [p, sp], coef + [1.0, 1.0], unit_c, unit_c)
             avail_at = float(agg.avail_const[k, i] + agg.avail_coef[k, i] * scal_max)
             fl_cap_at = fl * float(agg.cap_const[i] + agg.cap_coef[i] * scal_max)
             res = float(agg.residual[k, i])
@@ -340,18 +351,15 @@ def reference_trigger_rows(inst, scal_max: float = SolverConfig().scal_max):
                 bounds[a] = (0.0, 0.0)
             else:
                 bounds[a] = (0.0, 1.0)
-            units = [u for u, gid in enumerate(inst.elig_units) if gen_bus[gid] == bid]
-            p_at, sp_at = inst.unit_idx[k, units].T.tolist()
-            ones = [1.0] * len(p_at)
             cap_c, cap_k = float(agg.cap_const[i]), float(agg.cap_coef[i])
             av_c, av_k = float(agg.avail_const[k, i]), float(agg.avail_coef[k, i])
             rows[f"trigger[{k},{bid}]"] = ([s, a], [av_k - fl * cap_k, -(m + EPSILON_MW)],
                                            -INF, fl * cap_c - av_c + res - EPSILON_MW)
-            rows[f"pin_hi[{k},{bid}]"] = ([s, *p_at, a], [0.0 - fl * cap_k, *ones, m],
+            rows[f"pin_hi[{k},{bid}]"] = ([s, p, a], [0.0 - fl * cap_k, 1.0, m],
                                           -INF, m + fl * cap_c + res)
-            rows[f"pin_lo[{k},{bid}]"] = ([s, *p_at, a], [0.0 - fl * cap_k, *ones, -m],
+            rows[f"pin_lo[{k},{bid}]"] = ([s, p, a], [0.0 - fl * cap_k, 1.0, -m],
                                           -m + fl * cap_c + res, INF)
-            rows[f"spill[{k},{bid}]"] = ([*sp_at, a], [*ones, -m], -INF, 0.0)
+            rows[f"spill[{k},{bid}]"] = ([sp, a], [1.0, -m], -INF, 0.0)
     return rows, bounds, big_m
 
 
