@@ -9,7 +9,9 @@ The feed-in cap works per node and hour on the "eligible" units (candidates
 under case "a"; candidates plus all existing PV under case "b"): whenever
 eligible availability net of concurrent residual demand would exceed FL times
 the eligible installed capacity, a binary trigger flips and production is
-pinned to exactly that cap plus the residual-demand credit. Residual demand
+pinned to exactly that cap plus the residual-demand credit. The trigger's
+rule lives in its premise, which milp.solve_milp decides; the LP rows only
+say what each value of the trigger does to production. Residual demand
 is what is left of local consumption after non-eligible generation at the
 node (wind, hydro, fossil, and under case "a" all existing PV) has covered
 its share. The MILP therefore plans nodes, not units: how a node's output
@@ -40,9 +42,6 @@ from .milp import (
     indicator_bounds,
 )
 from .network import SLACK_VOLTAGE, LinearNetworkModel, build_linear_model, evaluate_linear
-
-
-EPSILON_MW = 1e-6      # strict-inequality margin for the indicator triggers
 
 
 class FormulationError(ValueError):
@@ -313,21 +312,21 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
     production p, one curtailment sp and one feed-in trigger curt_on, shared
     by the node's eligible units; which units those are and what they make
     available comes from agg, not from grid.gens. The network rows see p at
-    the node's bus. The trigger's premise avail - fl * cap - R is affine in
-    scal, slope * scal + inter, and the node's rows are, with M = big_m:
+    the node's bus. The node's rows are, with M = big_m:
 
         avail    p + sp = avail
-        trigger  premise + eps <= (M + eps) * curt_on
         pin_hi   p + M * curt_on <= M + fl * cap + R
         pin_lo   p - M * curt_on >= -M + fl * cap + R
         spill    sp <= M * curt_on
 
-    A trigger whose premise is >= 0 over the whole scal domain is pinned on
-    (premise 0 still forces curt_on = 1), one < 0 over it pinned off, any
-    other left free: the rule of milp.indicator_bounds, which solve_milp
-    applies to every scal interval it branches on. M is avail + fl * cap + R
-    + 1 at scal = cfg.scal_max, so no row it relaxes can bind anywhere in the
-    domain.
+    No row states when the trigger is on. Its premise avail - fl * cap - R is
+    affine in scal, slope * scal + inter, and solve_milp decides curt_on from
+    it on every scal interval it branches on (milp.indicator_bounds: >= 0 on
+    the whole interval pins it on, < 0 pins it off). The same rule pins each
+    trigger here over [0, cfg.scal_max] and leaves the rest free. At premise
+    0 both values give p = avail and sp = 0, as the milp contract asks. M is
+    avail + fl * cap + R + 1 at scal = cfg.scal_max, so no row it relaxes can
+    bind anywhere in the domain.
     """
     cfg = cfg or SolverConfig()
     if scenario.mode == "annual":
@@ -369,9 +368,9 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
 
     # Each row kind enters as one block per hour, its entries as (row within
     # the block, variable, coefficient) arrays, one per term of the row. The
-    # four feed-in rows of node e are rows 4e..4e+3 of their block: trigger,
-    # pin_hi, pin_lo, spill, so the rows keep the node-by-node order.
-    node, by_node = np.arange(E), 4 * np.arange(E)
+    # three feed-in rows of node e are rows 3e..3e+2 of their block: pin_hi,
+    # pin_lo, spill, so the rows keep the node-by-node order.
+    node, by_node = np.arange(E), 3 * np.arange(E)
     cand = np.flatnonzero(agg.cap_coef[ei] > 0.0)       # nodes whose availability scal scales
     scal_col, ones = np.full(E, scal_idx), np.ones(E)
 
@@ -396,18 +395,15 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
                     [f"avail[{k},{bid}]" for bid in elig_nodes])
 
         m_k, open_end = big_m[k], np.full(E, INF)
-        terms = ((by_node, scal_col, slope[k]), (by_node, a, -(m_k + EPSILON_MW)),
+        terms = ((by_node, scal_col, pin_scal), (by_node, p, ones), (by_node, a, m_k),
                  (by_node + 1, scal_col, pin_scal), (by_node + 1, p, ones),
-                 (by_node + 1, a, m_k),
-                 (by_node + 2, scal_col, pin_scal), (by_node + 2, p, ones),
-                 (by_node + 2, a, -m_k),
-                 (by_node + 3, sp, ones), (by_node + 3, a, -m_k))
+                 (by_node + 1, a, -m_k),
+                 (by_node + 2, sp, ones), (by_node + 2, a, -m_k))
         lp.add_rows(*(np.concatenate(part) for part in zip(*terms)),
-                    np.stack([-open_end, -open_end, pin_lo_lb[k], -open_end], axis=1).ravel(),
-                    np.stack([-inter[k] - EPSILON_MW, pin_hi_ub[k], open_end, np.zeros(E)],
-                             axis=1).ravel(),
+                    np.stack([-open_end, pin_lo_lb[k], -open_end], axis=1).ravel(),
+                    np.stack([pin_hi_ub[k], open_end, np.zeros(E)], axis=1).ravel(),
                     [f"{kind}[{k},{bid}]" for bid in elig_nodes
-                     for kind in ("trigger", "pin_hi", "pin_lo", "spill")])
+                     for kind in ("pin_hi", "pin_lo", "spill")])
 
         # network rows: injections are affine in the hour's variables; the
         # constants add up bus by bus, a bus's P term before its Q term

@@ -14,16 +14,18 @@ numpy with a fixed operation order, so two runs on the same input produce
 bit-identical results.
 
 solve_milp is best-first branch and bound for indicator binaries whose
-premises are affine in one variable, scal: binary i is 1 where slope[i] *
-scal + inter[i] >= 0 and 0 where it is < 0, as the LP's own rows must enforce.
-A node is a scal interval plus the indicators forced by earlier splits, and
-indicator_bounds fixes every indicator whose premise keeps one sign on it. A
-node with none left undecided is an exact LP and a candidate incumbent; any
-other splits at the premise root t of its undecided indicators nearest the
-node's LP value of scal (ties to the lower index) into [lo, t] and [t, hi],
-each child forcing that indicator to its side's value (the LP rows then keep
-out any point where that value is wrong). Children inherit the parent LP
-objective as their bound.
+premises are affine in one variable, scal. A node is a scal interval plus
+the indicators forced by earlier splits. A node with none left undecided
+is an exact LP and a candidate incumbent; any other splits at the premise
+root t of its undecided indicators nearest the node's LP value of scal
+(ties to the lower index) into [lo, t] and [t, hi], each child forcing that
+indicator to its side's value. Children inherit the parent LP objective as
+their bound. The premises are the only statement of the rule:
+- solve_milp decides every binary from its premise slope[i] * scal +
+  inter[i] on each node's interval (>= 0 -> 1, < 0 -> 0; indicator_bounds
+  plus the forced split values), so a leaf is exact whatever the rows say.
+- The caller must make both values of a binary give the same feasible
+  points where its premise is exactly 0, the split point of both children.
 
 solve_milp may defer rows. MILProblem.lazy names rows the solve may leave
 out; the kept rows are at first every row not in lazy. A leaf's answer is
@@ -234,7 +236,9 @@ class LinearProgram:
 class MILProblem:
     """lp with indicator binaries: the premise of binaries[i] is
     slope[i] * x[scal] + inter[i] (module doc). solve_milp sets the binaries'
-    bounds from their premises; it does not read theirs in lp."""
+    bounds from their premises; it does not read theirs in lp. Where a
+    premise is exactly 0, both values of its binary must give lp the same
+    feasible points."""
 
     lp: LinearProgram
     binaries: tuple[int, ...] = ()

@@ -82,7 +82,7 @@ def test_criterion_2_oracle_equivalence():
         if status != "optimal":
             bad.append((count, status))
             continue
-        limit = 1e-6 * (1.0 + search.scal_star)
+        limit = 1e-9 * (1.0 + search.scal_star)
         dev = abs(scal - search.scal_star)
         worst_ratio = max(worst_ratio, dev / limit)
         if dev > limit:
@@ -111,7 +111,7 @@ def test_criterion_3_exhaustive_binary_equivalence():
             continue
         gap = abs(sol.objective - enum.objective)
         worst = max(worst, gap)
-        if gap > 1e-6:
+        if gap > 1e-9 * (1.0 + abs(enum.objective)):
             bad.append((count, gap))
     ok = count >= 25 and not bad
     _verdict(3, ok, f"{count} instances, worst objective gap {worst:.2e}"

@@ -350,7 +350,7 @@ def test_pivot_update_matches_dense_update():
 
 def _indicator_lp(*rows) -> LinearProgram:
     """min -s + 0.1 a over s in [0, 10] and an indicator a with premise s - 4:
-    a = 0 forces s <= 3.5 (the trigger row, margin 0.5, M = 10), a = 1 forces
+    a = 0 forces s <= 3.5 (a big-M row, margin 0.5, M = 10), a = 1 forces
     s >= 4. Each extra row is (idx, coef, lo, hi). Without them the root
     LP is s = 10, a = 6.5 / 10.5; the child [0, 4] has a = 0, s = 3.5 and
     the child [4, 10] the optimum a = 1, s = 10."""

@@ -257,6 +257,25 @@ def test_enumerate_single_lp_when_nothing_free():
     assert res.objective == -1.0
 
 
+def test_each_enumerated_assignment_agrees_with_its_premises():
+    # criterion 3's instances: every feasible assignment's LP ends at a scal
+    # where each free bit has its premise's sign, 1 at >= 0 and 0 at <= 0
+    cfg = SolverConfig()
+    solved = 0
+    for grid, scenario in valid_random_instances(23, 25, cfg, max_bus=5, max_hours=3):
+        inst = build_problem(grid, scenario, cfg)
+        free = [i for i, j in enumerate(inst.binaries) if inst.lp.lb[j] < inst.lp.ub[j]]
+        enum = enumerate_alpha(grid, scenario, cfg)
+        assert len(enum.solutions) == enum.n_feasible
+        for x in enum.solutions:
+            solved += bool(free)
+            premise = inst.slope.ravel() * x[inst.scal_idx] + inst.inter.ravel()
+            bits = x[list(inst.binaries)]
+            assert (premise[free] >= -1e-9)[bits[free] == 1.0].all()
+            assert (premise[free] <= 1e-9)[bits[free] == 0.0].all()
+    assert solved > 0
+
+
 def test_enumerate_guard():
     rng = np.random.default_rng(2)
     grid = random_radial(rng, n_bus=9, hours=3)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from feedincap.grid import Bus, GenUnit, Grid, Line
-from feedincap.formulation import EPSILON_MW, Scenario, build_problem, node_aggregates
+from feedincap.formulation import Scenario, build_problem, node_aggregates
 from feedincap.milp import (INF, LinearProgram, MILProblem, SolverConfig, indicator_bounds,
                            solve_lp)
 from feedincap.network import SLACK_VOLTAGE
@@ -316,7 +316,7 @@ def reference_trigger_rows(inst, scal_max: float = SolverConfig().scal_max):
     adds up the node's eligible units from grid.gens one by one in grid
     order, not from node_aggregates. scal_max must be the one the problem
     was built with. Returns ({row name: (indices, coefficients, lo, hi)} for
-    every avail, trigger, pin_hi, pin_lo and spill row, {curt_on variable:
+    every avail, pin_hi, pin_lo and spill row, {curt_on variable:
     (lb, ub)}, big-M as an (H, E) array)."""
     agg, fl, s = inst.agg, inst.scenario.fl, inst.scal_idx
     pos = {bid: i for i, bid in enumerate(agg.bus_order)}
@@ -352,9 +352,6 @@ def reference_trigger_rows(inst, scal_max: float = SolverConfig().scal_max):
             else:
                 bounds[a] = (0.0, 1.0)
             cap_c, cap_k = float(agg.cap_const[i]), float(agg.cap_coef[i])
-            av_c, av_k = float(agg.avail_const[k, i]), float(agg.avail_coef[k, i])
-            rows[f"trigger[{k},{bid}]"] = ([s, a], [av_k - fl * cap_k, -(m + EPSILON_MW)],
-                                           -INF, fl * cap_c - av_c + res - EPSILON_MW)
             rows[f"pin_hi[{k},{bid}]"] = ([s, p, a], [0.0 - fl * cap_k, 1.0, m],
                                           -INF, m + fl * cap_c + res)
             rows[f"pin_lo[{k},{bid}]"] = ([s, p, a], [0.0 - fl * cap_k, 1.0, -m],
@@ -389,6 +386,7 @@ class EnumerationResult:
     x: np.ndarray | None
     n_assignments: int
     n_feasible: int
+    solutions: tuple[np.ndarray, ...] = ()      # each feasible assignment's LP optimum
 
 
 def enumerate_alpha(grid: Grid, scenario: Scenario,
@@ -400,19 +398,24 @@ def enumerate_alpha(grid: Grid, scenario: Scenario,
     Exponential by design; refuses more than max_free free binaries. The
     pre-fixing inside build_problem already removes every trigger whose
     premise cannot change sign, so only genuinely ambiguous node-hours are
-    enumerated. fix_scal pins scal, and with it every trigger, to one value.
+    enumerated. Each assignment's LP bounds scal to where every bit agrees
+    with its premise (1 needs premise >= 0, 0 needs premise <= 0, both hold
+    at the root); an assignment whose interval is empty is not solved. fix_scal
+    pins scal, and with it every trigger, to one value.
     """
     inst = build_problem(grid, scenario, cfg)
-    lp = inst.lp
+    lp, s = inst.lp, inst.scal_idx
     base_lb = list(lp.lb)
     base_ub = list(lp.ub)
+    premise = dict(zip(inst.binaries, zip(inst.slope.ravel().tolist(),
+                                          inst.inter.ravel().tolist())))
     best_obj = None
     best_x = None
-    n_feas = 0
+    solutions = []
     n_tried = 0
     try:
         if fix_scal is not None:
-            lp.lb[inst.scal_idx] = lp.ub[inst.scal_idx] = float(fix_scal)
+            lp.lb[s] = lp.ub[s] = float(fix_scal)
             a_lo, a_hi = indicator_bounds(inst.slope, inst.inter, fix_scal, fix_scal)
             for j, lo, hi in zip(inst.binaries, a_lo.ravel().tolist(), a_hi.ravel().tolist()):
                 lp.lb[j], lp.ub[j] = lo, hi
@@ -420,24 +423,37 @@ def enumerate_alpha(grid: Grid, scenario: Scenario,
         if len(free) > max_free:
             raise OracleError(
                 f"{len(free)} free binaries exceed the enumeration guard of {max_free}")
+        s_lo, s_hi = lp.lb[s], lp.ub[s]
         for bits in itertools.product((0.0, 1.0), repeat=len(free)):
             n_tried += 1
+            lo, hi = s_lo, s_hi
             for j, v in zip(free, bits):
                 lp.lb[j] = v
                 lp.ub[j] = v
+                slope, inter = premise[j]
+                if v == 0.0:                  # slope * scal + inter >= 0 from here on
+                    slope, inter = -slope, -inter
+                if slope > 0.0:
+                    lo = max(lo, -inter / slope)
+                elif slope < 0.0:
+                    hi = min(hi, -inter / slope)
+                elif inter < 0.0:
+                    hi = -INF
+            if lo > hi:
+                continue
+            lp.lb[s], lp.ub[s] = lo, hi
             sol = solve_lp(lp, cfg)
             if sol.status == "optimal":
-                n_feas += 1
+                solutions.append(sol.x.copy())
                 if best_obj is None or sol.objective < best_obj - 1e-12:
-                    best_obj = sol.objective
-                    best_x = sol.x.copy()
+                    best_obj, best_x = sol.objective, solutions[-1]
     finally:
         lp.lb[:] = base_lb
         lp.ub[:] = base_ub
     if best_obj is None:
         return EnumerationResult("infeasible", None, None, None, n_tried, 0)
-    return EnumerationResult("optimal", float(best_x[inst.scal_idx]), best_obj,
-                             best_x, n_tried, n_feas)
+    return EnumerationResult("optimal", float(best_x[s]), best_obj,
+                             best_x, n_tried, len(solutions), tuple(solutions))
 
 
 def _fmt(v: float) -> str:
