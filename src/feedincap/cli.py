@@ -40,16 +40,20 @@ def _default_outdir() -> str:
     return os.environ.get("FEEDINCAP_OUTDIR", ".")
 
 
-def _load_grid(path: str):
-    """Read and parse a grid document, unvalidated; any failure exits 2."""
+def _read_text(path: str) -> str:
+    """A file's UTF-8 text; a file that cannot be read or decoded exits 2."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
     except UnicodeDecodeError as exc:
         print(f"error: {path}: not UTF-8 ({exc})", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+    raise SystemExit(EXIT_USAGE)
+
+
+def _load_grid(path: str):
+    """Read and parse a grid document, unvalidated; any failure exits 2."""
+    text = _read_text(path)
     try:
         return parse_grid(text, validate=False)
     except GridFormatError as exc:
@@ -72,13 +76,7 @@ def _read_grid(path: str):
 def _scenario_from_args(args) -> Scenario:
     if getattr(args, "scenario", None):
         try:
-            sc = scenario_from_json(Path(args.scenario).read_text(encoding="utf-8"))
-        except OSError as exc:
-            print(f"error: cannot read {args.scenario}: {exc}", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
-        except UnicodeDecodeError as exc:
-            print(f"error: {args.scenario}: not UTF-8 ({exc})", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
+            sc = scenario_from_json(_read_text(args.scenario))
         except (json.JSONDecodeError, FormulationError) as exc:
             print(f"error: bad scenario file: {exc}", file=sys.stderr)
             raise SystemExit(EXIT_USAGE)

@@ -13,33 +13,35 @@ The inverse is refactorized periodically. Everything is double precision
 numpy with a fixed operation order, so two runs on the same input produce
 bit-identical results.
 
-solve_milp is best-first branch and bound for indicator binaries whose
-premises are affine in one variable, scal. A node is a scal interval plus
-the indicators forced by earlier splits. A node with none left undecided
-is an exact LP and a candidate incumbent; any other splits at the premise
-root t of its undecided indicators nearest the node's LP value of scal
-(ties to the lower index) into [lo, t] and [t, hi], each child forcing that
-indicator to its side's value. Children inherit the parent LP objective as
-their bound. The premises are the only statement of the rule:
+solve_milp searches the scal range for indicator binaries whose premises are
+affine in one variable, scal. The premise roots of the binaries left free on
+scal's range cut it into spans; on a span every premise keeps one sign, so
+fixing each binary at its sign at the span's midpoint makes the span one
+exact LP. A span's bound is the least objective within its variable bounds.
+The spans are solved best bound first (ties to the lower span) until the
+next bound cannot beat the incumbent: best-first branch and bound with
+bounds from the variable bounds alone (Land & Doig, Econometrica 28(3),
+1960). The premises are the only statement of the rule:
 - solve_milp decides every binary from its premise slope[i] * scal +
-  inter[i] on each node's interval (>= 0 -> 1, < 0 -> 0; indicator_bounds
-  plus the forced split values), so a leaf is exact whatever the rows say.
+  inter[i] (>= 0 -> 1, < 0 -> 0), so a span's LP is exact whatever the rows
+  say.
 - The caller must make both values of a binary give the same feasible
-  points where its premise is exactly 0, the split point of both children.
+  points where its premise is exactly 0, which is where two spans meet.
 
 solve_milp may defer rows. MILProblem.lazy names rows the solve may leave
-out; the kept rows are at first every row not in lazy. A leaf's answer is
+out; the kept rows are at first every row not in lazy. A span's optimum is
 checked against the rows left out, the only ones that can join: those it
 violates on either side by more than feasibility_tol * (1 + |bound|) join
-the kept rows, and the leaf goes back on the heap with its bound to be solved
-again. Only a leaf that violates none becomes the incumbent. Dropping rows
-only relaxes the problem, so every bound, infeasible node and gap still
-holds for the full problem. node_limit counts LP solves, re-solves included.
+the kept rows, and the span is solved again. Only an optimum that violates
+none becomes the incumbent. Dropping rows only relaxes the problem, so every
+infeasible span and gap still holds for the full problem. node_limit counts
+LP solves, re-solves included; the gap at the limit is the incumbent less
+the least bound of the spans still open.
 
 LinearProgram keeps its rows once, row-compressed (indptr, indices, data,
 row_lo, row_hi); the model builder appends them a block at a time. Each
-node's standard form is presolved from the kept rows under the node's
-bounds (its scal interval and decided indicators), in one pass (Andersen &
+span's standard form is presolved from the kept rows under the span's
+bounds (its scal interval and fixed indicators), in one pass (Andersen &
 Andersen, Math. Programming 71, 1995):
 - a row whose activity range under those bounds already lies within its
   bounds is left out: every point within the bounds meets it, so leaving it
@@ -49,9 +51,9 @@ Andersen, Math. Programming 71, 1995):
   lo / a <= x_j <= hi / a (ends swapped for a < 0);
 - when such bounds cross the variable's other bound by more than
   feasibility_tol * (1 + |bound|), no point meets the row within the bounds,
-  so the node is infeasible without an LP. Bounds that cross by less stay
+  so the span is infeasible without an LP. Bounds that cross by less stay
   as they were and their rows stay in the form, for the simplex to decide.
-Both reductions describe the same set as the rows they replace, so a node's
+Both reductions describe the same set as the rows they replace, so a span's
 LP keeps its optimum; only the last bits of the vertex found may move. The
 pass derives no bound from a row with more than one unfixed variable: on
 the MV fixtures that cut more rows but took more iterations, and the
@@ -72,7 +74,6 @@ inverse, settles the basic values.
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -600,8 +601,9 @@ def indicator_bounds(slope, inter, lo: float, hi: float) -> tuple[np.ndarray, np
 
 
 def solve_milp(mip: MILProblem, cfg: SolverConfig | None = None) -> MILPSolution:
-    """Best-first branch and bound over scal intervals; each node's LP is
-    presolved and deferred rows are checked at the leaves (module doc)."""
+    """Best-first search over the scal spans between the free premise roots,
+    one exact LP per span; each LP is presolved and deferred rows are checked
+    at its optimum (module doc)."""
     cfg = cfg or SolverConfig()
     lp, scal = mip.lp, mip.scal
     binaries = np.asarray(mip.binaries, dtype=np.intp)
@@ -616,44 +618,54 @@ def solve_milp(mip: MILProblem, cfg: SolverConfig | None = None) -> MILPSolution
 
     obj = np.asarray(lp.obj, dtype=float)
     lb0, ub0 = np.asarray(lp.lb, dtype=float), np.asarray(lp.ub, dtype=float)
+    lo, hi = (0.0, 0.0) if scal is None else (lb0[scal], ub0[scal])
+    a_lo, a_hi = indicator_bounds(slope, inter, lo, hi)
+    free = a_lo < a_hi
+    edges = np.concatenate([[lo], np.sort(np.clip(-inter[free] / slope[free], lo, hi)), [hi]])
+    wide = (edges[1:] > edges[:-1]) | (lo == hi)     # a repeated edge bounds no span,
+                                                     # a point range is one
+    span_lo, span_hi = edges[:-1][wide], edges[1:][wide]
+    mid = (span_lo + span_hi) / 2.0           # every premise keeps one sign inside a span
+    # a span's bound is the least objective within its bounds, summed over the costed
+    # variables: scal lies in the span and each binary is fixed at its value there
+    costed = np.flatnonzero(obj)
+    c_lo, c_hi = np.tile(lb0[costed], (mid.size, 1)), np.tile(ub0[costed], (mid.size, 1))
+    c_lo[:, costed == scal], c_hi[:, costed == scal] = span_lo[:, None], span_hi[:, None]
+    slot = np.full(obj.size, -1)
+    slot[binaries] = np.arange(binaries.size)
+    b = slot[costed]                          # the position among the binaries, or -1
+    c_lo[:, b >= 0] = c_hi[:, b >= 0] = inter[b[b >= 0]] + slope[b[b >= 0]] * mid[:, None] >= 0.0
+    bound = np.minimum(obj[costed] * c_lo, obj[costed] * c_hi).sum(axis=1)
+    # the spans still open, the best bound last (ties to the lower span)
+    spans = np.argsort(bound, kind="stable")[::-1].tolist()
+
     keep = np.ones(lp.n_rows, dtype=bool)
     keep[lazy] = False
     gathered = False                          # the kept rows' entries, once per round
-    nodes = iterations = seq = 0
+    nodes = iterations = 0
     rounds = 1
     incumbent_x: np.ndarray | None = None
     incumbent_obj = INF
-    root = (0.0, 0.0) if scal is None else (lb0[scal], ub0[scal])
-    # heap entries: (bound, seq, lo, hi, forced), forced holding (binary position, value)
-    heap = [(-INF, 0, *root, ())]
-
     status = OPTIMAL
-    while heap:
-        node = heapq.heappop(heap)
-        bound, _, lo, hi, forced = node
-        if bound >= incumbent_obj - 1e-9:
-            continue
+    while spans and bound[spans[-1]] < incumbent_obj - 1e-9:
         if nodes >= cfg.node_limit:
             status = NODE_LIMIT
-            heapq.heappush(heap, node)        # still open: its bound enters the gap
             break
         nodes += 1
+        k = spans.pop()
         if not gathered:
             rows = np.flatnonzero(keep)
             pos, cols, coef = lp._entries(rows)
             row_lo, row_hi = lp.row_lo[rows], lp.row_hi[rows]
             nz = coef != 0.0                  # a zero entry adds nothing, not 0 * inf
             gathered = True
-        a_lo, a_hi = indicator_bounds(slope, inter, lo, hi)
-        for i, v in forced:
-            a_lo[i] = a_hi[i] = v
         lb, ub = lb0.copy(), ub0.copy()
         if scal is not None:
-            lb[scal], ub[scal] = lo, hi
-        lb[binaries], ub[binaries] = a_lo, a_hi
+            lb[scal], ub[scal] = span_lo[k], span_hi[k]
+        lb[binaries] = ub[binaries] = inter + slope * mid[k] >= 0.0
         reduced = _presolve(pos[nz], cols[nz], coef[nz], row_lo, row_hi, lb, ub,
                             cfg.feasibility_tol)
-        if reduced is None:                   # a singleton row rules the node out
+        if reduced is None:                   # a singleton row rules the span out
             continue
         need, lb, ub = reduced
         at = need[pos]
@@ -668,33 +680,21 @@ def solve_milp(mip: MILProblem, cfg: SolverConfig | None = None) -> MILPSolution
                                 int(keep.sum()))
         if sol.objective >= incumbent_obj - 1e-9:
             continue
-
-        undecided = np.flatnonzero(a_lo < a_hi)
-        if undecided.size == 0:                # an exact LP of the kept rows
-            left_out = np.flatnonzero(~keep)
-            joining = left_out[_violated_rows(lp, sol.x, cfg.feasibility_tol, left_out)]
-            if joining.size:                   # keep them and solve the leaf again
-                keep[joining] = True
-                gathered = False
-                rounds += 1
-                heapq.heappush(heap, node)
-            else:
-                incumbent_obj, incumbent_x = sol.objective, sol.x
-            continue
-        roots = -inter[undecided] / slope[undecided]
-        k = int(np.argmin(np.abs(roots - sol.x[scal])))
-        i, t = int(undecided[k]), min(max(float(roots[k]), lo), hi)
-        on_right = float(slope[i] > 0.0)       # the premise is >= 0 above t
-        for child_lo, child_hi, v in ((lo, t, 1.0 - on_right), (t, hi, on_right)):
-            seq += 1
-            heapq.heappush(heap, (sol.objective, seq, child_lo, child_hi, forced + ((i, v),)))
+        left_out = np.flatnonzero(~keep)
+        joining = left_out[_violated_rows(lp, sol.x, cfg.feasibility_tol, left_out)]
+        if joining.size:                      # keep them and solve the span again
+            keep[joining] = True
+            gathered = False
+            rounds += 1
+            spans.append(k)
+        else:
+            incumbent_obj, incumbent_x = sol.objective, sol.x
 
     rows_kept = int(keep.sum())
     if incumbent_x is None:
         return MILPSolution(status if status == NODE_LIMIT else INFEASIBLE, None, None, INF,
                             nodes, iterations, rounds, rows_kept)
-    remaining = min((b for b, *_ in heap), default=incumbent_obj)
-    gap = max(0.0, incumbent_obj - min(remaining, incumbent_obj))
+    gap = incumbent_obj - bound[spans[-1]] if status == NODE_LIMIT else 0.0
     return MILPSolution(status, incumbent_x, incumbent_obj, gap, nodes, iterations, rounds,
                         rows_kept)
 

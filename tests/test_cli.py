@@ -86,6 +86,46 @@ def test_scenario_file_that_is_not_utf8_is_a_usage_error(toy_file, tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
+def test_scenario_file_that_cannot_be_read_is_a_usage_error(toy_file, tmp_path, capsys):
+    sc = tmp_path / "missing.json"
+    with pytest.raises(OSError) as exc:
+        sc.read_text(encoding="utf-8")
+    assert cli.main(["plan", toy_file, "--scenario", str(sc),
+                     "--outdir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {sc}: {exc.value}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("code,mutate", [
+    pytest.param("empty", lambda d: d["buses"].clear(), id="empty"),
+    pytest.param("bad_base", lambda d: d.update(base_mva=0.0), id="bad_base"),
+    pytest.param("bad_hour_duration", lambda d: d.update(hour_duration_h=0.0),
+                 id="bad_hour_duration"),
+    pytest.param("slack_count", lambda d: d["buses"][1].update(is_slack=True), id="slack_count"),
+    pytest.param("neg_demand", lambda d: d["buses"][1].update(demand_p=[-0.1]), id="neg_demand"),
+    pytest.param("series_length", lambda d: d["buses"][1].update(demand_p=[0.0, 0.0]),
+                 id="series_length-bus"),
+    pytest.param("series_length", lambda d: d["generators"][0].update(profile=[1.0, 1.0]),
+                 id="series_length-generator"),
+    pytest.param("unknown_bus", lambda d: d["lines"][0].update(to="nowhere"),
+                 id="unknown_bus-line"),
+    pytest.param("unknown_bus", lambda d: d["generators"][0].update(bus="nowhere"),
+                 id="unknown_bus-generator"),
+    pytest.param("bad_line_param", lambda d: d["lines"][0].update(r=-0.0001),
+                 id="bad_line_param-negative-r"),
+    pytest.param("bad_line_param", lambda d: d["lines"][0].update(s_max=0.0),
+                 id="bad_line_param-zero-s_max"),
+    pytest.param("duplicate_gen", lambda d: d["generators"].append(dict(d["generators"][0])),
+                 id="duplicate_gen"),
+])
+def test_validate_names_each_error_code(code, mutate, tmp_path, capsys):
+    doc = json.loads((FIXTURES / "example.json").read_text())
+    mutate(doc)
+    (tmp_path / "grid.json").write_text(json.dumps(doc))
+    assert cli.main(["validate", str(tmp_path / "grid.json")]) == 1
+    assert f"error {code} at " in capsys.readouterr().out
+
+
 def test_validate_zero_impedance_is_a_warning(tmp_path, capsys):
     p = tmp_path / "ideal.json"
     p.write_text(serialize_grid(two_bus(r=0.0, x=0.0)))
@@ -411,6 +451,18 @@ def test_sweep_defaults_on_urban(tmp_path, capsys):
     assert "24/24 cells solved" in capsys.readouterr().out
 
 
+def test_sweep_with_a_failed_cell_exits_1(tmp_path, capsys):
+    # a candidate that never produces leaves scal without a maximum
+    doc = json.loads(serialize_grid(example_grid_7kwp()))
+    doc["generators"][-1]["profile"] = [0.0]
+    (tmp_path / "grid.json").write_text(json.dumps(doc))
+    assert cli.main(["sweep", str(tmp_path / "grid.json"), "--fl-values", "1.0",
+                     "--cases", "a", "--mults", "1.0", "--outdir", str(tmp_path / "rep")]) == 1
+    out = capsys.readouterr().out
+    assert "cell fl=1.0 case=a x1.0 failed: no candidate PV produces" in out
+    assert out.endswith("0/1 cells solved; FAILURES above\n")
+
+
 def test_sweep_repeat_byte_identical(toy_file, tmp_path):
     for sub in ("one", "two"):
         rc = cli.main(["sweep", toy_file, "--fl-values", "1.0,0.7",
@@ -544,6 +596,13 @@ def test_synth_round_trip(tmp_path):
 
 def test_synth_unknown_kind(capsys):
     assert cli.main(["synth", "--kind", "orbit"]) == 2
+
+
+def test_synth_without_hours_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "example.json"
+    assert cli.main(["synth", "--kind", "example", "--hours", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: hours must be >= 1\n"
+    assert not out.exists()
 
 
 def test_outdir_env_var(tmp_path, monkeypatch):

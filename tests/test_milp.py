@@ -351,9 +351,9 @@ def test_pivot_update_matches_dense_update():
 def _indicator_lp(*rows) -> LinearProgram:
     """min -s + 0.1 a over s in [0, 10] and an indicator a with premise s - 4:
     a = 0 forces s <= 3.5 (a big-M row, margin 0.5, M = 10), a = 1 forces
-    s >= 4. Each extra row is (idx, coef, lo, hi). Without them the root
-    LP is s = 10, a = 6.5 / 10.5; the child [0, 4] has a = 0, s = 3.5 and
-    the child [4, 10] the optimum a = 1, s = 10."""
+    s >= 4. Each extra row is (idx, coef, lo, hi). The premise root 4 cuts
+    two spans: [0, 4] has a = 0 and bound -4, its optimum s = 3.5; [4, 10]
+    has a = 1 and bound -10 + 0.1, its optimum s = 10."""
     lp = LinearProgram()
     s = lp.add_var("s", ub=10.0, obj=-1.0)
     a = lp.add_var("a", ub=1.0, obj=0.1)
@@ -383,8 +383,10 @@ def test_milp_fixed_binaries_reduce_to_lp():
 
 
 def test_milp_branches_on_the_premise_root():
+    # the span [4, 10], bound -9.9, is solved first; its optimum -9.9 beats the
+    # bound -4 of [0, 4], which is never solved
     sol = solve_milp(_indicator_mip(_indicator_lp()))
-    assert (sol.status, sol.nodes, sol.gap) == ("optimal", 3, 0.0)
+    assert (sol.status, sol.nodes, sol.gap) == ("optimal", 1, 0.0)
     assert sol.x == pytest.approx([10.0, 1.0]) and sol.objective == pytest.approx(-9.9)
 
 
@@ -401,34 +403,103 @@ def test_milp_rejects_binaries_without_premises():
 
 def test_milp_infeasible():
     # s >= 3.75 rules out a = 0 and s + 10 a <= 13.9 rules out a = 1, while
-    # the root LP, with a relaxed, is feasible
+    # the LP with a relaxed is feasible; each span is one node
     lp = _indicator_lp(([0], [1.0], 3.75, INF), ([0, 1], [1.0, 10.0], -INF, 13.9))
     assert solve_lp(lp).status == "optimal"
     sol = solve_milp(_indicator_mip(lp))
-    assert (sol.status, sol.nodes) == ("infeasible", 3)
+    assert (sol.status, sol.nodes) == ("infeasible", 2)
     assert sol.x is None and sol.gap == INF
 
 
 def test_milp_node_limit_reported():
-    sol = solve_milp(_indicator_mip(_indicator_lp()), SolverConfig(node_limit=2))
-    # the root and the child [0, 4]; the child [4, 10] stays open
-    assert (sol.status, sol.nodes) == ("node_limit", 2)
-    assert sol.x == pytest.approx([3.5, 0.0])
-    assert sol.gap >= 0.0
-    assert sol.gap == pytest.approx(-3.5 - (-10.0 + 0.1 * 6.5 / 10.5))
+    # s + 10 a <= 14 caps s at 4 on the span [4, 10], whose optimum -3.9 is then
+    # worse than the bound -4 of the span [0, 4]: the limit leaves that span open
+    # and the gap is taken to its bound
+    lp = _indicator_lp(([0, 1], [1.0, 10.0], -INF, 14.0))
+    sol = solve_milp(_indicator_mip(lp), SolverConfig(node_limit=1))
+    assert (sol.status, sol.nodes) == ("node_limit", 1)
+    assert sol.x == pytest.approx([4.0, 1.0]) and sol.objective == pytest.approx(-3.9)
+    assert sol.gap == pytest.approx(-3.9 - (-4.0))
+    full = solve_milp(_indicator_mip(lp))               # [0, 4] gives only -3.5
+    assert (full.status, full.nodes, full.gap) == ("optimal", 2, 0.0)
+    assert full.x.tobytes() == sol.x.tobytes()
 
 
 def test_milp_determinism():
     # the second random instance of criterion 2, over its three hours: five
-    # triggers are free and the solve takes 10 nodes
+    # triggers are free, and the solve takes 5 nodes, one LP per span it opens
     cfg = SolverConfig()
     grid, scenario = list(valid_random_instances(11, 2, cfg, max_bus=10, max_hours=3))[1]
     mip = build_problem(grid, replace(scenario, hours=(0, 1, 2)), cfg).mip
     a = solve_milp(mip, cfg)
     b = solve_milp(mip, cfg)
-    assert (a.status, a.nodes) == ("optimal", 10)
+    assert (a.status, a.nodes) == ("optimal", 5)
     assert a.x.tobytes() == b.x.tobytes()
     assert (a.objective, a.nodes, a.lp_iterations) == (b.objective, b.nodes, b.lp_iterations)
+
+
+def _span_mip(slope, inter) -> MILProblem:
+    """max s over s in [0, 10] with one indicator per premise slope[i] * s +
+    inter[i], and a row s + y >= 30 with y <= 5 that no span meets: presolve
+    keeps the row, so the LP of every span finds it infeasible."""
+    lp = LinearProgram()
+    s = lp.add_var("s", ub=10.0, obj=-1.0)
+    y = lp.add_var("y", ub=5.0)
+    binaries = tuple(lp.add_var(f"a{i}", ub=1.0) for i in range(len(slope)))
+    lp.add_row([s, y], [1.0, 1.0], 30.0, INF)
+    return MILProblem(lp, binaries=binaries, scal=s, slope=slope, inter=inter)
+
+
+@pytest.mark.parametrize("slope,inter,spans", [
+    pytest.param([1.0, 2.0], [-4.0, -8.0], 2, id="one-root-twice"),
+    pytest.param([1.0], [-10.0], 1, id="root-at-upper-bound"),
+    pytest.param([-1.0], [0.0], 1, id="root-at-lower-bound"),
+    pytest.param([1.0, -1.0, 0.5, 1.0], [-2.0, 6.0, -4.0, 5.0], 4, id="three-roots"),
+])
+def test_every_span_infeasible_takes_one_node_per_span(slope, inter, spans):
+    # the free premise roots, clipped to [0, 10] and each counted once, cut the
+    # range into the spans; a premise that keeps its sign (root -5) cuts none
+    sol = solve_milp(_span_mip(slope, inter))
+    assert (sol.status, sol.nodes) == ("infeasible", spans)
+    assert sol.x is None and sol.gap == INF and sol.lp_iterations > 0
+
+
+def test_a_cost_on_a_binary_orders_the_spans_by_their_bounds():
+    # a's cost 6.2 puts the bound of [4, 10] at -3.8, above the -4 of [0, 4],
+    # so [0, 4] is solved first although its scal is lower
+    lp = _indicator_lp()
+    lp.obj[1] = 6.2
+    sol = solve_milp(_indicator_mip(lp), SolverConfig(node_limit=1))
+    assert (sol.status, sol.nodes) == ("node_limit", 1)
+    assert sol.x == pytest.approx([3.5, 0.0]) and sol.gap == pytest.approx(-3.5 - (-3.8))
+    # [4, 10] is still solved, and its -3.8 beats -3.5
+    sol = solve_milp(_indicator_mip(lp))
+    assert (sol.status, sol.nodes, sol.gap) == ("optimal", 2, 0.0)
+    assert sol.x == pytest.approx([10.0, 1.0]) and sol.objective == pytest.approx(-3.8)
+    # a's cost 20 puts that bound at 10, above [0, 4]'s optimum: one node
+    lp.obj[1] = 20.0
+    sol = solve_milp(_indicator_mip(lp))
+    assert (sol.status, sol.nodes) == ("optimal", 1)
+    assert sol.x == pytest.approx([3.5, 0.0]) and sol.objective == pytest.approx(-3.5)
+
+
+def test_a_cost_on_an_unbounded_variable_solves_the_spans_in_order():
+    # z >= -1 holds only as a row, so z's bound -inf makes every span's bound
+    # -inf: [0, 4] is solved first, then [4, 10], whose optimum is the best
+    lp = LinearProgram()
+    s = lp.add_var("s", ub=10.0, obj=-1.0)
+    a = lp.add_var("a", ub=1.0)
+    z = lp.add_var("z", lb=-INF, obj=1.0)
+    lp.add_row([s, a], [1.0, -10.5], -INF, 3.5)
+    lp.add_row([s, a], [1.0, -4.0], 0.0, INF)
+    lp.add_row([z, s], [1.0, 1.0], -1.0, INF)
+    mip = MILProblem(lp, binaries=(a,), scal=s, slope=[1.0], inter=[-4.0])
+    sol = solve_milp(mip, SolverConfig(node_limit=1))
+    assert (sol.status, sol.nodes, sol.gap) == ("node_limit", 1, INF)
+    assert sol.x[s] == pytest.approx(3.5)
+    sol = solve_milp(mip)
+    assert (sol.status, sol.nodes, sol.gap) == ("optimal", 2, 0.0)
+    assert sol.x == pytest.approx([10.0, 1.0, -11.0]) and sol.objective == pytest.approx(-21.0)
 
 
 # -- scal branching ----------------------------------------------------------
@@ -496,44 +567,48 @@ def test_node_limit_caps_the_nodes_of_every_round():
 
 
 def test_node_limit_incumbent_must_satisfy_the_deferred_rows():
-    # two nodes: the root, then the child [0, 4] gives the incumbent s = 3.5, a = 0
-    cfg = SolverConfig(node_limit=2)
-    # that leaf breaks a deferred s <= 3, which joins; the limit stops the search
+    # one node: the span [4, 10] gives s = 10, a = 1
+    cfg = SolverConfig(node_limit=1)
+    # that breaks a deferred s <= 8, which joins; the limit stops the search
     # before the re-solve, so no point of the full problem is there to report
-    sol = solve_milp(_indicator_mip(_indicator_lp(([0], [1.0], -INF, 3.0)), lazy=(2,)), cfg)
-    assert (sol.status, sol.nodes, sol.rounds) == ("node_limit", 2, 2)
+    sol = solve_milp(_indicator_mip(_indicator_lp(([0], [1.0], -INF, 8.0)), lazy=(2,)), cfg)
+    assert (sol.status, sol.nodes, sol.rounds) == ("node_limit", 1, 2)
     assert sol.x is None and sol.objective is None and sol.gap == INF
-    # it satisfies a deferred a <= 0.75: kept, with the gap to the open node's bound
-    lp = _indicator_lp(([1], [1.0], -INF, 0.75))
-    sol = solve_milp(_indicator_mip(lp, lazy=(2,)), cfg)
+    # with s + 10 a <= 14 kept, the span gives s = 4, which meets the deferred
+    # s <= 8: kept, with the gap to the bound of the open span [0, 4]
+    lp = _indicator_lp(([0, 1], [1.0, 10.0], -INF, 14.0), ([0], [1.0], -INF, 8.0))
+    sol = solve_milp(_indicator_mip(lp, lazy=(3,)), cfg)
     full = solve_milp(_indicator_mip(lp), cfg)
-    assert (sol.status, sol.nodes, sol.rounds) == (full.status, full.nodes, 1) == ("node_limit", 2, 1)
-    assert sol.x == pytest.approx(full.x) == [3.5, 0.0]
+    assert (sol.status, sol.nodes, sol.rounds) == (full.status, full.nodes, 1) == ("node_limit", 1, 1)
+    assert sol.x == pytest.approx(full.x) == [4.0, 1.0]
     assert (sol.objective, sol.gap) == pytest.approx((full.objective, full.gap))
-    assert sol.gap == pytest.approx(-3.5 - (-10.0 + 0.1 * 6.5 / 10.5))
+    assert sol.gap == pytest.approx(-3.9 - (-4.0))
 
 
 def test_leaf_that_breaks_a_deferred_row_is_solved_again_in_the_same_search():
-    # the leaf [4, 10] gives s = 10, which breaks a deferred s <= 8: the row
-    # joins and only that leaf is solved again, to the optimum s = 8, a = 1
+    # the span [4, 10] gives s = 10, which breaks a deferred s <= 8: the row
+    # joins and only that span is solved again, to the optimum s = 8, a = 1,
+    # whose -7.9 beats the bound -4 of [0, 4]
     lp = _indicator_lp(([0], [1.0], -INF, 8.0))
     sol = solve_milp(_indicator_mip(lp, lazy=(2,)))
     seeded = solve_milp(_indicator_mip(lp))
-    assert (seeded.status, seeded.nodes, seeded.rounds) == ("optimal", 3, 1)
+    assert (seeded.status, seeded.nodes, seeded.rounds) == ("optimal", 1, 1)
     assert (sol.status, sol.rounds, sol.rows_kept) == ("optimal", 2, 3)
-    assert sol.nodes == seeded.nodes + sol.rounds - 1 == 4
+    assert sol.nodes == seeded.nodes + sol.rounds - 1 == 2
     assert sol.x.tobytes() == seeded.x.tobytes() and sol.objective == seeded.objective
     assert sol.x == pytest.approx([8.0, 1.0]) and sol.gap == 0.0
 
 
 def test_node_limit_keeps_an_incumbent_found_before_rows_joined():
-    # the root, the leaf [0, 4] (incumbent s = 3.5, which meets s <= 8), then the
-    # leaf [4, 10], whose s = 10 adds s <= 8; its re-solve is left open
+    # a's cost 6.2 puts the bound of [4, 10] at -10 + 6.2 = -3.8, above the -4 of
+    # [0, 4]: first [0, 4] (incumbent s = 3.5, which meets s <= 8), then [4, 10],
+    # whose s = 10 adds s <= 8; its re-solve is left open, bound -3.8
     lp = _indicator_lp(([0], [1.0], -INF, 8.0))
-    sol = solve_milp(_indicator_mip(lp, lazy=(2,)), SolverConfig(node_limit=3))
-    assert (sol.status, sol.nodes, sol.rounds, sol.rows_kept) == ("node_limit", 3, 2, 3)
+    lp.obj[1] = 6.2
+    sol = solve_milp(_indicator_mip(lp, lazy=(2,)), SolverConfig(node_limit=2))
+    assert (sol.status, sol.nodes, sol.rounds, sol.rows_kept) == ("node_limit", 2, 2, 3)
     assert sol.x == pytest.approx([3.5, 0.0]) and sol.objective == pytest.approx(-3.5)
-    assert sol.gap == pytest.approx(-3.5 - (-10.0 + 0.1 * 6.5 / 10.5))
+    assert sol.gap == pytest.approx(-3.5 - (-3.8))
 
 
 def test_infeasible_round_is_final():
