@@ -220,10 +220,10 @@ def run_cell(grid: Grid, scenario: Scenario, engine: str,
         if search.binding is not None:
             lazy = lazy[lazy != inst.row_of(*search.binding)]
         sol = solve_milp(replace(inst.mip, lazy=lazy), cfg)
-        log.debug("cell fl=%g case=%s x%g: milp %s after %d node(s), %d LP iterations, "
-                  "gap %g, %d free trigger(s), %d round(s), %d/%d rows", scenario.fl,
-                  scenario.case, scenario.demand_multiplier, sol.status, sol.nodes,
-                  sol.lp_iterations, sol.gap,
+        log.debug("cell fl=%g case=%s x%g: milp %s after %d node(s), %d span(s) eliminated, "
+                  "%d fallback(s), %d LP iterations, gap %g, %d free trigger(s), %d round(s), "
+                  "%d/%d rows", scenario.fl, scenario.case, scenario.demand_multiplier,
+                  sol.status, sol.nodes, sol.spans, sol.fallbacks, sol.lp_iterations, sol.gap,
                   sum(inst.lp.lb[j] < inst.lp.ub[j] for j in inst.binaries),
                   sol.rounds, sol.rows_kept, inst.lp.n_rows)
         if sol.status == "infeasible":

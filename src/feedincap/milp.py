@@ -38,11 +38,43 @@ infeasible span and gap still holds for the full problem. node_limit counts
 LP solves, re-solves included; the gap at the limit is the incumbent less
 the least bound of the spans still open.
 
+Each span's LP is first solved by elimination, the singleton-row and
+doubleton-equation reductions of LP presolve (Andersen & Andersen, Math.
+Programming 71, 1995; Gondzio, INFORMS J. Computing 9(1), 1997) applied
+until nothing changes. With every binary fixed, a span's LP is a
+one-variable problem in disguise. scal is written s = 0 + 1 * s and each
+fixed variable as its bound; then two rules repeat:
+1. A row with one variable not yet written in s bounds that variable by
+   affine functions of s: with the written terms moved to its bounds,
+   lo <= a * x_j + (A + B * s) <= hi says exactly (lo - A - B * s) / a <=
+   x_j <= (hi - A - B * s) / a (ends swapped for a < 0). The variable's own
+   bounds are constant such functions.
+2. When some lower bound of a variable and some upper bound coincide at
+   both ends of the span, the variable equals that affine function (the
+   lower one is taken): two affine functions equal at both ends are equal
+   between them. Any coinciding pair will do, not only the tightest: every
+   row is still enforced in the last step. "Coincide" allows for rounding:
+   8 ulps of the magnitudes each bound was computed from (a row's bound and
+   the |a_k * x_k| of its written terms, divided by |a|), plus the rounding
+   those terms inherit. That is about 1e-15 relative, far below
+   feasibility_tol, and it admits the cancellation a big-M pair leaves.
+Once every variable is alpha + beta * s, each kept row and each variable
+bound is an interval on s. A side met at both ends of the span to within its
+own rounding (as above) cuts nothing; any other cuts the span at its root,
+clipped to the span. The objective is affine in s too, so the best end of
+the intersection is the optimum, with x = alpha + beta * s there: the exact
+vertex the simplex would reach, up to rounding. The span is infeasible when
+that end breaks some side by more than feasibility_tol * (1 + |bound|); an
+intersection that crossed by less gives its end, as the simplex would.
+A span that leaves a variable undecided, or a scal without finite bounds,
+falls back to the presolve and the simplex below; MILPSolution counts spans
+(solves decided by elimination) and fallbacks, and lp_iterations counts
+only the fallbacks' pivots.
+
 LinearProgram keeps its rows once, row-compressed (indptr, indices, data,
-row_lo, row_hi); the model builder appends them a block at a time. Each
-span's standard form is presolved from the kept rows under the span's
-bounds (its scal interval and fixed indicators), in one pass (Andersen &
-Andersen, Math. Programming 71, 1995):
+row_lo, row_hi); the model builder appends them a block at a time. A
+fallback span's standard form is presolved from the kept rows under the
+span's bounds (its scal interval and fixed indicators), in one pass:
 - a row whose activity range under those bounds already lies within its
   bounds is left out: every point within the bounds meets it, so leaving it
   out changes no feasible set;
@@ -94,6 +126,8 @@ REFACTOR_EVERY = 512       # pivots between full re-inversions of the basis: a
                            # re-inversion costs O(m^3) and fills the hypersparse
                            # inverse with roundoff, while 300 pivots drift ~1e-11
 BLAND_AFTER = 40           # degenerate pivots in a row before Bland's rule
+ROUND_TOL = 8 * 2.0**-52   # 8 ulps: relative rounding in elimination, far below
+                           # feasibility_tol
 
 
 @dataclass(frozen=True)
@@ -267,6 +301,8 @@ class MILPSolution:
     lp_iterations: int
     rounds: int = 1                   # sets of kept rows: 1 + the times rows joined
     rows_kept: int = 0                # rows of the final kept set
+    spans: int = 0                    # LP solves decided by elimination
+    fallbacks: int = 0                # LP solves left to presolve and simplex
 
 
 # ---------------------------------------------------------------------------
@@ -602,8 +638,9 @@ def indicator_bounds(slope, inter, lo: float, hi: float) -> tuple[np.ndarray, np
 
 def solve_milp(mip: MILProblem, cfg: SolverConfig | None = None) -> MILPSolution:
     """Best-first search over the scal spans between the free premise roots,
-    one exact LP per span; each LP is presolved and deferred rows are checked
-    at its optimum (module doc)."""
+    one exact LP per span, solved by elimination down to scal or else
+    presolved and solved by the simplex; deferred rows are checked at each
+    span's optimum (module doc)."""
     cfg = cfg or SolverConfig()
     lp, scal = mip.lp, mip.scal
     binaries = np.asarray(mip.binaries, dtype=np.intp)
@@ -612,6 +649,16 @@ def solve_milp(mip: MILProblem, cfg: SolverConfig | None = None) -> MILPSolution
     if (binaries.size and scal is None) or not binaries.shape == slope.shape == inter.shape:
         raise ValueError("every binary needs a premise: a scal variable, and slope "
                          "and inter with one entry per binary")
+    if not (np.isfinite(slope).all() and np.isfinite(inter).all()):
+        raise ValueError("premise slope and inter must be finite")
+    if scal is not None and not (isinstance(scal, (int, np.integer))
+                                 and 0 <= scal < lp.n_vars):
+        raise ValueError(f"scal must name one of the {lp.n_vars} variables, got {scal}")
+    if ((binaries < 0) | (binaries >= lp.n_vars)).any():
+        raise ValueError(f"binaries must lie in [0, {lp.n_vars})")
+    ordered = np.sort(binaries)
+    if (ordered[1:] == ordered[:-1]).any() or (binaries == scal).any():
+        raise ValueError("binaries must be distinct and must not include scal")
     lazy = np.asarray(mip.lazy, dtype=np.intp)
     if ((lazy < 0) | (lazy >= lp.n_rows)).any():
         raise ValueError(f"lazy rows must lie in [0, {lp.n_rows})")
@@ -642,11 +689,17 @@ def solve_milp(mip: MILProblem, cfg: SolverConfig | None = None) -> MILPSolution
     keep = np.ones(lp.n_rows, dtype=bool)
     keep[lazy] = False
     gathered = False                          # the kept rows' entries, once per round
-    nodes = iterations = 0
+    nodes = iterations = eliminated = 0
     rounds = 1
     incumbent_x: np.ndarray | None = None
     incumbent_obj = INF
     status = OPTIMAL
+
+    def result(status: str, x: np.ndarray | None, objective: float | None,
+               gap: float) -> MILPSolution:
+        return MILPSolution(status, x, objective, gap, nodes, iterations, rounds,
+                            int(keep.sum()), eliminated, nodes - eliminated)
+
     while spans and bound[spans[-1]] < incumbent_obj - 1e-9:
         if nodes >= cfg.node_limit:
             status = NODE_LIMIT
@@ -658,26 +711,29 @@ def solve_milp(mip: MILProblem, cfg: SolverConfig | None = None) -> MILPSolution
             pos, cols, coef = lp._entries(rows)
             row_lo, row_hi = lp.row_lo[rows], lp.row_hi[rows]
             nz = coef != 0.0                  # a zero entry adds nothing, not 0 * inf
+            entries = pos[nz], cols[nz], coef[nz]
             gathered = True
         lb, ub = lb0.copy(), ub0.copy()
         if scal is not None:
             lb[scal], ub[scal] = span_lo[k], span_hi[k]
         lb[binaries] = ub[binaries] = inter + slope * mid[k] >= 0.0
-        reduced = _presolve(pos[nz], cols[nz], coef[nz], row_lo, row_hi, lb, ub,
-                            cfg.feasibility_tol)
-        if reduced is None:                   # a singleton row rules the span out
-            continue
-        need, lb, ub = reduced
-        at = need[pos]
-        sf = _StandardForm.of_rows((np.cumsum(need) - 1)[pos[at]], cols[at], coef[at],
-                                   row_lo[need], row_hi[need], obj, lb, ub)
-        sol = _solve_standard(sf, sf.lb_base, sf.ub_base, cfg)
-        iterations += sol.iterations
+        sol = _eliminate(*entries, row_lo, row_hi, obj, lb, ub, scal, cfg.feasibility_tol)
+        if sol is not None:
+            eliminated += 1
+        else:
+            reduced = _presolve(*entries, row_lo, row_hi, lb, ub, cfg.feasibility_tol)
+            if reduced is None:               # a singleton row rules the span out
+                continue
+            need, lb, ub = reduced
+            at = need[pos]
+            sf = _StandardForm.of_rows((np.cumsum(need) - 1)[pos[at]], cols[at], coef[at],
+                                       row_lo[need], row_hi[need], obj, lb, ub)
+            sol = _solve_standard(sf, sf.lb_base, sf.ub_base, cfg)
+            iterations += sol.iterations
         if sol.status == INFEASIBLE:
             continue
         if sol.status != OPTIMAL:
-            return MILPSolution(sol.status, None, None, INF, nodes, iterations, rounds,
-                                int(keep.sum()))
+            return result(sol.status, None, None, INF)
         if sol.objective >= incumbent_obj - 1e-9:
             continue
         left_out = np.flatnonzero(~keep)
@@ -690,13 +746,101 @@ def solve_milp(mip: MILProblem, cfg: SolverConfig | None = None) -> MILPSolution
         else:
             incumbent_obj, incumbent_x = sol.objective, sol.x
 
-    rows_kept = int(keep.sum())
     if incumbent_x is None:
-        return MILPSolution(status if status == NODE_LIMIT else INFEASIBLE, None, None, INF,
-                            nodes, iterations, rounds, rows_kept)
+        return result(status if status == NODE_LIMIT else INFEASIBLE, None, None, INF)
     gap = incumbent_obj - bound[spans[-1]] if status == NODE_LIMIT else 0.0
-    return MILPSolution(status, incumbent_x, incumbent_obj, gap, nodes, iterations, rounds,
-                        rows_kept)
+    return result(status, incumbent_x, incumbent_obj, gap)
+
+
+def _eliminate(pos: np.ndarray, cols: np.ndarray, coef: np.ndarray, lo: np.ndarray,
+               hi: np.ndarray, obj: np.ndarray, lb: np.ndarray, ub: np.ndarray,
+               scal: int | None, tol: float) -> LPSolution | None:
+    """The LP min obj @ x over lo <= A x <= hi, whose nonzero entries are
+    A[pos, cols] = coef, and lb <= x <= ub, solved by writing every variable
+    as alpha + beta * s, s the scal variable within its bounds (module doc).
+
+    Returns None when the rules leave a variable undecided or scal's range is
+    not finite (no scal: s ranges over the point 0).
+    """
+    m, n = lo.size, obj.size
+    ends = np.zeros(2) if scal is None else np.array([lb[scal], ub[scal]])
+    if not np.isfinite(ends).all():
+        return None
+    known = (lb == ub) & np.isfinite(lb)      # a fixed variable is its bound
+    alpha, beta = np.where(known, lb, 0.0), np.zeros(n)
+    err = np.zeros(n)                         # bounds the rounding in alpha + beta * s
+    if scal is not None:
+        known[scal], alpha[scal], beta[scal] = True, 0.0, 1.0
+    mag = np.abs(coef)
+
+    def written() -> tuple[np.ndarray, ...]:
+        """Per row, summed over its written variables (an open one has alpha =
+        beta = err = 0): coef * alpha, coef * beta, |coef| times the largest
+        |x| on the span, and |coef| * err; then each variable's largest |x|."""
+        x_max = np.abs(alpha + beta * ends[:, None]).max(axis=0)
+        return (*(np.bincount(pos, w[cols] * c, minlength=m) for w, c in
+                  ((alpha, coef), (beta, coef), (x_max, mag), (err, mag))), x_max)
+
+    while not known.all():
+        # rule 1: a row with one open variable bounds it by affine functions of s
+        open_ = ~known[cols]
+        k = np.flatnonzero(open_ & (np.bincount(pos, open_, minlength=m)[pos] == 1))
+        r, j, a = pos[k], cols[k], coef[k]
+        rest_a, rest_b, rest_mag, rest_err = (w[r] for w in written()[:4])
+        v = np.flatnonzero(~known)
+        var = np.concatenate([j, j, v, v])
+        al = np.concatenate([(lo[r] - rest_a) / a, (hi[r] - rest_a) / a, lb[v], ub[v]])
+        be = np.concatenate([-rest_b / a, -rest_b / a, np.zeros(2 * v.size)])
+        rounding = [(ROUND_TOL * (1.0 + np.abs(side) + rest_mag) + rest_err) / np.abs(a)
+                    for side in (lo[r], hi[r])]
+        er = np.concatenate([*rounding, np.zeros(2 * v.size)])
+        lower = np.concatenate([a > 0.0, a < 0.0, np.ones(v.size, bool),
+                                np.zeros(v.size, bool)])
+        at = al[:, None] + be[:, None] * ends          # each bound at both span ends
+        # rule 2: any lower and upper bound of one variable that coincide at both
+        # ends decide it; pair each lower bound with every upper bound of its variable
+        finite = np.isfinite(al)
+        low, up = np.flatnonzero(lower & finite), np.flatnonzero(~lower & finite)
+        up = up[np.argsort(var[up], kind="stable")]
+        first = np.searchsorted(var[up], var[low])
+        count = np.searchsorted(var[up], var[low], side="right") - first
+        li = np.repeat(low, count)
+        ui = up[np.repeat(first - np.cumsum(count) + count, count) + np.arange(li.size)]
+        slack = (ROUND_TOL * (1.0 + np.maximum(np.abs(at[li]), np.abs(at[ui])))
+                 + (er[li] + er[ui])[:, None])
+        li = li[(np.abs(at[li] - at[ui]) <= slack).all(axis=1)]
+        if li.size == 0:
+            return None
+        pair = np.full(n, li.size)            # each variable's first coinciding pair
+        np.minimum.at(pair, var[li], np.arange(li.size))
+        decided = np.flatnonzero(pair < li.size)
+        pick = li[pair[decided]]
+        alpha[decided], beta[decided], err[decided] = al[pick], be[pick], er[pick]
+        known[decided] = True
+
+    # every row and variable bound is now an interval on s: each finite side is
+    # g(s) = c0 + c1 * s <= 0, g = activity - hi or lo - activity
+    act_a, act_b, act_mag, act_err, x_max = written()
+    bnd = np.concatenate([hi, ub, lo, lb])
+    c0 = np.concatenate([act_a - hi, alpha - ub, lo - act_a, lb - alpha])
+    c1 = np.concatenate([act_b, beta, -act_b, -beta])
+    noise = (ROUND_TOL * (1.0 + np.abs(bnd) + np.tile(np.concatenate([act_mag, x_max]), 2))
+             + np.tile(np.concatenate([act_err, err]), 2))
+    # a side met at both ends to within its rounding cuts nothing; any other cuts
+    # the span at its root, clipped to the span
+    cuts = np.isfinite(bnd) & (c0[:, None] + c1[:, None] * ends > noise[:, None]).any(axis=1)
+    c0, c1, bnd = c0[cuts], c1[cuts], bnd[cuts]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = np.clip(-c0 / c1, ends[0], ends[1])
+    s_lo = root[c1 < 0.0].max(initial=ends[0])
+    s_hi = root[c1 > 0.0].min(initial=ends[1])
+    s = s_hi if obj @ beta < 0.0 else s_lo
+    # the best end must meet every side within feasibility_tol * (1 + |bound|);
+    # an intersection that crossed by less gives a point the simplex accepts too
+    if (c0 + c1 * s > tol * (1.0 + np.abs(bnd))).any():
+        return LPSolution(INFEASIBLE, None, None, 0)
+    x = alpha + beta * s
+    return LPSolution(OPTIMAL, x, float(obj @ x), 0)
 
 
 def _presolve(pos: np.ndarray, cols: np.ndarray, coef: np.ndarray, lo: np.ndarray,

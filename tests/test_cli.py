@@ -283,8 +283,8 @@ def _plan_example_milp(outdir, before=(), after=()):
 
 
 MILP_LINE = (r"DEBUG feedincap\.analysis: cell fl=1 case=a x1: milp optimal after 1 node\(s\), "
-             r"\d+ LP iterations, gap 0, 0 free trigger\(s\), 1 round\(s\), "
-             r"(\d+)/(\d+) rows\n")
+             r"1 span\(s\) eliminated, 0 fallback\(s\), 0 LP iterations, gap 0, "
+             r"0 free trigger\(s\), 1 round\(s\), (\d+)/(\d+) rows\n")
 
 
 def test_verbose_logs_the_milp_work_on_stderr(tmp_path):

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from feedincap import milp
 from feedincap.milp import (
     INF,
     LinearProgram,
@@ -378,7 +379,7 @@ def test_milp_fixed_binaries_reduce_to_lp():
         ref = solve_lp(lp)
         sol = solve_milp(_indicator_mip(lp))
         assert sol.status == ref.status == "optimal"
-        assert (sol.nodes, sol.lp_iterations) == (1, ref.iterations)
+        assert (sol.nodes, sol.spans, sol.fallbacks) == (1, 1, 0)   # decided by elimination
         assert sol.x.tobytes() == ref.x.tobytes() and sol.objective == ref.objective
 
 
@@ -399,6 +400,26 @@ def test_milp_rejects_binaries_without_premises():
             solve_milp(MILProblem(lp, binaries=(1,), **kw))
     with pytest.raises(ValueError, match="premise"):
         solve_milp(MILProblem(lp, slope=[1.0], inter=[-4.0]))
+
+
+@pytest.mark.parametrize("kw,match", [
+    pytest.param(dict(slope=[float("nan")]), "finite", id="nan-slope"),
+    pytest.param(dict(inter=[float("inf")]), "finite", id="inf-inter"),
+    pytest.param(dict(scal=-1), "scal must name", id="negative-scal"),
+    pytest.param(dict(scal=2), "scal must name", id="scal-out-of-range"),
+    pytest.param(dict(scal=0.0), "scal must name", id="scal-not-an-index"),
+    pytest.param(dict(binaries=(2,)), "binaries must lie", id="binary-out-of-range"),
+    pytest.param(dict(binaries=(-1,)), "binaries must lie", id="negative-binary"),
+    pytest.param(dict(binaries=(1, 1), slope=[1.0, 1.0], inter=[-4.0, -4.0]), "distinct",
+                 id="duplicate-binary"),
+    pytest.param(dict(binaries=(0,)), "must not include scal", id="scal-among-binaries"),
+])
+def test_milp_rejects_a_malformed_problem(kw, match):
+    # each would otherwise answer a feasible LP as infeasible, wrap a negative
+    # index to another variable, or fix scal as a binary
+    fields = dict(binaries=(1,), scal=0, slope=[1.0], inter=[-4.0]) | kw
+    with pytest.raises(ValueError, match=match):
+        solve_milp(MILProblem(_indicator_lp(), **fields))
 
 
 def test_milp_infeasible():
@@ -438,6 +459,22 @@ def test_milp_determinism():
     assert (a.objective, a.nodes, a.lp_iterations) == (b.objective, b.nodes, b.lp_iterations)
 
 
+def test_a_span_elimination_cannot_decide_falls_back_to_the_simplex():
+    # every row keeps two undecided variables, so no row bounds a variable by
+    # itself and the span's LP goes to presolve and the simplex
+    lp = LinearProgram()
+    x = lp.add_var("x", ub=5.0, obj=-2.0)
+    y = lp.add_var("y", ub=5.0, obj=-1.0)
+    lp.add_row([x, y], [1.0, 1.0], -INF, 6.0)
+    lp.add_row([x, y], [1.0, -1.0], -2.0, 2.0)
+    ref = solve_lp(lp)
+    sol = solve_milp(MILProblem(lp))
+    assert sol.status == ref.status == "optimal"
+    assert (sol.nodes, sol.spans, sol.fallbacks) == (1, 0, 1)
+    assert sol.lp_iterations == ref.iterations > 0
+    assert sol.x.tobytes() == ref.x.tobytes() and sol.objective == ref.objective
+
+
 def _span_mip(slope, inter) -> MILProblem:
     """max s over s in [0, 10] with one indicator per premise slope[i] * s +
     inter[i], and a row s + y >= 30 with y <= 5 that no span meets: presolve
@@ -461,7 +498,7 @@ def test_every_span_infeasible_takes_one_node_per_span(slope, inter, spans):
     # range into the spans; a premise that keeps its sign (root -5) cuts none
     sol = solve_milp(_span_mip(slope, inter))
     assert (sol.status, sol.nodes) == ("infeasible", spans)
-    assert sol.x is None and sol.gap == INF and sol.lp_iterations > 0
+    assert sol.x is None and sol.gap == INF and (sol.spans, sol.fallbacks) == (0, spans)
 
 
 def test_a_cost_on_a_binary_orders_the_spans_by_their_bounds():
@@ -789,3 +826,67 @@ def test_presolved_nodes_keep_every_status_and_row_on_the_fixtures(name):
             _assert_every_row_holds(inst.lp, sol.x, cfg)
             scal = extract_solution(inst, sol)
             assert abs(scal - search.scal_star) <= 1e-9 * (1.0 + search.scal_star), (fl, case)
+
+
+# -- elimination -------------------------------------------------------------
+
+
+def test_a_row_met_to_within_its_rounding_cuts_no_span():
+    # a * y - c * s = d writes y as (d + c * s) / a; read back, the row's
+    # slope in s is a few ulps off zero, whose root lands anywhere. Met at
+    # both ends to within its rounding, the row cuts nothing: s reaches the
+    # end of [0, 1000] its cost points to
+    rng = np.random.default_rng(0)
+    for a, c, d in rng.uniform(0.1, 10.0, (100, 3)):
+        for cost, end in ((-1.0, 1000.0), (1.0, 0.0)):
+            lp = LinearProgram()
+            s = lp.add_var("s", ub=1000.0, obj=cost)
+            y = lp.add_var("y")
+            lp.add_row([s, y], [-c, a], d, d)
+            sol = solve_milp(MILProblem(lp, scal=s))
+            assert (sol.status, sol.spans, sol.x[s]) == ("optimal", 1, end), (a, c, d)
+            assert sol.x[y] == pytest.approx((d + c * end) / a, rel=1e-14)
+
+
+def _assert_elimination_matches_the_simplex(mip, scal_idx, cfg, monkeypatch, where):
+    sol = solve_milp(mip, cfg)
+    with monkeypatch.context() as m:             # every span left to presolve and simplex
+        m.setattr(milp, "_eliminate", lambda *args: None)
+        ref = solve_milp(mip, cfg)
+    assert sol.fallbacks == 0 and sol.spans == sol.nodes, where
+    assert ref.spans == 0 and sol.status == ref.status, where
+    if ref.status == "optimal":
+        s, want = sol.x[scal_idx], ref.x[scal_idx]
+        assert abs(s - want) <= 1e-9 * (1.0 + abs(want)), where
+
+
+@pytest.mark.parametrize("name", ["example", "urban_mv", "rural_mv", "hybrid_mv", "lv"])
+def test_elimination_decides_every_fixture_span_as_the_simplex_does(name, monkeypatch):
+    grid = parse_grid((FIXTURES / f"{name}.json").read_text())
+    cfg = SolverConfig()
+    for fl in (1.0, 0.7):
+        for case in ("a", "b"):
+            scenario = Scenario(fl=fl, case=case)
+            inst = build_problem(grid, scenario, cfg)
+            search = max_scal_bisection(grid, scenario, cfg)
+            lazy = inst.network_rows                # seeded as run_cell seeds it
+            if search.binding is not None:
+                lazy = lazy[lazy != inst.row_of(*search.binding)]
+            mip = replace(inst.mip, lazy=lazy)
+            _assert_elimination_matches_the_simplex(mip, inst.scal_idx, cfg, monkeypatch,
+                                                    (fl, case))
+
+
+@pytest.mark.parametrize("all_hours", [False, True], ids=["worst_hour", "all_hours"])
+def test_elimination_decides_every_random_span_as_the_simplex_does(all_hours, monkeypatch):
+    cfg = SolverConfig()
+    count = 0
+    for seed in (11, 12, 13, 23, 31):
+        for grid, scenario in valid_random_instances(seed, 40, cfg, max_bus=10, max_hours=3):
+            if all_hours:
+                scenario = replace(scenario, hours=tuple(range(grid.hour_count)))
+            inst = build_problem(grid, scenario, cfg)
+            _assert_elimination_matches_the_simplex(inst.mip, inst.scal_idx, cfg, monkeypatch,
+                                                    (seed, count))
+            count += 1
+    assert count == 200
