@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import numbers
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -204,10 +204,8 @@ def run_cell(grid: Grid, scenario: Scenario, engine: str,
                       demand_multiplier=scenario.demand_multiplier,
                       status="ok", engine=engine)
     agg = agg if agg is not None else node_aggregates(grid, scenario)
-    # the oracle's binding row starts out kept in the MILP, so the search
-    # runs for every engine but decides the cell only for oracle and both
-    search = max_scal_bisection(grid, scenario, cfg, agg=agg, model=model)
     if engine in ("oracle", "both"):
+        search = max_scal_bisection(grid, scenario, cfg, agg=agg, model=model)
         log.debug("cell fl=%g case=%s x%g: %s", scenario.fl, scenario.case,
                   scenario.demand_multiplier, search)
         if search.status != "ok":
@@ -216,16 +214,12 @@ def run_cell(grid: Grid, scenario: Scenario, engine: str,
         cell.oracle_scal = search.scal_star
     if engine in ("milp", "both"):
         inst = build_problem(grid, scenario, cfg, agg=agg, model=model)
-        lazy = inst.network_rows
-        if search.binding is not None:
-            lazy = lazy[lazy != inst.row_of(*search.binding)]
-        sol = solve_milp(replace(inst.mip, lazy=lazy), cfg)
+        sol = solve_milp(inst.mip, cfg)
         log.debug("cell fl=%g case=%s x%g: milp %s after %d node(s), %d span(s) eliminated, "
-                  "%d fallback(s), %d LP iterations, gap %g, %d free trigger(s), %d round(s), "
-                  "%d/%d rows", scenario.fl, scenario.case, scenario.demand_multiplier,
+                  "%d fallback(s), %d LP iterations, gap %g, %d free trigger(s)",
+                  scenario.fl, scenario.case, scenario.demand_multiplier,
                   sol.status, sol.nodes, sol.spans, sol.fallbacks, sol.lp_iterations, sol.gap,
-                  sum(inst.lp.lb[j] < inst.lp.ub[j] for j in inst.binaries),
-                  sol.rounds, sol.rows_kept, inst.lp.n_rows)
+                  sum(inst.lp.lb[j] < inst.lp.ub[j] for j in inst.binaries))
         if sol.status == "infeasible":
             cell.status = "infeasible_at_zero"
             return cell

@@ -273,23 +273,12 @@ class ProblemInstance:
     big_m: np.ndarray                            # (H, E)
     thermal_rows: np.ndarray                     # (H, L) lp row of thermal[k, line]
     v_rows: np.ndarray                           # (H, N) lp row of v[k, bus], model order
-    network_rows: np.ndarray                     # every thermal and voltage row, ascending
 
     @property
     def mip(self) -> MILProblem:
-        """The MILP with its network rows deferred until a solution violates them."""
+        """The MILP: the LP with each trigger's premise in scal."""
         return MILProblem(self.lp, self.binaries, self.scal_idx, self.slope.ravel(),
-                          self.inter.ravel(), lazy=self.network_rows)
-
-    def row_of(self, kind: str, element: str, hour: int) -> int:
-        """The LP row of a limit the oracle reports binding: kind "thermal" names
-        a line's thermal row, "v_high" a bus's v row, at a planned hour."""
-        k = self.hours.index(hour)
-        if kind == "thermal":
-            return int(self.thermal_rows[k, self.model.line_order.index(element)])
-        if kind == "v_high":
-            return int(self.v_rows[k, self.model.bus_order.index(element)])
-        raise ValueError(f"no network row of kind {kind!r}")
+                          self.inter.ravel())
 
 
 def _running_total(start, terms: np.ndarray) -> np.ndarray:
@@ -426,7 +415,6 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
         elig_nodes=tuple(elig_nodes), prod_idx=prod_idx, alpha_idx=alpha_idx,
         slope=slope, inter=inter, big_m=big_m,
         thermal_rows=thermal_rows, v_rows=v_rows,
-        network_rows=np.hstack([thermal_rows, v_rows]).ravel(),
     )
 
 

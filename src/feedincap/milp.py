@@ -28,15 +28,9 @@ bounds from the variable bounds alone (Land & Doig, Econometrica 28(3),
 - The caller must make both values of a binary give the same feasible
   points where its premise is exactly 0, which is where two spans meet.
 
-solve_milp may defer rows. MILProblem.lazy names rows the solve may leave
-out; the kept rows are at first every row not in lazy. A span's optimum is
-checked against the rows left out, the only ones that can join: those it
-violates on either side by more than feasibility_tol * (1 + |bound|) join
-the kept rows, and the span is solved again. Only an optimum that violates
-none becomes the incumbent. Dropping rows only relaxes the problem, so every
-infeasible span and gap still holds for the full problem. node_limit counts
-LP solves, re-solves included; the gap at the limit is the incumbent less
-the least bound of the spans still open.
+A span's LP has every row of lp; no row is left out or deferred.
+node_limit counts LP solves; the gap at the limit is the incumbent less the
+least bound of the spans still open.
 
 Each span's LP is first solved by elimination, the singleton-row and
 doubleton-equation reductions of LP presolve (Andersen & Andersen, Math.
@@ -48,7 +42,9 @@ fixed variable as its bound; then two rules repeat:
    affine functions of s: with the written terms moved to its bounds,
    lo <= a * x_j + (A + B * s) <= hi says exactly (lo - A - B * s) / a <=
    x_j <= (hi - A - B * s) / a (ends swapped for a < 0). The variable's own
-   bounds are constant such functions.
+   bounds are constant such functions. Each round counts open entries in
+   an index of them that shrinks as variables are written, and sums the
+   written terms over the entries of the rows it uses alone.
 2. When some lower bound of a variable and some upper bound coincide at
    both ends of the span, the variable equals that affine function (the
    lower one is taken): two affine functions equal at both ends are equal
@@ -58,38 +54,23 @@ fixed variable as its bound; then two rules repeat:
    the |a_k * x_k| of its written terms, divided by |a|), plus the rounding
    those terms inherit. That is about 1e-15 relative, far below
    feasibility_tol, and it admits the cancellation a big-M pair leaves.
-Once every variable is alpha + beta * s, each kept row and each variable
-bound is an interval on s. A side met at both ends of the span to within its
-own rounding (as above) cuts nothing; any other cuts the span at its root,
-clipped to the span. The objective is affine in s too, so the best end of
-the intersection is the optimum, with x = alpha + beta * s there: the exact
-vertex the simplex would reach, up to rounding. The span is infeasible when
-that end breaks some side by more than feasibility_tol * (1 + |bound|); an
-intersection that crossed by less gives its end, as the simplex would.
+Once every variable is alpha + beta * s, each row and each variable bound
+is an interval on s; this last step is the one that reads every entry. A
+side met at both ends of the span to within its own rounding (as above)
+cuts nothing; any other cuts the span at its root, clipped to the span.
+The objective is affine in s too, so the best end of the intersection is
+the optimum, with x = alpha + beta * s there: the exact vertex the simplex
+would reach, up to rounding. The span is infeasible when that end breaks
+some side by more than feasibility_tol * (1 + |bound|); an intersection
+that crossed by less gives its end, as the simplex would.
 A span that leaves a variable undecided, or a scal without finite bounds,
-falls back to the presolve and the simplex below; MILPSolution counts spans
-(solves decided by elimination) and fallbacks, and lp_iterations counts
-only the fallbacks' pivots.
+falls back to the simplex below, over every row under the span's bounds
+(its scal interval and fixed indicators); MILPSolution counts spans (solves
+decided by elimination) and fallbacks, and lp_iterations counts only the
+fallbacks' pivots.
 
 LinearProgram keeps its rows once, row-compressed (indptr, indices, data,
-row_lo, row_hi); the model builder appends them a block at a time. A
-fallback span's standard form is presolved from the kept rows under the
-span's bounds (its scal interval and fixed indicators), in one pass:
-- a row whose activity range under those bounds already lies within its
-  bounds is left out: every point within the bounds meets it, so leaving it
-  out changes no feasible set;
-- a row with one unfixed variable becomes a bound on that variable: with
-  the fixed terms moved to its bounds, lo <= a * x_j <= hi says exactly
-  lo / a <= x_j <= hi / a (ends swapped for a < 0);
-- when such bounds cross the variable's other bound by more than
-  feasibility_tol * (1 + |bound|), no point meets the row within the bounds,
-  so the span is infeasible without an LP. Bounds that cross by less stay
-  as they were and their rows stay in the form, for the simplex to decide.
-Both reductions describe the same set as the rows they replace, so a span's
-LP keeps its optimum; only the last bits of the vertex found may move. The
-pass derives no bound from a row with more than one unfixed variable: on
-the MV fixtures that cut more rows but took more iterations, and the
-outward-relaxed bounds it needs moved scal by up to 2.6e-9.
+row_lo, row_hi); the model builder appends them a block at a time.
 
 The standard form keeps A once, column-compressed: column pointers, row
 indices and values, with the slack and phase-1 artificial unit columns
@@ -99,7 +80,7 @@ the rows of the inverse whose basic variable has a cost), FTRAN multiplies the
 entering column's few entries by the matching columns of the inverse,
 reconciling x sums the nonbasic entries, and a refactorization scatters the
 basis columns into B. The basis inverse beside it is a dense explicit m x m
-array, which the desk-scale problems here (hundreds to a few thousand kept
+array, which the desk-scale problems here (hundreds to a few thousand
 rows) afford. Once a solve is optimal, one LU solve of B, not a new
 inverse, settles the basic values.
 """
@@ -280,7 +261,6 @@ class MILProblem:
     scal: int | None = None           # the variable every premise is affine in
     slope: Sequence[float] = ()
     inter: Sequence[float] = ()
-    lazy: Sequence[int] = ()          # rows the solve may leave out until violated
 
 
 @dataclass
@@ -299,10 +279,8 @@ class MILPSolution:
     gap: float
     nodes: int
     lp_iterations: int
-    rounds: int = 1                   # sets of kept rows: 1 + the times rows joined
-    rows_kept: int = 0                # rows of the final kept set
     spans: int = 0                    # LP solves decided by elimination
-    fallbacks: int = 0                # LP solves left to presolve and simplex
+    fallbacks: int = 0                # LP solves left to the simplex
 
 
 # ---------------------------------------------------------------------------
@@ -638,12 +616,14 @@ def indicator_bounds(slope, inter, lo: float, hi: float) -> tuple[np.ndarray, np
 
 def solve_milp(mip: MILProblem, cfg: SolverConfig | None = None) -> MILPSolution:
     """Best-first search over the scal spans between the free premise roots,
-    one exact LP per span, solved by elimination down to scal or else
-    presolved and solved by the simplex; deferred rows are checked at each
-    span's optimum (module doc)."""
+    one exact LP per span, solved by elimination down to scal or else by the
+    simplex (module doc)."""
     cfg = cfg or SolverConfig()
     lp, scal = mip.lp, mip.scal
-    binaries = np.asarray(mip.binaries, dtype=np.intp)
+    binaries = np.asarray(mip.binaries)
+    if binaries.size and not np.issubdtype(binaries.dtype, np.integer):
+        raise ValueError(f"binaries must be integer variable indices, got {mip.binaries!r}")
+    binaries = binaries.astype(np.intp)
     slope = np.asarray(mip.slope, dtype=float)
     inter = np.asarray(mip.inter, dtype=float)
     if (binaries.size and scal is None) or not binaries.shape == slope.shape == inter.shape:
@@ -659,9 +639,6 @@ def solve_milp(mip: MILProblem, cfg: SolverConfig | None = None) -> MILPSolution
     ordered = np.sort(binaries)
     if (ordered[1:] == ordered[:-1]).any() or (binaries == scal).any():
         raise ValueError("binaries must be distinct and must not include scal")
-    lazy = np.asarray(mip.lazy, dtype=np.intp)
-    if ((lazy < 0) | (lazy >= lp.n_rows)).any():
-        raise ValueError(f"lazy rows must lie in [0, {lp.n_rows})")
 
     obj = np.asarray(lp.obj, dtype=float)
     lb0, ub0 = np.asarray(lp.lb, dtype=float), np.asarray(lp.ub, dtype=float)
@@ -686,19 +663,15 @@ def solve_milp(mip: MILProblem, cfg: SolverConfig | None = None) -> MILPSolution
     # the spans still open, the best bound last (ties to the lower span)
     spans = np.argsort(bound, kind="stable")[::-1].tolist()
 
-    keep = np.ones(lp.n_rows, dtype=bool)
-    keep[lazy] = False
-    gathered = False                          # the kept rows' entries, once per round
     nodes = iterations = eliminated = 0
-    rounds = 1
     incumbent_x: np.ndarray | None = None
     incumbent_obj = INF
     status = OPTIMAL
 
     def result(status: str, x: np.ndarray | None, objective: float | None,
                gap: float) -> MILPSolution:
-        return MILPSolution(status, x, objective, gap, nodes, iterations, rounds,
-                            int(keep.sum()), eliminated, nodes - eliminated)
+        return MILPSolution(status, x, objective, gap, nodes, iterations, eliminated,
+                            nodes - eliminated)
 
     while spans and bound[spans[-1]] < incumbent_obj - 1e-9:
         if nodes >= cfg.node_limit:
@@ -706,44 +679,22 @@ def solve_milp(mip: MILProblem, cfg: SolverConfig | None = None) -> MILPSolution
             break
         nodes += 1
         k = spans.pop()
-        if not gathered:
-            rows = np.flatnonzero(keep)
-            pos, cols, coef = lp._entries(rows)
-            row_lo, row_hi = lp.row_lo[rows], lp.row_hi[rows]
-            nz = coef != 0.0                  # a zero entry adds nothing, not 0 * inf
-            entries = pos[nz], cols[nz], coef[nz]
-            gathered = True
         lb, ub = lb0.copy(), ub0.copy()
         if scal is not None:
             lb[scal], ub[scal] = span_lo[k], span_hi[k]
         lb[binaries] = ub[binaries] = inter + slope * mid[k] >= 0.0
-        sol = _eliminate(*entries, row_lo, row_hi, obj, lb, ub, scal, cfg.feasibility_tol)
+        sol = _eliminate(lp, obj, lb, ub, scal, cfg.feasibility_tol)
         if sol is not None:
             eliminated += 1
         else:
-            reduced = _presolve(*entries, row_lo, row_hi, lb, ub, cfg.feasibility_tol)
-            if reduced is None:               # a singleton row rules the span out
-                continue
-            need, lb, ub = reduced
-            at = need[pos]
-            sf = _StandardForm.of_rows((np.cumsum(need) - 1)[pos[at]], cols[at], coef[at],
-                                       row_lo[need], row_hi[need], obj, lb, ub)
+            sf = _StandardForm.of_rows(*lp._entries(), lp.row_lo, lp.row_hi, obj, lb, ub)
             sol = _solve_standard(sf, sf.lb_base, sf.ub_base, cfg)
             iterations += sol.iterations
         if sol.status == INFEASIBLE:
             continue
         if sol.status != OPTIMAL:
             return result(sol.status, None, None, INF)
-        if sol.objective >= incumbent_obj - 1e-9:
-            continue
-        left_out = np.flatnonzero(~keep)
-        joining = left_out[_violated_rows(lp, sol.x, cfg.feasibility_tol, left_out)]
-        if joining.size:                      # keep them and solve the span again
-            keep[joining] = True
-            gathered = False
-            rounds += 1
-            spans.append(k)
-        else:
+        if sol.objective < incumbent_obj - 1e-9:
             incumbent_obj, incumbent_x = sol.objective, sol.x
 
     if incumbent_x is None:
@@ -752,16 +703,16 @@ def solve_milp(mip: MILProblem, cfg: SolverConfig | None = None) -> MILPSolution
     return result(status, incumbent_x, incumbent_obj, gap)
 
 
-def _eliminate(pos: np.ndarray, cols: np.ndarray, coef: np.ndarray, lo: np.ndarray,
-               hi: np.ndarray, obj: np.ndarray, lb: np.ndarray, ub: np.ndarray,
+def _eliminate(lp: LinearProgram, obj: np.ndarray, lb: np.ndarray, ub: np.ndarray,
                scal: int | None, tol: float) -> LPSolution | None:
-    """The LP min obj @ x over lo <= A x <= hi, whose nonzero entries are
-    A[pos, cols] = coef, and lb <= x <= ub, solved by writing every variable
-    as alpha + beta * s, s the scal variable within its bounds (module doc).
+    """The LP min obj @ x over lp's rows and lb <= x <= ub, solved by writing
+    every variable as alpha + beta * s, s the scal variable within its bounds
+    (module doc).
 
     Returns None when the rules leave a variable undecided or scal's range is
     not finite (no scal: s ranges over the point 0).
     """
+    ptr, cols, coef, lo, hi, pos = lp._arrays()
     m, n = lo.size, obj.size
     ends = np.zeros(2) if scal is None else np.array([lb[scal], ub[scal]])
     if not np.isfinite(ends).all():
@@ -771,29 +722,32 @@ def _eliminate(pos: np.ndarray, cols: np.ndarray, coef: np.ndarray, lo: np.ndarr
     err = np.zeros(n)                         # bounds the rounding in alpha + beta * s
     if scal is not None:
         known[scal], alpha[scal], beta[scal] = True, 0.0, 1.0
-    mag = np.abs(coef)
 
-    def written() -> tuple[np.ndarray, ...]:
-        """Per row, summed over its written variables (an open one has alpha =
-        beta = err = 0): coef * alpha, coef * beta, |coef| times the largest
-        |x| on the span, and |coef| * err; then each variable's largest |x|."""
-        x_max = np.abs(alpha + beta * ends[:, None]).max(axis=0)
-        return (*(np.bincount(pos, w[cols] * c, minlength=m) for w, c in
-                  ((alpha, coef), (beta, coef), (x_max, mag), (err, mag))), x_max)
+    def written(e: np.ndarray | slice = slice(None)) -> tuple[np.ndarray, ...]:
+        """Per row, summed in entry order over the written variables among the
+        entries e (an open one has alpha = beta = err = 0): coef * alpha,
+        coef * beta and |coef| times the variable's rounding, 8 ulps of its
+        largest |x| on the span plus err; then each variable's rounding."""
+        x_err = ROUND_TOL * np.abs(alpha + beta * ends[:, None]).max(axis=0) + err
+        p, c, a = pos[e], cols[e], coef[e]
+        return (*(np.bincount(p, w[c] * f, minlength=m) for w, f in
+                  ((alpha, a), (beta, a), (x_err, np.abs(a)))), x_err)
 
+    live = np.flatnonzero(~known[cols] & (coef != 0.0))    # open variables' nonzero entries
     while not known.all():
         # rule 1: a row with one open variable bounds it by affine functions of s
-        open_ = ~known[cols]
-        k = np.flatnonzero(open_ & (np.bincount(pos, open_, minlength=m)[pos] == 1))
-        r, j, a = pos[k], cols[k], coef[k]
-        rest_a, rest_b, rest_mag, rest_err = (w[r] for w in written()[:4])
+        at_row = pos[live]
+        k = live[(np.bincount(at_row, minlength=m) == 1)[at_row]]
+        r, j, a = pos[k], cols[k], coef[k]     # r ascending, each row once
+        counts = ptr[r + 1] - ptr[r]
+        e = np.arange(counts.sum()) + np.repeat(ptr[r] - np.cumsum(counts) + counts, counts)
+        rest_a, rest_b, rest_err = (w[r] for w in written(e)[:3])
         v = np.flatnonzero(~known)
         var = np.concatenate([j, j, v, v])
         al = np.concatenate([(lo[r] - rest_a) / a, (hi[r] - rest_a) / a, lb[v], ub[v]])
         be = np.concatenate([-rest_b / a, -rest_b / a, np.zeros(2 * v.size)])
-        rounding = [(ROUND_TOL * (1.0 + np.abs(side) + rest_mag) + rest_err) / np.abs(a)
-                    for side in (lo[r], hi[r])]
-        er = np.concatenate([*rounding, np.zeros(2 * v.size)])
+        er = np.concatenate([(ROUND_TOL * (1.0 + np.abs(side)) + rest_err) / np.abs(a)
+                             for side in (lo[r], hi[r])] + [np.zeros(2 * v.size)])
         lower = np.concatenate([a > 0.0, a < 0.0, np.ones(v.size, bool),
                                 np.zeros(v.size, bool)])
         at = al[:, None] + be[:, None] * ends          # each bound at both span ends
@@ -817,18 +771,18 @@ def _eliminate(pos: np.ndarray, cols: np.ndarray, coef: np.ndarray, lo: np.ndarr
         pick = li[pair[decided]]
         alpha[decided], beta[decided], err[decided] = al[pick], be[pick], er[pick]
         known[decided] = True
+        live = live[~known[cols[live]]]
 
     # every row and variable bound is now an interval on s: each finite side is
     # g(s) = c0 + c1 * s <= 0, g = activity - hi or lo - activity
-    act_a, act_b, act_mag, act_err, x_max = written()
+    act_a, act_b, act_err, x_err = written()
     bnd = np.concatenate([hi, ub, lo, lb])
     c0 = np.concatenate([act_a - hi, alpha - ub, lo - act_a, lb - alpha])
     c1 = np.concatenate([act_b, beta, -act_b, -beta])
-    noise = (ROUND_TOL * (1.0 + np.abs(bnd) + np.tile(np.concatenate([act_mag, x_max]), 2))
-             + np.tile(np.concatenate([act_err, err]), 2))
+    noise = ROUND_TOL * (1.0 + np.abs(bnd)) + np.tile(np.concatenate([act_err, x_err]), 2)
     # a side met at both ends to within its rounding cuts nothing; any other cuts
     # the span at its root, clipped to the span
-    cuts = np.isfinite(bnd) & (c0[:, None] + c1[:, None] * ends > noise[:, None]).any(axis=1)
+    cuts = np.isfinite(bnd) & (np.maximum(c0 + c1 * ends[0], c0 + c1 * ends[1]) > noise)
     c0, c1, bnd = c0[cuts], c1[cuts], bnd[cuts]
     with np.errstate(divide="ignore", invalid="ignore"):
         root = np.clip(-c0 / c1, ends[0], ends[1])
@@ -841,49 +795,3 @@ def _eliminate(pos: np.ndarray, cols: np.ndarray, coef: np.ndarray, lo: np.ndarr
         return LPSolution(INFEASIBLE, None, None, 0)
     x = alpha + beta * s
     return LPSolution(OPTIMAL, x, float(obj @ x), 0)
-
-
-def _presolve(pos: np.ndarray, cols: np.ndarray, coef: np.ndarray, lo: np.ndarray,
-              hi: np.ndarray, lb: np.ndarray, ub: np.ndarray, tol: float
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """One presolve pass over the rows lo <= A x <= hi, whose nonzero entries
-    are A[pos, cols] = coef, under the variable bounds lb, ub (module doc).
-
-    Returns the mask of rows the LP still needs and the bounds tightened by
-    the singleton rows it no longer needs, or None when those bounds cross by
-    more than tol * (1 + |bound|). Bounds that cross by less stay as they
-    were, and their singleton rows stay needed.
-    """
-    m = lo.size
-    l, u = lb[cols], ub[cols]
-    up = coef > 0.0
-    least, most = coef * np.where(up, l, u), coef * np.where(up, u, l)
-    redundant = ((np.bincount(pos, least, minlength=m) >= lo)
-                 & (np.bincount(pos, most, minlength=m) <= hi))
-    free = l < u
-    fixed = np.bincount(pos, np.where(free, 0.0, least), minlength=m)    # l == u there
-    single = ~redundant & (np.bincount(pos, free, minlength=m) == 1) & np.isfinite(fixed)
-    k = np.flatnonzero(free & single[pos])     # each singleton row's one free entry
-    r, j, a = pos[k], cols[k], coef[k]
-    at_lo, at_hi = (lo[r] - fixed[r]) / a, (hi[r] - fixed[r]) / a
-    new_lb, new_ub = lb.copy(), ub.copy()
-    np.maximum.at(new_lb, j, np.where(a > 0.0, at_lo, at_hi))
-    np.minimum.at(new_ub, j, np.where(a > 0.0, at_hi, at_lo))
-    cross = new_lb > new_ub
-    if cross.any():
-        size = 1.0 + np.maximum(np.abs(new_lb), np.abs(new_ub))
-        if (new_lb - new_ub > tol * size)[cross].any():
-            return None
-        new_lb[cross], new_ub[cross] = lb[cross], ub[cross]
-        single[r[cross[j]]] = False
-    return ~(redundant | single), new_lb, new_ub
-
-
-def _violated_rows(lp: LinearProgram, x: np.ndarray, feas_tol: float,
-                   rows: np.ndarray) -> np.ndarray:
-    """Mask over the given rows of those x violates by more than feas_tol *
-    (1 + |bound|) on either side (an infinite bound cannot be violated)."""
-    act = lp.activities(x, rows)
-    lo, hi = lp.row_lo[rows], lp.row_hi[rows]
-    return ((act > hi + feas_tol * (1.0 + np.abs(hi)))
-            | (act < lo - feas_tol * (1.0 + np.abs(lo))))

@@ -251,7 +251,8 @@ def test_a_grid_without_lines_is_refused_as_no_lines():
     assert all(c.error.startswith("no_lines: ") for c in result.cells)
 
 
-def test_oracle_seed_leaves_one_round_on_every_mv_fixture(request, monkeypatch):
+def test_milp_cell_takes_one_node_and_meets_every_row_on_every_mv_fixture(request,
+                                                                          monkeypatch):
     solved = []
 
     def recording(mip, cfg):
@@ -259,6 +260,7 @@ def test_oracle_seed_leaves_one_round_on_every_mv_fixture(request, monkeypatch):
         return solved[-1][1]
 
     monkeypatch.setattr(analysis, "solve_milp", recording)
+    tol = SolverConfig().feasibility_tol
     for name in ("urban", "rural", "hybrid"):
         grid = request.getfixturevalue(name)
         model = build_linear_model(grid)
@@ -268,13 +270,33 @@ def test_oracle_seed_leaves_one_round_on_every_mv_fixture(request, monkeypatch):
                                          SolverConfig(), model)
                 assert cell.status == "ok"
                 mip, sol = solved[-1]
-                network = [n.startswith(("thermal[", "v[")) for n in mip.lp.row_names]
-                # every network row but the oracle's binding one is deferred
-                assert len(mip.lazy) == sum(network) - 1, (name, fl, case)
-                assert all(network[i] for i in mip.lazy), (name, fl, case)
-                assert sol.rounds == 1, (name, fl, case)
-                assert sol.rows_kept < mip.lp.n_rows
+                assert (sol.nodes, sol.spans, sol.fallbacks) == (1, 1, 0), (name, fl, case)
+                lp, act = mip.lp, mip.lp.activities(sol.x)
+                assert (act <= lp.row_hi + tol * (1.0 + np.abs(lp.row_hi))).all()
+                assert (act >= lp.row_lo - tol * (1.0 + np.abs(lp.row_lo))).all()
     assert len(solved) == 12
+
+
+@pytest.mark.parametrize("name", ["urban", "lv"])
+def test_the_milp_engine_never_runs_the_oracle_search(name, request, monkeypatch):
+    grid = request.getfixturevalue(name)
+    both = {c.key: c for c in run_sweep(grid, SweepSpec(engine="both")).cells}
+
+    def refuse(*args, **kw):
+        raise AssertionError("the milp engine ran the oracle's search")
+
+    monkeypatch.setattr(analysis, "max_scal_bisection", refuse)
+    cells = run_sweep(grid, SweepSpec(engine="milp")).cells
+    assert len(cells) == 24
+    for cell in cells:
+        ref = both[cell.key]
+        assert cell.status == ref.status != "error", (cell.key, cell.error)
+        assert cell.scal_star == ref.milp_scal, cell.key
+        if ref.status == "ok":
+            assert abs(cell.scal_star - ref.scal_star) <= 1e-9 * (1.0 + ref.scal_star)
+    cell = analysis.run_cell(grid, Scenario(fl=0.7, case="b"), "milp", SolverConfig(),
+                             build_linear_model(grid))
+    assert cell.status == "ok" and cell.scal_star == both[cell.key].milp_scal
 
 
 # -- bus order ---------------------------------------------------------------

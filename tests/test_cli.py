@@ -284,15 +284,14 @@ def _plan_example_milp(outdir, before=(), after=()):
 
 MILP_LINE = (r"DEBUG feedincap\.analysis: cell fl=1 case=a x1: milp optimal after 1 node\(s\), "
              r"1 span\(s\) eliminated, 0 fallback\(s\), 0 LP iterations, gap 0, "
-             r"0 free trigger\(s\), 1 round\(s\), (\d+)/(\d+) rows\n")
+             r"0 free trigger\(s\)\n")
 
 
 def test_verbose_logs_the_milp_work_on_stderr(tmp_path):
     quiet, loud = _plan_example_milp(tmp_path), _plan_example_milp(tmp_path, before=["-v"])
     assert quiet.returncode == loud.returncode == 0
     assert quiet.stderr == "" and loud.stdout == quiet.stdout
-    m = re.fullmatch(MILP_LINE, loud.stderr)
-    assert m and int(m[1]) < int(m[2])        # the network rows but one stay out
+    assert re.fullmatch(MILP_LINE, loud.stderr)
 
 
 def test_verbose_flag_goes_before_or_after_the_subcommand(tmp_path):

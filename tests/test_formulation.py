@@ -320,13 +320,8 @@ def test_node_dispatch_is_the_rule_at_the_milp_scal_on_the_fixtures(name):
     cfg = SolverConfig()
     for fl in (1.0, 0.7):
         for case in ("a", "b"):
-            scenario = Scenario(fl=fl, case=case)
-            inst = build_problem(grid, scenario, cfg)
-            search = max_scal_bisection(grid, scenario, cfg)
-            lazy = inst.network_rows                # seeded as run_cell seeds it
-            if search.binding is not None:
-                lazy = lazy[lazy != inst.row_of(*search.binding)]
-            _assert_dispatch_is_the_rule(inst, solve_milp(replace(inst.mip, lazy=lazy), cfg))
+            inst = build_problem(grid, Scenario(fl=fl, case=case), cfg)
+            _assert_dispatch_is_the_rule(inst, solve_milp(inst.mip, cfg))
 
 
 @pytest.mark.parametrize("seed", [11, 23])
@@ -355,7 +350,7 @@ def test_units_sharing_a_bus_and_profile_build_the_lp_of_one_unit(kind, case):
     for name in ("indptr", "indices", "data", "row_lo", "row_hi"):
         assert getattr(a.lp, name).tobytes() == getattr(b.lp, name).tobytes(), name
     assert (a.lp.obj, a.lp.lb, a.lp.ub) == (b.lp.obj, b.lp.lb, b.lp.ub)
-    assert a.binaries == b.binaries and a.mip.lazy.tolist() == b.mip.lazy.tolist()
+    assert a.binaries == b.binaries
     assert sol_a.status == sol_b.status == "optimal"
     assert extract_solution(a, sol_a) == extract_solution(b, sol_b)
 
@@ -415,13 +410,9 @@ def test_binary_prefixing_narrows_bounds():
 
 def test_trigger_pinned_at_zero_premise_solves_at_the_root():
     inst = build_problem(two_bus(p_max=1.0), Scenario(fl=0.5), SolverConfig())
-    sol = solve_milp(replace(inst.mip, lazy=()), SolverConfig())
-    assert sol.status == "optimal"
-    assert sol.nodes == 1
-    # unseeded, the deferred rows take one more round, again a single root LP
     sol = solve_milp(inst.mip, SolverConfig())
     assert sol.status == "optimal"
-    assert (sol.nodes, sol.rounds) == (2, 2)
+    assert (sol.nodes, sol.fallbacks) == (1, 0)
 
 
 @pytest.mark.parametrize("name", ["urban", "rural", "hybrid"])
@@ -572,52 +563,16 @@ def test_big_m_covers_relaxed_rows():
         assert avail - prod <= m                          # spill, alpha = 1
 
 
-# -- deferred network rows ---------------------------------------------------
+# -- network rows ------------------------------------------------------------
 
 
-def test_network_rows_are_the_deferred_rows(hybrid):
+def test_thermal_and_voltage_rows_name_the_network_rows(hybrid):
+    # extract_solution reads the network rows through thermal_rows and v_rows
     inst = build_problem(hybrid, Scenario(fl=0.7, case="b"), SolverConfig())
-    names = [inst.lp.row_names[i] for i in inst.mip.lazy]
+    rows = sorted([*inst.thermal_rows.ravel().tolist(), *inst.v_rows.ravel().tolist()])
     kinds = ("thermal[", "v[")
-    assert names and all(n.startswith(kinds) for n in names)
-    assert sum(n.startswith(kinds) for n in inst.lp.row_names) == len(names)
-    assert sorted([*inst.thermal_rows.ravel(), *inst.v_rows.ravel()]) == list(inst.mip.lazy)
-
-
-def test_row_of_names_the_upper_network_rows(hybrid):
-    inst = build_problem(hybrid, Scenario(fl=0.7, case="b"), SolverConfig())
-    hour = inst.hours[-1]
+    assert rows == [i for i, n in enumerate(inst.lp.row_names) if n.startswith(kinds)]
+    k = len(inst.hours) - 1
     line, bus = inst.model.line_order[-1], inst.model.bus_order[-1]
-    assert inst.lp.row_names[inst.row_of("thermal", line, hour)] == f"thermal[{hour},{line}]"
-    assert inst.lp.row_names[inst.row_of("v_high", bus, hour)] == f"v[{hour},{bus}]"
-    with pytest.raises(ValueError):
-        inst.row_of("v_low", bus, hour)
-
-
-def test_deferring_network_rows_keeps_the_answer():
-    # criterion 2's instances: every row at once against the deferred rows
-    cfg = SolverConfig()
-    for grid, scenario in valid_random_instances(11, 50, cfg, max_bus=10, max_hours=3):
-        inst = build_problem(grid, scenario, cfg)
-        lazy = solve_milp(inst.mip, cfg)
-        full = solve_milp(replace(inst.mip, lazy=()), cfg)
-        assert lazy.status == full.status == "optimal"
-        assert abs(lazy.objective - full.objective) <= 1e-9 * (1.0 + abs(full.objective))
-        s_lazy, s_full = lazy.x[inst.scal_idx], full.x[inst.scal_idx]
-        assert abs(s_lazy - s_full) <= 1e-9 * (1.0 + s_full)
-
-
-@pytest.mark.parametrize("name,case", [("hybrid", "b"), ("rural", "b"), ("urban", "a")])
-def test_wrong_or_missing_seed_still_reaches_the_full_lp(name, case, request):
-    grid = request.getfixturevalue(name)
-    cfg = SolverConfig()
-    inst = build_problem(grid, Scenario(fl=0.7, case=case), cfg)
-    full = solve_milp(replace(inst.mip, lazy=()), cfg)
-    s_full = full.x[inst.scal_idx]
-    # the first line's thermal row does not bind on these requests
-    for seed in ((), (int(inst.thermal_rows[0, 0]),)):
-        lazy = np.setdiff1d(inst.network_rows, seed)
-        sol = solve_milp(replace(inst.mip, lazy=lazy), cfg)
-        assert sol.status == "optimal" and sol.rounds == 2, seed
-        assert sol.rows_kept < inst.lp.n_rows
-        assert abs(sol.x[inst.scal_idx] - s_full) <= 1e-9 * (1.0 + s_full), seed
+    assert inst.lp.row_names[inst.thermal_rows[k, -1]] == f"thermal[{k},{line}]"
+    assert inst.lp.row_names[inst.v_rows[k, -1]] == f"v[{k},{bus}]"

@@ -11,11 +11,9 @@ from feedincap.milp import (
     MILProblem,
     SolverConfig,
     _pivot_update,
-    _presolve,
     _ratio_test,
     _SimplexState,
     _StandardForm,
-    _violated_rows,
     solve_lp,
     solve_milp,
 )
@@ -254,16 +252,11 @@ def test_reduced_costs_match_the_dense_product():
 
 
 def test_reduced_costs_match_the_dense_product_on_the_kept_hybrid_form(hybrid):
-    # the rows the first round of plan's solve keeps: every row but the
-    # network rows, plus the oracle's binding row
-    cfg, scenario = SolverConfig(), Scenario(fl=0.7, case="b")
-    inst = build_problem(hybrid, scenario, cfg)
-    keep = np.ones(inst.lp.n_rows, dtype=bool)
-    keep[inst.network_rows] = False
-    keep[inst.row_of(*max_scal_bisection(hybrid, scenario, cfg).binding)] = True
+    # a span's fallback keeps every row of plan's LP
+    inst = build_problem(hybrid, Scenario(fl=0.7, case="b"), SolverConfig())
     rng = np.random.default_rng(14)
     for _ in range(5):
-        _assert_reduced_costs_match(inst.lp, np.flatnonzero(keep), rng)
+        _assert_reduced_costs_match(inst.lp, np.arange(inst.lp.n_rows), rng)
 
 
 def test_basis_matrix_gathers_the_basis_columns():
@@ -413,10 +406,12 @@ def test_milp_rejects_binaries_without_premises():
     pytest.param(dict(binaries=(1, 1), slope=[1.0, 1.0], inter=[-4.0, -4.0]), "distinct",
                  id="duplicate-binary"),
     pytest.param(dict(binaries=(0,)), "must not include scal", id="scal-among-binaries"),
+    pytest.param(dict(binaries=(1.5,)), "integer variable indices", id="float-binary"),
+    pytest.param(dict(binaries=(1.0,)), "integer variable indices", id="integral-float-binary"),
 ])
 def test_milp_rejects_a_malformed_problem(kw, match):
     # each would otherwise answer a feasible LP as infeasible, wrap a negative
-    # index to another variable, or fix scal as a binary
+    # index to another variable, fix scal as a binary or truncate a float index
     fields = dict(binaries=(1,), scal=0, slope=[1.0], inter=[-4.0]) | kw
     with pytest.raises(ValueError, match=match):
         solve_milp(MILProblem(_indicator_lp(), **fields))
@@ -448,20 +443,20 @@ def test_milp_node_limit_reported():
 
 def test_milp_determinism():
     # the second random instance of criterion 2, over its three hours: five
-    # triggers are free, and the solve takes 5 nodes, one LP per span it opens
+    # triggers are free, and the solve takes 4 nodes, one LP per span it opens
     cfg = SolverConfig()
     grid, scenario = list(valid_random_instances(11, 2, cfg, max_bus=10, max_hours=3))[1]
     mip = build_problem(grid, replace(scenario, hours=(0, 1, 2)), cfg).mip
     a = solve_milp(mip, cfg)
     b = solve_milp(mip, cfg)
-    assert (a.status, a.nodes) == ("optimal", 5)
+    assert (a.status, a.nodes) == ("optimal", 4)
     assert a.x.tobytes() == b.x.tobytes()
     assert (a.objective, a.nodes, a.lp_iterations) == (b.objective, b.nodes, b.lp_iterations)
 
 
 def test_a_span_elimination_cannot_decide_falls_back_to_the_simplex():
     # every row keeps two undecided variables, so no row bounds a variable by
-    # itself and the span's LP goes to presolve and the simplex
+    # itself and the span's LP goes to the simplex
     lp = LinearProgram()
     x = lp.add_var("x", ub=5.0, obj=-2.0)
     y = lp.add_var("y", ub=5.0, obj=-1.0)
@@ -477,8 +472,8 @@ def test_a_span_elimination_cannot_decide_falls_back_to_the_simplex():
 
 def _span_mip(slope, inter) -> MILProblem:
     """max s over s in [0, 10] with one indicator per premise slope[i] * s +
-    inter[i], and a row s + y >= 30 with y <= 5 that no span meets: presolve
-    keeps the row, so the LP of every span finds it infeasible."""
+    inter[i], and a row s + y >= 30 with y <= 5 that no span meets, so the LP
+    of every span finds it infeasible."""
     lp = LinearProgram()
     s = lp.add_var("s", ub=10.0, obj=-1.0)
     y = lp.add_var("y", ub=5.0)
@@ -563,12 +558,12 @@ def test_scal_branching_matches_enumeration_on_random_instances(all_hours):
     assert count == (80 if all_hours else 62)
 
 
-# -- deferred rows -----------------------------------------------------------
+# -- every row kept ----------------------------------------------------------
 
 
-def _lazy_lp(y_lo: float = -INF):
-    """max 2x + y with x + y <= 8 kept; x <= 3 binds but is deferred, and so
-    is y_lo <= y <= 100, whose upper side never binds."""
+def _two_var_lp(y_lo: float = -INF):
+    """max 2x + y with x + y <= 8, x <= 3, which binds, and y_lo <= y <= 100,
+    whose upper side never binds."""
     lp = LinearProgram()
     x = lp.add_var("x", ub=10.0, obj=-2.0)
     y = lp.add_var("y", ub=10.0, obj=-1.0)
@@ -578,90 +573,31 @@ def _lazy_lp(y_lo: float = -INF):
     return lp
 
 
-def test_deferred_row_violated_at_the_relaxed_optimum_is_added():
-    lp = _lazy_lp()
-    sol = solve_milp(MILProblem(lp, lazy=(1, 2)))
+def test_every_row_holds_at_the_first_span_optimum():
+    lp = _two_var_lp()
+    sol = solve_milp(MILProblem(lp))
     full = solve_lp(lp)
-    assert sol.status == full.status == "optimal"
-    assert (sol.rounds, sol.rows_kept) == (2, 2)      # x <= 3 joined, y <= 100 never did
+    assert (sol.status, sol.nodes) == (full.status, 1) == ("optimal", 1)
     assert sol.objective == pytest.approx(full.objective) == -11.0
-    assert sol.x == pytest.approx(full.x)
-    seeded = solve_milp(MILProblem(lp, lazy=(2,)))
-    assert (seeded.rounds, seeded.rows_kept) == (1, 2)
-    assert seeded.objective == pytest.approx(-11.0)
-    # a ranged row broken on its lower side only: x = 3, y = 5 meets x <= 3 but
-    # not 6 <= y <= 100, which joins, and the leaf is solved again to x = 2, y = 6
-    lp = _lazy_lp(y_lo=6.0)
-    sol = solve_milp(MILProblem(lp, lazy=(2,)))
-    assert (sol.status, sol.nodes, sol.rounds, sol.rows_kept) == ("optimal", 2, 2, 3)
+    assert sol.x == pytest.approx(full.x) == [3.0, 5.0]
+    # a ranged row that binds on its lower side: x = 2, y = 6
+    lp = _two_var_lp(y_lo=6.0)
+    sol = solve_milp(MILProblem(lp))
+    assert (sol.status, sol.nodes) == ("optimal", 1)
     assert sol.x == pytest.approx([2.0, 6.0]) and sol.objective == pytest.approx(-10.0)
     assert sol.x.tobytes() == solve_lp(lp).x.tobytes()
-
-
-def test_node_limit_caps_the_nodes_of_every_round():
-    sol = solve_milp(MILProblem(_lazy_lp(), lazy=(1, 2)), SolverConfig(node_limit=1))
-    assert (sol.status, sol.nodes, sol.rounds) == ("node_limit", 1, 2)
-
-
-def test_node_limit_incumbent_must_satisfy_the_deferred_rows():
-    # one node: the span [4, 10] gives s = 10, a = 1
-    cfg = SolverConfig(node_limit=1)
-    # that breaks a deferred s <= 8, which joins; the limit stops the search
-    # before the re-solve, so no point of the full problem is there to report
-    sol = solve_milp(_indicator_mip(_indicator_lp(([0], [1.0], -INF, 8.0)), lazy=(2,)), cfg)
-    assert (sol.status, sol.nodes, sol.rounds) == ("node_limit", 1, 2)
-    assert sol.x is None and sol.objective is None and sol.gap == INF
-    # with s + 10 a <= 14 kept, the span gives s = 4, which meets the deferred
-    # s <= 8: kept, with the gap to the bound of the open span [0, 4]
-    lp = _indicator_lp(([0, 1], [1.0, 10.0], -INF, 14.0), ([0], [1.0], -INF, 8.0))
-    sol = solve_milp(_indicator_mip(lp, lazy=(3,)), cfg)
-    full = solve_milp(_indicator_mip(lp), cfg)
-    assert (sol.status, sol.nodes, sol.rounds) == (full.status, full.nodes, 1) == ("node_limit", 1, 1)
-    assert sol.x == pytest.approx(full.x) == [4.0, 1.0]
-    assert (sol.objective, sol.gap) == pytest.approx((full.objective, full.gap))
-    assert sol.gap == pytest.approx(-3.9 - (-4.0))
-
-
-def test_leaf_that_breaks_a_deferred_row_is_solved_again_in_the_same_search():
-    # the span [4, 10] gives s = 10, which breaks a deferred s <= 8: the row
-    # joins and only that span is solved again, to the optimum s = 8, a = 1,
-    # whose -7.9 beats the bound -4 of [0, 4]
-    lp = _indicator_lp(([0], [1.0], -INF, 8.0))
-    sol = solve_milp(_indicator_mip(lp, lazy=(2,)))
-    seeded = solve_milp(_indicator_mip(lp))
-    assert (seeded.status, seeded.nodes, seeded.rounds) == ("optimal", 1, 1)
-    assert (sol.status, sol.rounds, sol.rows_kept) == ("optimal", 2, 3)
-    assert sol.nodes == seeded.nodes + sol.rounds - 1 == 2
-    assert sol.x.tobytes() == seeded.x.tobytes() and sol.objective == seeded.objective
-    assert sol.x == pytest.approx([8.0, 1.0]) and sol.gap == 0.0
-
-
-def test_node_limit_keeps_an_incumbent_found_before_rows_joined():
-    # a's cost 6.2 puts the bound of [4, 10] at -10 + 6.2 = -3.8, above the -4 of
-    # [0, 4]: first [0, 4] (incumbent s = 3.5, which meets s <= 8), then [4, 10],
-    # whose s = 10 adds s <= 8; its re-solve is left open, bound -3.8
-    lp = _indicator_lp(([0], [1.0], -INF, 8.0))
-    lp.obj[1] = 6.2
-    sol = solve_milp(_indicator_mip(lp, lazy=(2,)), SolverConfig(node_limit=2))
-    assert (sol.status, sol.nodes, sol.rounds, sol.rows_kept) == ("node_limit", 2, 2, 3)
-    assert sol.x == pytest.approx([3.5, 0.0]) and sol.objective == pytest.approx(-3.5)
-    assert sol.gap == pytest.approx(-3.5 - (-3.8))
-
-
-def test_infeasible_round_is_final():
+    # the span [4, 10] meets s <= 8 at s = 8, a = 1, whose -7.9 beats the bound
+    # -4 of [0, 4]: one node
+    sol = solve_milp(_indicator_mip(_indicator_lp(([0], [1.0], -INF, 8.0))))
+    assert (sol.status, sol.nodes, sol.gap) == ("optimal", 1, 0.0)
+    assert sol.x == pytest.approx([8.0, 1.0]) and sol.objective == pytest.approx(-7.9)
+    # rows that no point meets: one node, infeasible
     lp = LinearProgram()
     x = lp.add_var("x", ub=1.0, obj=-1.0)
     lp.add_row([x], [1.0], 2.0, INF)
     lp.add_row([x], [1.0], -INF, 0.5)
-    sol = solve_milp(MILProblem(lp, lazy=(1,)))
-    assert (sol.status, sol.rounds, sol.rows_kept) == ("infeasible", 1, 1)
-
-
-def test_seed_and_lazy_rows_must_exist():
-    lp = _lazy_lp()
-    for lazy in ((1, 3), (-1,)):
-        with pytest.raises(ValueError, match="lazy rows must lie in"):
-            solve_milp(MILProblem(lp, lazy=lazy))
+    sol = solve_milp(MILProblem(lp))
+    assert (sol.status, sol.nodes) == ("infeasible", 1) and sol.x is None
 
 
 @pytest.mark.parametrize("field,value", [
@@ -687,7 +623,7 @@ def test_dump_lp_stable():
     assert "cap" in text and "b" in text
 
 
-# -- row-compressed store and node presolve ----------------------------------
+# -- row-compressed store -----------------------------------------------------
 
 
 def test_add_rows_matches_one_add_row_per_row():
@@ -724,86 +660,36 @@ def test_add_rows_matches_one_add_row_per_row():
     assert lp.n_rows == 0 and lp.indptr.tolist() == [0]
 
 
-def test_activities_and_leaf_check_of_some_rows_match_the_all_row_computation(hybrid):
-    # the leaf check reads the left-out rows only and extract_solution the
-    # network rows only: both must equal the all-row computation, masked
+def test_activities_of_some_rows_match_the_all_row_computation(hybrid):
+    # extract_solution reads the network rows only: the activities must equal
+    # the all-row computation, masked
     rng = np.random.default_rng(9)
     inst = build_problem(hybrid, Scenario(fl=0.7, case="b"), SolverConfig())
-    cases = [(inst.lp, inst.thermal_rows.ravel()), (inst.lp, inst.v_rows.ravel()),
-             (inst.lp, inst.network_rows)]
+    cases = [(inst.lp, inst.thermal_rows.ravel()), (inst.lp, inst.v_rows.ravel())]
     for _ in range(30):
         lp = _lp_with_empty_ranges(rng)
         cases.append((lp, np.flatnonzero(rng.random(lp.n_rows) < 0.5)))
-    tol = SolverConfig().feasibility_tol
     for lp, rows in cases:
         x = rng.uniform(-2.0, 2.0, lp.n_vars)
-        act = lp.activities(x)
-        assert lp.activities(x, rows).tobytes() == act[rows].tobytes()
-        lo, hi = lp.row_lo, lp.row_hi
-        every = (act > hi + tol * (1.0 + np.abs(hi))) | (act < lo - tol * (1.0 + np.abs(lo)))
-        assert np.array_equal(_violated_rows(lp, x, tol, rows), every[rows])
-
-
-def _presolved(lp: LinearProgram, tol: float = 1e-7):
-    pos, cols, coef = lp._entries()
-    return _presolve(pos, cols, coef, lp.row_lo, lp.row_hi, np.array(lp.lb), np.array(lp.ub), tol)
-
-
-def test_presolve_drops_redundant_rows_and_turns_singletons_into_bounds():
-    lp = LinearProgram()
-    x = lp.add_var("x", ub=2.0, obj=-1.0)
-    y = lp.add_var("y", ub=3.0, obj=1.0)
-    z = lp.add_var("z", lb=1.0, ub=1.0)
-    lp.add_row([x, y], [1.0, 1.0], -INF, 10.0)      # redundant: at most 5
-    lp.add_row([x, z], [-2.0, 2.0], -1.0, INF)      # z fixed: -2x >= -3, so x <= 1.5
-    lp.add_row([x, y], [1.0, 1.0], 1.0, INF)        # two free variables: stays
-    lp.add_row([y, z], [1.0, -1.0], -INF, 1.5)      # y <= 2.5
-    lp.add_row([], [], -1.0, 1.0)                   # empty: 0 lies within its bounds
-    need, lb, ub = _presolved(lp)
-    assert need.tolist() == [False, False, True, False, False]
-    assert (lb.tolist(), ub.tolist()) == ([0.0, 0.0, 1.0], [1.5, 2.5, 1.0])
-    sol = solve_milp(MILProblem(lp))
-    assert sol.status == "optimal" and sol.x.tolist() == [1.5, 0.0, 1.0]
-    assert sol.x.tobytes() == solve_lp(lp).x.tobytes()
-
-
-def test_presolve_rules_out_a_node_whose_singleton_bounds_cross():
-    lp = LinearProgram()
-    x = lp.add_var("x", ub=3.0, obj=-1.0)
-    b = lp.add_var("b", lb=1.0, ub=1.0)
-    lp.add_row([x, b], [1.0, -2.0], 2.0, INF)       # x >= 4 > 3
-    assert _presolved(lp) is None
-    sol = solve_milp(MILProblem(lp))
-    assert (sol.status, sol.nodes, sol.lp_iterations) == ("infeasible", 1, 0)
-    assert solve_lp(lp).status == "infeasible"
-    # two singletons on one variable that cross: x >= 2 and x <= 1
-    lp = LinearProgram()
-    x = lp.add_var("x", ub=3.0)
-    lp.add_row([x], [1.0], 2.0, INF)
-    lp.add_row([x], [1.0], -INF, 1.0)
-    assert _presolved(lp) is None
-    # bounds that cross by less than the tolerance stay; so do their rows
-    lp = LinearProgram()
-    x = lp.add_var("x", ub=3.0, obj=-1.0)
-    lp.add_row([x], [1.0], 3.0 + 1e-9, INF)
-    need, lb, ub = _presolved(lp)
-    assert need.tolist() == [True] and (lb.tolist(), ub.tolist()) == ([0.0], [3.0])
-    assert solve_milp(MILProblem(lp)).status == solve_lp(lp).status == "optimal"
+        assert lp.activities(x, rows).tobytes() == lp.activities(x)[rows].tobytes()
 
 
 def _assert_every_row_holds(lp: LinearProgram, x: np.ndarray, cfg: SolverConfig) -> None:
-    # the presolved-away rows among them: redundant or a bound at the node
-    assert not _violated_rows(lp, x, cfg.feasibility_tol, np.arange(lp.n_rows)).any()
+    act, lo, hi, tol = lp.activities(x), lp.row_lo, lp.row_hi, cfg.feasibility_tol
+    assert not ((act > hi + tol * (1.0 + np.abs(hi))) | (act < lo - tol * (1.0 + np.abs(lo)))).any()
+    assert (x >= np.array(lp.lb) - tol).all() and (x <= np.array(lp.ub) + tol).all()
 
 
 @pytest.mark.parametrize("seed", [11, 23])
 def test_presolved_nodes_keep_every_status_and_row_on_random_instances(seed):
+    # every span is presolved to a fixpoint by elimination, and must meet every
+    # row and agree with the oracle
     cfg = SolverConfig()
     for grid, scenario in valid_random_instances(seed, 40, cfg, max_bus=10, max_hours=3):
         for hours in (scenario.hours, tuple(range(grid.hour_count))):
             inst = build_problem(grid, replace(scenario, hours=hours), cfg)
             sol = solve_milp(inst.mip, cfg)
-            assert sol.status == "optimal"          # as every one solves without presolve
+            assert (sol.status, sol.fallbacks) == ("optimal", 0)
             _assert_every_row_holds(inst.lp, sol.x, cfg)
             star = max_scal_bisection(grid, replace(scenario, hours=hours), cfg).scal_star
             assert abs(sol.x[inst.scal_idx] - star) <= 1e-9 * (1.0 + star)
@@ -817,15 +703,12 @@ def test_presolved_nodes_keep_every_status_and_row_on_the_fixtures(name):
         for case in ("a", "b"):
             scenario = Scenario(fl=fl, case=case)
             inst = build_problem(grid, scenario, cfg)
-            search = max_scal_bisection(grid, scenario, cfg)
-            lazy = inst.network_rows                # seeded as run_cell seeds it
-            if search.binding is not None:
-                lazy = lazy[lazy != inst.row_of(*search.binding)]
-            sol = solve_milp(replace(inst.mip, lazy=lazy), cfg)
-            assert sol.status == "optimal", (fl, case)
+            sol = solve_milp(inst.mip, cfg)
+            assert (sol.status, sol.nodes, sol.fallbacks) == ("optimal", 1, 0), (fl, case)
             _assert_every_row_holds(inst.lp, sol.x, cfg)
             scal = extract_solution(inst, sol)
-            assert abs(scal - search.scal_star) <= 1e-9 * (1.0 + search.scal_star), (fl, case)
+            star = max_scal_bisection(grid, scenario, cfg).scal_star
+            assert abs(scal - star) <= 1e-9 * (1.0 + star), (fl, case)
 
 
 # -- elimination -------------------------------------------------------------
@@ -848,9 +731,50 @@ def test_a_row_met_to_within_its_rounding_cuts_no_span():
             assert sol.x[y] == pytest.approx((d + c * end) / a, rel=1e-14)
 
 
+def test_a_zero_entry_bounds_nothing():
+    # s + 0 * y <= 4 holds s alone: y's zero entry is no open variable there, so
+    # y = s is decided by the second row, and the first cuts s at 4
+    lp = LinearProgram()
+    s = lp.add_var("s", ub=10.0, obj=-1.0)
+    y = lp.add_var("y", ub=5.0)
+    lp.add_row([s, y], [1.0, 0.0], -INF, 4.0)
+    lp.add_row([s, y], [-1.0, 1.0], 0.0, 0.0)
+    sol = solve_milp(MILProblem(lp, scal=s))
+    assert (sol.status, sol.spans, sol.fallbacks) == ("optimal", 1, 0)
+    assert sol.x.tolist() == [4.0, 4.0] and sol.x.tobytes() == solve_lp(lp).x.tobytes()
+
+
+def test_elimination_meets_redundant_and_singleton_rows_as_the_simplex_does():
+    lp = LinearProgram()
+    x = lp.add_var("x", ub=2.0, obj=-1.0)
+    y = lp.add_var("y", ub=3.0, obj=1.0)
+    z = lp.add_var("z", lb=1.0, ub=1.0)
+    lp.add_row([x, y], [1.0, 1.0], -INF, 10.0)      # redundant: at most 5
+    lp.add_row([x, z], [-2.0, 2.0], -1.0, INF)      # z fixed: -2x >= -3, so x <= 1.5
+    lp.add_row([x, y], [1.0, 1.0], 1.0, INF)        # two open variables
+    lp.add_row([y, z], [1.0, -1.0], -INF, 1.5)      # y <= 2.5
+    lp.add_row([], [], -1.0, 1.0)                   # empty: 0 lies within its bounds
+    sol = solve_milp(MILProblem(lp))
+    assert sol.status == "optimal" and sol.x.tolist() == [1.5, 0.0, 1.0]
+    assert sol.x.tobytes() == solve_lp(lp).x.tobytes()
+    # a singleton row that no point within the bounds meets: x >= 4 > 3
+    lp = LinearProgram()
+    x = lp.add_var("x", ub=3.0, obj=-1.0)
+    b = lp.add_var("b", lb=1.0, ub=1.0)
+    lp.add_row([x, b], [1.0, -2.0], 2.0, INF)
+    sol = solve_milp(MILProblem(lp))
+    assert (sol.status, sol.nodes) == ("infeasible", 1)
+    assert solve_lp(lp).status == "infeasible"
+    # bounds that cross by less than the tolerance: the simplex decides, as alone
+    lp = LinearProgram()
+    x = lp.add_var("x", ub=3.0, obj=-1.0)
+    lp.add_row([x], [1.0], 3.0 + 1e-9, INF)
+    assert solve_milp(MILProblem(lp)).status == solve_lp(lp).status == "optimal"
+
+
 def _assert_elimination_matches_the_simplex(mip, scal_idx, cfg, monkeypatch, where):
     sol = solve_milp(mip, cfg)
-    with monkeypatch.context() as m:             # every span left to presolve and simplex
+    with monkeypatch.context() as m:             # every span left to the simplex
         m.setattr(milp, "_eliminate", lambda *args: None)
         ref = solve_milp(mip, cfg)
     assert sol.fallbacks == 0 and sol.spans == sol.nodes, where
@@ -866,14 +790,8 @@ def test_elimination_decides_every_fixture_span_as_the_simplex_does(name, monkey
     cfg = SolverConfig()
     for fl in (1.0, 0.7):
         for case in ("a", "b"):
-            scenario = Scenario(fl=fl, case=case)
-            inst = build_problem(grid, scenario, cfg)
-            search = max_scal_bisection(grid, scenario, cfg)
-            lazy = inst.network_rows                # seeded as run_cell seeds it
-            if search.binding is not None:
-                lazy = lazy[lazy != inst.row_of(*search.binding)]
-            mip = replace(inst.mip, lazy=lazy)
-            _assert_elimination_matches_the_simplex(mip, inst.scal_idx, cfg, monkeypatch,
+            inst = build_problem(grid, Scenario(fl=fl, case=case), cfg)
+            _assert_elimination_matches_the_simplex(inst.mip, inst.scal_idx, cfg, monkeypatch,
                                                     (fl, case))
 
 
