@@ -566,12 +566,19 @@ def test_big_m_covers_relaxed_rows():
 # -- network rows ------------------------------------------------------------
 
 
-def test_thermal_and_voltage_rows_name_the_network_rows(hybrid):
-    # extract_solution reads the network rows through thermal_rows and v_rows
+def test_network_rows_are_the_deferred_rows(hybrid):
+    # the thermal and voltage rows, which the MILP once deferred and now keeps
+    # with the rest, are the rows extract_solution reads through thermal_rows
+    # and v_rows
     inst = build_problem(hybrid, Scenario(fl=0.7, case="b"), SolverConfig())
     rows = sorted([*inst.thermal_rows.ravel().tolist(), *inst.v_rows.ravel().tolist()])
     kinds = ("thermal[", "v[")
-    assert rows == [i for i, n in enumerate(inst.lp.row_names) if n.startswith(kinds)]
+    assert rows and rows == [i for i, n in enumerate(inst.lp.row_names) if n.startswith(kinds)]
+
+
+def test_row_of_names_the_upper_network_rows(hybrid):
+    # the row of the last line and of the last bus at the last hour
+    inst = build_problem(hybrid, Scenario(fl=0.7, case="b"), SolverConfig())
     k = len(inst.hours) - 1
     line, bus = inst.model.line_order[-1], inst.model.bus_order[-1]
     assert inst.lp.row_names[inst.thermal_rows[k, -1]] == f"thermal[{k},{line}]"

@@ -573,7 +573,9 @@ def _two_var_lp(y_lo: float = -INF):
     return lp
 
 
-def test_every_row_holds_at_the_first_span_optimum():
+def test_deferred_row_violated_at_the_relaxed_optimum_is_added():
+    # x <= 3 cuts x = 8, y = 0, the optimum without it; every row is kept from
+    # the start, so it holds at the first span's optimum
     lp = _two_var_lp()
     sol = solve_milp(MILProblem(lp))
     full = solve_lp(lp)
@@ -586,12 +588,19 @@ def test_every_row_holds_at_the_first_span_optimum():
     assert (sol.status, sol.nodes) == ("optimal", 1)
     assert sol.x == pytest.approx([2.0, 6.0]) and sol.objective == pytest.approx(-10.0)
     assert sol.x.tobytes() == solve_lp(lp).x.tobytes()
-    # the span [4, 10] meets s <= 8 at s = 8, a = 1, whose -7.9 beats the bound
-    # -4 of [0, 4]: one node
+
+
+def test_leaf_that_breaks_a_deferred_row_is_solved_again_in_the_same_search():
+    # s <= 8 cuts the span [4, 10]'s s = 10 without it; kept from the start, the
+    # span is solved once, to s = 8, a = 1, whose -7.9 beats the bound -4 of
+    # [0, 4]: one node, nothing solved again
     sol = solve_milp(_indicator_mip(_indicator_lp(([0], [1.0], -INF, 8.0))))
     assert (sol.status, sol.nodes, sol.gap) == ("optimal", 1, 0.0)
     assert sol.x == pytest.approx([8.0, 1.0]) and sol.objective == pytest.approx(-7.9)
-    # rows that no point meets: one node, infeasible
+
+
+def test_infeasible_round_is_final():
+    # rows that no point meets: the one span ends the search, infeasible
     lp = LinearProgram()
     x = lp.add_var("x", ub=1.0, obj=-1.0)
     lp.add_row([x], [1.0], 2.0, INF)
@@ -744,7 +753,9 @@ def test_a_zero_entry_bounds_nothing():
     assert sol.x.tolist() == [4.0, 4.0] and sol.x.tobytes() == solve_lp(lp).x.tobytes()
 
 
-def test_elimination_meets_redundant_and_singleton_rows_as_the_simplex_does():
+def test_presolve_drops_redundant_rows_and_turns_singletons_into_bounds():
+    # elimination, the presolve left, reads a redundant row as met and a row
+    # with one open variable as a bound on it, where the simplex keeps both
     lp = LinearProgram()
     x = lp.add_var("x", ub=2.0, obj=-1.0)
     y = lp.add_var("y", ub=3.0, obj=1.0)
@@ -757,11 +768,22 @@ def test_elimination_meets_redundant_and_singleton_rows_as_the_simplex_does():
     sol = solve_milp(MILProblem(lp))
     assert sol.status == "optimal" and sol.x.tolist() == [1.5, 0.0, 1.0]
     assert sol.x.tobytes() == solve_lp(lp).x.tobytes()
+
+
+def test_presolve_rules_out_a_node_whose_singleton_bounds_cross():
     # a singleton row that no point within the bounds meets: x >= 4 > 3
     lp = LinearProgram()
     x = lp.add_var("x", ub=3.0, obj=-1.0)
     b = lp.add_var("b", lb=1.0, ub=1.0)
     lp.add_row([x, b], [1.0, -2.0], 2.0, INF)
+    sol = solve_milp(MILProblem(lp))
+    assert (sol.status, sol.nodes) == ("infeasible", 1)
+    assert solve_lp(lp).status == "infeasible"
+    # two singletons on one variable that cross: x >= 2 and x <= 1
+    lp = LinearProgram()
+    x = lp.add_var("x", ub=3.0)
+    lp.add_row([x], [1.0], 2.0, INF)
+    lp.add_row([x], [1.0], -INF, 1.0)
     sol = solve_milp(MILProblem(lp))
     assert (sol.status, sol.nodes) == ("infeasible", 1)
     assert solve_lp(lp).status == "infeasible"
