@@ -4,7 +4,8 @@ Given a radial grid, the package answers one question: by what single factor
 can every candidate PV site be scaled before a voltage band or a line rating
 stops the expansion, when feed-in above a fraction FL of installed capacity
 (net of concurrent local demand) is curtailed. Two engines answer it
-independently: a MILP over a linearized power flow, and a closed-form rule
+independently: a MILP over a linearized power flow, whose every LP is solved
+by elimination down to the expansion factor, and a closed-form rule
 evaluation with an exact tangent search on the expansion factor. An AC sweep
 validates the linearization.
 """
@@ -39,7 +40,7 @@ from .grid import (
     serialize_grid,
     validate_grid,
 )
-from .milp import MILProblem, SolverConfig, solve_lp, solve_milp
+from .milp import MILProblem, SolverConfig, solve_milp
 from .network import ac_sweep, build_linear_model, compare_models, evaluate_linear
 from .oracle import annual_simulate, feasible_at, max_scal_bisection, oracle_plan
 
@@ -54,6 +55,6 @@ __all__ = [
     "curtailment_rule", "emit_report", "energy_account", "example_grid_7kwp",
     "extract_solution", "feasible_at", "find_bottlenecks", "max_scal_bisection",
     "oracle_plan", "parse_grid", "run_sweep", "scenario_from_json", "scenario_to_json",
-    "serialize_grid", "solve_lp", "solve_milp", "synth_grid", "synth_profiles",
+    "serialize_grid", "solve_milp", "synth_grid", "synth_profiles",
     "validate_grid", "__version__",
 ]

@@ -215,10 +215,9 @@ def run_cell(grid: Grid, scenario: Scenario, engine: str,
     if engine in ("milp", "both"):
         inst = build_problem(grid, scenario, cfg, agg=agg, model=model)
         sol = solve_milp(inst.mip, cfg)
-        log.debug("cell fl=%g case=%s x%g: milp %s after %d node(s), %d span(s) eliminated, "
-                  "%d fallback(s), %d LP iterations, gap %g, %d free trigger(s)",
-                  scenario.fl, scenario.case, scenario.demand_multiplier,
-                  sol.status, sol.nodes, sol.spans, sol.fallbacks, sol.lp_iterations, sol.gap,
+        log.debug("cell fl=%g case=%s x%g: milp %s after %d node(s), gap %g, "
+                  "%d free trigger(s)", scenario.fl, scenario.case, scenario.demand_multiplier,
+                  sol.status, sol.nodes, sol.gap,
                   sum(inst.lp.lb[j] < inst.lp.ub[j] for j in inst.binaries))
         if sol.status == "infeasible":
             cell.status = "infeasible_at_zero"

@@ -1,17 +1,4 @@
-"""LP and MILP solving: rows kept row-compressed, solved column-compressed.
-
-solve_lp is a bounded-variable revised simplex: two phases, Dantzig pricing
-with lowest-index tie-breaks, and a Bland fallback after a degenerate streak
-so cycling cannot occur. The explicit basis inverse stays hypersparse on the
-power-flow LPs here (a few percent nonzero), so a pivot touches only what can
-change: the rank-1 update subtracts the outer product on the block of rows
-where the entering column is nonzero and columns where the new pivot row is
-nonzero (everywhere else it would subtract an exact zero), and the ratio test
-computes step lengths only for rows whose step is above the pivot tolerance
-and whose bound in that direction is finite, then breaks ties in row order.
-The inverse is refactorized periodically. Everything is double precision
-numpy with a fixed operation order, so two runs on the same input produce
-bit-identical results.
+"""MILP solving: rows kept row-compressed, each scal span solved by elimination.
 
 solve_milp searches the scal range for indicator binaries whose premises are
 affine in one variable, scal. The premise roots of the binaries left free on
@@ -32,7 +19,7 @@ A span's LP has every row of lp; no row is left out or deferred.
 node_limit counts LP solves; the gap at the limit is the incumbent less the
 least bound of the spans still open.
 
-Each span's LP is first solved by elimination, the singleton-row and
+Each span's LP is solved by elimination, the singleton-row and
 doubleton-equation reductions of LP presolve (Andersen & Andersen, Math.
 Programming 71, 1995; Gondzio, INFORMS J. Computing 9(1), 1997) applied
 until nothing changes. With every binary fixed, a span's LP is a
@@ -45,12 +32,14 @@ fixed variable as its bound; then two rules repeat:
    bounds are constant such functions. Each round counts open entries in
    an index of them that shrinks as variables are written, and sums the
    written terms over the entries of the rows it uses alone.
-2. When some lower bound of a variable and some upper bound coincide at
-   both ends of the span, the variable equals that affine function (the
-   lower one is taken): two affine functions equal at both ends are equal
-   between them. Any coinciding pair will do, not only the tightest: every
-   row is still enforced in the last step. "Coincide" allows for rounding:
-   8 ulps of the magnitudes each bound was computed from (a row's bound and
+2. When some lower bound of a variable meets or crosses some upper bound at
+   both ends of the span, the variable equals that lower bound: lower minus
+   upper is affine in s, so it is at least minus the rounding allowance all
+   along the span, and the variable can meet both only where they coincide.
+   Any such pair will do, not only the tightest: the last step enforces
+   every row and bound again, so a pair that crosses by more than
+   feasibility_tol rules the span out there. "Meets" allows for rounding: 8
+   ulps of the magnitudes each bound was computed from (a row's bound and
    the |a_k * x_k| of its written terms, divided by |a|), plus the rounding
    those terms inherit. That is about 1e-15 relative, far below
    feasibility_tol, and it admits the cancellation a big-M pair leaves.
@@ -59,30 +48,17 @@ is an interval on s; this last step is the one that reads every entry. A
 side met at both ends of the span to within its own rounding (as above)
 cuts nothing; any other cuts the span at its root, clipped to the span.
 The objective is affine in s too, so the best end of the intersection is
-the optimum, with x = alpha + beta * s there: the exact vertex the simplex
-would reach, up to rounding. The span is infeasible when that end breaks
-some side by more than feasibility_tol * (1 + |bound|); an intersection
-that crossed by less gives its end, as the simplex would.
+the optimum, with x = alpha + beta * s there: a vertex of the span's LP.
+The span is infeasible when that end breaks some side by more than
+feasibility_tol * (1 + |bound|); an intersection that crossed by less gives
+its end.
 A span that leaves a variable undecided, or a scal without finite bounds,
-falls back to the simplex below, over every row under the span's bounds
-(its scal interval and fixed indicators); MILPSolution counts spans (solves
-decided by elimination) and fallbacks, and lp_iterations counts only the
-fallbacks' pivots.
+ends the search with the status UNDECIDED and no x: solve_milp has no other
+LP method. Every span of every LP build_problem makes for the shipped
+fixtures and the tests' random grids is decided.
 
 LinearProgram keeps its rows once, row-compressed (indptr, indices, data,
 row_lo, row_hi); the model builder appends them a block at a time.
-
-The standard form keeps A once, column-compressed: column pointers, row
-indices and values, with the slack and phase-1 artificial unit columns
-appended to the same arrays. Every product with A reads those entries: the
-reduced costs c - A^T y are one bincount over them (y itself reads only
-the rows of the inverse whose basic variable has a cost), FTRAN multiplies the
-entering column's few entries by the matching columns of the inverse,
-reconciling x sums the nonbasic entries, and a refactorization scatters the
-basis columns into B. The basis inverse beside it is a dense explicit m x m
-array, which the desk-scale problems here (hundreds to a few thousand
-rows) afford. Once a solve is optimal, one LU solve of B, not a new
-inverse, settles the basic values.
 """
 
 from __future__ import annotations
@@ -96,17 +72,9 @@ INF = float("inf")
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
-ITERATION_LIMIT = "iteration_limit"
 NODE_LIMIT = "node_limit"
-NUMERICAL = "numerical"
+UNDECIDED = "undecided"    # a span elimination cannot decide (module doc)
 
-
-OPTIMALITY_TOL = 1e-7      # reduced-cost threshold for an entering column
-REFACTOR_EVERY = 512       # pivots between full re-inversions of the basis: a
-                           # re-inversion costs O(m^3) and fills the hypersparse
-                           # inverse with roundoff, while 300 pivots drift ~1e-11
-BLAND_AFTER = 40           # degenerate pivots in a row before Bland's rule
 ROUND_TOL = 8 * 2.0**-52   # 8 ulps: relative rounding in elimination, far below
                            # feasibility_tol
 
@@ -264,341 +232,13 @@ class MILProblem:
 
 
 @dataclass
-class LPSolution:
-    status: str
-    x: np.ndarray | None
-    objective: float | None
-    iterations: int
-
-
-@dataclass
 class MILPSolution:
     status: str
     x: np.ndarray | None
     objective: float | None
     gap: float
     nodes: int
-    lp_iterations: int
-    spans: int = 0                    # LP solves decided by elimination
-    fallbacks: int = 0                # LP solves left to the simplex
-
-
-# ---------------------------------------------------------------------------
-# standard form + simplex core
-
-
-class _StandardForm:
-    """Ax = b with bounds: n variables, one slack column per row, then any
-    phase-1 artificials. A row's b is hi, its slack in [0, hi - lo], where hi
-    is finite, else lo, its slack in (-inf, 0].
-
-    A is column-compressed: column j's entries are rows[ptr[j]:ptr[j+1]]
-    (ascending) with coefficients vals[ptr[j]:ptr[j+1]], and col[k] is the
-    column of entry k.
-    """
-
-    def __init__(self, ptr: np.ndarray, rows: np.ndarray, vals: np.ndarray,
-                 b: np.ndarray, c: np.ndarray, lb: np.ndarray, ub: np.ndarray, n: int):
-        self.m, self.n, self.width = b.size, n, ptr.size - 1
-        self.ptr, self.rows, self.vals = ptr, rows, vals
-        self.col = np.repeat(np.arange(self.width), np.diff(ptr))
-        self.b, self.c = b, c
-        self.lb_base, self.ub_base = lb, ub
-
-    @classmethod
-    def from_lp(cls, lp: LinearProgram, rows: np.ndarray | None = None) -> "_StandardForm":
-        """The form of lp's rows, or of the given ascending row indices only."""
-        rows = np.arange(lp.n_rows) if rows is None else rows
-        return cls.of_rows(*lp._entries(rows), lp.row_lo[rows], lp.row_hi[rows],
-                           np.asarray(lp.obj, dtype=float), np.asarray(lp.lb, dtype=float),
-                           np.asarray(lp.ub, dtype=float))
-
-    @classmethod
-    def of_rows(cls, pos: np.ndarray, cols: np.ndarray, coef: np.ndarray, lo: np.ndarray,
-                hi: np.ndarray, obj: np.ndarray, lb: np.ndarray, ub: np.ndarray
-                ) -> "_StandardForm":
-        """The form of the rows lo <= A x <= hi whose entries are A[pos, cols] =
-        coef (rows in order, each row's entries by variable), under the
-        variable bounds lb, ub and the objective obj."""
-        m, n = lo.size, obj.size
-        order = np.argsort(cols, kind="stable")       # by column, rows stay ascending
-        ptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
-        upper = hi < INF
-        b = np.where(upper, hi, lo)
-        slack_lb = np.where(upper, 0.0, -INF)
-        slack_ub = np.where(upper, hi - lo, 0.0)
-        return cls(*_with_unit_columns(ptr, pos[order], coef[order], np.arange(m)), b,
-                   np.concatenate([obj, np.zeros(m)]), np.concatenate([lb, slack_lb]),
-                   np.concatenate([ub, slack_ub]), n)
-
-    def reduced_costs(self, c: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """c - A^T y, summed column by column over the entries."""
-        return c - np.bincount(self.col, weights=self.vals * y[self.rows], minlength=self.width)
-
-
-def _with_unit_columns(ptr: np.ndarray, rows: np.ndarray, vals: np.ndarray,
-                       at: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Compressed columns with one unit column appended per row index in at."""
-    return (np.concatenate([ptr, ptr[-1] + 1 + np.arange(at.size)]),
-            np.concatenate([rows, at]), np.concatenate([vals, np.ones(at.size)]))
-
-
-class _SimplexState:
-    """A basic solution of sf under bounds lb/ub.
-
-    Without x, nonbasic variables start at a finite bound (else 0). Without
-    basis, the slack columns are basic. A given basis must consist of unit
-    columns of A, so the basis inverse starts as the identity either way.
-    """
-
-    def __init__(self, sf: _StandardForm, lb: np.ndarray, ub: np.ndarray,
-                 x: np.ndarray | None = None, basis: np.ndarray | None = None):
-        self.sf, self.lb, self.ub = sf, lb, ub
-        if x is None:
-            x = np.where(np.isfinite(lb), lb, np.where(np.isfinite(ub), ub, 0.0))
-        self.x = x
-        self.basis = np.arange(sf.n, sf.n + sf.m) if basis is None else basis
-        self.in_basis = np.zeros(sf.width, dtype=bool)
-        self.in_basis[self.basis] = True
-        self.B_inv = np.eye(sf.m)
-        self.iterations = 0
-        self.reconcile()
-
-    def basic_rhs(self) -> np.ndarray:
-        """b - A_N x_N, what the basic variables must make up."""
-        sf = self.sf
-        x_n = np.where(self.in_basis, 0.0, self.x)
-        return sf.b - np.bincount(sf.rows, weights=sf.vals * x_n[sf.col], minlength=sf.m)
-
-    def basis_matrix(self) -> np.ndarray:
-        """B, the basis columns of A scattered into an m x m array."""
-        sf = self.sf
-        slot = np.full(sf.width, -1)
-        slot[self.basis] = np.arange(sf.m)
-        at = slot[sf.col]
-        keep = at >= 0
-        B = np.zeros((sf.m, sf.m))
-        B[sf.rows[keep], at[keep]] = sf.vals[keep]
-        return B
-
-    def reconcile(self) -> None:
-        # Recompute basic values from nonbasic ones; kills accumulated drift.
-        self.x[self.basis] = self.B_inv @ self.basic_rhs()
-
-    def refactor(self) -> bool:
-        # Drop the old inverse before inverting and B before reconciling, so
-        # fewer m x m arrays are alive at once. A failed refactor leaves
-        # B_inv None; every caller then abandons this state.
-        B = self.basis_matrix()
-        self.B_inv = None
-        try:
-            self.B_inv = np.linalg.inv(B)
-        except np.linalg.LinAlgError:
-            return False
-        del B
-        self.reconcile()
-        return True
-
-    def settle(self) -> None:
-        """Solve B x_B = b - A_N x_N afresh: the final clean-up of an optimal
-        state, one LU solve instead of a new inverse. A singular B leaves x
-        as the pivots left it."""
-        try:
-            self.x[self.basis] = np.linalg.solve(self.basis_matrix(), self.basic_rhs())
-        except np.linalg.LinAlgError:
-            pass
-
-
-def _ratio_test(step: np.ndarray, bvals: np.ndarray, lb: np.ndarray, ub: np.ndarray,
-                basis: np.ndarray, piv_tol: float) -> tuple[int, float]:
-    """Blocking basis row (-1 if none) and step length of the ratio test.
-
-    Basic variable i moves by -t*step[i]. Only rows with |step| > piv_tol and
-    a finite bound in the direction of travel can block; t_i = max(0, (x_i -
-    bound) / step_i) is computed for those alone. They are then scanned in
-    row order: a t more than 1e-12 below the best wins, and within 1e-12 the
-    lower variable index wins.
-    """
-    rows = np.flatnonzero(np.abs(step) > piv_tol)
-    s = step[rows]
-    var = basis[rows]
-    bound = np.where(s > 0, lb[var], ub[var])
-    keep = np.isfinite(bound)
-    rows, s, var, bound = rows[keep], s[keep], var[keep], bound[keep]
-    ratio = (bvals[rows] - bound) / s
-    t = np.where(ratio > 0.0, ratio, 0.0)
-    t_best, r_best, v_best = INF, -1, -1
-    for r, t_i, v in zip(rows.tolist(), t.tolist(), var.tolist()):
-        if t_i < t_best - 1e-12 or (t_i < t_best + 1e-12 and (r_best < 0 or v < v_best)):
-            t_best, r_best, v_best = t_i, r, v
-    return r_best, t_best
-
-
-def _pivot_update(B_inv: np.ndarray, w: np.ndarray, r: int) -> None:
-    """Basis inverse after the column w = B_inv a_j replaces basis row r.
-
-    B_inv - outer(w, brow) changes only on rows where w is nonzero and columns
-    where the new pivot row brow is nonzero; everywhere else it would
-    subtract an exact zero, so only that block is updated.
-    """
-    brow = B_inv[r] / w[r]
-    rows, cols = np.flatnonzero(w), np.flatnonzero(brow)
-    B_inv[np.ix_(rows, cols)] -= np.multiply.outer(w[rows], brow[cols])
-    B_inv[r] = brow
-
-
-def _iterate(st: _SimplexState, c: np.ndarray, iter_cap: int) -> str:
-    """Run simplex to optimality for the given objective. Returns a status."""
-    sf = st.sf
-    tol = OPTIMALITY_TOL
-    piv_tol = 1e-9
-    degen_streak = 0
-    bland = False
-    since_refactor = 0
-    # bounds stay put here: a nonbasic var sits at a finite lb, a finite ub or
-    # is free (at 0), classified by its actual value
-    movable = st.ub - st.lb > 0                 # fixed vars can never improve
-    lb_fin, ub_fin = np.isfinite(st.lb), np.isfinite(st.ub)
-    lb_near, ub_near = st.lb + 1e-30, st.ub - 1e-30
-
-    while True:
-        if st.iterations >= iter_cap:
-            return ITERATION_LIMIT
-        # y = B_inv^T c_B, read from the basis rows with a cost
-        c_B = c[st.basis]
-        costed = np.flatnonzero(c_B)
-        d = sf.reduced_costs(c, c_B[costed] @ st.B_inv[costed])
-
-        at_lb = lb_fin & (st.x <= lb_near)
-        at_ub = ~at_lb & ub_fin & (st.x >= ub_near)
-        score = np.where(at_lb, d, np.where(at_ub, -d, -np.abs(d)))
-        eligible = np.flatnonzero(movable & ~st.in_basis & (score < -tol))
-        if eligible.size == 0:
-            return OPTIMAL
-        if bland:
-            j_in = int(eligible[0])
-        else:
-            j_in = int(eligible[np.argmin(score[eligible])])
-        sigma = 1.0
-        if at_ub[j_in] or (not at_lb[j_in] and d[j_in] > 0):
-            sigma = -1.0
-
-        lo, hi = sf.ptr[j_in], sf.ptr[j_in + 1]
-        w = st.B_inv[:, sf.rows[lo:hi]] @ sf.vals[lo:hi]
-        step = sigma * w
-
-        bvals = st.x[st.basis]
-        r_block, t_best = _ratio_test(step, bvals, st.lb, st.ub, st.basis, piv_tol)
-
-        span = st.ub[j_in] - st.lb[j_in]
-        flip = np.isfinite(span) and span < t_best
-
-        if not flip and r_block < 0:
-            return UNBOUNDED
-
-        st.iterations += 1
-        since_refactor += 1
-        if flip:
-            t = span
-            st.x[st.basis] = bvals - t * step
-            st.x[j_in] = st.ub[j_in] if sigma > 0 else st.lb[j_in]
-        else:
-            t = t_best
-            st.x[st.basis] = bvals - t * step
-            st.x[j_in] = st.x[j_in] + sigma * t
-            leave = int(st.basis[r_block])
-            # pin the leaving variable to the bound it reached
-            st.x[leave] = st.lb[leave] if step[r_block] > 0 else st.ub[leave]
-            st.in_basis[leave] = False
-            st.in_basis[j_in] = True
-            st.basis[r_block] = j_in
-            piv = w[r_block]
-            if abs(piv) < piv_tol:
-                if not st.refactor():
-                    return NUMERICAL
-            else:
-                _pivot_update(st.B_inv, w, r_block)
-
-        if t <= 1e-11:
-            degen_streak += 1
-            if degen_streak > BLAND_AFTER:
-                bland = True
-        else:
-            degen_streak = 0
-            bland = False
-
-        if since_refactor >= REFACTOR_EVERY:
-            since_refactor = 0
-            if not st.refactor():
-                return NUMERICAL
-
-
-def _phase_one(st: _SimplexState, tol: float) -> tuple[_SimplexState, np.ndarray] | None:
-    """Phase-1 state and objective, or None if the slack basis is feasible.
-
-    Each basic slack outside its bounds is pinned to the bound it violates
-    and the excess moves into a one-signed artificial unit column, which
-    replaces the slack in the basis; the objective is the artificials' total
-    magnitude. The augmented form is new, so st.sf stays untouched.
-    """
-    sf = st.sf
-    slack = st.basis
-    v = st.x[slack]
-    up = v > st.ub[slack] + tol
-    rows = np.flatnonzero(up | (v < st.lb[slack] - tol))
-    if rows.size == 0:
-        return None
-    k, up, width = rows.size, up[rows], sf.width
-    st.B_inv = None                     # the slack-basis state is abandoned
-    sf1 = _StandardForm(*_with_unit_columns(sf.ptr, sf.rows, sf.vals, rows),
-                        sf.b, np.concatenate([sf.c, np.zeros(k)]),
-                        np.concatenate([st.lb, np.where(up, 0.0, -INF)]),
-                        np.concatenate([st.ub, np.where(up, INF, 0.0)]), sf.n)
-    pinned = slack[rows]
-    pin = np.where(up, st.ub[pinned], st.lb[pinned])
-    x1 = np.concatenate([st.x, st.x[pinned] - pin])
-    x1[pinned] = pin
-    basis1 = slack.copy()
-    basis1[rows] = width + np.arange(k)
-    c1 = np.concatenate([np.zeros(width), np.where(up, 1.0, -1.0)])
-    return _SimplexState(sf1, sf1.lb_base, sf1.ub_base, x1, basis1), c1
-
-
-def _solve_standard(sf: _StandardForm, lb: np.ndarray, ub: np.ndarray,
-                    cfg: SolverConfig) -> LPSolution:
-    n = sf.n
-    iter_cap = 2000 + 60 * (sf.m + n)     # scales with problem size
-
-    st = _SimplexState(sf, lb.copy(), ub.copy())
-    phase_one = _phase_one(st, cfg.feasibility_tol)
-    if phase_one is not None:
-        st, c1 = phase_one
-        status = _iterate(st, c1, iter_cap)
-        if status != OPTIMAL:
-            # an unbounded phase 1 can only come from numerical trouble
-            return LPSolution(NUMERICAL if status == UNBOUNDED else status,
-                              None, None, st.iterations)
-        infeas = float(c1 @ st.x)
-        if infeas > cfg.feasibility_tol * max(1.0, float(np.abs(sf.b).max(initial=0.0))):
-            return LPSolution(INFEASIBLE, None, None, st.iterations)
-        # lock artificials at zero and continue with the real objective
-        art = slice(sf.width, None)
-        st.lb[art] = st.ub[art] = 0.0
-        st.x[art] = np.where(np.abs(st.x[art]) < 1e-9, 0.0, st.x[art])
-
-    status = _iterate(st, st.sf.c, iter_cap)
-    if status != OPTIMAL:
-        return LPSolution(status, None, None, st.iterations)
-    st.settle()
-    x = st.x[:n].copy()
-    return LPSolution(OPTIMAL, x, float(sf.c[:n] @ x), st.iterations)
-
-
-def solve_lp(lp: LinearProgram, cfg: SolverConfig | None = None) -> LPSolution:
-    """Solve the LP to optimality. Deterministic for identical input."""
-    cfg = cfg or SolverConfig()
-    sf = _StandardForm.from_lp(lp)
-    return _solve_standard(sf, sf.lb_base, sf.ub_base, cfg)
+    lp_iterations: int = 0            # always 0: no span's LP is solved by iteration
 
 
 # ---------------------------------------------------------------------------
@@ -616,8 +256,8 @@ def indicator_bounds(slope, inter, lo: float, hi: float) -> tuple[np.ndarray, np
 
 def solve_milp(mip: MILProblem, cfg: SolverConfig | None = None) -> MILPSolution:
     """Best-first search over the scal spans between the free premise roots,
-    one exact LP per span, solved by elimination down to scal or else by the
-    simplex (module doc)."""
+    one exact LP per span, solved by elimination down to scal (module doc). A
+    span elimination cannot decide ends the search as UNDECIDED."""
     cfg = cfg or SolverConfig()
     lp, scal = mip.lp, mip.scal
     binaries = np.asarray(mip.binaries)
@@ -663,15 +303,10 @@ def solve_milp(mip: MILProblem, cfg: SolverConfig | None = None) -> MILPSolution
     # the spans still open, the best bound last (ties to the lower span)
     spans = np.argsort(bound, kind="stable")[::-1].tolist()
 
-    nodes = iterations = eliminated = 0
+    nodes = 0
     incumbent_x: np.ndarray | None = None
     incumbent_obj = INF
     status = OPTIMAL
-
-    def result(status: str, x: np.ndarray | None, objective: float | None,
-               gap: float) -> MILPSolution:
-        return MILPSolution(status, x, objective, gap, nodes, iterations, eliminated,
-                            nodes - eliminated)
 
     while spans and bound[spans[-1]] < incumbent_obj - 1e-9:
         if nodes >= cfg.node_limit:
@@ -683,40 +318,37 @@ def solve_milp(mip: MILProblem, cfg: SolverConfig | None = None) -> MILPSolution
         if scal is not None:
             lb[scal], ub[scal] = span_lo[k], span_hi[k]
         lb[binaries] = ub[binaries] = inter + slope * mid[k] >= 0.0
-        sol = _eliminate(lp, obj, lb, ub, scal, cfg.feasibility_tol)
-        if sol is not None:
-            eliminated += 1
-        else:
-            sf = _StandardForm.of_rows(*lp._entries(), lp.row_lo, lp.row_hi, obj, lb, ub)
-            sol = _solve_standard(sf, sf.lb_base, sf.ub_base, cfg)
-            iterations += sol.iterations
-        if sol.status == INFEASIBLE:
+        span_status, x = _eliminate(lp, obj, lb, ub, scal, cfg.feasibility_tol)
+        if span_status == INFEASIBLE:
             continue
-        if sol.status != OPTIMAL:
-            return result(sol.status, None, None, INF)
-        if sol.objective < incumbent_obj - 1e-9:
-            incumbent_obj, incumbent_x = sol.objective, sol.x
+        if span_status == UNDECIDED:
+            return MILPSolution(UNDECIDED, None, None, INF, nodes)
+        objective = float(obj @ x)
+        if objective < incumbent_obj - 1e-9:
+            incumbent_obj, incumbent_x = objective, x
 
     if incumbent_x is None:
-        return result(status if status == NODE_LIMIT else INFEASIBLE, None, None, INF)
+        return MILPSolution(status if status == NODE_LIMIT else INFEASIBLE, None, None, INF,
+                            nodes)
     gap = incumbent_obj - bound[spans[-1]] if status == NODE_LIMIT else 0.0
-    return result(status, incumbent_x, incumbent_obj, gap)
+    return MILPSolution(status, incumbent_x, incumbent_obj, gap, nodes)
 
 
 def _eliminate(lp: LinearProgram, obj: np.ndarray, lb: np.ndarray, ub: np.ndarray,
-               scal: int | None, tol: float) -> LPSolution | None:
+               scal: int | None, tol: float) -> tuple[str, np.ndarray | None]:
     """The LP min obj @ x over lp's rows and lb <= x <= ub, solved by writing
     every variable as alpha + beta * s, s the scal variable within its bounds
     (module doc).
 
-    Returns None when the rules leave a variable undecided or scal's range is
-    not finite (no scal: s ranges over the point 0).
+    Returns (OPTIMAL, the optimum x) or (INFEASIBLE, None), and (UNDECIDED,
+    None) when the rules leave a variable undecided or scal's range is not
+    finite (no scal: s ranges over the point 0).
     """
     ptr, cols, coef, lo, hi, pos = lp._arrays()
     m, n = lo.size, obj.size
     ends = np.zeros(2) if scal is None else np.array([lb[scal], ub[scal]])
     if not np.isfinite(ends).all():
-        return None
+        return UNDECIDED, None
     known = (lb == ub) & np.isfinite(lb)      # a fixed variable is its bound
     alpha, beta = np.where(known, lb, 0.0), np.zeros(n)
     err = np.zeros(n)                         # bounds the rounding in alpha + beta * s
@@ -751,8 +383,9 @@ def _eliminate(lp: LinearProgram, obj: np.ndarray, lb: np.ndarray, ub: np.ndarra
         lower = np.concatenate([a > 0.0, a < 0.0, np.ones(v.size, bool),
                                 np.zeros(v.size, bool)])
         at = al[:, None] + be[:, None] * ends          # each bound at both span ends
-        # rule 2: any lower and upper bound of one variable that coincide at both
-        # ends decide it; pair each lower bound with every upper bound of its variable
+        # rule 2: any lower bound of a variable that meets or crosses one of its upper
+        # bounds at both ends decides it; pair each lower bound with every upper bound
+        # of its variable
         finite = np.isfinite(al)
         low, up = np.flatnonzero(lower & finite), np.flatnonzero(~lower & finite)
         up = up[np.argsort(var[up], kind="stable")]
@@ -762,10 +395,10 @@ def _eliminate(lp: LinearProgram, obj: np.ndarray, lb: np.ndarray, ub: np.ndarra
         ui = up[np.repeat(first - np.cumsum(count) + count, count) + np.arange(li.size)]
         slack = (ROUND_TOL * (1.0 + np.maximum(np.abs(at[li]), np.abs(at[ui])))
                  + (er[li] + er[ui])[:, None])
-        li = li[(np.abs(at[li] - at[ui]) <= slack).all(axis=1)]
+        li = li[(at[li] - at[ui] >= -slack).all(axis=1)]
         if li.size == 0:
-            return None
-        pair = np.full(n, li.size)            # each variable's first coinciding pair
+            return UNDECIDED, None
+        pair = np.full(n, li.size)            # each variable's first deciding pair
         np.minimum.at(pair, var[li], np.arange(li.size))
         decided = np.flatnonzero(pair < li.size)
         pick = li[pair[decided]]
@@ -790,8 +423,7 @@ def _eliminate(lp: LinearProgram, obj: np.ndarray, lb: np.ndarray, ub: np.ndarra
     s_hi = root[c1 > 0.0].min(initial=ends[1])
     s = s_hi if obj @ beta < 0.0 else s_lo
     # the best end must meet every side within feasibility_tol * (1 + |bound|);
-    # an intersection that crossed by less gives a point the simplex accepts too
+    # an intersection that crossed by less gives its end
     if (c0 + c1 * s > tol * (1.0 + np.abs(bnd))).any():
-        return LPSolution(INFEASIBLE, None, None, 0)
-    x = alpha + beta * s
-    return LPSolution(OPTIMAL, x, float(obj @ x), 0)
+        return INFEASIBLE, None
+    return OPTIMAL, alpha + beta * s

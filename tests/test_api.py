@@ -36,3 +36,8 @@ def test_test_only_helpers_left_the_package():
     assert not hasattr(oracle, "enumerate_alpha") and not hasattr(oracle, "rule_injections")
     assert not hasattr(milp, "dump_lp") and not hasattr(milp, "_fmt")
     assert not hasattr(oracle, "build_problem") and not hasattr(oracle, "solve_lp")
+    # the simplex is gone, not moved: elimination is the MILP's one LP method,
+    # and the tests' LP reference is scipy's HiGHS
+    for name in ("solve_lp", "LPSolution", "_StandardForm"):
+        assert name not in feedincap.__all__, name
+        assert not hasattr(feedincap, name) and not hasattr(milp, name), name

@@ -283,8 +283,7 @@ def _plan_example_milp(outdir, before=(), after=()):
 
 
 MILP_LINE = (r"DEBUG feedincap\.analysis: cell fl=1 case=a x1: milp optimal after 1 node\(s\), "
-             r"1 span\(s\) eliminated, 0 fallback\(s\), 0 LP iterations, gap 0, "
-             r"0 free trigger\(s\)\n")
+             r"gap 0, 0 free trigger\(s\)\n")
 
 
 def test_verbose_logs_the_milp_work_on_stderr(tmp_path):
@@ -314,16 +313,21 @@ def test_plan_infeasible_at_zero_distinct_exit(tmp_path, capsys):
 
 def test_plan_milp_budget_exit_writes_nothing(toy_file, tmp_path, capsys,
                                              monkeypatch):
-    from feedincap import analysis
+    # a search stopped by its node budget, and one that a span elimination
+    # cannot decide ends: exit 1, the status named on stderr, no plan written
+    from feedincap import analysis, milp
     from feedincap.milp import MILPSolution
-    monkeypatch.setattr(analysis, "solve_milp",
-                        lambda mip, cfg: MILPSolution("node_limit", None, None,
-                                                      float("inf"), 100_000, 0))
-    rc = cli.main(["plan", toy_file, "--engine", "milp",
-                   "--outdir", str(tmp_path)])
-    assert rc == 1
-    assert "node_limit" in capsys.readouterr().err
-    assert not (tmp_path / "plan.json").exists()
+    stubs = (("node_limit", analysis, "solve_milp",
+              lambda mip, cfg: MILPSolution("node_limit", None, None, float("inf"), 100_000)),
+             ("undecided", milp, "_eliminate", lambda *args: ("undecided", None)))
+    for status, module, name, stub in stubs:
+        with monkeypatch.context() as m:
+            m.setattr(module, name, stub)
+            rc = cli.main(["plan", toy_file, "--engine", "milp",
+                           "--outdir", str(tmp_path)])
+        assert rc == 1, status
+        assert f"milp returned {status}" in capsys.readouterr().err
+        assert not (tmp_path / "plan.json").exists()
 
 
 def test_plan_milp_without_a_feasible_factor_is_infeasible(tmp_path, capsys):

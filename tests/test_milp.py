@@ -10,29 +10,24 @@ from feedincap.milp import (
     LinearProgram,
     MILProblem,
     SolverConfig,
-    _pivot_update,
-    _ratio_test,
-    _SimplexState,
-    _StandardForm,
-    solve_lp,
     solve_milp,
 )
 from feedincap.formulation import Scenario, build_problem, extract_solution
 from feedincap.grid import parse_grid
 from feedincap.oracle import max_scal_bisection
-from util import (dump_lp, enumerate_alpha, reference_ratio_test, reference_reduced_costs,
-                  reference_standard_matrix, row_entries, valid_random_instances)
+from util import (dump_lp, enumerate_alpha, reference_lp, row_entries,
+                  valid_random_instances)
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def test_lp_single_var_at_bound():
+    # without binaries solve_milp solves the LP itself, as one span of scal
     lp = LinearProgram()
     lp.add_var("x", lb=0.0, ub=3.0, obj=-1.0)
-    sol = solve_lp(lp)
-    assert sol.status == "optimal"
-    assert sol.x[0] == pytest.approx(3.0)
-    assert sol.objective == pytest.approx(-3.0)
+    sol = solve_milp(MILProblem(lp, scal=0))
+    assert (sol.status, sol.nodes) == ("optimal", 1)
+    assert sol.x.tolist() == [3.0] and sol.objective == -3.0
 
 
 def test_add_row_sorts_entries_and_rejects_unknown_variables():
@@ -70,41 +65,48 @@ def test_add_row_sorts_entries_and_rejects_unknown_variables():
 
 
 def test_lp_infeasible():
+    # the row bounds x >= 1 and x <= 0 cross: x is written as 1, which breaks x <= 0
     lp = LinearProgram()
     x = lp.add_var("x", lb=-INF, ub=INF, obj=1.0)
     lp.add_row([x], [1.0], 1.0, INF)
     lp.add_row([x], [1.0], -INF, 0.0)
-    assert solve_lp(lp).status == "infeasible"
+    sol = solve_milp(MILProblem(lp))
+    assert (sol.status, sol.nodes, sol.x) == ("infeasible", 1, None)
+    assert reference_lp(lp)[0] == "infeasible"
 
 
 def test_lp_face_optimum():
+    # -x - y is -1 all along x + y = 1: the whole range of scal is optimal, and
+    # its lower end is taken
     lp = LinearProgram()
-    x = lp.add_var("x", obj=-1.0)
+    x = lp.add_var("x", ub=1.0, obj=-1.0)
     y = lp.add_var("y", obj=-1.0)
-    lp.add_row([x, y], [1.0, 1.0], -INF, 1.0)
-    sol = solve_lp(lp)
-    assert sol.status == "optimal"
-    assert sol.objective == pytest.approx(-1.0)
-    assert sol.x[0] + sol.x[1] == pytest.approx(1.0)
+    lp.add_row([x, y], [1.0, 1.0], 1.0, 1.0)
+    sol = solve_milp(MILProblem(lp, scal=x))
+    assert sol.status == "optimal" and sol.objective == -1.0
+    assert sol.x.tolist() == [0.0, 1.0]
 
 
 def test_lp_unbounded():
+    # a scal without a finite upper bound leaves its span undecided
     lp = LinearProgram()
     lp.add_var("x", lb=0.0, ub=INF, obj=-1.0)
-    assert solve_lp(lp).status == "unbounded"
+    sol = solve_milp(MILProblem(lp, scal=0))
+    assert (sol.status, sol.nodes, sol.x, sol.gap) == ("undecided", 1, None, INF)
+    assert reference_lp(lp)[0] == "unbounded"
 
 
 def test_lp_equality_row():
     lp = LinearProgram()
-    x = lp.add_var("x", obj=2.0)
+    x = lp.add_var("x", ub=10.0, obj=2.0)
     y = lp.add_var("y", obj=3.0)
     lp.add_row([x, y], [1.0, 1.0], 4.0, 4.0)
     lp.add_row([x, y], [1.0, -1.0], -INF, 2.0)
-    sol = solve_lp(lp)
+    sol = solve_milp(MILProblem(lp, scal=x))
     assert sol.status == "optimal"
-    # cheapest split puts everything on x, limited by x - y <= 2
-    assert sol.x[0] == pytest.approx(3.0)
-    assert sol.x[1] == pytest.approx(1.0)
+    # the equality writes y = 4 - x; the cheapest split puts everything on x,
+    # limited by x - y <= 2
+    assert sol.x.tolist() == [3.0, 1.0]
 
 
 # NaN bounds, lo > hi, and rows with no finite bound
@@ -125,20 +127,16 @@ def test_lp_rejects_bad_rows():
         lp.add_var("bad", lb=2.0, ub=1.0)
 
 
-def _random_lp(rng: np.random.Generator, ensure_feasible: bool = False,
-               ranged: bool = False) -> LinearProgram:
-    """A random LP of one-sided and equality rows; with ranged, each one-sided
-    row gets a second, finite bound (the random draws up to it are the same)."""
-    lp = LinearProgram()
-    n = int(rng.integers(2, 7))
-    for j in range(n):
-        lp.add_var(f"x{j}", lb=0.0, ub=float(rng.uniform(0.5, 5.0)),
-                   obj=float(rng.normal()))
-    x0 = rng.uniform(lp.lb, lp.ub)
+def _add_random_rows(lp: LinearProgram, rng: np.random.Generator, x0: np.ndarray,
+                     ensure_feasible: bool, ranged: bool, senses=("<=", ">=", "==")) -> None:
+    """Add 1-5 random rows, each of a random sense; with ensure_feasible x0
+    meets them all, and with ranged each one-sided row gets a second, finite
+    bound (the random draws up to it are the same)."""
+    n = lp.n_vars
     for _ in range(int(rng.integers(1, 6))):
         cols = rng.choice(n, size=min(n, int(rng.integers(1, 4))), replace=False)
         coef = [float(rng.normal()) for _ in cols]
-        sense = ("<=", ">=", "==")[int(rng.integers(0, 3))]
+        sense = senses[int(rng.integers(0, len(senses)))]
         slack = 0.0
         if ensure_feasible:
             at_x0 = sum(c * x0[j] for j, c in zip(cols, coef))
@@ -152,64 +150,80 @@ def _random_lp(rng: np.random.Generator, ensure_feasible: bool = False,
             width = slack + float(rng.uniform(0.0, 2.0))
             lo, hi = (hi - width, hi) if sense == "<=" else (lo, lo + width)
         lp.add_row(cols, coef, lo, hi)
+
+
+def _random_lp(rng: np.random.Generator, ensure_feasible: bool = False,
+               ranged: bool = False) -> LinearProgram:
+    """A random LP of one-sided and equality rows over bounded variables."""
+    lp = LinearProgram()
+    n = int(rng.integers(2, 7))
+    for j in range(n):
+        lp.add_var(f"x{j}", lb=0.0, ub=float(rng.uniform(0.5, 5.0)),
+                   obj=float(rng.normal()))
+    _add_random_rows(lp, rng, rng.uniform(lp.lb, lp.ub), ensure_feasible, ranged)
     return lp
 
 
-def _checked_against_scipy(lps: list[LinearProgram]) -> int:
-    """Solve each LP here and with scipy's HiGHS, assert that they agree, and
-    return how many both solved to optimality."""
-    scipy_opt = pytest.importorskip("scipy.optimize")
+def _eliminable_lp(rng: np.random.Generator, ensure_feasible: bool = False,
+                   ranged: bool = False) -> LinearProgram:
+    """A random LP that elimination decides: variable 0 is scal, with a finite
+    range, and each later variable is defined by an equality row over it and
+    up to two variables before it; then one-sided rows as in _random_lp. A
+    point x0 within the bounds meets the defining rows, and with
+    ensure_feasible every row."""
+    lp = LinearProgram()
+    lp.add_var("s", ub=float(rng.uniform(0.5, 5.0)), obj=float(rng.normal()))
+    x0 = [float(rng.uniform(0.0, lp.ub[0]))]
+    for j in range(1, int(rng.integers(2, 7))):
+        lo, hi = -float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.5, 5.0))
+        lp.add_var(f"x{j}", lb=lo, ub=hi, obj=float(rng.normal()))
+        x0.append(float(rng.uniform(lo, hi)))
+        cols = rng.choice(j, size=min(j, int(rng.integers(1, 3))), replace=False)
+        coef = rng.normal(size=cols.size)
+        a = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
+        rhs = a * x0[j] + sum(c * x0[k] for k, c in zip(cols.tolist(), coef.tolist()))
+        if not ensure_feasible:
+            rhs += float(rng.normal())
+        lp.add_row(np.append(cols, j), np.append(coef, a), rhs, rhs)
+    _add_random_rows(lp, rng, np.array(x0), ensure_feasible, ranged, senses=("<=", ">="))
+    return lp
+
+
+def _checked_against_highs(lps: list[LinearProgram]) -> int:
+    """Solve each LP by elimination, with variable 0 as scal, and with the
+    HiGHS reference, assert that they agree, and return how many both solved
+    to optimality."""
     checked = 0
     for lp in lps:
-        sol = solve_lp(lp)
-        a_ub, b_ub, a_eq, b_eq = [], [], [], []
-        for r, (lo, hi) in enumerate(zip(lp.row_lo, lp.row_hi)):
-            idx, coef = row_entries(lp, r)
-            dense = np.zeros(lp.n_vars)
-            for j, c in zip(idx, coef):
-                dense[j] = c
-            if lo == hi:
-                a_eq.append(dense), b_eq.append(hi)
-                continue
-            if hi < INF:
-                a_ub.append(dense), b_ub.append(hi)
-            if lo > -INF:
-                a_ub.append(-dense), b_ub.append(-lo)
-        ref = scipy_opt.linprog(
-            np.array(lp.obj), A_ub=np.array(a_ub) if a_ub else None,
-            b_ub=np.array(b_ub) if b_ub else None,
-            A_eq=np.array(a_eq) if a_eq else None,
-            b_eq=np.array(b_eq) if b_eq else None,
-            bounds=list(zip(lp.lb, lp.ub)), method="highs")
-        if ref.status == 0:
-            assert sol.status == "optimal"
-            assert sol.objective == pytest.approx(ref.fun, abs=1e-6)
+        sol = solve_milp(MILProblem(lp, scal=0))
+        status, x = reference_lp(lp)
+        assert sol.status == status
+        if status == "optimal":
+            want = float(np.asarray(lp.obj) @ x)
+            assert abs(sol.objective - want) <= 1e-9 * (1.0 + abs(want))
             checked += 1
-        elif ref.status == 2:
-            assert sol.status == "infeasible"
     return checked
 
 
 def test_lp_against_scipy():
     rng = np.random.default_rng(11)
-    lps = [_random_lp(rng, ensure_feasible=k % 2 == 0) for k in range(60)]
-    # a variable in no row (an empty column) and a row with no entries
-    alone, empty_row = _random_lp(rng, ensure_feasible=True), _random_lp(rng, ensure_feasible=True)
-    alone.add_var("alone", lb=-1.0, ub=2.0, obj=-1.0)
+    lps = [_eliminable_lp(rng, ensure_feasible=k % 2 == 0) for k in range(60)]
+    # a fixed variable in no row (an empty column) and a row with no entries
+    alone, empty_row = (_eliminable_lp(rng, ensure_feasible=True) for _ in range(2))
+    alone.add_var("alone", lb=2.0, ub=2.0, obj=-1.0)
     empty_row.add_row([], [], -INF, 1.0)
-    assert _checked_against_scipy(lps + [alone, empty_row]) >= 20
-    assert solve_lp(alone).x[-1] == 2.0
+    assert _checked_against_highs(lps + [alone, empty_row]) >= 20
+    assert solve_milp(MILProblem(alone, scal=0)).x[-1] == 2.0
 
 
 def test_ranged_rows_against_scipy():
-    # every one-sided row of a random LP given a second finite bound: a basic
-    # slack then has two finite bounds, and one that starts above its upper
-    # bound (the activity below lo) enters phase 1
+    # every one-sided row of a random LP given a second finite bound: either
+    # side may cut scal's range, and the lower side may be the one that binds
     rng = np.random.default_rng(21)
-    lps = [_random_lp(rng, ensure_feasible=k % 2 == 0, ranged=True) for k in range(80)]
+    lps = [_eliminable_lp(rng, ensure_feasible=k % 2 == 0, ranged=True) for k in range(80)]
     assert sum(lo > -INF and hi < INF and lo < hi for lp in lps
                for lo, hi in zip(lp.row_lo, lp.row_hi)) >= 100
-    assert _checked_against_scipy(lps) >= 30
+    assert _checked_against_highs(lps) >= 30
 
 
 def _lp_with_empty_ranges(rng: np.random.Generator) -> LinearProgram:
@@ -220,60 +234,10 @@ def _lp_with_empty_ranges(rng: np.random.Generator) -> LinearProgram:
     return lp
 
 
-def test_standard_form_columns_match_the_dense_matrix():
-    rng = np.random.default_rng(12)
-    for _ in range(200):
-        lp = _lp_with_empty_ranges(rng)
-        rows = np.flatnonzero(rng.random(lp.n_rows) < 0.7)
-        sf = _StandardForm.from_lp(lp, rows)
-        dense = np.zeros((sf.m, sf.width))
-        dense[sf.rows, sf.col] = sf.vals
-        assert np.array_equal(dense, reference_standard_matrix(lp, rows))
-        assert sf.ptr[-1] == sf.vals.size and (np.diff(sf.ptr) >= 0).all()
-        # within a column, rows ascend
-        assert all((np.diff(sf.rows[a:b]) > 0).all() for a, b in zip(sf.ptr, sf.ptr[1:]))
-
-
-def _assert_reduced_costs_match(lp: LinearProgram, rows: np.ndarray,
-                                rng: np.random.Generator) -> None:
-    sf = _StandardForm.from_lp(lp, rows)
-    A = reference_standard_matrix(lp, rows)
-    c = rng.standard_normal(sf.width) * (rng.random(sf.width) < 0.5)
-    y = rng.standard_normal(sf.m) * (rng.random(sf.m) < 0.5)
-    want = reference_reduced_costs(A, c, y)
-    assert (np.abs(sf.reduced_costs(c, y) - want) <= 1e-12 * (1.0 + np.abs(want))).all()
-
-
-def test_reduced_costs_match_the_dense_product():
-    rng = np.random.default_rng(13)
-    for _ in range(200):
-        lp = _lp_with_empty_ranges(rng)
-        _assert_reduced_costs_match(lp, np.flatnonzero(rng.random(lp.n_rows) < 0.7), rng)
-
-
-def test_reduced_costs_match_the_dense_product_on_the_kept_hybrid_form(hybrid):
-    # a span's fallback keeps every row of plan's LP
-    inst = build_problem(hybrid, Scenario(fl=0.7, case="b"), SolverConfig())
-    rng = np.random.default_rng(14)
-    for _ in range(5):
-        _assert_reduced_costs_match(inst.lp, np.arange(inst.lp.n_rows), rng)
-
-
-def test_basis_matrix_gathers_the_basis_columns():
-    rng = np.random.default_rng(15)
-    for _ in range(100):
-        lp = _lp_with_empty_ranges(rng)
-        sf = _StandardForm.from_lp(lp)
-        st = _SimplexState(sf, sf.lb_base, sf.ub_base)
-        st.basis = rng.permutation(sf.width)[:sf.m]
-        assert np.array_equal(st.basis_matrix(), reference_standard_matrix(lp)[:, st.basis])
-
-
 def test_lp_determinism():
     rng = np.random.default_rng(4)
-    lp = _random_lp(rng, ensure_feasible=True)
-    a = solve_lp(lp)
-    b = solve_lp(lp)
+    lp = _eliminable_lp(rng, ensure_feasible=True)
+    a, b = (solve_milp(MILProblem(lp, scal=0)) for _ in range(2))
     assert a.status == b.status == "optimal"
     assert a.x.tobytes() == b.x.tobytes()
 
@@ -287,56 +251,6 @@ def test_activities_match_row_sums():
         want = np.array([sum(c * x[j] for j, c in zip(idx.tolist(), coef.tolist()))
                          for idx, coef in (row_entries(lp, r) for r in range(lp.n_rows))])
         assert lp.activities(x).tobytes() == want.tobytes()
-
-
-# -- simplex kernels -----------------------------------------------------------
-
-
-def _ratio_case(rng: np.random.Generator):
-    """Basis rows with exact ties, chains of near-ties within 1e-12, zero and
-    sub-tolerance steps, and infinite bounds."""
-    m = int(rng.integers(1, 30))
-    n = m + int(rng.integers(0, 10))
-    basis = rng.permutation(n)[:m]
-    lb = rng.choice([-INF, -2.0, -1.0, 0.0], n)
-    ub = rng.choice([INF, 0.0, 1.0, 2.0], n)
-    step = rng.choice([0.0, -0.0, 1e-9, -1e-9, 5e-10, 1.0000001e-9, -1.0000001e-9,
-                       0.5, -0.5, 1.0, -1.0, 1.0, -1.0, 2.0, -2.0], m)
-    bvals = (rng.integers(-3, 4, m).astype(float)
-             + 0.4e-12 * rng.integers(0, 5, m) * (rng.random(m) < 0.7))
-    if rng.random() < 0.5:
-        # every step of magnitude 1 lands within 1.6e-12 of t = 1
-        lb[:], ub[:] = 0.0, 2.0
-        bvals = 1.0 + 0.4e-12 * rng.integers(-4, 5, m)
-    return step, bvals, lb, ub, basis
-
-
-def test_ratio_test_matches_full_row_loop():
-    rng = np.random.default_rng(5)
-    chained = (np.ones(3), np.array([1.0, 1.0 + 0.8e-12, 1.0 + 1.6e-12]),
-               np.zeros(6), np.full(6, INF), np.array([5, 3, 1]))
-    cases = [chained] + [_ratio_case(rng) for _ in range(3000)]
-    for step, bvals, lb, ub, basis in cases:
-        r, t = _ratio_test(step, bvals, lb, ub, basis, 1e-9)
-        r_ref, t_ref = reference_ratio_test(step, bvals, lb, ub, basis, 1e-9)
-        assert (r, float(t).hex()) == (r_ref, float(t_ref).hex())
-    # each near-tie with a lower variable index takes over, one after another
-    assert _ratio_test(*chained, 1e-9)[0] == 2
-
-
-def test_pivot_update_matches_dense_update():
-    rng = np.random.default_rng(3)
-    for _ in range(300):
-        m = int(rng.integers(1, 40))
-        B_inv = rng.standard_normal((m, m)) * (rng.random((m, m)) < rng.uniform(0.02, 0.5))
-        w = rng.standard_normal(m) * (rng.random(m) < rng.uniform(0.05, 0.6))
-        r = int(rng.integers(m))
-        w[r] = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0)
-        brow = B_inv[r] / w[r]
-        want = B_inv - np.outer(w, brow)
-        want[r] = brow
-        _pivot_update(B_inv, w, r)
-        assert np.array_equal(B_inv, want)
 
 
 # -- MILP --------------------------------------------------------------------
@@ -369,11 +283,11 @@ def test_milp_fixed_binaries_reduce_to_lp():
         lp = _indicator_lp()
         lp.lb[0], lp.ub[0] = s_lo, s_hi
         lp.lb[1] = lp.ub[1] = a
-        ref = solve_lp(lp)
+        status, ref = reference_lp(lp)
         sol = solve_milp(_indicator_mip(lp))
-        assert sol.status == ref.status == "optimal"
-        assert (sol.nodes, sol.spans, sol.fallbacks) == (1, 1, 0)   # decided by elimination
-        assert sol.x.tobytes() == ref.x.tobytes() and sol.objective == ref.objective
+        assert (sol.status, sol.nodes) == (status, 1) == ("optimal", 1)
+        assert sol.x == pytest.approx(ref, abs=1e-9)
+        assert sol.objective == pytest.approx(float(np.asarray(lp.obj) @ ref), abs=1e-9)
 
 
 def test_milp_branches_on_the_premise_root():
@@ -421,7 +335,7 @@ def test_milp_infeasible():
     # s >= 3.75 rules out a = 0 and s + 10 a <= 13.9 rules out a = 1, while
     # the LP with a relaxed is feasible; each span is one node
     lp = _indicator_lp(([0], [1.0], 3.75, INF), ([0, 1], [1.0, 10.0], -INF, 13.9))
-    assert solve_lp(lp).status == "optimal"
+    assert reference_lp(lp)[0] == "optimal"
     sol = solve_milp(_indicator_mip(lp))
     assert (sol.status, sol.nodes) == ("infeasible", 2)
     assert sol.x is None and sol.gap == INF
@@ -456,24 +370,22 @@ def test_milp_determinism():
 
 def test_a_span_elimination_cannot_decide_falls_back_to_the_simplex():
     # every row keeps two undecided variables, so no row bounds a variable by
-    # itself and the span's LP goes to the simplex
+    # itself: the span's LP, which HiGHS solves, ends the search undecided
     lp = LinearProgram()
     x = lp.add_var("x", ub=5.0, obj=-2.0)
     y = lp.add_var("y", ub=5.0, obj=-1.0)
     lp.add_row([x, y], [1.0, 1.0], -INF, 6.0)
     lp.add_row([x, y], [1.0, -1.0], -2.0, 2.0)
-    ref = solve_lp(lp)
+    assert reference_lp(lp)[0] == "optimal"
     sol = solve_milp(MILProblem(lp))
-    assert sol.status == ref.status == "optimal"
-    assert (sol.nodes, sol.spans, sol.fallbacks) == (1, 0, 1)
-    assert sol.lp_iterations == ref.iterations > 0
-    assert sol.x.tobytes() == ref.x.tobytes() and sol.objective == ref.objective
+    assert (sol.status, sol.nodes, sol.lp_iterations) == ("undecided", 1, 0)
+    assert sol.x is None and sol.objective is None and sol.gap == INF
 
 
 def _span_mip(slope, inter) -> MILProblem:
     """max s over s in [0, 10] with one indicator per premise slope[i] * s +
-    inter[i], and a row s + y >= 30 with y <= 5 that no span meets, so the LP
-    of every span finds it infeasible."""
+    inter[i], and a row s + y >= 30 with y <= 5 that no span meets: its bound
+    y >= 30 - s crosses y <= 5 all along every span, which is infeasible."""
     lp = LinearProgram()
     s = lp.add_var("s", ub=10.0, obj=-1.0)
     y = lp.add_var("y", ub=5.0)
@@ -493,7 +405,7 @@ def test_every_span_infeasible_takes_one_node_per_span(slope, inter, spans):
     # range into the spans; a premise that keeps its sign (root -5) cuts none
     sol = solve_milp(_span_mip(slope, inter))
     assert (sol.status, sol.nodes) == ("infeasible", spans)
-    assert sol.x is None and sol.gap == INF and (sol.spans, sol.fallbacks) == (0, spans)
+    assert sol.x is None and sol.gap == INF
 
 
 def test_a_cost_on_a_binary_orders_the_spans_by_their_bounds():
@@ -516,7 +428,7 @@ def test_a_cost_on_a_binary_orders_the_spans_by_their_bounds():
 
 
 def test_a_cost_on_an_unbounded_variable_solves_the_spans_in_order():
-    # z >= -1 holds only as a row, so z's bound -inf makes every span's bound
+    # z = -1 - s holds only as a row, so z's bound -inf makes every span's bound
     # -inf: [0, 4] is solved first, then [4, 10], whose optimum is the best
     lp = LinearProgram()
     s = lp.add_var("s", ub=10.0, obj=-1.0)
@@ -524,7 +436,7 @@ def test_a_cost_on_an_unbounded_variable_solves_the_spans_in_order():
     z = lp.add_var("z", lb=-INF, obj=1.0)
     lp.add_row([s, a], [1.0, -10.5], -INF, 3.5)
     lp.add_row([s, a], [1.0, -4.0], 0.0, INF)
-    lp.add_row([z, s], [1.0, 1.0], -1.0, INF)
+    lp.add_row([z, s], [1.0, 1.0], -1.0, -1.0)
     mip = MILProblem(lp, binaries=(a,), scal=s, slope=[1.0], inter=[-4.0])
     sol = solve_milp(mip, SolverConfig(node_limit=1))
     assert (sol.status, sol.nodes, sol.gap) == ("node_limit", 1, INF)
@@ -562,12 +474,12 @@ def test_scal_branching_matches_enumeration_on_random_instances(all_hours):
 
 
 def _two_var_lp(y_lo: float = -INF):
-    """max 2x + y with x + y <= 8, x <= 3, which binds, and y_lo <= y <= 100,
-    whose upper side never binds."""
+    """max 2x + y over the scal x with x + y = 8, x <= 3, which binds, and
+    y_lo <= y <= 100, whose upper side never binds."""
     lp = LinearProgram()
     x = lp.add_var("x", ub=10.0, obj=-2.0)
     y = lp.add_var("y", ub=10.0, obj=-1.0)
-    lp.add_row([x, y], [1.0, 1.0], -INF, 8.0)
+    lp.add_row([x, y], [1.0, 1.0], 8.0, 8.0)
     lp.add_row([x], [1.0], -INF, 3.0)
     lp.add_row([y], [1.0], y_lo, 100.0)
     return lp
@@ -576,18 +488,13 @@ def _two_var_lp(y_lo: float = -INF):
 def test_deferred_row_violated_at_the_relaxed_optimum_is_added():
     # x <= 3 cuts x = 8, y = 0, the optimum without it; every row is kept from
     # the start, so it holds at the first span's optimum
-    lp = _two_var_lp()
-    sol = solve_milp(MILProblem(lp))
-    full = solve_lp(lp)
-    assert (sol.status, sol.nodes) == (full.status, 1) == ("optimal", 1)
-    assert sol.objective == pytest.approx(full.objective) == -11.0
-    assert sol.x == pytest.approx(full.x) == [3.0, 5.0]
-    # a ranged row that binds on its lower side: x = 2, y = 6
-    lp = _two_var_lp(y_lo=6.0)
-    sol = solve_milp(MILProblem(lp))
+    sol = solve_milp(MILProblem(_two_var_lp(), scal=0))
     assert (sol.status, sol.nodes) == ("optimal", 1)
-    assert sol.x == pytest.approx([2.0, 6.0]) and sol.objective == pytest.approx(-10.0)
-    assert sol.x.tobytes() == solve_lp(lp).x.tobytes()
+    assert sol.x.tolist() == [3.0, 5.0] and sol.objective == -11.0
+    # a ranged row that binds on its lower side: x = 2, y = 6
+    sol = solve_milp(MILProblem(_two_var_lp(y_lo=6.0), scal=0))
+    assert (sol.status, sol.nodes) == ("optimal", 1)
+    assert sol.x.tolist() == [2.0, 6.0] and sol.objective == -10.0
 
 
 def test_leaf_that_breaks_a_deferred_row_is_solved_again_in_the_same_search():
@@ -698,7 +605,7 @@ def test_presolved_nodes_keep_every_status_and_row_on_random_instances(seed):
         for hours in (scenario.hours, tuple(range(grid.hour_count))):
             inst = build_problem(grid, replace(scenario, hours=hours), cfg)
             sol = solve_milp(inst.mip, cfg)
-            assert (sol.status, sol.fallbacks) == ("optimal", 0)
+            assert sol.status == "optimal"
             _assert_every_row_holds(inst.lp, sol.x, cfg)
             star = max_scal_bisection(grid, replace(scenario, hours=hours), cfg).scal_star
             assert abs(sol.x[inst.scal_idx] - star) <= 1e-9 * (1.0 + star)
@@ -713,7 +620,7 @@ def test_presolved_nodes_keep_every_status_and_row_on_the_fixtures(name):
             scenario = Scenario(fl=fl, case=case)
             inst = build_problem(grid, scenario, cfg)
             sol = solve_milp(inst.mip, cfg)
-            assert (sol.status, sol.nodes, sol.fallbacks) == ("optimal", 1, 0), (fl, case)
+            assert (sol.status, sol.nodes) == ("optimal", 1), (fl, case)
             _assert_every_row_holds(inst.lp, sol.x, cfg)
             scal = extract_solution(inst, sol)
             star = max_scal_bisection(grid, scenario, cfg).scal_star
@@ -736,7 +643,7 @@ def test_a_row_met_to_within_its_rounding_cuts_no_span():
             y = lp.add_var("y")
             lp.add_row([s, y], [-c, a], d, d)
             sol = solve_milp(MILProblem(lp, scal=s))
-            assert (sol.status, sol.spans, sol.x[s]) == ("optimal", 1, end), (a, c, d)
+            assert (sol.status, sol.nodes, sol.x[s]) == ("optimal", 1, end), (a, c, d)
             assert sol.x[y] == pytest.approx((d + c * end) / a, rel=1e-14)
 
 
@@ -749,25 +656,23 @@ def test_a_zero_entry_bounds_nothing():
     lp.add_row([s, y], [1.0, 0.0], -INF, 4.0)
     lp.add_row([s, y], [-1.0, 1.0], 0.0, 0.0)
     sol = solve_milp(MILProblem(lp, scal=s))
-    assert (sol.status, sol.spans, sol.fallbacks) == ("optimal", 1, 0)
-    assert sol.x.tolist() == [4.0, 4.0] and sol.x.tobytes() == solve_lp(lp).x.tobytes()
+    assert (sol.status, sol.nodes) == ("optimal", 1) and sol.x.tolist() == [4.0, 4.0]
 
 
 def test_presolve_drops_redundant_rows_and_turns_singletons_into_bounds():
     # elimination, the presolve left, reads a redundant row as met and a row
-    # with one open variable as a bound on it, where the simplex keeps both
+    # with one open variable as a bound on it
     lp = LinearProgram()
     x = lp.add_var("x", ub=2.0, obj=-1.0)
     y = lp.add_var("y", ub=3.0, obj=1.0)
     z = lp.add_var("z", lb=1.0, ub=1.0)
     lp.add_row([x, y], [1.0, 1.0], -INF, 10.0)      # redundant: at most 5
     lp.add_row([x, z], [-2.0, 2.0], -1.0, INF)      # z fixed: -2x >= -3, so x <= 1.5
-    lp.add_row([x, y], [1.0, 1.0], 1.0, INF)        # two open variables
-    lp.add_row([y, z], [1.0, -1.0], -INF, 1.5)      # y <= 2.5
+    lp.add_row([x, y], [1.0, 1.0], 1.0, INF)        # y written: x >= 1 - y
+    lp.add_row([y, z], [1.0, 1.0], -INF, 1.0)       # y <= 0, which meets y >= 0
     lp.add_row([], [], -1.0, 1.0)                   # empty: 0 lies within its bounds
-    sol = solve_milp(MILProblem(lp))
-    assert sol.status == "optimal" and sol.x.tolist() == [1.5, 0.0, 1.0]
-    assert sol.x.tobytes() == solve_lp(lp).x.tobytes()
+    sol = solve_milp(MILProblem(lp, scal=x))
+    assert (sol.status, sol.nodes) == ("optimal", 1) and sol.x.tolist() == [1.5, 0.0, 1.0]
 
 
 def test_presolve_rules_out_a_node_whose_singleton_bounds_cross():
@@ -778,7 +683,7 @@ def test_presolve_rules_out_a_node_whose_singleton_bounds_cross():
     lp.add_row([x, b], [1.0, -2.0], 2.0, INF)
     sol = solve_milp(MILProblem(lp))
     assert (sol.status, sol.nodes) == ("infeasible", 1)
-    assert solve_lp(lp).status == "infeasible"
+    assert reference_lp(lp)[0] == "infeasible"
     # two singletons on one variable that cross: x >= 2 and x <= 1
     lp = LinearProgram()
     x = lp.add_var("x", ub=3.0)
@@ -786,21 +691,24 @@ def test_presolve_rules_out_a_node_whose_singleton_bounds_cross():
     lp.add_row([x], [1.0], -INF, 1.0)
     sol = solve_milp(MILProblem(lp))
     assert (sol.status, sol.nodes) == ("infeasible", 1)
-    assert solve_lp(lp).status == "infeasible"
-    # bounds that cross by less than the tolerance: the simplex decides, as alone
+    assert reference_lp(lp)[0] == "infeasible"
+    # bounds that cross by less than feasibility_tol: x is the lower one
     lp = LinearProgram()
     x = lp.add_var("x", ub=3.0, obj=-1.0)
     lp.add_row([x], [1.0], 3.0 + 1e-9, INF)
-    assert solve_milp(MILProblem(lp)).status == solve_lp(lp).status == "optimal"
+    sol = solve_milp(MILProblem(lp))
+    assert (sol.status, sol.nodes) == ("optimal", 1) and sol.x.tolist() == [3.0 + 1e-9]
 
 
-def _assert_elimination_matches_the_simplex(mip, scal_idx, cfg, monkeypatch, where):
+def _assert_elimination_matches_highs(mip, scal_idx, cfg, monkeypatch, where):
+    """solve_milp as it is and with every span's LP solved by the HiGHS
+    reference under the same bounds agree on the status and on scal."""
     sol = solve_milp(mip, cfg)
-    with monkeypatch.context() as m:             # every span left to the simplex
-        m.setattr(milp, "_eliminate", lambda *args: None)
+    with monkeypatch.context() as m:
+        m.setattr(milp, "_eliminate",
+                  lambda lp, obj, lb, ub, scal, tol: reference_lp(lp, lb, ub))
         ref = solve_milp(mip, cfg)
-    assert sol.fallbacks == 0 and sol.spans == sol.nodes, where
-    assert ref.spans == 0 and sol.status == ref.status, where
+    assert sol.status == ref.status and sol.nodes == ref.nodes, where
     if ref.status == "optimal":
         s, want = sol.x[scal_idx], ref.x[scal_idx]
         assert abs(s - want) <= 1e-9 * (1.0 + abs(want)), where
@@ -813,8 +721,8 @@ def test_elimination_decides_every_fixture_span_as_the_simplex_does(name, monkey
     for fl in (1.0, 0.7):
         for case in ("a", "b"):
             inst = build_problem(grid, Scenario(fl=fl, case=case), cfg)
-            _assert_elimination_matches_the_simplex(inst.mip, inst.scal_idx, cfg, monkeypatch,
-                                                    (fl, case))
+            _assert_elimination_matches_highs(inst.mip, inst.scal_idx, cfg, monkeypatch,
+                                              (fl, case))
 
 
 @pytest.mark.parametrize("all_hours", [False, True], ids=["worst_hour", "all_hours"])
@@ -826,7 +734,7 @@ def test_elimination_decides_every_random_span_as_the_simplex_does(all_hours, mo
             if all_hours:
                 scenario = replace(scenario, hours=tuple(range(grid.hour_count)))
             inst = build_problem(grid, scenario, cfg)
-            _assert_elimination_matches_the_simplex(inst.mip, inst.scal_idx, cfg, monkeypatch,
-                                                    (seed, count))
+            _assert_elimination_matches_highs(inst.mip, inst.scal_idx, cfg, monkeypatch,
+                                              (seed, count))
             count += 1
     assert count == 200

@@ -302,11 +302,11 @@ def test_enumerate_restores_bounds_when_a_solve_fails(monkeypatch):
     assert any(inst.lp.lb[j] < inst.lp.ub[j] for j in inst.binaries)
     before = (list(inst.lp.lb), list(inst.lp.ub))
 
-    def crash(lp, cfg):
+    def crash(lp):
         raise RuntimeError("solver crashed")
 
     monkeypatch.setattr(util, "build_problem", lambda *a, **kw: inst)
-    monkeypatch.setattr(util, "solve_lp", crash)
+    monkeypatch.setattr(util, "reference_lp", crash)
     with pytest.raises(RuntimeError, match="solver crashed"):
         enumerate_alpha(grid, scenario, max_free=64)
     assert (list(inst.lp.lb), list(inst.lp.ub)) == before

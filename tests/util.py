@@ -7,11 +7,12 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linprog
+from scipy.sparse import csr_array, vstack
 
 from feedincap.grid import Bus, GenUnit, Grid, Line
 from feedincap.formulation import Scenario, build_problem, node_aggregates
-from feedincap.milp import (INF, LinearProgram, MILProblem, SolverConfig, indicator_bounds,
-                           solve_lp)
+from feedincap.milp import INF, LinearProgram, MILProblem, SolverConfig, indicator_bounds
 from feedincap.network import SLACK_VOLTAGE
 from feedincap.oracle import OracleError, RuleState, _rule_state, feasible_at
 
@@ -216,31 +217,6 @@ def reference_flagged_rows(values, masks, hours, line_order, bus_order, limit=No
     return int(ks.size), rows
 
 
-def reference_ratio_test(step, bvals, lb, ub, basis, piv_tol):
-    """The simplex ratio test as a loop over every basis row: the reference
-    for milp._ratio_test. Returns (blocking row or -1, step length)."""
-    t_best = float("inf")
-    r_block = -1
-    for i in range(len(step)):
-        si = step[i]
-        if si > piv_tol:
-            bound = lb[basis[i]]
-        elif si < -piv_tol:
-            bound = ub[basis[i]]
-        else:
-            continue
-        if not np.isfinite(bound):
-            continue
-        t_i = max(0.0, (bvals[i] - bound) / si)
-        if t_i < t_best - 1e-12 or (
-            t_i < t_best + 1e-12
-            and (r_block < 0 or basis[i] < basis[r_block])
-        ):
-            t_best = t_i
-            r_block = i
-    return r_block, t_best
-
-
 def row_entries(lp: LinearProgram, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Row r's variable indices and coefficients: slices of the LP's
     row-compressed arrays."""
@@ -248,22 +224,30 @@ def row_entries(lp: LinearProgram, r: int) -> tuple[np.ndarray, np.ndarray]:
     return lp.indices[a:b], lp.data[a:b]
 
 
-def reference_standard_matrix(lp: LinearProgram, rows=None) -> np.ndarray:
-    """The standard form's A as a dense m x (n + m) array, the given rows of lp
-    (default all) beside an identity for their slacks: the reference for
-    milp._StandardForm's compressed columns."""
-    rows = range(lp.n_rows) if rows is None else [int(i) for i in rows]
-    A = np.zeros((len(rows), lp.n_vars + len(rows)))
-    for pos, i in enumerate(rows):
-        idx, coef = row_entries(lp, i)
-        A[pos, idx] = coef
-        A[pos, lp.n_vars + pos] = 1.0
-    return A
+HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
-def reference_reduced_costs(A: np.ndarray, c: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """c - A.T @ y with a dense A: the reference for milp's pricing by entries."""
-    return c - A.T @ y
+def reference_lp(lp: LinearProgram, lb=None, ub=None) -> tuple[str, np.ndarray | None]:
+    """min lp.obj @ x over lp's rows and lb <= x <= ub (default lp's own
+    bounds), solved by scipy's HiGHS with its primal and dual feasibility
+    tolerances at 1e-10: the reference for solve_milp's elimination. Returns
+    ("optimal", x), ("infeasible", None) or ("unbounded", None); any other
+    HiGHS outcome fails the calling test."""
+    A = csr_array((lp.data, lp.indices, lp.indptr), shape=(lp.n_rows, lp.n_vars))
+    lo, hi = lp.row_lo, lp.row_hi
+    eq, upper, lower = lo == hi, (lo < hi) & (hi < INF), (lo < hi) & (lo > -INF)
+    bounds = np.column_stack([lp.lb if lb is None else lb, lp.ub if ub is None else ub])
+    ub_rows = upper.any() or lower.any()
+    res = linprog(np.asarray(lp.obj, dtype=float),
+                  A_ub=vstack([A[upper], -A[lower]]) if ub_rows else None,
+                  b_ub=np.concatenate([hi[upper], -lo[lower]]) if ub_rows else None,
+                  A_eq=A[eq] if eq.any() else None, b_eq=hi[eq] if eq.any() else None,
+                  bounds=bounds, method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    if res.status not in HIGHS_STATUS:
+        raise AssertionError(f"HiGHS ended with status {res.status}: {res.message}")
+    return HIGHS_STATUS[res.status], res.x if res.status == 0 else None
 
 
 def reference_network_rows(inst) -> list[tuple[dict[int, float], float, float]]:
@@ -393,7 +377,8 @@ def enumerate_alpha(grid: Grid, scenario: Scenario,
                     cfg: SolverConfig | None = None, *,
                     fix_scal: float | None = None,
                     max_free: int = 20) -> EnumerationResult:
-    """Brute-force the MILP: one LP per assignment of the free triggers.
+    """Brute-force the MILP: one LP per assignment of the free triggers, each
+    solved by reference_lp.
 
     Exponential by design; refuses more than max_free free binaries. The
     pre-fixing inside build_problem already removes every trigger whose
@@ -442,11 +427,12 @@ def enumerate_alpha(grid: Grid, scenario: Scenario,
             if lo > hi:
                 continue
             lp.lb[s], lp.ub[s] = lo, hi
-            sol = solve_lp(lp, cfg)
-            if sol.status == "optimal":
-                solutions.append(sol.x.copy())
-                if best_obj is None or sol.objective < best_obj - 1e-12:
-                    best_obj, best_x = sol.objective, solutions[-1]
+            status, x = reference_lp(lp)
+            if status == "optimal":
+                solutions.append(x)
+                objective = float(np.asarray(lp.obj) @ x)
+                if best_obj is None or objective < best_obj - 1e-12:
+                    best_obj, best_x = objective, x
     finally:
         lp.lb[:] = base_lb
         lp.ub[:] = base_ub
