@@ -6,8 +6,9 @@ stops the expansion, when feed-in above a fraction FL of installed capacity
 (net of concurrent local demand) is curtailed. Two engines answer it
 independently: a MILP over a linearized power flow, whose every LP is solved
 by elimination down to the expansion factor, and a closed-form rule
-evaluation with an exact tangent search on the expansion factor. An AC sweep
-validates the linearization.
+evaluation with an exact tangent search on the expansion factor. The test
+suite, not the package, checks the linearization against an exact AC sweep
+(acceptance criterion 7).
 """
 
 from .analysis import (
@@ -41,7 +42,7 @@ from .grid import (
     validate_grid,
 )
 from .milp import MILProblem, SolverConfig, solve_milp
-from .network import ac_sweep, build_linear_model, compare_models, evaluate_linear
+from .network import build_linear_model, evaluate_linear
 from .oracle import annual_simulate, feasible_at, max_scal_bisection, oracle_plan
 
 __version__ = "0.1.0"
@@ -50,8 +51,7 @@ __all__ = [
     "BindingReport", "Bus", "EnergyAccount",
     "GenUnit", "Grid", "GridFormatError", "Line", "MILProblem", "PlanResult",
     "Scenario", "SolverConfig", "SweepSpec",
-    "ac_sweep", "annual_simulate", "build_linear_model",
-    "build_problem", "check_monotonicity", "compare_models",
+    "annual_simulate", "build_linear_model", "build_problem", "check_monotonicity",
     "curtailment_rule", "emit_report", "energy_account", "example_grid_7kwp",
     "extract_solution", "feasible_at", "find_bottlenecks", "max_scal_bisection",
     "oracle_plan", "parse_grid", "run_sweep", "scenario_from_json", "scenario_to_json",

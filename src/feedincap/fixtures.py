@@ -100,8 +100,9 @@ def _year_series(seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
 def _hour_slice(pv: np.ndarray, hours: int) -> np.ndarray:
     """Which positions of the year a fixture of the given length keeps.
 
-    1 keeps the clear-sky peak hour, 24 the whole design day, anything else
-    strides through the year (8760 gives the full series).
+    hours runs from 1 to 8760, so no hour is kept twice. 1 keeps the
+    clear-sky peak hour, 24 the whole design day, anything else strides
+    through the year (8760 gives the full series).
     """
     peak = int(np.argmax(pv))
     if hours == 1:
@@ -109,8 +110,7 @@ def _hour_slice(pv: np.ndarray, hours: int) -> np.ndarray:
     if hours == 24:
         day0 = (peak // 24) * 24
         return np.arange(day0, day0 + 24)
-    stride = max(1, HOURS_PER_YEAR // hours)
-    idx = np.arange(0, stride * hours, stride)[:hours] % HOURS_PER_YEAR
+    idx = np.arange(hours) * (HOURS_PER_YEAR // hours)
     if peak not in idx:
         idx[int(np.argmax(pv[idx]))] = peak   # keep the design peak reachable
     return np.sort(idx)
@@ -122,6 +122,8 @@ def synth_profiles(kind: str, hours: int, seed: int = 1) -> ProfileSet:
         raise ValueError(f"unknown fixture kind {kind!r}")
     if hours < 1:
         raise ValueError("hours must be >= 1")
+    if hours > HOURS_PER_YEAR:
+        raise ValueError(f"hours must be at most {HOURS_PER_YEAR}")
     pv, wind, ror, dem = _year_series(seed)
     idx = _hour_slice(pv, hours)
     return ProfileSet(

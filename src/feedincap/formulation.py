@@ -20,7 +20,7 @@ splits between its units decides nothing, and oracle.oracle_plan reports it.
 Network limits enter as affine rows in the injections (see network.py), so
 the model carries no flow or voltage variables: one thermal row per line and
 one voltage row per bus and hour, each with both its limits. ProblemInstance.mip
-defers these rows: the solver adds one only when a solution violates it.
+keeps every one of these rows in the MILP that milp.solve_milp solves.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Radial network physics: linearized power flow and an AC sweep validator.
+"""Radial network physics: the linearized power flow both engines plan on.
 
 The linear model is the usual lossless branch-flow linearization for radial
 feeders. With net injections s_j (generation minus demand, MW, positive into
@@ -8,11 +8,9 @@ the grid) at non-slack buses:
     v_i    = v_slack^2 + 2 * sum_l in path(i) (r_l * P_l + x_l * Q_l) / base
 
 where v_i is the squared voltage magnitude in p.u. Both maps are affine in the
-injections, so they double as constraint rows for the planning problem.
-
-ac_sweep is the independent check: a full backward/forward sweep on the exact
-AC equations, converging on per-bus apparent-power mismatch. It shares nothing
-with the linear path except the Grid object.
+injections, so they double as constraint rows for the planning problem. The
+package ships no AC power flow: the test suite checks this model against an
+exact AC backward/forward sweep of its own (acceptance criterion 7).
 """
 
 from __future__ import annotations
@@ -25,16 +23,10 @@ from .grid import Grid, tree_walk
 
 
 SLACK_VOLTAGE = 1.0     # p.u., magnitude held at the slack bus
-AC_TOL = 1e-8           # AC sweep: largest per-bus apparent-power mismatch, p.u.
-AC_MAX_ITER = 100       # AC sweep iterations before ConvergenceError
 
 
 class NetworkError(ValueError):
     pass
-
-
-class ConvergenceError(RuntimeError):
-    """AC sweep failed to reach AC_TOL within AC_MAX_ITER iterations."""
 
 
 @dataclass(frozen=True)
@@ -64,11 +56,11 @@ class LinearNetworkModel:
         return len(self.bus_order)
 
 
-def _tree(grid: Grid) -> tuple[str, dict[str, tuple[str, int]], list[str]]:
+def _tree(grid: Grid) -> tuple[str, dict[str, tuple[str, int]]]:
     """Orient the tree away from the slack.
 
-    Returns (slack_id, parent map: bus -> (parent bus, line index), buses in
-    BFS order from the slack). Raises NetworkError on non-tree input.
+    Returns (slack_id, parent map: bus -> (parent bus, line index)). Raises
+    NetworkError on non-tree input.
     """
     ids = {b.id for b in grid.buses}
     for ln in grid.lines:
@@ -82,11 +74,11 @@ def _tree(grid: Grid) -> tuple[str, dict[str, tuple[str, int]], list[str]]:
     parent, order = tree_walk(grid, root)
     if len(order) != len(grid.buses) or len(grid.lines) != len(grid.buses) - 1:
         raise NetworkError("grid is not a connected radial tree")
-    return root, parent, order
+    return root, parent
 
 
 def build_linear_model(grid: Grid) -> LinearNetworkModel:
-    root, parent, order = _tree(grid)
+    root, parent = _tree(grid)
     cols = [i for i, b in enumerate(grid.buses) if b.id != root]
     nonslack = [grid.buses[i] for i in cols]
     n = len(nonslack)
@@ -148,149 +140,3 @@ def evaluate_linear(
     flows = p @ model.flow_map.T
     v = SLACK_VOLTAGE**2 + p @ model.voltage_map_p.T + q @ model.voltage_map_q.T
     return flows, v
-
-
-@dataclass(frozen=True)
-class ACState:
-    converged: bool
-    iterations: int
-    mismatch: float                      # worst |dS| in MVA
-    bus_order: tuple[str, ...]           # non-slack, as in the linear model
-    voltages: np.ndarray                 # complex p.u., per bus_order
-    line_order: tuple[str, ...]
-    flow_p: np.ndarray                   # MW at the downstream end, toward slack
-    flow_q: np.ndarray                   # MVAr
-    losses_mw: float
-
-
-def ac_sweep(
-    grid: Grid,
-    p_mw: np.ndarray,
-    q_mvar: np.ndarray | None = None,
-) -> ACState:
-    """Backward/forward sweep AC power flow for one operating point.
-
-    Injections are net MW/MVAr per non-slack bus in document order (same
-    convention as evaluate_linear). Convergence is measured as the largest
-    per-bus apparent-power mismatch implied by the voltage profile. Raises
-    ConvergenceError if AC_MAX_ITER is exhausted and NetworkError for
-    zero-impedance lines (the mismatch is undefined there).
-    """
-    root, parent, order = _tree(grid)
-    nonslack = [b.id for b in grid.buses if b.id != root]
-    pos = {bid: i for i, bid in enumerate(nonslack)}
-    p = np.asarray(p_mw, dtype=float)
-    if p.shape != (len(nonslack),):
-        raise NetworkError(f"expected injections of shape ({len(nonslack)},), got {p.shape}")
-    q = np.zeros_like(p) if q_mvar is None else np.asarray(q_mvar, dtype=float)
-
-    z = {}
-    for ln in grid.lines:
-        if ln.r == 0.0 and ln.x == 0.0:
-            raise NetworkError(f"line {ln.id} has zero impedance; AC sweep undefined")
-        z[ln.id] = complex(ln.r, ln.x)
-
-    s_pu = (p + 1j * q) / grid.base_mva
-    v = {bid: complex(SLACK_VOLTAGE, 0.0) for bid in pos}
-    v[root] = complex(SLACK_VOLTAGE, 0.0)
-    children: dict[str, list[str]] = {b.id: [] for b in grid.buses}
-    line_of: dict[str, str] = {}
-    for bid, (up, lidx) in parent.items():
-        children[up].append(bid)
-        line_of[bid] = grid.lines[lidx].id
-    rev = order[::-1]
-
-    def mismatch_of(voltages: dict[str, complex]) -> float:
-        # Current each line carries according to the voltage profile alone,
-        # export-oriented (downstream -> upstream).
-        j_line = {
-            bid: (voltages[bid] - voltages[parent[bid][0]]) / z[line_of[bid]]
-            for bid in parent
-        }
-        worst = 0.0
-        for bid in nonslack:
-            inflow = j_line[bid] - sum(j_line[c] for c in children[bid])
-            s_calc = voltages[bid] * inflow.conjugate()
-            worst = max(worst, abs(s_calc - s_pu[pos[bid]]))
-        return worst
-
-    iterations = 0
-    mis = mismatch_of(v)
-    while mis > AC_TOL:
-        if iterations >= AC_MAX_ITER:
-            raise ConvergenceError(
-                f"AC sweep did not converge in {AC_MAX_ITER} iterations (mismatch {mis:.3e})")
-        # backward: accumulate export-oriented branch currents
-        j_acc = {bid: (s_pu[pos[bid]] / v[bid]).conjugate() for bid in nonslack}
-        for bid in rev:
-            if bid == root:
-                continue
-            up = parent[bid][0]
-            if up != root:
-                j_acc[up] += j_acc[bid]
-        # forward: V_child = V_parent + Z * J_branch
-        for bid in order:
-            if bid == root:
-                continue
-            up = parent[bid][0]
-            v[bid] = v[up] + z[line_of[bid]] * j_acc[bid]
-        iterations += 1
-        mis = mismatch_of(v)
-
-    j_line = {
-        bid: (v[bid] - v[parent[bid][0]]) / z[line_of[bid]] for bid in parent
-    }
-    flow_p = np.zeros(len(grid.lines))
-    flow_q = np.zeros(len(grid.lines))
-    for bid, (up, lidx) in parent.items():
-        s_flow = v[bid] * j_line[bid].conjugate() * grid.base_mva
-        flow_p[lidx] = s_flow.real
-        flow_q[lidx] = s_flow.imag
-    # Losses: total injected minus what arrives at the slack, via I^2 R.
-    losses = sum(
-        (abs(j_line[bid]) ** 2) * z[line_of[bid]].real for bid in parent
-    ) * grid.base_mva
-
-    return ACState(
-        converged=True,
-        iterations=iterations,
-        mismatch=mis,
-        bus_order=tuple(nonslack),
-        voltages=np.array([v[b] for b in nonslack]),
-        line_order=tuple(ln.id for ln in grid.lines),
-        flow_p=flow_p,
-        flow_q=flow_q,
-        losses_mw=float(losses),
-    )
-
-
-@dataclass(frozen=True)
-class DeviationReport:
-    max_dv_pu: float          # worst |V_linear - V_ac| over buses
-    max_dflow_mw: float       # worst |flow_linear - flow_ac| over lines
-    worst_bus: str
-    worst_line: str
-
-
-def compare_models(
-    grid: Grid,
-    p_mw: np.ndarray,
-    q_mvar: np.ndarray | None = None,
-    model: LinearNetworkModel | None = None,
-) -> DeviationReport:
-    """Run both models on one operating point and report worst deviations."""
-    if model is None:
-        model = build_linear_model(grid)
-    flows, v2 = evaluate_linear(model, p_mw, q_mvar)
-    ac = ac_sweep(grid, p_mw, q_mvar)
-    v_lin = np.sqrt(v2)
-    dv = np.abs(v_lin - np.abs(ac.voltages))
-    dflow = np.abs(flows - ac.flow_p)
-    ib = int(np.argmax(dv)) if len(dv) else 0
-    il = int(np.argmax(dflow)) if len(dflow) else 0
-    return DeviationReport(
-        max_dv_pu=float(dv[ib]) if len(dv) else 0.0,
-        max_dflow_mw=float(dflow[il]) if len(dflow) else 0.0,
-        worst_bus=model.bus_order[ib] if len(dv) else "",
-        worst_line=model.line_order[il] if len(dflow) else "",
-    )

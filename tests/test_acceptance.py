@@ -20,10 +20,10 @@ from feedincap.formulation import (
 )
 from feedincap.grid import serialize_grid
 from feedincap.milp import SolverConfig, solve_milp
-from feedincap.network import build_linear_model, compare_models, evaluate_linear
+from feedincap.network import build_linear_model, evaluate_linear
 from feedincap.oracle import annual_simulate, max_scal_bisection, oracle_plan
 
-from util import enumerate_alpha, rule_injections, valid_random_instances
+from util import compare_models, enumerate_alpha, rule_injections, valid_random_instances
 
 
 def _verdict(n: int, ok: bool, detail: str) -> None:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import feedincap
-from feedincap import milp, oracle
+from feedincap import milp, network, oracle
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -41,3 +41,8 @@ def test_test_only_helpers_left_the_package():
     for name in ("solve_lp", "LPSolution", "_StandardForm"):
         assert name not in feedincap.__all__, name
         assert not hasattr(feedincap, name) and not hasattr(milp, name), name
+    # the AC sweep is the tests' reference for LinDistFlow (util), not package API
+    for name in ("ac_sweep", "ACState", "compare_models", "DeviationReport",
+                 "ConvergenceError", "AC_TOL", "AC_MAX_ITER"):
+        assert name not in feedincap.__all__, name
+        assert not hasattr(feedincap, name) and not hasattr(network, name), name

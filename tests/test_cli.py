@@ -602,10 +602,12 @@ def test_synth_unknown_kind(capsys):
 
 
 def test_synth_without_hours_is_a_usage_error(tmp_path, capsys):
+    # one loop, not a parametrize, so the test keeps its id
     out = tmp_path / "example.json"
-    assert cli.main(["synth", "--kind", "example", "--hours", "0", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: hours must be >= 1\n"
-    assert not out.exists()
+    for hours, message in [("0", "hours must be >= 1"), ("8761", "hours must be at most 8760")]:
+        assert cli.main(["synth", "--kind", "example", "--hours", hours, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 def test_outdir_env_var(tmp_path, monkeypatch):

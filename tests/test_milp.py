@@ -368,7 +368,7 @@ def test_milp_determinism():
     assert (a.objective, a.nodes, a.lp_iterations) == (b.objective, b.nodes, b.lp_iterations)
 
 
-def test_a_span_elimination_cannot_decide_falls_back_to_the_simplex():
+def test_a_span_elimination_cannot_decide_ends_undecided():
     # every row keeps two undecided variables, so no row bounds a variable by
     # itself: the span's LP, which HiGHS solves, ends the search undecided
     lp = LinearProgram()
@@ -715,7 +715,7 @@ def _assert_elimination_matches_highs(mip, scal_idx, cfg, monkeypatch, where):
 
 
 @pytest.mark.parametrize("name", ["example", "urban_mv", "rural_mv", "hybrid_mv", "lv"])
-def test_elimination_decides_every_fixture_span_as_the_simplex_does(name, monkeypatch):
+def test_elimination_decides_every_fixture_span_as_highs_does(name, monkeypatch):
     grid = parse_grid((FIXTURES / f"{name}.json").read_text())
     cfg = SolverConfig()
     for fl in (1.0, 0.7):
@@ -726,7 +726,7 @@ def test_elimination_decides_every_fixture_span_as_the_simplex_does(name, monkey
 
 
 @pytest.mark.parametrize("all_hours", [False, True], ids=["worst_hour", "all_hours"])
-def test_elimination_decides_every_random_span_as_the_simplex_does(all_hours, monkeypatch):
+def test_elimination_decides_every_random_span_as_highs_does(all_hours, monkeypatch):
     cfg = SolverConfig()
     count = 0
     for seed in (11, 12, 13, 23, 31):

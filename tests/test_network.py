@@ -4,15 +4,9 @@ import numpy as np
 import pytest
 
 from feedincap.grid import Bus, Grid, Line
-from feedincap.network import (
-    NetworkError,
-    ac_sweep,
-    build_linear_model,
-    compare_models,
-    evaluate_linear,
-)
+from feedincap.network import NetworkError, build_linear_model, evaluate_linear
 
-from util import chain3, random_radial, two_bus
+from util import ac_sweep, chain3, compare_models, random_radial, two_bus
 
 
 def _downstream(model, line_id):

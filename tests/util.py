@@ -10,10 +10,10 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_array, vstack
 
-from feedincap.grid import Bus, GenUnit, Grid, Line
+from feedincap.grid import Bus, GenUnit, Grid, Line, tree_walk
 from feedincap.formulation import Scenario, build_problem, node_aggregates
 from feedincap.milp import INF, LinearProgram, MILProblem, SolverConfig, indicator_bounds
-from feedincap.network import SLACK_VOLTAGE
+from feedincap.network import SLACK_VOLTAGE, NetworkError, build_linear_model, evaluate_linear
 from feedincap.oracle import OracleError, RuleState, _rule_state, feasible_at
 
 
@@ -473,3 +473,72 @@ def dump_lp(problem: LinearProgram | MILProblem) -> str:
         out.append(" " + " ".join(lp.names[j] for j in sorted(binaries)))
     out.append("End")
     return "\n".join(out) + "\n"
+
+
+@dataclass(frozen=True)
+class ACState:
+    converged: bool
+    iterations: int
+    mismatch: float             # worst per-bus |dS|, p.u.
+    voltages: np.ndarray        # complex p.u., non-slack buses in document order
+    flow_p: np.ndarray          # MW per line at its downstream end, toward the slack
+    losses_mw: float
+
+
+def ac_sweep(grid: Grid, p_mw, q_mvar=None) -> ACState:
+    """Backward/forward sweep on the exact AC equations: the reference for
+    LinDistFlow. Injections are net MW/MVAr per non-slack bus in document
+    order, as in evaluate_linear. It reads only the grid and its tree walk,
+    never the linear model, and stops once every bus's apparent-power
+    mismatch is at most 1e-8 p.u. or after 100 sweeps (converged False)."""
+    for ln in grid.lines:
+        if ln.r == 0.0 and ln.x == 0.0:
+            raise NetworkError(f"line {ln.id} has zero impedance; AC sweep undefined")
+    root = next(b.id for b in grid.buses if b.is_slack)
+    parent, order = tree_walk(grid, root)
+    ids = [b.id for b in grid.buses if b.id != root]
+    n = len(ids)
+    pos = {b: i for i, b in enumerate(ids + [root])}     # the slack is v's last entry
+    walk = [pos[b] for b in order[1:]]                  # every parent before its children
+    up = np.array([pos[parent[b][0]] for b in ids], dtype=np.intp)
+    line = np.array([parent[b][1] for b in ids], dtype=np.intp)
+    z = np.array([complex(grid.lines[i].r, grid.lines[i].x) for i in line.tolist()])
+    q = np.zeros(n) if q_mvar is None else np.asarray(q_mvar, dtype=float)
+    s = (np.asarray(p_mw, dtype=float) + 1j * q) / grid.base_mva
+    v = np.full(n + 1, complex(SLACK_VOLTAGE, 0.0))
+
+    def mismatch() -> tuple[float, np.ndarray]:
+        j = (v[:n] - v[up]) / z                     # line currents, toward the slack
+        inflow = np.append(j, 0.0)
+        np.subtract.at(inflow, up, j)
+        return float(np.max(np.abs(v[:n] * inflow[:n].conj() - s), initial=0.0)), j
+
+    iterations, (mis, j) = 0, mismatch()
+    while mis > 1e-8 and iterations < 100:
+        acc = np.append((s / v[:n]).conj(), 0.0)
+        for i in reversed(walk):                    # backward: sum currents upstream
+            acc[up[i]] += acc[i]
+        for i in walk:                              # forward: V_child = V_up + Z * J
+            v[i] = v[up[i]] + z[i] * acc[i]
+        iterations, (mis, j) = iterations + 1, mismatch()
+    flow_p = np.zeros(len(grid.lines))
+    flow_p[line] = (v[:n] * j.conj()).real * grid.base_mva
+    return ACState(mis <= 1e-8, iterations, mis, v[:n].copy(), flow_p,
+                   float(np.sum(np.abs(j) ** 2 * z.real) * grid.base_mva))
+
+
+@dataclass(frozen=True)
+class DeviationReport:
+    max_dv_pu: float            # worst |V_linear - V_ac| over buses
+    max_dflow_mw: float         # worst |flow_linear - flow_ac| over lines
+
+
+def compare_models(grid: Grid, p_mw, q_mvar=None, model=None) -> DeviationReport:
+    """LinDistFlow against the converged AC sweep at one operating point."""
+    model = build_linear_model(grid) if model is None else model
+    flows, v2 = evaluate_linear(model, p_mw, q_mvar)
+    ac = ac_sweep(grid, p_mw, q_mvar)
+    assert ac.converged, f"AC sweep mismatch {ac.mismatch:.3e} after {ac.iterations} sweeps"
+    return DeviationReport(
+        float(np.max(np.abs(np.sqrt(v2) - np.abs(ac.voltages)), initial=0.0)),
+        float(np.max(np.abs(flows - ac.flow_p), initial=0.0)))
