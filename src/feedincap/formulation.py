@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -86,14 +86,7 @@ class Scenario:
 
 
 def scenario_to_json(sc: Scenario) -> str:
-    doc = {
-        "fl": sc.fl,
-        "case": sc.case,
-        "demand_multiplier": sc.demand_multiplier,
-        "hours": None if sc.hours is None else list(sc.hours),
-        "mode": sc.mode,
-    }
-    return json.dumps(doc, indent=1)
+    return json.dumps(asdict(sc), indent=1)     # hours, a tuple, as a JSON list
 
 
 def scenario_from_json(text: str | dict) -> Scenario:
@@ -270,15 +263,16 @@ class ProblemInstance:
     alpha_idx: np.ndarray                        # (H, E) curt_on
     slope: np.ndarray                            # (H, E) premise slope * scal + inter
     inter: np.ndarray                            # (H, E)
-    big_m: np.ndarray                            # (H, E)
+    trigger_rows: np.ndarray                     # (H, E, 2) lp row of pin, spill
     thermal_rows: np.ndarray                     # (H, L) lp row of thermal[k, line]
     v_rows: np.ndarray                           # (H, N) lp row of v[k, bus], model order
 
     @property
     def mip(self) -> MILProblem:
-        """The MILP: the LP with each trigger's premise in scal."""
+        """The MILP: the LP with each trigger's premise in scal, its pin row
+        held when it is on and its spill row when it is off."""
         return MILProblem(self.lp, self.binaries, self.scal_idx, self.slope.ravel(),
-                          self.inter.ravel())
+                          self.inter.ravel(), *self.trigger_rows.reshape(-1, 2).T)
 
 
 def _running_total(start, terms: np.ndarray) -> np.ndarray:
@@ -301,21 +295,19 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
     production p, one curtailment sp and one feed-in trigger curt_on, shared
     by the node's eligible units; which units those are and what they make
     available comes from agg, not from grid.gens. The network rows see p at
-    the node's bus. The node's rows are, with M = big_m:
+    the node's bus. The node's rows are:
 
         avail    p + sp = avail
-        pin_hi   p + M * curt_on <= M + fl * cap + R
-        pin_lo   p - M * curt_on >= -M + fl * cap + R
-        spill    sp <= M * curt_on
+        pin      p = fl * cap + R       held only where curt_on = 1
+        spill    sp <= 0                held only where curt_on = 0
 
     No row states when the trigger is on. Its premise avail - fl * cap - R is
     affine in scal, slope * scal + inter, and solve_milp decides curt_on from
-    it on every scal interval it branches on (milp.indicator_bounds: >= 0 on
-    the whole interval pins it on, < 0 pins it off). The same rule pins each
+    it on each scal span, the interval between two premise roots, it solves
+    (milp.indicator_bounds: >= 0 on the whole span pins it on, < 0 pins it
+    off), and frees the row that value deactivates. The same rule pins each
     trigger here over [0, cfg.scal_max] and leaves the rest free. At premise
-    0 both values give p = avail and sp = 0, as the milp contract asks. M is
-    avail + fl * cap + R + 1 at scal = cfg.scal_max, so no row it relaxes can
-    bind anywhere in the domain.
+    0 both values give p = avail and sp = 0, as the milp contract asks.
     """
     cfg = cfg or SolverConfig()
     if scenario.mode == "annual":
@@ -334,13 +326,6 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
     slope = agg.avail_coef[:, ei] - fl * agg.cap_coef[ei]
     inter = agg.avail_const[:, ei] - fl_cap_c - res
     a_lo, a_hi = indicator_bounds(slope, inter, 0.0, cfg.scal_max)     # curt_on bounds
-    avail_max = agg.avail_const[:, ei] + agg.avail_coef[:, ei] * cfg.scal_max
-    fl_cap_max = fl * (agg.cap_const[ei] + agg.cap_coef[ei] * cfg.scal_max)
-    if (np.minimum(np.minimum(avail_max, fl_cap_max), res) < 0.0).any():
-        raise ValueError("big-M inputs must be nonnegative")    # a Grid that skipped validation
-    big_m = avail_max + fl_cap_max + res + 1.0
-    pin_scal = 0.0 - fl * agg.cap_coef[ei]            # +0.0, not -0.0, at cap_coef = 0
-    pin_hi_ub, pin_lo_lb = big_m + fl_cap_c + res, -big_m + fl_cap_c + res
 
     lp = LinearProgram()
     scal_idx = lp.add_var("scal", 0.0, cfg.scal_max, obj=-1.0)
@@ -357,11 +342,11 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
 
     # Each row kind enters as one block per hour, its entries as (row within
     # the block, variable, coefficient) arrays, one per term of the row. The
-    # three feed-in rows of node e are rows 3e..3e+2 of their block: pin_hi,
-    # pin_lo, spill, so the rows keep the node-by-node order.
-    node, by_node = np.arange(E), 3 * np.arange(E)
+    # three rows of node e are rows 3e..3e+2 of their block: avail, pin,
+    # spill, so the rows keep the node-by-node order.
+    node = 3 * np.arange(E)
     cand = np.flatnonzero(agg.cap_coef[ei] > 0.0)       # nodes whose availability scal scales
-    scal_col, ones = np.full(E, scal_idx), np.ones(E)
+    at, scal_col, ones = node[cand], np.full(cand.size, scal_idx), np.ones(E)
 
     # The hour's only injection variables are the eligible nodes' p, each at +1
     # in its bus's P injection (a node at the slack bus enters no row); the Q
@@ -373,26 +358,21 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
     v_at, v_node = np.nonzero(v_map)
     t_coef, v_coef = t_map[t_at, t_node], v_map[v_at, v_node]
 
+    trigger_rows = np.zeros((H, E, 2), dtype=int)
     thermal_rows = np.zeros((H, L), dtype=int)
     v_rows = np.zeros((H, len(model.bus_order)), dtype=int)
     for k in range(H):
-        p, sp, a = prod_idx[k, :, 0], prod_idx[k, :, 1], alpha_idx[k]
-        avail = agg.avail_const[k, ei]
-        lp.add_rows(np.concatenate([cand, node, node]),
-                    np.concatenate([scal_col[cand], p, sp]),
-                    np.concatenate([-agg.avail_coef[k, ei[cand]], ones, ones]), avail, avail,
-                    [f"avail[{k},{bid}]" for bid in elig_nodes])
-
-        m_k, open_end = big_m[k], np.full(E, INF)
-        terms = ((by_node, scal_col, pin_scal), (by_node, p, ones), (by_node, a, m_k),
-                 (by_node + 1, scal_col, pin_scal), (by_node + 1, p, ones),
-                 (by_node + 1, a, -m_k),
-                 (by_node + 2, sp, ones), (by_node + 2, a, -m_k))
-        lp.add_rows(*(np.concatenate(part) for part in zip(*terms)),
-                    np.stack([-open_end, pin_lo_lb[k], -open_end], axis=1).ravel(),
-                    np.stack([pin_hi_ub[k], open_end, np.zeros(E)], axis=1).ravel(),
-                    [f"{kind}[{k},{bid}]" for bid in elig_nodes
-                     for kind in ("pin_hi", "pin_lo", "spill")])
+        p, sp = prod_idx[k, :, 0], prod_idx[k, :, 1]
+        avail, pin = agg.avail_const[k, ei], fl_cap_c + res[k]   # pin: p - fl * cap_coef * scal
+        trigger_rows[k] = lp.add_rows(
+            np.concatenate([at, node, node, at + 1, node + 1, node + 2]),
+            np.concatenate([scal_col, p, sp, scal_col, p, sp]),
+            np.concatenate([-agg.avail_coef[k, ei[cand]], ones, ones,
+                            -fl * agg.cap_coef[ei[cand]], ones, ones]),
+            np.stack([avail, pin, np.full(E, -INF)], axis=1).ravel(),
+            np.stack([avail, pin, np.zeros(E)], axis=1).ravel(),
+            [f"{kind}[{k},{bid}]" for bid in elig_nodes for kind in ("avail", "pin", "spill")]
+        ) + node[:, None] + [1, 2]
 
         # network rows: injections are affine in the hour's variables; the
         # constants add up bus by bus, a bus's P term before its Q term
@@ -413,7 +393,7 @@ def build_problem(grid: Grid, scenario: Scenario, cfg: SolverConfig | None = Non
         grid=grid, scenario=scenario, hours=hours, model=model, agg=agg,
         lp=lp, binaries=tuple(alphas), scal_idx=scal_idx,
         elig_nodes=tuple(elig_nodes), prod_idx=prod_idx, alpha_idx=alpha_idx,
-        slope=slope, inter=inter, big_m=big_m,
+        slope=slope, inter=inter, trigger_rows=trigger_rows,
         thermal_rows=thermal_rows, v_rows=v_rows,
     )
 

@@ -15,7 +15,10 @@ bounds from the variable bounds alone (Land & Doig, Econometrica 28(3),
 - The caller must make both values of a binary give the same feasible
   points where its premise is exactly 0, which is where two spans meet.
 
-A span's LP has every row of lp; no row is left out or deferred.
+A span's LP has every row of lp but those its fixings deactivate: a binary's
+on row holds only where it is 1 and its off row only where it is 0, with no
+big-M (indicator rows: Bonami, Lodi, Tramontani & Wiese, Math. Programming
+151, 2015). Those are freed to (-inf, inf); no row is deferred.
 node_limit counts LP solves; the gap at the limit is the incumbent less the
 least bound of the spans still open.
 
@@ -42,7 +45,7 @@ fixed variable as its bound; then two rules repeat:
    ulps of the magnitudes each bound was computed from (a row's bound and
    the |a_k * x_k| of its written terms, divided by |a|), plus the rounding
    those terms inherit. That is about 1e-15 relative, far below
-   feasibility_tol, and it admits the cancellation a big-M pair leaves.
+   feasibility_tol.
 Once every variable is alpha + beta * s, each row and each variable bound
 is an interval on s; this last step is the one that reads every entry. A
 side met at both ends of the span to within its own rounding (as above)
@@ -220,15 +223,18 @@ class LinearProgram:
 class MILProblem:
     """lp with indicator binaries: the premise of binaries[i] is
     slope[i] * x[scal] + inter[i] (module doc). solve_milp sets the binaries'
-    bounds from their premises; it does not read theirs in lp. Where a
-    premise is exactly 0, both values of its binary must give lp the same
-    feasible points."""
+    bounds from their premises; it does not read theirs in lp. Row on_rows[i]
+    holds only where binaries[i] is 1, row off_rows[i] only where it is 0.
+    Where a premise is exactly 0, both values of its binary, each with the
+    rows it holds, must give the same feasible points."""
 
     lp: LinearProgram
     binaries: tuple[int, ...] = ()
     scal: int | None = None           # the variable every premise is affine in
     slope: Sequence[float] = ()
     inter: Sequence[float] = ()
+    on_rows: Sequence[int] = ()       # one lp row per binary, or empty for none
+    off_rows: Sequence[int] = ()
 
 
 @dataclass
@@ -260,10 +266,11 @@ def solve_milp(mip: MILProblem, cfg: SolverConfig | None = None) -> MILPSolution
     span elimination cannot decide ends the search as UNDECIDED."""
     cfg = cfg or SolverConfig()
     lp, scal = mip.lp, mip.scal
-    binaries = np.asarray(mip.binaries)
-    if binaries.size and not np.issubdtype(binaries.dtype, np.integer):
-        raise ValueError(f"binaries must be integer variable indices, got {mip.binaries!r}")
-    binaries = binaries.astype(np.intp)
+    binaries = _indices(mip.binaries, "binaries", "variable", lp.n_vars)
+    gates = [(_indices(rows, name, "row", lp.n_rows), name == "on_rows") for name, rows
+             in (("on_rows", mip.on_rows), ("off_rows", mip.off_rows)) if len(rows)]
+    if any(rows.shape != binaries.shape for rows, _ in gates):
+        raise ValueError("on_rows and off_rows need one row per binary, or none")
     slope = np.asarray(mip.slope, dtype=float)
     inter = np.asarray(mip.inter, dtype=float)
     if (binaries.size and scal is None) or not binaries.shape == slope.shape == inter.shape:
@@ -274,14 +281,13 @@ def solve_milp(mip: MILProblem, cfg: SolverConfig | None = None) -> MILPSolution
     if scal is not None and not (isinstance(scal, (int, np.integer))
                                  and 0 <= scal < lp.n_vars):
         raise ValueError(f"scal must name one of the {lp.n_vars} variables, got {scal}")
-    if ((binaries < 0) | (binaries >= lp.n_vars)).any():
-        raise ValueError(f"binaries must lie in [0, {lp.n_vars})")
     ordered = np.sort(binaries)
     if (ordered[1:] == ordered[:-1]).any() or (binaries == scal).any():
         raise ValueError("binaries must be distinct and must not include scal")
 
     obj = np.asarray(lp.obj, dtype=float)
     lb0, ub0 = np.asarray(lp.lb, dtype=float), np.asarray(lp.ub, dtype=float)
+    row_bounds = np.array([lp.row_lo, lp.row_hi])
     lo, hi = (0.0, 0.0) if scal is None else (lb0[scal], ub0[scal])
     a_lo, a_hi = indicator_bounds(slope, inter, lo, hi)
     free = a_lo < a_hi
@@ -317,8 +323,11 @@ def solve_milp(mip: MILProblem, cfg: SolverConfig | None = None) -> MILPSolution
         lb, ub = lb0.copy(), ub0.copy()
         if scal is not None:
             lb[scal], ub[scal] = span_lo[k], span_hi[k]
-        lb[binaries] = ub[binaries] = inter + slope * mid[k] >= 0.0
-        span_status, x = _eliminate(lp, obj, lb, ub, scal, cfg.feasibility_tol)
+        lb[binaries] = ub[binaries] = on = inter + slope * mid[k] >= 0.0
+        rows = row_bounds.copy()
+        for gated, held in gates:             # free the rows the fixings deactivate
+            rows[:, gated[on != held]] = [[-INF], [INF]]
+        span_status, x = _eliminate(lp, obj, lb, ub, *rows, scal, cfg.feasibility_tol)
         if span_status == INFEASIBLE:
             continue
         if span_status == UNDECIDED:
@@ -334,17 +343,28 @@ def solve_milp(mip: MILProblem, cfg: SolverConfig | None = None) -> MILPSolution
     return MILPSolution(status, incumbent_x, incumbent_obj, gap, nodes)
 
 
+def _indices(values, name: str, what: str, n: int) -> np.ndarray:
+    """values as an index array, each an integer in [0, n)."""
+    out = np.asarray(values)
+    if out.size and not np.issubdtype(out.dtype, np.integer):
+        raise ValueError(f"{name} must be integer {what} indices, got {values!r}")
+    if ((out < 0) | (out >= n)).any():
+        raise ValueError(f"{name} must lie in [0, {n})")
+    return out.astype(np.intp)
+
+
 def _eliminate(lp: LinearProgram, obj: np.ndarray, lb: np.ndarray, ub: np.ndarray,
-               scal: int | None, tol: float) -> tuple[str, np.ndarray | None]:
-    """The LP min obj @ x over lp's rows and lb <= x <= ub, solved by writing
-    every variable as alpha + beta * s, s the scal variable within its bounds
-    (module doc).
+               lo: np.ndarray, hi: np.ndarray, scal: int | None,
+               tol: float) -> tuple[str, np.ndarray | None]:
+    """The LP min obj @ x over lp's rows, within lo and hi, and lb <= x <= ub,
+    solved by writing every variable as alpha + beta * s, s the scal variable
+    within its bounds (module doc).
 
     Returns (OPTIMAL, the optimum x) or (INFEASIBLE, None), and (UNDECIDED,
     None) when the rules leave a variable undecided or scal's range is not
     finite (no scal: s ranges over the point 0).
     """
-    ptr, cols, coef, lo, hi, pos = lp._arrays()
+    ptr, cols, coef, _, _, pos = lp._arrays()
     m, n = lo.size, obj.size
     ends = np.zeros(2) if scal is None else np.array([lb[scal], ub[scal]])
     if not np.isfinite(ends).all():

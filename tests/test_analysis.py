@@ -30,7 +30,7 @@ from feedincap.milp import SolverConfig, solve_milp
 from feedincap.network import build_linear_model
 from feedincap.oracle import annual_simulate, max_scal_bisection, oracle_plan
 
-from util import two_bus
+from util import active_row_bounds, two_bus
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -271,9 +271,11 @@ def test_milp_cell_takes_one_node_and_meets_every_row_on_every_mv_fixture(reques
                 assert cell.status == "ok"
                 mip, sol = solved[-1]
                 assert (sol.status, sol.nodes) == ("optimal", 1), (name, fl, case)
-                lp, act = mip.lp, mip.lp.activities(sol.x)
-                assert (act <= lp.row_hi + tol * (1.0 + np.abs(lp.row_hi))).all()
-                assert (act >= lp.row_lo - tol * (1.0 + np.abs(lp.row_lo))).all()
+                # every row the triggers' values activate
+                act = mip.lp.activities(sol.x)
+                lo, hi = active_row_bounds(mip, sol.x[list(mip.binaries)])
+                assert (act <= hi + tol * (1.0 + np.abs(hi))).all()
+                assert (act >= lo - tol * (1.0 + np.abs(lo))).all()
     assert len(solved) == 12
 
 

@@ -371,9 +371,10 @@ def test_a_premise_just_below_zero_leaves_the_engines_in_agreement():
 
 def test_both_trigger_values_give_the_same_point_at_a_premise_root():
     # the contract solve_milp asks of the rows (milp module doc): fixing scal
-    # at a free trigger's premise root, the trigger fixed to 0 and to 1 (and
-    # left out of binaries, so solve_milp keeps that value) gives the same
-    # production, node by node and hour by hour
+    # at a free trigger's premise root, the trigger fixed to 0 and to 1 with
+    # the row that value deactivates freed (and left out of binaries, so
+    # solve_milp keeps that value and row) gives the same production, node by
+    # node and hour by hour
     grid = parse_grid((FIXTURES / "lv.json").read_text())
     cfg = SolverConfig()
     inst = build_problem(grid, Scenario(fl=0.7, case="a"), cfg)
@@ -385,12 +386,17 @@ def test_both_trigger_values_give_the_same_point_at_a_premise_root():
     for k in order[np.linspace(0, free.size - 1, 5).astype(int)].tolist():
         i, t = int(free[k]), float(roots[k])
         j, others = int(binaries[i]), np.delete(np.arange(binaries.size), i)
-        mip = replace(inst.mip, binaries=tuple(binaries[others].tolist()),
-                      slope=inst.slope.ravel()[others], inter=inst.inter.ravel()[others])
+        full = inst.mip
+        mip = replace(full, binaries=tuple(binaries[others].tolist()),
+                      slope=full.slope[others], inter=full.inter[others],
+                      on_rows=full.on_rows[others], off_rows=full.off_rows[others])
         mip.lp.lb[inst.scal_idx] = mip.lp.ub[inst.scal_idx] = t
+        lo, hi = mip.lp.row_lo.copy(), mip.lp.row_hi.copy()
         points = []
-        for v in (0.0, 1.0):
+        for v, idle in ((0.0, full.on_rows[i]), (1.0, full.off_rows[i])):
             mip.lp.lb[j] = mip.lp.ub[j] = v
+            mip.lp.row_lo[:], mip.lp.row_hi[:] = lo, hi
+            mip.lp.row_lo[idle], mip.lp.row_hi[idle] = -np.inf, np.inf
             sol = solve_milp(mip, cfg)
             assert sol.status == "optimal", (t, v)
             points.append(sol.x[inst.prod_idx])
@@ -435,10 +441,10 @@ def test_the_milp_maximises_scal_over_units_and_triggers_only(name):
         H, E = len(inst.hours), len(inst.elig_nodes)
         L, N = len(inst.model.line_order), len(inst.model.bus_order)
         assert inst.lp.n_vars == 1 + 3 * H * E
-        # per hour: an availability row and three feed-in rows (pin_hi, pin_lo,
-        # spill) per node, and one thermal row per line and one voltage row per
-        # bus, each with both limits; no row states the trigger's premise
-        assert inst.lp.n_rows == H * (4 * E + L + N)
+        # per hour: an availability row and two trigger rows (pin, spill) per
+        # node, and one thermal row per line and one voltage row per bus, each
+        # with both limits; no row states the trigger's premise
+        assert inst.lp.n_rows == H * (3 * E + L + N)
         sol = solve_milp(inst.mip, SolverConfig())
         assert sol.status == "optimal"
         assert sol.objective == -sol.x[inst.scal_idx]
@@ -464,10 +470,9 @@ def test_network_rows_match_the_bus_by_bus_reference():
                     == np.array([lo, hi]).tobytes())
 
 
-def _assert_trigger_block_matches_reference(inst, scal_max=SolverConfig().scal_max):
-    rows, bounds, big_m = reference_trigger_rows(inst, scal_max)
-    assert inst.big_m.tobytes() == big_m.tobytes() and inst.big_m.shape == big_m.shape
-    kinds = ("avail[", "pin_hi[", "pin_lo[", "spill[")
+def _assert_trigger_block_matches_reference(inst):
+    rows, bounds, gated = reference_trigger_rows(inst)
+    kinds = ("avail[", "pin[", "spill[")
     built = {name: r for r, name in enumerate(inst.lp.row_names) if name.startswith(kinds)}
     assert built.keys() == rows.keys()
     for name, (idx, coef, lo, hi) in rows.items():
@@ -481,6 +486,10 @@ def _assert_trigger_block_matches_reference(inst, scal_max=SolverConfig().scal_m
     assert inst.binaries == tuple(inst.alpha_idx.ravel().tolist()) == tuple(bounds)
     for j, (lo, hi) in bounds.items():
         assert (inst.lp.lb[j], inst.lp.ub[j]) == (lo, hi), inst.lp.names[j]
+    mip, names = inst.mip, inst.lp.row_names
+    assert inst.trigger_rows.shape == (*inst.alpha_idx.shape, 2)
+    assert {j: (names[on], names[off])
+            for j, on, off in zip(mip.binaries, mip.on_rows, mip.off_rows)} == gated
 
 
 @pytest.mark.parametrize("name", ["example", "urban_mv", "rural_mv", "hybrid_mv", "lv"])
@@ -491,7 +500,7 @@ def test_trigger_block_matches_the_scalar_reference(name):
             for scal_max in (SolverConfig().scal_max, 1.0):
                 inst = build_problem(grid, Scenario(fl=fl, case=case),
                                      SolverConfig(scal_max=scal_max))
-                _assert_trigger_block_matches_reference(inst, scal_max)
+                _assert_trigger_block_matches_reference(inst)
 
 
 @pytest.mark.parametrize("name", ["example", "urban_mv", "rural_mv", "hybrid_mv", "lv"])
@@ -510,56 +519,13 @@ def test_trigger_block_matches_the_scalar_reference_on_random_instances():
         _assert_trigger_block_matches_reference(build_problem(grid, scenario, cfg))
 
 
-def test_big_m_positive_and_matching_nodes():
-    grid = example_grid_7kwp()
-    inst = build_problem(grid, Scenario(fl=0.7), SolverConfig())
-    assert inst.big_m.shape == inst.alpha_idx.shape
-    assert (inst.big_m > 0).all()
-
-
-def test_big_m_no_eligible_capacity():
-    # no eligible capacity at the node: no trigger and no big-M
+def test_no_eligible_capacity_builds_no_trigger():
+    # no eligible capacity at the node: no trigger and no trigger rows
     for kind, case in (("wind", "b"), ("pv_existing_fixed", "a")):
         inst = build_problem(two_bus(demand_mw=1.4, kind=kind), Scenario(case=case))
-        assert inst.big_m.shape == inst.alpha_idx.shape == (1, 0)
-        assert not any(n.startswith("curt_on") for n in inst.lp.names)
-
-
-def test_big_m_formula():
-    # candidate B = 1 MW, CF = 1, FL = 0.7, SCAL_MAX = 10: M = 10 + 7 + 0 + 1
-    inst = build_problem(two_bus(p_max=1.0), Scenario(fl=0.7), SolverConfig(scal_max=10.0))
-    assert inst.big_m.tolist() == [[pytest.approx(18.0)]]
-
-
-def test_big_m_rejects_negative():
-    # a hand-built grid skips validate_grid: the node's eligible capacity is
-    # positive (2 - 1 MW), but negative at scal_max
-    grid = two_bus(kind="pv_existing_scalable", p_max=2.0)
-    grid = replace(grid, gens=(*grid.gens, GenUnit("c1", "n1", "pv_candidate", -1.0, (1.0,))))
-    with pytest.raises(ValueError, match="big-M inputs must be nonnegative"):
-        build_problem(grid, Scenario(case="b"))
-
-
-def test_big_m_covers_relaxed_rows():
-    # For any scal <= SCAL_MAX and any production split, a deactivated
-    # indicator row must have nonnegative slack.
-    rng = np.random.default_rng(5)
-    smax = 1000.0
-    for _ in range(200):
-        cap0, cap1 = rng.uniform(0.01, 3.0, 2)
-        cf0, cf1, resid = rng.uniform(0.0, 1.0, 3)
-        fl = rng.uniform(0.1, 1.0)
-        grid = two_bus(demand_mw=resid, kind="pv_existing_scalable", p_max=cap0,
-                       profile=(cf0,))
-        grid = replace(grid, gens=(*grid.gens, GenUnit("c1", "n1", "pv_candidate", cap1, (cf1,))))
-        m = build_problem(grid, Scenario(fl=fl, case="b"), SolverConfig(scal_max=smax)).big_m[0, 0]
-        s = rng.uniform(0.0, smax)
-        avail = cap0 * cf0 + cap1 * cf1 * s
-        flcap = fl * (cap0 + cap1 * s)
-        prod = rng.uniform(0.0, avail)
-        assert avail - flcap - resid <= m                 # trigger, alpha = 1
-        assert abs(prod - flcap - resid) <= m             # pins, alpha = 0
-        assert avail - prod <= m                          # spill, alpha = 1
+        assert inst.alpha_idx.shape == (1, 0) and inst.trigger_rows.shape == (1, 0, 2)
+        assert not any(n.startswith(("curt_on", "pin", "spill")) for n in inst.lp.names
+                       + inst.lp.row_names)
 
 
 # -- network rows ------------------------------------------------------------

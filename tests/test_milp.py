@@ -15,7 +15,7 @@ from feedincap.milp import (
 from feedincap.formulation import Scenario, build_problem, extract_solution
 from feedincap.grid import parse_grid
 from feedincap.oracle import max_scal_bisection
-from util import (dump_lp, enumerate_alpha, reference_lp, row_entries,
+from util import (active_row_bounds, dump_lp, enumerate_alpha, reference_lp, row_entries,
                   valid_random_instances)
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -322,13 +322,53 @@ def test_milp_rejects_binaries_without_premises():
     pytest.param(dict(binaries=(0,)), "must not include scal", id="scal-among-binaries"),
     pytest.param(dict(binaries=(1.5,)), "integer variable indices", id="float-binary"),
     pytest.param(dict(binaries=(1.0,)), "integer variable indices", id="integral-float-binary"),
+    pytest.param(dict(on_rows=(2,)), "on_rows must lie", id="on-row-out-of-range"),
+    pytest.param(dict(off_rows=(-1,)), "off_rows must lie", id="negative-off-row"),
+    pytest.param(dict(on_rows=(0, 1)), "one row per binary", id="on-rows-unequal-length"),
+    pytest.param(dict(off_rows=(0,), on_rows=(0, 1)), "one row per binary",
+                 id="off-and-on-rows-unequal-length"),
+    pytest.param(dict(off_rows=(1.0,)), "integer row indices", id="float-off-row"),
 ])
 def test_milp_rejects_a_malformed_problem(kw, match):
     # each would otherwise answer a feasible LP as infeasible, wrap a negative
-    # index to another variable, fix scal as a binary or truncate a float index
+    # index to another variable or row, fix scal as a binary, truncate a float
+    # index or gate a row by no binary
     fields = dict(binaries=(1,), scal=0, slope=[1.0], inter=[-4.0]) | kw
     with pytest.raises(ValueError, match=match):
         solve_milp(MILProblem(_indicator_lp(), **fields))
+
+
+def _gated_lp(*rows) -> LinearProgram:
+    """_indicator_lp's problem without its M: s <= 3.5 (row 0) holds only
+    where a = 0 and s >= 4 (row 1) only where a = 1."""
+    lp = LinearProgram()
+    s = lp.add_var("s", ub=10.0, obj=-1.0)
+    lp.add_var("a", ub=1.0, obj=0.1)
+    lp.add_row([s], [1.0], -INF, 3.5)
+    lp.add_row([s], [1.0], 4.0, INF)
+    for row in rows:
+        lp.add_row(*row)
+    return lp
+
+
+@pytest.mark.parametrize("rows", [
+    pytest.param((), id="no-extra-row"),
+    pytest.param((([0], [1.0], -INF, 8.0),), id="s-at-most-8"),
+    pytest.param((([0, 1], [1.0, 10.0], -INF, 14.0),), id="a-costs-s"),
+    pytest.param((([0], [1.0], 3.75, INF), ([0, 1], [1.0, 10.0], -INF, 13.9)),
+                 id="infeasible"),
+])
+def test_indicator_rows_solve_as_the_big_m_rows_do(rows):
+    # the two gated rows cross, so with both held no point meets them; each span
+    # frees the one its fixing deactivates, and the search takes the nodes and
+    # reaches the point of the big-M statement
+    lp = _gated_lp(*rows)
+    assert reference_lp(lp)[0] == "infeasible"
+    sol = solve_milp(_indicator_mip(lp, on_rows=(1,), off_rows=(0,)))
+    want = solve_milp(_indicator_mip(_indicator_lp(*rows)))
+    assert (sol.status, sol.nodes, sol.gap) == (want.status, want.nodes, want.gap)
+    if want.x is not None:
+        assert sol.x == pytest.approx(want.x, abs=1e-12)
 
 
 def test_milp_infeasible():
@@ -590,8 +630,9 @@ def test_activities_of_some_rows_match_the_all_row_computation(hybrid):
         assert lp.activities(x, rows).tobytes() == lp.activities(x)[rows].tobytes()
 
 
-def _assert_every_row_holds(lp: LinearProgram, x: np.ndarray, cfg: SolverConfig) -> None:
-    act, lo, hi, tol = lp.activities(x), lp.row_lo, lp.row_hi, cfg.feasibility_tol
+def _assert_every_active_row_holds(mip: MILProblem, x: np.ndarray, cfg: SolverConfig) -> None:
+    lp, tol = mip.lp, cfg.feasibility_tol
+    act, (lo, hi) = lp.activities(x), active_row_bounds(mip, x[list(mip.binaries)])
     assert not ((act > hi + tol * (1.0 + np.abs(hi))) | (act < lo - tol * (1.0 + np.abs(lo)))).any()
     assert (x >= np.array(lp.lb) - tol).all() and (x <= np.array(lp.ub) + tol).all()
 
@@ -606,7 +647,7 @@ def test_presolved_nodes_keep_every_status_and_row_on_random_instances(seed):
             inst = build_problem(grid, replace(scenario, hours=hours), cfg)
             sol = solve_milp(inst.mip, cfg)
             assert sol.status == "optimal"
-            _assert_every_row_holds(inst.lp, sol.x, cfg)
+            _assert_every_active_row_holds(inst.mip, sol.x, cfg)
             star = max_scal_bisection(grid, replace(scenario, hours=hours), cfg).scal_star
             assert abs(sol.x[inst.scal_idx] - star) <= 1e-9 * (1.0 + star)
 
@@ -621,7 +662,7 @@ def test_presolved_nodes_keep_every_status_and_row_on_the_fixtures(name):
             inst = build_problem(grid, scenario, cfg)
             sol = solve_milp(inst.mip, cfg)
             assert (sol.status, sol.nodes) == ("optimal", 1), (fl, case)
-            _assert_every_row_holds(inst.lp, sol.x, cfg)
+            _assert_every_active_row_holds(inst.mip, sol.x, cfg)
             scal = extract_solution(inst, sol)
             star = max_scal_bisection(grid, scenario, cfg).scal_star
             assert abs(scal - star) <= 1e-9 * (1.0 + star), (fl, case)
@@ -706,7 +747,7 @@ def _assert_elimination_matches_highs(mip, scal_idx, cfg, monkeypatch, where):
     sol = solve_milp(mip, cfg)
     with monkeypatch.context() as m:
         m.setattr(milp, "_eliminate",
-                  lambda lp, obj, lb, ub, scal, tol: reference_lp(lp, lb, ub))
+                  lambda lp, obj, lb, ub, lo, hi, scal, tol: reference_lp(lp, lb, ub, lo, hi))
         ref = solve_milp(mip, cfg)
     assert sol.status == ref.status and sol.nodes == ref.nodes, where
     if ref.status == "optimal":

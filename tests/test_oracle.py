@@ -302,7 +302,7 @@ def test_enumerate_restores_bounds_when_a_solve_fails(monkeypatch):
     assert any(inst.lp.lb[j] < inst.lp.ub[j] for j in inst.binaries)
     before = (list(inst.lp.lb), list(inst.lp.ub))
 
-    def crash(lp):
+    def crash(lp, *bounds):
         raise RuntimeError("solver crashed")
 
     monkeypatch.setattr(util, "build_problem", lambda *a, **kw: inst)

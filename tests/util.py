@@ -227,14 +227,30 @@ def row_entries(lp: LinearProgram, r: int) -> tuple[np.ndarray, np.ndarray]:
 HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
-def reference_lp(lp: LinearProgram, lb=None, ub=None) -> tuple[str, np.ndarray | None]:
-    """min lp.obj @ x over lp's rows and lb <= x <= ub (default lp's own
-    bounds), solved by scipy's HiGHS with its primal and dual feasibility
-    tolerances at 1e-10: the reference for solve_milp's elimination. Returns
-    ("optimal", x), ("infeasible", None) or ("unbounded", None); any other
-    HiGHS outcome fails the calling test."""
+def active_row_bounds(mip: MILProblem, values) -> tuple[np.ndarray, np.ndarray]:
+    """The row bounds of mip.lp once binaries[i] takes values[i], one binary at
+    a time: its on row is left out (bounds -inf, inf) where the value is 0,
+    its off row where it is 1. The reference for solve_milp's row
+    activation."""
+    lo, hi = mip.lp.row_lo.copy(), mip.lp.row_hi.copy()
+    for i, v in enumerate(values):
+        for rows, active in ((mip.on_rows, v == 1.0), (mip.off_rows, v == 0.0)):
+            if len(rows) and not active:
+                lo[rows[i]], hi[rows[i]] = -INF, INF
+    return lo, hi
+
+
+def reference_lp(lp: LinearProgram, lb=None, ub=None, row_lo=None,
+                 row_hi=None) -> tuple[str, np.ndarray | None]:
+    """min lp.obj @ x over lp's rows within row_lo and row_hi and lb <= x <= ub
+    (each default lp's own), solved by scipy's HiGHS with its primal and dual
+    feasibility tolerances at 1e-10: the reference for solve_milp's
+    elimination. A row free on both sides is left out. Returns ("optimal",
+    x), ("infeasible", None) or ("unbounded", None); any other HiGHS outcome
+    fails the calling test."""
     A = csr_array((lp.data, lp.indices, lp.indptr), shape=(lp.n_rows, lp.n_vars))
-    lo, hi = lp.row_lo, lp.row_hi
+    lo = lp.row_lo if row_lo is None else row_lo
+    hi = lp.row_hi if row_hi is None else row_hi
     eq, upper, lower = lo == hi, (lo < hi) & (hi < INF), (lo < hi) & (lo > -INF)
     bounds = np.column_stack([lp.lb if lb is None else lb, lp.ub if ub is None else ub])
     ub_rows = upper.any() or lower.any()
@@ -292,21 +308,19 @@ def reference_network_rows(inst) -> list[tuple[dict[int, float], float, float]]:
     return rows
 
 
-def reference_trigger_rows(inst, scal_max: float = SolverConfig().scal_max):
+def reference_trigger_rows(inst):
     """The feed-in block of a built problem, one (hour, node) at a time in
-    Python floats, big-M included (avail + fl * cap + R + 1 at scal_max,
-    inputs checked nonnegative): the reference for build_problem's array
-    form. Each availability row, p + sp - avail_coef * scal = avail_const,
-    adds up the node's eligible units from grid.gens one by one in grid
-    order, not from node_aggregates. scal_max must be the one the problem
-    was built with. Returns ({row name: (indices, coefficients, lo, hi)} for
-    every avail, pin_hi, pin_lo and spill row, {curt_on variable:
-    (lb, ub)}, big-M as an (H, E) array)."""
+    Python floats: the reference for build_problem's array form. Each
+    availability row, p + sp - avail_coef * scal = avail_const, adds up the
+    node's eligible units from grid.gens one by one in grid order, not from
+    node_aggregates. Returns ({row name: (indices, coefficients, lo, hi)} for
+    every avail, pin and spill row, {curt_on variable: (lb, ub)}, {curt_on
+    variable: (the name of the row it holds on, of the row it holds off)})."""
     agg, fl, s = inst.agg, inst.scenario.fl, inst.scal_idx
     pos = {bid: i for i, bid in enumerate(agg.bus_order)}
     elig = [g for g in inst.grid.gens if g.kind in inst.scenario.eligible_kinds()]
     s_lo, s_hi = inst.lp.lb[s], inst.lp.ub[s]
-    rows, bounds, big_m = {}, {}, np.zeros(inst.alpha_idx.shape)
+    rows, bounds, gated = {}, {}, {}
     for k, hour in enumerate(inst.hours):
         for e, bid in enumerate(inst.elig_nodes):
             i, a = pos[bid], int(inst.alpha_idx[k, e])
@@ -320,12 +334,6 @@ def reference_trigger_rows(inst, scal_max: float = SolverConfig().scal_max):
                     unit_c += g.p_max * float(g.profile[hour])
             idx, coef = ([s], [-unit_k]) if cand_cap > 0.0 else ([], [])
             rows[f"avail[{k},{bid}]"] = (idx + [p, sp], coef + [1.0, 1.0], unit_c, unit_c)
-            avail_at = float(agg.avail_const[k, i] + agg.avail_coef[k, i] * scal_max)
-            fl_cap_at = fl * float(agg.cap_const[i] + agg.cap_coef[i] * scal_max)
-            res = float(agg.residual[k, i])
-            if min(avail_at, fl_cap_at, res) < 0:
-                raise ValueError("big-M inputs must be nonnegative")
-            m = big_m[k, e] = avail_at + fl_cap_at + res + 1.0
             slope = float(agg.avail_coef[k, i] - fl * agg.cap_coef[i])
             inter = float(agg.avail_const[k, i] - fl * agg.cap_const[i] - agg.residual[k, i])
             p_ends = (inter + slope * s_lo, inter + slope * s_hi)
@@ -336,12 +344,12 @@ def reference_trigger_rows(inst, scal_max: float = SolverConfig().scal_max):
             else:
                 bounds[a] = (0.0, 1.0)
             cap_c, cap_k = float(agg.cap_const[i]), float(agg.cap_coef[i])
-            rows[f"pin_hi[{k},{bid}]"] = ([s, p, a], [0.0 - fl * cap_k, 1.0, m],
-                                          -INF, m + fl * cap_c + res)
-            rows[f"pin_lo[{k},{bid}]"] = ([s, p, a], [0.0 - fl * cap_k, 1.0, -m],
-                                          -m + fl * cap_c + res, INF)
-            rows[f"spill[{k},{bid}]"] = ([sp, a], [1.0, -m], -INF, 0.0)
-    return rows, bounds, big_m
+            pin_at = fl * cap_c + float(agg.residual[k, i])
+            idx, coef = ([s], [-fl * cap_k]) if cand_cap > 0.0 else ([], [])
+            rows[f"pin[{k},{bid}]"] = (idx + [p], coef + [1.0], pin_at, pin_at)
+            rows[f"spill[{k},{bid}]"] = ([sp], [1.0], -INF, 0.0)
+            gated[a] = (f"pin[{k},{bid}]", f"spill[{k},{bid}]")
+    return rows, bounds, gated
 
 
 @dataclass
@@ -378,7 +386,8 @@ def enumerate_alpha(grid: Grid, scenario: Scenario,
                     fix_scal: float | None = None,
                     max_free: int = 20) -> EnumerationResult:
     """Brute-force the MILP: one LP per assignment of the free triggers, each
-    solved by reference_lp.
+    solved by reference_lp over the rows the assignment activates
+    (active_row_bounds).
 
     Exponential by design; refuses more than max_free free binaries. The
     pre-fixing inside build_problem already removes every trigger whose
@@ -389,7 +398,7 @@ def enumerate_alpha(grid: Grid, scenario: Scenario,
     pins scal, and with it every trigger, to one value.
     """
     inst = build_problem(grid, scenario, cfg)
-    lp, s = inst.lp, inst.scal_idx
+    mip, lp, s = inst.mip, inst.lp, inst.scal_idx
     base_lb = list(lp.lb)
     base_ub = list(lp.ub)
     premise = dict(zip(inst.binaries, zip(inst.slope.ravel().tolist(),
@@ -427,7 +436,8 @@ def enumerate_alpha(grid: Grid, scenario: Scenario,
             if lo > hi:
                 continue
             lp.lb[s], lp.ub[s] = lo, hi
-            status, x = reference_lp(lp)
+            status, x = reference_lp(lp, None, None,
+                                     *active_row_bounds(mip, [lp.lb[j] for j in inst.binaries]))
             if status == "optimal":
                 solutions.append(x)
                 objective = float(np.asarray(lp.obj) @ x)
@@ -447,11 +457,14 @@ def _fmt(v: float) -> str:
 
 
 def dump_lp(problem: LinearProgram | MILProblem) -> str:
-    """Plain-text dump (objective, rows, bounds, binaries); bit-exact."""
+    """Plain-text dump (objective, rows, bounds, binaries and the row each
+    holds on and off); bit-exact."""
     if isinstance(problem, MILProblem):
         lp, binaries = problem.lp, problem.binaries
+        gates = [(rows, v) for rows, v in ((problem.on_rows, 1), (problem.off_rows, 0))
+                 if len(rows)]
     else:
-        lp, binaries = problem, ()
+        lp, binaries, gates = problem, (), []
     out = ["Minimize"]
     terms = [f"{'+' if c >= 0 else '-'} {_fmt(abs(c))} {lp.names[j]}"
              for j, c in enumerate(lp.obj) if c != 0.0]
@@ -471,6 +484,10 @@ def dump_lp(problem: LinearProgram | MILProblem) -> str:
     if binaries:
         out.append("Binaries")
         out.append(" " + " ".join(lp.names[j] for j in sorted(binaries)))
+    if gates:
+        out.append("Indicators")
+        out += [f" {lp.names[j]} = {v} -> {lp.row_names[rows[i]]}"
+                for i, j in enumerate(binaries) for rows, v in gates]
     out.append("End")
     return "\n".join(out) + "\n"
 
