@@ -43,7 +43,13 @@ from .grid import (
 )
 from .milp import MILProblem, SolverConfig, solve_milp
 from .network import build_linear_model, evaluate_linear
-from .oracle import annual_simulate, feasible_at, max_scal_bisection, oracle_plan
+from .oracle import (
+    annual_simulate,
+    feasible_at,
+    max_scal_bisection,
+    oracle_plan,
+    search_limits,
+)
 
 __version__ = "0.1.0"
 
@@ -55,6 +61,6 @@ __all__ = [
     "curtailment_rule", "emit_report", "energy_account", "example_grid_7kwp",
     "extract_solution", "feasible_at", "find_bottlenecks", "max_scal_bisection",
     "oracle_plan", "parse_grid", "run_sweep", "scenario_from_json", "scenario_to_json",
-    "serialize_grid", "solve_milp", "synth_grid", "synth_profiles",
+    "search_limits", "serialize_grid", "solve_milp", "synth_grid", "synth_profiles",
     "validate_grid", "__version__",
 ]

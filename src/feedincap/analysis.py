@@ -33,10 +33,12 @@ from .grid import Grid
 from .milp import SolverConfig, solve_milp
 from .network import LinearNetworkModel, build_linear_model
 from .oracle import (
+    ScalSearch,
     flagged_rows,
     headroom,
     max_scal_bisection,
     oracle_plan,
+    search_limits,
 )
 
 log = logging.getLogger(__name__)
@@ -85,9 +87,11 @@ class SweepSpec:
             raise AnalysisError(f"bad sweep cell: {exc}") from None
 
     def scenarios(self):
-        for fl in self.fl_values:
-            for case in self.cases:
-                for mult in self.demand_multipliers:
+        """Every cell, feed-in limits innermost: each run of len(fl_values)
+        cells shares a (case, demand multiplier)."""
+        for case in self.cases:
+            for mult in self.demand_multipliers:
+                for fl in self.fl_values:
                     yield Scenario(fl=fl, case=case, demand_multiplier=mult,
                                    mode=self.mode)
 
@@ -188,14 +192,17 @@ class SweepResult:
 
 def run_cell(grid: Grid, scenario: Scenario, engine: str,
              cfg: SolverConfig, model: LinearNetworkModel,
-             agg: NodeAggregates | None = None) -> CellResult:
+             agg: NodeAggregates | None = None,
+             search: ScalSearch | None = None) -> CellResult:
     """Answer one scenario with the engine: scal*, energy and binding elements.
 
     The engines only fix scal*; the reported quantities come from the
     closed-form plan at that factor, over every planned hour in either mode.
-    agg, when given, is node_aggregates(grid, scenario). Raises AnalysisError
-    for a grid without lines, which validate_grid refuses as no_lines, and
-    where scal moves no production but nothing is infeasible at scal = 0.
+    agg, when given, is node_aggregates(grid, scenario), and search, when
+    given, is the oracle's search for the scenario (from search_limits), so
+    the oracle engine does not search again. Raises AnalysisError for a grid
+    without lines, which validate_grid refuses as no_lines, and where scal
+    moves no production but nothing is infeasible at scal = 0.
     """
     if not grid.lines:
         raise AnalysisError("no_lines: the grid has no lines, so no network bound "
@@ -205,7 +212,8 @@ def run_cell(grid: Grid, scenario: Scenario, engine: str,
                       status="ok", engine=engine)
     agg = agg if agg is not None else node_aggregates(grid, scenario)
     if engine in ("oracle", "both"):
-        search = max_scal_bisection(grid, scenario, cfg, agg=agg, model=model)
+        if search is None:
+            search = max_scal_bisection(grid, scenario, cfg, agg=agg, model=model)
         log.debug("cell fl=%g case=%s x%g: %s", scenario.fl, scenario.case,
                   scenario.demand_multiplier, search)
         if search.status != "ok":
@@ -247,25 +255,43 @@ def run_cell(grid: Grid, scenario: Scenario, engine: str,
 
 def run_sweep(grid: Grid, spec: SweepSpec | None = None,
               cfg: SolverConfig | None = None) -> SweepResult:
-    """Evaluate every sweep cell; cell failures are captured, not raised."""
+    """Evaluate every sweep cell; cell failures are captured, not raised.
+
+    The cells of one (case, demand multiplier) share their node aggregates,
+    which the feed-in limit does not enter, and the oracle searches all of
+    their limits together (search_limits). One aggregate is alive at a time.
+    A failure to aggregate or to search fails that group's cells; any other
+    failure fails its own cell.
+    """
     spec = spec or SweepSpec()
     cfg = cfg or SolverConfig()
     model = build_linear_model(grid)
-    aggs: dict[tuple, NodeAggregates] = {}      # the feed-in limit does not enter
+    scenarios, k = list(spec.scenarios()), len(spec.fl_values)
     cells = []
-    for scenario in spec.scenarios():
+    for group in (scenarios[lo:lo + k] for lo in range(0, len(scenarios), k)):
         try:
-            key = (scenario.case, scenario.demand_multiplier)
-            if key not in aggs:
-                aggs[key] = node_aggregates(grid, scenario)
-            cells.append(run_cell(grid, scenario, spec.engine, cfg, model, aggs[key]))
-        except Exception as exc:                      # cell isolation
-            cells.append(CellResult(
-                fl=scenario.fl, case=scenario.case,
-                demand_multiplier=scenario.demand_multiplier,
-                status="error", engine=spec.engine, error=str(exc)))
+            agg = node_aggregates(grid, group[0])
+            searches = ((None,) * k if spec.engine == "milp" else
+                        search_limits(grid, group[0], spec.fl_values, cfg,
+                                      agg=agg, model=model))
+        except Exception as exc:                      # group isolation
+            cells += [_failed_cell(sc, spec.engine, exc) for sc in group]
+        else:
+            for scenario, search in zip(group, searches):
+                try:
+                    cells.append(run_cell(grid, scenario, spec.engine, cfg, model,
+                                          agg, search))
+                except Exception as exc:              # cell isolation
+                    cells.append(_failed_cell(scenario, spec.engine, exc))
+        agg = None                  # dropped before the next group aggregates
     cells.sort(key=lambda c: c.key)
     return SweepResult(spec=spec, cells=cells)
+
+
+def _failed_cell(scenario: Scenario, engine: str, exc: Exception) -> CellResult:
+    return CellResult(fl=scenario.fl, case=scenario.case,
+                      demand_multiplier=scenario.demand_multiplier,
+                      status="error", engine=engine, error=str(exc))
 
 
 # Both engines land on the hard bound, so only rounding can invert two cells.

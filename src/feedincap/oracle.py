@@ -6,7 +6,8 @@ factor the feed-in cap has a closed form per node and hour (curtailment_rule),
 injections follow, and the linearized network mapping turns them into flows
 and voltages whose margins to their bounds come from one kernel, headroom.
 Every upper-bound row is concave and nondecreasing in the factor, so the
-maximum factor falls out of an exact tangent search (max_scal_bisection).
+maximum factor falls out of an exact tangent search (max_scal_bisection),
+which search_limits runs for several feed-in limits at once.
 
 Everything here is vectorized over hours, so full-year studies stay cheap.
 The module shares the node aggregation and the network model with the MILP
@@ -17,7 +18,7 @@ usable cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -72,7 +73,8 @@ class ScalSearch:
 
 @dataclass
 class RuleState:
-    """One evaluation of the feed-in rule for every resolved hour."""
+    """One evaluation of the feed-in rule for every resolved hour; a stacked
+    evaluation holds (K, H, N) arrays, one (H, N) block per feed-in limit."""
 
     available_mw: np.ndarray            # (H, N) eligible availability
     curtailed_mw: np.ndarray            # (H, N)
@@ -80,12 +82,15 @@ class RuleState:
     injection_q: np.ndarray             # (H, N) net Mvar
 
 
-def _rule_state(agg: NodeAggregates, fl: float, scal: float) -> RuleState:
-    if not 0.0 <= scal < math.inf:
+def _rule_state(agg: NodeAggregates, fl, scal) -> RuleState:
+    """The feed-in rule at (fl, scal): scalars give (H, N) arrays, and fl and
+    scal as (K, 1, 1) arrays give K stacked (K, H, N) states (the search's own
+    factors, left unchecked)."""
+    if not isinstance(scal, np.ndarray) and not 0.0 <= scal < math.inf:
         raise OracleError(f"scal must be finite and >= 0, got {scal}")
     avail = agg.avail_const + agg.avail_coef * scal
     cap = agg.cap_const + agg.cap_coef * scal
-    produced, curtailed = curtailment_rule(avail, cap[None, :], fl, agg.residual)
+    produced, curtailed = curtailment_rule(avail, cap, fl, agg.residual)
     return RuleState(available_mw=avail, curtailed_mw=curtailed,
                      injection_p=produced + agg.nonelig_prod - agg.demand_p,
                      injection_q=-agg.demand_q)
@@ -93,8 +98,13 @@ def _rule_state(agg: NodeAggregates, fl: float, scal: float) -> RuleState:
 
 def _network_arrays(state: RuleState,
                     model: LinearNetworkModel) -> tuple[np.ndarray, np.ndarray]:
-    flows, v2 = evaluate_linear(model, state.injection_p[:, model.bus_cols],
-                                state.injection_q[:, model.bus_cols])
+    """Flows and squared voltages, one row per hour; a stacked (K, H, N) state
+    gives K * H rows, limit by limit."""
+    p, q = state.injection_p[..., model.bus_cols], state.injection_q[..., model.bus_cols]
+    if q.shape != p.shape:              # demand is the same for every stacked limit
+        q = np.broadcast_to(q, p.shape)
+    shape = (math.prod(p.shape[:-1]), model.n_buses)
+    flows, v2 = evaluate_linear(model, p.reshape(shape), q.reshape(shape))
     return np.atleast_2d(flows), np.atleast_2d(v2)
 
 
@@ -124,31 +134,102 @@ def flagged_rows(values, masks, hours: tuple[int, ...],
     return int(ks.size), rows
 
 
+_BLOCK_ROWS = 512       # (limit, hour) rows per batch of the search; bounds its memory
+_MAX_LISTED = 50        # violations a report lists
+
+
 def feasible_at(grid: Grid, scenario: Scenario, scal: float,
                 cfg: SolverConfig | None = None, *,
                 agg: NodeAggregates | None = None,
                 model: LinearNetworkModel | None = None,
-                max_listed: int = 50) -> FeasibilityReport:
+                max_listed: int = _MAX_LISTED) -> FeasibilityReport:
     """Check every thermal and voltage bound at a fixed expansion factor."""
     cfg = cfg or SolverConfig()
     agg = agg if agg is not None else node_aggregates(grid, scenario)
     model = model or build_linear_model(grid)
     flows, v2 = _network_arrays(_rule_state(agg, scenario.fl, scal), model)
-    margins = headroom(model, flows, v2)
-    n_total, rows = flagged_rows(margins,
-                                 tuple(m < -cfg.feasibility_tol for m in margins),
-                                 agg.hours, model.line_order, model.bus_order,
-                                 max_listed)
-    return FeasibilityReport(
-        feasible=n_total == 0,
-        scal=scal,
-        violations=tuple(Violation(kind, el, h, -m) for kind, el, h, m in rows),
-        n_violations=n_total,
-        worst_thermal_mw=-float(np.min(margins[0], initial=np.inf)),
-    )
+    check = _Check(scal, cfg.feasibility_tol, max_listed)
+    check.add(model, headroom(model, flows, v2), agg.hours)
+    return check.report()
 
 
-_BLOCK_HOURS = 512      # hours per batch of the search; bounds its memory on annual runs
+@dataclass
+class _Check:
+    """One FeasibilityReport at scal, gathered over blocks of hours in order."""
+
+    scal: float
+    tol: float
+    max_listed: int
+    n_violations: int = 0
+    rows: list = field(default_factory=list)
+    worst_thermal: float = math.inf     # least thermal margin, MW
+
+    def add(self, model: LinearNetworkModel, margins, hours: tuple[int, ...]) -> None:
+        n, rows = flagged_rows(margins, tuple(m < -self.tol for m in margins), hours,
+                               model.line_order, model.bus_order,
+                               self.max_listed - len(self.rows))
+        self.n_violations += n
+        self.rows += rows
+        self.worst_thermal = min(self.worst_thermal,
+                                 float(np.min(margins[0], initial=np.inf)))
+
+    def report(self) -> FeasibilityReport:
+        return FeasibilityReport(
+            feasible=self.n_violations == 0,
+            scal=self.scal,
+            violations=tuple(Violation(kind, el, h, -m) for kind, el, h, m in self.rows),
+            n_violations=self.n_violations,
+            worst_thermal_mw=-self.worst_thermal,
+        )
+
+
+def search_limits(grid: Grid, scenario: Scenario, fls: tuple[float, ...],
+                  cfg: SolverConfig | None = None, *,
+                  agg: NodeAggregates | None = None,
+                  model: LinearNetworkModel | None = None) -> tuple[ScalSearch, ...]:
+    """max_scal_bisection for each feed-in limit in fls, searched together.
+
+    The scenario gives everything but the limit, and agg is node_aggregates
+    for it: the limit does not enter the aggregates. Every pass stacks the
+    limits still open, each at its own s, into (limit, hour) rows, batched
+    by at most _BLOCK_ROWS rows, and takes each limit's own shortest step and
+    binding row; the first pass, at s = 0, also gives each limit its own
+    FeasibilityReport there. A limit drops out once it is infeasible at
+    s = 0, or its step falls below 1e-12 * (1 + s) or reaches scal_max. One
+    limit gets the batches and the arithmetic of a lone search (512-hour
+    blocks); several limits compute the same rows in larger matrix
+    products, which may round the last bits of scal* differently.
+    """
+    cfg = cfg or SolverConfig()
+    agg = agg if agg is not None else node_aggregates(grid, scenario)
+    model = model or build_linear_model(grid)
+    out: list[ScalSearch | None] = [None] * len(fls)
+    checks = [_Check(0.0, cfg.feasibility_tol, _MAX_LISTED) for _ in fls]
+    s = dict.fromkeys(range(len(fls)), 0.0)     # the limits still open
+    binding = dict.fromkeys(s)
+    for passes in range(2, 102):        # a few passes settle it; 100 caps rounding noise
+        if not s:
+            break
+        keys = list(s)
+        steps = _tangent_steps(agg, model, [fls[k] for k in keys], [s[k] for k in keys],
+                               checks)
+        if checks:
+            zero, checks = [c.report() for c in checks], []
+        for k, (t, row) in zip(keys, steps):
+            if not zero[k].feasible:
+                out[k] = ScalSearch("infeasible_at_zero", None, 1, False, zero[k])
+            elif s[k] + t >= cfg.scal_max:
+                out[k] = ScalSearch("ok", cfg.scal_max, passes, True, zero[k])
+            elif t <= 1e-12 * (1.0 + s[k]):
+                out[k] = ScalSearch("ok", s[k], passes, False, zero[k], row)
+            else:
+                s[k] += t
+                binding[k] = row
+                continue
+            del s[k]
+    for k in s:                         # still stepping after 100 passes
+        out[k] = ScalSearch("ok", s[k], 101, False, zero[k], binding[k])
+    return tuple(out)
 
 
 def max_scal_bisection(grid: Grid, scenario: Scenario,
@@ -164,49 +245,55 @@ def max_scal_bisection(grid: Grid, scenario: Scenario,
     nearest tangent root of the hard bounds over all rows and hours, capped at
     scal_max, until the step falls below 1e-12 * (1 + s); that row binds.
     Lower-bound rows only loosen as s grows and are checked at s = 0, where a
-    violation gives infeasible_at_zero instead of a number. The name is kept
+    violation gives infeasible_at_zero instead of a number. This is the
+    one-limit call of search_limits, in 512-hour blocks. The name is kept
     from the bisection this search replaced.
     """
-    cfg = cfg or SolverConfig()
-    agg = agg if agg is not None else node_aggregates(grid, scenario)
-    model = model or build_linear_model(grid)
-    report_zero = feasible_at(grid, scenario, 0.0, cfg, agg=agg, model=model)
-    if not report_zero.feasible:
-        return ScalSearch("infeasible_at_zero", None, 1, False, report_zero)
-    blocks = [agg.hour_block(lo, lo + _BLOCK_HOURS)
-              for lo in range(0, len(agg.hours), _BLOCK_HOURS)]
-    s = 0.0
-    for passes in range(2, 102):        # a few passes settle it; 100 caps rounding noise
-        t, binding = min((_tangent_step(b, model, scenario.fl, s) for b in blocks),
-                         key=lambda step: step[0])
-        if s + t >= cfg.scal_max:
-            return ScalSearch("ok", cfg.scal_max, passes, True, report_zero)
-        if t <= 1e-12 * (1.0 + s):
-            break
-        s += t
-    return ScalSearch("ok", s, passes, False, report_zero, binding)
+    (search,) = search_limits(grid, scenario, (scenario.fl,), cfg, agg=agg, model=model)
+    return search
 
 
-def _tangent_step(agg: NodeAggregates, model: LinearNetworkModel,
-                  fl: float, s: float) -> tuple[float, tuple[str, str, int] | None]:
-    """Shortest step to a hard upper bound along the tangents at s, and its row."""
-    state = _rule_state(agg, fl, s)
-    flows, v2 = _network_arrays(state, model)
-    # right-derivative of min(avail, fl * cap + R): the smaller slope at a kink
-    over = state.available_mw - fl * (agg.cap_const + agg.cap_coef * s) - agg.residual
-    a, f = agg.avail_coef, np.broadcast_to(fl * agg.cap_coef, over.shape)
-    dp = np.minimum(np.where(over > 0, f, a), np.where(over < 0, a, f))
-    dp = dp[:, model.bus_cols]
-    gap = np.concatenate([model.s_max - flows, model.vmax2 - v2], axis=1)
-    rate = np.concatenate([dp @ model.flow_map.T, dp @ model.voltage_map_p.T], axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = np.where(rate > 0, np.maximum(gap, 0.0) / rate, np.inf)
-    if not np.isfinite(step).any():
-        return np.inf, None
-    k, c = np.unravel_index(np.argmin(step), step.shape)
-    n = len(model.line_order)
-    row = ("thermal", model.line_order[c]) if c < n else ("v_high", model.bus_order[c - n])
-    return float(step[k, c]), row + (agg.hours[k],)
+def _tangent_steps(agg: NodeAggregates, model: LinearNetworkModel, fls: list[float],
+                   ss: list[float], checks: list[_Check]
+                   ) -> list[tuple[float, tuple[str, str, int] | None]]:
+    """Each limit's shortest step from its own s to a hard upper bound along
+    the tangents there, and the (kind, element, hour) row it reaches. Given
+    one check per limit, each also gathers its limit's bounds at its s."""
+    k_open = len(fls)
+    fl = np.array(fls)[:, None, None]
+    s = np.array(ss)[:, None, None]
+    n_lines = len(model.line_order)
+    width = max(1, _BLOCK_ROWS // k_open)
+    best = [(np.inf, None)] * k_open
+    for lo in range(0, len(agg.hours), width):
+        b = agg.hour_block(lo, lo + width)
+        state = _rule_state(b, fl, s)
+        flows, v2 = _network_arrays(state, model)
+        if checks:
+            margins = [m.reshape(k_open, len(b.hours), m.shape[1])
+                       for m in headroom(model, flows, v2)]
+            for k, check in enumerate(checks):
+                check.add(model, tuple(m[k] for m in margins), b.hours)
+        # right-derivative of min(avail, fl * cap + R): the smaller slope at a kink
+        over = state.available_mw - fl * (b.cap_const + b.cap_coef * s) - b.residual
+        a, f = b.avail_coef, np.broadcast_to(fl * b.cap_coef, over.shape)
+        dp = np.minimum(np.where(over > 0, f, a), np.where(over < 0, a, f))
+        dp = dp[..., model.bus_cols].reshape(flows.shape[0], model.n_buses)
+        gap = np.concatenate([model.s_max - flows, model.vmax2 - v2], axis=1)
+        rate = np.concatenate([dp @ model.flow_map.T, dp @ model.voltage_map_p.T], axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(rate > 0, np.maximum(gap, 0.0) / rate, np.inf)
+        if not step.size:                   # no bound to reach
+            continue
+        step = step.reshape(k_open, -1)     # limit by limit: hour, then row
+        for k, i in enumerate(np.argmin(step, axis=1).tolist()):
+            t = float(step[k, i])
+            if t < best[k][0]:              # the earlier block keeps a tie
+                h, c = divmod(i, gap.shape[1])
+                row = (("thermal", model.line_order[c]) if c < n_lines
+                       else ("v_high", model.bus_order[c - n_lines]))
+                best[k] = (t, row + (b.hours[h],))
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import weakref
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
@@ -166,15 +167,38 @@ def test_a_milp_cell_aggregates_once(engine, monkeypatch):
     assert len(calls) == 2 * 3
 
 
-def test_sweep_cell_isolation(monkeypatch):
-    real = analysis.max_scal_bisection
+def test_a_sweep_keeps_one_aggregate_alive(monkeypatch):
+    # each (case, demand multiplier) aggregate is dropped before the next is built
+    real, alive = formulation.node_aggregates, []
 
-    def flaky(grid, scenario, cfg=None, **kw):
+    def recording(*args, **kw):
+        assert all(ref() is None for ref in alive), "an earlier aggregate is still alive"
+        agg = real(*args, **kw)
+        alive.append(weakref.ref(agg))
+        return agg
+
+    monkeypatch.setattr(analysis, "node_aggregates", recording)
+    for engine in ("oracle", "milp", "both"):
+        alive.clear()
+        result = run_sweep(two_bus(demand_mw=0.2), SweepSpec(engine=engine))
+        assert [c.status for c in result.cells] == ["ok"] * 24
+        assert len(alive) == 2 * 3
+    alive.clear()
+    result = run_sweep(two_bus(demand_mw=0.2, profile=(1.0, 0.5, 0.2)),
+                       SweepSpec(fl_values=(1.0, 0.7), mode="annual"))
+    assert [c.status for c in result.cells] == ["ok"] * 12 and len(alive) == 2 * 3
+
+
+def test_sweep_cell_isolation(monkeypatch):
+    # a failure in a cell's own stage fails that cell only
+    real_plan = analysis.oracle_plan
+
+    def flaky_plan(grid, scenario, scal, **kw):
         if scenario.fl == 0.9:
             raise RuntimeError("boom")
-        return real(grid, scenario, cfg, **kw)
+        return real_plan(grid, scenario, scal, **kw)
 
-    monkeypatch.setattr(analysis, "max_scal_bisection", flaky)
+    monkeypatch.setattr(analysis, "oracle_plan", flaky_plan)
     result = run_sweep(two_bus(), SweepSpec(cases=("a",),
                                             demand_multipliers=(1.0,)))
     assert len(result.cells) == 4
@@ -182,6 +206,24 @@ def test_sweep_cell_isolation(monkeypatch):
     assert [c.fl for c in failed] == [0.9]
     assert "boom" in failed[0].error
     assert all(c.status == "ok" for c in result.cells if c.fl != 0.9)
+
+    # a failing grouped search fails the cells of its own (case, multiplier) only
+    monkeypatch.setattr(analysis, "oracle_plan", real_plan)
+    real_search = analysis.search_limits
+
+    def flaky_search(grid, scenario, fls, cfg=None, **kw):
+        if (scenario.case, scenario.demand_multiplier) == ("b", 1.1):
+            raise RuntimeError("bang")
+        return real_search(grid, scenario, fls, cfg, **kw)
+
+    monkeypatch.setattr(analysis, "search_limits", flaky_search)
+    result = run_sweep(two_bus(demand_mw=0.2), SweepSpec())
+    assert len(result.cells) == 24
+    failed = result.failed_cells
+    assert sorted(c.fl for c in failed) == [0.7, 0.8, 0.9, 1.0]
+    assert all((c.case, c.demand_multiplier) == ("b", 1.1) and "bang" in c.error
+               for c in failed)
+    assert all(c.status == "ok" for c in result.cells if c not in failed)
 
 
 def test_sweep_annual_mode(lv):
@@ -288,6 +330,7 @@ def test_the_milp_engine_never_runs_the_oracle_search(name, request, monkeypatch
         raise AssertionError("the milp engine ran the oracle's search")
 
     monkeypatch.setattr(analysis, "max_scal_bisection", refuse)
+    monkeypatch.setattr(analysis, "search_limits", refuse)
     cells = run_sweep(grid, SweepSpec(engine="milp")).cells
     assert len(cells) == 24
     for cell in cells:

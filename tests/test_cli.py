@@ -270,6 +270,27 @@ def test_verbose_logs_the_oracle_answer(toy_file, tmp_path, caplog):
     assert len(cells) == 4 and all("sub-n1" in m for m in cells)
 
 
+CELL_LINE = re.compile(r"cell fl=(\S+) case=([ab]) x(\S+): ok: scal\* = (\S+) after "
+                       r"(\d+) pass\(es\), binding \('(thermal|v_high)', '[^']+', \d+\)")
+
+
+def test_sweep_verbose_logs_each_cell_once(tmp_path, caplog):
+    # the sweep searches each (case, multiplier)'s limits together, yet logs
+    # the oracle's answer once per cell, in the plan's format
+    caplog.set_level(logging.DEBUG, logger="feedincap")
+    assert cli.main(["-v", "sweep", str(FIXTURES / "urban_mv.json"),
+                     "--outdir", str(tmp_path)]) == 0
+    logged = [CELL_LINE.fullmatch(r.getMessage()) for r in caplog.records
+              if "scal*" in r.getMessage()]
+    assert len(logged) == 24 and all(logged)
+    cells = json.loads((tmp_path / "sweep.json").read_text())["cells"]
+    by_key = {(m[1], m[2], m[3]): m[4] for m in logged}
+    assert len(by_key) == 24
+    for c in cells:
+        key = (f"{c['fl']:g}", c["case"], f"{c['demand_multiplier']:g}")
+        assert by_key[key] == repr(c["scal_star"]), key
+
+
 def _plan_example_milp(outdir, before=(), after=()):
     """`feedincap [before] plan fixtures/example.json --engine milp [after]` in a
     fresh interpreter, so stderr holds exactly what the CLI logs."""

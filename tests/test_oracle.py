@@ -17,6 +17,7 @@ from feedincap.oracle import (
     headroom,
     max_scal_bisection,
     oracle_plan,
+    search_limits,
 )
 
 import util
@@ -25,6 +26,7 @@ from util import (
     enumerate_alpha,
     random_radial,
     reference_bisection,
+    reference_block_search,
     reference_flagged_rows,
     reference_unit_series,
     reference_unit_totals,
@@ -243,6 +245,80 @@ def test_search_reports_binding_line():
     search = max_scal_bisection(two_bus(), Scenario(fl=0.7))
     assert search.binding == ("thermal", "sub-n1", 0)
     assert "sub-n1" in str(search) and "pass" in str(search)
+
+
+# -- search_limits: several feed-in limits over one aggregate ---------------
+
+# Stacked limits go through gemm where a lone snapshot search's 1-row products
+# go through gemv, so scal* may differ in its last bits: at most 3.7e-15 *
+# (1 + scal*) over every default-sweep cell of the fixtures, the sweep
+# benchmark's documents and 150 random grids of up to 40 buses and 30 hours.
+GROUPED_SCAL_TOL = 2e-14
+SWEEP_FLS = (1.0, 0.9, 0.8, 0.7)
+
+
+def _assert_same_report(got, ref, key):
+    """The same verdict and rows; stacked rows may round amounts differently."""
+    assert (got.feasible, got.scal, got.n_violations) \
+        == (ref.feasible, ref.scal, ref.n_violations), key
+    assert [(v.kind, v.element, v.hour) for v in got.violations] \
+        == [(v.kind, v.element, v.hour) for v in ref.violations], key
+    amounts = [(v.amount, w.amount) for v, w in zip(got.violations, ref.violations)]
+    for a, b in amounts + [(got.worst_thermal_mw, ref.worst_thermal_mw)]:
+        assert a == pytest.approx(b, rel=1e-12, abs=1e-12), key
+
+
+def _grouped_cases():
+    for path in sorted(FIXTURES.glob("*.json")):
+        yield path.stem, parse_grid(path.read_text(encoding="utf-8"))
+    rng = np.random.default_rng(37)
+    for i in range(25):
+        yield f"random {i}", random_radial(rng, n_bus=int(rng.integers(3, 16)),
+                                           hours=int(rng.integers(1, 6)))
+
+
+def test_grouped_search_matches_one_limit_searches():
+    cfg = SolverConfig()
+    cells = infeasible = 0
+    for name, grid in _grouped_cases():
+        model = build_linear_model(grid)
+        for case in ("a", "b"):
+            for mult in (1.0, 1.1, 1.2):
+                base = Scenario(case=case, demand_multiplier=mult)
+                grouped = search_limits(grid, base, SWEEP_FLS, cfg, model=model)
+                assert len(grouped) == len(SWEEP_FLS)
+                for fl, got in zip(SWEEP_FLS, grouped):
+                    one = max_scal_bisection(grid, replace(base, fl=fl), cfg, model=model)
+                    key = (name, fl, case, mult)
+                    assert (got.status, got.evaluations, got.hit_domain_max, got.binding) \
+                        == (one.status, one.evaluations, one.hit_domain_max, one.binding), key
+                    # a lone search's first pass checks the bounds as feasible_at does
+                    assert one.report_zero == feasible_at(grid, replace(base, fl=fl), 0.0,
+                                                          cfg, model=model), key
+                    _assert_same_report(got.report_zero, one.report_zero, key)
+                    cells += 1
+                    if one.status != "ok":
+                        infeasible += 1
+                        continue
+                    assert abs(got.scal_star - one.scal_star) \
+                        <= GROUPED_SCAL_TOL * (1.0 + one.scal_star), key
+    assert cells == 30 * 24 and 0 < infeasible < cells
+
+
+def test_one_limit_search_is_the_block_reference(lv_year):
+    # bit for bit: a lone annual search runs the reference's 512-hour blocks
+    cfg, fls = SolverConfig(), (1.0, 0.7)
+    paired = search_limits(lv_year, Scenario(mode="annual"), fls, cfg)   # 256-hour blocks
+    for fl, pair in zip(fls, paired):
+        scenario = Scenario(fl=fl, mode="annual")
+        one = max_scal_bisection(lv_year, scenario, cfg)
+        got = (one.status, one.scal_star, one.evaluations, one.hit_domain_max, one.binding)
+        assert got == reference_block_search(lv_year, scenario, cfg), fl
+        assert (pair.status, pair.evaluations, pair.binding) \
+            == (one.status, one.evaluations, one.binding), fl
+        _assert_same_report(one.report_zero, feasible_at(lv_year, scenario, 0.0, cfg), fl)
+        _assert_same_report(pair.report_zero, one.report_zero, fl)
+        assert abs(pair.scal_star - one.scal_star) <= GROUPED_SCAL_TOL * (1.0 + one.scal_star)
 
 
 # -- enumeration -------------------------------------------------------------

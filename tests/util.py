@@ -170,6 +170,52 @@ def reference_bisection(grid: Grid, scenario: Scenario, cfg: SolverConfig,
     return lo
 
 
+def reference_block_search(grid: Grid, scenario: Scenario, cfg: SolverConfig,
+                           block_hours: int = 512) -> tuple:
+    """One limit's tangent search, block after block of hours, each block's
+    (h, N) rows in their own matrix products: the reference a one-limit
+    search_limits must equal bit for bit. Returns (status, scal*, passes,
+    hit_domain_max, binding)."""
+    if not feasible_at(grid, scenario, 0.0, cfg).feasible:
+        return "infeasible_at_zero", None, 1, False, None
+    agg = node_aggregates(grid, scenario)
+    model = build_linear_model(grid)
+    fl, cols, n_lines = scenario.fl, model.bus_cols, len(model.line_order)
+
+    def tangent_step(b, s):
+        avail = b.avail_const + b.avail_coef * s
+        cap = b.cap_const + b.cap_coef * s
+        curtailed = np.maximum(0.0, avail - fl * cap - b.residual)
+        p = avail - curtailed + b.nonelig_prod - b.demand_p
+        flows, v2 = evaluate_linear(model, p[:, cols], -b.demand_q[:, cols])
+        over = avail - fl * cap - b.residual
+        f = np.broadcast_to(fl * b.cap_coef, over.shape)
+        dp = np.minimum(np.where(over > 0, f, b.avail_coef),
+                        np.where(over < 0, b.avail_coef, f))[:, cols]
+        gap = np.concatenate([model.s_max - flows, model.vmax2 - v2], axis=1)
+        rate = np.concatenate([dp @ model.flow_map.T, dp @ model.voltage_map_p.T], axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(rate > 0, np.maximum(gap, 0.0) / rate, np.inf)
+        if not np.isfinite(step).any():
+            return np.inf, None
+        k, c = np.unravel_index(np.argmin(step), step.shape)
+        row = ("thermal", model.line_order[c]) if c < n_lines else \
+            ("v_high", model.bus_order[c - n_lines])
+        return float(step[k, c]), row + (b.hours[k],)
+
+    blocks = [agg.hour_block(lo, lo + block_hours)
+              for lo in range(0, len(agg.hours), block_hours)]
+    s = 0.0
+    for passes in range(2, 102):
+        t, binding = min((tangent_step(b, s) for b in blocks), key=lambda st: st[0])
+        if s + t >= cfg.scal_max:
+            return "ok", cfg.scal_max, passes, True, None
+        if t <= 1e-12 * (1.0 + s):
+            break
+        s += t
+    return "ok", s, passes, False, binding
+
+
 def reference_unit_series(grid: Grid, scenario: Scenario,
                           scal: float) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The plan's per-unit series one generator at a time: the reference for
