@@ -28,6 +28,7 @@ from .formulation import (
     energy_account,
     extract_solution,
     node_aggregates,
+    resolve_hours,
 )
 from .grid import Grid
 from .milp import SolverConfig, solve_milp
@@ -246,6 +247,7 @@ def run_cell(grid: Grid, scenario: Scenario, engine: str,
     scal = cell.milp_scal if engine == "milp" else cell.oracle_scal
     cell.scal_star = scal
     plan = oracle_plan(grid, scenario, scal, agg=agg, model=model)
+    del agg                 # a plan's own aggregate is not alive in find_bottlenecks
     cell.hours = plan.hours
     cell.account = energy_account(plan)
     cell.added_capacity_mw = plan.added_capacity_mw
@@ -259,7 +261,8 @@ def run_sweep(grid: Grid, spec: SweepSpec | None = None,
 
     The cells of one (case, demand multiplier) share their node aggregates,
     which the feed-in limit does not enter, and the oracle searches all of
-    their limits together (search_limits). One aggregate is alive at a time.
+    their limits together (search_limits). Each multiplier resolves its hours
+    once: they do not depend on the case. One aggregate is alive at a time.
     A failure to aggregate or to search fails that group's cells; any other
     failure fails its own cell.
     """
@@ -267,10 +270,12 @@ def run_sweep(grid: Grid, spec: SweepSpec | None = None,
     cfg = cfg or SolverConfig()
     model = build_linear_model(grid)
     scenarios, k = list(spec.scenarios()), len(spec.fl_values)
-    cells = []
+    cells, hours = [], {}
     for group in (scenarios[lo:lo + k] for lo in range(0, len(scenarios), k)):
         try:
-            agg = node_aggregates(grid, group[0])
+            mult = group[0].demand_multiplier
+            hours[mult] = hours.get(mult) or resolve_hours(grid, group[0])
+            agg = node_aggregates(grid, group[0], hours[mult])
             searches = ((None,) * k if spec.engine == "milp" else
                         search_limits(grid, group[0], spec.fl_values, cfg,
                                       agg=agg, model=model))

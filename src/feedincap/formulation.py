@@ -122,6 +122,7 @@ class NodeAggregates:
     avail = avail_const + avail_coef * scal, cap = cap_const + cap_coef * scal
     (candidates sit in the coef parts, case-"b" existing PV in the consts).
     residual is the demand left after non-eligible generation at the node.
+    The unit_* columns are grid.gens as aggregated; oracle_plan plans from them.
     """
 
     hours: tuple[int, ...]
@@ -135,12 +136,17 @@ class NodeAggregates:
     demand_q: np.ndarray                 # (H, N)
     residual: np.ndarray                 # (H, N)
     candidate_base_total: float          # sum of candidate base capacities, MW
+    unit_at: np.ndarray                  # (G,) node position in bus_order
+    unit_elig: np.ndarray                # (G,) bool, eligible
+    unit_cand: np.ndarray                # (G,) bool, pv_candidate
+    unit_p_max: np.ndarray               # (G,) MW
+    unit_cf: np.ndarray                  # (G, H) capacity factor at each planned hour
 
     def hour_block(self, lo: int, hi: int) -> "NodeAggregates":
         """The same aggregates for hours[lo:hi]; the arrays are views."""
         hourly = ("avail_const", "avail_coef", "nonelig_prod", "demand_p",
                   "demand_q", "residual")
-        return replace(self, hours=self.hours[lo:hi],
+        return replace(self, hours=self.hours[lo:hi], unit_cf=self.unit_cf[:, lo:hi],
                        **{n: getattr(self, n)[lo:hi] for n in hourly})
 
 
@@ -178,11 +184,12 @@ def resolve_hours(grid: Grid, scenario: Scenario) -> tuple[int, ...]:
 
 def node_aggregates(grid: Grid, scenario: Scenario,
                     hours: tuple[int, ...] | None = None) -> NodeAggregates:
-    hours = hours if hours is not None else resolve_hours(grid, scenario)
+    # given hours are the scenario's: numpy would plan hour 23 for -1 and report -1
+    hours = resolve_hours(grid, scenario if hours is None else replace(scenario, hours=hours))
     idx = np.asarray(hours, dtype=int)
     bus_order = tuple(b.id for b in grid.buses)
     pos = {bid: i for i, bid in enumerate(bus_order)}
-    H, N = len(hours), len(bus_order)
+    H, N, G = len(hours), len(bus_order), len(grid.gens)
     elig = scenario.eligible_kinds()
 
     avail_const = np.zeros((H, N))
@@ -191,9 +198,13 @@ def node_aggregates(grid: Grid, scenario: Scenario,
     cap_coef = np.zeros(N)
     nonelig = np.zeros((H, N))
     cand_total = 0.0
-    for g in grid.gens:
-        i = pos[g.bus]
-        cf = g.profile[idx]
+    unit_at = np.array([pos[g.bus] for g in grid.gens], dtype=np.intp)
+    unit_elig = np.array([g.kind in elig for g in grid.gens], dtype=bool)
+    unit_cand = np.array([g.kind == "pv_candidate" for g in grid.gens], dtype=bool)
+    unit_p_max = np.array([g.p_max for g in grid.gens], dtype=float)
+    unit_cf = np.empty((G, H))
+    for g, i, cf in zip(grid.gens, unit_at.tolist(), unit_cf):
+        cf[:] = g.profile[idx]
         if g.kind == "pv_candidate":
             avail_coef[:, i] += g.p_max * cf
             cap_coef[i] += g.p_max
@@ -209,7 +220,8 @@ def node_aggregates(grid: Grid, scenario: Scenario,
     dq = np.array([b.demand_q for b in grid.buses]).T[idx] * mult
     residual = np.maximum(0.0, dp - nonelig)
     # the cells of a sweep share one aggregate, so nothing may write to it
-    for arr in (avail_const, avail_coef, cap_const, cap_coef, nonelig, dp, dq, residual):
+    for arr in (avail_const, avail_coef, cap_const, cap_coef, nonelig, dp, dq, residual,
+                unit_at, unit_elig, unit_cand, unit_p_max, unit_cf):
         arr.flags.writeable = False
 
     return NodeAggregates(
@@ -224,6 +236,8 @@ def node_aggregates(grid: Grid, scenario: Scenario,
         demand_q=dq,
         residual=residual,
         candidate_base_total=cand_total,
+        unit_at=unit_at, unit_elig=unit_elig, unit_cand=unit_cand,
+        unit_p_max=unit_p_max, unit_cf=unit_cf,
     )
 
 

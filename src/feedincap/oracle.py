@@ -73,13 +73,17 @@ class ScalSearch:
 
 @dataclass
 class RuleState:
-    """One evaluation of the feed-in rule for every resolved hour; a stacked
-    evaluation holds (K, H, N) arrays, one (H, N) block per feed-in limit."""
+    """The feed-in rule at every resolved hour: (H, N) arrays, or (K, H, N) for
+    K stacked limits, all sharing the aggregate's own (H, N) demand_q."""
 
     available_mw: np.ndarray            # (H, N) eligible availability
     curtailed_mw: np.ndarray            # (H, N)
     injection_p: np.ndarray             # (H, N) net MW, generation positive
-    injection_q: np.ndarray             # (H, N) net Mvar
+    demand_q: np.ndarray                # (H, N) Mvar, the aggregate's own array
+
+    @property
+    def injection_q(self) -> np.ndarray:
+        return -self.demand_q           # (H, N) net Mvar, made only when read
 
 
 def _rule_state(agg: NodeAggregates, fl, scal) -> RuleState:
@@ -93,14 +97,14 @@ def _rule_state(agg: NodeAggregates, fl, scal) -> RuleState:
     produced, curtailed = curtailment_rule(avail, cap, fl, agg.residual)
     return RuleState(available_mw=avail, curtailed_mw=curtailed,
                      injection_p=produced + agg.nonelig_prod - agg.demand_p,
-                     injection_q=-agg.demand_q)
+                     demand_q=agg.demand_q)
 
 
 def _network_arrays(state: RuleState,
                     model: LinearNetworkModel) -> tuple[np.ndarray, np.ndarray]:
     """Flows and squared voltages, one row per hour; a stacked (K, H, N) state
     gives K * H rows, limit by limit."""
-    p, q = state.injection_p[..., model.bus_cols], state.injection_q[..., model.bus_cols]
+    p, q = state.injection_p[..., model.bus_cols], -state.demand_q[..., model.bus_cols]
     if q.shape != p.shape:              # demand is the same for every stacked limit
         q = np.broadcast_to(q, p.shape)
     shape = (math.prod(p.shape[:-1]), model.n_buses)
@@ -309,30 +313,22 @@ def oracle_plan(grid: Grid, scenario: Scenario, scal: float, *,
     availability is (p_max * scal for candidates, else p_max) * cf, and its
     node's curtailment is split pro rata by availability; node totals, flows
     and voltages are the quantities that are actually pinned down. The
-    per-unit series come out as C-ordered (G, H) matrices, rows in grid.gens
-    order. energy_account's row sums equal the sums of the 1-D unit series
-    only for C-contiguous rows.
+    per-unit series come out of agg's unit columns as C-ordered (G, H)
+    matrices, rows in grid.gens order. energy_account's row sums equal the
+    sums of the 1-D unit series only for C-contiguous rows.
     """
     model = model or build_linear_model(grid)
     agg = agg if agg is not None else node_aggregates(grid, scenario)
     state = _rule_state(agg, scenario.fl, scal)
     flows, v2 = _network_arrays(state, model)
-    hours = agg.hours
-    idx = np.asarray(hours, dtype=int)
-    gens = grid.gens
-    pos = {bid: i for i, bid in enumerate(agg.bus_order)}
-    at = np.array([pos[g.bus] for g in gens], dtype=np.intp)
-    elig_kinds = scenario.eligible_kinds()
-    elig = np.array([g.kind in elig_kinds for g in gens], dtype=bool)
-    p_max = np.array([g.p_max for g in gens], dtype=float)
-    base = np.where([g.kind == "pv_candidate" for g in gens], p_max * scal, p_max)
+    hours, at = agg.hours, agg.unit_at
+    base = np.where(agg.unit_cand, agg.unit_p_max * scal, agg.unit_p_max)
 
     # one row per unit, C-ordered: a gathered column block would be F-ordered
-    avail = np.array([g.profile[idx] for g in gens]).reshape(len(gens), len(idx))
-    avail *= base[:, None]
+    avail = agg.unit_cf * base[:, None]
     node_av = state.available_mw[:, at].T
     shared = node_av > 0
-    shared &= elig[:, None]
+    shared &= agg.unit_elig[:, None]
     curtail = np.zeros_like(avail)          # the pro-rata share, then MW in place
     np.divide(avail, node_av, out=curtail, where=shared)
     del node_av, shared                     # at most three (G, H) floats at once
@@ -347,7 +343,7 @@ def oracle_plan(grid: Grid, scenario: Scenario, scal: float, *,
         hour_duration_h=grid.hour_duration_h,
         bus_order=model.bus_order,
         line_order=model.line_order,
-        unit_ids=tuple(g.id for g in gens),
+        unit_ids=tuple(g.id for g in grid.gens),
         production_mw=production,
         curtailment_mw=curtail,
         available_mw=avail,

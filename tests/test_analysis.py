@@ -18,6 +18,7 @@ from feedincap.analysis import (
     EnergyBalanceError,
     SweepSpec,
     SweepResult,
+    cell_doc,
     check_monotonicity,
     emit_report,
     energy_account,
@@ -26,10 +27,10 @@ from feedincap.analysis import (
 )
 from feedincap.formulation import Scenario, build_problem, extract_solution
 from feedincap.fixtures import example_grid_7kwp
-from feedincap.grid import Bus, GenUnit, Grid, parse_grid
+from feedincap.grid import Bus, GenUnit, Grid, Line, parse_grid
 from feedincap.milp import SolverConfig, solve_milp
 from feedincap.network import build_linear_model
-from feedincap.oracle import annual_simulate, max_scal_bisection, oracle_plan
+from feedincap.oracle import annual_simulate, max_scal_bisection, oracle_plan, search_limits
 
 from util import active_row_bounds, two_bus
 
@@ -187,6 +188,74 @@ def test_a_sweep_keeps_one_aggregate_alive(monkeypatch):
     result = run_sweep(two_bus(demand_mw=0.2, profile=(1.0, 0.5, 0.2)),
                        SweepSpec(fl_values=(1.0, 0.7), mode="annual"))
     assert [c.status for c in result.cells] == ["ok"] * 12 and len(alive) == 2 * 3
+
+
+def _hex_floats(doc):
+    """doc with every float as its hex string, so == compares bits."""
+    if isinstance(doc, float):
+        return doc.hex()
+    if isinstance(doc, dict):
+        return {k: _hex_floats(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_hex_floats(v) for v in doc]
+    return doc
+
+
+def _sweep_grid(name: str) -> Grid:
+    """A shipped fixture, or "two_hour": a grid whose worst-case hour is 0 at
+    demand x1.0 and 1 at x1.1 and x1.2."""
+    if name != "two_hour":
+        return parse_grid((FIXTURES / f"{name}.json").read_text())
+    return Grid(base_mva=1.0, base_kv=20.0,
+                buses=(Bus("sub", True, (0.0, 0.0), (0.0, 0.0), vmin=0.5, vmax=1.5),
+                       Bus("n1", False, (0.2, 0.0), (0.0, 0.0), vmin=0.5, vmax=1.5)),
+                lines=(Line("sub", "n1", 1e-4, 1e-4, 0.5, 1.0),),
+                gens=(GenUnit("g1", "n1", "pv_candidate", 1.0, (1.0, 0.79)),))
+
+
+@pytest.mark.parametrize("name,spec", [
+    *((name, SweepSpec()) for name in ("example", "urban_mv", "rural_mv", "hybrid_mv", "lv",
+                                       "two_hour")),
+    ("lv", SweepSpec(fl_values=(1.0, 0.7), mode="annual")),
+])
+def test_a_sweep_cell_is_its_plan(name, spec):
+    # each cell, planned from its group's shared aggregate and hours, is run_cell
+    # on an aggregate of its own, handed the same grouped search
+    grid = _sweep_grid(name)
+    cfg, model = SolverConfig(), build_linear_model(grid)
+    result = run_sweep(grid, spec, cfg)
+    assert [c.status for c in result.cells] == ["ok"] * len(result.cells)
+    cells = {(c.fl, c.case, c.demand_multiplier): c for c in result.cells}
+    scenarios = list(spec.scenarios())
+    for lo in range(0, len(scenarios), len(spec.fl_values)):
+        group = scenarios[lo:lo + len(spec.fl_values)]
+        searches = search_limits(grid, group[0], spec.fl_values, cfg, model=model)
+        for scenario, search in zip(group, searches):
+            cell = analysis.run_cell(grid, scenario, "oracle", cfg, model, search=search)
+            swept = cells[(scenario.fl, scenario.case, scenario.demand_multiplier)]
+            assert swept.hours == cell.hours
+            assert _hex_floats(cell_doc(swept)) == _hex_floats(cell_doc(cell))
+
+
+@pytest.mark.parametrize("name", ["lv", "two_hour"])
+def test_a_default_sweep_resolves_the_snapshot_hour_once_per_multiplier(name, monkeypatch):
+    # the worst-case hour depends on the demand multiplier, not on the case
+    real, calls = formulation.worst_case_hour, []
+
+    def counting(grid, scenario):
+        calls.append(scenario.demand_multiplier)
+        return real(grid, scenario)
+
+    monkeypatch.setattr(formulation, "worst_case_hour", counting)
+    grid = _sweep_grid(name)
+    result = run_sweep(grid)
+    assert [c.status for c in result.cells] == ["ok"] * 24
+    assert sorted(calls) == [1.0, 1.1, 1.2]
+    for c in result.cells:
+        assert c.hours == (real(grid, Scenario(demand_multiplier=c.demand_multiplier)),)
+    if name == "two_hour":
+        assert {c.demand_multiplier: c.hours for c in result.cells} == {
+            1.0: (0,), 1.1: (1,), 1.2: (1,)}
 
 
 def test_sweep_cell_isolation(monkeypatch):

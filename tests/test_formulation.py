@@ -177,6 +177,35 @@ def test_hours_out_of_range_rejected():
         build_problem(two_bus(), Scenario(hours=(3,)))
 
 
+@pytest.mark.parametrize("hours", [(-1,), (24,), (0, 24)])
+def test_explicit_hours_out_of_range_rejected(hours):
+    # explicit hours take the scenario's range check: numpy would plan hour 23
+    # for -1 and report -1
+    grid = parse_grid((FIXTURES / "lv.json").read_text())
+    with pytest.raises(FormulationError, match="out of range"):
+        node_aggregates(grid, Scenario(fl=0.7), hours)
+    assert node_aggregates(grid, Scenario(fl=0.7), (23,)).hours == (23,)
+
+
+@pytest.mark.parametrize("case", ["a", "b"])
+def test_unit_columns_are_the_generators_at_the_planned_hours(case):
+    grid = parse_grid((FIXTURES / "lv.json").read_text())
+    agg = node_aggregates(grid, Scenario(case=case, mode="annual"))
+    kinds = Scenario(case=case).eligible_kinds()
+    gens = grid.gens
+    assert agg.unit_at.tolist() == [agg.bus_order.index(g.bus) for g in gens]
+    assert agg.unit_elig.tolist() == [g.kind in kinds for g in gens]
+    assert agg.unit_cand.tolist() == [g.kind == "pv_candidate" for g in gens]
+    assert agg.unit_p_max.tolist() == [g.p_max for g in gens]
+    assert agg.unit_cf.flags.c_contiguous and not agg.unit_cf.flags.writeable
+    # an hour block's capacity factors are a view whose columns are its hours
+    block = agg.hour_block(5, 12)
+    assert block.hours == tuple(range(5, 12))
+    assert block.unit_cf.base is agg.unit_cf
+    for g, cf in zip(gens, block.unit_cf):
+        assert np.array_equal(cf, g.profile[list(block.hours)])
+
+
 # -- problem assembly --------------------------------------------------------
 
 
