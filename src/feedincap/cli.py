@@ -135,8 +135,8 @@ def cmd_plan(args) -> int:
             return EXIT_DOMAIN
         print("infeasible at scal = 0: the existing build-out already "
               "violates a network bound; nothing can be added")
-        report = oracle.feasible_at(grid, scenario, 0.0, cfg, model=model)
-        for v in report.violations[:5]:
+        report = oracle.feasible_at(grid, scenario, 0.0, cfg, model=model, max_listed=5)
+        for v in report.violations:
             print(f"  {v.kind} {v.element} hour {v.hour}: +{v.amount:.6g}")
         return EXIT_DOMAIN
 

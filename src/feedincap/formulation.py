@@ -446,7 +446,7 @@ class EnergyBalanceError(AssertionError):
 
 @dataclass(frozen=True)
 class EnergyAccount:
-    """Totals in MWh with the conservation identity enforced on creation."""
+    """Finite totals in MWh with the conservation identity enforced on creation."""
 
     available_mwh: float
     generated_mwh: float
@@ -456,8 +456,10 @@ class EnergyAccount:
     demand_mwh: float | None = None
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(t) for t in vars(self).values() if t is not None):
+            raise EnergyBalanceError(f"energy totals must be finite, got {self}")
         gap = abs(self.generated_mwh + self.curtailed_mwh - self.available_mwh)
-        if gap > 1e-9 * max(1.0, abs(self.available_mwh)):
+        if not gap <= 1e-9 * max(1.0, abs(self.available_mwh)):
             raise EnergyBalanceError(
                 f"generated + curtailed != available (gap {gap:.3e} MWh)")
 

@@ -18,7 +18,7 @@ usable cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,11 +59,12 @@ class FeasibilityReport:
 
 @dataclass(frozen=True)
 class ScalSearch:
+    """A search's answer; feasible_at(grid, scenario, 0.0) lists what breaks at 0."""
+
     status: str                          # ok | infeasible_at_zero
     scal_star: float | None
     evaluations: int                     # passes: the check at zero, then tangent steps
     hit_domain_max: bool
-    report_zero: FeasibilityReport
     binding: tuple[str, str, int] | None = None   # (kind, element, hour) that stops it
 
     def __str__(self) -> str:
@@ -120,6 +121,11 @@ def headroom(model: LinearNetworkModel, flows: np.ndarray,
     return model.s_max - np.abs(flows), model.vmax2 - v2, v2 - model.vmin2
 
 
+def violated(margins, tol: float) -> tuple[np.ndarray, ...]:
+    """Where each headroom margin breaks its bound by more than tol."""
+    return tuple(m < -tol for m in margins)
+
+
 def flagged_rows(values, masks, hours: tuple[int, ...],
                  line_order: tuple[str, ...], bus_order: tuple[str, ...],
                  limit: int | None = None) -> tuple[int, list[tuple]]:
@@ -139,52 +145,28 @@ def flagged_rows(values, masks, hours: tuple[int, ...],
 
 
 _BLOCK_ROWS = 512       # (limit, hour) rows per batch of the search; bounds its memory
-_MAX_LISTED = 50        # violations a report lists
 
 
 def feasible_at(grid: Grid, scenario: Scenario, scal: float,
                 cfg: SolverConfig | None = None, *,
                 agg: NodeAggregates | None = None,
                 model: LinearNetworkModel | None = None,
-                max_listed: int = _MAX_LISTED) -> FeasibilityReport:
-    """Check every thermal and voltage bound at a fixed expansion factor."""
+                max_listed: int = 50) -> FeasibilityReport:
+    """Check every thermal and voltage bound at a fixed expansion factor: count
+    each violation, and list the first max_listed (>= 0) as flagged_rows does."""
+    if max_listed < 0:
+        raise OracleError(f"max_listed must be >= 0, got {max_listed}")
     cfg = cfg or SolverConfig()
     agg = agg if agg is not None else node_aggregates(grid, scenario)
     model = model or build_linear_model(grid)
     flows, v2 = _network_arrays(_rule_state(agg, scenario.fl, scal), model)
-    check = _Check(scal, cfg.feasibility_tol, max_listed)
-    check.add(model, headroom(model, flows, v2), agg.hours)
-    return check.report()
-
-
-@dataclass
-class _Check:
-    """One FeasibilityReport at scal, gathered over blocks of hours in order."""
-
-    scal: float
-    tol: float
-    max_listed: int
-    n_violations: int = 0
-    rows: list = field(default_factory=list)
-    worst_thermal: float = math.inf     # least thermal margin, MW
-
-    def add(self, model: LinearNetworkModel, margins, hours: tuple[int, ...]) -> None:
-        n, rows = flagged_rows(margins, tuple(m < -self.tol for m in margins), hours,
-                               model.line_order, model.bus_order,
-                               self.max_listed - len(self.rows))
-        self.n_violations += n
-        self.rows += rows
-        self.worst_thermal = min(self.worst_thermal,
-                                 float(np.min(margins[0], initial=np.inf)))
-
-    def report(self) -> FeasibilityReport:
-        return FeasibilityReport(
-            feasible=self.n_violations == 0,
-            scal=self.scal,
-            violations=tuple(Violation(kind, el, h, -m) for kind, el, h, m in self.rows),
-            n_violations=self.n_violations,
-            worst_thermal_mw=-self.worst_thermal,
-        )
+    margins = headroom(model, flows, v2)
+    n, rows = flagged_rows(margins, violated(margins, cfg.feasibility_tol), agg.hours,
+                           model.line_order, model.bus_order, max_listed)
+    return FeasibilityReport(
+        feasible=n == 0, scal=scal, n_violations=n,
+        violations=tuple(Violation(kind, el, h, -m) for kind, el, h, m in rows),
+        worst_thermal_mw=-float(np.min(margins[0], initial=np.inf)))
 
 
 def search_limits(grid: Grid, scenario: Scenario, fls: tuple[float, ...],
@@ -197,8 +179,8 @@ def search_limits(grid: Grid, scenario: Scenario, fls: tuple[float, ...],
     for it: the limit does not enter the aggregates. Every pass stacks the
     limits still open, each at its own s, into (limit, hour) rows, batched
     by at most _BLOCK_ROWS rows, and takes each limit's own shortest step and
-    binding row; the first pass, at s = 0, also gives each limit its own
-    FeasibilityReport there. A limit drops out once it is infeasible at
+    binding row; the first pass, at s = 0, also checks every bound of each
+    limit, as feasible_at does. A limit drops out once it is infeasible at
     s = 0, or its step falls below 1e-12 * (1 + s) or reaches scal_max. One
     limit gets the batches and the arithmetic of a lone search (512-hour
     blocks); several limits compute the same rows in larger matrix
@@ -208,31 +190,29 @@ def search_limits(grid: Grid, scenario: Scenario, fls: tuple[float, ...],
     agg = agg if agg is not None else node_aggregates(grid, scenario)
     model = model or build_linear_model(grid)
     out: list[ScalSearch | None] = [None] * len(fls)
-    checks = [_Check(0.0, cfg.feasibility_tol, _MAX_LISTED) for _ in fls]
     s = dict.fromkeys(range(len(fls)), 0.0)     # the limits still open
     binding = dict.fromkeys(s)
     for passes in range(2, 102):        # a few passes settle it; 100 caps rounding noise
         if not s:
             break
         keys = list(s)
-        steps = _tangent_steps(agg, model, [fls[k] for k in keys], [s[k] for k in keys],
-                               checks)
-        if checks:
-            zero, checks = [c.report() for c in checks], []
-        for k, (t, row) in zip(keys, steps):
-            if not zero[k].feasible:
-                out[k] = ScalSearch("infeasible_at_zero", None, 1, False, zero[k])
+        steps, holds = _tangent_steps(agg, model, [fls[k] for k in keys],
+                                      [s[k] for k in keys],
+                                      cfg.feasibility_tol if passes == 2 else None)
+        for k, (t, row), ok in zip(keys, steps, holds):
+            if not ok:
+                out[k] = ScalSearch("infeasible_at_zero", None, 1, False)
             elif s[k] + t >= cfg.scal_max:
-                out[k] = ScalSearch("ok", cfg.scal_max, passes, True, zero[k])
+                out[k] = ScalSearch("ok", cfg.scal_max, passes, True)
             elif t <= 1e-12 * (1.0 + s[k]):
-                out[k] = ScalSearch("ok", s[k], passes, False, zero[k], row)
+                out[k] = ScalSearch("ok", s[k], passes, False, row)
             else:
                 s[k] += t
                 binding[k] = row
                 continue
             del s[k]
     for k in s:                         # still stepping after 100 passes
-        out[k] = ScalSearch("ok", s[k], 101, False, zero[k], binding[k])
+        out[k] = ScalSearch("ok", s[k], 101, False, binding[k])
     return tuple(out)
 
 
@@ -258,26 +238,25 @@ def max_scal_bisection(grid: Grid, scenario: Scenario,
 
 
 def _tangent_steps(agg: NodeAggregates, model: LinearNetworkModel, fls: list[float],
-                   ss: list[float], checks: list[_Check]
-                   ) -> list[tuple[float, tuple[str, str, int] | None]]:
+                   ss: list[float], tol: float | None
+                   ) -> tuple[list[tuple[float, tuple[str, str, int] | None]], list[bool]]:
     """Each limit's shortest step from its own s to a hard upper bound along
-    the tangents there, and the (kind, element, hour) row it reaches. Given
-    one check per limit, each also gathers its limit's bounds at its s."""
+    the tangents there, and the (kind, element, hour) row it reaches; then
+    whether each limit holds every bound within tol at its s (tol None: True)."""
     k_open = len(fls)
     fl = np.array(fls)[:, None, None]
     s = np.array(ss)[:, None, None]
     n_lines = len(model.line_order)
     width = max(1, _BLOCK_ROWS // k_open)
     best = [(np.inf, None)] * k_open
+    holds = np.ones(k_open, dtype=bool)
     for lo in range(0, len(agg.hours), width):
         b = agg.hour_block(lo, lo + width)
         state = _rule_state(b, fl, s)
         flows, v2 = _network_arrays(state, model)
-        if checks:
-            margins = [m.reshape(k_open, len(b.hours), m.shape[1])
-                       for m in headroom(model, flows, v2)]
-            for k, check in enumerate(checks):
-                check.add(model, tuple(m[k] for m in margins), b.hours)
+        if tol is not None:
+            bad = [v.any(axis=1) for v in violated(headroom(model, flows, v2), tol)]
+            holds &= ~np.logical_or.reduce(bad).reshape(k_open, -1).any(axis=1)
         # right-derivative of min(avail, fl * cap + R): the smaller slope at a kink
         over = state.available_mw - fl * (b.cap_const + b.cap_coef * s) - b.residual
         a, f = b.avail_coef, np.broadcast_to(fl * b.cap_coef, over.shape)
@@ -297,7 +276,7 @@ def _tangent_steps(agg: NodeAggregates, model: LinearNetworkModel, fls: list[flo
                 row = (("thermal", model.line_order[c]) if c < n_lines
                        else ("v_high", model.bus_order[c - n_lines]))
                 best[k] = (t, row + (b.hours[h],))
-    return best
+    return best, holds.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +361,6 @@ def annual_simulate(grid: Grid, scenario: Scenario, scal: float,
     account = replace(energy_account(plan),
                       demand_mwh=float(agg.demand_p.sum(axis=1).sum() * dh))
     margins = headroom(model, plan.flows_mw, plan.voltages_pu2)
-    bad_hour = np.logical_or.reduce([(m < -cfg.feasibility_tol).any(axis=1)
-                                     for m in margins])
+    bad_hour = np.logical_or.reduce([v.any(axis=1)
+                                     for v in violated(margins, cfg.feasibility_tol)])
     return AnnualResult(float(scal), account, int(bad_hour.sum()))

@@ -73,6 +73,14 @@ def test_account_identity_enforced():
                       imports_mwh=0.0, exports_mwh=0.0)
 
 
+def test_account_totals_must_be_finite():
+    inf = float("inf")
+    with pytest.raises(EnergyBalanceError, match="finite"):
+        EnergyAccount(inf, inf, 0.0, 0.0, 0.0)
+    with pytest.raises(EnergyBalanceError, match="finite"):
+        EnergyAccount(1.0, 1.0, 0.0, 0.0, 0.0, demand_mwh=float("nan"))
+
+
 def test_account_all_zero():
     acc = EnergyAccount(0.0, 0.0, 0.0, 0.0, 0.0)
     assert acc.curtailed_share == 0.0

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from feedincap import cli
+from feedincap import Scenario, cli, feasible_at
 from feedincap.fixtures import example_grid_7kwp, synth_grid
 from feedincap.grid import GenUnit, serialize_grid
 
@@ -323,12 +323,19 @@ def test_verbose_flag_goes_before_or_after_the_subcommand(tmp_path):
 
 
 def test_plan_infeasible_at_zero_distinct_exit(tmp_path, capsys):
+    grid = synth_grid("hybrid_mv")
     p = tmp_path / "hybrid.json"
-    p.write_text(serialize_grid(synth_grid("hybrid_mv")))
+    p.write_text(serialize_grid(grid))
     rc = cli.main(["plan", str(p), "--fl", "1.0", "--demand-mult", "0.5",
                    "--engine", "oracle", "--outdir", str(tmp_path)])
     assert rc == 1
-    assert "infeasible at scal = 0" in capsys.readouterr().out
+    head, *listed = capsys.readouterr().out.splitlines()
+    assert head.startswith("infeasible at scal = 0")
+    # the first five violations of the report at zero, in its order
+    zero = feasible_at(grid, Scenario(fl=1.0, demand_multiplier=0.5), 0.0)
+    assert listed == [f"  {v.kind} {v.element} hour {v.hour}: +{v.amount:.6g}"
+                      for v in zero.violations[:5]]
+    assert zero.n_violations > 5 and listed[0] == "  v_high n121 hour 0: +0.000253793"
     assert not (tmp_path / "plan.json").exists()
 
 
@@ -547,6 +554,16 @@ def test_simulate_violations_exit_nonzero(toy_file, tmp_path, capsys):
     assert "violated in 1 hour" in capsys.readouterr().out
     doc = json.loads((tmp_path / "simulate.json").read_text())
     assert doc["violation_hours"] == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_simulate_non_finite_energy_exits_without_a_file(tmp_path, capsys):
+    # a finite scal whose energy totals overflow: no Infinity in a JSON file
+    rc = cli.main(["simulate", str(FIXTURES / "urban_mv.json"), "--fl", "0.7",
+                   "--scal", "1.7e308", "--outdir", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: energy totals must be finite")
+    assert not (tmp_path / "simulate.json").exists()
 
 
 def test_simulate_negative_scal(example_file, capsys):
